@@ -6,8 +6,15 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> detcheck --scenario: standard + adversarial worlds diff clean across threads"
-cargo run --release -q -p bench-suite --bin detcheck -- --scenario
+echo "==> detcheck: observers off/on x threads 1/2/7 hash identically (standard + adversarial worlds)"
+det_default="$(cargo run --release -q -p bench-suite --bin detcheck)"
+echo "$det_default"
+
+echo "==> detcheck with telemetry compiled out: the same hash lines as the default build"
+det_nodefault="$(cargo run --release -q -p bench-suite --bin detcheck --no-default-features)"
+echo "$det_nodefault"
+[ -n "$det_default" ] || { echo "FAIL: detcheck emitted no hashes"; exit 1; }
+[ "$det_default" = "$det_nodefault" ] || { echo "FAIL: detcheck hashes differ across feature builds"; exit 1; }
 
 echo "==> oracle_diff: columnar sharded scans match the naive row-layout oracle (audit diff included)"
 cargo run --release -q -p bench-suite --bin oracle_diff
@@ -17,32 +24,11 @@ cargo run --release -q -p bench-suite --bin baseline -- --sweep --scale stress -
 reduction="$(grep -o '"memory_reduction": [0-9.]*' /tmp/BENCH_stress.json | awk '{print $2}')"
 awk -v r="$reduction" 'BEGIN { exit !(r >= 2.0) }' || { echo "FAIL: memory_reduction $reduction < 2.0"; exit 1; }
 
-echo "==> audit --check: flight recorder on/off is bit-identical"
-cargo run --release -q -p bench-suite --bin audit -- --check
-
-echo "==> audit --check --scenario: recorder purity holds on the adversarial month"
-cargo run --release -q -p bench-suite --bin audit -- --check --scenario
-
 echo "==> audit: blame agreement, pair detection, and client-episode precision clear the floor"
 cargo run --release -q -p bench-suite --bin audit -- --out /tmp/BENCH_audit.json > /dev/null
 
 echo "==> audit --scenario: per-archetype detection clears the recall floors (censorship/brownout included)"
 cargo run --release -q -p bench-suite --bin audit -- --scenario --out /tmp/BENCH_scenarios.json > /dev/null
-
-echo "==> explain --check: forensic tracer on/off is bit-identical (default features)"
-check_default="$(cargo run --release -q -p bench-suite --bin explain -- --check)"
-echo "$check_default"
-
-echo "==> explain --check: tracer purity holds with telemetry compiled out"
-check_nodefault="$(cargo run --release -q -p bench-suite --bin explain --no-default-features -- --check)"
-echo "$check_nodefault"
-# The dataset/report hashes must also agree ACROSS the two builds: tracing
-# on, off, or compiled down to stubs — one world, byte for byte.
-hashes_default="$(echo "$check_default" | grep -o 'dataset hash [0-9a-f]*, report hash [0-9a-f]*')"
-hashes_nodefault="$(echo "$check_nodefault" | grep -o 'dataset hash [0-9a-f]*, report hash [0-9a-f]*')"
-[ -n "$hashes_default" ] || { echo "FAIL: explain --check emitted no hashes"; exit 1; }
-[ "$hashes_default" = "$hashes_nodefault" ] || {
-    echo "FAIL: tracing determinism broken across feature builds ($hashes_default vs $hashes_nodefault)"; exit 1; }
 
 echo "==> explain --audit-misses: a causal timeline exists for every below-recall archetype"
 misses="$(cargo run --release -q -p bench-suite --bin explain -- --audit-misses)"
@@ -66,17 +52,11 @@ if [ "$(grep -c 'http[s]*://' "$html_dir/report.html")" -ne 0 ]; then
     echo "FAIL: report.html references external URLs"; exit 1
 fi
 
-echo "==> cargo test -q (tier-1: root package)"
-cargo test -q
-
-echo "==> cargo test -q --workspace"
+echo "==> cargo test -q --workspace (tier-1 included: the root package is a workspace member)"
 cargo test -q --workspace
 
-echo "==> telemetry-disabled build stays deterministic"
-cargo test -q --no-default-features --test determinism
-
-echo "==> telemetry-disabled build matches the oracle"
-cargo test -q --no-default-features --test differential
+echo "==> telemetry-disabled build stays deterministic and matches the oracle"
+cargo test -q --no-default-features --test determinism --test differential
 
 echo "==> examples build and run"
 cargo build --release --examples

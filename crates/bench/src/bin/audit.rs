@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p bench-suite --bin audit [--scale quick|stress|repro|paper]
 //!     [--seed N] [--threads N] [--out FILE] [--min-agreement F] [--csv FILE]
-//! cargo run --release -p bench-suite --bin audit -- --check [--seed N]
+//! cargo run --release -p bench-suite --bin audit -- --scenario [--seed N] [--threads N] [--out FILE]
 //! ```
 //!
 //! Default mode runs the experiment with provenance recording on, runs the
@@ -15,11 +15,9 @@
 //! injected blocked pair went undetected with precision below the same
 //! floor.
 //!
-//! `--check` instead verifies the flight recorder's zero-cost contract:
-//! the same seed with provenance on and off must produce bit-identical
-//! datasets (checked via a streaming hash of the full debug serialization)
-//! and byte-identical rendered reports. `ci.sh` runs this alongside
-//! `detcheck`.
+//! The scores mean something only if the flight recorder leaves the
+//! world it observes untouched; `detcheck` holds that, with the recorder
+//! on and off, at several thread counts, in both feature builds.
 //!
 //! `--scenario` runs the adversarial fault-archetype sweep: one world per
 //! archetype preset plus the combined "adversarial month", each audited
@@ -27,22 +25,12 @@
 //! are written to `BENCH_scenarios.json` (committed at the repo root) and
 //! gated on per-archetype recall floors — the floors encode what the 2006
 //! pipeline *can* detect, so a refactor that silently loses detection
-//! power fails CI. `--check --scenario` instead reruns the recorder
-//! on/off bit-identity check on the adversarial-month world.
+//! power fails CI.
 
-use bench_suite::{dataset_fingerprint, Fnv, Scale};
+use bench_suite::Scale;
 use netprofiler::{audit::audit, Analysis, AnalysisConfig};
 use std::time::Instant;
 use workload::{run_experiment, AdversarialProfile, ExperimentConfig, ARCHETYPE_NAMES};
-
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    use std::fmt::Write as _;
-    let mut h = Fnv::new();
-    h.write_str(std::str::from_utf8(bytes).unwrap_or(""))
-        .expect("hashing cannot fail");
-    h.finish()
-}
 
 fn main() {
     let mut scale = Scale::Quick;
@@ -51,7 +39,6 @@ fn main() {
     let mut out_path = std::path::PathBuf::from("BENCH_audit.json");
     let mut csv_path: Option<std::path::PathBuf> = None;
     let mut min_agreement = 0.5f64;
-    let mut check = false;
     let mut scenario = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -75,12 +62,11 @@ fn main() {
             "--min-agreement" => {
                 min_agreement = args.next().and_then(|v| v.parse().ok()).unwrap_or(min_agreement);
             }
-            "--check" => check = true,
             "--help" | "-h" => {
                 println!(
                     "audit [--scale quick|stress|repro|paper] [--seed N] [--threads N] [--out FILE] \
-                     [--csv FILE] [--min-agreement F] | audit --check [--seed N] [--scenario] \
-                     | audit --scenario [--seed N] [--threads N] [--out FILE]"
+                     [--csv FILE] [--min-agreement F] | audit --scenario [--seed N] [--threads N] \
+                     [--out FILE]"
                 );
                 return;
             }
@@ -91,10 +77,6 @@ fn main() {
         }
     }
 
-    if check {
-        run_check(seed, scenario);
-        return;
-    }
     if scenario {
         let out = if out_path == std::path::Path::new("BENCH_audit.json") {
             std::path::PathBuf::from("BENCH_scenarios.json")
@@ -321,59 +303,4 @@ fn run_scenarios(seed: u64, threads: usize, out_path: &std::path::Path) {
         std::process::exit(1);
     }
     eprintln!("scenario sweep passed: {} worlds audited", reports.len());
-}
-
-/// Zero-cost contract: provenance on/off must not perturb the world.
-/// With `adversarial`, the same contract is checked on the world with
-/// every fault archetype enabled.
-fn run_check(seed: u64, adversarial: bool) {
-    let run = |record: bool| {
-        let mut cfg = ExperimentConfig::quick(seed);
-        cfg.hours = 12;
-        cfg.wire_fidelity = false;
-        cfg.record_provenance = record;
-        if adversarial {
-            cfg.adversarial = AdversarialProfile::adversarial_month();
-        }
-        let out = run_experiment(&cfg);
-        let acfg = AnalysisConfig::default();
-        let rendered = report::render_all(&out.dataset, acfg, seed);
-        (
-            dataset_fingerprint(&out.dataset),
-            fnv1a(rendered.as_bytes()),
-            out.dataset.records.len(),
-            out.dataset.connections.len(),
-            out.provenance.is_some(),
-        )
-    };
-
-    eprintln!("audit --check: 12 h window, seed {seed}, provenance off vs on ...");
-    let off = run(false);
-    let on = run(true);
-
-    let mut failures = 0u32;
-    let mut check = |what: &str, ok: bool| {
-        if ok {
-            eprintln!("  ok: {what}");
-        } else {
-            eprintln!("  MISMATCH: {what}");
-            failures += 1;
-        }
-    };
-    check("sidecar absent when off", !off.4);
-    check("sidecar present when on", on.4);
-    check("transaction count", off.2 == on.2);
-    check("connection count", off.3 == on.3);
-    check("dataset fingerprint", off.0 == on.0);
-    check("rendered report fingerprint", off.1 == on.1);
-
-    if failures > 0 {
-        eprintln!("audit --check FAILED: {failures} mismatch(es) — the flight recorder perturbed the world");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "audit --check passed: {} transactions, dataset hash {:016x}, report hash {:016x} — \
-         identical with the flight recorder on and off",
-        off.2, off.0, off.1
-    );
 }

@@ -21,20 +21,10 @@
 //! `cores` field records how much hardware parallelism the machine actually
 //! had — speedups are only meaningful when `cores` covers the thread count.
 
-use bench_suite::Scale;
+use bench_suite::{text_fingerprint, Scale};
 use netprofiler::AnalysisConfig;
 use std::time::Instant;
 use workload::run_experiment;
-
-/// FNV-1a, enough to fingerprint a rendered report for equality checking.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn parse_thread_list(s: &str) -> Option<Vec<usize>> {
     let mut list = Vec::new();
@@ -200,7 +190,7 @@ fn run_sweep(
         // Render every table/figure and fingerprint the whole report: the
         // determinism guarantee is that this hash matches at every count.
         let rendered = report::render_all(&out.dataset, acfg, seed);
-        let fingerprint = fnv1a(rendered.as_bytes());
+        let fingerprint = text_fingerprint(&rendered);
         eprintln!(
             "  threads {t}: sim {sim:.2}s, analysis {analysis:.2}s \
              ({} txns, {} blame-attributed conn-hours, report hash {fingerprint:016x})",

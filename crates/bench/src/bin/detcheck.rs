@@ -1,33 +1,37 @@
-//! Fast determinism gate: a tiny two-thread run diffed against the
-//! single-thread run.
+//! The determinism and observer-purity gate: one matrix, one verdict.
 //!
 //! ```text
-//! cargo run --release -p bench-suite --bin detcheck [--seed N] [--scenario]
+//! cargo run --release -p bench-suite --bin detcheck [--seed N]
 //! ```
 //!
-//! Runs a small simulated window (12 hours, wire fidelity off) at
-//! `threads = 1` and `threads = 2`, pushes both datasets through the full
-//! analysis pipeline, and renders every table and figure. Any byte of
-//! difference — dataset sizes, blame attribution, or the rendered report —
-//! exits non-zero. With `--scenario` the same comparison also runs on the
-//! adversarial world (every fault archetype enabled), so the archetype
-//! timelines and their stamps get the same thread-invariance guarantee.
-//! `ci.sh` runs this before the test suite so a scheduling or shard-merge
-//! regression is caught in seconds, not after a full sweep.
+//! Runs a small simulated window (12 hours, wire fidelity off) of two
+//! worlds — the standard one and the adversarial month with every fault
+//! archetype on — with the observers off and on (on = telemetry, the
+//! provenance sidecar and forensic traces together), each at 1, 2 and 7
+//! threads. Every cell's full dataset hash and rendered-report hash must
+//! equal the observers-off single-thread cell's, and the observers-on
+//! cells must record the same sidecar and the same exemplar keys at every
+//! thread count. Any mismatch exits non-zero.
+//!
+//! Each world prints one line on stdout carrying its hashes. They must not
+//! depend on the build either: `ci.sh` runs the gate in the default build
+//! and with `--no-default-features` (telemetry compiled out) and requires
+//! the two outputs to be identical.
 
-use netprofiler::{pipeline, AnalysisConfig};
-use workload::{run_experiment, AdversarialProfile, ExperimentConfig};
+use bench_suite::{debug_fingerprint, text_fingerprint};
+use netprofiler::AnalysisConfig;
+use workload::{run_experiment, AdversarialProfile, ExperimentConfig, ForensicsConfig};
+
+const THREADS: [usize; 3] = [1, 2, 7];
 
 fn main() {
     let mut seed = 20050101u64;
-    let mut scenario = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--scenario" => scenario = true,
             "--help" | "-h" => {
-                println!("detcheck [--seed N] [--scenario]");
+                println!("detcheck [--seed N]");
                 return;
             }
             other => {
@@ -38,72 +42,109 @@ fn main() {
     }
 
     let mut failures = 0u32;
-    failures += compare_world("standard", seed, &AdversarialProfile::none());
-    if scenario {
-        failures += compare_world("adversarial", seed, &AdversarialProfile::adversarial_month());
-    }
+    failures += check_world("standard", seed, AdversarialProfile::none());
+    failures += check_world("adversarial", seed, AdversarialProfile::adversarial_month());
     if failures > 0 {
-        eprintln!("detcheck FAILED: {failures} mismatch(es) between thread counts");
+        eprintln!("detcheck FAILED: {failures} mismatch(es) — thread count or an observer changed the run");
         std::process::exit(1);
     }
 }
 
-/// Compare one world at 1 vs 2 threads; returns the mismatch count.
-fn compare_world(world: &str, seed: u64, adversarial: &AdversarialProfile) -> u32 {
-    let run = |threads: usize| {
-        let mut cfg = ExperimentConfig::quick(seed);
-        cfg.hours = 12;
-        cfg.wire_fidelity = false;
-        cfg.threads = threads;
-        cfg.adversarial = *adversarial;
-        let ds = run_experiment(&cfg).dataset;
-        let acfg = AnalysisConfig::default().with_threads(threads);
-        let full = pipeline::run(&ds, acfg);
-        let rendered = report::render_all(&ds, acfg, seed);
-        (ds, full, rendered)
-    };
+/// What one cell of the matrix produced.
+struct Cell {
+    transactions: usize,
+    dataset: u64,
+    report: u64,
+    /// Sidecar hash, and exemplar count with the hash of their
+    /// `(key, record index)` list; each `Some` only when its observer ran.
+    sidecar: Option<u64>,
+    exemplars: Option<(usize, u64)>,
+}
 
-    eprintln!("detcheck: {world} 12 h window, seed {seed}, threads 1 vs 2 ...");
-    let (ds1, full1, report1) = run(1);
-    let (ds2, full2, report2) = run(2);
+fn run_cell(seed: u64, adversarial: AdversarialProfile, observers: bool, threads: usize) -> Cell {
+    let mut cfg = ExperimentConfig::quick(seed);
+    cfg.hours = 12;
+    cfg.wire_fidelity = false;
+    cfg.threads = threads;
+    cfg.adversarial = adversarial;
+    cfg.record_provenance = observers;
+    cfg.forensics = observers.then(ForensicsConfig::default);
+    telemetry::enable(observers);
+    let out = run_experiment(&cfg);
+    let rendered = report::render_all(
+        &out.dataset,
+        AnalysisConfig::default().with_threads(threads),
+        seed,
+    );
+    telemetry::enable(false);
+    telemetry::reset();
+    Cell {
+        transactions: out.dataset.records.len(),
+        dataset: debug_fingerprint(&out.dataset),
+        report: text_fingerprint(&rendered),
+        sidecar: out.provenance.as_ref().map(debug_fingerprint),
+        exemplars: out.forensics.map(|store| {
+            let keys: Vec<_> = store.iter().map(|x| (x.key(), x.record_index)).collect();
+            (keys.len(), debug_fingerprint(&keys))
+        }),
+    }
+}
+
+/// Run one world's observers × threads matrix, print its hash line, and
+/// return the mismatch count.
+fn check_world(world: &str, seed: u64, adversarial: AdversarialProfile) -> u32 {
+    eprintln!(
+        "detcheck: {world} 12 h window, seed {seed}, observers off/on x threads {THREADS:?} ..."
+    );
+    let cells: Vec<(bool, usize, Cell)> = [false, true]
+        .into_iter()
+        .flat_map(|observers| THREADS.map(|threads| (observers, threads)))
+        .map(|(observers, threads)| {
+            (
+                observers,
+                threads,
+                run_cell(seed, adversarial, observers, threads),
+            )
+        })
+        .collect();
+    let base = &cells[0].2;
+    let observed = &cells[THREADS.len()].2;
 
     let mut failures = 0u32;
-    let mut check = |what: &str, ok: bool| {
-        if ok {
-            eprintln!("  ok: {what}");
-        } else {
-            eprintln!("  MISMATCH: {what}");
-            failures += 1;
-        }
-    };
-    check(
-        "transaction count",
-        ds1.records.len() == ds2.records.len(),
-    );
-    check(
-        "connection count",
-        ds1.connections.len() == ds2.connections.len(),
-    );
-    check("table 5 (blame)", full1.table5 == full2.table5);
-    check(
-        "table 5 conservative",
-        full1.table5_conservative == full2.table5_conservative,
-    );
-    check("overall breakdown", full1.overall == full2.overall);
-    check(
-        "permanent pairs",
-        full1.permanent_pairs == full2.permanent_pairs,
-    );
-    check("rendered report", report1 == report2);
-
-    if failures == 0 {
-        eprintln!(
-            "detcheck passed: {world} — {} transactions, {} connections, report {} bytes — \
-             identical at 1 and 2 threads",
-            ds1.records.len(),
-            ds1.connections.len(),
-            report1.len()
+    for (observers, threads, cell) in &cells {
+        let at = format!(
+            "observers {}, {threads} thread(s)",
+            if *observers { "on" } else { "off" }
+        );
+        let mut check = |what: &str, ok: bool| {
+            if ok {
+                eprintln!("  ok: {at}: {what}");
+            } else {
+                eprintln!("  MISMATCH: {at}: {what}");
+                failures += 1;
+            }
+        };
+        check(
+            "dataset and report hashes",
+            (cell.dataset, cell.report) == (base.dataset, base.report),
+        );
+        check(
+            "sidecar and exemplars exactly when observed",
+            cell.sidecar.is_some() == *observers && cell.exemplars.is_some() == *observers,
+        );
+        check(
+            "sidecar and exemplar keys as at 1 thread",
+            !observers || (cell.sidecar, cell.exemplars) == (observed.sidecar, observed.exemplars),
         );
     }
+    let (exemplars, keys) = observed.exemplars.unwrap_or_default();
+    println!(
+        "{world}: {} transactions, dataset hash {:016x}, report hash {:016x}, sidecar hash {:016x}, \
+         {exemplars} exemplars (keys hash {keys:016x})",
+        base.transactions,
+        base.dataset,
+        base.report,
+        observed.sidecar.unwrap_or_default(),
+    );
     failures
 }

@@ -4,7 +4,6 @@
 //! explain --client C --site S --hour H [--scale quick|stress|repro|paper]
 //!         [--seed N] [--threads N]
 //! explain --audit-misses [--seed N] [--threads N]
-//! explain --check [--seed N]
 //! ```
 //!
 //! Query mode reruns the experiment with the forensic tracer pinned to the
@@ -21,27 +20,17 @@
 //! timeline per miss bucket. Exits non-zero if any below-recall archetype
 //! yields no exemplar.
 //!
-//! `--check` verifies the tracer's zero-perturbation contract the same way
-//! `audit --check` does for the flight recorder: the same seed with
-//! tracing off and on must produce bit-identical datasets and
-//! byte-identical rendered reports. `ci.sh` runs it in both the default
-//! and `--no-default-features` builds.
+//! Both modes rely on the tracer leaving the world untouched, so that a
+//! rerun with traces on explains the very records the analysis scored;
+//! `detcheck` holds that, with every observer on and off, at several
+//! thread counts, in both feature builds.
 
-use bench_suite::{dataset_fingerprint, Fnv, Scale};
+use bench_suite::{dataset_fingerprint, Scale};
 use netprofiler::audit::{audit, infer_record_blame, inferred_index, CLASS_LABELS};
 use netprofiler::{Analysis, AnalysisConfig};
 use workload::{
     run_experiment, AdversarialProfile, ExperimentConfig, ExperimentOutput, ForensicsConfig,
 };
-
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    use std::fmt::Write as _;
-    let mut h = Fnv::new();
-    h.write_str(std::str::from_utf8(bytes).unwrap_or(""))
-        .expect("hashing cannot fail");
-    h.finish()
-}
 
 fn main() {
     let mut scale = Scale::Quick;
@@ -51,7 +40,6 @@ fn main() {
     let mut site: Option<u16> = None;
     let mut hour: Option<u32> = None;
     let mut audit_misses = false;
-    let mut check = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -68,12 +56,10 @@ fn main() {
             "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
             "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
             "--audit-misses" => audit_misses = true,
-            "--check" => check = true,
             "--help" | "-h" => {
                 println!(
                     "explain --client C --site S --hour H [--scale quick|stress|repro|paper] \
-                     [--seed N] [--threads N] | explain --audit-misses [--seed N] [--threads N] \
-                     | explain --check [--seed N]"
+                     [--seed N] [--threads N] | explain --audit-misses [--seed N] [--threads N]"
                 );
                 return;
             }
@@ -84,17 +70,13 @@ fn main() {
         }
     }
 
-    if check {
-        run_check(seed);
-        return;
-    }
     if audit_misses {
         run_audit_misses(seed, threads.unwrap_or(0));
         return;
     }
 
     let (Some(client), Some(site), Some(hour)) = (client, site, hour) else {
-        eprintln!("explain needs --client C --site S --hour H (or --audit-misses / --check)");
+        eprintln!("explain needs --client C --site S --hour H (or --audit-misses)");
         std::process::exit(2);
     };
     run_query(scale, seed, threads.unwrap_or(0), (client, site, hour));
@@ -259,55 +241,5 @@ fn run_audit_misses(seed: u64, threads: usize) {
     eprintln!(
         "explain --audit-misses: one causal timeline per miss bucket ({} archetypes)",
         below.len()
-    );
-}
-
-/// Zero-perturbation contract: tracing on/off must not change the world.
-fn run_check(seed: u64) {
-    let run = |forensics: bool| {
-        let mut cfg = ExperimentConfig::quick(seed);
-        cfg.hours = 12;
-        cfg.wire_fidelity = false;
-        cfg.forensics = forensics.then(ForensicsConfig::default);
-        let out = run_experiment(&cfg);
-        let acfg = AnalysisConfig::default();
-        let rendered = report::render_all(&out.dataset, acfg, seed);
-        (
-            dataset_fingerprint(&out.dataset),
-            fnv1a(rendered.as_bytes()),
-            out.dataset.records.len(),
-            out.dataset.connections.len(),
-            out.forensics.is_some(),
-        )
-    };
-
-    eprintln!("explain --check: 12 h window, seed {seed}, tracing off vs on ...");
-    let off = run(false);
-    let on = run(true);
-
-    let mut failures = 0u32;
-    let mut check = |what: &str, ok: bool| {
-        if ok {
-            eprintln!("  ok: {what}");
-        } else {
-            eprintln!("  MISMATCH: {what}");
-            failures += 1;
-        }
-    };
-    check("exemplar store absent when off", !off.4);
-    check("exemplar store present when on", on.4);
-    check("transaction count", off.2 == on.2);
-    check("connection count", off.3 == on.3);
-    check("dataset fingerprint", off.0 == on.0);
-    check("rendered report fingerprint", off.1 == on.1);
-
-    if failures > 0 {
-        eprintln!("explain --check FAILED: {failures} mismatch(es) — the tracer perturbed the world");
-        std::process::exit(1);
-    }
-    println!(
-        "explain --check passed: {} transactions, dataset hash {:016x}, report hash {:016x} — \
-         identical with the forensic tracer on and off",
-        off.2, off.0, off.1
     );
 }

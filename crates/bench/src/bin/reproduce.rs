@@ -117,9 +117,9 @@ fn main() {
     let mut config = scale.config(seed);
     if html_path.is_some() {
         // The flight recorder and the forensic tracer are both proven
-        // zero-perturbation (audit --check, explain --check), so the page's
-        // audit section and trace waterfalls ride along without changing
-        // the dataset or the text output.
+        // zero-perturbation (detcheck), so the page's audit section and
+        // trace waterfalls ride along without changing the dataset or the
+        // text output.
         config.record_provenance = true;
         config.forensics = Some(workload::ForensicsConfig::default());
     }

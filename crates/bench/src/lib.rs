@@ -75,9 +75,23 @@ impl std::fmt::Write for Fnv {
 /// The same digest `BENCH_audit.json` carries, so a manifest fingerprint
 /// can be checked against the committed regression artifact.
 pub fn dataset_fingerprint(ds: &Dataset) -> u64 {
+    debug_fingerprint(ds)
+}
+
+/// FNV-1a of a value's full `Debug` rendering, streamed without
+/// materializing the string.
+pub fn debug_fingerprint<T: std::fmt::Debug>(value: &T) -> u64 {
     use std::fmt::Write as _;
     let mut h = Fnv::new();
-    write!(h, "{ds:?}").expect("hashing cannot fail");
+    write!(h, "{value:?}").expect("hashing cannot fail");
+    h.finish()
+}
+
+/// FNV-1a of a text, such as a rendered report.
+pub fn text_fingerprint(text: &str) -> u64 {
+    use std::fmt::Write as _;
+    let mut h = Fnv::new();
+    h.write_str(text).expect("hashing cannot fail");
     h.finish()
 }
 

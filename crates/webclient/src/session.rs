@@ -151,6 +151,64 @@ fn record_transaction_outcome(obs: &TransactionObservation) {
     }
 }
 
+/// Ground truth for one transaction: the flight-recorder stamp and the
+/// forensic timeline. The probes fill it as each phase runs, and
+/// [`ClientSession::finish`] turns it into the observation's `provenance`
+/// and `trace`. Probes are pure timeline lookups (no RNG), so they cannot
+/// perturb the simulation; with both observers off they are skipped and
+/// nothing is filled.
+struct Truth {
+    probing: bool,
+    dns: FaultSet,
+    connect: FaultSet,
+    trace: Option<TxnTrace>,
+}
+
+impl Truth {
+    fn new(config: &WgetConfig) -> Truth {
+        Truth {
+            probing: config.record_provenance || config.forensics,
+            dns: FaultSet::EMPTY,
+            connect: FaultSet::EMPTY,
+            trace: config.forensics.then(TxnTrace::default),
+        }
+    }
+
+    /// Probe the faults on resolving `host` from `env` at `t` and fold them
+    /// into the DNS-phase stamp; returns the probe for the trace event.
+    fn dns<E: AccessEnvironment>(&mut self, env: &E, host: &DomainName, t: SimTime) -> FaultSet {
+        if !self.probing {
+            return FaultSet::EMPTY;
+        }
+        let faults = env.true_dns_faults(host, t);
+        self.dns |= faults;
+        faults
+    }
+
+    /// Probe the faults on connecting to `replica` from `env` at `t` and
+    /// fold them into the connect-phase stamp.
+    fn connect<E: AccessEnvironment>(
+        &mut self,
+        env: &E,
+        replica: Ipv4Addr,
+        t: SimTime,
+    ) -> FaultSet {
+        if !self.probing {
+            return FaultSet::EMPTY;
+        }
+        let faults = env.true_faults(replica, t);
+        self.connect |= faults;
+        faults
+    }
+
+    /// Append a causal event to the timeline (built only when tracing).
+    fn event(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(trace) = self.trace.as_mut() {
+            trace.events.push(event());
+        }
+    }
+}
+
 /// Per-client measurement state: the LDNS cache the client talks to, the
 /// client's RNG stream, and the wget configuration.
 pub struct ClientSession<'t> {
@@ -219,27 +277,30 @@ impl<'t> ClientSession<'t> {
         let span = SAMPLER
             .hit()
             .then(|| telemetry::span!("client.transaction").with_detail(|| host.to_string()));
-        let obs = self.run_transaction_inner(env, host, t);
+        let mut truth = Truth::new(&self.config);
+        let mut addrs = std::mem::take(&mut self.addr_scratch);
+        let obs = self.run_transaction_core(env, host, t, &mut addrs, &mut truth);
+        addrs.clear();
+        self.addr_scratch = addrs;
         if let Some(mut span) = span {
             let end = t
                 + obs.dns.unwrap_or(SimDuration::ZERO)
                 + obs.download_time.unwrap_or(SimDuration::ZERO);
             span.set_sim_range(t.as_micros(), end.as_micros());
         }
-        record_transaction_outcome(&obs);
-        obs
+        self.finish(obs, truth)
     }
 
-    fn run_transaction_inner<E: AccessEnvironment>(
-        &mut self,
-        env: &E,
-        host: &DomainName,
-        t: SimTime,
-    ) -> TransactionObservation {
-        let mut addrs = std::mem::take(&mut self.addr_scratch);
-        let obs = self.run_transaction_core(env, host, t, &mut addrs);
-        addrs.clear();
-        self.addr_scratch = addrs;
+    /// The single exit of every transaction, direct or proxied: the truth
+    /// the probes gathered becomes the observation's `provenance` and
+    /// `trace`, and the outcome counters tick.
+    fn finish(&self, mut obs: TransactionObservation, truth: Truth) -> TransactionObservation {
+        obs.provenance = self.config.record_provenance.then_some(ProvenanceRecord {
+            dns: truth.dns,
+            connect: truth.connect,
+        });
+        obs.trace = truth.trace;
+        record_transaction_outcome(&obs);
         obs
     }
 
@@ -249,21 +310,9 @@ impl<'t> ClientSession<'t> {
         host: &DomainName,
         t: SimTime,
         addrs: &mut Vec<Ipv4Addr>,
+        truth: &mut Truth,
     ) -> TransactionObservation {
-        // Flight recorder: probe the ground-truth fault timelines as each
-        // phase runs. Probes are pure lookups (no RNG), so they cannot
-        // perturb the simulation; when neither recorder is on they are
-        // skipped entirely and every stamp below stays `None`. The forensic
-        // trace shares the probes, so it needs no sidecar of its own.
-        let recording = self.config.record_provenance;
-        let tracing = self.config.forensics;
-        let need_truth = recording || tracing;
-        let mut dns_truth = FaultSet::EMPTY;
-        let mut connect_truth = FaultSet::EMPTY;
-        let mut txn_trace = tracing.then(TxnTrace::default);
-        if need_truth {
-            dns_truth = env.true_dns_faults(host, t);
-        }
+        let dns_truth = truth.dns(env, host, t);
 
         // Step 1: the client OS cache is flushed before each access; only
         // the LDNS cache (self.cache) persists.
@@ -271,24 +320,16 @@ impl<'t> ClientSession<'t> {
             self.resolver
                 .resolve_into(host, env, t, &mut self.rng, &mut self.cache, addrs);
         let dns_elapsed = resolution.elapsed;
-        if let Some(tr) = txn_trace.as_mut() {
-            tr.events.push(TraceEvent::Dns {
-                host: host.to_string(),
-                at: t,
-                elapsed: dns_elapsed,
-                outcome: resolution.result,
-                truth: dns_truth,
-            });
-        }
+        truth.event(|| TraceEvent::Dns {
+            host: host.to_string(),
+            at: t,
+            elapsed: dns_elapsed,
+            outcome: resolution.result,
+            truth: dns_truth,
+        });
         if let Err(kind) = resolution.result {
             let dig = self.run_dig(env, host, t + dns_elapsed);
-            let mut obs = TransactionObservation::dns_failure(t, kind, dig);
-            obs.provenance = recording.then_some(ProvenanceRecord {
-                dns: dns_truth,
-                connect: FaultSet::EMPTY,
-            });
-            obs.trace = txn_trace;
-            return obs;
+            return TransactionObservation::dns_failure(t, kind, dig);
         }
 
         let mut now = t + dns_elapsed;
@@ -298,90 +339,92 @@ impl<'t> ClientSession<'t> {
         let mut redirect_host: Option<DomainName> = None;
         let mut final_replica: Option<Ipv4Addr> = None;
 
-        for _hop in 0..=self.config.max_redirects {
-            // What will this host's origin say? (Determines the transfer
-            // size the connection must carry.)
-            self.host_scratch.clear();
-            {
-                use std::fmt::Write as _;
-                write!(self.host_scratch, "{}", redirect_host.as_ref().unwrap_or(host))
+        // Every exit past a successful first lookup, but for a failed
+        // redirect lookup, leaves the hop loop with its outcome and replica.
+        let (outcome, replica) = 'hops: {
+            for _hop in 0..=self.config.max_redirects {
+                // What will this host's origin say? (Determines the transfer
+                // size the connection must carry.)
+                self.host_scratch.clear();
+                {
+                    use std::fmt::Write as _;
+                    write!(
+                        self.host_scratch,
+                        "{}",
+                        redirect_host.as_ref().unwrap_or(host)
+                    )
                     .expect("formatting into a String cannot fail");
-            }
-            let host_str = &self.host_scratch;
-            let request = HttpRequest::get(host_str, "/", self.config.no_cache);
-            if self.config.http_wire_fidelity {
-                let text = request.encode();
-                let _ = HttpRequest::decode(&text).expect("own request re-parses");
-            }
-            let answer = match env.origin(host_str) {
-                Some(origin) => origin.respond(host_str, &request, &mut self.rng),
-                None => httpsim::OriginAnswer {
-                    response: HttpResponse::error(404, "Not Found"),
-                    next_host: None,
-                },
-            };
-            if self.config.http_wire_fidelity {
-                let text = answer.response.encode_head();
-                let _ = HttpResponse::decode_head(&text).expect("own response re-parses");
-            }
-            let wire_bytes = answer.response.body_len + self.config.header_overhead;
+                }
+                let host_str = &self.host_scratch;
+                let request = HttpRequest::get(host_str, "/", self.config.no_cache);
+                if self.config.http_wire_fidelity {
+                    let text = request.encode();
+                    let _ = HttpRequest::decode(&text).expect("own request re-parses");
+                }
+                let answer = match env.origin(host_str) {
+                    Some(origin) => origin.respond(host_str, &request, &mut self.rng),
+                    None => httpsim::OriginAnswer {
+                        response: HttpResponse::error(404, "Not Found"),
+                        next_host: None,
+                    },
+                };
+                if self.config.http_wire_fidelity {
+                    let text = answer.response.encode_head();
+                    let _ = HttpResponse::decode_head(&text).expect("own response re-parses");
+                }
+                let wire_bytes = answer.response.body_len + self.config.header_overhead;
 
-            // Connect: wget fails over across the A records, then keeps
-            // retrying while its time budget lasts. One full pass over the
-            // address list is always attempted.
-            let mut connected_result = None;
-            let conn_phase_start = now;
-            let captured = self.config.record_traces;
-            'retry: loop {
-                for addr in addrs.iter() {
-                    if connections.len() as u16 >= self.config.max_connections {
-                        break 'retry;
-                    }
-                    let behavior = env.server_behavior(*addr, now);
-                    let mut attempt_truth = FaultSet::EMPTY;
-                    if need_truth {
-                        attempt_truth = env.true_faults(*addr, now);
-                        connect_truth |= attempt_truth;
-                    }
-                    let path = env.path_quality(*addr, now);
-                    let result = simulate_connection_into(
-                        &self.config.tcp,
-                        behavior,
-                        &path,
-                        wire_bytes,
-                        now,
-                        &mut self.rng,
-                        captured.then_some(&mut self.trace_buf),
-                    );
-                    let trace = captured.then_some(&self.trace_buf);
-                    let visible_retx = trace.map(|tr| count_retransmissions(tr).1);
-                    if let Some(v) = visible_retx {
-                        total_visible_retx += v;
-                    }
-                    // Classify the way the measurement does: from the trace
-                    // when available, else coarsely from wget's own view.
-                    let observed_outcome = match (trace, &result.outcome) {
-                        (_, Ok(())) => Ok(()),
-                        (Some(trace), Err(_)) => Err(classify_trace(trace)
-                            .failure_kind()
-                            .expect("failed connection has a failing trace")),
-                        (None, Err(_)) => {
-                            if result.established {
-                                Err(TcpFailureKind::NoOrPartialResponse)
-                            } else {
-                                Err(TcpFailureKind::NoConnection)
-                            }
+                // Connect: wget fails over across the A records, then keeps
+                // retrying while its time budget lasts. One full pass over the
+                // address list is always attempted.
+                let mut connected_result = None;
+                let conn_phase_start = now;
+                let captured = self.config.record_traces;
+                'retry: loop {
+                    for addr in addrs.iter() {
+                        if connections.len() as u16 >= self.config.max_connections {
+                            break 'retry;
                         }
-                    };
-                    connections.push(ConnObservation {
-                        replica: *addr,
-                        start: now,
-                        outcome: observed_outcome,
-                        syn_retransmissions: result.syn_retransmissions,
-                        retransmissions: visible_retx,
-                    });
-                    if let Some(tr) = txn_trace.as_mut() {
-                        tr.events.push(TraceEvent::Connect {
+                        let behavior = env.server_behavior(*addr, now);
+                        let attempt_truth = truth.connect(env, *addr, now);
+                        let path = env.path_quality(*addr, now);
+                        let result = simulate_connection_into(
+                            &self.config.tcp,
+                            behavior,
+                            &path,
+                            wire_bytes,
+                            now,
+                            &mut self.rng,
+                            captured.then_some(&mut self.trace_buf),
+                        );
+                        let trace = captured.then_some(&self.trace_buf);
+                        let visible_retx = trace.map(|tr| count_retransmissions(tr).1);
+                        if let Some(v) = visible_retx {
+                            total_visible_retx += v;
+                        }
+                        // Classify the way the measurement does: from the trace
+                        // when available, else coarsely from wget's own view.
+                        let observed_outcome = match (trace, &result.outcome) {
+                            (_, Ok(())) => Ok(()),
+                            (Some(trace), Err(_)) => Err(classify_trace(trace)
+                                .failure_kind()
+                                .expect("failed connection has a failing trace")),
+                            (None, Err(_)) => {
+                                if result.established {
+                                    Err(TcpFailureKind::NoOrPartialResponse)
+                                } else {
+                                    Err(TcpFailureKind::NoConnection)
+                                }
+                            }
+                        };
+                        connections.push(ConnObservation {
+                            replica: *addr,
+                            start: now,
+                            outcome: observed_outcome,
+                            syn_retransmissions: result.syn_retransmissions,
+                            retransmissions: visible_retx,
+                        });
+                        truth.event(|| TraceEvent::Connect {
                             replica: *addr,
                             at: now,
                             elapsed: result.duration,
@@ -389,172 +432,122 @@ impl<'t> ClientSession<'t> {
                             syn_retransmissions: result.syn_retransmissions,
                             truth: attempt_truth,
                         });
+                        now += result.duration;
+                        if result.outcome.is_ok() {
+                            bytes_received += result.bytes_delivered.min(answer.response.body_len);
+                            connected_result = Some(*addr);
+                            break 'retry;
+                        } else {
+                            bytes_received += result.bytes_delivered.min(answer.response.body_len);
+                        }
                     }
-                    now += result.duration;
-                    if result.outcome.is_ok() {
-                        bytes_received += result.bytes_delivered.min(answer.response.body_len);
-                        connected_result = Some(*addr);
+                    // First pass complete; continue only while the budget is
+                    // not yet exhausted.
+                    if now - conn_phase_start >= self.config.retry_time_budget {
                         break 'retry;
-                    } else {
-                        bytes_received += result
-                            .bytes_delivered
-                            .min(answer.response.body_len);
                     }
                 }
-                // First pass complete; continue only while the budget is
-                // not yet exhausted.
-                if now - conn_phase_start >= self.config.retry_time_budget {
-                    break 'retry;
-                }
-            }
 
-            let Some(addr) = connected_result else {
-                // All connection attempts failed: a TCP transaction failure,
-                // classified from the last attempt.
-                let kind = connections
-                    .last()
-                    .and_then(|c| c.outcome.err())
-                    .unwrap_or(TcpFailureKind::NoConnection);
-                return TransactionObservation {
-                    start: t,
-                    dns: Ok(dns_elapsed),
-                    outcome: TransactionOutcome::Failure(FailureClass::Tcp(kind)),
-                    replica: connections.last().map(|c| c.replica),
-                    download_time: Some(now - (t + dns_elapsed)),
-                    bytes_received,
-                    connections,
-                    retransmissions: self.config.record_traces.then_some(total_visible_retx),
-                    dig: DigOutcome::NotRun,
-                    provenance: recording.then_some(ProvenanceRecord {
-                        dns: dns_truth,
-                        connect: connect_truth,
-                    }),
-                    trace: txn_trace,
+                let Some(addr) = connected_result else {
+                    // All connection attempts failed: a TCP transaction failure,
+                    // classified from the last attempt.
+                    let kind = connections
+                        .last()
+                        .and_then(|c| c.outcome.err())
+                        .unwrap_or(TcpFailureKind::NoConnection);
+                    let outcome = TransactionOutcome::Failure(FailureClass::Tcp(kind));
+                    break 'hops (outcome, connections.last().map(|c| c.replica));
                 };
-            };
-            final_replica = Some(addr);
-            if let Some(tr) = txn_trace.as_mut() {
-                tr.events.push(TraceEvent::Http {
+                final_replica = Some(addr);
+                truth.event(|| TraceEvent::Http {
                     host: host_str.clone(),
                     at: now,
                     status: answer.response.status,
                     redirect: answer.next_host.clone(),
                     truth: FaultSet::EMPTY,
                 });
-            }
 
-            match StatusClass::of(answer.response.status) {
-                StatusClass::Success => {
-                    return TransactionObservation {
-                        start: t,
-                        dns: Ok(dns_elapsed),
-                        outcome: TransactionOutcome::Success,
-                        replica: final_replica,
-                        download_time: Some(now - (t + dns_elapsed)),
-                        bytes_received,
-                        connections,
-                        retransmissions: self.config.record_traces.then_some(total_visible_retx),
-                        dig: if self.config.dig_on_failure_only {
-                            DigOutcome::NotRun
-                        } else {
-                            self.run_dig(env, host, now)
-                        },
-                        provenance: recording.then_some(ProvenanceRecord {
-                            dns: dns_truth,
-                            connect: connect_truth,
-                        }),
-                        trace: txn_trace,
-                    };
-                }
-                StatusClass::Redirect => {
-                    let next = answer.next_host.expect("redirect carries next host");
-                    let next_name: DomainName = match next.parse() {
-                        Ok(n) => n,
-                        Err(_) => {
-                            let prov = recording.then_some(ProvenanceRecord {
-                                dns: dns_truth,
-                                connect: connect_truth,
-                            });
-                            return self.http_failure(t, dns_elapsed, 502, final_replica, now, bytes_received, connections, total_visible_retx, prov, txn_trace)
-                        }
-                    };
-                    let mut hop_truth = FaultSet::EMPTY;
-                    if need_truth {
-                        hop_truth = env.true_dns_faults(&next_name, now);
-                        dns_truth |= hop_truth;
+                match StatusClass::of(answer.response.status) {
+                    StatusClass::Success => {
+                        break 'hops (TransactionOutcome::Success, final_replica)
                     }
-                    // Resolve the next hop (LDNS cache applies).
-                    let r = self.resolver.resolve_into(
-                        &next_name,
-                        env,
-                        now,
-                        &mut self.rng,
-                        &mut self.cache,
-                        addrs,
-                    );
-                    if let Some(tr) = txn_trace.as_mut() {
-                        tr.events.push(TraceEvent::Dns {
+                    StatusClass::Redirect => {
+                        let next = answer.next_host.expect("redirect carries next host");
+                        let next_name: DomainName = match next.parse() {
+                            Ok(n) => n,
+                            Err(_) => {
+                                let outcome = TransactionOutcome::Failure(FailureClass::Http(502));
+                                break 'hops (outcome, final_replica);
+                            }
+                        };
+                        let hop_truth = truth.dns(env, &next_name, now);
+                        // Resolve the next hop (LDNS cache applies).
+                        let r = self.resolver.resolve_into(
+                            &next_name,
+                            env,
+                            now,
+                            &mut self.rng,
+                            &mut self.cache,
+                            addrs,
+                        );
+                        truth.event(|| TraceEvent::Dns {
                             host: next.clone(),
                             at: now,
                             elapsed: r.elapsed,
                             outcome: r.result,
                             truth: hop_truth,
                         });
-                    }
-                    now += r.elapsed;
-                    match r.result {
-                        Ok(()) => {
-                            redirect_host = Some(next_name);
-                        }
-                        Err(kind) => {
-                            let dig = self.run_dig(env, &next_name, now);
-                            let mut obs =
-                                TransactionObservation::dns_failure(t, kind, dig);
-                            // The initial lookup *succeeded*; the redirect's
-                            // failed. Keep the failure class but preserve the
-                            // observed connections.
-                            obs.dns = Ok(dns_elapsed);
-                            obs.outcome =
-                                TransactionOutcome::Failure(FailureClass::Dns(kind));
-                            obs.connections = connections;
-                            obs.bytes_received = bytes_received;
-                            obs.retransmissions =
-                                self.config.record_traces.then_some(total_visible_retx);
-                            obs.provenance = recording.then_some(ProvenanceRecord {
-                                dns: dns_truth,
-                                connect: connect_truth,
-                            });
-                            obs.trace = txn_trace;
-                            return obs;
+                        now += r.elapsed;
+                        match r.result {
+                            Ok(()) => {
+                                redirect_host = Some(next_name);
+                            }
+                            Err(kind) => {
+                                let dig = self.run_dig(env, &next_name, now);
+                                let mut obs = TransactionObservation::dns_failure(t, kind, dig);
+                                // The initial lookup *succeeded*; the redirect's
+                                // failed. Keep the failure class but preserve the
+                                // observed connections.
+                                obs.dns = Ok(dns_elapsed);
+                                obs.outcome = TransactionOutcome::Failure(FailureClass::Dns(kind));
+                                obs.connections = connections;
+                                obs.bytes_received = bytes_received;
+                                obs.retransmissions =
+                                    self.config.record_traces.then_some(total_visible_retx);
+                                return obs;
+                            }
                         }
                     }
-                }
-                _ => {
-                    let prov = recording.then_some(ProvenanceRecord {
-                        dns: dns_truth,
-                        connect: connect_truth,
-                    });
-                    return self.http_failure(
-                        t,
-                        dns_elapsed,
-                        answer.response.status,
-                        final_replica,
-                        now,
-                        bytes_received,
-                        connections,
-                        total_visible_retx,
-                        prov,
-                        txn_trace,
-                    );
+                    _ => {
+                        let outcome =
+                            TransactionOutcome::Failure(FailureClass::Http(answer.response.status));
+                        break 'hops (outcome, final_replica);
+                    }
                 }
             }
+            // Redirect limit exceeded: wget reports an error; classify as HTTP.
+            (
+                TransactionOutcome::Failure(FailureClass::Http(310)),
+                final_replica,
+            )
+        };
+        let mut obs = TransactionObservation {
+            start: t,
+            dns: Ok(dns_elapsed),
+            outcome,
+            replica,
+            download_time: Some(now - (t + dns_elapsed)),
+            bytes_received,
+            connections,
+            retransmissions: self.config.record_traces.then_some(total_visible_retx),
+            dig: DigOutcome::NotRun,
+            provenance: None,
+            trace: None,
+        };
+        if obs.outcome.is_success() && !self.config.dig_on_failure_only {
+            obs.dig = self.run_dig(env, host, now);
         }
-        // Redirect limit exceeded: wget reports an error; classify as HTTP.
-        let prov = recording.then_some(ProvenanceRecord {
-            dns: dns_truth,
-            connect: connect_truth,
-        });
-        self.http_failure(t, dns_elapsed, 310, final_replica, now, bytes_received, connections, total_visible_retx, prov, txn_trace)
+        obs
     }
 
     /// Run one transaction through a corporate caching proxy.
@@ -573,11 +566,20 @@ impl<'t> ClientSession<'t> {
         E: AccessEnvironment,
         P: AccessEnvironment,
     {
-        let recording = self.config.record_provenance;
-        let tracing = self.config.forensics;
+        let mut truth = Truth::new(&self.config);
         // The client must reach its proxy over the corporate LAN/WAN.
         if !env.client_link_up(t) {
-            let truth = env.true_dns_faults(host, t);
+            // The dead corporate link shows up as one synthetic connect
+            // attempt toward an unknowable replica.
+            let link_truth = truth.dns(env, host, t);
+            truth.event(|| TraceEvent::Connect {
+                replica: Ipv4Addr::UNSPECIFIED,
+                at: t,
+                elapsed: SimDuration::ZERO,
+                outcome: Err(TcpFailureKind::NoConnection),
+                syn_retransmissions: 0,
+                truth: link_truth,
+            });
             let obs = TransactionObservation {
                 start: t,
                 dns: Ok(SimDuration::ZERO),
@@ -590,25 +592,10 @@ impl<'t> ClientSession<'t> {
                 connections: Vec::new(),
                 retransmissions: None,
                 dig: DigOutcome::NotRun,
-                provenance: recording.then_some(ProvenanceRecord {
-                    dns: truth,
-                    connect: FaultSet::EMPTY,
-                }),
-                // The dead corporate link shows up as one synthetic connect
-                // attempt toward an unknowable replica.
-                trace: tracing.then(|| TxnTrace {
-                    events: vec![TraceEvent::Connect {
-                        replica: Ipv4Addr::UNSPECIFIED,
-                        at: t,
-                        elapsed: SimDuration::ZERO,
-                        outcome: Err(TcpFailureKind::NoConnection),
-                        syn_retransmissions: 0,
-                        truth,
-                    }],
-                }),
+                provenance: None,
+                trace: None,
             };
-            record_transaction_outcome(&obs);
-            return obs;
+            return self.finish(obs, truth);
         }
         let local_rtt = SimDuration::from_millis(5);
         // No retry here: the proxy answers the client with an HTTP gateway
@@ -644,15 +631,21 @@ impl<'t> ClientSession<'t> {
         // so the connect phase cannot be attributed to a specific address —
         // clients behind one proxy share the proxy-vantage cause, which is
         // exactly the Section 4.7 shared-fate effect the audit measures.
-        // Pure lookups, shared between the provenance stamp and the trace.
-        let vantage = env.true_dns_faults(host, t)
-            | proxy_env.true_dns_faults(host, t + local_rtt);
-        let status = match &outcome {
-            TransactionOutcome::Success => 200,
-            TransactionOutcome::Failure(FailureClass::Http(s)) => *s,
-            // Proxied failures always surface as HTTP statuses (above).
-            TransactionOutcome::Failure(_) => 0,
-        };
+        let vantage = truth.dns(env, host, t) | truth.dns(proxy_env, host, t + local_rtt);
+        // The proxy collapses the whole exchange into one HTTP event as seen
+        // by the client; the vantage truth rides on it.
+        truth.event(|| TraceEvent::Http {
+            host: host.to_string(),
+            at: t + local_rtt,
+            status: match &outcome {
+                TransactionOutcome::Success => 200,
+                TransactionOutcome::Failure(FailureClass::Http(s)) => *s,
+                // Proxied failures always surface as HTTP statuses (above).
+                TransactionOutcome::Failure(_) => 0,
+            },
+            redirect: None,
+            truth: vantage,
+        });
         let obs = TransactionObservation {
             start: t,
             dns: Ok(SimDuration::ZERO),
@@ -665,53 +658,10 @@ impl<'t> ClientSession<'t> {
             connections: Vec::new(),
             retransmissions: None,
             dig: DigOutcome::NotRun,
-            provenance: recording.then_some(ProvenanceRecord {
-                dns: vantage,
-                connect: FaultSet::EMPTY,
-            }),
-            // The proxy collapses the whole exchange into one HTTP event as
-            // seen by the client; the vantage truth rides on it.
-            trace: tracing.then(|| TxnTrace {
-                events: vec![TraceEvent::Http {
-                    host: host.to_string(),
-                    at: t + local_rtt,
-                    status,
-                    redirect: None,
-                    truth: vantage,
-                }],
-            }),
+            provenance: None,
+            trace: None,
         };
-        record_transaction_outcome(&obs);
-        obs
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn http_failure(
-        &mut self,
-        t: SimTime,
-        dns_elapsed: SimDuration,
-        status: u16,
-        replica: Option<Ipv4Addr>,
-        now: SimTime,
-        bytes_received: u64,
-        connections: Vec<ConnObservation>,
-        total_visible_retx: u32,
-        provenance: Option<ProvenanceRecord>,
-        trace: Option<TxnTrace>,
-    ) -> TransactionObservation {
-        TransactionObservation {
-            start: t,
-            dns: Ok(dns_elapsed),
-            outcome: TransactionOutcome::Failure(FailureClass::Http(status)),
-            replica,
-            download_time: Some(now - (t + dns_elapsed)),
-            bytes_received,
-            connections,
-            retransmissions: self.config.record_traces.then_some(total_visible_retx),
-            dig: DigOutcome::NotRun,
-            provenance,
-            trace,
-        }
+        self.finish(obs, truth)
     }
 
     fn run_dig<E: AccessEnvironment>(
@@ -1148,6 +1098,78 @@ mod tests {
         assert_eq!(trace.events.len(), 1, "the proxy masks the phases");
         assert_eq!(trace.events[0].phase(), "http");
         assert!(!trace.events[0].failed());
+    }
+
+    /// Wraps an environment and counts every ground-truth probe made on it.
+    struct CountingProbes<E>(E, std::cell::Cell<u32>);
+    impl<E: AccessEnvironment> DnsFaults for CountingProbes<E> {
+        fn client_link_up(&self, t: SimTime) -> bool {
+            self.0.client_link_up(t)
+        }
+    }
+    impl<E: AccessEnvironment> AccessEnvironment for CountingProbes<E> {
+        fn server_behavior(&self, r: Ipv4Addr, t: SimTime) -> ServerBehavior {
+            self.0.server_behavior(r, t)
+        }
+        fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
+            self.0.path_quality(r, t)
+        }
+        fn origin(&self, host: &str) -> Option<&Origin> {
+            self.0.origin(host)
+        }
+        fn true_dns_faults(&self, _host: &DomainName, _t: SimTime) -> FaultSet {
+            self.1.set(self.1.get() + 1);
+            FaultSet::EMPTY
+        }
+        fn true_faults(&self, _r: Ipv4Addr, _t: SimTime) -> FaultSet {
+            self.1.set(self.1.get() + 1);
+            FaultSet::EMPTY
+        }
+    }
+
+    /// Probe calls made by one direct and by one proxied transaction.
+    fn probe_calls<E: AccessEnvironment>(
+        env: &CountingProbes<E>,
+        record_provenance: bool,
+        forensics: bool,
+    ) -> (u32, u32) {
+        let tr = tree();
+        let mut cfg = WgetConfig {
+            record_provenance,
+            forensics,
+            ..WgetConfig::default()
+        };
+        cfg.resolver.query_loss_prob = 0.0;
+        let mut s = ClientSession::new(&tr, cfg, SimRng::new(37));
+        let mut proxy = crate::proxy::ProxySession::new(Default::default(), SimRng::new(38));
+        let t = SimTime::from_hours(1);
+        env.1.set(0);
+        s.run_transaction(env, &name("example.com"), t);
+        let direct = env.1.replace(0);
+        s.run_proxied_transaction(env, &mut proxy, env, &name("www.example.com"), t);
+        (direct, env.1.get())
+    }
+
+    #[test]
+    fn truth_is_never_probed_with_both_observers_off() {
+        let origin = || {
+            Origin::simple("www.example.com", 9_000).with_redirects(vec!["example.com".to_string()])
+        };
+        let link_up = CountingProbes(HealthyEnv::new(origin()), Default::default());
+        let link_down = CountingProbes(NoDns(HealthyEnv::new(origin())), Default::default());
+        assert_eq!(probe_calls(&link_up, false, false), (0, 0));
+        assert_eq!(probe_calls(&link_down, false, false), (0, 0));
+        for (record_provenance, forensics) in [(true, false), (false, true)] {
+            for calls in [
+                probe_calls(&link_up, record_provenance, forensics),
+                probe_calls(&link_down, record_provenance, forensics),
+            ] {
+                assert!(
+                    calls.0 > 0 && calls.1 > 0,
+                    "an observer probes the truth: {calls:?}"
+                );
+            }
+        }
     }
 
     #[test]

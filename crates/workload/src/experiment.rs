@@ -31,7 +31,7 @@ use model::{
     ProvenanceLog, ProvenanceRecord, SimDuration, SimTime, SiteId, SiteMeta, TraceExemplar,
 };
 use netsim::{Scheduler, SimRng};
-use webclient::{ClientSession, ProxySession, WgetConfig};
+use webclient::{ClientSession, ProxySession, TransactionObservation, WgetConfig};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -362,12 +362,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
     // One slot per client: `None` if the worker never reported (it died
     // before writing), otherwise the client's output or its panic message,
     // plus the worker's wall time.
-    type ClientData = (
-        Vec<PerformanceRecord>,
-        Vec<ConnectionRecord>,
-        Vec<ProvenanceRecord>,
-        Option<ExemplarStore>,
-    );
+    type ClientData = (Vec<PerformanceRecord>, Vec<ConnectionRecord>, ObserverSink);
     type ClientSlot = (Result<ClientData, String>, Duration);
 
     let threads = if config.threads == 0 {
@@ -439,12 +434,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
     let _collect_span = telemetry::span!("workload.collect");
     let mut records = Vec::new();
     let mut connections = Vec::new();
-    let mut provenance_records = Vec::new();
-    // Per-client stores merge in client-index order, which reproduces what
-    // one sequential store would have admitted (every per-client bucket
-    // holds at least as many candidates as the merged cap).
-    let mut forensics: Option<ExemplarStore> =
-        config.forensics.as_ref().map(|_| ExemplarStore::default());
+    let mut observers = ObserverSink::new(config, 0);
     let mut report = RunReport {
         mrt_records_kept,
         mrt_issues,
@@ -470,16 +460,15 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
                 telemetry::counter!("workload.clients_lost", 1);
                 (ClientOutcome::Lost { error }, wall)
             }
-            Some((Ok((mut r, mut c, mut p, mut store)), wall)) => {
+            Some((Ok((mut r, mut c, mut sink)), wall)) => {
                 let mut dropped = 0usize;
                 if drop_prob > 0.0 {
                     // Collection loss draws from a per-client fork of the
                     // root stream, so the surviving set is identical across
                     // thread counts. The keep mask is materialized first —
                     // one draw per record, in record order, whether or not
-                    // the provenance sidecar rides along — and then applied
-                    // to records and stamps alike, keeping the sidecar
-                    // parallel-by-index to the surviving records.
+                    // any observer rides along — and then applied to the
+                    // records and to the observer sink alike.
                     let mut rng = config.apparatus.drop_stream(&root, i);
                     let keep_mask: Vec<bool> =
                         r.iter().map(|_| rng.f64() >= drop_prob).collect();
@@ -489,16 +478,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
                         dropped += usize::from(!keep);
                         keep
                     });
-                    if !p.is_empty() {
-                        let mut k = keep_mask.iter().copied();
-                        p.retain(|_| k.next().expect("mask covers stamps"));
-                    }
-                    // Exemplars whose record was dropped go with it; the
-                    // survivors' indices are remapped to the kept ranks so
-                    // they keep pointing at the right rows.
-                    if let Some(s) = store.as_mut() {
-                        s.apply_keep_mask(&keep_mask);
-                    }
+                    sink.retain(&keep_mask);
                 }
                 report.records_dropped += dropped as u64;
                 telemetry::counter!("workload.records_dropped", dropped as u64);
@@ -507,13 +487,9 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
                     connections: c.len(),
                     dropped_records: dropped,
                 };
-                if let (Some(global), Some(mut s)) = (forensics.as_mut(), store) {
-                    s.rebase(records.len());
-                    global.merge(s);
-                }
+                observers.append(sink, records.len());
                 records.append(&mut r);
                 connections.append(&mut c);
-                provenance_records.append(&mut p);
                 (outcome, wall)
             }
         };
@@ -574,19 +550,20 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
         prefixes,
         bgp,
     };
-    let provenance = config.record_provenance.then(|| {
+    let ObserverSink {
+        stamps,
+        exemplars: forensics,
+    } = observers;
+    let provenance = stamps.map(|records| {
         let _span = telemetry::span!("workload.provenance_sidecar");
-        debug_assert_eq!(
-            provenance_records.len(),
+        assert_eq!(
+            records.len(),
             dataset.records.len(),
             "sidecar must stay parallel to the dataset"
         );
-        telemetry::counter!(
-            "workload.provenance_stamps",
-            provenance_records.len() as u64
-        );
+        telemetry::counter!("workload.provenance_stamps", records.len() as u64);
         ProvenanceLog {
-            records: provenance_records,
+            records,
             truth: truth.truth_sidecar(&sites),
         }
     });
@@ -805,12 +782,7 @@ fn run_client(
     host_names: &[DomainName],
     root: &SimRng,
     client: usize,
-) -> (
-    Vec<PerformanceRecord>,
-    Vec<ConnectionRecord>,
-    Vec<ProvenanceRecord>,
-    Option<ExemplarStore>,
-) {
+) -> (Vec<PerformanceRecord>, Vec<ConnectionRecord>, ObserverSink) {
     let spec = &fleet.clients[client];
     let mut rng = root.fork(0x90_0000 + client as u64);
     // Apparatus node death: the worker genuinely panics at the drawn
@@ -861,15 +833,7 @@ fn run_client(
     } else {
         Vec::with_capacity(accesses + accesses / 2)
     };
-    let mut provenance = if config.record_provenance {
-        Vec::with_capacity(accesses)
-    } else {
-        Vec::new()
-    };
-    let mut exemplars = config
-        .forensics
-        .as_ref()
-        .map(|f| ExemplarStore::new(&f.pin));
+    let mut observers = ObserverSink::new(config, accesses);
     let mut order: Vec<usize> = (0..n_sites).collect();
 
     let mut month_span = telemetry::span!("workload.client_month")
@@ -953,28 +917,7 @@ fn run_client(
                     dig: obs.dig,
                     proxy: spec.proxy,
                 });
-                if config.record_provenance {
-                    // One stamp per record, same order — the sidecar stays
-                    // parallel-by-index through in-order collection.
-                    provenance.push(obs.provenance.unwrap_or_default());
-                }
-                if let Some(store) = exemplars.as_mut() {
-                    if let Some(tr) = obs.trace.take() {
-                        store.offer(TraceExemplar {
-                            client: client as u16,
-                            site: si as u16,
-                            hour: obs.start.hour_bin(),
-                            record_index: records.len() - 1,
-                            start: obs.start,
-                            duration_us: (obs.dns.unwrap_or(SimDuration::ZERO)
-                                + obs.download_time.unwrap_or(SimDuration::ZERO))
-                            .as_micros(),
-                            failed: obs.outcome.is_failure(),
-                            truth: tr.truth(),
-                            trace: tr,
-                        });
-                    }
-                }
+                observers.observe(&mut obs, cid, sid, records.len() - 1);
                 // The observation is fully copied out; hand its buffers back
                 // for the next access.
                 session.recycle(obs);
@@ -985,7 +928,85 @@ fn run_client(
     // Scheduler drop flushes this client's engine counters (events
     // dispatched, peak queue depth) into the global recorder.
     drop(sched);
-    (records, connections, provenance, exemplars)
+    (records, connections, observers)
+}
+
+/// Everything the ground-truth observers gathered, for one client while it
+/// runs and for the whole run after collection: the provenance stamps,
+/// parallel by index to the records, and the forensic exemplar store. A
+/// part is `None` when its observer is off. The collection keep-mask and
+/// the in-order append go through here once, for both observers.
+struct ObserverSink {
+    stamps: Option<Vec<ProvenanceRecord>>,
+    exemplars: Option<ExemplarStore>,
+}
+
+impl ObserverSink {
+    fn new(config: &ExperimentConfig, records: usize) -> ObserverSink {
+        ObserverSink {
+            stamps: config
+                .record_provenance
+                .then(|| Vec::with_capacity(records)),
+            exemplars: config
+                .forensics
+                .as_ref()
+                .map(|f| ExemplarStore::new(&f.pin)),
+        }
+    }
+
+    /// Take the truth of the observation whose record was just pushed at
+    /// `record_index`: one stamp per record, and its trace offered to the
+    /// exemplar store.
+    fn observe(
+        &mut self,
+        obs: &mut TransactionObservation,
+        client: ClientId,
+        site: SiteId,
+        record_index: usize,
+    ) {
+        if let Some(stamps) = self.stamps.as_mut() {
+            stamps.push(obs.provenance.unwrap_or_default());
+        }
+        if let (Some(store), Some(trace)) = (self.exemplars.as_mut(), obs.trace.take()) {
+            store.offer(TraceExemplar {
+                client: client.0,
+                site: site.0,
+                hour: obs.start.hour_bin(),
+                record_index,
+                start: obs.start,
+                duration_us: (obs.dns.unwrap_or(SimDuration::ZERO)
+                    + obs.download_time.unwrap_or(SimDuration::ZERO))
+                .as_micros(),
+                failed: obs.outcome.is_failure(),
+                truth: trace.truth(),
+                trace,
+            });
+        }
+    }
+
+    /// Keep what the collection keep-mask keeps: stamps stay parallel to
+    /// the surviving records, and exemplars of dropped records go with them.
+    fn retain(&mut self, keep: &[bool]) {
+        if let Some(stamps) = self.stamps.as_mut() {
+            let mut k = keep.iter().copied();
+            stamps.retain(|_| k.next().expect("mask covers stamps"));
+        }
+        if let Some(store) = self.exemplars.as_mut() {
+            store.apply_keep_mask(keep);
+        }
+    }
+
+    /// Append a later client's sink whose records follow the first `base`
+    /// records collected so far. Appending per-client stores in client
+    /// order reproduces what one sequential store would have admitted.
+    fn append(&mut self, other: ObserverSink, base: usize) {
+        if let (Some(mine), Some(mut theirs)) = (self.stamps.as_mut(), other.stamps) {
+            mine.append(&mut theirs);
+        }
+        if let (Some(mine), Some(theirs)) = (self.exemplars.as_mut(), other.exemplars) {
+            mine.merge(theirs, base);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1069,55 +1090,6 @@ mod tests {
             assert_eq!(x.start, y.start);
             assert_eq!(x.outcome, y.outcome);
         }
-    }
-
-    #[test]
-    fn forensics_capture_is_bounded_and_invisible_to_the_dataset() {
-        use crate::forensics::{ARCHETYPE_SLOTS, BLAME_CLASSES};
-        let mut cfg = tiny();
-        cfg.hours = 6;
-        cfg.wire_fidelity = false;
-        let plain = run_experiment(&cfg);
-        assert!(plain.forensics.is_none(), "off by default");
-        cfg.forensics = Some(ForensicsConfig::default());
-        let traced = run_experiment(&cfg);
-        let store = traced.forensics.as_ref().expect("store produced");
-        assert!(!store.is_empty(), "a faulty month yields exemplars");
-        assert!(
-            store.len() <= BLAME_CLASSES * ARCHETYPE_SLOTS * 2 * report::caps::MAX_SAMPLES,
-            "bounded by the bucket grid, got {}",
-            store.len()
-        );
-        // Tracing perturbs nothing: record streams are identical.
-        assert_eq!(plain.dataset.records.len(), traced.dataset.records.len());
-        assert_eq!(
-            plain.dataset.connections.len(),
-            traced.dataset.connections.len()
-        );
-        for (a, b) in plain.dataset.records.iter().zip(&traced.dataset.records) {
-            assert_eq!((a.client, a.site, a.start, &a.outcome), (b.client, b.site, b.start, &b.outcome));
-        }
-        // Exemplar record indices point at rows with matching identity.
-        for ex in store.iter() {
-            let r = &traced.dataset.records[ex.record_index];
-            assert_eq!((r.client.0, r.site.0), (ex.client, ex.site));
-            assert_eq!(r.start, ex.start);
-            assert_eq!(r.failed(), ex.failed);
-        }
-        // And the store itself is thread-invariant.
-        cfg.threads = 1;
-        let t1 = run_experiment(&cfg);
-        cfg.threads = 7;
-        let t7 = run_experiment(&cfg);
-        let flat = |s: &ExemplarStore| -> Vec<(u16, u16, u32, usize, bool)> {
-            s.iter()
-                .map(|e| (e.client, e.site, e.hour, e.record_index, e.failed))
-                .collect()
-        };
-        assert_eq!(
-            flat(t1.forensics.as_ref().unwrap()),
-            flat(t7.forensics.as_ref().unwrap())
-        );
     }
 
     #[test]

@@ -159,25 +159,20 @@ impl ExemplarStore {
         fix(&mut self.pinned);
     }
 
-    /// Shift every `record_index` by `base` (used when a per-client store is
-    /// appended after `base` records from earlier clients).
-    pub fn rebase(&mut self, base: usize) {
-        for ex in self
+    /// Merge another store, whose record indices count from `base`, into
+    /// this one, bucket by bucket, preserving the admission rules. Merging
+    /// per-client stores in client order reproduces what a single
+    /// sequential store would have admitted, because every per-client bucket
+    /// already holds at least as many candidates as the merged cap.
+    pub fn merge(&mut self, mut other: ExemplarStore, base: usize) {
+        for ex in other
             .buckets
             .iter_mut()
             .flat_map(|b| b.failures.iter_mut().chain(b.successes.iter_mut()))
-            .chain(self.pinned.iter_mut())
+            .chain(other.pinned.iter_mut())
         {
             ex.record_index += base;
         }
-    }
-
-    /// Merge another store into this one, bucket by bucket, preserving the
-    /// admission rules. Merging per-client stores in client order reproduces
-    /// what a single sequential store would have admitted, because every
-    /// per-client bucket already holds at least as many candidates as the
-    /// merged cap.
-    pub fn merge(&mut self, other: ExemplarStore) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
             let room = MAX_SAMPLES.saturating_sub(mine.failures.len());
             mine.failures.extend(theirs.failures.into_iter().take(room));
@@ -361,17 +356,18 @@ mod tests {
 
     #[test]
     fn merge_in_client_order_matches_sequential_admission() {
-        let mk = |client: u16, base: usize| {
+        // Per-client stores count record indices from 0.
+        let mk = |client: u16| {
             let mut s = ExemplarStore::default();
             for i in 0..4 {
-                s.offer(ex(client, base + i, true, FaultSet::COLO_BLAST, 10));
-                s.offer(ex(client, base + 4 + i, false, FaultSet::COLO_BLAST, 100 + i as u64));
+                s.offer(ex(client, i, true, FaultSet::COLO_BLAST, 10));
+                s.offer(ex(client, 4 + i, false, FaultSet::COLO_BLAST, 100 + i as u64));
             }
             s
         };
         let mut merged = ExemplarStore::default();
-        merged.merge(mk(0, 0));
-        merged.merge(mk(1, 100));
+        merged.merge(mk(0), 0);
+        merged.merge(mk(1), 100);
         let mut sequential = ExemplarStore::default();
         for i in 0..4 {
             sequential.offer(ex(0, i, true, FaultSet::COLO_BLAST, 10));

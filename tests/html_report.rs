@@ -94,7 +94,7 @@ fn page_is_self_contained_and_has_every_section() {
 fn html_generation_leaves_the_text_fingerprint_unchanged() {
     // `reproduce --html` flips record_provenance on; the text surface must
     // not notice. (Zero-perturbation of provenance is already held by
-    // `audit --check`; this pins the report path end to end.)
+    // `detcheck`; this pins the report path end to end.)
     let (plain, _) = run(424242, 0, false);
     let (with_html, cfg) = run(424242, 0, true);
     let text_plain = report::render_all(&plain.dataset, AnalysisConfig::default(), 424242);

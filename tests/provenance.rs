@@ -1,8 +1,9 @@
 //! Flight-recorder guarantees: the provenance sidecar is parallel to the
 //! dataset, stamps track fault boundaries exactly (including faults that
 //! start or end mid-hour), overlapping faults union their flags, proxied
-//! clients share one true cause, and the audit scored against the sidecar
-//! clears the agreement floor.
+//! clients share one true cause, the sidecar and the forensic exemplars
+//! stay aligned with the records under collection loss, and the audit
+//! scored against the sidecar clears the agreement floor.
 
 use model::{FaultSet, SimTime, TrueBlame};
 use netsim::Timeline;
@@ -403,6 +404,53 @@ fn wrong_dns_stamps_both_phases_and_heals_with_the_window() {
     assert!(!view.true_faults(real, t(1.5)).contains(FaultSet::WRONG_DNS));
     // The zone serves everyone the decoy, so the proxy vantage agrees.
     assert!(ProxyView::new(&gt, 0).true_dns_faults(&host, t(1.5)).contains(FaultSet::WRONG_DNS));
+}
+
+#[test]
+fn both_observers_stay_aligned_under_collection_loss() {
+    use bench_suite::dataset_fingerprint;
+    use workload::forensics::{ARCHETYPE_SLOTS, BLAME_CLASSES};
+    use workload::{AdversarialProfile, ApparatusFaults, ForensicsConfig};
+    let run = |observers: bool, threads: usize| {
+        let mut cfg = ExperimentConfig::quick(20050101);
+        cfg.hours = 8;
+        cfg.wire_fidelity = false;
+        cfg.threads = threads;
+        cfg.adversarial = AdversarialProfile::adversarial_month();
+        cfg.apparatus = ApparatusFaults {
+            record_drop_prob: 0.05,
+            ..ApparatusFaults::none()
+        };
+        cfg.record_provenance = observers;
+        cfg.forensics = observers.then(ForensicsConfig::default);
+        run_experiment(&cfg)
+    };
+    let unobserved = dataset_fingerprint(&run(false, 1).dataset);
+    let mut first_keys = None;
+    for threads in [1usize, 2, 7] {
+        let out = run(true, threads);
+        assert!(out.report.records_dropped > 0, "no record dropped");
+        assert_eq!(dataset_fingerprint(&out.dataset), unobserved);
+        let log = out.provenance.as_ref().expect("provenance requested");
+        assert_eq!(log.records.len(), out.dataset.records.len());
+        let store = out.forensics.as_ref().expect("forensics requested");
+        assert!(!store.is_empty());
+        assert!(store.len() <= BLAME_CLASSES * ARCHETYPE_SLOTS * 2 * report::caps::MAX_SAMPLES);
+        for x in store.iter() {
+            let r = &out.dataset.records[x.record_index];
+            assert_eq!(
+                (r.client.0, r.site.0, r.start, r.failed()),
+                (x.client, x.site, x.start, x.failed),
+                "exemplar points at the wrong row"
+            );
+            assert_eq!(log.records[x.record_index].all(), x.truth, "stamp vs trace");
+        }
+        let keys: Vec<_> = store.iter().map(|x| (x.key(), x.record_index)).collect();
+        match &first_keys {
+            None => first_keys = Some(keys),
+            Some(first) => assert_eq!(&keys, first, "exemplars drift at {threads} threads"),
+        }
+    }
 }
 
 #[test]
