@@ -65,6 +65,9 @@ for ex in quickstart custom_world blame_attribution bgp_correlation degraded_run
     cargo run --release --example "$ex" > /dev/null
 done
 
+echo "==> cargo bench --no-run -p bench-suite: the criterion bench targets still compile"
+cargo bench --no-run -q -p bench-suite
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 

@@ -28,6 +28,20 @@ fn sample_response() -> Message {
     resp
 }
 
+/// A referral with four NS records and their glue, as an authoritative
+/// server builds one: most of its names compress to pointers.
+fn sample_referral() -> Message {
+    let q = Message::iterative_query(0x2a5c, "www.example.com".parse().unwrap(), RecordType::A);
+    let mut resp = q.response_from_query();
+    resp.header.authoritative = true;
+    for (i, c) in ["a", "b", "c", "d"].into_iter().enumerate() {
+        let ns: DomainName = format!("{c}.root-servers.example").parse().unwrap();
+        resp.add_authority(DomainName::root(), 86_400, RData::Ns(ns.clone()));
+        resp.add_additional(ns, 86_400, RData::A(Ipv4Addr::new(192, 0, 32, i as u8 + 1)));
+    }
+    resp
+}
+
 fn bench_codec(c: &mut Criterion) {
     let msg = sample_response();
     let wire = msg.encode().unwrap();
@@ -43,6 +57,27 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| {
             let bytes = msg.encode().unwrap();
             black_box(Message::decode(&bytes).unwrap())
+        })
+    });
+    // What every LDNS contact costs with the codec on: build the stub's
+    // query, encode it into the resolution's buffer, decode it back.
+    let qname: DomainName = "www.example.com".parse().unwrap();
+    g.bench_function("stub_roundtrip", |b| {
+        let mut buf = Vec::new();
+        let mut id = 0u16;
+        b.iter(|| {
+            id = id.wrapping_add(1);
+            let q = Message::query(id, qname.clone(), RecordType::A);
+            q.encode_into(&mut buf).unwrap();
+            black_box(Message::decode(&buf).unwrap())
+        })
+    });
+    let referral = sample_referral();
+    g.bench_function("referral_roundtrip", |b| {
+        let mut buf = Vec::new();
+        b.iter(|| {
+            referral.encode_into(&mut buf).unwrap();
+            black_box(Message::decode(&buf).unwrap())
         })
     });
     g.finish();

@@ -83,7 +83,8 @@ pub fn dig_iterative<F: DnsFaults + ?Sized>(
         }
         if is_auth {
             let q = Message::iterative_query(rng.next_u64() as u16, qname.clone(), RecordType::A);
-            let (resp, kind) = authoritative_answer(zone, tree, &q);
+            // The authoritative zone ends the chain: no deeper delegation.
+            let (resp, kind) = authoritative_answer(zone, None, &q);
             return match kind {
                 AnswerKind::Authoritative => {
                     let addrs = resp.resolve_a_chain(qname);

@@ -281,11 +281,13 @@ impl<'t> StubResolver<'t> {
                 from_cache: false,
             };
         }
+        // One encode buffer for every message of this resolution.
+        let mut wire = Vec::new();
         if cfg.wire_fidelity {
             // The stub's recursive query to the LDNS.
             let q = Message::query(rng.next_u64() as u16, qname.clone(), RecordType::A);
-            let bytes = q.encode().expect("valid query");
-            let _ = Message::decode(&bytes).expect("own bytes decode");
+            q.encode_into(&mut wire).expect("valid query");
+            let _ = Message::decode(&wire).expect("own bytes decode");
             messages += 1;
         }
 
@@ -303,7 +305,15 @@ impl<'t> StubResolver<'t> {
 
         // --- Iterative walk (by the LDNS); in-zone CNAME chains are
         // resolved by the authoritative server itself ----------------------
-        match self.walk(qname, faults, t, rng, &mut elapsed, &mut messages) {
+        match self.walk(
+            qname,
+            faults,
+            t,
+            rng,
+            &mut elapsed,
+            &mut messages,
+            &mut wire,
+        ) {
             WalkOutcome::Answered(addrs, ttl) => {
                 out.extend_from_slice(&addrs);
                 cache.put(
@@ -334,7 +344,9 @@ impl<'t> StubResolver<'t> {
         }
     }
 
-    /// Walk the delegation chain for `qname`, accumulating latency.
+    /// Walk the delegation chain for `qname`, accumulating latency; `wire`
+    /// is the resolution's encode buffer.
+    #[allow(clippy::too_many_arguments)]
     fn walk<F: DnsFaults + ?Sized>(
         &self,
         qname: &DomainName,
@@ -343,17 +355,18 @@ impl<'t> StubResolver<'t> {
         rng: &mut SimRng,
         elapsed: &mut SimDuration,
         messages: &mut u32,
+        wire: &mut Vec<u8>,
     ) -> WalkOutcome {
         let chain = self.tree.delegation_chain(qname);
-        if chain.is_empty() {
+        let Some(last) = chain.len().checked_sub(1) else {
             return WalkOutcome::Error(DnsErrorCode::ServFail);
-        }
+        };
         let cfg = &self.config;
-        for zone in &chain {
+        for (i, zone) in chain.iter().enumerate() {
             // Zone misconfiguration produces an error *response* (servers
             // are up but answer with an error) — only meaningful at the
             // authoritative zone, i.e. the last chain element.
-            let is_auth = zone.apex.label_count() == chain.last().expect("non-empty").apex.label_count();
+            let is_auth = i == last;
             if is_auth {
                 if let Some(code) = faults.zone_error(&zone.apex, t) {
                     *elapsed += cfg.latency.sample(cfg.latency.hop_rtt, rng);
@@ -377,9 +390,9 @@ impl<'t> StubResolver<'t> {
             }
             if cfg.wire_fidelity {
                 let q = Message::iterative_query(rng.next_u64() as u16, qname.clone(), RecordType::A);
-                let (resp, kind) = authoritative_answer(zone, self.tree, &q);
-                let bytes = resp.encode().expect("valid response");
-                let decoded = Message::decode(&bytes).expect("own bytes decode");
+                let (resp, kind) = authoritative_answer(zone, chain.get(i + 1).copied(), &q);
+                resp.encode_into(wire).expect("valid response");
+                let decoded = Message::decode(wire).expect("own bytes decode");
                 *messages += 1;
                 if is_auth {
                     return self.conclude(qname, decoded, kind, zone.ttl);

@@ -4,7 +4,7 @@
 //! authoritative server would send: an authoritative answer (following
 //! in-zone CNAMEs), a referral to a delegated child zone, or NXDOMAIN.
 
-use crate::zones::{Zone, ZoneTree};
+use crate::zones::Zone;
 use dnswire::{DomainName, Message, RData, Rcode};
 
 /// How the server answered, for the resolver's walk logic.
@@ -20,20 +20,24 @@ pub enum AnswerKind {
 
 /// Build the response `zone`'s server gives to `query` (first question).
 ///
-/// `tree` is consulted to discover delegations below `zone` (a child zone
-/// whose apex lies strictly between this zone's apex and the qname).
-pub fn authoritative_answer(zone: &Zone, tree: &ZoneTree, query: &Message) -> (Message, AnswerKind) {
+/// `next` is the zone after `zone` in the query name's
+/// [`ZoneTree::delegation_chain`], if any: a child zone whose apex lies
+/// strictly between this zone's apex and the qname, so the answer is a
+/// referral to it.
+///
+/// [`ZoneTree::delegation_chain`]: crate::zones::ZoneTree::delegation_chain
+pub fn authoritative_answer(
+    zone: &Zone,
+    next: Option<&Zone>,
+    query: &Message,
+) -> (Message, AnswerKind) {
     let mut resp = query.response_from_query();
     resp.header.authoritative = true;
     let Some(q) = query.questions.first() else {
         return (resp.with_rcode(Rcode::FormErr), AnswerKind::NxDomain);
     };
-    let qname = q.qname.clone();
 
-    // Delegation check: the deepest zone in the tree that is authoritative
-    // for qname. If it is deeper than us, refer to the next zone down our
-    // chain.
-    if let Some(deeper) = next_delegation(zone, tree, &qname) {
+    if let Some(deeper) = next {
         for (ns_name, ns_addr) in &deeper.ns {
             resp.add_authority(deeper.apex.clone(), deeper.ttl, RData::Ns(ns_name.clone()));
             resp.add_additional(ns_name.clone(), deeper.ttl, RData::A(*ns_addr));
@@ -42,17 +46,17 @@ pub fn authoritative_answer(zone: &Zone, tree: &ZoneTree, query: &Message) -> (M
     }
 
     // We are the authority: answer, following in-zone CNAME chains.
-    let mut current = qname.clone();
+    let mut current = &q.qname;
     let mut answered = false;
     for _ in 0..8 {
-        match zone.lookup(&current) {
+        match zone.lookup(current) {
             Some(records) => {
                 answered = true;
-                let mut next: Option<DomainName> = None;
+                let mut next: Option<&DomainName> = None;
                 for r in records {
                     resp.add_answer(current.clone(), zone.ttl, r.clone());
                     if let RData::Cname(target) = r {
-                        next = Some(target.clone());
+                        next = Some(target);
                     }
                 }
                 match next {
@@ -71,18 +75,23 @@ pub fn authoritative_answer(zone: &Zone, tree: &ZoneTree, query: &Message) -> (M
     }
 }
 
-/// The next zone on the delegation path from `zone` toward `qname`, if any.
-fn next_delegation<'t>(zone: &Zone, tree: &'t ZoneTree, qname: &DomainName) -> Option<&'t Zone> {
-    tree.delegation_chain(qname)
-        .into_iter()
-        .find(|z| z.apex.label_count() > zone.apex.label_count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zones::ZoneTree;
     use dnswire::RecordType;
     use std::net::Ipv4Addr;
+
+    /// [`authoritative_answer`] as the iterative walk calls it: `next` is
+    /// the zone after `zone` on the query name's delegation chain.
+    fn answer(zone: &Zone, tree: &ZoneTree, query: &Message) -> (Message, AnswerKind) {
+        let next = query.questions.first().and_then(|q| {
+            tree.delegation_chain(&q.qname)
+                .into_iter()
+                .find(|z| z.apex.label_count() > zone.apex.label_count())
+        });
+        authoritative_answer(zone, next, query)
+    }
 
     fn name(s: &str) -> DomainName {
         s.parse().unwrap()
@@ -100,7 +109,7 @@ mod tests {
         let t = tree();
         let root = t.zone(&DomainName::root()).unwrap();
         let q = Message::iterative_query(1, name("www.example.com"), RecordType::A);
-        let (resp, kind) = authoritative_answer(root, &t, &q);
+        let (resp, kind) = answer(root, &t, &q);
         assert_eq!(kind, AnswerKind::Referral);
         let refs = resp.referrals();
         assert!(!refs.is_empty());
@@ -113,7 +122,7 @@ mod tests {
         let t = tree();
         let com = t.zone(&name("com")).unwrap();
         let q = Message::iterative_query(2, name("www.example.com"), RecordType::A);
-        let (resp, kind) = authoritative_answer(com, &t, &q);
+        let (resp, kind) = answer(com, &t, &q);
         assert_eq!(kind, AnswerKind::Referral);
         // The referred zone should be example.com's.
         assert_eq!(resp.authority[0].name, name("example.com"));
@@ -124,7 +133,7 @@ mod tests {
         let t = tree();
         let auth = t.zone(&name("example.com")).unwrap();
         let q = Message::iterative_query(3, name("www.example.com"), RecordType::A);
-        let (resp, kind) = authoritative_answer(auth, &t, &q);
+        let (resp, kind) = answer(auth, &t, &q);
         assert_eq!(kind, AnswerKind::Authoritative);
         assert!(resp.header.authoritative);
         assert_eq!(
@@ -138,7 +147,7 @@ mod tests {
         let t = tree();
         let auth = t.zone(&name("example.com")).unwrap();
         let q = Message::iterative_query(4, name("nosuch.example.com"), RecordType::A);
-        let (resp, kind) = authoritative_answer(auth, &t, &q);
+        let (resp, kind) = answer(auth, &t, &q);
         assert_eq!(kind, AnswerKind::NxDomain);
         assert_eq!(resp.header.rcode, Rcode::NxDomain);
     }
@@ -152,7 +161,7 @@ mod tests {
         }
         let auth = t.zone(&name("example.com")).unwrap();
         let q = Message::iterative_query(5, name("web.example.com"), RecordType::A);
-        let (resp, kind) = authoritative_answer(auth, &t, &q);
+        let (resp, kind) = answer(auth, &t, &q);
         assert_eq!(kind, AnswerKind::Authoritative);
         assert_eq!(
             resp.resolve_a_chain(&name("web.example.com")),
@@ -165,7 +174,7 @@ mod tests {
         let t = tree();
         let root = t.zone(&DomainName::root()).unwrap();
         let q = Message::default();
-        let (resp, _) = authoritative_answer(root, &t, &q);
+        let (resp, _) = answer(root, &t, &q);
         assert_eq!(resp.header.rcode, Rcode::FormErr);
     }
 
@@ -180,7 +189,7 @@ mod tests {
         ] {
             let zone = t.zone(&zone_apex).unwrap();
             let q = Message::iterative_query(6, qn, RecordType::A);
-            let (resp, _) = authoritative_answer(zone, &t, &q);
+            let (resp, _) = answer(zone, &t, &q);
             let bytes = resp.encode().unwrap();
             let decoded = Message::decode(&bytes).unwrap();
             assert_eq!(decoded.header.rcode, resp.header.rcode);

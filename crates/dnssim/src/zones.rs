@@ -87,23 +87,19 @@ impl ZoneTree {
     /// The most-specific zone whose apex is an ancestor of (or equal to)
     /// `name` — the zone an authoritative answer for `name` comes from.
     pub fn authoritative_zone(&self, name: &DomainName) -> Option<&Zone> {
-        let mut best: Option<&Zone> = None;
-        for candidate in name.hierarchy() {
-            if let Some(z) = self.zones.get(&candidate) {
-                best = Some(z);
-            }
-        }
-        best
+        name.suffixes().find_map(|apex| self.zones.get(apex))
     }
 
     /// The delegation chain from the root down to the authoritative zone of
     /// `name`, e.g. `[".", "com", "example.com"]` — exactly the zones an
     /// iterative resolution visits.
     pub fn delegation_chain(&self, name: &DomainName) -> Vec<&Zone> {
-        name.hierarchy()
-            .iter()
+        let mut chain: Vec<&Zone> = name
+            .suffixes()
             .filter_map(|apex| self.zones.get(apex))
-            .collect()
+            .collect();
+        chain.reverse();
+        chain
     }
 
     /// Iterate all zones (apex order unspecified).

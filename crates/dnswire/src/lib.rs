@@ -12,6 +12,17 @@
 //! questions, and A / NS / CNAME / SOA / PTR / MX / TXT / AAAA records —
 //! with full name-compression support on both encode and decode.
 //!
+//! A [`DomainName`] is one boxed buffer holding the name's uncompressed
+//! wire form (length-prefixed lowercase labels, then the root octet), with
+//! equality and hashing over those bytes. Its ancestors are borrowed
+//! sub-slices ([`DomainName::suffixes`]), and a name borrows as `[u8]`, so
+//! zone and cache maps keyed by names are probed without building names.
+//! The encoder compresses against a list of the offsets where earlier names
+//! start, comparing each suffix with the bytes already written (following
+//! their pointers): a pointer goes to the first place a suffix was written,
+//! and only offsets up to 0x3FFF are kept, as RFC 1035 pointers allow.
+//! [`Message::encode_into`] reuses a caller's buffer across messages.
+//!
 //! ```
 //! use dnswire::{Message, DomainName, RecordType, RData};
 //! use std::net::Ipv4Addr;

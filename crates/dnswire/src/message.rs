@@ -181,13 +181,21 @@ impl Message {
 
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`Message::encode`] into a caller-owned buffer, which is cleared
+    /// first, so a hot loop can reuse one allocation for every message.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         let mut header = self.header;
         header.qdcount = self.questions.len() as u16;
         header.ancount = self.answers.len() as u16;
         header.nscount = self.authority.len() as u16;
         header.arcount = self.additional.len() as u16;
 
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_buffer(std::mem::take(out));
         header.encode(&mut w);
         for q in &self.questions {
             q.encode(&mut w);
@@ -200,10 +208,11 @@ impl Message {
         {
             rr.encode(&mut w);
         }
-        if w.len() > MAX_MESSAGE_LEN {
-            return Err(WireError::MessageTooLong(w.len()));
+        *out = w.into_bytes();
+        if out.len() > MAX_MESSAGE_LEN {
+            return Err(WireError::MessageTooLong(out.len()));
         }
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     /// Parse from wire bytes.
@@ -677,5 +686,105 @@ mod tests {
         let decoded = Message::decode(&bytes).unwrap();
         assert_eq!(decoded.answers.len(), 10);
         assert_eq!(decoded.answers[9].rdata, RData::A(Ipv4Addr::new(10, 0, 0, 9)));
+    }
+
+    fn assert_same_records(decoded: &Message, msg: &Message) {
+        assert_eq!(decoded.questions, msg.questions);
+        assert_eq!(decoded.answers, msg.answers);
+        assert_eq!(decoded.authority, msg.authority);
+        assert_eq!(decoded.additional, msg.additional);
+    }
+
+    /// A referral with four NS records and their glue, laid out the way
+    /// `dnssim::authoritative_answer` lays out every referral (here the root
+    /// zone's own four servers): the NS targets share a suffix and every
+    /// glue owner repeats an NS target, so most names are pointers.
+    fn referral_fixture() -> Message {
+        let q = Message::iterative_query(0x2a5c, name("www.example.com"), RecordType::A);
+        let mut resp = q.response_from_query();
+        resp.header.authoritative = true;
+        for (i, c) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            let ns = name(&format!("{c}.root-servers.example"));
+            resp.add_authority(DomainName::root(), 86_400, RData::Ns(ns.clone()));
+            resp.add_additional(ns, 86_400, RData::A(Ipv4Addr::new(192, 0, 32, i as u8 + 1)));
+        }
+        resp
+    }
+
+    #[test]
+    fn referral_encodes_to_pinned_bytes() {
+        #[rustfmt::skip]
+        const PINNED: [u8; 177] = [
+            0x2a, 0x5c, 0x84, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x04,
+            0x03, 0x77, 0x77, 0x77, 0x07, 0x65, 0x78, 0x61, 0x6d, 0x70, 0x6c, 0x65,
+            0x03, 0x63, 0x6f, 0x6d, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x02,
+            0x00, 0x01, 0x00, 0x01, 0x51, 0x80, 0x00, 0x18, 0x01, 0x61, 0x0c, 0x72,
+            0x6f, 0x6f, 0x74, 0x2d, 0x73, 0x65, 0x72, 0x76, 0x65, 0x72, 0x73, 0x07,
+            0x65, 0x78, 0x61, 0x6d, 0x70, 0x6c, 0x65, 0x00, 0x00, 0x00, 0x02, 0x00,
+            0x01, 0x00, 0x01, 0x51, 0x80, 0x00, 0x04, 0x01, 0x62, 0xc0, 0x2e, 0x00,
+            0x00, 0x02, 0x00, 0x01, 0x00, 0x01, 0x51, 0x80, 0x00, 0x04, 0x01, 0x63,
+            0xc0, 0x2e, 0x00, 0x00, 0x02, 0x00, 0x01, 0x00, 0x01, 0x51, 0x80, 0x00,
+            0x04, 0x01, 0x64, 0xc0, 0x2e, 0xc0, 0x2c, 0x00, 0x01, 0x00, 0x01, 0x00,
+            0x01, 0x51, 0x80, 0x00, 0x04, 0xc0, 0x00, 0x20, 0x01, 0xc0, 0x4f, 0x00,
+            0x01, 0x00, 0x01, 0x00, 0x01, 0x51, 0x80, 0x00, 0x04, 0xc0, 0x00, 0x20,
+            0x02, 0xc0, 0x5e, 0x00, 0x01, 0x00, 0x01, 0x00, 0x01, 0x51, 0x80, 0x00,
+            0x04, 0xc0, 0x00, 0x20, 0x03, 0xc0, 0x6d, 0x00, 0x01, 0x00, 0x01, 0x00,
+            0x01, 0x51, 0x80, 0x00, 0x04, 0xc0, 0x00, 0x20, 0x04,
+        ];
+        let msg = referral_fixture();
+        assert_eq!(msg.encode().unwrap(), PINNED);
+        assert_same_records(&Message::decode(&PINNED).unwrap(), &msg);
+    }
+
+    #[test]
+    fn in_zone_cname_answer_encodes_to_pinned_bytes() {
+        #[rustfmt::skip]
+        const PINNED: [u8; 67] = [
+            0x0b, 0x0e, 0x84, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+            0x03, 0x77, 0x65, 0x62, 0x07, 0x65, 0x78, 0x61, 0x6d, 0x70, 0x6c, 0x65,
+            0x03, 0x63, 0x6f, 0x6d, 0x00, 0x00, 0x01, 0x00, 0x01, 0xc0, 0x0c, 0x00,
+            0x05, 0x00, 0x01, 0x00, 0x00, 0x1c, 0x20, 0x00, 0x06, 0x03, 0x77, 0x77,
+            0x77, 0xc0, 0x10, 0xc0, 0x2d, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x1c,
+            0x20, 0x00, 0x04, 0x0a, 0x00, 0x00, 0x01,
+        ];
+        let q = Message::iterative_query(0x0b0e, name("web.example.com"), RecordType::A);
+        let mut msg = q.response_from_query();
+        msg.header.authoritative = true;
+        msg.add_answer(name("web.example.com"), 7200, RData::Cname(name("www.example.com")));
+        msg.add_answer(name("www.example.com"), 7200, RData::A(Ipv4Addr::new(10, 0, 0, 1)));
+        assert_eq!(msg.encode().unwrap(), PINNED);
+        assert_same_records(&Message::decode(&PINNED).unwrap(), &msg);
+    }
+
+    #[test]
+    fn names_past_the_pointer_range_are_never_targets() {
+        // A 16 400-byte TXT answer pushes the next owner name past offset
+        // 0x3FFF: its `www` label is written again by the repeat, and only
+        // `example` (at 12, in the question) is pointed to.
+        let q = Message::query(7, name("example"), RecordType::Txt);
+        let mut msg = q.response_from_query();
+        msg.add_answer(name("big.example"), 60, RData::Txt(vec![b'x'; 16_400]));
+        msg.add_answer(name("www.example"), 60, RData::A(Ipv4Addr::new(10, 0, 0, 2)));
+        msg.add_answer(name("www.example"), 60, RData::A(Ipv4Addr::new(10, 0, 0, 3)));
+        let bytes = msg.encode().unwrap();
+        assert_eq!(bytes.len(), 16_546);
+        #[rustfmt::skip]
+        let tail = [
+            3, b'w', b'w', b'w', 0xc0, 0x0c, 0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 10, 0, 0, 2,
+            3, b'w', b'w', b'w', 0xc0, 0x0c, 0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 10, 0, 0, 3,
+        ];
+        assert_eq!(bytes[16_506..], tail);
+        assert_same_records(&Message::decode(&bytes).unwrap(), &msg);
+    }
+
+    #[test]
+    fn encode_into_reuses_the_buffer_and_matches_encode() {
+        let referral = referral_fixture();
+        let query = Message::query(3, name("www.example.com"), RecordType::A);
+        let mut buf = vec![0xEE; 9]; // stale content must go
+        for msg in [&referral, &query, &referral] {
+            msg.encode_into(&mut buf).unwrap();
+            assert_eq!(buf, msg.encode().unwrap());
+        }
     }
 }

@@ -1,10 +1,16 @@
 //! Domain names.
 //!
-//! A [`DomainName`] is a sequence of labels, stored lowercased (DNS name
-//! comparison is case-insensitive; we canonicalize at construction). The
-//! root name has zero labels and prints as `.`.
+//! A [`DomainName`] holds its uncompressed wire form: every label as a
+//! length octet and its bytes, then the root octet, so `www.example.com` is
+//! `\x03www\x07example\x03com\x00` and the root name is the lone `\x00`
+//! (printed as `.`). Labels are stored lowercased (DNS name comparison is
+//! case-insensitive; we canonicalize at construction), so equality and
+//! hashing are plain byte comparisons. A name borrows as `[u8]`: a
+//! `HashMap<DomainName, _>` can be probed with any of
+//! [`DomainName::suffixes`] without building the ancestor names.
 
 use crate::error::WireError;
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -14,16 +20,22 @@ pub const MAX_LABEL_LEN: usize = 63;
 pub const MAX_NAME_LEN: usize = 255;
 
 /// A validated, canonicalized (lowercase) domain name.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// `Eq` and `Hash` are those of the wire bytes, which is what lets the
+/// name implement `Borrow<[u8]>`. There is no `Ord`: label order would
+/// disagree with the byte order of `[u8]` that `Borrow` requires, and
+/// nothing sorts names.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct DomainName {
-    /// Labels in left-to-right order, e.g. `["www", "example", "com"]`.
-    labels: Vec<Box<[u8]>>,
+    /// Length-prefixed lowercase labels, leftmost (host) first, then the
+    /// root octet.
+    wire: Box<[u8]>,
 }
 
 impl DomainName {
     /// The root name (zero labels).
     pub fn root() -> Self {
-        DomainName { labels: Vec::new() }
+        DomainName { wire: Box::new([0]) }
     }
 
     /// Build from label byte strings; validates lengths and characters.
@@ -32,8 +44,7 @@ impl DomainName {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out: Vec<Box<[u8]>> = Vec::new();
-        let mut wire_len = 1; // trailing root octet
+        let mut name = NameBuilder::new();
         for label in labels {
             let label = label.as_ref();
             if label.is_empty() {
@@ -42,98 +53,147 @@ impl DomainName {
             if label.len() > MAX_LABEL_LEN {
                 return Err(WireError::LabelTooLong(label.len()));
             }
-            for &b in label {
-                if !is_hostname_byte(b) {
-                    return Err(WireError::BadLabelByte(b));
-                }
+            if let Some(&b) = label.iter().find(|&&b| !is_hostname_byte(b)) {
+                return Err(WireError::BadLabelByte(b));
             }
-            wire_len += 1 + label.len();
-            out.push(
-                label
-                    .iter()
-                    .map(|b| b.to_ascii_lowercase())
-                    .collect::<Vec<u8>>()
-                    .into_boxed_slice(),
-            );
+            name.push(label);
         }
-        if wire_len > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire_len));
-        }
-        Ok(DomainName { labels: out })
+        name.finish()
     }
 
     /// Number of labels (0 for the root).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.suffixes().count() - 1
     }
 
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.len() == 1
     }
 
     /// The labels, leftmost (host) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_ref())
+        self.suffixes()
+            .filter(|s| s[0] != 0)
+            .map(|s| &s[1..=usize::from(s[0])])
+    }
+
+    /// The uncompressed wire form: length-prefixed labels, then the root
+    /// octet.
+    pub fn as_wire(&self) -> &[u8] {
+        &self.wire
+    }
+
+    /// The wire forms of this name and each of its ancestors, from the name
+    /// itself down to the root octet: `www.example.com` yields
+    /// `www.example.com`, `example.com`, `com` and `.` — the reverse of
+    /// [`DomainName::hierarchy`], borrowed instead of allocated.
+    pub fn suffixes(&self) -> impl Iterator<Item = &[u8]> {
+        let wire: &[u8] = &self.wire;
+        std::iter::successors(Some(wire), |s| {
+            (s[0] != 0).then(|| &s[1 + usize::from(s[0])..])
+        })
     }
 
     /// Encoded wire length (sum of labels + length octets + root octet).
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.wire.len()
     }
 
     /// The parent domain (this name with its leftmost label removed);
     /// `None` for the root.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DomainName {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        self.suffixes().nth(1).map(DomainName::from_wire)
     }
 
     /// Is `self` equal to or a subdomain of `ancestor`?
     pub fn is_subdomain_of(&self, ancestor: &DomainName) -> bool {
-        if ancestor.labels.len() > self.labels.len() {
-            return false;
-        }
-        let offset = self.labels.len() - ancestor.labels.len();
-        self.labels[offset..] == ancestor.labels[..]
+        // Suffix lengths strictly decrease, so only the first one no longer
+        // than `ancestor` can equal it.
+        let ancestor = ancestor.as_wire();
+        self.suffixes().find(|s| s.len() <= ancestor.len()) == Some(ancestor)
     }
 
     /// All ancestor zones from the root down to the name itself:
     /// `www.example.com` → `[".", "com", "example.com", "www.example.com"]`.
     pub fn hierarchy(&self) -> Vec<DomainName> {
-        let mut out = Vec::with_capacity(self.labels.len() + 1);
-        for take in 0..=self.labels.len() {
-            out.push(DomainName {
-                labels: self.labels[self.labels.len() - take..].to_vec(),
-            });
-        }
+        let mut out: Vec<DomainName> = self.suffixes().map(DomainName::from_wire).collect();
+        out.reverse();
         out
     }
 
     /// Prepend a label: `child("www")` on `example.com` → `www.example.com`.
     pub fn child(&self, label: &str) -> Result<DomainName, WireError> {
-        let mut labels: Vec<&[u8]> = vec![label.as_bytes()];
-        labels.extend(self.labels.iter().map(|l| l.as_ref()));
-        DomainName::from_labels(labels)
+        DomainName::from_labels(std::iter::once(label.as_bytes()).chain(self.labels()))
+    }
+
+    /// A name from a suffix of another name's wire form (already valid).
+    fn from_wire(wire: &[u8]) -> DomainName {
+        DomainName { wire: wire.into() }
+    }
+}
+
+impl Borrow<[u8]> for DomainName {
+    fn borrow(&self) -> &[u8] {
+        &self.wire
+    }
+}
+
+/// A name's wire form under construction, in a stack buffer so that
+/// building a name costs one allocation: the final box.
+pub(crate) struct NameBuilder {
+    buf: [u8; MAX_NAME_LEN],
+    /// Encoded length so far, root octet included; it keeps counting past
+    /// the buffer so an overlong name reports its full length.
+    wire_len: usize,
+}
+
+impl NameBuilder {
+    pub(crate) fn new() -> Self {
+        NameBuilder {
+            buf: [0; MAX_NAME_LEN],
+            wire_len: 1,
+        }
+    }
+
+    /// Encoded length so far, root octet included.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.wire_len
+    }
+
+    /// Append one label (1–63 bytes), lowercased.
+    pub(crate) fn push(&mut self, label: &[u8]) {
+        let at = self.wire_len - 1;
+        self.wire_len += 1 + label.len();
+        if self.wire_len <= MAX_NAME_LEN {
+            self.buf[at] = label.len() as u8;
+            for (dst, src) in self.buf[at + 1..].iter_mut().zip(label) {
+                *dst = src.to_ascii_lowercase();
+            }
+        }
+    }
+
+    /// The finished name, or `NameTooLong` past 255 octets.
+    pub(crate) fn finish(mut self) -> Result<DomainName, WireError> {
+        if self.wire_len > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(self.wire_len));
+        }
+        self.buf[self.wire_len - 1] = 0;
+        Ok(DomainName::from_wire(&self.buf[..self.wire_len]))
     }
 }
 
 /// Permitted bytes: letters, digits, hyphen and underscore (the latter is
 /// common in practice, e.g. `_dmarc`).
-fn is_hostname_byte(b: u8) -> bool {
+pub(crate) fn is_hostname_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
 }
 
 impl fmt::Display for DomainName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return f.write_str(".");
         }
-        for (i, label) in self.labels.iter().enumerate() {
+        for (i, label) in self.labels().enumerate() {
             if i > 0 {
                 f.write_str(".")?;
             }
@@ -255,6 +315,37 @@ mod tests {
         let h = n.hierarchy();
         let strs: Vec<String> = h.iter().map(|d| d.to_string()).collect();
         assert_eq!(strs, vec![".", "com", "example.com", "www.example.com"]);
+    }
+
+    #[test]
+    fn wire_form_is_length_prefixed_lowercase_labels() {
+        let n: DomainName = "WWW.Example.com".parse().unwrap();
+        assert_eq!(n.as_wire(), b"\x03www\x07example\x03com\x00");
+        assert_eq!(DomainName::root().as_wire(), [0]);
+        let suffixes: Vec<&[u8]> = n.suffixes().collect();
+        assert_eq!(
+            suffixes,
+            [
+                &b"\x03www\x07example\x03com\x00"[..],
+                b"\x07example\x03com\x00",
+                b"\x03com\x00",
+                b"\x00"
+            ]
+        );
+    }
+
+    #[test]
+    fn subdomain_relation_follows_label_boundaries() {
+        // The byte `0` (0x30 = 48) in the child's label spells the length
+        // octet of the other name's 48-byte first label: as raw bytes, the
+        // child's wire form ends with the other's, but no label boundary
+        // lines up with it.
+        let long = "a".repeat(48);
+        let other: DomainName = format!("{long}.com").parse().unwrap();
+        let child: DomainName = format!("z0{long}.com").parse().unwrap();
+        assert!(child.as_wire().ends_with(other.as_wire()));
+        assert!(!child.is_subdomain_of(&other));
+        assert!(child.is_subdomain_of(&"com".parse().unwrap()));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Low-level wire reader/writer with name compression.
 
 use crate::error::WireError;
-use crate::name::{DomainName, MAX_NAME_LEN};
-use std::collections::HashMap;
+use crate::name::{is_hostname_byte, DomainName, NameBuilder, MAX_NAME_LEN};
 
 /// Maximum chained compression pointers we will follow before declaring a
 /// loop. Any legitimate name fits in far fewer.
@@ -11,8 +10,10 @@ const MAX_POINTER_CHAIN: usize = 64;
 /// Writes big-endian DNS wire data, tracking name offsets for compression.
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// First offset at which each (suffix) name was written, for pointers.
-    name_offsets: HashMap<DomainName, u16>,
+    /// Where each name (or name suffix) written in label form starts, in
+    /// writing order. Each distinct name appears once, at its first offset,
+    /// and only offsets a 14-bit pointer can carry are kept.
+    name_offsets: Vec<u16>,
 }
 
 impl Default for WireWriter {
@@ -23,9 +24,17 @@ impl Default for WireWriter {
 
 impl WireWriter {
     pub fn new() -> Self {
+        Self::with_buffer(Vec::new())
+    }
+
+    /// A writer that fills `buf` from the start, reusing its allocation
+    /// (one of at least 512 bytes, so a typical message never regrows it).
+    pub(crate) fn with_buffer(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        buf.reserve(512);
         WireWriter {
-            buf: Vec::with_capacity(512),
-            name_offsets: HashMap::new(),
+            buf,
+            name_offsets: Vec::new(),
         }
     }
 
@@ -64,28 +73,31 @@ impl WireWriter {
 
     /// Write a domain name with compression against earlier names.
     pub fn put_name(&mut self, name: &DomainName) {
-        // Walk suffixes from the full name downward; emit labels until we
-        // find a suffix already written, then emit a pointer to it.
-        let mut suffix = name.clone();
-        loop {
-            if let Some(&off) = self.name_offsets.get(&suffix) {
+        // Walk suffixes from the full name downward; emit labels until a
+        // suffix equals a name already in the buffer, then emit a pointer to
+        // it. Only names written before this one are candidates: a suffix
+        // never equals a longer suffix of the same name.
+        let earlier = self.name_offsets.len();
+        for suffix in name.suffixes() {
+            let label_len = usize::from(suffix[0]);
+            if label_len == 0 {
+                self.buf.push(0);
+                return;
+            }
+            let found = self.name_offsets[..earlier]
+                .iter()
+                .find(|&&off| name_at_equals(&self.buf, usize::from(off), suffix));
+            if let Some(&off) = found {
                 self.put_u16(0xC000 | off);
                 return;
             }
-            // Root (no first label / no parent): emit the terminator.
-            let (Some(label), Some(parent)) = (suffix.labels().next(), suffix.parent()) else {
-                self.buf.push(0);
-                return;
-            };
             // Record where this suffix starts (only if pointer-addressable:
             // pointers carry 14 bits).
             let here = self.buf.len();
             if here <= 0x3FFF {
-                self.name_offsets.insert(suffix.clone(), here as u16);
+                self.name_offsets.push(here as u16);
             }
-            self.buf.push(label.len() as u8);
-            self.buf.extend_from_slice(label);
-            suffix = parent;
+            self.buf.extend_from_slice(&suffix[..=label_len]);
         }
     }
 
@@ -93,11 +105,29 @@ impl WireWriter {
     /// implementations choke on pointers; we still *read* compressed RDATA
     /// names).
     pub fn put_name_uncompressed(&mut self, name: &DomainName) {
-        for label in name.labels() {
-            self.buf.push(label.len() as u8);
-            self.buf.extend_from_slice(label);
+        self.buf.extend_from_slice(name.as_wire());
+    }
+}
+
+/// Does the name written at `at` in `buf`, followed through its pointers,
+/// equal the uncompressed wire form `wire`? Only reads names `put_name`
+/// wrote, so every label and pointer is in bounds.
+fn name_at_equals(buf: &[u8], mut at: usize, mut wire: &[u8]) -> bool {
+    loop {
+        let len = buf[at];
+        if len & 0xC0 == 0xC0 {
+            at = usize::from(u16::from_be_bytes([len & 0x3F, buf[at + 1]]));
+            continue;
         }
-        self.buf.push(0);
+        let n = 1 + usize::from(len);
+        if wire.len() < n || buf[at..at + n] != wire[..n] {
+            return false;
+        }
+        if len == 0 {
+            return true;
+        }
+        at += n;
+        wire = &wire[n..];
     }
 }
 
@@ -156,8 +186,10 @@ impl<'a> WireReader<'a> {
     /// pointer targets are followed without moving the cursor, with loop
     /// and bounds protection.
     pub fn get_name(&mut self) -> Result<DomainName, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
-        let mut wire_len = 1usize; // root octet of the reconstructed name
+        let mut name = NameBuilder::new();
+        // The first byte outside the hostname alphabet, reported only once
+        // the walk itself succeeded.
+        let mut bad_byte: Option<u8> = None;
         let mut read_pos = self.pos;
         let mut followed: usize = 0;
         // The cursor advance, fixed once we hit the first pointer.
@@ -179,11 +211,14 @@ impl<'a> WireReader<'a> {
                     if end > self.data.len() {
                         return Err(WireError::Truncated);
                     }
-                    wire_len += 1 + len;
-                    if wire_len > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(wire_len));
+                    let label = &self.data[start..end];
+                    name.push(label);
+                    if name.wire_len() > MAX_NAME_LEN {
+                        return Err(WireError::NameTooLong(name.wire_len()));
                     }
-                    labels.push(self.data[start..end].to_vec());
+                    if bad_byte.is_none() {
+                        bad_byte = label.iter().copied().find(|&b| !is_hostname_byte(b));
+                    }
                     read_pos = end;
                 }
                 0xC0 => {
@@ -206,7 +241,10 @@ impl<'a> WireReader<'a> {
             }
         }
 
-        DomainName::from_labels(labels)
+        match bad_byte {
+            Some(b) => Err(WireError::BadLabelByte(b)),
+            None => name.finish(),
+        }
     }
 
     /// Move the cursor to an absolute offset (clamped to the input length).

@@ -1,8 +1,10 @@
 //! Property-based tests for the DNS wire codec: arbitrary valid messages
-//! round-trip exactly, and the decoder never panics on arbitrary bytes.
+//! round-trip exactly, the decoder never panics on arbitrary bytes, and the
+//! wire-form name's borrowed suffixes agree with its owned ancestors.
 
 use dnswire::{DomainName, Message, RData, RecordType, ResourceRecord};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Strategy for a valid hostname label (1–20 chars from the DNS alphabet).
@@ -13,6 +15,14 @@ fn label() -> impl Strategy<Value = String> {
 /// Strategy for a valid domain name with 1–5 labels.
 fn domain_name() -> impl Strategy<Value = DomainName> {
     proptest::collection::vec(label(), 1..=5)
+        .prop_map(|labels| DomainName::from_labels(labels).expect("labels validated"))
+}
+
+/// Names over a two-letter, mixed-case alphabet with 0–4 labels, so that
+/// equal names, shared suffixes and case-only differences are common.
+fn small_name() -> impl Strategy<Value = DomainName> {
+    let label = proptest::string::string_regex("[abAB]{1,2}").expect("valid regex");
+    proptest::collection::vec(label, 0..5)
         .prop_map(|labels| DomainName::from_labels(labels).expect("labels validated"))
 }
 
@@ -39,6 +49,34 @@ proptest! {
         let name = DomainName::from_labels(labels).unwrap();
         let reparsed: DomainName = name.to_string().parse().unwrap();
         prop_assert_eq!(name, reparsed);
+    }
+
+    #[test]
+    fn suffixes_are_the_hierarchy_reversed(name in small_name()) {
+        let suffixes: Vec<&[u8]> = name.suffixes().collect();
+        let hierarchy = name.hierarchy();
+        let reversed: Vec<&[u8]> = hierarchy.iter().rev().map(DomainName::as_wire).collect();
+        prop_assert_eq!(suffixes, reversed);
+    }
+
+    #[test]
+    fn borrowed_suffix_probes_match_the_parent_chain(
+        keys in proptest::collection::vec(small_name(), 0..12),
+        name in small_name(),
+    ) {
+        let map: HashMap<DomainName, usize> =
+            keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect();
+        let borrowed: Vec<Option<&usize>> = name.suffixes().map(|s| map.get(s)).collect();
+        let owned: Vec<Option<&usize>> =
+            std::iter::successors(Some(name.clone()), DomainName::parent)
+                .map(|n| map.get(&n))
+                .collect();
+        prop_assert_eq!(borrowed, owned);
+    }
+
+    #[test]
+    fn name_equality_is_text_equality(a in small_name(), b in small_name()) {
+        prop_assert_eq!(a == b, a.to_string() == b.to_string());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! hardened: header count and line lengths are bounded, and malformed input
 //! yields typed errors rather than panics.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum header lines we accept (defense against absurd input).
 const MAX_HEADERS: usize = 64;
@@ -88,15 +88,18 @@ impl HttpRequest {
 
     /// Serialize to wire text.
     pub fn encode(&self) -> String {
-        let mut out = format!("{} {} HTTP/1.1\r\n", self.method, self.path);
-        for (k, v) in &self.headers {
-            out.push_str(k);
-            out.push_str(": ");
-            out.push_str(v);
-            out.push_str("\r\n");
-        }
-        out.push_str("\r\n");
+        let mut out = String::new();
+        self.encode_into(&mut out);
         out
+    }
+
+    /// [`HttpRequest::encode`] into a caller-owned buffer, which is cleared
+    /// first, so a hot loop can reuse one allocation for every request.
+    pub fn encode_into(&self, out: &mut String) {
+        out.clear();
+        write!(out, "{} {} HTTP/1.1\r\n", self.method, self.path)
+            .expect("formatting into a String cannot fail");
+        push_headers(out, &self.headers);
     }
 
     /// Parse from wire text.
@@ -187,15 +190,18 @@ impl HttpResponse {
 
     /// Serialize the head (status line + headers) to wire text.
     pub fn encode_head(&self) -> String {
-        let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason);
-        for (k, v) in &self.headers {
-            out.push_str(k);
-            out.push_str(": ");
-            out.push_str(v);
-            out.push_str("\r\n");
-        }
-        out.push_str("\r\n");
+        let mut out = String::new();
+        self.encode_head_into(&mut out);
         out
+    }
+
+    /// [`HttpResponse::encode_head`] into a caller-owned buffer, which is
+    /// cleared first, so a hot loop can reuse one allocation for every head.
+    pub fn encode_head_into(&self, out: &mut String) {
+        out.clear();
+        write!(out, "HTTP/1.1 {} {}\r\n", self.status, self.reason)
+            .expect("formatting into a String cannot fail");
+        push_headers(out, &self.headers);
     }
 
     /// Parse a response head; `body_len` is taken from Content-Length
@@ -227,6 +233,16 @@ impl HttpResponse {
     }
 }
 
+/// Append header lines and the blank line that ends a head.
+fn push_headers(out: &mut String, headers: &[(String, String)]) {
+    for (k, v) in headers {
+        for part in [k, ": ", v, "\r\n"] {
+            out.push_str(part);
+        }
+    }
+    out.push_str("\r\n");
+}
+
 fn parse_headers<'a>(
     text: &str,
     lines: impl Iterator<Item = &'a str>,
@@ -244,7 +260,10 @@ fn parse_headers<'a>(
             break;
         }
         if line.len() > MAX_LINE_LEN {
-            return Err(HttpError::BadHeader(line[..64].to_string()));
+            // Quote the first 64 bytes, cut back to a character boundary.
+            return Err(HttpError::BadHeader(
+                line[..line.floor_char_boundary(64)].to_string(),
+            ));
         }
         if headers.len() >= MAX_HEADERS {
             return Err(HttpError::TooManyHeaders);
@@ -377,5 +396,35 @@ mod tests {
         let decoded = HttpResponse::decode_head("HTTP/1.1 204 No Content\r\n\r\n").unwrap();
         assert_eq!(decoded.body_len, 0);
         assert_eq!(decoded.content_length(), None);
+    }
+
+    #[test]
+    fn overlong_header_with_multibyte_text_is_an_error_not_a_panic() {
+        // Byte 64 of this line falls inside the two-byte `é`.
+        let line = format!("X-A:{}é{}", "a".repeat(59), "b".repeat(9000));
+        let expected = HttpError::BadHeader(format!("X-A:{}", "a".repeat(59)));
+        let request = format!("GET / HTTP/1.1\r\n{line}\r\n\r\n");
+        assert_eq!(HttpRequest::decode(&request).unwrap_err(), expected);
+        let response = format!("HTTP/1.1 200 OK\r\n{line}\r\n\r\n");
+        assert_eq!(HttpResponse::decode_head(&response).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn encode_into_reuses_the_buffer_and_matches_encode() {
+        let mut buf = String::from("stale");
+        for req in [
+            HttpRequest::get("a.example", "/", true),
+            HttpRequest::get("b.example", "/x", false),
+        ] {
+            req.encode_into(&mut buf);
+            assert_eq!(buf, req.encode());
+        }
+        for resp in [
+            HttpResponse::ok(24_000),
+            HttpResponse::redirect(302, "http://b.example/"),
+        ] {
+            resp.encode_head_into(&mut buf);
+            assert_eq!(buf, resp.encode_head());
+        }
     }
 }

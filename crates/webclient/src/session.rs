@@ -227,6 +227,8 @@ pub struct ClientSession<'t> {
     /// Reused hostname rendering buffer (one live allocation per session,
     /// not one per redirect hop).
     host_scratch: String,
+    /// Reused HTTP head encoding buffer for the wire round trips.
+    head_scratch: String,
 }
 
 impl<'t> ClientSession<'t> {
@@ -242,6 +244,7 @@ impl<'t> ClientSession<'t> {
             conn_scratch: Vec::new(),
             trace_buf: Trace::new(),
             host_scratch: String::new(),
+            head_scratch: String::new(),
         }
     }
 
@@ -358,8 +361,8 @@ impl<'t> ClientSession<'t> {
                 let host_str = &self.host_scratch;
                 let request = HttpRequest::get(host_str, "/", self.config.no_cache);
                 if self.config.http_wire_fidelity {
-                    let text = request.encode();
-                    let _ = HttpRequest::decode(&text).expect("own request re-parses");
+                    request.encode_into(&mut self.head_scratch);
+                    let _ = HttpRequest::decode(&self.head_scratch).expect("own request re-parses");
                 }
                 let answer = match env.origin(host_str) {
                     Some(origin) => origin.respond(host_str, &request, &mut self.rng),
@@ -369,8 +372,9 @@ impl<'t> ClientSession<'t> {
                     },
                 };
                 if self.config.http_wire_fidelity {
-                    let text = answer.response.encode_head();
-                    let _ = HttpResponse::decode_head(&text).expect("own response re-parses");
+                    answer.response.encode_head_into(&mut self.head_scratch);
+                    let _ = HttpResponse::decode_head(&self.head_scratch)
+                        .expect("own response re-parses");
                 }
                 let wire_bytes = answer.response.body_len + self.config.header_overhead;
 

@@ -1,4 +1,4 @@
-//! Fuzz the three wire codecs with random truncations and bit flips.
+//! Fuzz the wire codecs with random truncations and bit flips.
 //!
 //! The contract under test, for pcap, MRT and DNS alike:
 //!
@@ -8,9 +8,14 @@
 //!    reports at least one issue (corruption never passes silently);
 //! 3. when the salvage decoder reports no issues, the strict decoder
 //!    succeeds and both decode identically.
+//!
+//! The HTTP text codec has no salvage decoder: its request and response
+//! decoders must never panic on damaged heads or overlong multi-byte
+//! header lines, and intact heads must round-trip.
 
 use bgpsim::mrt::{decode_stream, decode_stream_salvage, encode_stream, MrtPrefixTable};
 use bgpsim::{BgpUpdate, UpdateKind};
+use httpsim::{HttpError, HttpRequest, HttpResponse};
 use model::{PrefixId, SimDuration, SimTime};
 use netsim::SimRng;
 use proptest::prelude::*;
@@ -87,6 +92,19 @@ fn dns_fixture(seed: u64) -> Vec<u8> {
     resp.encode().expect("fixture encodes")
 }
 
+/// A request and one of the three response shapes an origin sends.
+fn http_fixture(seed: u64) -> (HttpRequest, HttpResponse) {
+    let mut rng = SimRng::new(seed).fork_str("fuzz-http");
+    let host = format!("www.site{}.example", rng.next_u64() % 50);
+    let request = HttpRequest::get(&host, "/", rng.next_u64().is_multiple_of(2));
+    let response = match rng.next_u64() % 3 {
+        0 => HttpResponse::ok(rng.next_u64() % 100_000),
+        1 => HttpResponse::redirect(302, &format!("http://{host}/")),
+        _ => HttpResponse::error(503, "Service Unavailable"),
+    };
+    (request, response)
+}
+
 fn prefixes() -> Vec<model::Ipv4Prefix> {
     (0..8u8)
         .map(|i| model::Ipv4Prefix::new(std::net::Ipv4Addr::new(10, 0, i, 0), 24).expect("/24"))
@@ -153,6 +171,52 @@ proptest! {
         }
         if issues.is_empty() {
             prop_assert_eq!(salvaged, strict.expect("no issues implies strict success"));
+        }
+    }
+
+    /// HTTP: damaged heads never panic either decoder; intact ones
+    /// round-trip.
+    #[test]
+    fn http_decoders_survive_corruption(
+        seed in 0u64..1_000_000,
+        flips in 0u32..12,
+        cut in 0u8..2,
+    ) {
+        let (request, response) = http_fixture(seed);
+        let (request_text, head_text) = (request.encode(), response.encode_head());
+        prop_assert_eq!(HttpRequest::decode(&request_text), Ok(request));
+        prop_assert_eq!(HttpResponse::decode_head(&head_text), Ok(response));
+        for text in [request_text, head_text] {
+            let mut wire = text.into_bytes();
+            corrupt(&mut wire, seed, flips, cut == 1);
+            let damaged = String::from_utf8_lossy(&wire);
+            let _ = HttpRequest::decode(&damaged);
+            let _ = HttpResponse::decode_head(&damaged);
+        }
+    }
+
+    /// An overlong header line of multi-byte text is rejected with a
+    /// quote cut on a character boundary, wherever byte 64 falls.
+    #[test]
+    fn http_decoders_survive_long_multibyte_headers(
+        prefix in 0usize..80,
+        which in 0usize..4,
+    ) {
+        let ch = ["é", "€", "𝄞", "ß"][which];
+        let line = format!("X-A:{}{}", "a".repeat(prefix), ch.repeat(8200 / ch.len()));
+        let request = format!("GET / HTTP/1.1\r\n{line}\r\n\r\n");
+        let response = format!("HTTP/1.1 200 OK\r\n{line}\r\n\r\n");
+        for err in [
+            HttpRequest::decode(&request).map(|_| ()),
+            HttpResponse::decode_head(&response).map(|_| ()),
+        ] {
+            match err {
+                Err(HttpError::BadHeader(quote)) => {
+                    prop_assert!(quote.len() <= 64 && line.starts_with(&quote));
+                    prop_assert!(quote.len() > 60, "cut at most one character short");
+                }
+                other => prop_assert!(false, "expected BadHeader, got {other:?}"),
+            }
         }
     }
 
