@@ -37,8 +37,8 @@ fn main() {
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--hours" => hours = args.next().and_then(|v| v.parse().ok()).unwrap_or(hours),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
+            "--hours" => hours = bench_suite::numeric_flag(&arg, &mut args),
+            "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
             "--profile" => {
                 let dir = match args.peek() {
                     Some(v) if !v.starts_with("--") => args.next().unwrap(),

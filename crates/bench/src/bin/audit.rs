@@ -51,8 +51,8 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
+            "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
+            "--threads" => threads = Some(bench_suite::numeric_flag(&arg, &mut args)),
             "--out" => {
                 if let Some(p) = args.next() {
                     out_path = std::path::PathBuf::from(p);
@@ -60,7 +60,11 @@ fn main() {
             }
             "--csv" => csv_path = args.next().map(std::path::PathBuf::from),
             "--min-agreement" => {
-                min_agreement = args.next().and_then(|v| v.parse().ok()).unwrap_or(min_agreement);
+                min_agreement = bench_suite::numeric_flag(&arg, &mut args);
+                if !(0.0..=1.0).contains(&min_agreement) {
+                    eprintln!("--min-agreement must lie in [0, 1]");
+                    std::process::exit(2);
+                }
             }
             "--help" | "-h" => {
                 println!(

@@ -43,9 +43,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--client" => client = args.next().and_then(|v| v.parse().ok()),
-            "--site" => site = args.next().and_then(|v| v.parse().ok()),
-            "--hour" => hour = args.next().and_then(|v| v.parse().ok()),
+            "--client" => client = Some(bench_suite::numeric_flag(&arg, &mut args)),
+            "--site" => site = Some(bench_suite::numeric_flag(&arg, &mut args)),
+            "--hour" => hour = Some(bench_suite::numeric_flag(&arg, &mut args)),
             "--scale" => {
                 let v = args.next().unwrap_or_default();
                 scale = Scale::parse(&v).unwrap_or_else(|| {
@@ -53,8 +53,8 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
+            "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
+            "--threads" => threads = Some(bench_suite::numeric_flag(&arg, &mut args)),
             "--audit-misses" => audit_misses = true,
             "--help" | "-h" => {
                 println!(

@@ -36,7 +36,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
+            "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
             "--help" | "-h" => {
                 println!("oracle_diff [--seed N]");
                 return;

@@ -70,15 +70,7 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed needs an integer");
-                        std::process::exit(2);
-                    });
-            }
+            "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
             "--export" => {
                 export_dir = args.next().map(std::path::PathBuf::from);
                 if export_dir.is_none() {
@@ -103,6 +95,10 @@ fn main() {
                      Access Failures' (CoNEXT 2006) from a simulated experiment"
                 );
                 return;
+            }
+            other if other.starts_with('-') => {
+                eprintln!("unknown argument {other:?}");
+                std::process::exit(2);
             }
             other => {
                 only = Some(vec![other.to_string()]);

@@ -2,15 +2,14 @@
 
 use model::Dataset;
 use netprofiler::Analysis;
-use workload::{run_experiment, ExperimentConfig, ExperimentOutput};
+use workload::{ExperimentConfig, ExperimentOutput};
 
 /// Named experiment scales for the harness.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// 72 h × 1 access/hour, full wire fidelity (~0.8 M transactions).
     Quick,
-    /// One week × 2 accesses/hour, no wire fidelity (~3.5 M transactions)
-    /// — the columnar/allocator stress smoke point.
+    /// One week × 2 accesses/hour, no wire fidelity (~3.5 M transactions).
     Stress,
     /// Full month × 2 accesses/hour (~16 M transactions) — the default
     /// reproduction scale.
@@ -41,9 +40,21 @@ impl Scale {
     }
 }
 
-/// Run an experiment at the given scale and return its dataset.
-pub fn dataset_at(scale: Scale, seed: u64) -> Dataset {
-    run_experiment(&scale.config(seed)).dataset
+/// The value of a numeric command-line flag, read from the argument after
+/// it. A missing or malformed value exits with status 2 naming the flag,
+/// so a typo never runs the default in its place.
+pub fn numeric_flag<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> T {
+    let Some(value) = args.next() else {
+        eprintln!("{flag} needs a number");
+        std::process::exit(2);
+    };
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag}: {value:?} is not a valid number");
+        std::process::exit(2);
+    })
 }
 
 /// Streaming FNV-1a hasher over formatted text, shared by the harness
@@ -95,14 +106,9 @@ pub fn text_fingerprint(text: &str) -> u64 {
     h.finish()
 }
 
-/// The four committed bench regression artifacts the HTML report's
+/// The two committed bench regression artifacts the HTML report's
 /// trajectory panel ingests.
-pub const BENCH_ARTIFACTS: [&str; 4] = [
-    "BENCH_baseline.json",
-    "BENCH_parallel.json",
-    "BENCH_audit.json",
-    "BENCH_scenarios.json",
-];
+pub const BENCH_ARTIFACTS: [&str; 2] = ["BENCH_audit.json", "BENCH_scenarios.json"];
 
 /// Build the run manifest for an experiment output. Everything except
 /// `stage_walls` is a pure function of the dataset and config; the walls

@@ -1,12 +1,12 @@
-//! The full analysis pipeline, with independent stages run concurrently.
+//! The full analysis pipeline.
 //!
 //! [`run`] indexes the dataset once ([`Analysis::new`]) and then computes
-//! every headline artifact of the paper. The stages are data-independent —
-//! each reads only the immutable dataset and the shared grids — so with
-//! `AnalysisConfig::threads` ≠ 1 they run on scoped threads while each
-//! stage's own scan additionally shards by record range. Results are
-//! bit-identical to a serial run: every stage is deterministic and the
-//! struct fields fix the output order.
+//! every headline artifact of the paper, one stage after another. The
+//! stages are data-independent — each reads only the immutable dataset and
+//! the shared grids — and each stage's own scan shards by record range
+//! over `AnalysisConfig::threads`. Results are bit-identical at any thread
+//! count: every stage is deterministic and the struct fields fix the
+//! output order.
 
 use crate::bgp_corr::{self, SevereInstabilityReport, SeverityRule};
 use crate::blame::{self, BlameBreakdown, ServerEpisodeStats};
@@ -39,16 +39,14 @@ pub struct FullAnalysis {
     pub pair_episodes: PairEpisodeReport,
     /// Number of excluded near-permanent pairs (Section 4.4.2).
     pub permanent_pairs: usize,
-    /// Columnar-vs-row memory footprint of the dataset the pipeline indexed
-    /// (free to report here — the columns are already built).
-    pub memory: model::MemoryFootprint,
 }
 
 /// Run the full pipeline over `ds` under `config`.
 ///
 /// The conservative (f = 10%) blame row reuses the f = 5% grids — the grids
 /// depend only on the permanent-pair exclusion, not on the threshold — so
-/// the dataset is indexed exactly once.
+/// the dataset is indexed exactly once. The prefix grid feeds both severity
+/// rules, so it is built once too.
 pub fn run(ds: &Dataset, config: AnalysisConfig) -> FullAnalysis {
     let _span = telemetry::span!("analysis.pipeline");
     let threads = config.threads;
@@ -66,62 +64,19 @@ pub fn run(ds: &Dataset, config: AnalysisConfig) -> FullAnalysis {
     let neighbors_rule = SeverityRule::Neighbors(config.severe_neighbors);
     let alt_rule =
         SeverityRule::WithdrawalsAndNeighbors(config.alt_withdrawals, config.alt_neighbors);
-    let permanent_pairs = a5.permanent.len();
-    let memory = a5.cds.memory();
-
-    if crate::par::resolve(threads) <= 1 {
-        let prefix_grid = bgp_corr::prefix_grid(&a5);
-        return FullAnalysis {
-            table3: summary::table3_with_threads(&a5.cds, threads),
-            overall: summary::overall_breakdown_with_threads(&a5.cds, threads),
-            figure4: episodes::figure4(&a5),
-            table5: blame::table5(&a5),
-            table5_conservative: blame::table5(&a10),
-            server_episodes: blame::server_episode_stats(&a5),
-            severe_neighbors: bgp_corr::severe_instability_with_grid(
-                &a5,
-                neighbors_rule,
-                &prefix_grid,
-            ),
-            severe_alt: bgp_corr::severe_instability_with_grid(&a5, alt_rule, &prefix_grid),
-            pair_episodes: pair_episodes::detect(&a5, PairEpisodeConfig::default()),
-            permanent_pairs,
-            memory,
-        };
-    }
-
-    // The prefix grid feeds both severity rules, so it is built first (its
-    // own scan shards internally); every other stage is independent and
-    // runs on its own scoped thread.
     let prefix_grid = bgp_corr::prefix_grid(&a5);
-    std::thread::scope(|s| {
-        let table3 = s.spawn(|| summary::table3_with_threads(&a5.cds, threads));
-        let overall = s.spawn(|| summary::overall_breakdown_with_threads(&a5.cds, threads));
-        let figure4 = s.spawn(|| episodes::figure4(&a5));
-        let table5 = s.spawn(|| blame::table5(&a5));
-        let table5_conservative = s.spawn(|| blame::table5(&a10));
-        let server_episodes = s.spawn(|| blame::server_episode_stats(&a5));
-        let severe_neighbors =
-            s.spawn(|| bgp_corr::severe_instability_with_grid(&a5, neighbors_rule, &prefix_grid));
-        let severe_alt =
-            s.spawn(|| bgp_corr::severe_instability_with_grid(&a5, alt_rule, &prefix_grid));
-        let pair = s.spawn(|| pair_episodes::detect(&a5, PairEpisodeConfig::default()));
-        FullAnalysis {
-            table3: table3.join().expect("pipeline stage panicked"),
-            overall: overall.join().expect("pipeline stage panicked"),
-            figure4: figure4.join().expect("pipeline stage panicked"),
-            table5: table5.join().expect("pipeline stage panicked"),
-            table5_conservative: table5_conservative
-                .join()
-                .expect("pipeline stage panicked"),
-            server_episodes: server_episodes.join().expect("pipeline stage panicked"),
-            severe_neighbors: severe_neighbors.join().expect("pipeline stage panicked"),
-            severe_alt: severe_alt.join().expect("pipeline stage panicked"),
-            pair_episodes: pair.join().expect("pipeline stage panicked"),
-            permanent_pairs,
-            memory,
-        }
-    })
+    FullAnalysis {
+        table3: summary::table3_with_threads(&a5.cds, threads),
+        overall: summary::overall_breakdown_with_threads(&a5.cds, threads),
+        figure4: episodes::figure4(&a5),
+        table5: blame::table5(&a5),
+        table5_conservative: blame::table5(&a10),
+        server_episodes: blame::server_episode_stats(&a5),
+        severe_neighbors: bgp_corr::severe_instability_with_grid(&a5, neighbors_rule, &prefix_grid),
+        severe_alt: bgp_corr::severe_instability_with_grid(&a5, alt_rule, &prefix_grid),
+        pair_episodes: pair_episodes::detect(&a5, PairEpisodeConfig::default()),
+        permanent_pairs: a5.permanent.len(),
+    }
 }
 
 #[cfg(test)]

@@ -239,8 +239,6 @@ pub struct SiteColumns {
 /// capacities (a peak-working-set estimate, not an allocator census).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MemoryFootprint {
-    pub transactions: usize,
-    pub connections: usize,
     /// Heap bytes of the columnar record columns + spill and side tables.
     pub columnar_bytes: usize,
     /// Heap bytes the same records occupy as `Vec<PerformanceRecord>` /
@@ -250,16 +248,6 @@ pub struct MemoryFootprint {
 }
 
 impl MemoryFootprint {
-    /// Columnar bytes per transaction (connections amortized in).
-    pub fn bytes_per_transaction(&self) -> f64 {
-        self.columnar_bytes as f64 / self.transactions.max(1) as f64
-    }
-
-    /// Row-layout bytes per transaction.
-    pub fn row_bytes_per_transaction(&self) -> f64 {
-        self.row_bytes as f64 / self.transactions.max(1) as f64
-    }
-
     /// Row bytes over columnar bytes (≥ 1 means the columns are smaller).
     pub fn reduction(&self) -> f64 {
         self.row_bytes as f64 / self.columnar_bytes.max(1) as f64
@@ -949,8 +937,6 @@ impl ColumnarDataset {
         let row_bytes = self.txn_len() * std::mem::size_of::<PerformanceRecord>()
             + self.conn_len() * std::mem::size_of::<ConnectionRecord>();
         MemoryFootprint {
-            transactions: self.txn_len(),
-            connections: self.conn_len(),
             columnar_bytes,
             row_bytes,
         }
@@ -1241,23 +1227,20 @@ mod tests {
         let ds = extreme_dataset();
         let cds = ColumnarDataset::from_dataset(&ds);
         let mem = cds.memory();
-        assert_eq!(mem.transactions, ds.records.len());
-        assert_eq!(mem.connections, ds.connections.len());
         assert!(mem.columnar_bytes > 0);
         assert_eq!(
             mem.row_bytes,
             ds.records.len() * std::mem::size_of::<PerformanceRecord>()
                 + ds.connections.len() * std::mem::size_of::<ConnectionRecord>()
         );
-        assert!(mem.bytes_per_transaction() > 0.0);
         assert!(mem.reduction() > 0.0);
     }
 
     #[test]
     fn per_transaction_column_bytes_beat_rows_at_scale() {
-        // The acceptance criterion is measured on a real sweep; this pins
-        // the static layout arithmetic: 36 B/txn + 18 B/conn columns vs the
-        // struct sizes, which the sweep's ≥2× reduction follows from.
+        // The ≥2× reduction is measured on a simulated day in
+        // tests/end_to_end.rs; this pins the static layout arithmetic it
+        // follows from: 36 B/txn + 18 B/conn columns vs the struct sizes.
         let txn_row = std::mem::size_of::<PerformanceRecord>();
         let conn_row = std::mem::size_of::<ConnectionRecord>();
         assert!(txn_row >= 72, "PerformanceRecord shrank to {txn_row}B?");

@@ -1,14 +1,14 @@
 //! Bench-trajectory panel: sparklines over the committed `BENCH_*.json`
-//! regression artifacts, so a perf or recall regression is visible at a
-//! glance instead of buried in JSON diffs.
+//! regression artifacts, so a recall regression is visible at a glance
+//! instead of buried in JSON diffs.
 //!
 //! The panel ingests whatever bench documents the caller hands it (usually
-//! the four committed files: baseline, parallel sweep, audit, scenario
-//! sweep), parses them with a self-contained minimal JSON reader (the
-//! workspace carries no JSON dependency), and renders one sub-panel per
-//! document: identity badges plus per-metric series — speedup/efficiency
-//! across the thread sweep, detection precision/recall across the audit's
-//! detectors, per-archetype recall across the scenario worlds.
+//! the two committed files: the audit and the scenario sweep), parses them
+//! with a self-contained minimal JSON reader (the workspace carries no JSON
+//! dependency), and renders one sub-panel per document: identity badges
+//! plus per-metric series — detection precision/recall across the audit's
+//! detectors, per-archetype recall across the scenario worlds. Performance
+//! is measured by `perfbench`, not charted here.
 
 use crate::html::{Section, SectionBuilder, Series};
 
@@ -238,7 +238,7 @@ fn fmt(v: f64) -> String {
 
 fn identity_badges(doc: &Json) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for key in ["scale", "seed", "threads", "cores", "hours"] {
+    for key in ["scale", "seed", "threads"] {
         if let Some(v) = doc.get(key) {
             let text = match v {
                 Json::Str(s) => s.clone(),
@@ -267,77 +267,16 @@ pub fn bench_panel(name: &str, text: &str) -> Panel {
         badges: identity_badges(&doc),
         ..Panel::default()
     };
-    if name.contains("parallel") {
-        extract_parallel(&doc, &mut panel);
-    } else if name.contains("scenario") {
+    if name.contains("scenario") {
         extract_scenarios(&doc, &mut panel);
     } else if name.contains("audit") {
         extract_audit(&doc, &mut panel);
-    } else if name.contains("baseline") {
-        extract_baseline(&doc, &mut panel);
     } else {
         panel
             .notes
             .push(format!("{name}: no extractor for this document shape"));
     }
     panel
-}
-
-fn extract_baseline(doc: &Json, panel: &mut Panel) {
-    for key in [
-        "transactions",
-        "connections",
-        "wall_seconds",
-        "events_dispatched",
-        "peak_event_queue_depth",
-    ] {
-        if let Some(v) = doc.num(key) {
-            panel.badges.push((key.to_string(), fmt(v)));
-        }
-    }
-}
-
-fn extract_parallel(doc: &Json, panel: &mut Panel) {
-    let Some(sweep) = doc.get("sweep").and_then(Json::as_arr) else {
-        panel.notes.push("parallel: no sweep array".to_string());
-        return;
-    };
-    for metric in ["speedup", "efficiency", "sim_seconds", "wall_seconds"] {
-        let points: Vec<(String, f64)> = sweep
-            .iter()
-            .filter_map(|e| {
-                let t = e.num("threads")?;
-                Some((format!("t={}", t as u64), e.num(metric)?))
-            })
-            .collect();
-        if !points.is_empty() {
-            panel
-                .series
-                .push(Series::new(format!("{metric} across thread sweep"), points));
-        }
-    }
-    // Memory axis: columnar bytes per transaction plus the row-layout
-    // comparison, rendered as a two-point series so the reduction is
-    // visible at a glance alongside the badges.
-    if let (Some(col), Some(row)) = (
-        doc.num("bytes_per_transaction"),
-        doc.num("row_bytes_per_transaction"),
-    ) {
-        panel.series.push(Series::new(
-            "bytes per transaction (row vs columnar)",
-            vec![("row".to_string(), row), ("columnar".to_string(), col)],
-        ));
-    }
-    for key in ["dataset_bytes", "bytes_per_transaction", "memory_reduction"] {
-        if let Some(v) = doc.num(key) {
-            panel.badges.push((key.replace('_', " "), fmt(v)));
-        }
-    }
-    if let Some(Json::Bool(ok)) = doc.get("tables_identical") {
-        panel
-            .badges
-            .push(("tables identical".to_string(), ok.to_string()));
-    }
 }
 
 fn extract_audit(doc: &Json, panel: &mut Panel) {
@@ -537,48 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_panel_extracts_sweep_series() {
-        let text = "{\"scale\": \"repro\", \"seed\": 1, \"cores\": 1, \
-                    \"sweep\": [\
-                    {\"threads\": 1, \"sim_seconds\": 10.0, \"speedup\": 1.0, \"efficiency\": 1.0, \"wall_seconds\": 11.0},\
-                    {\"threads\": 2, \"sim_seconds\": 6.0, \"speedup\": 1.8, \"efficiency\": 0.9, \"wall_seconds\": 7.0}],\
-                    \"tables_identical\": true}";
-        let p = bench_panel("BENCH_parallel.json", text);
-        let speedup = p
-            .series
-            .iter()
-            .find(|s| s.name.starts_with("speedup"))
-            .unwrap();
-        assert_eq!(speedup.points.len(), 2);
-        assert_eq!(speedup.points[1], ("t=2".to_string(), 1.8));
-        assert!(p
-            .badges
-            .iter()
-            .any(|(k, v)| k == "tables identical" && v == "true"));
-    }
-
-    #[test]
-    fn parallel_panel_extracts_memory_axis() {
-        let text = "{\"scale\": \"repro\", \"seed\": 1, \"cores\": 2, \
-                    \"dataset_bytes\": 720000000, \"row_dataset_bytes\": 1600000000, \
-                    \"bytes_per_transaction\": 43.5, \"row_bytes_per_transaction\": 96.8, \
-                    \"memory_reduction\": 2.23, \
-                    \"sweep\": [{\"threads\": 1, \"sim_seconds\": 10.0, \"speedup\": 1.0, \
-                    \"efficiency\": 1.0, \"wall_seconds\": 11.0}], \
-                    \"tables_identical\": true}";
-        let p = bench_panel("BENCH_parallel.json", text);
-        let mem = p
-            .series
-            .iter()
-            .find(|s| s.name.contains("bytes per transaction"))
-            .unwrap();
-        assert_eq!(mem.points[0], ("row".to_string(), 96.8));
-        assert_eq!(mem.points[1], ("columnar".to_string(), 43.5));
-        assert!(p.badges.iter().any(|(k, v)| k == "memory reduction" && v == "2.2300"));
-        assert!(p.badges.iter().any(|(k, _)| k == "dataset bytes"));
-    }
-
-    #[test]
     fn audit_panel_extracts_diagonal_recall() {
         let text = "{\"scale\": \"quick\", \"agreement\": 0.76, \
                     \"class_labels\": [\"client\", \"server\"], \
@@ -635,11 +532,9 @@ mod tests {
     fn empty_top_level_array_degrades_without_panicking() {
         // A valid document of the wrong shape (array where an object is
         // expected) must render as an empty/noted panel, never panic.
-        let p = bench_panel("BENCH_parallel.json", "[]");
-        assert_eq!(p.notes, vec!["parallel: no sweep array".to_string()]);
-        assert!(p.series.is_empty());
         let p = bench_panel("BENCH_scenarios.json", "[]");
         assert_eq!(p.notes, vec!["scenarios: no scenario array".to_string()]);
+        assert!(p.series.is_empty());
         let p = bench_panel("BENCH_audit.json", "[]");
         assert!(p.series.is_empty() && p.badges.is_empty());
     }
@@ -649,9 +544,10 @@ mod tests {
         // A partially written artifact (crash mid-flush) must not panic the
         // report — every truncation point of a valid document degrades to
         // the "unparsable" note.
-        let full = "{\"scale\": \"quick\", \"sweep\": [{\"threads\": 1, \"speedup\": 1.0}]}";
+        let full =
+            "{\"seed\": 1, \"scenarios\": [{\"scenario\": \"censored\", \"agreement\": 0.7}]}";
         for cut in 1..full.len() {
-            let p = bench_panel("BENCH_parallel.json", &full[..cut]);
+            let p = bench_panel("BENCH_scenarios.json", &full[..cut]);
             assert!(
                 p.notes[0].contains("unparsable"),
                 "cut at {cut} parsed unexpectedly"
@@ -666,34 +562,31 @@ mod tests {
         let doc = Json::parse("{\"transactions\": 1e309, \"wall_seconds\": -0}").unwrap();
         assert_eq!(doc.num("transactions"), Some(f64::INFINITY));
         assert_eq!(doc.num("wall_seconds"), Some(-0.0));
-        let p = bench_panel(
-            "BENCH_baseline.json",
-            "{\"seed\": 1, \"transactions\": 1e309, \"wall_seconds\": -0}",
-        );
-        assert!(p.badges.iter().any(|(k, v)| k == "transactions" && v == "inf"));
-        assert!(p.badges.iter().any(|(k, _)| k == "wall_seconds"));
+        let p = bench_panel("BENCH_audit.json", "{\"seed\": 1e309, \"agreement\": -0}");
+        assert!(p.badges.iter().any(|(k, v)| k == "seed" && v == "inf"));
+        assert!(p.badges.iter().any(|(k, v)| k == "agreement" && v == "-0"));
     }
 
     #[test]
     fn unknown_keys_are_ignored_not_fatal() {
-        let text = "{\"scale\": \"quick\", \"future_field\": {\"nested\": [1, 2]}, \
-                    \"sweep\": [{\"threads\": 1, \"speedup\": 1.0, \"novel_metric\": 9}]}";
-        let p = bench_panel("BENCH_parallel.json", text);
+        let text = "{\"seed\": 1, \"future_field\": {\"nested\": [1, 2]}, \
+                    \"scenarios\": [{\"scenario\": \"censored\", \"agreement\": 0.7, \
+                    \"novel_metric\": 9}]}";
+        let p = bench_panel("BENCH_scenarios.json", text);
         assert!(p.notes.is_empty(), "{:?}", p.notes);
-        let speedup = p.series.iter().find(|s| s.name.starts_with("speedup")).unwrap();
-        assert_eq!(speedup.points, vec![("t=1".to_string(), 1.0)]);
+        let agreement = p
+            .series
+            .iter()
+            .find(|s| s.name.contains("agreement"))
+            .unwrap();
+        assert_eq!(agreement.points, vec![("censored".to_string(), 0.7)]);
     }
 
     #[test]
     fn committed_artifacts_parse_end_to_end() {
         // The real committed files must stay ingestible; run from the repo
         // root by the workspace test harness, skip quietly elsewhere.
-        for name in [
-            "BENCH_baseline.json",
-            "BENCH_parallel.json",
-            "BENCH_audit.json",
-            "BENCH_scenarios.json",
-        ] {
+        for name in ["BENCH_audit.json", "BENCH_scenarios.json"] {
             let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
                 .join("../..")
                 .join(name);

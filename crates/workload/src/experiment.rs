@@ -47,9 +47,6 @@ pub struct ExperimentConfig {
     pub iterations_per_hour: u32,
     /// Round-trip DNS/HTTP messages through the wire codecs.
     pub wire_fidelity: bool,
-    /// Capture packet traces on PL/DU clients (BB never records; CN traces
-    /// are uninformative and skipped, as in the paper).
-    pub record_traces: bool,
     /// Worker threads (0 = all available cores).
     pub threads: usize,
     /// Multiplier on every ground-truth fault intensity (1.0 = the
@@ -86,7 +83,6 @@ impl ExperimentConfig {
             hours: 744,
             iterations_per_hour: 4,
             wire_fidelity: false,
-            record_traces: true,
             threads: 0,
             fault_scale: 1.0,
             apparatus: ApparatusFaults::none(),
@@ -108,8 +104,8 @@ impl ExperimentConfig {
 
     /// A memory/allocator stress point between `quick` and `reproduction`:
     /// one week at the reproduction access rate without wire fidelity
-    /// (~3.5 M transactions) — large enough to exercise column spills and
-    /// capacity growth, small enough for a CI smoke run.
+    /// (~3.5 M transactions), large enough to exercise column spills and
+    /// capacity growth.
     pub fn stress(seed: u64) -> Self {
         ExperimentConfig {
             hours: 168,
@@ -125,7 +121,6 @@ impl ExperimentConfig {
             hours: 72,
             iterations_per_hour: 1,
             wire_fidelity: true,
-            record_traces: true,
             threads: 0,
             fault_scale: 1.0,
             apparatus: ApparatusFaults::none(),
@@ -789,11 +784,12 @@ fn run_client(
     // instant (caught by the runner's catch_unwind). The draw uses its own
     // stream, so enabling it never perturbs the simulated accesses.
     let death = config.apparatus.death_time(root, client, config.hours);
-    let record_traces = config.record_traces
-        && matches!(
-            spec.category,
-            model::ClientCategory::PlanetLab | model::ClientCategory::Dialup
-        );
+    // Packet traces on PL/DU clients only: BB never records, and CN traces
+    // are uninformative and skipped, as in the paper.
+    let record_traces = matches!(
+        spec.category,
+        model::ClientCategory::PlanetLab | model::ClientCategory::Dialup
+    );
     let mut wget = WgetConfig {
         record_traces,
         no_cache: spec.proxy.is_some(),
@@ -1020,7 +1016,6 @@ mod tests {
             hours: 12,
             iterations_per_hour: 1,
             wire_fidelity: true,
-            record_traces: true,
             threads: 0,
             fault_scale: 1.0,
             apparatus: ApparatusFaults::none(),

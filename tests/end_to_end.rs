@@ -172,3 +172,17 @@ fn bgp_series_spans_horizon() {
     // Background churn exists somewhere.
     assert!(ds.bgp.active_cells().count() > 0);
 }
+
+#[test]
+fn columnar_layout_at_least_halves_row_memory() {
+    // The row/columnar ratio does not depend on scale (2.06 on a day, a
+    // week and a month alike), so one simulated day holds the full bar.
+    let mem = model::ColumnarDataset::from_dataset(shared()).memory();
+    assert!(
+        mem.reduction() >= 2.0,
+        "columnar {} B vs row {} B: only {:.3}x",
+        mem.columnar_bytes,
+        mem.row_bytes,
+        mem.reduction()
+    );
+}

@@ -28,14 +28,13 @@ fn page_for(out: &ExperimentOutput, cfg: &ExperimentConfig, seed: u64) -> String
         w.seconds = 0.0;
     }
     let sources = vec![(
-        "BENCH_parallel.json".to_string(),
-        "{\"scale\": \"quick\", \"seed\": 1, \"cores\": 4, \"sweep\": [\
-         {\"threads\": 1, \"speedup\": 1.0, \"efficiency\": 1.0},\
-         {\"threads\": 4, \"speedup\": 3.1, \"efficiency\": 0.775}],\
-         \"tables_identical\": true}"
+        "BENCH_audit.json".to_string(),
+        "{\"scale\": \"quick\", \"seed\": 1, \"agreement\": 0.95, \
+         \"class_labels\": [\"client\", \"server\"], \"confusion_matrix\": [[8, 2], [1, 9]], \
+         \"permanent_pairs\": {\"precision\": 1.0, \"recall\": 0.9}}"
             .to_string(),
     )];
-    let missing = vec!["BENCH_audit.json".to_string()];
+    let missing = vec!["BENCH_scenarios.json".to_string()];
     bench_suite::html_page(out, &a5, &a10, seed, &manifest, &sources, missing, &[])
 }
 
@@ -87,7 +86,7 @@ fn page_is_self_contained_and_has_every_section() {
     assert!(page.contains("id=\"paper-table1\""));
     assert!(page.contains("id=\"paper-compare\"") || page.contains("id=\"compare\""));
     // Missing bench artifacts degrade to a note, not an error.
-    assert!(page.contains("BENCH_audit.json: not found"));
+    assert!(page.contains("BENCH_scenarios.json: not found"));
 }
 
 #[test]
