@@ -50,6 +50,9 @@ fi
 echo "==> cargo test -q --workspace (tier-1 included: the root package is a workspace member)"
 cargo test -q --workspace
 
+echo "==> perfbench helper tests: the calls perfbench makes still compile and its block list matches paper_blocks"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry-disabled build stays deterministic and matches the oracle"
 cargo test -q --no-default-features --test determinism --test differential
 

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use model::Dataset;
 use netprofiler::episodes::RateCdf;
-use netprofiler::{blame, episodes, grid, pipeline, summary, Analysis, AnalysisConfig};
+use netprofiler::{blame, episodes, grid, summary, Analysis, AnalysisConfig};
 use std::hint::black_box;
 use std::sync::OnceLock;
 use workload::{run_experiment, ExperimentConfig};
@@ -31,9 +31,6 @@ fn bench_grid_build(c: &mut Criterion) {
     for threads in [1usize, 2] {
         g.bench_function(format!("client_conn_t{threads}"), |b| {
             b.iter(|| black_box(grid::client_connection_grid(&a.cds, &a.permanent, threads)))
-        });
-        g.bench_function(format!("server_txn_t{threads}"), |b| {
-            b.iter(|| black_box(grid::server_transaction_grid(&a.cds, &a.permanent, threads)))
         });
     }
     g.finish();
@@ -83,29 +80,11 @@ fn bench_summary_scan(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_full_pipeline(c: &mut Criterion) {
-    let ds = dataset();
-    let mut g = c.benchmark_group("pipeline");
-    g.sample_size(10);
-    for threads in [1usize, 2] {
-        g.bench_function(format!("full_t{threads}"), |b| {
-            b.iter(|| {
-                black_box(pipeline::run(
-                    ds,
-                    AnalysisConfig::default().with_threads(threads),
-                ))
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_grid_build,
     bench_episode_classification,
     bench_blame_scan,
-    bench_summary_scan,
-    bench_full_pipeline
+    bench_summary_scan
 );
 criterion_main!(benches);

@@ -46,7 +46,7 @@ fn bench_analysis(c: &mut Criterion) {
     });
 
     let a5 = Analysis::new(ds, AnalysisConfig::default());
-    let a10 = Analysis::new(ds, AnalysisConfig::conservative());
+    let a10 = a5.at(0.10);
 
     g.bench_function("table3_fig1", |b| {
         b.iter(|| {

@@ -132,9 +132,9 @@ fn ablate_threshold(ds: &Dataset) {
     let mut t = TextTable::new(["f", "server-side", "client-side", "both", "other"])
         .with_title("Ablation 1: episode threshold f (paper: 5% and 10%)")
         .right_align(&[1, 2, 3, 4]);
+    let index = Analysis::new(ds, AnalysisConfig::default());
     for f in [0.025, 0.05, 0.10, 0.20] {
-        let a = Analysis::new(ds, AnalysisConfig::default().with_threshold(f));
-        blame_row(&mut t, pct(f), &blame::table5(&a));
+        blame_row(&mut t, pct(f), &blame::table5(&index.at(f)));
     }
     println!("{}", t.render());
     println!(

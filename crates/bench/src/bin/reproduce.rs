@@ -19,9 +19,9 @@
 //! provenance recording and telemetry — both proven zero-perturbation, so
 //! the text output on stdout stays byte-identical.
 //!
-//! IDs: table1 table2 table3 fig1 table4 fig2 fig3 permanent fig4 table5
-//! episodes table6 table7 table8 replicas bgp fig5 fig6 fig7 table9 pairs
-//! medians loss digcheck compare. Default: all of them.
+//! Block ids (positional, or comma-separated after `--only`) are those of
+//! `report::render::PAPER_BLOCK_IDS` plus `compare`; `all`, the default,
+//! selects every block. An unknown id exits 2 before the simulation runs.
 
 use bench_suite::Scale;
 use netprofiler::{Analysis, AnalysisConfig};
@@ -106,6 +106,16 @@ fn main() {
         }
     }
 
+    if let Some(bad) = only.iter().flatten().find(|id| {
+        !render::PAPER_BLOCK_IDS.contains(&id.as_str()) && *id != "compare" && *id != "all"
+    }) {
+        eprintln!(
+            "unknown block id {bad:?} (ids: {} compare all)",
+            render::PAPER_BLOCK_IDS.join(" ")
+        );
+        std::process::exit(2);
+    }
+
     if profile_dir.is_some() || html_path.is_some() {
         telemetry::enable(true);
     }
@@ -137,57 +147,33 @@ fn main() {
 
     let t1 = Instant::now();
     let a5 = Analysis::new(ds, AnalysisConfig::default());
-    let a10 = Analysis::new(ds, AnalysisConfig::conservative());
+    let a10 = a5.at(0.10);
     eprintln!("analysis indexed in {:.1}s", t1.elapsed().as_secs_f64());
 
     let wanted = |id: &str| only.as_ref().is_none_or(|ids| ids.iter().any(|x| x == id || x == "all"));
-    let emit = |id: &str, body: String| {
-        if wanted(id) {
-            println!("==== {id} ====");
-            println!("{body}");
+    for (id, body) in render::paper_blocks(ds, &a5, &a10, seed) {
+        if !wanted(id) {
+            continue;
         }
-    };
-
-    emit("table1", render::render_table1(ds));
-    emit("table2", render::render_table2(ds));
-    emit("table3", render::render_table3(&a5.cds));
-    emit("fig1", render::render_figure1(&a5.cds));
-    emit("table4", render::render_table4(ds));
-    emit("fig2", render::render_figure2(ds));
-    emit("fig3", render::render_figure3(ds));
-    emit("permanent", render::render_permanent(&a5));
-    emit("fig4", render::render_figure4(&a5));
-    emit("table5", render::render_table5(&a5, &a10));
-    emit("episodes", render::render_episode_stats(&a5));
-    emit("table6", render::render_table6(&a5, 12));
-    emit("table7", render::render_table7(&a5, seed));
-    emit("table8", render::render_table8(&a5, 8));
-    emit("replicas", render::render_replicas(&a5));
-    emit("bgp", render::render_bgp(&a5));
-    if wanted("fig5") {
-        if let Some(csv) = render::render_client_timeseries_csv(ds, "howard") {
-            println!("==== fig5 (nodea.howard.edu-like client; CSV) ====");
-            print_truncated(&csv, 30);
+        match id {
+            "fig5" => {
+                println!("==== fig5 (nodea.howard.edu-like client; CSV) ====");
+                print_truncated(&body, 30);
+            }
+            "fig7" => {
+                println!("==== fig7 (kscy-like client; CSV) ====");
+                print_truncated(&body, 30);
+            }
+            "fig6" => {
+                println!("==== fig6 ====");
+                println!("(CSV: TCP failure rate during severe instability)\n{body}");
+            }
+            _ => {
+                println!("==== {id} ====");
+                println!("{body}");
+            }
         }
     }
-    emit("fig6", {
-        let csv = render::render_figure6_csv(&a5);
-        let mut s = String::from("(CSV: TCP failure rate during severe instability)\n");
-        s.push_str(&csv);
-        s
-    });
-    if wanted("fig7") {
-        if let Some(csv) = render::render_client_timeseries_csv(ds, "kscy") {
-            println!("==== fig7 (kscy-like client; CSV) ====");
-            print_truncated(&csv, 30);
-        }
-    }
-    emit("table9", render::render_table9(&a5, &["iitb", "royal"]));
-    emit("pairs", render::render_pair_episodes(&a5));
-    emit("medians", render::render_medians(&a5.cds));
-    emit("timing", render::render_timing(ds));
-    emit("loss", render::render_loss(ds));
-    emit("digcheck", render::render_digcheck(ds));
 
     if let Some(dir) = export_dir {
         match report::export::export_dataset(ds, &dir)

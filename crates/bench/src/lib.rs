@@ -83,8 +83,8 @@ impl std::fmt::Write for Fnv {
 }
 
 /// Hash the complete dataset contents without materializing the string.
-/// The same digest `BENCH_audit.json` carries, so a manifest fingerprint
-/// can be checked against the committed regression artifact.
+/// The run manifest records it (`dataset_fingerprint` in `manifest.json`
+/// and on the HTML page), and `explain` compares two runs by it.
 pub fn dataset_fingerprint(ds: &Dataset) -> u64 {
     debug_fingerprint(ds)
 }

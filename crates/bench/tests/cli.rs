@@ -1,6 +1,6 @@
 //! The harness binaries refuse malformed command lines: each case below
-//! must exit with status 2, naming the offending flag, before any
-//! simulation runs, instead of quietly running a default in its place.
+//! must exit with status 2, naming the offending flag or block id, before
+//! any simulation runs, instead of quietly running a default in its place.
 
 use std::process::Command;
 
@@ -32,4 +32,14 @@ fn reproduce_rejects_an_unknown_flag() {
     let (code, stderr) = run(env!("CARGO_BIN_EXE_reproduce"), &["--htlm", "out.html"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("--htlm"), "{stderr}");
+}
+
+#[test]
+fn reproduce_rejects_an_unknown_block_id() {
+    for args in [&["nosuchblock"][..], &["--only", "table5,tabel9"]] {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_reproduce"), args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        let bad = args.last().unwrap().rsplit(',').next().unwrap();
+        assert!(stderr.contains(bad), "{args:?}: {stderr}");
+    }
 }

@@ -266,22 +266,6 @@ pub fn client_transaction_grid(
     })
 }
 
-/// Per-server hourly transaction grid.
-pub fn server_transaction_grid(
-    cds: &ColumnarDataset,
-    permanent: &PermanentPairs,
-    threads: usize,
-) -> HourlyGrid {
-    let _span = telemetry::span!("analysis.grid.server_txn");
-    let txn = &cds.txn;
-    sharded_grid(threads, cds.site_count(), cds.hours, cds.txn_len(), |g, i| {
-        let (client, site) = (txn.client[i], txn.site[i]);
-        if !permanent.contains(ClientId(client), SiteId(site)) {
-            g.add(site as usize, cds.txn_hour(i), cds.txn_failed(i));
-        }
-    })
-}
-
 /// An [`HourlyGrid`] over *transaction outcomes* plus, per cell, the largest
 /// share of that cell's failures attributable to a single peer entity.
 ///
@@ -572,8 +556,8 @@ mod tests {
                 }
             }
         }
-        let serial_t = server_transaction_grid(&cds, &perm, 1);
-        let par_t = server_transaction_grid(&cds, &perm, 5);
+        let serial_t = client_transaction_grid(&cds, &perm, 1);
+        let par_t = client_transaction_grid(&cds, &perm, 5);
         for row in 0..serial_t.rows() {
             for hour in 0..serial_t.hours() {
                 assert_eq!(serial_t.cell(row, hour), par_t.cell(row, hour));

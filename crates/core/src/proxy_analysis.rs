@@ -6,12 +6,16 @@
 //! higher for the five proxied corporate clients than for everyone else on
 //! two multi-replica sites — the shared-proxy no-fail-over defect.
 
-use crate::grid::{client_transaction_grid, HourlyGrid};
+use crate::grid::client_transaction_grid;
 use crate::Analysis;
 use model::{ClientCategory, ClientId, SiteId};
 
+/// The `(min_rate, dominance)` of the shared-proxy scan Table 9 prints;
+/// see [`shared_proxy_sites`].
+pub const SHARED_PROXY_PARAMS: (f64, f64) = (0.003, 5.0);
+
 /// Residual failure rate for one client (or client group) on one site.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ResidualRate {
     pub transactions: u64,
     pub residual_failures: u64,
@@ -40,90 +44,83 @@ pub struct Table9Row {
     pub non_cn: ResidualRate,
 }
 
-/// Compute residual rates for `site`.
+/// Residual rates of every site, one row per site in site order, from one
+/// pass over the transactions.
 ///
-/// Client-side episodes are taken from both the connection grid and a
-/// transaction grid — proxied clients have no connection records, so their
-/// own bad hours must be visible through transactions.
-pub fn residual_rates(analysis: &Analysis<'_>, site: SiteId) -> Table9Row {
-    let txn_grid =
-        client_transaction_grid(&analysis.cds, &analysis.permanent, analysis.config.threads);
-    residual_rates_with_grid(analysis, site, &txn_grid)
-}
-
-/// As [`residual_rates`], reusing a precomputed client transaction grid
-/// (useful when scanning many sites).
-pub fn residual_rates_with_grid(
-    analysis: &Analysis<'_>,
-    site: SiteId,
-    txn_grid: &HourlyGrid,
-) -> Table9Row {
+/// A failure is residual unless its hour is a server-side episode of its
+/// site or a client-side episode of its client. Client-side episodes are
+/// taken from both the connection grid and a transaction grid — proxied
+/// clients have no connection records, so their own bad hours must be
+/// visible through transactions.
+pub fn residual_table(analysis: &Analysis<'_>) -> Vec<Table9Row> {
     let _span = telemetry::span!("analysis.proxy.table9");
     let cds = &analysis.cds;
     let txn = &cds.txn;
+    let threads = analysis.config.threads;
     let f = analysis.config.episode_threshold;
     let min = analysis.config.min_hour_samples;
+    let txn_grid = client_transaction_grid(cds, &analysis.permanent, threads);
+    let (clients, sites) = (cds.client_count(), cds.site_count());
 
-    let server_episodes: std::collections::HashSet<u32> = analysis
-        .server_grid
-        .episode_hours(site.0 as usize, f, min)
-        .into_iter()
-        .collect();
-
-    let client_in_episode = |client: ClientId, hour: u32| {
-        analysis
-            .client_grid
-            .is_episode(client.0 as usize, hour, f, min)
-            || txn_grid.is_episode(client.0 as usize, hour, f, min)
-    };
-
-    let mut per_client: Vec<ResidualRate> = (0..cds.client_count())
-        .map(|_| ResidualRate {
-            transactions: 0,
-            residual_failures: 0,
-        })
-        .collect();
-    for i in 0..cds.txn_len() {
-        let client = txn.client[i];
-        if txn.site[i] != site.0 || analysis.permanent.contains(ClientId(client), site) {
-            continue;
-        }
-        let e = &mut per_client[client as usize];
-        e.transactions += 1;
-        let hour = cds.txn_hour(i);
-        if cds.txn_failed(i)
-            && !server_episodes.contains(&hour)
-            && !client_in_episode(ClientId(client), hour)
-        {
-            e.residual_failures += 1;
-        }
-    }
-
-    let mut proxied = Vec::new();
-    let mut external = None;
-    let mut non_cn = ResidualRate {
-        transactions: 0,
-        residual_failures: 0,
-    };
-    for (i, rr) in per_client.into_iter().enumerate() {
-        let id = ClientId(i as u16);
-        if cds.clients.category[i] == ClientCategory::CorpNet {
-            if cds.clients.proxy[i] != model::columnar::NONE_U16 {
-                proxied.push((id, rr));
-            } else {
-                external = Some((id, rr));
+    // `counts[site][client]`, summed over shards in shard order.
+    let partials = crate::par::map_shards(threads, cds.txn_len(), |range| {
+        let mut counts = vec![vec![ResidualRate::default(); clients]; sites];
+        for i in range {
+            let (client, site) = (txn.client[i], txn.site[i]);
+            if analysis.permanent.contains(ClientId(client), SiteId(site)) {
+                continue;
             }
-        } else {
-            non_cn.transactions += rr.transactions;
-            non_cn.residual_failures += rr.residual_failures;
+            let (c, s, hour) = (client as usize, site as usize, cds.txn_hour(i));
+            let e = &mut counts[s][c];
+            e.transactions += 1;
+            if cds.txn_failed(i)
+                && !analysis.server_grid.is_episode(s, hour, f, min)
+                && !analysis.client_grid.is_episode(c, hour, f, min)
+                && !txn_grid.is_episode(c, hour, f, min)
+            {
+                e.residual_failures += 1;
+            }
+        }
+        counts
+    });
+    let mut counts = vec![vec![ResidualRate::default(); clients]; sites];
+    for partial in partials {
+        for (row, part) in counts.iter_mut().zip(partial) {
+            for (e, p) in row.iter_mut().zip(part) {
+                e.transactions += p.transactions;
+                e.residual_failures += p.residual_failures;
+            }
         }
     }
-    Table9Row {
-        site,
-        proxied,
-        external,
-        non_cn,
-    }
+
+    counts
+        .into_iter()
+        .enumerate()
+        .map(|(s, per_client)| {
+            let mut proxied = Vec::new();
+            let mut external = None;
+            let mut non_cn = ResidualRate::default();
+            for (i, rr) in per_client.into_iter().enumerate() {
+                let id = ClientId(i as u16);
+                if cds.clients.category[i] == ClientCategory::CorpNet {
+                    if cds.clients.proxy[i] != model::columnar::NONE_U16 {
+                        proxied.push((id, rr));
+                    } else {
+                        external = Some((id, rr));
+                    }
+                } else {
+                    non_cn.transactions += rr.transactions;
+                    non_cn.residual_failures += rr.residual_failures;
+                }
+            }
+            Table9Row {
+                site: SiteId(s as u16),
+                proxied,
+                external,
+                non_cn,
+            }
+        })
+        .collect()
 }
 
 /// A site whose residual failures are *shared across all proxies* —
@@ -142,21 +139,18 @@ pub struct SharedProxySite {
     pub external_rate: Option<f64>,
 }
 
-/// Scan every site for shared proxy-related failures: flag sites where the
-/// *minimum* proxied residual exceeds `min_rate` and is at least
-/// `dominance`× the non-CN residual (and the external CN client, when
-/// present, looks like the non-CN population, ruling out a shared-WAN
-/// explanation).
+/// Scan the [`residual_table`] rows for shared proxy-related failures:
+/// flag sites where the *minimum* proxied residual exceeds `min_rate` and
+/// is at least `dominance`× the non-CN residual (and the external CN
+/// client, when present, looks like the non-CN population, ruling out a
+/// shared-WAN explanation).
 pub fn shared_proxy_sites(
-    analysis: &Analysis<'_>,
+    rows: &[Table9Row],
     min_rate: f64,
     dominance: f64,
 ) -> Vec<SharedProxySite> {
-    let txn_grid =
-        client_transaction_grid(&analysis.cds, &analysis.permanent, analysis.config.threads);
     let mut out = Vec::new();
-    for s in 0..analysis.cds.site_count() as u16 {
-        let row = residual_rates_with_grid(analysis, SiteId(s), &txn_grid);
+    for row in rows {
         if row.proxied.is_empty() {
             continue;
         }
@@ -177,7 +171,7 @@ pub fn shared_proxy_sites(
             && external_ok
         {
             out.push(SharedProxySite {
-                site: SiteId(s),
+                site: row.site,
                 min_proxied_rate,
                 non_cn_rate,
                 external_rate,
@@ -226,7 +220,7 @@ mod tests {
     fn residuals_expose_proxied_client() {
         let ds = world();
         let a = Analysis::new(&ds, AnalysisConfig::default());
-        let row = residual_rates(&a, SiteId(0));
+        let row = &residual_table(&a)[0];
         assert_eq!(row.proxied.len(), 1);
         let (cid, rr) = &row.proxied[0];
         assert_eq!(*cid, ClientId(6));
@@ -265,7 +259,7 @@ mod tests {
         }
         let ds = w.finish();
         let a = Analysis::new(&ds, AnalysisConfig::default());
-        let shared = shared_proxy_sites(&a, 0.02, 5.0);
+        let shared = shared_proxy_sites(&residual_table(&a), 0.02, 5.0);
         assert_eq!(shared.len(), 1);
         assert_eq!(shared[0].site, SiteId(0));
         assert!((shared[0].min_proxied_rate - 0.04).abs() < 1e-9);
@@ -293,7 +287,7 @@ mod tests {
         }
         let ds = w.finish();
         let a = Analysis::new(&ds, AnalysisConfig::default());
-        let shared = shared_proxy_sites(&a, 0.02, 5.0);
+        let shared = shared_proxy_sites(&residual_table(&a), 0.02, 5.0);
         assert!(shared.is_empty(), "min proxied rate is ~0");
     }
 
@@ -312,7 +306,7 @@ mod tests {
         let ds = w.finish();
         let a = Analysis::new(&ds, AnalysisConfig::default());
         assert!(a.server_grid.is_episode(0, 0, 0.05, 12));
-        let row = residual_rates(&a, SiteId(0));
+        let row = &residual_table(&a)[0];
         assert_eq!(row.non_cn.residual_failures, 0);
         assert_eq!(row.non_cn.transactions, 2000);
     }
@@ -333,7 +327,7 @@ mod tests {
         }
         let ds = w.finish();
         let a = Analysis::new(&ds, AnalysisConfig::default());
-        let row = residual_rates(&a, SiteId(0));
+        let row = &residual_table(&a)[0];
         assert_eq!(row.non_cn.residual_failures, 0);
     }
 }

@@ -1,4 +1,4 @@
-//! The differential checker: optimized pipeline vs naive oracle.
+//! The differential checker: optimized analyses vs naive oracle.
 //!
 //! [`check_dataset`] runs both sides over one dataset and compares every
 //! artifact **field by field**. Integer counters must be equal; `f64`
@@ -10,12 +10,12 @@
 
 use crate::naive::{self, OracleArtifacts};
 use model::Dataset;
-use netprofiler::grid::client_transaction_grid;
-use netprofiler::pipeline::{self, FullAnalysis};
+use netprofiler::bgp_corr::{self, SeverityRule};
+use netprofiler::pair_episodes::{self, PairEpisodeConfig};
 use netprofiler::proxy_analysis::{
-    residual_rates_with_grid, shared_proxy_sites, SharedProxySite, Table9Row,
+    residual_table, shared_proxy_sites, SharedProxySite, Table9Row, SHARED_PROXY_PARAMS,
 };
-use netprofiler::{Analysis, AnalysisConfig};
+use netprofiler::{blame, episodes, summary, Analysis, AnalysisConfig};
 use std::fmt::Debug;
 
 /// Accumulated field-level mismatches from one differential run.
@@ -86,7 +86,7 @@ impl DiffReport {
     }
 }
 
-/// Run the optimized pipeline over `ds` and diff it against a freshly
+/// Run the optimized analyses over `ds` and diff them against a freshly
 /// computed oracle. `cfg.threads` drives only the optimized side.
 pub fn check_dataset(ds: &Dataset, cfg: AnalysisConfig) -> DiffReport {
     let oracle = naive::analyze(ds, &cfg);
@@ -96,29 +96,27 @@ pub fn check_dataset(ds: &Dataset, cfg: AnalysisConfig) -> DiffReport {
 /// Like [`check_dataset`], but reuse an already-computed oracle — the
 /// oracle is thread-independent, so one computation serves every thread
 /// count the optimized side is exercised at.
+///
+/// The optimized side indexes `ds` once, as the report does, and computes
+/// each artifact with the call the report's renderers make: on that index
+/// at `cfg`'s threshold, and on its f = 10% view for Table 5's second row.
 pub fn check_dataset_with_oracle(
     ds: &Dataset,
     cfg: AnalysisConfig,
     oracle: &OracleArtifacts,
 ) -> DiffReport {
-    let full = pipeline::run(ds, cfg);
-    let analysis = Analysis::new(ds, cfg);
-    let txn_grid = client_transaction_grid(&analysis.cds, &analysis.permanent, cfg.threads);
-    let table9: Vec<Table9Row> = ds
-        .sites
-        .iter()
-        .map(|s| residual_rates_with_grid(&analysis, s.id, &txn_grid))
-        .collect();
-    let (min_rate, dominance) = naive::SHARED_PROXY_PARAMS;
-    let shared = shared_proxy_sites(&analysis, min_rate, dominance);
+    let a5 = Analysis::new(ds, cfg);
+    let table9 = residual_table(&a5);
+    let (min_rate, dominance) = SHARED_PROXY_PARAMS;
+    let shared = shared_proxy_sites(&table9, min_rate, dominance);
 
     let mut d = DiffReport::default();
-    diff_pipeline(&mut d, &full, oracle);
-    diff_permanent(&mut d, &analysis, oracle);
-    diff_outcome_grids(&mut d, &analysis, oracle);
+    diff_headline(&mut d, &a5, &a5.at(0.10), oracle);
+    diff_permanent(&mut d, &a5, oracle);
+    diff_outcome_grids(&mut d, &a5, oracle);
     d.eq(
         "table5_outcome",
-        netprofiler::blame::table5_outcome(&analysis),
+        blame::table5_outcome(&a5),
         oracle.table5_outcome.clone(),
     );
     diff_table9(&mut d, &table9, oracle);
@@ -232,10 +230,22 @@ pub fn check_audit(
     d
 }
 
-fn diff_pipeline(d: &mut DiffReport, full: &FullAnalysis, oracle: &OracleArtifacts) {
+/// Diff the headline artifacts of the report against the oracle. Table 3
+/// and the Figure 1 breakdown run at `a5`'s thread count, so the sharded
+/// scans behind the renderers' all-cores calls are checked at every
+/// thread count the caller sweeps.
+fn diff_headline(
+    d: &mut DiffReport,
+    a5: &Analysis<'_>,
+    a10: &Analysis<'_>,
+    oracle: &OracleArtifacts,
+) {
+    let threads = a5.config.threads;
+
     // Table 3.
-    d.eq("table3.len", full.table3.len(), oracle.table3.len());
-    for (o, n) in full.table3.iter().zip(&oracle.table3) {
+    let table3 = summary::table3_with_threads(&a5.cds, threads);
+    d.eq("table3.len", table3.len(), oracle.table3.len());
+    for (o, n) in table3.iter().zip(&oracle.table3) {
         let p = format!("table3[{:?}]", n.category);
         d.eq(&format!("{p}.category"), o.category, n.category);
         d.eq(&format!("{p}.transactions"), o.transactions, n.transactions);
@@ -253,48 +263,50 @@ fn diff_pipeline(d: &mut DiffReport, full: &FullAnalysis, oracle: &OracleArtifac
     }
 
     // Figure 1 breakdown.
-    d.eq("overall.dns", full.overall.dns, oracle.overall.dns);
-    d.eq("overall.tcp", full.overall.tcp, oracle.overall.tcp);
-    d.eq("overall.http", full.overall.http, oracle.overall.http);
+    let overall = summary::overall_breakdown_with_threads(&a5.cds, threads);
+    d.eq("overall.dns", overall.dns, oracle.overall.dns);
+    d.eq("overall.tcp", overall.tcp, oracle.overall.tcp);
+    d.eq("overall.http", overall.http, oracle.overall.http);
 
     // Figure 4.
+    let figure4 = episodes::figure4(a5);
     d.eq(
         "figure4.clients.samples",
-        full.figure4.clients.samples,
+        figure4.clients.samples,
         oracle.figure4.clients.samples,
     );
     d.eq(
         "figure4.servers.samples",
-        full.figure4.servers.samples,
+        figure4.servers.samples,
         oracle.figure4.servers.samples,
     );
     d.points(
         "figure4.clients.points",
-        &full.figure4.clients.points,
+        &figure4.clients.points,
         &oracle.figure4.clients.points,
     );
     d.points(
         "figure4.servers.points",
-        &full.figure4.servers.points,
+        &figure4.servers.points,
         &oracle.figure4.servers.points,
     );
     d.opt_f64(
         "figure4.client_knee",
-        full.figure4.client_knee,
+        figure4.client_knee,
         oracle.figure4.client_knee,
     );
     d.opt_f64(
         "figure4.server_knee",
-        full.figure4.server_knee,
+        figure4.server_knee,
         oracle.figure4.server_knee,
     );
 
     // Table 5, both thresholds.
     for (name, o, n) in [
-        ("table5", &full.table5, &oracle.table5),
+        ("table5", blame::table5(a5), &oracle.table5),
         (
             "table5_conservative",
-            &full.table5_conservative,
+            blame::table5(a10),
             &oracle.table5_conservative,
         ),
     ] {
@@ -305,7 +317,7 @@ fn diff_pipeline(d: &mut DiffReport, full: &FullAnalysis, oracle: &OracleArtifac
     }
 
     // Server episode statistics.
-    let (o, n) = (&full.server_episodes, &oracle.server_episodes);
+    let (o, n) = (&blame::server_episode_stats(a5), &oracle.server_episodes);
     d.eq("server_episodes.total_hours", o.total_hours, n.total_hours);
     d.eq("server_episodes.coalesced", o.coalesced, n.coalesced);
     d.f64(
@@ -340,13 +352,23 @@ fn diff_pipeline(d: &mut DiffReport, full: &FullAnalysis, oracle: &OracleArtifac
     );
 
     // Severe BGP instability, both rules.
+    let cfg = &a5.config;
+    let grid = bgp_corr::prefix_grid(a5);
+    let severe = |rule| bgp_corr::severe_instability_with_grid(a5, rule, &grid);
     for (name, o, n) in [
         (
             "severe_neighbors",
-            &full.severe_neighbors,
+            severe(SeverityRule::Neighbors(cfg.severe_neighbors)),
             &oracle.severe_neighbors,
         ),
-        ("severe_alt", &full.severe_alt, &oracle.severe_alt),
+        (
+            "severe_alt",
+            severe(SeverityRule::WithdrawalsAndNeighbors(
+                cfg.alt_withdrawals,
+                cfg.alt_neighbors,
+            )),
+            &oracle.severe_alt,
+        ),
     ] {
         d.f64(
             &format!("{name}.fraction_above_5pct"),
@@ -383,7 +405,10 @@ fn diff_pipeline(d: &mut DiffReport, full: &FullAnalysis, oracle: &OracleArtifac
     }
 
     // Pair episodes.
-    let (o, n) = (&full.pair_episodes, &oracle.pair_episodes);
+    let (o, n) = (
+        &pair_episodes::detect(a5, PairEpisodeConfig::default()),
+        &oracle.pair_episodes,
+    );
     d.eq(
         "pair_episodes.shadowed_by_endpoint",
         o.shadowed_by_endpoint,
@@ -410,7 +435,7 @@ fn diff_pipeline(d: &mut DiffReport, full: &FullAnalysis, oracle: &OracleArtifac
 
     d.eq(
         "permanent_pairs",
-        full.permanent_pairs,
+        a5.permanent.len(),
         oracle.permanent.pairs.len(),
     );
 }

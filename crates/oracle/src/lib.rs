@@ -8,8 +8,9 @@
 //! `BTreeMap` accumulators, no sharding, no scratch-buffer reuse, no merge
 //! steps — written straight from the paper's definitions.
 //!
-//! [`naive::analyze`] produces the full artifact set; [`diff`] runs the
-//! optimized pipeline next to it and reports **field-level** mismatches.
+//! [`naive::analyze`] produces the full artifact set; [`diff`] makes the
+//! optimized calls the report's renderers make, on one shared index, and
+//! reports **field-level** mismatches.
 //! Equality is exact: counters must match as integers and derived rates
 //! bit-for-bit (both sides compute each rate as one division of identical
 //! integer operands, so IEEE 754 guarantees identical results — any

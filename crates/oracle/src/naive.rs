@@ -13,14 +13,10 @@ use netprofiler::blame::{BlameBreakdown, ServerEpisodeStats};
 use netprofiler::episodes::{Figure4, RateCdf};
 use netprofiler::pair_episodes::{PairEpisode, PairEpisodeConfig, PairEpisodeReport};
 use netprofiler::permanent::PermanentPair;
-use netprofiler::proxy_analysis::{ResidualRate, SharedProxySite, Table9Row};
+use netprofiler::proxy_analysis::{ResidualRate, SharedProxySite, Table9Row, SHARED_PROXY_PARAMS};
 use netprofiler::summary::{CategorySummary, FailureBreakdown};
 use netprofiler::AnalysisConfig;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The `(min_rate, dominance)` knobs both sides of the proxy differential
-/// use for [`shared_proxy_sites`](netprofiler::proxy_analysis::shared_proxy_sites).
-pub const SHARED_PROXY_PARAMS: (f64, f64) = (0.02, 5.0);
 
 /// A sparse hourly grid: `(row, hour) → (attempts, failures)`.
 ///
@@ -865,7 +861,7 @@ pub struct OracleArtifacts {
 ///
 /// `cfg.threads` is deliberately ignored — the whole point is a serial
 /// scan. The conservative Table 5 row reuses the same grids at f = 10%,
-/// mirroring the pipeline's definition.
+/// as the report's `Analysis::at(0.10)` view does.
 pub fn analyze(ds: &Dataset, cfg: &AnalysisConfig) -> OracleArtifacts {
     let f = cfg.episode_threshold;
     let min = cfg.min_hour_samples;

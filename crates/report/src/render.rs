@@ -16,12 +16,12 @@ use netprofiler::{
 ///
 /// This is the bit-for-bit comparison surface for the determinism checks:
 /// two runs (any thread counts, profiling on or off) must produce identical
-/// output here. The conservative (f = 10%) analysis is derived from the same
-/// `config` so its scan thread count carries over.
+/// output here. The dataset is indexed once under `config`; the
+/// conservative (f = 10%) analysis is a view of that index.
 pub fn render_all(ds: &Dataset, config: AnalysisConfig, seed: u64) -> String {
     let _span = telemetry::span!("report.render_all");
     let a5 = Analysis::new(ds, config);
-    let a10 = Analysis::new(ds, config.with_threshold(0.10));
+    let a10 = a5.at(0.10);
     let mut out = String::new();
     let mut emit = |id: &str, body: &str| {
         out.push_str("==== ");
@@ -40,6 +40,36 @@ pub fn render_all(ds: &Dataset, config: AnalysisConfig, seed: u64) -> String {
     );
     out
 }
+
+/// The id of every block [`paper_blocks`] emits, in emission order.
+/// `fig5` and `fig7` are left out when the dataset has no such client.
+pub const PAPER_BLOCK_IDS: [&str; 25] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig1",
+    "table4",
+    "fig2",
+    "fig3",
+    "permanent",
+    "fig4",
+    "table5",
+    "episodes",
+    "table6",
+    "table7",
+    "table8",
+    "replicas",
+    "bgp",
+    "fig5",
+    "fig6",
+    "fig7",
+    "table9",
+    "pairs",
+    "medians",
+    "timing",
+    "loss",
+    "digcheck",
+];
 
 /// Every paper table/figure as `(id, text block)`, in the `reproduce`
 /// emission order — the single source both [`render_all`] (the text
@@ -591,11 +621,7 @@ pub fn render_figure6_csv(analysis: &Analysis<'_>) -> String {
 /// Table 9: proxy residual failures on the named sites.
 pub fn render_table9(analysis: &Analysis<'_>, hostnames: &[&str]) -> String {
     let ds = analysis.ds;
-    let txn_grid = netprofiler::grid::client_transaction_grid(
-        &analysis.cds,
-        &analysis.permanent,
-        analysis.config.threads,
-    );
+    let rows = proxy_analysis::residual_table(analysis);
     let mut t = TextTable::new(["site", "client", "residual failure rate"])
         .with_title("Table 9: residual failure rates after excluding client/server episodes")
         .right_align(&[2]);
@@ -603,7 +629,7 @@ pub fn render_table9(analysis: &Analysis<'_>, hostnames: &[&str]) -> String {
         let Some(site) = ds.sites.iter().find(|s| s.hostname.contains(host)) else {
             continue;
         };
-        let row = proxy_analysis::residual_rates_with_grid(analysis, site.id, &txn_grid);
+        let row = &rows[site.id.0 as usize];
         for (cid, rr) in &row.proxied {
             t.row([
                 site.hostname.clone(),
@@ -625,7 +651,8 @@ pub fn render_table9(analysis: &Analysis<'_>, hostnames: &[&str]) -> String {
         ]);
     }
     let mut out = t.render();
-    let shared = proxy_analysis::shared_proxy_sites(analysis, 0.003, 5.0);
+    let (min_rate, dominance) = proxy_analysis::SHARED_PROXY_PARAMS;
+    let shared = proxy_analysis::shared_proxy_sites(&rows, min_rate, dominance);
     out.push_str("shared-proxy scan (all proxies elevated, external/non-CN clean): ");
     if shared.is_empty() {
         out.push_str("none\n");
@@ -1009,7 +1036,7 @@ pub fn comparisons(ds: &Dataset, a5: &Analysis<'_>, a10: &Analysis<'_>) -> Vec<C
 
     // Table 9 shape on iitb.
     if let Some(site) = ds.sites.iter().find(|s| s.hostname.contains("iitb")) {
-        let row = proxy_analysis::residual_rates(a5, site.id);
+        let row = &proxy_analysis::residual_table(a5)[site.id.0 as usize];
         let cn_min = row
             .proxied
             .iter()
@@ -1062,7 +1089,7 @@ mod tests {
     fn all_text_renderers_produce_output() {
         let ds = tiny_ds();
         let a5 = Analysis::new(&ds, AnalysisConfig::default());
-        let a10 = Analysis::new(&ds, AnalysisConfig::conservative());
+        let a10 = a5.at(0.10);
         for s in [
             render_table1(&ds),
             render_table2(&ds),
@@ -1095,7 +1122,7 @@ mod tests {
         let ds = tiny_ds();
         let config = AnalysisConfig::default();
         let a5 = Analysis::new(&ds, config);
-        let a10 = Analysis::new(&ds, config.with_threshold(0.10));
+        let a10 = a5.at(0.10);
         let mut expected = String::new();
         for (id, body) in paper_blocks(&ds, &a5, &a10, 7) {
             expected.push_str(&format!("==== {id} ====\n{body}\n"));
@@ -1109,11 +1136,24 @@ mod tests {
     }
 
     #[test]
+    fn paper_blocks_follow_the_id_list() {
+        let mut ds = tiny_ds();
+        ds.clients[0].name = "nodea.howard.edu".into();
+        ds.clients[1].name = "kscy".into();
+        let a5 = Analysis::new(&ds, AnalysisConfig::default());
+        let ids: Vec<&str> = paper_blocks(&ds, &a5, &a5.at(0.10), 7)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(ids, PAPER_BLOCK_IDS);
+    }
+
+    #[test]
     fn paper_section_anchors_every_block() {
         let ds = tiny_ds();
         let config = AnalysisConfig::default();
         let a5 = Analysis::new(&ds, config);
-        let a10 = Analysis::new(&ds, config.with_threshold(0.10));
+        let a10 = a5.at(0.10);
         let blocks = paper_blocks(&ds, &a5, &a10, 7);
         let n = blocks.len();
         let mut page = crate::html::HtmlReport::new("t");
@@ -1149,7 +1189,7 @@ mod tests {
     fn comparisons_cover_the_headline_findings() {
         let ds = tiny_ds();
         let a5 = Analysis::new(&ds, AnalysisConfig::default());
-        let a10 = Analysis::new(&ds, AnalysisConfig::conservative());
+        let a10 = a5.at(0.10);
         let comps = comparisons(&ds, &a5, &a10);
         assert!(comps.len() >= 20, "{} comparison lines", comps.len());
         for c in &comps {

@@ -29,13 +29,13 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parse a complete JSON document; `None` on any syntax error or
-    /// trailing garbage (the panel then renders an "unparsable" note
-    /// instead of failing the report).
+    /// Parse a complete JSON document; `None` on any syntax error,
+    /// trailing garbage or nesting deeper than `MAX_DEPTH` (the panel
+    /// then renders an "unparsable" note instead of failing the report).
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         (pos == bytes.len()).then_some(value)
     }
@@ -81,11 +81,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
+/// The deepest array/object nesting [`Json::parse`] accepts. The reader
+/// recurses once per level, so the bound keeps a hostile `[[[[…` file from
+/// overflowing the stack; the bench documents nest at most 5 levels.
+const MAX_DEPTH: usize = 64;
+
+/// Parse the value at `pos`, inside `depth` enclosing arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     skip_ws(b, pos);
     match *b.get(*pos)? {
-        b'{' => parse_obj(b, pos),
-        b'[' => parse_arr(b, pos),
+        b'{' | b'[' if depth == MAX_DEPTH => None,
+        b'{' => parse_obj(b, pos, depth + 1),
+        b'[' => parse_arr(b, pos, depth + 1),
         b'"' => parse_string(b, pos).map(Json::Str),
         b't' => parse_lit(b, pos, "true", Json::Bool(true)),
         b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -164,7 +171,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -173,7 +180,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
         return Some(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match *b.get(*pos)? {
             b',' => *pos += 1,
@@ -186,7 +193,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -202,7 +209,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Option<Json> {
             return None;
         }
         *pos += 1;
-        members.push((key, parse_value(b, pos)?));
+        members.push((key, parse_value(b, pos, depth)?));
         skip_ws(b, pos);
         match *b.get(*pos)? {
             b',' => *pos += 1,
@@ -565,6 +572,28 @@ mod tests {
         let p = bench_panel("BENCH_audit.json", "{\"seed\": 1e309, \"agreement\": -0}");
         assert!(p.badges.iter().any(|(k, v)| k == "seed" && v == "inf"));
         assert!(p.badges.iter().any(|(k, v)| k == "agreement" && v == "-0"));
+    }
+
+    #[test]
+    fn deep_nesting_reads_as_unparsable_not_a_stack_overflow() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\": ", "}")] {
+            assert!(
+                Json::parse(&nest(open, close, MAX_DEPTH)).is_some(),
+                "{open}"
+            );
+            assert_eq!(
+                Json::parse(&nest(open, close, MAX_DEPTH + 1)),
+                None,
+                "{open}"
+            );
+            // Unterminated, far past the bound: rejected at MAX_DEPTH + 1.
+            assert_eq!(Json::parse(&open.repeat(200_000)), None, "{open}");
+            let p = bench_panel("BENCH_audit.json", &nest(open, close, 100_000));
+            assert!(p.notes[0].contains("unparsable"), "{open}: {:?}", p.notes);
+        }
     }
 
     #[test]

@@ -11,22 +11,18 @@
 //! cargo run --release --example blame_attribution
 //! ```
 
-use model::SimTime;
-use netprofiler::blame::{classify_hour, BlameClass};
 use netprofiler::{Analysis, AnalysisConfig};
 use report::render;
-use workload::{run_experiment, ExperimentConfig};
+use workload::{run_experiment, score_attribution, ExperimentConfig};
 
 fn main() {
     let mut config = ExperimentConfig::quick(11);
     config.hours = 96;
     println!("simulating {} hours ...", config.hours);
     let out = run_experiment(&config);
-    let ds = &out.dataset;
-    let truth = &out.truth;
 
-    let a5 = Analysis::new(ds, AnalysisConfig::default());
-    let a10 = Analysis::new(ds, AnalysisConfig::conservative());
+    let a5 = Analysis::new(&out.dataset, AnalysisConfig::default());
+    let a10 = a5.at(0.10);
     println!("{}", render::render_table5(&a5, &a10));
     println!("{}", render::render_episode_stats(&a5));
     println!("{}", render::render_table6(&a5, 10));
@@ -37,74 +33,21 @@ fn main() {
     // episode, replica flap) — and, for "client-side", whether the client's
     // WAN was really down. The paper could only validate indirectly
     // (Section 4.4.6); a simulation can score the inference exactly.
-    let f = a5.config.episode_threshold;
-    let min = a5.config.min_hour_samples;
-    let mut server_calls = 0u64;
-    let mut server_correct = 0u64;
-    let mut client_calls = 0u64;
-    let mut client_correct = 0u64;
-    for conn in &ds.connections {
-        if !conn.failed() || a5.permanent.contains(conn.client, conn.site) {
-            continue;
-        }
-        let class = classify_hour(
-            &a5.client_grid,
-            &a5.server_grid,
-            conn.client.0 as usize,
-            conn.site.0 as usize,
-            conn.hour(),
-            f,
-            min,
-        );
-        let t = conn.start;
-        let server_truth = server_fault_active(truth, conn.replica, t);
-        let client_truth = *truth.wan[conn.client.0 as usize].at(t);
-        match class {
-            BlameClass::ServerSide => {
-                server_calls += 1;
-                server_correct += u64::from(server_truth);
-            }
-            BlameClass::ClientSide => {
-                client_calls += 1;
-                client_correct += u64::from(client_truth);
-            }
-            _ => {}
-        }
-    }
+    let score = score_attribution(&out, &a5);
     println!("ground-truth validation of the attribution:");
     println!(
-        "  server-side calls: {server_calls}, with a real server fault active: {:.1}%",
-        pct(server_correct, server_calls)
+        "  server-side calls: {}, with a real server fault active: {:.1}%",
+        score.server_calls,
+        score.server_precision() * 100.0
     );
     println!(
-        "  client-side calls: {client_calls}, with the client's WAN really down: {:.1}%",
-        pct(client_correct, client_calls)
+        "  client-side calls: {}, with the client's WAN really down: {:.1}%",
+        score.client_calls,
+        score.client_precision() * 100.0
     );
     println!(
         "\n(the residue is the paper's caveat in Section 2.2: the categorization\n\
          is suggestive of location, not proof — e.g. transient noise that\n\
          happens to fall inside a flagged hour inherits its label)"
     );
-}
-
-fn server_fault_active(truth: &workload::GroundTruth, replica: std::net::Ipv4Addr, t: SimTime) -> bool {
-    let degraded = truth
-        .replica_group_of
-        .get(&replica)
-        .map(|gid| *truth.replica_group_fault[*gid as usize].at(t))
-        .unwrap_or(false);
-    let flapping = truth
-        .replica_hard_down
-        .get(&replica)
-        .map(|tl| *tl.at(t))
-        .unwrap_or(false);
-    degraded || flapping
-}
-
-fn pct(n: u64, d: u64) -> f64 {
-    if d == 0 {
-        0.0
-    } else {
-        n as f64 / d as f64 * 100.0
-    }
 }

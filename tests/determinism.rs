@@ -246,20 +246,14 @@ fn adversarial_archetypes_stay_deterministic_across_threads() {
 
 #[test]
 fn full_pipeline_and_report_are_thread_invariant() {
-    use netprofiler::{pipeline, AnalysisConfig};
+    use netprofiler::AnalysisConfig;
     let base_ds = run(9090, 1);
     let base_cfg = AnalysisConfig::default().with_threads(1);
-    let base = pipeline::run(&base_ds, base_cfg);
     let base_report = report::render_all(&base_ds, base_cfg, 9090);
     for threads in [2usize, 7] {
         let ds = run(9090, threads);
         assert_eq!(fingerprint(&base_ds), fingerprint(&ds));
         let cfg = AnalysisConfig::default().with_threads(threads);
-        let full = pipeline::run(&ds, cfg);
-        assert_eq!(full.table5, base.table5);
-        assert_eq!(full.table5_conservative, base.table5_conservative);
-        assert_eq!(full.overall, base.overall);
-        assert_eq!(full.permanent_pairs, base.permanent_pairs);
         let rendered = report::render_all(&ds, cfg, 9090);
         assert!(
             rendered == base_report,

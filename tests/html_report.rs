@@ -22,7 +22,7 @@ fn run(seed: u64, threads: usize, provenance: bool) -> (ExperimentOutput, Experi
 /// byte comparison across runs is meaningful.
 fn page_for(out: &ExperimentOutput, cfg: &ExperimentConfig, seed: u64) -> String {
     let a5 = Analysis::new(&out.dataset, AnalysisConfig::default());
-    let a10 = Analysis::new(&out.dataset, AnalysisConfig::conservative());
+    let a10 = a5.at(0.10);
     let mut manifest = bench_suite::manifest_for(out, cfg, "quick", seed);
     for w in &mut manifest.stage_walls {
         w.seconds = 0.0;

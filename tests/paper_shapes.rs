@@ -138,8 +138,8 @@ fn server_side_dominates_client_side() {
 #[test]
 fn conservative_threshold_classifies_less() {
     let ds = shared();
-    let b5 = blame::table5(&Analysis::new(ds, AnalysisConfig::default()));
-    let b10 = blame::table5(&Analysis::new(ds, AnalysisConfig::conservative()));
+    let a5 = Analysis::new(ds, AnalysisConfig::default());
+    let (b5, b10) = (blame::table5(&a5), blame::table5(&a5.at(0.10)));
     assert!(b10.classified_share() < b5.classified_share());
     assert_eq!(b5.total(), b10.total());
 }
@@ -192,7 +192,7 @@ fn proxied_clients_show_residual_failures_on_flappy_sites() {
         .iter()
         .find(|s| s.hostname.contains("iitb"))
         .unwrap();
-    let row = netprofiler::proxy_analysis::residual_rates(&a, site.id);
+    let row = &netprofiler::proxy_analysis::residual_table(&a)[site.id.0 as usize];
     assert_eq!(row.proxied.len(), 5);
     let cn_mean: f64 = row
         .proxied
