@@ -19,11 +19,16 @@ echo "$det_nodefault"
 echo "==> oracle_diff: columnar sharded scans match the naive row-layout oracle (audit diff included)"
 cargo run --release -q -p bench-suite --bin oracle_diff
 
-echo "==> audit: blame agreement, pair detection, and client-episode precision clear the floor"
-cargo run --release -q -p bench-suite --bin audit -- --out /tmp/BENCH_audit.json > /dev/null
+ci_tmp="$(mktemp -d)"
+trap 'rm -rf "$ci_tmp"' EXIT
 
-echo "==> audit --scenario: per-archetype detection clears the recall floors (censorship/brownout included)"
-cargo run --release -q -p bench-suite --bin audit -- --scenario --out /tmp/BENCH_scenarios.json > /dev/null
+echo "==> audit: blame agreement, pair detection, and client-episode precision clear the floor; the scores equal BENCH_audit.json"
+cargo run --release -q -p bench-suite --bin audit -- --threads 1 --out "$ci_tmp/BENCH_audit.json" > /dev/null
+cmp "$ci_tmp/BENCH_audit.json" BENCH_audit.json || { echo "FAIL: audit scores differ from the committed BENCH_audit.json"; exit 1; }
+
+echo "==> audit --scenario: per-archetype detection clears the recall floors (censorship/brownout included); the scores equal BENCH_scenarios.json"
+cargo run --release -q -p bench-suite --bin audit -- --scenario --threads 1 --out "$ci_tmp/BENCH_scenarios.json" > /dev/null
+cmp "$ci_tmp/BENCH_scenarios.json" BENCH_scenarios.json || { echo "FAIL: scenario scores differ from the committed BENCH_scenarios.json"; exit 1; }
 
 echo "==> explain --audit-misses: a causal timeline exists for every below-recall archetype"
 misses="$(cargo run --release -q -p bench-suite --bin explain -- --audit-misses)"
@@ -34,8 +39,7 @@ if [ "$(echo "$misses" | grep -c '^== ')" -ne "$(echo "$misses" | grep -c '^exem
 fi
 
 echo "==> reproduce --html: self-contained page smoke test"
-html_dir="$(mktemp -d)"
-trap 'rm -rf "$html_dir"' EXIT
+html_dir="$ci_tmp/html"
 cargo run --release -q -p bench-suite --bin reproduce -- --scale quick --html "$html_dir/report.html" > /dev/null
 test -s "$html_dir/report.html" || { echo "FAIL: report.html empty"; exit 1; }
 test -s "$html_dir/manifest.json" || { echo "FAIL: manifest.json missing"; exit 1; }

@@ -53,12 +53,8 @@ fn main() {
             }
             "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
             "--threads" => threads = Some(bench_suite::numeric_flag(&arg, &mut args)),
-            "--out" => {
-                if let Some(p) = args.next() {
-                    out_path = std::path::PathBuf::from(p);
-                }
-            }
-            "--csv" => csv_path = args.next().map(std::path::PathBuf::from),
+            "--out" => out_path = bench_suite::path_flag(&arg, &mut args),
+            "--csv" => csv_path = Some(bench_suite::path_flag(&arg, &mut args)),
             "--min-agreement" => {
                 min_agreement = bench_suite::numeric_flag(&arg, &mut args);
                 if !(0.0..=1.0).contains(&min_agreement) {
@@ -91,12 +87,7 @@ fn main() {
         return;
     }
 
-    let scale_name = match scale {
-        Scale::Quick => "quick",
-        Scale::Stress => "stress",
-        Scale::Reproduction => "repro",
-        Scale::Paper => "paper",
-    };
+    let scale_name = scale.name();
     let mut config = scale.config(seed);
     config.record_provenance = true;
     if let Some(t) = threads {

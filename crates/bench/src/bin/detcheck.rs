@@ -18,7 +18,7 @@
 //! and with `--no-default-features` (telemetry compiled out) and requires
 //! the two outputs to be identical.
 
-use bench_suite::{debug_fingerprint, text_fingerprint};
+use model::fingerprint;
 use netprofiler::AnalysisConfig;
 use workload::{run_experiment, AdversarialProfile, ExperimentConfig, ForensicsConfig};
 
@@ -80,12 +80,12 @@ fn run_cell(seed: u64, adversarial: AdversarialProfile, observers: bool, threads
     telemetry::reset();
     Cell {
         transactions: out.dataset.records.len(),
-        dataset: debug_fingerprint(&out.dataset),
-        report: text_fingerprint(&rendered),
-        sidecar: out.provenance.as_ref().map(debug_fingerprint),
+        dataset: fingerprint(&out.dataset),
+        report: fingerprint(&rendered),
+        sidecar: out.provenance.as_ref().map(fingerprint),
         exemplars: out.forensics.map(|store| {
             let keys: Vec<_> = store.iter().map(|x| (x.key(), x.record_index)).collect();
-            (keys.len(), debug_fingerprint(&keys))
+            (keys.len(), fingerprint(&keys))
         }),
     }
 }

@@ -12,6 +12,8 @@
 //! stamped with the ground-truth faults active at that step) next to the
 //! verdict the audit's Table 5 inference scored for that record and the
 //! recorded truth — the "why" side-by-side with the "what we concluded".
+//! The verdict is the audit's own `score_record`, so a record the matrix
+//! skips (proxied, or on a near-permanent pair) prints as not scored.
 //!
 //! `--audit-misses` is the audit's post-mortem loupe: run the combined
 //! adversarial-month world, collect the `(client, site, hour)` keys of the
@@ -25,8 +27,10 @@
 //! `detcheck` holds that, with every observer on and off, at several
 //! thread counts, in both feature builds.
 
-use bench_suite::{dataset_fingerprint, Scale};
-use netprofiler::audit::{audit, infer_record_blame, inferred_index, CLASS_LABELS};
+use bench_suite::Scale;
+use model::fingerprint;
+use netprofiler::audit::{audit, inferred_index, score_record, true_index, CLASS_LABELS};
+use netprofiler::blame::{self, Unscored};
 use netprofiler::{Analysis, AnalysisConfig};
 use workload::{
     run_experiment, AdversarialProfile, ExperimentConfig, ExperimentOutput, ForensicsConfig,
@@ -82,17 +86,6 @@ fn main() {
     run_query(scale, seed, threads.unwrap_or(0), (client, site, hour));
 }
 
-/// Label a recorded [`model::TrueBlame`] the way the audit's matrix rows do.
-fn truth_class_label(blame: model::TrueBlame) -> &'static str {
-    match blame {
-        model::TrueBlame::ClientSide => "client",
-        model::TrueBlame::ServerSide => "server",
-        model::TrueBlame::Both => "both",
-        model::TrueBlame::PairSpecific => "other (pair-specific)",
-        model::TrueBlame::Noise => "other (noise)",
-    }
-}
-
 /// Print one exemplar's causal timeline plus the truth-vs-inference diff.
 fn explain_exemplar(
     x: &model::TraceExemplar,
@@ -105,33 +98,37 @@ fn explain_exemplar(
         .as_ref()
         .expect("explain runs always record provenance");
     let stamp = log.records[x.record_index].all();
-    let verdict = infer_record_blame(analysis, x.record_index, x.client, x.site, x.hour);
-    let inferred = CLASS_LABELS[inferred_index(verdict)];
-    let truth_class = truth_class_label(stamp.true_blame());
+    let truth = stamp.true_blame();
+    let row = CLASS_LABELS[true_index(truth)];
     println!(
-        "  recorded truth:   {} [{}]",
-        truth_class,
+        "  recorded truth:   {row}{} [{}]",
+        if row == truth.label() {
+            String::new()
+        } else {
+            format!(" ({})", truth.label())
+        },
         if stamp.is_empty() {
             "-".to_string()
         } else {
             stamp.names().join(",")
         },
     );
-    if !x.failed {
+    let inferred = CLASS_LABELS[inferred_index(blame::txn_class(analysis, x.record_index))];
+    let verdict = match score_record(analysis, log, x.record_index) {
         // The audit's Table 5 matrix scores failures only; for a success
         // the hour-level inference is context, not a verdict.
-        println!("  audit inference:  {inferred} (hour-level context; successes are not scored)");
-        return;
-    }
-    println!("  audit inference:  {inferred}");
-    println!(
-        "  verdict:          {}",
-        if inferred == truth_class {
-            "agreement"
-        } else {
-            "MISATTRIBUTED"
+        Err(Unscored::Success) => {
+            println!(
+                "  audit inference:  {inferred} (hour-level context; successes are not scored)"
+            );
+            return;
         }
-    );
+        Err(skip) => format!("not scored ({})", skip.label()),
+        Ok((row, column)) if row == column => "agreement".to_string(),
+        Ok(_) => "MISATTRIBUTED".to_string(),
+    };
+    println!("  audit inference:  {inferred}");
+    println!("  verdict:          {verdict}");
 }
 
 /// Query mode: pin the key, rerun, print timeline + verdict.
@@ -211,8 +208,8 @@ fn run_audit_misses(seed: u64, threads: usize) {
     // The tracer is zero-perturbation, so pass 2's dataset is pass 1's —
     // trust but verify before reusing pass 1's analysis indices.
     assert_eq!(
-        dataset_fingerprint(&first.dataset),
-        dataset_fingerprint(&second.dataset),
+        fingerprint(&first.dataset),
+        fingerprint(&second.dataset),
         "pinned rerun diverged from the audit run — tracer perturbation bug"
     );
 

@@ -41,20 +41,8 @@ fn main() {
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--html" => {
-                html_path = args.next().map(std::path::PathBuf::from);
-                if html_path.is_none() {
-                    eprintln!("--html needs a file path");
-                    std::process::exit(2);
-                }
-            }
-            "--bench-dir" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("--bench-dir needs a directory");
-                    std::process::exit(2);
-                };
-                bench_dir = std::path::PathBuf::from(dir);
-            }
+            "--html" => html_path = Some(bench_suite::path_flag(&arg, &mut args)),
+            "--bench-dir" => bench_dir = bench_suite::path_flag(&arg, &mut args),
             "--profile" => {
                 // Optional DIR operand: consume the next arg unless it is a flag.
                 let dir = match args.peek() {
@@ -71,13 +59,7 @@ fn main() {
                 });
             }
             "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
-            "--export" => {
-                export_dir = args.next().map(std::path::PathBuf::from);
-                if export_dir.is_none() {
-                    eprintln!("--export needs a directory");
-                    std::process::exit(2);
-                }
-            }
+            "--export" => export_dir = Some(bench_suite::path_flag(&arg, &mut args)),
             "--only" => {
                 only = Some(
                     args.next()
@@ -214,15 +196,6 @@ fn main() {
     }
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Quick => "quick",
-        Scale::Stress => "stress",
-        Scale::Reproduction => "repro",
-        Scale::Paper => "paper",
-    }
-}
-
 /// Assemble and write the self-contained HTML page plus `manifest.json`.
 #[allow(clippy::too_many_arguments)]
 fn write_html_report(
@@ -235,7 +208,7 @@ fn write_html_report(
     scale: Scale,
     seed: u64,
 ) -> std::io::Result<()> {
-    let manifest = bench_suite::manifest_for(out, config, scale_name(scale), seed);
+    let manifest = bench_suite::manifest_for(out, config, scale.name(), seed);
     let snapshot = telemetry::snapshot();
     let stage_profile = snapshot.stage_profile();
 

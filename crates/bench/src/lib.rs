@@ -1,8 +1,10 @@
 //! Shared scaffolding for the benchmark suite and the `reproduce` harness.
 
-use model::Dataset;
 use netprofiler::Analysis;
 use workload::{ExperimentConfig, ExperimentOutput};
+
+/// perfbench hashes its report text with `bench_suite::Fnv`.
+pub use model::Fnv;
 
 /// Named experiment scales for the harness.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -27,6 +29,16 @@ impl Scale {
             "repro" | "reproduction" => Some(Scale::Reproduction),
             "paper" => Some(Scale::Paper),
             _ => None,
+        }
+    }
+
+    /// The canonical name [`Scale::parse`] reads back.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Stress => "stress",
+            Scale::Reproduction => "repro",
+            Scale::Paper => "paper",
         }
     }
 
@@ -57,53 +69,18 @@ pub fn numeric_flag<T: std::str::FromStr>(
     })
 }
 
-/// Streaming FNV-1a hasher over formatted text, shared by the harness
-/// binaries for dataset fingerprints and config digests.
-pub struct Fnv(u64);
-
-impl Fnv {
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+/// The value of a path-valued command-line flag, read from the argument
+/// after it. A missing value, or one that starts with `-` (the next flag),
+/// exits with status 2 naming the flag, so `--html --profile` never writes
+/// the page to a file named `--profile`.
+pub fn path_flag(flag: &str, args: &mut impl Iterator<Item = String>) -> std::path::PathBuf {
+    match args.next() {
+        Some(value) if !value.starts_with('-') => value.into(),
+        value => {
+            eprintln!("{flag} needs a path, not {:?}", value.unwrap_or_default());
+            std::process::exit(2);
         }
-        Ok(())
     }
-}
-
-/// Hash the complete dataset contents without materializing the string.
-/// The run manifest records it (`dataset_fingerprint` in `manifest.json`
-/// and on the HTML page), and `explain` compares two runs by it.
-pub fn dataset_fingerprint(ds: &Dataset) -> u64 {
-    debug_fingerprint(ds)
-}
-
-/// FNV-1a of a value's full `Debug` rendering, streamed without
-/// materializing the string.
-pub fn debug_fingerprint<T: std::fmt::Debug>(value: &T) -> u64 {
-    use std::fmt::Write as _;
-    let mut h = Fnv::new();
-    write!(h, "{value:?}").expect("hashing cannot fail");
-    h.finish()
-}
-
-/// FNV-1a of a text, such as a rendered report.
-pub fn text_fingerprint(text: &str) -> u64 {
-    use std::fmt::Write as _;
-    let mut h = Fnv::new();
-    h.write_str(text).expect("hashing cannot fail");
-    h.finish()
 }
 
 /// The two committed bench regression artifacts the HTML report's
@@ -133,7 +110,7 @@ pub fn manifest_for(
         } else {
             "custom".to_string()
         },
-        dataset_fingerprint: dataset_fingerprint(ds),
+        dataset_fingerprint: model::fingerprint(ds),
         transactions: ds.records.len() as u64,
         connections: ds.connections.len() as u64,
         records_dropped: out.report.records_dropped,
@@ -252,6 +229,14 @@ mod tests {
         assert_eq!(Scale::parse("repro"), Some(Scale::Reproduction));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("nope"), None);
+        for scale in [
+            Scale::Quick,
+            Scale::Stress,
+            Scale::Reproduction,
+            Scale::Paper,
+        ] {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+        }
     }
 
     #[test]

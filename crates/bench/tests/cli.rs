@@ -43,3 +43,18 @@ fn reproduce_rejects_an_unknown_block_id() {
         assert!(stderr.contains(bad), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn path_flags_refuse_the_next_flag_as_their_value() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_reproduce"),
+            &["--html", "--profile", "table1"][..],
+        ),
+        (env!("CARGO_BIN_EXE_audit"), &["--out", "--scenario"][..]),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(args[0]), "{bin} {args:?}: {stderr}");
+    }
+}

@@ -15,18 +15,18 @@
 //! * the same overlap for severe-BGP instances against the injected
 //!   withdrawal storms.
 //!
-//! The inferred side of the matrix follows the paper: TCP and HTTP failures
-//! are classified against the hourly episode grids (Section 4.4.4, exactly
-//! what [`crate::blame::table5`] does per connection), and DNS failures use
-//! the Section 4.2 reading — an LDNS timeout is the client's own
-//! infrastructure, everything else is the authoritative side. Records on
+//! The inferred side of the matrix is Table 5's per-transaction rule,
+//! [`crate::blame::txn_class`]: the Section 4.2 reading settles DNS
+//! failures (an LDNS timeout is the client's own infrastructure, an
+//! authoritative error the server side), and everything ambiguous is
+//! classified against the hourly episode grids (Section 4.4.4). Records on
 //! pairs the pipeline itself excluded as near-permanent are scored by the
 //! pair metric, not the matrix, mirroring Table 5's exclusion rule.
 
-use crate::blame::{self, classify_hour_outcome, BlameBreakdown, BlameClass};
 use crate::bgp_corr::{self, SeverityRule};
+use crate::blame::{self, BlameBreakdown, BlameClass, Unscored};
 use crate::Analysis;
-use model::{FaultSet, ProvenanceLog, TrueBlame, TxnBlameHint};
+use model::{FaultSet, ProvenanceLog, TrueBlame};
 use std::collections::BTreeSet;
 
 /// Number of blame classes in the Table 5 vocabulary.
@@ -36,8 +36,7 @@ pub const CLASSES: usize = 4;
 pub const CLASS_LABELS: [&str; CLASSES] = ["client", "server", "both", "other"];
 
 /// Index of an inferred [`BlameClass`] in the matrix (and in
-/// [`CLASS_LABELS`]) — public so the `explain` forensics harness can label
-/// verdicts the same way the matrix does.
+/// [`CLASS_LABELS`]).
 pub fn inferred_index(class: BlameClass) -> usize {
     match class {
         BlameClass::ClientSide => 0,
@@ -47,10 +46,10 @@ pub fn inferred_index(class: BlameClass) -> usize {
     }
 }
 
-/// Index of a [`TrueBlame`] in the matrix. Pair-specific conditions and
-/// background noise have no inferred equivalent — the paper's vocabulary
-/// folds them into "other".
-fn true_index(blame: TrueBlame) -> usize {
+/// Index of a [`TrueBlame`] in the matrix (and in [`CLASS_LABELS`]).
+/// Pair-specific conditions and background noise have no inferred
+/// equivalent — the paper's vocabulary folds them into "other".
+pub fn true_index(blame: TrueBlame) -> usize {
     match blame {
         TrueBlame::ClientSide => 0,
         TrueBlame::ServerSide => 1,
@@ -333,47 +332,22 @@ pub struct AuditReport {
     pub table5_txn: BlameBreakdown,
 }
 
-/// Infer the blame class of one failed record the way the paper would,
-/// over the transaction-outcome grids:
-///
-/// * the per-record [`TxnBlameHint`] settles what needs no grid — an LDNS
-///   timeout is the client's own infrastructure, an authoritative DNS error
-///   the server side, a fast all-refused connect phase an access policy
-///   ("other", Section 4.4.2);
-/// * everything ambiguous (TCP/HTTP failures, non-LDNS DNS timeouts)
-///   classifies against the outcome-grid episodes, which see DNS-phase
-///   faults the connection grids are blind to.
-fn infer_blame(analysis: &Analysis<'_>, i: usize, client: u16, site: u16, hour: u32) -> BlameClass {
-    infer_record_blame(analysis, i, client, site, hour)
-}
-
-/// Public form of the matrix's per-record inference, so the `explain`
-/// forensics harness can show the exact verdict the audit scored for one
-/// record (identified by its dataset index) next to the recorded truth.
-pub fn infer_record_blame(
+/// Score one record the way the confusion matrix does: its
+/// `(true, inferred)` cell, indices per [`CLASS_LABELS`], or why the matrix
+/// leaves it out. The inferred side is Table 5's per-transaction rule,
+/// [`blame::txn_class`], over the transaction-outcome grids, which see
+/// DNS-phase faults the connection grids are blind to. `explain` prints
+/// this verdict, so it cannot disagree with the matrix.
+pub fn score_record(
     analysis: &Analysis<'_>,
+    log: &ProvenanceLog,
     i: usize,
-    client: u16,
-    site: u16,
-    hour: u32,
-) -> BlameClass {
-    match analysis
-        .cds
-        .txn_blame_hint(i, analysis.config.reset_fast_micros)
-    {
-        TxnBlameHint::ClientDns => BlameClass::ClientSide,
-        TxnBlameHint::AuthDns => BlameClass::ServerSide,
-        TxnBlameHint::PolicyReset => BlameClass::Other,
-        TxnBlameHint::Success | TxnBlameHint::Ambiguous => classify_hour_outcome(
-            &analysis.client_outcome,
-            &analysis.server_outcome,
-            client as usize,
-            site as usize,
-            hour,
-            analysis.config.episode_threshold,
-            analysis.config.min_hour_samples,
-        ),
-    }
+) -> Result<(usize, usize), Unscored> {
+    blame::txn_scope(analysis, i)?;
+    Ok((
+        true_index(log.records[i].all().true_blame()),
+        inferred_index(blame::txn_class(analysis, i)),
+    ))
 }
 
 /// Per-shard archetype tally: `(truth, detected, missed samples, missed
@@ -396,26 +370,21 @@ fn blame_confusion(
         let mut out = BlameConfusion::default();
         let mut arch: [ArchetypeTally; ARCHETYPES.len()] = Default::default();
         for i in range {
-            if !cds.txn_failed(i) {
-                continue;
-            }
-            if cds.txn_proxied(i) {
-                out.skipped_proxied += 1;
-                continue;
-            }
-            let (client, site) = (txn.client[i], txn.site[i]);
-            if analysis
-                .permanent
-                .contains(model::ClientId(client), model::SiteId(site))
-            {
-                out.skipped_permanent += 1;
-                continue;
-            }
-            let hour = cds.txn_hour(i);
+            let (truth, inferred) = match score_record(analysis, log, i) {
+                Ok(cell) => cell,
+                Err(Unscored::Success) => continue,
+                Err(Unscored::Proxied) => {
+                    out.skipped_proxied += 1;
+                    continue;
+                }
+                Err(Unscored::NearPermanent) => {
+                    out.skipped_permanent += 1;
+                    continue;
+                }
+            };
+            out.matrix[truth][inferred] += 1;
+            let (client, site, hour) = (txn.client[i], txn.site[i], cds.txn_hour(i));
             let stamp = log.records[i].all();
-            let truth = stamp.true_blame();
-            let inferred = inferred_index(infer_blame(analysis, i, client, site, hour));
-            out.matrix[true_index(truth)][inferred] += 1;
             for (k, &(_, bit, expected)) in ARCHETYPES.iter().enumerate() {
                 if !stamp.contains(bit) {
                     continue;
@@ -704,6 +673,66 @@ mod tests {
         };
         assert!((s.recall() - 0.7).abs() < 1e-12);
         assert!((s.precision() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn score_record_is_the_matrix_cell() {
+        use crate::synthetic::SynthWorld;
+        use crate::AnalysisConfig;
+        use model::{ClientId, DnsFailureKind, FailureClass, ProxyId, SiteId};
+        let mut w = SynthWorld::new(4, 4, 2);
+        w.set_proxy(ClientId(2), ProxyId(0));
+        // Records 0–3: a failure under no stamped fault, an LDNS timeout
+        // during a stamped LDNS outage, a proxied failure, a success.
+        w.add_txn(ClientId(1), SiteId(1), 0, false);
+        w.add_txn_failure(
+            ClientId(0),
+            SiteId(0),
+            1,
+            FailureClass::Dns(DnsFailureKind::LdnsTimeout),
+        );
+        w.add_txn(ClientId(2), SiteId(0), 0, false);
+        w.add_txn(ClientId(0), SiteId(1), 0, true);
+        // Background: clients 0 and 1 succeed to sites 0 and 1, so no
+        // endpoint has an episode; client 3 → site 3 always fails, a
+        // near-permanent pair.
+        for h in 0..2 {
+            for c in 0..2 {
+                for s in 0..2 {
+                    w.add_txn_batch(ClientId(c), SiteId(s), h, 10, 0);
+                }
+            }
+            w.add_txn_batch(ClientId(3), SiteId(3), h, 15, 15);
+        }
+        let ds = w.finish();
+        let mut log = ProvenanceLog {
+            records: vec![ProvenanceRecord::default(); ds.records.len()],
+            truth: TruthSidecar::default(),
+        };
+        log.records[1].dns = FaultSet::LDNS_DOWN;
+        let a = Analysis::new(&ds, AnalysisConfig::default());
+
+        // The noise failure, which no episode explains, is inferred
+        // "other": the diagonal, not a misattribution.
+        assert_eq!(blame::txn_class(&a, 0), BlameClass::Other);
+        assert_eq!(score_record(&a, &log, 0), Ok((3, 3)));
+        assert_eq!(score_record(&a, &log, 1), Ok((0, 0)));
+        assert_eq!(score_record(&a, &log, 2), Err(Unscored::Proxied));
+        assert_eq!(score_record(&a, &log, 3), Err(Unscored::Success));
+        let on_permanent_pair = ds.records.len() - 1;
+        assert_eq!(
+            score_record(&a, &log, on_permanent_pair),
+            Err(Unscored::NearPermanent)
+        );
+
+        // The matrix is these cells summed.
+        let report = audit(&a, &log);
+        let mut expected = [[0u64; CLASSES]; CLASSES];
+        expected[3][3] = 1;
+        expected[0][0] = 1;
+        assert_eq!(report.blame.matrix, expected);
+        assert_eq!(report.blame.skipped_proxied, 1);
+        assert_eq!(report.blame.skipped_permanent, 30);
     }
 
     #[test]

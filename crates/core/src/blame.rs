@@ -51,6 +51,47 @@ impl BlameBreakdown {
     pub fn classified_share(&self) -> f64 {
         1.0 - self.share(BlameClass::Other)
     }
+
+    /// Count one failure in its class.
+    pub(crate) fn add(&mut self, class: BlameClass) {
+        match class {
+            BlameClass::ServerSide => self.server_side += 1,
+            BlameClass::ClientSide => self.client_side += 1,
+            BlameClass::Both => self.both += 1,
+            BlameClass::Other => self.other += 1,
+        }
+    }
+
+    /// Add another breakdown's counts to this one.
+    pub(crate) fn merge(&mut self, other: &BlameBreakdown) {
+        self.server_side += other.server_side;
+        self.client_side += other.client_side;
+        self.both += other.both;
+        self.other += other.other;
+    }
+}
+
+/// Why the per-transaction Table 5 leaves a transaction out.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Unscored {
+    /// The transaction succeeded.
+    Success,
+    /// The access went through a proxy, which masks the client's vantage.
+    Proxied,
+    /// The pair is near-permanently failing (Section 4.4.1), excluded from
+    /// Table 5 and scored as a pair instead.
+    NearPermanent,
+}
+
+impl Unscored {
+    /// Lowercase label for operator output.
+    pub fn label(self) -> &'static str {
+        match self {
+            Unscored::Success => "success",
+            Unscored::Proxied => "proxied",
+            Unscored::NearPermanent => "near-permanent pair",
+        }
+    }
 }
 
 /// Classify one (client, server, hour) failure against the episode grids.
@@ -100,116 +141,110 @@ pub fn classify_hour_outcome(
     }
 }
 
-/// Table 5 blame over every failed *transaction* (DNS failures included),
-/// against the transaction-outcome grids.
+/// Whether the per-transaction Table 5 counts transaction `i`: it must
+/// have failed, gone direct, and not be on a near-permanent pair.
+pub(crate) fn txn_scope(analysis: &Analysis<'_>, i: usize) -> Result<(), Unscored> {
+    let cds = &analysis.cds;
+    if !cds.txn_failed(i) {
+        Err(Unscored::Success)
+    } else if cds.txn_proxied(i) {
+        Err(Unscored::Proxied)
+    } else if analysis.permanent.contains(
+        model::ClientId(cds.txn.client[i]),
+        model::SiteId(cds.txn.site[i]),
+    ) {
+        Err(Unscored::NearPermanent)
+    } else {
+        Ok(())
+    }
+}
+
+/// Table 5's blame rule for transaction `i`, over the transaction-outcome
+/// grids.
 ///
 /// The per-transaction [`TxnBlameHint`] settles the cases the paper settles
 /// without grids — an LDNS timeout is the client's own infrastructure, an
 /// authoritative DNS error the server side, a fast all-refused connect
 /// phase an access policy ("other", Section 4.4.2) — and everything
-/// ambiguous goes to [`classify_hour_outcome`]. Proxied transactions are
-/// skipped like the paper's Table 5 skips vantage-masked records.
-pub fn table5_outcome(analysis: &Analysis<'_>) -> BlameBreakdown {
-    let _span = telemetry::span!("analysis.blame.table5_outcome");
-    let f = analysis.config.episode_threshold;
-    let min = analysis.config.min_hour_samples;
-    let reset_fast = analysis.config.reset_fast_micros;
+/// ambiguous (TCP/HTTP failures, non-LDNS DNS timeouts) goes to
+/// [`classify_hour_outcome`] for the record's client, site and hour.
+pub fn txn_class(analysis: &Analysis<'_>, i: usize) -> BlameClass {
     let cds = &analysis.cds;
-    let txn = &cds.txn;
-    let partials = crate::par::map_shards(analysis.config.threads, cds.txn_len(), |range| {
+    match cds.txn_blame_hint(i, analysis.config.reset_fast_micros) {
+        TxnBlameHint::ClientDns => BlameClass::ClientSide,
+        TxnBlameHint::AuthDns => BlameClass::ServerSide,
+        TxnBlameHint::PolicyReset => BlameClass::Other,
+        TxnBlameHint::Success | TxnBlameHint::Ambiguous => classify_hour_outcome(
+            &analysis.client_outcome,
+            &analysis.server_outcome,
+            cds.txn.client[i] as usize,
+            cds.txn.site[i] as usize,
+            cds.txn_hour(i),
+            analysis.config.episode_threshold,
+            analysis.config.min_hour_samples,
+        ),
+    }
+}
+
+/// Tally `class_of` over the indices `0..len`, sharded; each shard folds a
+/// private breakdown and the shards merge by addition.
+fn tally(
+    threads: usize,
+    len: usize,
+    class_of: impl Fn(usize) -> Option<BlameClass> + Sync,
+) -> BlameBreakdown {
+    let partials = crate::par::map_shards(threads, len, |range| {
         let mut out = BlameBreakdown::default();
-        for i in range {
-            let (client, site) = (txn.client[i], txn.site[i]);
-            if !cds.txn_failed(i)
-                || cds.txn_proxied(i)
-                || analysis
-                    .permanent
-                    .contains(model::ClientId(client), model::SiteId(site))
-            {
-                continue;
-            }
-            let class = match cds.txn_blame_hint(i, reset_fast) {
-                TxnBlameHint::ClientDns => BlameClass::ClientSide,
-                TxnBlameHint::AuthDns => BlameClass::ServerSide,
-                TxnBlameHint::PolicyReset => BlameClass::Other,
-                TxnBlameHint::Success | TxnBlameHint::Ambiguous => classify_hour_outcome(
-                    &analysis.client_outcome,
-                    &analysis.server_outcome,
-                    client as usize,
-                    site as usize,
-                    cds.txn_hour(i),
-                    f,
-                    min,
-                ),
-            };
-            match class {
-                BlameClass::ServerSide => out.server_side += 1,
-                BlameClass::ClientSide => out.client_side += 1,
-                BlameClass::Both => out.both += 1,
-                BlameClass::Other => out.other += 1,
-            }
+        for class in range.filter_map(&class_of) {
+            out.add(class);
         }
         out
     });
-    partials
-        .into_iter()
-        .fold(BlameBreakdown::default(), |mut acc, p| {
-            acc.server_side += p.server_side;
-            acc.client_side += p.client_side;
-            acc.both += p.both;
-            acc.other += p.other;
-            acc
-        })
+    let mut total = BlameBreakdown::default();
+    for p in &partials {
+        total.merge(p);
+    }
+    total
+}
+
+/// Table 5 blame over every failed *transaction* (DNS failures included),
+/// against the transaction-outcome grids: [`txn_class`] over every failed,
+/// direct transaction outside the near-permanent pairs. Proxied
+/// transactions are skipped like the paper's Table 5 skips vantage-masked
+/// records.
+pub fn table5_outcome(analysis: &Analysis<'_>) -> BlameBreakdown {
+    let _span = telemetry::span!("analysis.blame.table5_outcome");
+    tally(analysis.config.threads, analysis.cds.txn_len(), |i| {
+        txn_scope(analysis, i)
+            .is_ok()
+            .then(|| txn_class(analysis, i))
+    })
 }
 
 /// Run blame attribution over every failed connection at the analysis's
 /// threshold `f` (Table 5 rows are this at f = 5% and f = 10%).
 pub fn table5(analysis: &Analysis<'_>) -> BlameBreakdown {
     let _span = telemetry::span!("analysis.blame.table5");
-    let f = analysis.config.episode_threshold;
-    let min = analysis.config.min_hour_samples;
     let cds = &analysis.cds;
     let conn = &cds.conn;
-    // Shard by connection range; each shard reads the shared episode grids
-    // and folds a private breakdown, merged by addition.
-    let partials = crate::par::map_shards(analysis.config.threads, cds.conn_len(), |range| {
-        let mut out = BlameBreakdown::default();
-        for i in range {
-            let (client, site) = (conn.client[i], conn.site[i]);
-            if !cds.conn_failed(i)
-                || analysis
-                    .permanent
-                    .contains(model::ClientId(client), model::SiteId(site))
-            {
-                continue;
-            }
-            let class = classify_hour(
+    tally(analysis.config.threads, cds.conn_len(), |i| {
+        let (client, site) = (conn.client[i], conn.site[i]);
+        let excluded = !cds.conn_failed(i)
+            || analysis
+                .permanent
+                .contains(model::ClientId(client), model::SiteId(site));
+        (!excluded).then(|| {
+            classify_hour(
                 &analysis.client_grid,
                 &analysis.server_grid,
                 client as usize,
                 site as usize,
                 cds.conn_hour(i),
-                f,
-                min,
-            );
-            match class {
-                BlameClass::ServerSide => out.server_side += 1,
-                BlameClass::ClientSide => out.client_side += 1,
-                BlameClass::Both => out.both += 1,
-                BlameClass::Other => out.other += 1,
-            }
-        }
-        out
-    });
-    partials
-        .into_iter()
-        .fold(BlameBreakdown::default(), |mut acc, p| {
-            acc.server_side += p.server_side;
-            acc.client_side += p.client_side;
-            acc.both += p.both;
-            acc.other += p.other;
-            acc
+                analysis.config.episode_threshold,
+                analysis.config.min_hour_samples,
+            )
         })
+    })
 }
 
 /// Coalesce consecutive episode hours into runs (Section 4.4.5).

@@ -14,7 +14,7 @@
 //! reporting adds is the honest footnote: how much of the grid those
 //! guards silently discarded.
 
-use crate::blame::{classify_hour, BlameBreakdown, BlameClass};
+use crate::blame::{classify_hour, BlameBreakdown};
 use crate::grid::GridCoverage;
 use crate::Analysis;
 use model::IntegrityReport;
@@ -103,7 +103,7 @@ pub fn table5_with_confidence(analysis: &Analysis<'_>) -> ConfidentBlame {
             continue;
         }
         let (c, s, h) = (conn.client.0 as usize, conn.site.0 as usize, conn.hour());
-        let class = classify_hour(
+        out.breakdown.add(classify_hour(
             &analysis.client_grid,
             &analysis.server_grid,
             c,
@@ -111,13 +111,7 @@ pub fn table5_with_confidence(analysis: &Analysis<'_>) -> ConfidentBlame {
             h,
             f,
             min,
-        );
-        match class {
-            BlameClass::ServerSide => out.breakdown.server_side += 1,
-            BlameClass::ClientSide => out.breakdown.client_side += 1,
-            BlameClass::Both => out.breakdown.both += 1,
-            BlameClass::Other => out.breakdown.other += 1,
-        }
+        ));
         if analysis.client_grid.is_thin(c, h, min) || analysis.server_grid.is_thin(s, h, min) {
             out.low_confidence += 1;
         }

@@ -11,7 +11,7 @@ use crate::ids::PrefixId;
 
 /// BGP activity for one prefix in one 1-hour period (already cleaned of
 /// collector-reset artifacts).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Hash)]
 pub struct BgpHourly {
     /// Route announcements heard for this prefix.
     pub announcements: u32,
@@ -31,7 +31,7 @@ impl BgpHourly {
 }
 
 /// A dense (prefix × hour) grid of hourly BGP activity.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct BgpHourlySeries {
     hours: u32,
     /// `per_prefix[p][h]` is the activity for prefix `p` in hour `h`.

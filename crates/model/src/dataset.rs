@@ -11,7 +11,7 @@ use crate::records::{ConnectionRecord, PerformanceRecord};
 use std::net::Ipv4Addr;
 
 /// Static description of one measurement client.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct ClientMeta {
     pub id: ClientId,
     /// Human-readable host name (e.g. `planetlab1.cs.example.edu`).
@@ -30,7 +30,7 @@ pub struct ClientMeta {
 }
 
 /// Static description of one target website.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct SiteMeta {
     pub id: SiteId,
     /// Hostname as listed in Table 2 (without scheme).
@@ -46,7 +46,7 @@ pub struct SiteMeta {
 }
 
 /// A complete experiment dataset.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Dataset {
     /// Number of 1-hour episodes the experiment spans (744 for the paper's
     /// month).

@@ -15,6 +15,7 @@ pub mod bgp;
 pub mod columnar;
 pub mod dataset;
 pub mod failure;
+pub mod fnv;
 pub mod ids;
 pub mod net;
 pub mod provenance;
@@ -26,6 +27,7 @@ pub use bgp::{BgpHourly, BgpHourlySeries};
 pub use columnar::{ColumnarDataset, MemoryFootprint, TxnBlameHint};
 pub use dataset::{ClientMeta, Dataset, IntegrityReport, PrefixCoverIndex, SiteMeta};
 pub use failure::{DnsErrorCode, DnsFailureKind, FailureClass, TcpFailureKind};
+pub use fnv::{fingerprint, Fnv};
 pub use ids::{ClientCategory, ClientId, PrefixId, ProxyId, SiteCategory, SiteId};
 pub use net::Ipv4Prefix;
 pub use provenance::{FaultSet, ProvenanceLog, ProvenanceRecord, TrueBlame, TruthSidecar};

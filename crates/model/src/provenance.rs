@@ -236,7 +236,7 @@ impl TrueBlame {
 /// `dns` is the set active when the resolution phase ran; `connect` is the
 /// union over every connection attempt of the transaction (a fault that
 /// flips mid-transaction contributes to the union).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ProvenanceRecord {
     /// Faults active during name resolution.
     pub dns: FaultSet,
@@ -255,7 +255,7 @@ impl ProvenanceRecord {
 ///
 /// Everything here is derived from the fault model *before* any simulation
 /// runs; it is the answer key, not an observation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TruthSidecar {
     /// Hours in the measurement window.
     pub hours: u32,
@@ -274,7 +274,7 @@ pub struct TruthSidecar {
 /// The flight recorder's output: one [`ProvenanceRecord`] per
 /// [`PerformanceRecord`](crate::PerformanceRecord), parallel by index, plus
 /// the run's [`TruthSidecar`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ProvenanceLog {
     /// Parallel to `Dataset::records` — `records[i]` explains record `i`.
     pub records: Vec<ProvenanceRecord>,

@@ -15,7 +15,8 @@
 //! which keeps the schedule of one entity invariant under changes to any
 //! other entity.
 
-use model::SimDuration;
+use model::{Fnv, SimDuration};
+use std::hash::Hasher as _;
 
 /// The splitmix64 mixer: advances `state` and returns the next output.
 #[inline]
@@ -32,16 +33,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 fn mix(a: u64, b: u64) -> u64 {
     let mut s = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     splitmix64(&mut s)
-}
-
-/// FNV-1a hash of a label, for string-named streams.
-fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in label.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
 }
 
 /// A deterministic xoshiro256++ generator with hierarchical forking.
@@ -79,9 +70,12 @@ impl SimRng {
         SimRng::new(mix(self.origin, id))
     }
 
-    /// Derive an independent child stream named by a string label.
+    /// Derive an independent child stream named by a string label: the
+    /// stream id is the FNV-1a hash of the label's bytes.
     pub fn fork_str(&self, label: &str) -> SimRng {
-        self.fork(fnv1a(label))
+        let mut id = Fnv::new();
+        id.write(label.as_bytes());
+        self.fork(id.finish())
     }
 
     /// Next raw 64-bit value (xoshiro256++).

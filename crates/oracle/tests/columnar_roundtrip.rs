@@ -4,7 +4,7 @@
 //! proxied clients with `replica: None`, traceless records with
 //! `retransmissions: None`), `ColumnarDataset::from_dataset` followed by
 //! `to_dataset` must reproduce every record, connection, and metadata field
-//! exactly.
+//! exactly, and with them the dataset's `model::fingerprint`.
 //!
 //! Every field in the data model is integer-typed (times are integer
 //! microseconds, BGP activity is packet/neighbor counts), so `==` *is* the
@@ -98,7 +98,13 @@ fn columnar_round_trip_is_lossless_on_property_worlds() {
     for seed in 0..64u64 {
         let ds = oracle::gen::property_dataset(seed);
         let cds = ColumnarDataset::from_dataset(&ds);
-        assert_datasets_equal(seed, &ds, &cds.to_dataset());
+        let back = cds.to_dataset();
+        assert_datasets_equal(seed, &ds, &back);
+        assert_eq!(
+            model::fingerprint(&back),
+            model::fingerprint(&ds),
+            "seed {seed}: fingerprint"
+        );
     }
 }
 

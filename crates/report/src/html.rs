@@ -636,8 +636,10 @@ pub struct Manifest {
     /// Short description of the adversarial profile ("none", the preset
     /// name, or the per-archetype intensities).
     pub adversarial_profile: String,
-    /// Structural FNV fingerprint of the produced dataset (records,
-    /// connections, BGP cells) — the value determinism tests compare.
+    /// `model::fingerprint` of the produced dataset: FNV-1a over the
+    /// derived `Hash` of every client, site, record, connection, prefix
+    /// and BGP cell. `detcheck` prints the same value as its dataset hash,
+    /// and `explain --audit-misses` compares two runs by it.
     pub dataset_fingerprint: u64,
     pub transactions: u64,
     pub connections: u64,

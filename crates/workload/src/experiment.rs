@@ -140,12 +140,10 @@ impl ExperimentConfig {
     /// Covers every field — adding a knob changes the digest by
     /// construction.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{self:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        use std::fmt::Write as _;
+        let mut h = model::Fnv::new();
+        write!(h, "{self:?}").expect("hashing cannot fail");
+        h.finish()
     }
 }
 

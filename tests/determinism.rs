@@ -111,7 +111,7 @@ fn provenance_recording_does_not_change_results() {
     // with its ground-truth fault set must not consume a single RNG draw or
     // reorder a single event. Same seed, recorder on vs off → bit-identical
     // dataset. (ci.sh additionally holds this via `detcheck`, which
-    // hashes the full dataset debug serialization.)
+    // compares `model::fingerprint` of every field of the full dataset.)
     let run_prov = |record: bool, threads: usize| {
         let mut cfg = ExperimentConfig::quick(31337);
         cfg.hours = 8;
@@ -137,8 +137,8 @@ fn forensic_tracing_does_not_change_results() {
     // The forensic tracer rides the same pure truth probes as the flight
     // recorder: switching it on must not consume a single RNG draw or
     // reorder a single event, at any thread count. (ci.sh additionally
-    // holds this via `detcheck`, which hashes the full dataset debug
-    // serialization in both feature builds.)
+    // holds this via `detcheck`, which compares `model::fingerprint` of
+    // every field of the full dataset in both feature builds.)
     let run_traced = |trace: bool, threads: usize| {
         let mut cfg = ExperimentConfig::quick(31337);
         cfg.hours = 8;

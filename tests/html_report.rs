@@ -117,7 +117,7 @@ fn manifest_json_matches_page_fingerprint() {
     assert!(page.contains(&hex), "page must carry the same fingerprint");
     assert_eq!(
         manifest.dataset_fingerprint,
-        bench_suite::dataset_fingerprint(&out.dataset),
+        model::fingerprint(&out.dataset),
         "fingerprint is a pure function of the dataset"
     );
 }

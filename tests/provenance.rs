@@ -408,7 +408,7 @@ fn wrong_dns_stamps_both_phases_and_heals_with_the_window() {
 
 #[test]
 fn both_observers_stay_aligned_under_collection_loss() {
-    use bench_suite::dataset_fingerprint;
+    use model::fingerprint;
     use workload::forensics::{ARCHETYPE_SLOTS, BLAME_CLASSES};
     use workload::{AdversarialProfile, ApparatusFaults, ForensicsConfig};
     let run = |observers: bool, threads: usize| {
@@ -425,12 +425,12 @@ fn both_observers_stay_aligned_under_collection_loss() {
         cfg.forensics = observers.then(ForensicsConfig::default);
         run_experiment(&cfg)
     };
-    let unobserved = dataset_fingerprint(&run(false, 1).dataset);
+    let unobserved = fingerprint(&run(false, 1).dataset);
     let mut first_keys = None;
     for threads in [1usize, 2, 7] {
         let out = run(true, threads);
         assert!(out.report.records_dropped > 0, "no record dropped");
-        assert_eq!(dataset_fingerprint(&out.dataset), unobserved);
+        assert_eq!(fingerprint(&out.dataset), unobserved);
         let log = out.provenance.as_ref().expect("provenance requested");
         assert_eq!(log.records.len(), out.dataset.records.len());
         let store = out.forensics.as_ref().expect("forensics requested");
