@@ -16,6 +16,15 @@ echo "$det_nodefault"
 [ -n "$det_default" ] || { echo "FAIL: detcheck emitted no hashes"; exit 1; }
 [ "$det_default" = "$det_nodefault" ] || { echo "FAIL: detcheck hashes differ across feature builds"; exit 1; }
 
+echo "==> detcheck: the hash lines equal the committed ones (a change that means to move them updates them here)"
+det_committed="standard: 125713 transactions, dataset hash a796d0c754ef6a87, report hash 172ecaf28e968659, sidecar hash b89c33a0e17f60a5, 46 exemplars (keys hash bc57e8a5a74f3f11)
+adversarial: 125713 transactions, dataset hash 0491912d183bdc57, report hash 2d914f1f4c9df033, sidecar hash bb865f05ddcd6e1b, 112 exemplars (keys hash 89b62b8678e9f4a2)"
+if [ "$det_default" != "$det_committed" ]; then
+    echo "FAIL: detcheck hashes differ from the lines committed in ci.sh"
+    diff <(echo "$det_committed") <(echo "$det_default") || true
+    exit 1
+fi
+
 echo "==> oracle_diff: columnar sharded scans match the naive row-layout oracle (audit diff included)"
 cargo run --release -q -p bench-suite --bin oracle_diff
 

@@ -15,10 +15,18 @@ use std::net::Ipv4Addr;
 ///
 /// `DnsFaults` is a supertrait: the same view answers the resolver's
 /// questions.
+///
+/// Both ground-truth fault sets are simulation-only observability:
+/// implementations read them from materialized fault timelines, and any
+/// draw behind a behaviour is a stateless hash, never a random stream or
+/// mutable state, so stamping leaves the RNG draw order bit-identical.
 pub trait AccessEnvironment: DnsFaults {
     /// Ground-truth condition of the path/server toward `replica` from this
-    /// vantage at `t`.
-    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> ServerBehavior;
+    /// vantage at `t`, together with the fault set it was read from. The
+    /// set names exactly the conditions the connection met; the flight
+    /// recorder stamps it as the connect phase's truth. Environments that
+    /// model no faults return [`FaultSet::EMPTY`].
+    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet);
 
     /// Path quality (loss, RTT) toward `replica` at `t`.
     fn path_quality(&self, replica: Ipv4Addr, t: SimTime) -> PathQuality;
@@ -27,22 +35,10 @@ pub trait AccessEnvironment: DnsFaults {
     fn origin(&self, host: &str) -> Option<&Origin>;
 
     /// Ground-truth faults affecting *name resolution* of `host` from this
-    /// vantage at `t` — the flight recorder's DNS-phase probe.
-    ///
-    /// This is simulation-only observability: implementations must answer
-    /// from materialized fault timelines without drawing randomness or
-    /// mutating state, so stamping leaves the RNG draw order bit-identical.
-    /// The default (no faults known) keeps simple test environments working.
+    /// vantage at `t` — the flight recorder's DNS-phase probe, called only
+    /// while an observer is on. The default (no faults known) keeps simple
+    /// test environments working.
     fn true_dns_faults(&self, _host: &DomainName, _t: SimTime) -> FaultSet {
-        FaultSet::EMPTY
-    }
-
-    /// Ground-truth faults affecting a *connection* toward `replica` from
-    /// this vantage at `t` — the flight recorder's connect-phase probe.
-    ///
-    /// Same contract as [`Self::true_dns_faults`]: pure timeline lookups,
-    /// no randomness.
-    fn true_faults(&self, _replica: Ipv4Addr, _t: SimTime) -> FaultSet {
         FaultSet::EMPTY
     }
 }
@@ -66,8 +62,8 @@ impl HealthyEnv {
 impl DnsFaults for HealthyEnv {}
 
 impl AccessEnvironment for HealthyEnv {
-    fn server_behavior(&self, _replica: Ipv4Addr, _t: SimTime) -> ServerBehavior {
-        ServerBehavior::Healthy
+    fn server_behavior(&self, _replica: Ipv4Addr, _t: SimTime) -> (ServerBehavior, FaultSet) {
+        (ServerBehavior::Healthy, FaultSet::EMPTY)
     }
 
     fn path_quality(&self, _replica: Ipv4Addr, _t: SimTime) -> PathQuality {
@@ -95,7 +91,10 @@ mod tests {
         let env = HealthyEnv::new(Origin::simple("www.example.com", 1000));
         let t = SimTime::ZERO;
         let a = Ipv4Addr::new(10, 0, 0, 1);
-        assert_eq!(env.server_behavior(a, t), ServerBehavior::Healthy);
+        assert_eq!(
+            env.server_behavior(a, t),
+            (ServerBehavior::Healthy, FaultSet::EMPTY)
+        );
         assert!(env.origin("www.example.com").is_some());
         assert!(env.origin("WWW.EXAMPLE.COM").is_some());
         assert!(env.origin("other.example").is_none());

@@ -121,7 +121,9 @@ impl ProxySession {
             };
             let wire_bytes = answer.response.body_len + self.header_overhead;
 
-            let behavior = env.server_behavior(addr, now);
+            // The proxy hides which replica it tried, so its connect is
+            // never stamped: the fault set is dropped.
+            let (behavior, _) = env.server_behavior(addr, now);
             let path = env.path_quality(addr, now);
             let result = simulate_connection(
                 &self.tcp,
@@ -169,6 +171,7 @@ mod tests {
     use crate::env::HealthyEnv;
     use dnssim::DnsFaults;
     use httpsim::Origin;
+    use model::FaultSet;
     use std::net::Ipv4Addr;
     use tcpsim::{PathQuality, ServerBehavior};
 
@@ -210,12 +213,13 @@ mod tests {
     struct FirstReplicaDead(HealthyEnv);
     impl DnsFaults for FirstReplicaDead {}
     impl AccessEnvironment for FirstReplicaDead {
-        fn server_behavior(&self, r: Ipv4Addr, _t: SimTime) -> ServerBehavior {
-            if r == Ipv4Addr::new(10, 2, 0, 1) {
+        fn server_behavior(&self, r: Ipv4Addr, _t: SimTime) -> (ServerBehavior, FaultSet) {
+            let behavior = if r == Ipv4Addr::new(10, 2, 0, 1) {
                 ServerBehavior::Unreachable
             } else {
                 ServerBehavior::Healthy
-            }
+            };
+            (behavior, FaultSet::EMPTY)
         }
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
@@ -273,7 +277,7 @@ mod tests {
             }
         }
         impl AccessEnvironment for ProxyLdnsDown {
-            fn server_behavior(&self, r: Ipv4Addr, t: SimTime) -> ServerBehavior {
+            fn server_behavior(&self, r: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
                 self.0.server_behavior(r, t)
             }
             fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {

@@ -17,6 +17,8 @@ use std::net::Ipv4Addr;
 #[derive(Clone, Debug)]
 pub struct WgetConfig {
     pub tcp: TcpConfig,
+    /// Resolver policy. Its `wire_fidelity` switch also round-trips the
+    /// HTTP heads through the text codec: one switch per client.
     pub resolver: ResolverConfig,
     /// Capture packet traces (the paper's BB clients could not).
     pub record_traces: bool,
@@ -42,8 +44,6 @@ pub struct WgetConfig {
     pub dig_on_failure_only: bool,
     /// Bytes of response headers added on the wire around the index object.
     pub header_overhead: u64,
-    /// Round-trip HTTP heads through the text codec.
-    pub http_wire_fidelity: bool,
     /// Stamp each observation with the ground-truth faults active during it
     /// (the fault-provenance flight recorder). Probing reads materialized
     /// timelines only, so the RNG draw order — and therefore the dataset —
@@ -52,7 +52,7 @@ pub struct WgetConfig {
     /// Emit a phase-level forensic trace ([`TxnTrace`]) alongside each
     /// observation: every DNS attempt, TCP connect, and HTTP exchange as a
     /// causal event stamped with the faults active at that instant. Capture
-    /// reuses the flight-recorder probes (pure lookups, no RNG), so the
+    /// reuses the flight-recorder stamps (pure lookups, no RNG), so the
     /// dataset stays bit-identical with tracing on or off — and works with
     /// or without `record_provenance`.
     pub forensics: bool,
@@ -70,7 +70,6 @@ impl Default for WgetConfig {
             retry_time_budget: SimDuration::from_secs(90),
             dig_on_failure_only: true,
             header_overhead: 500,
-            http_wire_fidelity: true,
             record_provenance: false,
             forensics: false,
         }
@@ -152,11 +151,12 @@ fn record_transaction_outcome(obs: &TransactionObservation) {
 }
 
 /// Ground truth for one transaction: the flight-recorder stamp and the
-/// forensic timeline. The probes fill it as each phase runs, and
+/// forensic timeline. As each phase runs, the DNS probe and the fault set
+/// each connect's behaviour was read from fill it, and
 /// [`ClientSession::finish`] turns it into the observation's `provenance`
-/// and `trace`. Probes are pure timeline lookups (no RNG), so they cannot
-/// perturb the simulation; with both observers off they are skipped and
-/// nothing is filled.
+/// and `trace`. Both are pure timeline lookups (no RNG), so they cannot
+/// perturb the simulation; with both observers off the DNS probe is
+/// skipped and nothing is filled.
 struct Truth {
     probing: bool,
     dns: FaultSet,
@@ -185,18 +185,12 @@ impl Truth {
         faults
     }
 
-    /// Probe the faults on connecting to `replica` from `env` at `t` and
-    /// fold them into the connect-phase stamp.
-    fn connect<E: AccessEnvironment>(
-        &mut self,
-        env: &E,
-        replica: Ipv4Addr,
-        t: SimTime,
-    ) -> FaultSet {
+    /// Fold the fault set a connect's behaviour was read from into the
+    /// connect-phase stamp; returns it for the trace event.
+    fn connect(&mut self, faults: FaultSet) -> FaultSet {
         if !self.probing {
             return FaultSet::EMPTY;
         }
-        let faults = env.true_faults(replica, t);
         self.connect |= faults;
         faults
     }
@@ -294,9 +288,9 @@ impl<'t> ClientSession<'t> {
         self.finish(obs, truth)
     }
 
-    /// The single exit of every transaction, direct or proxied: the truth
-    /// the probes gathered becomes the observation's `provenance` and
-    /// `trace`, and the outcome counters tick.
+    /// The single exit of every transaction, direct or proxied: the
+    /// gathered truth becomes the observation's `provenance` and `trace`,
+    /// and the outcome counters tick.
     fn finish(&self, mut obs: TransactionObservation, truth: Truth) -> TransactionObservation {
         obs.provenance = self.config.record_provenance.then_some(ProvenanceRecord {
             dns: truth.dns,
@@ -360,7 +354,7 @@ impl<'t> ClientSession<'t> {
                 }
                 let host_str = &self.host_scratch;
                 let request = HttpRequest::get(host_str, "/", self.config.no_cache);
-                if self.config.http_wire_fidelity {
+                if self.config.resolver.wire_fidelity {
                     request.encode_into(&mut self.head_scratch);
                     let _ = HttpRequest::decode(&self.head_scratch).expect("own request re-parses");
                 }
@@ -371,7 +365,7 @@ impl<'t> ClientSession<'t> {
                         next_host: None,
                     },
                 };
-                if self.config.http_wire_fidelity {
+                if self.config.resolver.wire_fidelity {
                     answer.response.encode_head_into(&mut self.head_scratch);
                     let _ = HttpResponse::decode_head(&self.head_scratch)
                         .expect("own response re-parses");
@@ -389,8 +383,8 @@ impl<'t> ClientSession<'t> {
                         if connections.len() as u16 >= self.config.max_connections {
                             break 'retry;
                         }
-                        let behavior = env.server_behavior(*addr, now);
-                        let attempt_truth = truth.connect(env, *addr, now);
+                        let (behavior, faults) = env.server_behavior(*addr, now);
+                        let attempt_truth = truth.connect(faults);
                         let path = env.path_quality(*addr, now);
                         let result = simulate_connection_into(
                             &self.config.tcp,
@@ -756,8 +750,8 @@ mod tests {
     struct ServersDown(HealthyEnv);
     impl DnsFaults for ServersDown {}
     impl AccessEnvironment for ServersDown {
-        fn server_behavior(&self, _r: Ipv4Addr, _t: SimTime) -> ServerBehavior {
-            ServerBehavior::Unreachable
+        fn server_behavior(&self, _r: Ipv4Addr, _t: SimTime) -> (ServerBehavior, FaultSet) {
+            (ServerBehavior::Unreachable, FaultSet::EMPTY)
         }
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
@@ -787,12 +781,13 @@ mod tests {
     struct OneGoodReplica(HealthyEnv, Ipv4Addr);
     impl DnsFaults for OneGoodReplica {}
     impl AccessEnvironment for OneGoodReplica {
-        fn server_behavior(&self, r: Ipv4Addr, _t: SimTime) -> ServerBehavior {
-            if r == self.1 {
+        fn server_behavior(&self, r: Ipv4Addr, _t: SimTime) -> (ServerBehavior, FaultSet) {
+            let behavior = if r == self.1 {
                 ServerBehavior::Healthy
             } else {
                 ServerBehavior::Unreachable
-            }
+            };
+            (behavior, FaultSet::EMPTY)
         }
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
@@ -829,7 +824,7 @@ mod tests {
         }
     }
     impl AccessEnvironment for NoDns {
-        fn server_behavior(&self, r: Ipv4Addr, t: SimTime) -> ServerBehavior {
+        fn server_behavior(&self, r: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
             self.0.server_behavior(r, t)
         }
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
@@ -882,8 +877,8 @@ mod tests {
         struct NoResp(HealthyEnv);
         impl DnsFaults for NoResp {}
         impl AccessEnvironment for NoResp {
-            fn server_behavior(&self, _r: Ipv4Addr, _t: SimTime) -> ServerBehavior {
-                ServerBehavior::AcceptNoResponse
+            fn server_behavior(&self, _r: Ipv4Addr, _t: SimTime) -> (ServerBehavior, FaultSet) {
+                (ServerBehavior::AcceptNoResponse, FaultSet::EMPTY)
             }
             fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
                 self.0.path_quality(r, t)
@@ -1104,7 +1099,9 @@ mod tests {
         assert!(!trace.events[0].failed());
     }
 
-    /// Wraps an environment and counts every ground-truth probe made on it.
+    /// Wraps an environment and counts every DNS-phase ground-truth probe
+    /// made on it. (The connect-phase set rides on `server_behavior`, which
+    /// every connect calls anyway.)
     struct CountingProbes<E>(E, std::cell::Cell<u32>);
     impl<E: AccessEnvironment> DnsFaults for CountingProbes<E> {
         fn client_link_up(&self, t: SimTime) -> bool {
@@ -1112,7 +1109,7 @@ mod tests {
         }
     }
     impl<E: AccessEnvironment> AccessEnvironment for CountingProbes<E> {
-        fn server_behavior(&self, r: Ipv4Addr, t: SimTime) -> ServerBehavior {
+        fn server_behavior(&self, r: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
             self.0.server_behavior(r, t)
         }
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
@@ -1122,10 +1119,6 @@ mod tests {
             self.0.origin(host)
         }
         fn true_dns_faults(&self, _host: &DomainName, _t: SimTime) -> FaultSet {
-            self.1.set(self.1.get() + 1);
-            FaultSet::EMPTY
-        }
-        fn true_faults(&self, _r: Ipv4Addr, _t: SimTime) -> FaultSet {
             self.1.set(self.1.get() + 1);
             FaultSet::EMPTY
         }

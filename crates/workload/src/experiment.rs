@@ -796,7 +796,6 @@ fn run_client(
         ..WgetConfig::default()
     };
     wget.resolver.wire_fidelity = config.wire_fidelity;
-    wget.http_wire_fidelity = config.wire_fidelity;
 
     let view = ClientView::new(truth, client as u16);
     let mut session = ClientSession::new(tree, wget, rng.fork(1));

@@ -231,9 +231,15 @@ impl AdversarialTruth {
         self.bgp_transient.get(client).is_some_and(|tl| *tl.at(t))
     }
 
-    /// The decoy the zone serves at `t`, if a wrong-answer window is active.
-    pub fn wrong_answer(&self, apex: &DomainName, t: SimTime) -> Option<Ipv4Addr> {
-        let (tl, decoy) = self.wrong_dns.get(apex)?;
+    /// The decoy the zone of `qname` serves at `t`, if a wrong-answer window
+    /// is active. A world without the archetype answers before building
+    /// the zone apex.
+    pub fn wrong_answer(&self, qname: &DomainName, t: SimTime) -> Option<Ipv4Addr> {
+        if self.wrong_dns.is_empty() {
+            return None;
+        }
+        let apex = dnssim::zones::registrable_domain(qname);
+        let (tl, decoy) = self.wrong_dns.get(&apex)?;
         (*tl.at(t)).then_some(*decoy)
     }
 }

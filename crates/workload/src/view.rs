@@ -2,8 +2,11 @@
 //!
 //! A [`ClientView`] (or [`ProxyView`]) binds one vantage point to the shared
 //! immutable [`GroundTruth`] and answers the resolver's and connector's
-//! questions. Per-access randomness (does *this* access fail during a
-//! degraded episode?) is computed by stateless hashing of
+//! questions. A connect is one walk: the vantage collects the fault set it
+//! meets toward `(replica, t)`, one function reads the connection's
+//! behaviour off that set, and the flight recorder stamps the same set.
+//! Per-access randomness (does *this* access fail during a degraded
+//! episode?) is computed by stateless hashing of
 //! `(seed, replica, instant, vantage)`, keeping views `Sync` and the whole
 //! experiment deterministic under any thread schedule.
 
@@ -71,41 +74,157 @@ fn episode_behavior(u: f64, index_bytes: u64, stall_u: f64) -> ServerBehavior {
     ServerBehavior::Unreachable
 }
 
-/// Ground-truth zone-level DNS fault bits for `host` at `t` (flight
-/// recorder). Pure timeline lookups — shared by both vantage kinds.
-fn zone_truth(gt: &GroundTruth, host: &DomainName, t: SimTime) -> FaultSet {
-    let apex = dnssim::zones::registrable_domain(host);
-    let mut s = FaultSet::EMPTY;
-    if let Some(tl) = gt.zone_auth_down.get(&apex) {
-        if *tl.at(t) {
-            s |= FaultSet::AUTH_DNS_DOWN;
-        }
+/// Failure probability per access while a CDN regional brownout window is
+/// active for the client's region (partial, like a degradation episode).
+const BROWNOUT_FAIL_PROB: f64 = 0.65;
+
+/// Bytes after which an MTU-blackholed transfer stalls: the connect and the
+/// first small packets get through, the full-size data packets do not.
+const MTU_STALL_BYTES: u64 = 1200;
+
+/// `bit` when `on`, else the empty set.
+fn flag(on: bool, bit: FaultSet) -> FaultSet {
+    if on {
+        bit
+    } else {
+        FaultSet::EMPTY
     }
-    if let Some((tl, _)) = gt.zone_error.get(&apex) {
-        if *tl.at(t) {
-            s |= FaultSet::ZONE_ERROR;
-        }
-    }
-    s
 }
 
-/// Ground-truth server-side fault bits toward `replica` at `t` (flight
-/// recorder): hard replica outages and degradation episodes. The episode
-/// bit means the fault *condition* was active — whether a particular access
-/// failed under it is still the coherent-bucket draw's business.
-fn server_truth(gt: &GroundTruth, replica: Ipv4Addr, t: SimTime) -> FaultSet {
-    let mut s = FaultSet::EMPTY;
-    if let Some(tl) = gt.replica_hard_down.get(&replica) {
-        if *tl.at(t) {
-            s |= FaultSet::REPLICA_DOWN;
+/// Ground-truth zone-level DNS fault bits for `host` at `t` (flight
+/// recorder), all read off one apex. Pure timeline lookups, shared by both
+/// vantage kinds: wrong answers come from the zone itself, so every
+/// vantage's resolver meets them.
+fn zone_truth(gt: &GroundTruth, host: &DomainName, t: SimTime) -> FaultSet {
+    let apex = dnssim::zones::registrable_domain(host);
+    let auth_down = gt.zone_auth_down.get(&apex).is_some_and(|tl| *tl.at(t));
+    let zone_error = gt.zone_error.get(&apex).is_some_and(|(tl, _)| *tl.at(t));
+    let wrong = gt.adversarial.wrong_dns.get(&apex);
+    flag(auth_down, FaultSet::AUTH_DNS_DOWN)
+        | flag(zone_error, FaultSet::ZONE_ERROR)
+        | flag(wrong.is_some_and(|(tl, _)| *tl.at(t)), FaultSet::WRONG_DNS)
+}
+
+/// The faults toward `replica` (on `site`) at `t` that belong to the
+/// destination, so every vantage meets them: a decoy address, a
+/// co-location blast, a hard replica outage and a degradation episode. The
+/// episode bit means the condition was active; whether a particular access
+/// failed under it is the coherent-bucket draw's business.
+fn replica_faults(gt: &GroundTruth, replica: Ipv4Addr, site: Option<u16>, t: SimTime) -> FaultSet {
+    let decoy = gt.adversarial.decoys.contains(&replica);
+    let blast = site.is_some_and(|s| gt.adversarial.colo_blasted(s, t));
+    let hard_down = gt
+        .replica_hard_down
+        .get(&replica)
+        .is_some_and(|tl| *tl.at(t));
+    let degraded = gt
+        .replica_group_of
+        .get(&replica)
+        .is_some_and(|&gid| *gt.replica_group_fault[gid as usize].at(t));
+    flag(decoy, FaultSet::WRONG_DNS)
+        | flag(blast, FaultSet::COLO_BLAST)
+        | flag(hard_down, FaultSet::REPLICA_DOWN)
+        | flag(degraded, FaultSet::SERVER_DEGRADED)
+}
+
+/// What a vantage brings to a connect besides its fault set: the salt its
+/// draws are keyed by, its per-access failure probability on a degraded
+/// pair, and its background noise (probability, and the unreachable /
+/// accept-no-response / stall mix).
+struct Vantage {
+    salt: u64,
+    pair_fail_prob: f64,
+    noise_prob: f64,
+    noise_mix: [f64; 3],
+}
+
+/// The behaviour a connection toward `replica` (on `site`) at `t` meets,
+/// read off the vantage's fault set: the first condition present wins, in
+/// the order of the checks below, and with none present the vantage's
+/// background noise decides. A partial condition (brownout, degraded pair,
+/// degradation episode) whose draw spares the access falls through to the
+/// next. Every draw is a stateless hash of the seed, the instant and the
+/// vantage's salt, so reading the set consumes no RNG. `LAST_MILE` is
+/// stamped but drives no connect: the access link acts on name resolution
+/// (`client_link_up`), so a connect made across a link outage meets only
+/// the set's other bits.
+fn read_behavior(
+    gt: &GroundTruth,
+    faults: FaultSet,
+    replica: Ipv4Addr,
+    site: Option<u16>,
+    t: SimTime,
+    vantage: &Vantage,
+) -> ServerBehavior {
+    use ServerBehavior::{AcceptNoResponse, Healthy, Refusing, StallAfter, Unreachable};
+    let has = |bit| faults.contains(bit);
+    let addr_key = u64::from(u32::from(replica));
+    let bytes = site.map_or(20_000, |s| gt.site_index_bytes[s as usize]);
+    let bucket = t.as_micros() / SERVER_DRAW_WINDOW_US;
+    let draw = |tag, key| hash_unit(gt.seed, tag, key, bucket, vantage.salt);
+    if has(FaultSet::WRONG_DNS) || has(FaultSet::BGP_TRANSIENT) {
+        // The decoy accepts nothing. A reconfiguration transient violates
+        // the client prefix's paths: like a WAN blip, connects die.
+        return Unreachable;
+    }
+    if has(FaultSet::CENSORED) {
+        // Censorship blocks like the permanent pairs do: fast resets.
+        return Refusing;
+    }
+    if has(FaultSet::COLO_BLAST) {
+        return Unreachable;
+    }
+    if has(FaultSet::VANTAGE_SPLIT) {
+        return AcceptNoResponse;
+    }
+    if has(FaultSet::MTU_BLACKHOLE) {
+        return StallAfter(MTU_STALL_BYTES.min(bytes));
+    }
+    // Partial like a degradation episode: coherent draws, so a browned
+    // access fails as a transaction, not one connect.
+    if has(FaultSet::CDN_BROWNOUT) && draw(0xD1, site.map_or(0, u64::from)) < BROWNOUT_FAIL_PROB {
+        return Unreachable;
+    }
+    if has(FaultSet::BLOCKED_PAIR) {
+        // The paper's near-permanent pairs fail instantly (filtering at the
+        // site or the client's network answers with resets), so wget's
+        // time budget allows many retries — the mechanism behind their
+        // outsized share of connection failures.
+        return Refusing;
+    }
+    if has(FaultSet::WAN) {
+        return Unreachable;
+    }
+    // Transiently degraded pair: path-specific trouble, coherent within a
+    // transaction like the server draws.
+    if has(FaultSet::DEGRADED_PAIR) && draw(0xC1, addr_key) < vantage.pair_fail_prob {
+        return Unreachable;
+    }
+    // Hard-down flap (spread-site replicas): complete outage.
+    if has(FaultSet::REPLICA_DOWN) {
+        return Unreachable;
+    }
+    // Degradation episode: draws are keyed by the fault *group*, so retries
+    // and same-group replicas share the outcome.
+    if has(FaultSet::SERVER_DEGRADED) {
+        if let Some(&gid) = gt.replica_group_of.get(&replica) {
+            let gid = u64::from(gid);
+            let fail_prob = site.map_or(0.3, |s| gt.site_fail_prob[s as usize]);
+            if draw(0xA1, gid) < fail_prob {
+                return episode_behavior(draw(0xA2, gid), bytes, draw(0xA3, gid));
+            }
         }
     }
-    if let Some(&gid) = gt.replica_group_of.get(&replica) {
-        if *gt.replica_group_fault[gid as usize].at(t) {
-            s |= FaultSet::SERVER_DEGRADED;
-        }
+    // Transient background noise, drawn per instant.
+    let noise = |tag| hash_unit(gt.seed, tag, addr_key, t.as_micros(), vantage.salt);
+    if noise(0xB1) < vantage.noise_prob {
+        return match pick_mix(&vantage.noise_mix, noise(0xB2)) {
+            0 => Unreachable,
+            1 => AcceptNoResponse,
+            _ => StallAfter((bytes as f64 * noise(0xB3)) as u64),
+        };
     }
-    s
+    Healthy
 }
 
 /// One measurement client's view of the world.
@@ -118,82 +237,6 @@ pub struct ClientView<'g> {
 impl<'g> ClientView<'g> {
     pub fn new(gt: &'g GroundTruth, client: u16) -> Self {
         ClientView { gt, client }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn shared_server_behavior(
-        gt: &GroundTruth,
-        vantage_salt: u64,
-        noise_prob: f64,
-        noise_mix: &[f64; 3],
-        blocked: bool,
-        pair_fail_prob: f64,
-        wan_down: bool,
-        replica: Ipv4Addr,
-        t: SimTime,
-    ) -> ServerBehavior {
-        if blocked {
-            // The paper's near-permanent pairs fail instantly (filtering at
-            // the site or the client's network answers with resets), so
-            // wget's time budget allows many retries — the mechanism behind
-            // their outsized share of connection failures.
-            return ServerBehavior::Refusing;
-        }
-        if wan_down {
-            return ServerBehavior::Unreachable;
-        }
-        // Transiently degraded pair: path-specific trouble, coherent within
-        // a transaction like the server draws.
-        if pair_fail_prob > 0.0 {
-            let bucket = t.as_micros() / SERVER_DRAW_WINDOW_US;
-            let u = hash_unit(gt.seed, 0xC1, u64::from(u32::from(replica)), bucket, vantage_salt);
-            if u < pair_fail_prob {
-                return ServerBehavior::Unreachable;
-            }
-        }
-        // Hard-down flap (spread-site replicas): complete outage.
-        if let Some(tl) = gt.replica_hard_down.get(&replica) {
-            if *tl.at(t) {
-                return ServerBehavior::Unreachable;
-            }
-        }
-        let addr_key = u64::from(u32::from(replica));
-        let site = gt.site_of_addr.get(&replica).copied();
-        // Server-side degradation episode? Draws are keyed by the fault
-        // *group* and a coarse time bucket: retries and same-group replicas
-        // share the outcome.
-        if let Some(&gid) = gt.replica_group_of.get(&replica) {
-            if *gt.replica_group_fault[gid as usize].at(t) {
-                let fail_prob = site
-                    .map(|s| gt.site_fail_prob[s as usize])
-                    .unwrap_or(0.3);
-                let bucket = t.as_micros() / SERVER_DRAW_WINDOW_US;
-                let u = hash_unit(gt.seed, 0xA1, u64::from(gid), bucket, vantage_salt);
-                if u < fail_prob {
-                    let u2 = hash_unit(gt.seed, 0xA2, u64::from(gid), bucket, vantage_salt);
-                    let stall_u = hash_unit(gt.seed, 0xA3, u64::from(gid), bucket, vantage_salt);
-                    let bytes = site
-                        .map(|s| gt.site_index_bytes[s as usize])
-                        .unwrap_or(20_000);
-                    return episode_behavior(u2, bytes, stall_u);
-                }
-            }
-        }
-        // Transient background noise.
-        let u = hash_unit(gt.seed, 0xB1, addr_key, t.as_micros(), vantage_salt);
-        if u < noise_prob {
-            let u2 = hash_unit(gt.seed, 0xB2, addr_key, t.as_micros(), vantage_salt);
-            let stall_u = hash_unit(gt.seed, 0xB3, addr_key, t.as_micros(), vantage_salt);
-            let bytes = site
-                .map(|s| gt.site_index_bytes[s as usize])
-                .unwrap_or(20_000);
-            return match pick_mix(noise_mix, u2) {
-                0 => ServerBehavior::Unreachable,
-                1 => ServerBehavior::AcceptNoResponse,
-                _ => ServerBehavior::StallAfter((bytes as f64 * stall_u) as u64),
-            };
-        }
-        ServerBehavior::Healthy
     }
 }
 
@@ -224,84 +267,42 @@ impl DnsFaults for ClientView<'_> {
     }
 
     fn wrong_answer(&self, qname: &DomainName, t: SimTime) -> Option<Ipv4Addr> {
-        let apex = dnssim::zones::registrable_domain(qname);
-        self.gt.adversarial.wrong_answer(&apex, t)
+        self.gt.adversarial.wrong_answer(qname, t)
     }
 }
 
-/// Failure probability per access while a CDN regional brownout window is
-/// active for the client's region (partial, like a degradation episode).
-const BROWNOUT_FAIL_PROB: f64 = 0.65;
-
-/// Bytes after which an MTU-blackholed transfer stalls: the connect and the
-/// first small packets get through, the full-size data packets do not.
-const MTU_STALL_BYTES: u64 = 1200;
-
 impl AccessEnvironment for ClientView<'_> {
-    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> ServerBehavior {
-        let c = self.client as usize;
-        let adv = &self.gt.adversarial;
-        if adv.decoys.contains(&replica) {
-            // Wrong-answer DNS: the decoy accepts nothing.
-            return ServerBehavior::Unreachable;
+    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
+        let (gt, c) = (self.gt, self.client as usize);
+        let adv = &gt.adversarial;
+        let site = gt.site_of_addr.get(&replica).copied();
+        let mut faults = replica_faults(gt, replica, site, t)
+            | flag(*gt.link[c].at(t), FaultSet::LAST_MILE)
+            | flag(*gt.wan[c].at(t), FaultSet::WAN)
+            | flag(adv.bgp_transient_at(c, t), FaultSet::BGP_TRANSIENT);
+        let mut pair_fail_prob = 0.0;
+        if let Some(site) = site {
+            let pair = (self.client, site);
+            if let Some(&p) = gt.degraded_pairs.get(&pair) {
+                faults |= FaultSet::DEGRADED_PAIR;
+                pair_fail_prob = p;
+            }
+            let mtu = adv.mtu_blackholed(self.client, site, t);
+            faults |= flag(gt.blocked.contains(&pair), FaultSet::BLOCKED_PAIR)
+                | flag(adv.censored(self.client, site, t), FaultSet::CENSORED)
+                | flag(adv.vantage_faulted(site, t), FaultSet::VANTAGE_SPLIT)
+                | flag(adv.browning_out_for(site, c, t), FaultSet::CDN_BROWNOUT)
+                | flag(mtu, FaultSet::MTU_BLACKHOLE);
         }
-        if adv.bgp_transient_at(c, t) {
-            // Reconfiguration transient: the client prefix's paths are
-            // momentarily violated — like a WAN blip, connects die.
-            return ServerBehavior::Unreachable;
-        }
-        let site = self.gt.site_of_addr.get(&replica);
-        if let Some(&site) = site {
-            if adv.censored(self.client, site, t) {
-                // Censorship blocks like the permanent pairs do: fast resets.
-                return ServerBehavior::Refusing;
-            }
-            if adv.colo_blasted(site, t) {
-                return ServerBehavior::Unreachable;
-            }
-            if adv.vantage_faulted(site, t) {
-                // Visible from the direct vantage only (ProxyView skips it).
-                return ServerBehavior::AcceptNoResponse;
-            }
-            if adv.mtu_blackholed(self.client, site, t) {
-                let bytes = self.gt.site_index_bytes[site as usize];
-                return ServerBehavior::StallAfter(MTU_STALL_BYTES.min(bytes));
-            }
-            if adv.browning_out_for(site, c, t) {
-                // Partial like a degradation episode: coherent draws so a
-                // browned access fails as a transaction, not one connect.
-                let bucket = t.as_micros() / SERVER_DRAW_WINDOW_US;
-                let u = hash_unit(
-                    self.gt.seed,
-                    0xD1,
-                    u64::from(site),
-                    bucket,
-                    u64::from(self.client),
-                );
-                if u < BROWNOUT_FAIL_PROB {
-                    return ServerBehavior::Unreachable;
-                }
-            }
-        }
-        let blocked =
-            site.is_some_and(|site| self.gt.blocked.contains(&(self.client, *site)));
-        let pair_fail_prob = site
-            .and_then(|site| self.gt.degraded_pairs.get(&(self.client, *site)))
-            .copied()
-            .unwrap_or(0.0);
-        let wan_down = *self.gt.wan[c].at(t);
-        let p = &self.gt.profile[c];
-        Self::shared_server_behavior(
-            self.gt,
-            u64::from(self.client),
-            p.noise_prob,
-            &p.noise_mix,
-            blocked,
+        let profile = &gt.profile[c];
+        let vantage = Vantage {
+            salt: u64::from(self.client),
             pair_fail_prob,
-            wan_down,
-            replica,
-            t,
-        )
+            noise_prob: profile.noise_prob,
+            noise_mix: profile.noise_mix,
+        };
+        let behavior = read_behavior(gt, faults, replica, site, t, &vantage);
+        (behavior, faults)
     }
 
     fn path_quality(&self, replica: Ipv4Addr, t: SimTime) -> PathQuality {
@@ -327,63 +328,10 @@ impl AccessEnvironment for ClientView<'_> {
 
     fn true_dns_faults(&self, host: &DomainName, t: SimTime) -> FaultSet {
         let c = self.client as usize;
-        let mut s = zone_truth(self.gt, host, t);
-        if *self.gt.link[c].at(t) {
-            s |= FaultSet::LAST_MILE;
-        }
-        if *self.gt.ldns[c].at(t) {
-            s |= FaultSet::LDNS_DOWN;
-        }
-        if *self.gt.wan[c].at(t) {
-            s |= FaultSet::WAN;
-        }
-        let apex = dnssim::zones::registrable_domain(host);
-        if self.gt.adversarial.wrong_answer(&apex, t).is_some() {
-            s |= FaultSet::WRONG_DNS;
-        }
-        s
-    }
-
-    fn true_faults(&self, replica: Ipv4Addr, t: SimTime) -> FaultSet {
-        let c = self.client as usize;
-        let adv = &self.gt.adversarial;
-        let mut s = server_truth(self.gt, replica, t);
-        if *self.gt.link[c].at(t) {
-            s |= FaultSet::LAST_MILE;
-        }
-        if *self.gt.wan[c].at(t) {
-            s |= FaultSet::WAN;
-        }
-        if adv.bgp_transient_at(c, t) {
-            s |= FaultSet::BGP_TRANSIENT;
-        }
-        if adv.decoys.contains(&replica) {
-            s |= FaultSet::WRONG_DNS;
-        }
-        if let Some(&site) = self.gt.site_of_addr.get(&replica) {
-            if self.gt.blocked.contains(&(self.client, site)) {
-                s |= FaultSet::BLOCKED_PAIR;
-            }
-            if self.gt.degraded_pairs.contains_key(&(self.client, site)) {
-                s |= FaultSet::DEGRADED_PAIR;
-            }
-            if adv.censored(self.client, site, t) {
-                s |= FaultSet::CENSORED;
-            }
-            if adv.colo_blasted(site, t) {
-                s |= FaultSet::COLO_BLAST;
-            }
-            if adv.vantage_faulted(site, t) {
-                s |= FaultSet::VANTAGE_SPLIT;
-            }
-            if adv.browning_out_for(site, c, t) {
-                s |= FaultSet::CDN_BROWNOUT;
-            }
-            if adv.mtu_blackholed(self.client, site, t) {
-                s |= FaultSet::MTU_BLACKHOLE;
-            }
-        }
-        s
+        zone_truth(self.gt, host, t)
+            | flag(*self.gt.link[c].at(t), FaultSet::LAST_MILE)
+            | flag(*self.gt.ldns[c].at(t), FaultSet::LDNS_DOWN)
+            | flag(*self.gt.wan[c].at(t), FaultSet::WAN)
     }
 }
 
@@ -432,35 +380,26 @@ impl DnsFaults for ProxyView<'_> {
     fn wrong_answer(&self, qname: &DomainName, t: SimTime) -> Option<Ipv4Addr> {
         // Wrong answers come from the zone itself, so every vantage's
         // resolver picks up the same decoy.
-        let apex = dnssim::zones::registrable_domain(qname);
-        self.gt.adversarial.wrong_answer(&apex, t)
+        self.gt.adversarial.wrong_answer(qname, t)
     }
 }
 
 impl AccessEnvironment for ProxyView<'_> {
-    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> ServerBehavior {
-        // Co-location blasts and decoy addresses hit every vantage; the
-        // client-scoped archetypes (censorship, transients, MTU pairs) and
-        // the deliberately vantage-split faults do not reach the proxy path.
-        if self.gt.adversarial.decoys.contains(&replica) {
-            return ServerBehavior::Unreachable;
-        }
-        if let Some(&site) = self.gt.site_of_addr.get(&replica) {
-            if self.gt.adversarial.colo_blasted(site, t) {
-                return ServerBehavior::Unreachable;
-            }
-        }
-        ClientView::shared_server_behavior(
-            self.gt,
-            0x5000 + u64::from(self.proxy),
-            0.0008,
-            &[0.7, 0.18, 0.12],
-            false,
-            0.0,
-            false,
-            replica,
-            t,
-        )
+    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
+        // The proxy meets only the destination's own faults: the
+        // client-scoped archetypes (censorship, transients, brownout
+        // regions, MTU pairs) and the deliberately vantage-split faults do
+        // not reach the proxy path.
+        let site = self.gt.site_of_addr.get(&replica).copied();
+        let faults = replica_faults(self.gt, replica, site, t);
+        let vantage = Vantage {
+            salt: 0x5000 + u64::from(self.proxy),
+            pair_fail_prob: 0.0,
+            noise_prob: 0.0008,
+            noise_mix: [0.7, 0.18, 0.12],
+        };
+        let behavior = read_behavior(self.gt, faults, replica, site, t, &vantage);
+        (behavior, faults)
     }
 
     fn path_quality(&self, replica: Ipv4Addr, t: SimTime) -> PathQuality {
@@ -483,31 +422,9 @@ impl AccessEnvironment for ProxyView<'_> {
 
     fn true_dns_faults(&self, host: &DomainName, t: SimTime) -> FaultSet {
         let p = self.proxy as usize;
-        let mut s = zone_truth(self.gt, host, t);
-        if *self.gt.proxy_link[p].at(t) {
-            s |= FaultSet::PROXY_LINK;
-        }
-        if *self.gt.proxy_ldns[p].at(t) {
-            s |= FaultSet::PROXY_LDNS;
-        }
-        let apex = dnssim::zones::registrable_domain(host);
-        if self.gt.adversarial.wrong_answer(&apex, t).is_some() {
-            s |= FaultSet::WRONG_DNS;
-        }
-        s
-    }
-
-    fn true_faults(&self, replica: Ipv4Addr, t: SimTime) -> FaultSet {
-        let mut s = server_truth(self.gt, replica, t);
-        if self.gt.adversarial.decoys.contains(&replica) {
-            s |= FaultSet::WRONG_DNS;
-        }
-        if let Some(&site) = self.gt.site_of_addr.get(&replica) {
-            if self.gt.adversarial.colo_blasted(site, t) {
-                s |= FaultSet::COLO_BLAST;
-            }
-        }
-        s
+        zone_truth(self.gt, host, t)
+            | flag(*self.gt.proxy_link[p].at(t), FaultSet::PROXY_LINK)
+            | flag(*self.gt.proxy_ldns[p].at(t), FaultSet::PROXY_LDNS)
     }
 }
 
@@ -523,6 +440,121 @@ mod tests {
         let sites = build_sites();
         let gt = GroundTruth::materialize(&fleet, &sites, 168, 11);
         (fleet, sites, gt)
+    }
+
+    /// A grouped replica, its site, and a world where that site's
+    /// degradation episodes always fail the access.
+    fn mapping_world() -> (GroundTruth, Ipv4Addr, u16) {
+        let (_, _, mut gt) = world();
+        let replica = *gt.replica_group_of.keys().min().expect("grouped replicas");
+        let site = gt.site_of_addr[&replica];
+        gt.site_fail_prob[site as usize] = 1.0;
+        (gt, replica, site)
+    }
+
+    /// A vantage without background noise.
+    fn quiet(pair_fail_prob: f64) -> Vantage {
+        Vantage {
+            salt: 3,
+            pair_fail_prob,
+            noise_prob: 0.0,
+            noise_mix: [1.0, 0.0, 0.0],
+        }
+    }
+
+    /// Instants one draw window apart, so each partial condition draws anew.
+    fn windows(n: u64) -> impl Iterator<Item = SimTime> {
+        (0..n).map(|k| SimTime::from_micros(k * SERVER_DRAW_WINDOW_US))
+    }
+
+    #[test]
+    fn each_driving_bit_alone_gives_its_behavior() {
+        use ServerBehavior::*;
+        let (gt, replica, site) = mapping_world();
+        let read = |faults, vantage: &Vantage, t| {
+            read_behavior(&gt, faults, replica, Some(site), t, vantage)
+        };
+        let stall = StallAfter(MTU_STALL_BYTES.min(gt.site_index_bytes[site as usize]));
+        for t in windows(50) {
+            for (bit, want) in [
+                (FaultSet::WRONG_DNS, Unreachable),
+                (FaultSet::BGP_TRANSIENT, Unreachable),
+                (FaultSet::CENSORED, Refusing),
+                (FaultSet::COLO_BLAST, Unreachable),
+                (FaultSet::VANTAGE_SPLIT, AcceptNoResponse),
+                (FaultSet::MTU_BLACKHOLE, stall),
+                (FaultSet::BLOCKED_PAIR, Refusing),
+                (FaultSet::WAN, Unreachable),
+                (FaultSet::DEGRADED_PAIR, Unreachable),
+                (FaultSet::REPLICA_DOWN, Unreachable),
+            ] {
+                assert_eq!(read(bit, &quiet(1.0), t), want, "{bit:?}");
+            }
+            // An episode that always fails reads its mix, never a reset.
+            let episode = read(FaultSet::SERVER_DEGRADED, &quiet(0.0), t);
+            assert!(matches!(
+                episode,
+                Unreachable | AcceptNoResponse | StallAfter(_)
+            ));
+            // Neither an empty set nor the access link drives a connect.
+            for faults in [FaultSet::EMPTY, FaultSet::LAST_MILE] {
+                assert_eq!(read(faults, &quiet(1.0), t), Healthy, "{faults:?}");
+            }
+        }
+        // The partial conditions fail their draw's share and spare the rest.
+        let share = |faults, vantage: &Vantage| {
+            let n = 4_000;
+            let failed = windows(n)
+                .filter(|&t| read(faults, vantage, t) != Healthy)
+                .count();
+            failed as f64 / n as f64
+        };
+        let brownout = share(FaultSet::CDN_BROWNOUT, &quiet(0.0));
+        assert!(
+            (brownout - BROWNOUT_FAIL_PROB).abs() < 0.03,
+            "brownout {brownout}"
+        );
+        let pair = share(FaultSet::DEGRADED_PAIR, &quiet(0.3));
+        assert!((pair - 0.3).abs() < 0.03, "degraded pair {pair}");
+    }
+
+    #[test]
+    fn bits_resolve_in_precedence_order() {
+        use ServerBehavior::*;
+        let (gt, replica, site) = mapping_world();
+        let read = |faults, t| read_behavior(&gt, faults, replica, Some(site), t, &quiet(1.0));
+        let stall = StallAfter(MTU_STALL_BYTES.min(gt.site_index_bytes[site as usize]));
+        for t in windows(200) {
+            assert_eq!(read(FaultSet::CENSORED | FaultSet::WAN, t), Refusing);
+            assert_eq!(
+                read(FaultSet::WRONG_DNS | FaultSet::BLOCKED_PAIR, t),
+                Unreachable
+            );
+            assert_eq!(
+                read(FaultSet::MTU_BLACKHOLE | FaultSet::CDN_BROWNOUT, t),
+                stall
+            );
+        }
+        // Every pair of the deterministic bits, listed in precedence order,
+        // reads the earlier bit's behaviour.
+        let order = [
+            (FaultSet::WRONG_DNS, Unreachable),
+            (FaultSet::BGP_TRANSIENT, Unreachable),
+            (FaultSet::CENSORED, Refusing),
+            (FaultSet::COLO_BLAST, Unreachable),
+            (FaultSet::VANTAGE_SPLIT, AcceptNoResponse),
+            (FaultSet::MTU_BLACKHOLE, stall),
+            (FaultSet::BLOCKED_PAIR, Refusing),
+            (FaultSet::WAN, Unreachable),
+            (FaultSet::DEGRADED_PAIR, Unreachable),
+            (FaultSet::REPLICA_DOWN, Unreachable),
+        ];
+        let t = SimTime::from_hours(3);
+        for (i, &(first, want)) in order.iter().enumerate() {
+            for &(later, _) in &order[i + 1..] {
+                assert_eq!(read(first | later, t), want, "{:?}", first | later);
+            }
+        }
     }
 
     #[test]
@@ -562,7 +594,7 @@ mod tests {
         let addrs = site_addresses(site as usize, sites[site as usize].layout);
         for h in [0u64, 50, 100] {
             assert_eq!(
-                view.server_behavior(addrs[0], SimTime::from_hours(h)),
+                view.server_behavior(addrs[0], SimTime::from_hours(h)).0,
                 ServerBehavior::Refusing,
                 "blocked pairs fail fast with resets"
             );
@@ -576,7 +608,9 @@ mod tests {
         // client (unless the site is one of the always-degraded ones).
         let mut any_healthy = false;
         for h in 0..168u64 {
-            if other_view.server_behavior(addrs[0], SimTime::from_hours(h))
+            if other_view
+                .server_behavior(addrs[0], SimTime::from_hours(h))
+                .0
                 == ServerBehavior::Healthy
             {
                 any_healthy = true;
@@ -609,7 +643,7 @@ mod tests {
                 continue;
             }
             degraded_samples += 1;
-            if view.server_behavior(addr, t) != ServerBehavior::Healthy {
+            if view.server_behavior(addr, t).0 != ServerBehavior::Healthy {
                 failures += 1;
             }
         }
@@ -641,7 +675,10 @@ mod tests {
         );
         let view = ClientView::new(&gt, idx as u16);
         let addr = site_addresses(0, sites[0].layout)[0];
-        assert_eq!(view.server_behavior(addr, mid), ServerBehavior::Unreachable);
+        assert_eq!(
+            view.server_behavior(addr, mid).0,
+            ServerBehavior::Unreachable
+        );
         let apex: DomainName = "example.com".parse().unwrap();
         assert!(!view.auth_up(&apex, mid));
     }
@@ -655,7 +692,7 @@ mod tests {
         let mut total = 0;
         for h in 0..168u64 {
             total += 1;
-            if view.server_behavior(addr, SimTime::from_hours(h)) == ServerBehavior::Healthy {
+            if view.server_behavior(addr, SimTime::from_hours(h)).0 == ServerBehavior::Healthy {
                 healthy += 1;
             }
         }

@@ -15,8 +15,8 @@ use dnssim::{DnsFaults, ZoneTree};
 use dnswire::DomainName;
 use httpsim::Origin;
 use model::{
-    BgpHourlySeries, ClientCategory, ClientId, ClientMeta, ConnectionRecord, Dataset, Ipv4Prefix,
-    PerformanceRecord, PrefixId, SimDuration, SimTime, SiteCategory, SiteId, SiteMeta,
+    BgpHourlySeries, ClientCategory, ClientId, ClientMeta, ConnectionRecord, Dataset, FaultSet,
+    Ipv4Prefix, PerformanceRecord, PrefixId, SimDuration, SimTime, SiteCategory, SiteId, SiteMeta,
 };
 use netsim::process::EpisodeDuration;
 use netsim::{OnOffProcess, SimRng, Timeline};
@@ -42,10 +42,12 @@ struct OfficeWorld {
 impl DnsFaults for OfficeWorld {}
 
 impl AccessEnvironment for OfficeWorld {
-    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> ServerBehavior {
+    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
+        // This world keeps no fault sets, so every connect's stamp is empty.
+        let down = (ServerBehavior::Unreachable, FaultSet::EMPTY);
         if self.office_b && *self.office_b_link.at(t) {
             // Office B's uplink is down: nothing answers.
-            return ServerBehavior::Unreachable;
+            return down;
         }
         if replica == self.flaky_addr && *self.flaky_site.at(t) {
             // Degraded, not dead: ~a third of accesses fail (stateless
@@ -54,10 +56,10 @@ impl AccessEnvironment for OfficeWorld {
             let draw =
                 (netsim::rng::splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
             if draw < 0.33 {
-                return ServerBehavior::Unreachable;
+                return down;
             }
         }
-        ServerBehavior::Healthy
+        (ServerBehavior::Healthy, FaultSet::EMPTY)
     }
 
     fn path_quality(&self, _replica: Ipv4Addr, _t: SimTime) -> PathQuality {

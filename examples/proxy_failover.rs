@@ -12,7 +12,7 @@
 
 use dnssim::{DnsFaults, ZoneTree};
 use httpsim::Origin;
-use model::{SimDuration, SimTime};
+use model::{FaultSet, SimDuration, SimTime};
 use netsim::process::EpisodeDuration;
 use netsim::{OnOffProcess, SimRng, Timeline};
 use tcpsim::{PathQuality, ServerBehavior};
@@ -29,12 +29,13 @@ struct FlappyReplica {
 impl DnsFaults for FlappyReplica {}
 
 impl AccessEnvironment for FlappyReplica {
-    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> ServerBehavior {
-        if replica == self.victim && *self.flap.at(t) {
+    fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
+        let behavior = if replica == self.victim && *self.flap.at(t) {
             ServerBehavior::Unreachable
         } else {
             ServerBehavior::Healthy
-        }
+        };
+        (behavior, FaultSet::EMPTY)
     }
 
     fn path_quality(&self, _replica: Ipv4Addr, _t: SimTime) -> PathQuality {

@@ -245,6 +245,40 @@ fn adversarial_archetypes_stay_deterministic_across_threads() {
 }
 
 #[test]
+fn adversarial_world_bit_identical_to_golden() {
+    use workload::AdversarialProfile;
+    // Golden fingerprints of the adversarial month at the config of
+    // `adversarial_archetypes_stay_deterministic_across_threads`, captured
+    // before the connect behaviour was read off each vantage's stamped
+    // fault set. A precedence slip between two archetypes moves only
+    // adversarial connects: the standard and degraded goldens cannot see it.
+    let mut cfg = ExperimentConfig::quick(616);
+    cfg.hours = 8;
+    cfg.wire_fidelity = false;
+    cfg.threads = 1;
+    cfg.record_provenance = true;
+    cfg.adversarial = AdversarialProfile::adversarial_month();
+    let out = run_experiment(&cfg);
+    assert_eq!(
+        fingerprint(&out.dataset),
+        (
+            84521,
+            100974,
+            817923196155662725,
+            12469261796291196174,
+            9687373785194654228,
+        ),
+        "adversarial world drifted from its golden fingerprint"
+    );
+    let log = out.provenance.expect("provenance requested");
+    assert_eq!(
+        model::fingerprint(&log),
+        0xfea6_d21f_4952_fc31,
+        "adversarial provenance sidecar drifted from its golden fingerprint"
+    );
+}
+
+#[test]
 fn full_pipeline_and_report_are_thread_invariant() {
     use netprofiler::AnalysisConfig;
     let base_ds = run(9090, 1);

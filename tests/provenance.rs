@@ -44,7 +44,7 @@ fn stamps_follow_a_fault_that_starts_and_ends_mid_hour() {
         );
         let replica = workload::sites::site_addresses(0, sites[0].layout)[0];
         assert!(
-            view.true_faults(replica, t(probe)).contains(FaultSet::LAST_MILE),
+            view.server_behavior(replica, t(probe)).1.contains(FaultSet::LAST_MILE),
             "the connect-phase stamp sees the same outage at {probe}h"
         );
     }
@@ -191,23 +191,23 @@ fn archetype_stamps_track_window_boundaries_mid_hour() {
     let view = ClientView::new(&gt, 0);
     let replica = workload::sites::site_addresses(3, sites[3].layout)[0];
 
-    assert!(!view.true_faults(replica, t(1.39)).contains(FaultSet::BGP_TRANSIENT));
+    assert!(!view.server_behavior(replica, t(1.39)).1.contains(FaultSet::BGP_TRANSIENT));
     for probe in [1.4, 1.5, 1.59] {
-        let s = view.true_faults(replica, t(probe));
+        let s = view.server_behavior(replica, t(probe)).1;
         assert!(s.contains(FaultSet::BGP_TRANSIENT), "transient active at {probe}h");
         assert_eq!(s.true_blame(), TrueBlame::ClientSide, "a path flap is the client's problem");
     }
-    assert!(!view.true_faults(replica, t(1.61)).contains(FaultSet::BGP_TRANSIENT));
+    assert!(!view.server_behavior(replica, t(1.61)).1.contains(FaultSet::BGP_TRANSIENT));
 
-    assert!(!view.true_faults(replica, t(2.2)).contains(FaultSet::COLO_BLAST));
-    let blast = view.true_faults(replica, t(2.5));
+    assert!(!view.server_behavior(replica, t(2.2)).1.contains(FaultSet::COLO_BLAST));
+    let blast = view.server_behavior(replica, t(2.5)).1;
     assert!(blast.contains(FaultSet::COLO_BLAST));
     assert_eq!(blast.true_blame(), TrueBlame::ServerSide);
-    assert!(!view.true_faults(replica, t(2.8)).contains(FaultSet::COLO_BLAST));
+    assert!(!view.server_behavior(replica, t(2.8)).1.contains(FaultSet::COLO_BLAST));
 
     // A site outside the blasted rack never picks up the stamp.
     let other = workload::sites::site_addresses(4, sites[4].layout)[0];
-    assert!(!view.true_faults(other, t(2.5)).contains(FaultSet::COLO_BLAST));
+    assert!(!view.server_behavior(other, t(2.5)).1.contains(FaultSet::COLO_BLAST));
 }
 
 #[test]
@@ -233,15 +233,15 @@ fn overlapping_archetypes_union_and_censorship_short_circuits() {
     let view = ClientView::new(&gt, 0);
     let replica = workload::sites::site_addresses(0, sites[0].layout)[0];
 
-    let only_censor = view.true_faults(replica, t(1.5));
+    let only_censor = view.server_behavior(replica, t(1.5)).1;
     assert!(only_censor.contains(FaultSet::CENSORED));
     assert!(!only_censor.contains(FaultSet::COLO_BLAST));
     assert_eq!(only_censor.true_blame(), TrueBlame::PairSpecific);
 
-    let two = view.true_faults(replica, t(2.1));
+    let two = view.server_behavior(replica, t(2.1)).1;
     assert!(two.contains(FaultSet::CENSORED | FaultSet::COLO_BLAST));
 
-    let three = view.true_faults(replica, t(2.5));
+    let three = view.server_behavior(replica, t(2.5)).1;
     assert!(three.contains(
         FaultSet::CENSORED | FaultSet::COLO_BLAST | FaultSet::LAST_MILE
     ));
@@ -251,13 +251,13 @@ fn overlapping_archetypes_union_and_censorship_short_circuits() {
         "censorship short-circuits blame even under a client+server overlap"
     );
 
-    let after = view.true_faults(replica, t(3.5));
+    let after = view.server_behavior(replica, t(3.5)).1;
     assert!(!after.contains(FaultSet::CENSORED));
     assert!(after.contains(FaultSet::COLO_BLAST));
     assert_eq!(after.true_blame(), TrueBlame::ServerSide);
 
     // An uncensored client at the same site sees only the blast.
-    let bystander = ClientView::new(&gt, 1).true_faults(replica, t(2.5));
+    let bystander = ClientView::new(&gt, 1).server_behavior(replica, t(2.5)).1;
     assert!(bystander.contains(FaultSet::COLO_BLAST));
     assert!(!bystander.contains(FaultSet::CENSORED));
 }
@@ -291,7 +291,7 @@ fn proxied_vantage_hides_client_scoped_archetypes() {
     gt.adversarial.decoys.insert(decoy);
 
     let replica = workload::sites::site_addresses(0, sites[0].layout)[0];
-    let direct = ClientView::new(&gt, 0).true_faults(replica, t(1.0));
+    let direct = ClientView::new(&gt, 0).server_behavior(replica, t(1.0)).1;
     assert!(direct.contains(
         FaultSet::BGP_TRANSIENT
             | FaultSet::CENSORED
@@ -301,7 +301,7 @@ fn proxied_vantage_hides_client_scoped_archetypes() {
             | FaultSet::MTU_BLACKHOLE
     ));
 
-    let proxied = ProxyView::new(&gt, 0).true_faults(replica, t(1.0));
+    let proxied = ProxyView::new(&gt, 0).server_behavior(replica, t(1.0)).1;
     assert!(proxied.contains(FaultSet::COLO_BLAST), "rack blasts hit every vantage");
     for hidden in [
         FaultSet::BGP_TRANSIENT,
@@ -317,8 +317,8 @@ fn proxied_vantage_hides_client_scoped_archetypes() {
         );
     }
     // Decoy addresses are poisoned at the zone, so both vantages stamp them.
-    assert!(ProxyView::new(&gt, 0).true_faults(decoy, t(1.0)).contains(FaultSet::WRONG_DNS));
-    assert!(ClientView::new(&gt, 0).true_faults(decoy, t(1.0)).contains(FaultSet::WRONG_DNS));
+    assert!(ProxyView::new(&gt, 0).server_behavior(decoy, t(1.0)).1.contains(FaultSet::WRONG_DNS));
+    assert!(ClientView::new(&gt, 0).server_behavior(decoy, t(1.0)).1.contains(FaultSet::WRONG_DNS));
 }
 
 #[test]
@@ -332,9 +332,9 @@ fn vantage_split_and_mtu_shape_the_direct_path_only() {
     let split_replica = workload::sites::site_addresses(0, sites[0].layout)[0];
     // The split site accepts the connect and never answers — but only on
     // the direct path, and only inside the window.
-    assert_eq!(view.server_behavior(split_replica, t(1.5)), ServerBehavior::AcceptNoResponse);
+    assert_eq!(view.server_behavior(split_replica, t(1.5)).0, ServerBehavior::AcceptNoResponse);
     assert_ne!(
-        ProxyView::new(&gt, 0).server_behavior(split_replica, t(1.5)),
+        ProxyView::new(&gt, 0).server_behavior(split_replica, t(1.5)).0,
         ServerBehavior::AcceptNoResponse
     );
 
@@ -342,17 +342,13 @@ fn vantage_split_and_mtu_shape_the_direct_path_only() {
     // the transfer hangs; another client's path to the same site is clean.
     let mtu_replica = workload::sites::site_addresses(2, sites[2].layout)[0];
     let bytes = gt.site_index_bytes[2];
-    assert_eq!(
-        view.server_behavior(mtu_replica, t(1.5)),
-        ServerBehavior::StallAfter(1200u64.min(bytes))
-    );
-    let stamp = view.true_faults(mtu_replica, t(1.5));
+    let (behavior, stamp) = view.server_behavior(mtu_replica, t(1.5));
+    assert_eq!(behavior, ServerBehavior::StallAfter(1200u64.min(bytes)));
     assert!(stamp.contains(FaultSet::MTU_BLACKHOLE));
     assert_eq!(stamp.true_blame(), TrueBlame::PairSpecific);
-    assert!(!ClientView::new(&gt, 1)
-        .true_faults(mtu_replica, t(1.5))
-        .contains(FaultSet::MTU_BLACKHOLE));
-    assert!(!view.true_faults(mtu_replica, t(2.1)).contains(FaultSet::MTU_BLACKHOLE));
+    let bystander = ClientView::new(&gt, 1).server_behavior(mtu_replica, t(1.5)).1;
+    assert!(!bystander.contains(FaultSet::MTU_BLACKHOLE));
+    assert!(!view.server_behavior(mtu_replica, t(2.1)).1.contains(FaultSet::MTU_BLACKHOLE));
 }
 
 #[test]
@@ -371,11 +367,13 @@ fn cdn_brownout_scopes_to_the_faulted_region() {
     );
     let replica = workload::sites::site_addresses(2, sites[2].layout)[0];
 
-    let in_region = ClientView::new(&gt, 0).true_faults(replica, t(1.5));
+    let in_region = ClientView::new(&gt, 0).server_behavior(replica, t(1.5)).1;
     assert!(in_region.contains(FaultSet::CDN_BROWNOUT));
     assert_eq!(in_region.true_blame(), TrueBlame::ServerSide);
-    assert!(!ClientView::new(&gt, 0).true_faults(replica, t(0.5)).contains(FaultSet::CDN_BROWNOUT));
-    assert!(!ClientView::new(&gt, 1).true_faults(replica, t(1.5)).contains(FaultSet::CDN_BROWNOUT));
+    let before = ClientView::new(&gt, 0).server_behavior(replica, t(0.5)).1;
+    assert!(!before.contains(FaultSet::CDN_BROWNOUT));
+    let elsewhere = ClientView::new(&gt, 1).server_behavior(replica, t(1.5)).1;
+    assert!(!elsewhere.contains(FaultSet::CDN_BROWNOUT));
 }
 
 #[test]
@@ -397,11 +395,11 @@ fn wrong_dns_stamps_both_phases_and_heals_with_the_window() {
     assert!(!view.true_dns_faults(&host, t(2.1)).contains(FaultSet::WRONG_DNS));
     // Connect-phase: the decoy is stamped whenever it is dialed (a cached
     // poisoned answer can outlive the window); real replicas never are.
-    let stamp = view.true_faults(decoy, t(1.5));
+    let stamp = view.server_behavior(decoy, t(1.5)).1;
     assert!(stamp.contains(FaultSet::WRONG_DNS));
     assert_eq!(stamp.true_blame(), TrueBlame::ServerSide);
     let real = workload::sites::site_addresses(0, sites[0].layout)[0];
-    assert!(!view.true_faults(real, t(1.5)).contains(FaultSet::WRONG_DNS));
+    assert!(!view.server_behavior(real, t(1.5)).1.contains(FaultSet::WRONG_DNS));
     // The zone serves everyone the decoy, so the proxy vantage agrees.
     assert!(ProxyView::new(&gt, 0).true_dns_faults(&host, t(1.5)).contains(FaultSet::WRONG_DNS));
 }
