@@ -79,8 +79,8 @@ done
 echo "==> cargo bench --no-run -p bench-suite: the criterion bench targets still compile"
 cargo bench --no-run -q -p bench-suite
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (tests, benches and examples too)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

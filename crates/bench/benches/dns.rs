@@ -93,8 +93,10 @@ fn bench_resolution(c: &mut Criterion) {
     let tree = ZoneTree::build_for_hosts(&hosts);
     let mut g = c.benchmark_group("resolution");
     for (label, fidelity) in [("full_walk_wire", true), ("full_walk_fast", false)] {
-        let mut cfg = ResolverConfig::default();
-        cfg.wire_fidelity = fidelity;
+        let cfg = ResolverConfig {
+            wire_fidelity: fidelity,
+            ..ResolverConfig::default()
+        };
         let resolver = StubResolver::new(&tree, cfg);
         g.bench_function(label, |b| {
             let mut rng = SimRng::new(3);

@@ -5,12 +5,10 @@ use model::{SimDuration, SimTime};
 use netsim::SimRng;
 use tcpsim::{
     classify_trace, count_retransmissions, simulate_connection, PathQuality, ServerBehavior,
-    TcpConfig,
 };
 use std::hint::black_box;
 
 fn bench_connections(c: &mut Criterion) {
-    let cfg = TcpConfig::default();
     let mut g = c.benchmark_group("connection");
     g.throughput(Throughput::Elements(1));
     let cases = [
@@ -29,7 +27,6 @@ fn bench_connections(c: &mut Criterion) {
             let mut rng = SimRng::new(11);
             b.iter(|| {
                 black_box(simulate_connection(
-                    &cfg,
                     behavior,
                     &path,
                     bytes,
@@ -45,13 +42,11 @@ fn bench_connections(c: &mut Criterion) {
 
 fn bench_trace_postprocessing(c: &mut Criterion) {
     // Build a realistic lossy trace once.
-    let cfg = TcpConfig::default();
     let path = PathQuality {
         loss: 0.05,
         rtt: SimDuration::from_millis(80),
     };
     let r = simulate_connection(
-        &cfg,
         ServerBehavior::Healthy,
         &path,
         120_000,
@@ -71,13 +66,11 @@ fn bench_trace_postprocessing(c: &mut Criterion) {
 
 fn bench_pcap(c: &mut Criterion) {
     use tcpsim::{decode_pcap, encode_pcap, PcapEndpoints};
-    let cfg = TcpConfig::default();
     let path = PathQuality {
         loss: 0.03,
         rtt: SimDuration::from_millis(80),
     };
     let r = simulate_connection(
-        &cfg,
         ServerBehavior::Healthy,
         &path,
         120_000,

@@ -506,7 +506,7 @@ pub fn audit(analysis: &Analysis<'_>, log: &ProvenanceLog) -> AuditReport {
         &client_truth,
         &episode_cells(
             &analysis.client_outcome.grid,
-            analysis.config.outage_threshold,
+            crate::grid::OUTAGE_THRESHOLD,
             min,
         ),
     );
@@ -526,7 +526,7 @@ pub fn audit(analysis: &Analysis<'_>, log: &ProvenanceLog) -> AuditReport {
     let bgp_grid = bgp_corr::prefix_grid(analysis);
     let severe = bgp_corr::severe_instability_with_grid(
         analysis,
-        SeverityRule::Neighbors(analysis.config.severe_neighbors),
+        SeverityRule::Neighbors(bgp_corr::SEVERE_NEIGHBORS),
         &bgp_grid,
     );
     let inferred_severe: BTreeSet<(u32, u32)> = severe
@@ -616,9 +616,9 @@ mod tests {
         // than client→server.
         assert!(CLASS_COSTS[2][1] < CLASS_COSTS[0][1]);
         // Symmetric: neither direction of a confusion is privileged.
-        for t in 0..CLASSES {
-            for i in 0..CLASSES {
-                assert_eq!(CLASS_COSTS[t][i], CLASS_COSTS[i][t]);
+        for (t, row) in CLASS_COSTS.iter().enumerate() {
+            for (i, &cost) in row.iter().enumerate() {
+                assert_eq!(cost, CLASS_COSTS[i][t]);
             }
         }
     }
@@ -656,7 +656,7 @@ mod tests {
         let mut union = FaultSet::EMPTY;
         for (_, bit, _) in ARCHETYPES {
             assert!(!union.contains(bit));
-            union = union | bit;
+            union |= bit;
         }
     }
 

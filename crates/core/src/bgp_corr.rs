@@ -11,6 +11,14 @@ use crate::Analysis;
 use model::{BgpHourly, ClientId, Dataset, PrefixId};
 use std::collections::HashMap;
 
+/// Severe BGP instability: at least this many of the 73 neighbors withdrew
+/// the prefix in the hour.
+pub const SEVERE_NEIGHBORS: u16 = 70;
+/// Alternative severity rule (Figure 6): at least `ALT_WITHDRAWALS`
+/// withdrawals involving at least `ALT_NEIGHBORS` neighbors.
+pub const ALT_WITHDRAWALS: u32 = 75;
+pub const ALT_NEIGHBORS: u16 = 50;
+
 /// Which severity rule to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeverityRule {
@@ -64,9 +72,6 @@ pub fn prefix_grid(analysis: &Analysis<'_>) -> HourlyGrid {
     let _span = telemetry::span!("analysis.bgp.prefix_grid");
     let cds = &analysis.cds;
     let conn = &cds.conn;
-    let client_prefixes: Vec<&[PrefixId]> = (0..cds.client_count())
-        .map(|c| cds.client_prefixes(c as u16))
-        .collect();
     // The connection replica column stores interned addresses, so the
     // replica coverings are keyed by (site, interned index) — integer keys
     // in the hot loop instead of hashing an Ipv4Addr per connection.
@@ -77,12 +82,12 @@ pub fn prefix_grid(analysis: &Analysis<'_>) -> HourlyGrid {
         .map(|(i, a)| (*a, i as u32))
         .collect();
     let mut replica_prefixes: HashMap<(u16, u32), &[PrefixId]> = HashMap::new();
-    for s in 0..cds.site_count() as u16 {
-        for (addr, pfx) in cds.site_replica_prefixes(s) {
+    for (s, site) in cds.sites.iter().enumerate() {
+        for (addr, pfx) in &site.replica_prefixes {
             // Addresses no connection ever reached have no interned index
             // and can never be looked up below.
-            if let Some(&idx) = addr_index.get(&addr) {
-                replica_prefixes.insert((s, idx), pfx);
+            if let Some(&idx) = addr_index.get(addr) {
+                replica_prefixes.insert((s as u16, idx), pfx.as_slice());
             }
         }
     }
@@ -100,7 +105,7 @@ pub fn prefix_grid(analysis: &Analysis<'_>) -> HourlyGrid {
                 }
                 let hour = cds.conn_hour(i);
                 let failed = cds.conn_failed(i);
-                for p in client_prefixes[client as usize] {
+                for p in &cds.clients[client as usize].prefixes {
                     grid.add(p.0 as usize, hour, failed);
                 }
                 if let Some(pfx) = replica_prefixes.get(&(site, cds.conn_replica_index(i))) {
@@ -174,10 +179,7 @@ pub fn severe_instability_with_grid(
 /// Figure 6's raw series: TCP failure rates during the alt-rule instances.
 pub fn figure6_rates(analysis: &Analysis<'_>) -> Vec<f64> {
     let _span = telemetry::span!("analysis.bgp.figure6");
-    let rule = SeverityRule::WithdrawalsAndNeighbors(
-        analysis.config.alt_withdrawals,
-        analysis.config.alt_neighbors,
-    );
+    let rule = SeverityRule::WithdrawalsAndNeighbors(ALT_WITHDRAWALS, ALT_NEIGHBORS);
     let mut rates: Vec<f64> = severe_instability(analysis, rule)
         .instances
         .into_iter()

@@ -170,7 +170,7 @@ pub(crate) fn txn_scope(analysis: &Analysis<'_>, i: usize) -> Result<(), Unscore
 /// [`classify_hour_outcome`] for the record's client, site and hour.
 pub fn txn_class(analysis: &Analysis<'_>, i: usize) -> BlameClass {
     let cds = &analysis.cds;
-    match cds.txn_blame_hint(i, analysis.config.reset_fast_micros) {
+    match cds.txn_blame_hint(i) {
         TxnBlameHint::ClientDns => BlameClass::ClientSide,
         TxnBlameHint::AuthDns => BlameClass::ServerSide,
         TxnBlameHint::PolicyReset => BlameClass::Other,

@@ -13,30 +13,6 @@ pub struct AnalysisConfig {
     /// Transaction failure rate above which a (client, site) pair counts as
     /// near-permanently failed (Section 4.4.2 uses >90%).
     pub permanent_threshold: f64,
-    /// Minimum monthly transactions for permanent-pair detection.
-    pub min_pair_transactions: u32,
-    /// Fraction of a site's connections an address must carry to qualify
-    /// as a replica (Section 4.5 uses 10%).
-    pub replica_qualify_fraction: f64,
-    /// Severe BGP instability: at least this many of the 73 neighbors
-    /// withdrew the prefix in the hour.
-    pub severe_neighbors: u16,
-    /// Alternative severity rule (Figure 6): at least `alt_withdrawals`
-    /// withdrawals involving at least `alt_neighbors` neighbors.
-    pub alt_withdrawals: u32,
-    pub alt_neighbors: u16,
-    /// Failure rate at which a transaction-outcome grid cell counts as an
-    /// *outage* rather than merely an episode: the majority of the entity's
-    /// transactions in the hour failed. The episode threshold `f` (5%) is a
-    /// single misbehaving peer away from firing on a client that spreads
-    /// its hourly traffic over dozens of sites; a genuine client-side fault
-    /// (access link, LDNS, last-mile) takes out most of the hour.
-    pub outage_threshold: f64,
-    /// Connect-phase duration (µs) below which an all-attempts-refused
-    /// transaction reads as an access-policy reset instead of an outage
-    /// (Section 4.4.2). Immediate RSTs finish a full retry ladder in a few
-    /// seconds; one genuine SYN timeout alone takes ≥ 45 s.
-    pub reset_fast_micros: u64,
     /// Worker threads for the dataset scans (0 = all available cores,
     /// 1 = fully serial). Results are bit-identical at any setting; the
     /// scans shard into partial aggregates merged in a fixed order.
@@ -49,13 +25,6 @@ impl Default for AnalysisConfig {
             episode_threshold: 0.05,
             min_hour_samples: 12,
             permanent_threshold: 0.90,
-            min_pair_transactions: 24,
-            replica_qualify_fraction: 0.10,
-            severe_neighbors: 70,
-            alt_withdrawals: 75,
-            alt_neighbors: 50,
-            outage_threshold: 0.5,
-            reset_fast_micros: 20_000_000,
             threads: 0,
         }
     }
@@ -92,12 +61,6 @@ mod tests {
         let c = AnalysisConfig::default();
         assert!((c.episode_threshold - 0.05).abs() < 1e-12);
         assert!((c.permanent_threshold - 0.90).abs() < 1e-12);
-        assert!((c.replica_qualify_fraction - 0.10).abs() < 1e-12);
-        assert_eq!(c.severe_neighbors, 70);
-        assert_eq!(c.alt_withdrawals, 75);
-        assert_eq!(c.alt_neighbors, 50);
-        assert!((c.outage_threshold - 0.5).abs() < 1e-12);
-        assert_eq!(c.reset_fast_micros, 20_000_000);
     }
 
     #[test]

@@ -157,7 +157,7 @@ mod tests {
         // on or below it, reporting no knee at all.
         let mut rates = vec![0.0; 950];
         for r in [0.5, 0.6, 0.7, 0.8, 0.9] {
-            rates.extend(std::iter::repeat(r).take(10));
+            rates.extend(std::iter::repeat_n(r, 10));
         }
         let cdf = RateCdf::from_rates(&rates);
         assert_eq!(cdf.knee(), Some(0.0));

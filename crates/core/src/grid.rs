@@ -8,6 +8,14 @@ use crate::permanent::PermanentPairs;
 use model::{ClientId, ColumnarDataset, SiteId, TxnBlameHint};
 use std::collections::HashMap;
 
+/// Failure rate at which a transaction-outcome grid cell counts as an
+/// *outage* rather than merely an episode: the majority of the entity's
+/// transactions in the hour failed. The episode threshold `f` (5%) is a
+/// single misbehaving peer away from firing on a client that spreads its
+/// hourly traffic over dozens of sites; a genuine client-side fault (access
+/// link, LDNS, last-mile) takes out most of the hour.
+pub const OUTAGE_THRESHOLD: f64 = 0.5;
+
 /// Dense hourly counters for a family of entities.
 #[derive(Clone, Debug)]
 pub struct HourlyGrid {
@@ -311,14 +319,14 @@ impl OutcomeGrid {
     }
 
     /// Is `(row, hour)` an *outage* — the plain failure rate clears the
-    /// (majority) `outage_threshold`?
-    pub fn is_outage(&self, row: usize, hour: u32, outage_threshold: f64, min_samples: u32) -> bool {
-        self.grid.is_episode(row, hour, outage_threshold, min_samples)
+    /// (majority) [`OUTAGE_THRESHOLD`]?
+    pub fn is_outage(&self, row: usize, hour: u32, min_samples: u32) -> bool {
+        self.grid.is_episode(row, hour, OUTAGE_THRESHOLD, min_samples)
     }
 
     /// All outage hours for `row`, ascending.
-    pub fn outage_hours(&self, row: usize, outage_threshold: f64, min_samples: u32) -> Vec<u32> {
-        self.grid.episode_hours(row, outage_threshold, min_samples)
+    pub fn outage_hours(&self, row: usize, min_samples: u32) -> Vec<u32> {
+        self.grid.episode_hours(row, OUTAGE_THRESHOLD, min_samples)
     }
 
     /// Largest single-peer failure count of a cell (0 out of range).
@@ -359,14 +367,13 @@ struct OutcomeShard {
 pub fn transaction_outcome_grids(
     cds: &ColumnarDataset,
     permanent: &PermanentPairs,
-    config: &crate::AnalysisConfig,
+    threads: usize,
 ) -> (OutcomeGrid, OutcomeGrid) {
     let _span = telemetry::span!("analysis.grid.outcome");
     let txn = &cds.txn;
     let hours = cds.hours;
     let (c_rows, s_rows) = (cds.client_count(), cds.site_count());
-    let reset_fast = config.reset_fast_micros;
-    let shards = crate::par::map_shards(config.threads, cds.txn_len(), |range| {
+    let shards = crate::par::map_shards(threads, cds.txn_len(), |range| {
         let mut sh = OutcomeShard {
             client: HourlyGrid::new(c_rows, hours),
             server: HourlyGrid::new(s_rows, hours),
@@ -378,7 +385,7 @@ pub fn transaction_outcome_grids(
             if cds.txn_proxied(i) || permanent.contains(ClientId(client), SiteId(site)) {
                 continue;
             }
-            let hint = cds.txn_blame_hint(i, reset_fast);
+            let hint = cds.txn_blame_hint(i);
             let hour = cds.txn_hour(i);
             let client_failed = matches!(hint, TxnBlameHint::ClientDns | TxnBlameHint::Ambiguous);
             let server_failed = matches!(hint, TxnBlameHint::AuthDns | TxnBlameHint::Ambiguous);
@@ -641,7 +648,7 @@ mod tests {
         let cds = ColumnarDataset::from_dataset(&w.finish());
         let cfg = crate::AnalysisConfig::default().with_threads(threads);
         let perm = crate::permanent::detect(&cds, &cfg);
-        transaction_outcome_grids(&cds, &perm, &cfg)
+        transaction_outcome_grids(&cds, &perm, threads)
     }
 
     /// The blind spot itself: a client whose faults are all DNS-level
@@ -682,13 +689,13 @@ mod tests {
             Vec::<u32>::new(),
             "connection grids cannot see DNS-phase faults"
         );
-        let (client, server) = transaction_outcome_grids(&cds, &perm, &cfg);
+        let (client, server) = transaction_outcome_grids(&cds, &perm, cfg.threads);
         assert_eq!(
-            client.outage_hours(0, cfg.outage_threshold, cfg.min_hour_samples),
+            client.outage_hours(0, cfg.min_hour_samples),
             vec![2, 3],
             "outcome grid recovers the exact fault hours"
         );
-        assert_eq!(client.outage_hours(1, cfg.outage_threshold, cfg.min_hour_samples), Vec::<u32>::new());
+        assert_eq!(client.outage_hours(1, cfg.min_hour_samples), Vec::<u32>::new());
         // An LDNS timeout is the client's fault, not the sites'.
         for s in 0..4 {
             assert_eq!(server.grid.cell(s, 2).1, 0, "site {s} blamed for client DNS fault");
@@ -738,7 +745,7 @@ mod tests {
         assert_eq!(client.grid.cell(0, 0), (30, 0), "resets count as attempts, not failures");
         assert_eq!(server.grid.cell(0, 0), (15, 0));
         assert_eq!(client.grid.cell(1, 0), (0, 0), "proxied client excluded");
-        assert!(!client.is_outage(0, 0, 0.5, 12));
+        assert!(!client.is_outage(0, 0, 12));
         assert!(!server.grid.is_episode(0, 0, 0.05, 12));
     }
 
@@ -784,9 +791,9 @@ mod tests {
         let cds = ColumnarDataset::from_dataset(&w.finish());
         let cfg = crate::AnalysisConfig::default();
         let perm = crate::permanent::detect(&cds, &cfg);
-        let (sc, ss) = transaction_outcome_grids(&cds, &perm, &cfg.with_threads(1));
+        let (sc, ss) = transaction_outcome_grids(&cds, &perm, 1);
         for threads in [2usize, 3, 7] {
-            let (pc, ps) = transaction_outcome_grids(&cds, &perm, &cfg.with_threads(threads));
+            let (pc, ps) = transaction_outcome_grids(&cds, &perm, threads);
             for (serial, par) in [(&sc, &pc), (&ss, &ps)] {
                 for row in 0..serial.grid.rows() {
                     for hour in 0..serial.grid.hours() {

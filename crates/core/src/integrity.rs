@@ -14,7 +14,7 @@
 //! reporting adds is the honest footnote: how much of the grid those
 //! guards silently discarded.
 
-use crate::blame::{classify_hour, BlameBreakdown};
+use crate::blame::BlameBreakdown;
 use crate::grid::GridCoverage;
 use crate::Analysis;
 use model::IntegrityReport;
@@ -91,32 +91,32 @@ impl ConfidentBlame {
     }
 }
 
-/// Run blame attribution like [`crate::blame::table5`], additionally
-/// counting attributions made on thin endpoint cells.
+/// [`crate::blame::table5`] plus a count of the failures it attributed on
+/// thin endpoint cells (the same failures, permanent pairs excluded).
 pub fn table5_with_confidence(analysis: &Analysis<'_>) -> ConfidentBlame {
     let _span = telemetry::span!("analysis.integrity.table5");
-    let f = analysis.config.episode_threshold;
     let min = analysis.config.min_hour_samples;
-    let mut out = ConfidentBlame::default();
-    for conn in &analysis.ds.connections {
-        if !conn.failed() || analysis.permanent.contains(conn.client, conn.site) {
-            continue;
-        }
-        let (c, s, h) = (conn.client.0 as usize, conn.site.0 as usize, conn.hour());
-        out.breakdown.add(classify_hour(
-            &analysis.client_grid,
-            &analysis.server_grid,
-            c,
-            s,
-            h,
-            f,
-            min,
-        ));
-        if analysis.client_grid.is_thin(c, h, min) || analysis.server_grid.is_thin(s, h, min) {
-            out.low_confidence += 1;
-        }
+    let cds = &analysis.cds;
+    let conn = &cds.conn;
+    let low_confidence = (0..cds.conn_len())
+        .filter(|&i| {
+            let (client, site) = (conn.client[i], conn.site[i]);
+            if !cds.conn_failed(i)
+                || analysis
+                    .permanent
+                    .contains(model::ClientId(client), model::SiteId(site))
+            {
+                return false;
+            }
+            let h = cds.conn_hour(i);
+            analysis.client_grid.is_thin(client as usize, h, min)
+                || analysis.server_grid.is_thin(site as usize, h, min)
+        })
+        .count() as u64;
+    ConfidentBlame {
+        breakdown: crate::blame::table5(analysis),
+        low_confidence,
     }
-    out
 }
 
 #[cfg(test)]

@@ -103,7 +103,7 @@ impl<'d> Analysis<'d> {
                     || grid::server_connection_grid(&cds, &permanent, config.threads),
                 )
             },
-            || grid::transaction_outcome_grids(&cds, &permanent, &config),
+            || grid::transaction_outcome_grids(&cds, &permanent, config.threads),
         );
         Analysis {
             ds,

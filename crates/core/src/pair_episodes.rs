@@ -185,10 +185,9 @@ mod tests {
         for h in 0..24u32 {
             for c in 0..8u16 {
                 for s in 0..8u16 {
-                    let fail = if c == 0 && s == 0 {
-                        2 // of 4: pair-specific 50%
-                    } else if s == 1 && h == 2 {
-                        2 // server episode hour
+                    // 2 of 4: pair-specific 50%, or the server episode hour.
+                    let fail = if (c == 0 && s == 0) || (s == 1 && h == 2) {
+                        2
                     } else {
                         0
                     };

@@ -10,6 +10,9 @@ use crate::config::AnalysisConfig;
 use model::{ClientId, ColumnarDataset, SiteId};
 use std::collections::{HashMap, HashSet};
 
+/// Minimum monthly transactions for permanent-pair detection.
+pub const MIN_PAIR_TRANSACTIONS: u32 = 24;
+
 /// Detected near-permanent pairs with their impact statistics.
 #[derive(Clone, Debug, Default)]
 pub struct PermanentPairs {
@@ -82,7 +85,7 @@ pub fn detect(cds: &ColumnarDataset, config: &AnalysisConfig) -> PermanentPairs 
     let mut pairs = HashSet::new();
     let mut detail = Vec::new();
     for (&(c, s), &(txns, failed)) in &per_pair {
-        if txns >= config.min_pair_transactions
+        if txns >= MIN_PAIR_TRANSACTIONS
             && f64::from(failed) / f64::from(txns) > config.permanent_threshold
         {
             pairs.insert((c, s));
@@ -174,7 +177,7 @@ mod tests {
     #[test]
     fn thin_pairs_never_flag() {
         let mut w = SynthWorld::new(1, 1, 1);
-        // 10 transactions, all failed — but below min_pair_transactions.
+        // 10 transactions, all failed — but below MIN_PAIR_TRANSACTIONS.
         w.add_txn_batch(ClientId(0), SiteId(0), 0, 10, 10);
         let ds = w.finish();
         let p = detect(&cds(&ds), &AnalysisConfig::default());

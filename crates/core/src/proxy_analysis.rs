@@ -102,8 +102,9 @@ pub fn residual_table(analysis: &Analysis<'_>) -> Vec<Table9Row> {
             let mut non_cn = ResidualRate::default();
             for (i, rr) in per_client.into_iter().enumerate() {
                 let id = ClientId(i as u16);
-                if cds.clients.category[i] == ClientCategory::CorpNet {
-                    if cds.clients.proxy[i] != model::columnar::NONE_U16 {
+                let meta = &cds.clients[i];
+                if meta.category == ClientCategory::CorpNet {
+                    if meta.proxy.is_some() {
                         proxied.push((id, rr));
                     } else {
                         external = Some((id, rr));

@@ -14,6 +14,10 @@ use model::{Ipv4Prefix, SiteId};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+/// Fraction of a site's connections an address must carry to qualify as a
+/// replica (Section 4.5 uses 10%).
+pub const REPLICA_QUALIFY_FRACTION: f64 = 0.10;
+
 /// Qualified replicas of one site.
 #[derive(Clone, Debug)]
 pub struct SiteReplicas {
@@ -100,7 +104,7 @@ pub fn qualify_replicas(analysis: &Analysis<'_>) -> Vec<SiteReplicas> {
     (0..n_sites)
         .map(|s| {
             let total = totals[s];
-            let threshold = (total as f64 * analysis.config.replica_qualify_fraction).ceil() as u64;
+            let threshold = (total as f64 * REPLICA_QUALIFY_FRACTION).ceil() as u64;
             let mut qualified: Vec<Ipv4Addr> = per_site_counts[s]
                 .iter()
                 .filter(|(_, &count)| total > 0 && count >= threshold.max(1))

@@ -70,12 +70,11 @@ struct CategoryCounts {
 
 fn category_index(cds: &ColumnarDataset) -> Vec<usize> {
     cds.clients
-        .category
         .iter()
-        .map(|&category| {
+        .map(|client| {
             ClientCategory::ALL
                 .iter()
-                .position(|&cat| cat == category)
+                .position(|&cat| cat == client.category)
                 .expect("client category listed in ClientCategory::ALL")
         })
         .collect()

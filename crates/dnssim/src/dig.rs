@@ -7,7 +7,10 @@
 //! cases; disagreement indicates a transient or an LDNS-only problem).
 
 use crate::faults::DnsFaults;
-use crate::resolver::ResolverConfig;
+use crate::resolver::{
+    sample_latency, ResolverConfig, AUTH_ATTEMPTS, AUTH_TIMEOUT, HOP_RTT, STUB_ATTEMPTS,
+    STUB_TIMEOUT,
+};
 use crate::server::{authoritative_answer, AnswerKind};
 use crate::zones::ZoneTree;
 use dnswire::{DomainName, Message, RecordType};
@@ -47,7 +50,7 @@ pub fn dig_iterative<F: DnsFaults + ?Sized>(
 ) -> (DigResult, SimDuration) {
     let mut elapsed = SimDuration::ZERO;
     if !faults.client_link_up(t) {
-        elapsed += config.stub_timeout * u64::from(config.stub_attempts);
+        elapsed += STUB_TIMEOUT * u64::from(STUB_ATTEMPTS);
         return (DigResult::Failed(DnsFailureKind::LdnsTimeout), elapsed);
     }
 
@@ -64,19 +67,19 @@ pub fn dig_iterative<F: DnsFaults + ?Sized>(
         let is_auth = zone.apex == auth_apex;
         if is_auth {
             if let Some(code) = faults.zone_error(&zone.apex, t) {
-                elapsed += config.latency.sample(config.latency.hop_rtt, rng);
+                elapsed += sample_latency(HOP_RTT, rng);
                 return (DigResult::Failed(DnsFailureKind::ErrorResponse(code)), elapsed);
             }
         }
         let up = faults.auth_up(&zone.apex, t);
         let mut reached = false;
-        for _ in 0..config.auth_attempts {
+        for _ in 0..AUTH_ATTEMPTS {
             if up && !rng.chance(config.query_loss_prob) {
-                elapsed += config.latency.sample(config.latency.hop_rtt, rng);
+                elapsed += sample_latency(HOP_RTT, rng);
                 reached = true;
                 break;
             }
-            elapsed += config.auth_timeout;
+            elapsed += AUTH_TIMEOUT;
         }
         if !reached {
             return (DigResult::Failed(DnsFailureKind::NonLdnsTimeout), elapsed);

@@ -15,64 +15,42 @@ use netsim::SimRng;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-/// Latency sampling for resolution hops.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencyModel {
-    /// Mean RTT between client and its LDNS (last mile).
-    pub ldns_rtt: SimDuration,
-    /// Mean RTT between the LDNS and authoritative servers (wide area).
-    pub hop_rtt: SimDuration,
-    /// Multiplicative jitter: each sample is `mean * exp(N(0, sigma))`.
-    pub jitter_sigma: f64,
+/// Per-attempt stub → LDNS timeout.
+pub(crate) const STUB_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+/// Stub attempts before declaring LDNS timeout.
+pub(crate) const STUB_ATTEMPTS: u32 = 3;
+/// Per-attempt LDNS → authoritative timeout.
+pub(crate) const AUTH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+/// LDNS attempts per authoritative server set.
+pub(crate) const AUTH_ATTEMPTS: u32 = 2;
+/// Mean RTT between client and its LDNS (last mile).
+const LDNS_RTT: SimDuration = SimDuration::from_millis(5);
+/// Mean RTT between the LDNS and authoritative servers (wide area).
+pub(crate) const HOP_RTT: SimDuration = SimDuration::from_millis(60);
+/// Multiplicative latency jitter: each sample is `mean * exp(N(0, sigma))`.
+const JITTER_SIGMA: f64 = 0.3;
+
+/// One latency sample around `mean`.
+pub(crate) fn sample_latency(mean: SimDuration, rng: &mut SimRng) -> SimDuration {
+    let factor = rng.normal(0.0, JITTER_SIGMA).exp();
+    mean * factor
 }
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel {
-            ldns_rtt: SimDuration::from_millis(5),
-            hop_rtt: SimDuration::from_millis(60),
-            jitter_sigma: 0.3,
-        }
-    }
-}
-
-impl LatencyModel {
-    /// One latency sample around `mean`.
-    pub fn sample(&self, mean: SimDuration, rng: &mut SimRng) -> SimDuration {
-        let factor = rng.normal(0.0, self.jitter_sigma).exp();
-        mean * factor
-    }
-}
-
-/// Timeout/retry policy and codec switches.
+/// Background loss and the codec switch.
 #[derive(Clone, Copy, Debug)]
 pub struct ResolverConfig {
-    /// Per-attempt stub → LDNS timeout.
-    pub stub_timeout: SimDuration,
-    /// Stub attempts before declaring LDNS timeout.
-    pub stub_attempts: u32,
-    /// Per-attempt LDNS → authoritative timeout.
-    pub auth_timeout: SimDuration,
-    /// LDNS attempts per authoritative server set.
-    pub auth_attempts: u32,
     /// Probability an individual healthy query/response exchange is lost
     /// (background UDP loss; retries usually hide it).
     pub query_loss_prob: f64,
     /// Round-trip every message through the RFC 1035 codec.
     pub wire_fidelity: bool,
-    pub latency: LatencyModel,
 }
 
 impl Default for ResolverConfig {
     fn default() -> Self {
         ResolverConfig {
-            stub_timeout: SimDuration::from_secs(5),
-            stub_attempts: 3,
-            auth_timeout: SimDuration::from_secs(3),
-            auth_attempts: 2,
             query_loss_prob: 0.001,
             wire_fidelity: true,
-            latency: LatencyModel::default(),
         }
     }
 }
@@ -265,13 +243,13 @@ impl<'t> StubResolver<'t> {
         // --- Stub → LDNS ------------------------------------------------
         let ldns_reachable = faults.client_link_up(t) && faults.ldns_up(t);
         let mut contacted = false;
-        for _attempt in 0..cfg.stub_attempts {
+        for _attempt in 0..STUB_ATTEMPTS {
             if ldns_reachable && !rng.chance(cfg.query_loss_prob) {
-                elapsed += cfg.latency.sample(cfg.latency.ldns_rtt, rng);
+                elapsed += sample_latency(LDNS_RTT, rng);
                 contacted = true;
                 break;
             }
-            elapsed += cfg.stub_timeout;
+            elapsed += STUB_TIMEOUT;
         }
         if !contacted {
             return ResolutionStatus {
@@ -369,7 +347,7 @@ impl<'t> StubResolver<'t> {
             let is_auth = i == last;
             if is_auth {
                 if let Some(code) = faults.zone_error(&zone.apex, t) {
-                    *elapsed += cfg.latency.sample(cfg.latency.hop_rtt, rng);
+                    *elapsed += sample_latency(HOP_RTT, rng);
                     *messages += if cfg.wire_fidelity { 1 } else { 0 };
                     return WalkOutcome::Error(code);
                 }
@@ -377,13 +355,13 @@ impl<'t> StubResolver<'t> {
             // Reachability of this zone's servers.
             let up = faults.auth_up(&zone.apex, t);
             let mut reached = false;
-            for _ in 0..cfg.auth_attempts {
+            for _ in 0..AUTH_ATTEMPTS {
                 if up && !rng.chance(cfg.query_loss_prob) {
-                    *elapsed += cfg.latency.sample(cfg.latency.hop_rtt, rng);
+                    *elapsed += sample_latency(HOP_RTT, rng);
                     reached = true;
                     break;
                 }
-                *elapsed += cfg.auth_timeout;
+                *elapsed += AUTH_TIMEOUT;
             }
             if !reached {
                 return WalkOutcome::AuthTimeout;
@@ -652,11 +630,18 @@ mod tests {
     #[test]
     fn wire_fidelity_off_matches_on() {
         let t = tree();
-        let mut cfg = ResolverConfig::default();
-        cfg.query_loss_prob = 0.0;
-        let on = StubResolver::new(&t, cfg);
-        cfg.wire_fidelity = false;
-        let off = StubResolver::new(&t, cfg);
+        let on_cfg = ResolverConfig {
+            query_loss_prob: 0.0,
+            wire_fidelity: true,
+        };
+        let on = StubResolver::new(&t, on_cfg);
+        let off = StubResolver::new(
+            &t,
+            ResolverConfig {
+                wire_fidelity: false,
+                ..on_cfg
+            },
+        );
         for host in ["www.example.com", "www.iitb.ac.in", "nosuch.example.com"] {
             let a = on.resolve(
                 &name(host),

@@ -419,7 +419,7 @@ mod tests {
         // 4 runs of 63-byte labels then root = fine alone (257 > 255 though!)
         for _ in 0..4 {
             bytes.push(63);
-            bytes.extend(std::iter::repeat(b'x').take(63));
+            bytes.extend(std::iter::repeat_n(b'x', 63));
         }
         bytes.push(0);
         let mut r = WireReader::new(&bytes);

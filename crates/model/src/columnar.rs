@@ -49,7 +49,7 @@
 use crate::bgp::BgpHourlySeries;
 use crate::dataset::{ClientMeta, Dataset, SiteMeta};
 use crate::failure::{DnsErrorCode, DnsFailureKind, FailureClass, TcpFailureKind};
-use crate::ids::{ClientCategory, ClientId, PrefixId, ProxyId, SiteCategory, SiteId};
+use crate::ids::{ClientId, ProxyId, SiteId};
 use crate::net::Ipv4Prefix;
 use crate::records::{ConnectionRecord, DigOutcome, PerformanceRecord, TransactionOutcome};
 use crate::time::{SimDuration, SimTime, MICROS_PER_HOUR};
@@ -67,6 +67,12 @@ pub const NONE_U32: u32 = u32::MAX;
 pub const SPILL_U32: u32 = u32::MAX - 1;
 /// Spill sentinel of a `u32` column with no `None` case.
 pub const SPILL_ONLY_U32: u32 = u32::MAX;
+
+/// Connect-phase duration (µs) below which an all-attempts-refused
+/// transaction reads as an access-policy reset instead of an outage
+/// (Section 4.4.2). Immediate RSTs finish a full retry ladder in a few
+/// seconds; one genuine SYN timeout alone takes ≥ 45 s.
+pub const RESET_FAST_MICROS: u64 = 20_000_000;
 
 /// Per-transaction blame reading of a failed (or successful) transaction,
 /// computed straight off the columns without reconstructing the row.
@@ -201,40 +207,6 @@ pub struct ConnColumns {
     pub retx_spill: Spill<u32>,
 }
 
-/// Client metadata, interned: string pool + ranges instead of per-client
-/// `String`s, flat prefix pool + ranges instead of per-client `Vec`s.
-#[derive(Clone, Debug, Default)]
-pub struct ClientColumns {
-    pub name_pool: String,
-    pub name_range: Vec<(u32, u32)>,
-    pub category: Vec<ClientCategory>,
-    /// Co-location group ([`NONE_U16`]/[`SPILL_U16`]).
-    pub colocation: Vec<u16>,
-    pub colocation_spill: Spill<u16>,
-    /// Proxy id ([`NONE_U16`]/[`SPILL_U16`]).
-    pub proxy: Vec<u16>,
-    pub proxy_spill: Spill<u16>,
-    pub prefix_pool: Vec<PrefixId>,
-    pub prefix_range: Vec<(u32, u32)>,
-    pub addr: Vec<Ipv4Addr>,
-}
-
-/// Site metadata, interned the same way. `replica_prefixes` flattens to
-/// three parallel levels: per site a range of entries, per entry an address
-/// and a range into the shared prefix pool.
-#[derive(Clone, Debug, Default)]
-pub struct SiteColumns {
-    pub host_pool: String,
-    pub host_range: Vec<(u32, u32)>,
-    pub category: Vec<SiteCategory>,
-    pub addr_pool: Vec<Ipv4Addr>,
-    pub addr_range: Vec<(u32, u32)>,
-    pub rp_entry_range: Vec<(u32, u32)>,
-    pub rp_addr: Vec<Ipv4Addr>,
-    pub rp_prefix_range: Vec<(u32, u32)>,
-    pub rp_prefix_pool: Vec<PrefixId>,
-}
-
 /// Memory accounting of one dataset in both layouts, from column/`Vec`
 /// capacities (a peak-working-set estimate, not an allocator census).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -268,8 +240,9 @@ pub struct ColumnarDataset {
     /// Interned tag of `TransactionOutcome::Success` (`NONE_U32` if the
     /// dataset has no successes).
     success_tag: u32,
-    pub clients: ClientColumns,
-    pub sites: SiteColumns,
+    /// Client and site metadata, as the row dataset holds it (a few KB).
+    pub clients: Vec<ClientMeta>,
+    pub sites: Vec<SiteMeta>,
     pub prefixes: Vec<Ipv4Prefix>,
     pub bgp: BgpHourlySeries,
 }
@@ -578,41 +551,6 @@ impl ColumnarDataset {
             push_opt_u32_narrow(c.retransmissions, i, &mut conn.retx, &mut conn.retx_spill);
         }
 
-        let mut clients = ClientColumns::default();
-        for (i, c) in ds.clients.iter().enumerate() {
-            let off = clients.name_pool.len() as u32;
-            clients.name_pool.push_str(&c.name);
-            clients.name_range.push((off, c.name.len() as u32));
-            clients.category.push(c.category);
-            push_opt_u16(c.colocation, i, &mut clients.colocation, &mut clients.colocation_spill);
-            push_opt_u16(c.proxy.map(|p| p.0), i, &mut clients.proxy, &mut clients.proxy_spill);
-            let poff = clients.prefix_pool.len() as u32;
-            clients.prefix_pool.extend_from_slice(&c.prefixes);
-            clients.prefix_range.push((poff, c.prefixes.len() as u32));
-            clients.addr.push(c.addr);
-        }
-
-        let mut sites = SiteColumns::default();
-        for s in &ds.sites {
-            let off = sites.host_pool.len() as u32;
-            sites.host_pool.push_str(&s.hostname);
-            sites.host_range.push((off, s.hostname.len() as u32));
-            sites.category.push(s.category);
-            let aoff = sites.addr_pool.len() as u32;
-            sites.addr_pool.extend_from_slice(&s.addrs);
-            sites.addr_range.push((aoff, s.addrs.len() as u32));
-            let eoff = sites.rp_addr.len() as u32;
-            for (addr, pfx) in &s.replica_prefixes {
-                sites.rp_addr.push(*addr);
-                let poff = sites.rp_prefix_pool.len() as u32;
-                sites.rp_prefix_pool.extend_from_slice(pfx);
-                sites.rp_prefix_range.push((poff, pfx.len() as u32));
-            }
-            sites
-                .rp_entry_range
-                .push((eoff, s.replica_prefixes.len() as u32));
-        }
-
         let success_tag = outcomes
             .index
             .get(&TransactionOutcome::Success)
@@ -626,8 +564,8 @@ impl ColumnarDataset {
             replica_addrs: replicas.values,
             outcomes: outcomes.values,
             success_tag,
-            clients,
-            sites,
+            clients: ds.clients.clone(),
+            sites: ds.sites.clone(),
             prefixes: ds.prefixes.clone(),
             bgp: ds.bgp.clone(),
         }
@@ -642,11 +580,11 @@ impl ColumnarDataset {
     }
 
     pub fn client_count(&self) -> usize {
-        self.clients.category.len()
+        self.clients.len()
     }
 
     pub fn site_count(&self) -> usize {
-        self.sites.category.len()
+        self.sites.len()
     }
 
     /// Interned outcome tag of transaction `i`.
@@ -710,13 +648,9 @@ impl ColumnarDataset {
     }
 
     /// The [`TxnBlameHint`] of transaction `i`, reading only the `dns_kind`,
-    /// `outcome`, and `download` columns.
-    ///
-    /// `reset_fast_micros` is the connect-phase duration below which an
-    /// all-attempts-refused transaction counts as a policy reset: immediate
-    /// RSTs finish a whole retry ladder in a few seconds, while a single
-    /// genuine SYN timeout alone takes tens of seconds.
-    pub fn txn_blame_hint(&self, i: usize, reset_fast_micros: u64) -> TxnBlameHint {
+    /// `outcome`, and `download` columns; a policy reset is a
+    /// `Tcp(NoConnection)` failure under [`RESET_FAST_MICROS`].
+    pub fn txn_blame_hint(&self, i: usize) -> TxnBlameHint {
         match self.txn.dns_kind[i] {
             0 => {}
             1 => return TxnBlameHint::ClientDns, // LDNS timeout
@@ -729,7 +663,7 @@ impl ColumnarDataset {
         if self.txn_failure(i) == Some(FailureClass::Tcp(TcpFailureKind::NoConnection))
             && self
                 .txn_download_micros(i)
-                .is_some_and(|us| us < reset_fast_micros)
+                .is_some_and(|us| us < RESET_FAST_MICROS)
         {
             return TxnBlameHint::PolicyReset;
         }
@@ -759,41 +693,6 @@ impl ColumnarDataset {
     #[inline]
     pub fn conn_replica_index(&self, i: usize) -> u32 {
         read_index(i, &self.conn.replica, &self.conn.replica_spill)
-    }
-
-    pub fn client_category(&self, client: u16) -> ClientCategory {
-        self.clients.category[client as usize]
-    }
-
-    pub fn client_name(&self, client: u16) -> &str {
-        let (off, len) = self.clients.name_range[client as usize];
-        &self.clients.name_pool[off as usize..(off + len) as usize]
-    }
-
-    pub fn client_prefixes(&self, client: u16) -> &[PrefixId] {
-        let (off, len) = self.clients.prefix_range[client as usize];
-        &self.clients.prefix_pool[off as usize..(off + len) as usize]
-    }
-
-    pub fn site_hostname(&self, site: u16) -> &str {
-        let (off, len) = self.sites.host_range[site as usize];
-        &self.sites.host_pool[off as usize..(off + len) as usize]
-    }
-
-    /// The verbatim `replica_prefixes` entries of a site: `(addr, prefixes)`
-    /// in stored order.
-    pub fn site_replica_prefixes(
-        &self,
-        site: u16,
-    ) -> impl Iterator<Item = (Ipv4Addr, &[PrefixId])> + '_ {
-        let (off, len) = self.sites.rp_entry_range[site as usize];
-        (off..off + len).map(move |e| {
-            let (poff, plen) = self.sites.rp_prefix_range[e as usize];
-            (
-                self.sites.rp_addr[e as usize],
-                &self.sites.rp_prefix_pool[poff as usize..(poff + plen) as usize],
-            )
-        })
     }
 
     /// Reconstruct transaction record `i` exactly.
@@ -846,46 +745,13 @@ impl ColumnarDataset {
         }
     }
 
-    /// Reconstruct the client metadata row.
-    pub fn client_meta(&self, client: u16) -> ClientMeta {
-        ClientMeta {
-            id: ClientId(client),
-            name: self.client_name(client).to_string(),
-            category: self.clients.category[client as usize],
-            colocation: read_opt_u16(
-                client as usize,
-                &self.clients.colocation,
-                &self.clients.colocation_spill,
-            ),
-            proxy: read_opt_u16(client as usize, &self.clients.proxy, &self.clients.proxy_spill)
-                .map(ProxyId),
-            prefixes: self.client_prefixes(client).to_vec(),
-            addr: self.clients.addr[client as usize],
-        }
-    }
-
-    /// Reconstruct the site metadata row.
-    pub fn site_meta(&self, site: u16) -> SiteMeta {
-        let (aoff, alen) = self.sites.addr_range[site as usize];
-        SiteMeta {
-            id: SiteId(site),
-            hostname: self.site_hostname(site).to_string(),
-            category: self.sites.category[site as usize],
-            addrs: self.sites.addr_pool[aoff as usize..(aoff + alen) as usize].to_vec(),
-            replica_prefixes: self
-                .site_replica_prefixes(site)
-                .map(|(a, p)| (a, p.to_vec()))
-                .collect(),
-        }
-    }
-
     /// Convert back to the row layout (the round-trip inverse of
     /// `from_dataset`).
     pub fn to_dataset(&self) -> Dataset {
         Dataset {
             hours: self.hours,
-            clients: (0..self.client_count() as u16).map(|c| self.client_meta(c)).collect(),
-            sites: (0..self.site_count() as u16).map(|s| self.site_meta(s)).collect(),
+            clients: self.clients.clone(),
+            sites: self.sites.clone(),
             records: (0..self.txn_len()).map(|i| self.record(i)).collect(),
             connections: (0..self.conn_len()).map(|i| self.connection(i)).collect(),
             prefixes: self.prefixes.clone(),
@@ -894,8 +760,8 @@ impl ColumnarDataset {
     }
 
     /// Memory footprint of the record data in both layouts, from column
-    /// lengths. The BGP series and prefix table are identical in both and
-    /// excluded.
+    /// lengths. The client and site metadata, the BGP series and the prefix
+    /// table are identical in both and excluded.
     pub fn memory(&self) -> MemoryFootprint {
         let t = &self.txn;
         let c = &self.conn;
@@ -946,6 +812,7 @@ impl ColumnarDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{ClientCategory, PrefixId, SiteCategory};
 
     #[test]
     fn blame_hints_read_dns_outcome_and_timing() {
@@ -991,8 +858,7 @@ mod tests {
             bgp: BgpHourlySeries::default(),
         };
         let cds = ColumnarDataset::from_dataset(&ds);
-        let cutoff = 20_000_000; // 20 s
-        let hints: Vec<TxnBlameHint> = (0..n).map(|i| cds.txn_blame_hint(i, cutoff)).collect();
+        let hints: Vec<TxnBlameHint> = (0..n).map(|i| cds.txn_blame_hint(i)).collect();
         assert_eq!(
             hints,
             vec![
@@ -1169,7 +1035,6 @@ mod tests {
         assert!(!cds.txn.proxy_spill.is_empty());
         assert!(!cds.conn.start_spill.is_empty());
         assert!(!cds.conn.retx_spill.is_empty());
-        assert!(!cds.clients.colocation_spill.is_empty());
         let back = cds.to_dataset();
         assert_eq!(back.hours, ds.hours);
         assert_eq!(back.records.len(), ds.records.len());

@@ -68,19 +68,11 @@ proptest! {
         let mut sorted = changes.clone();
         sorted.sort_by_key(|(t, _)| *t);
         for &q in &queries {
+            // The LAST entry with t <= q in stable order.
             let expected = sorted
                 .iter()
-                .filter(|(t, _)| *t <= q)
-                .next_back()
-                // find the LAST entry with t <= q in stable order
-                .map(|_| {
-                    sorted
-                        .iter()
-                        .filter(|(t, _)| *t <= q)
-                        .last()
-                        .map(|(_, s)| *s)
-                        .unwrap_or(false)
-                })
+                .rfind(|(t, _)| *t <= q)
+                .map(|(_, s)| *s)
                 .unwrap_or(false);
             prop_assert_eq!(*tl.at(SimTime::from_secs(q)), expected, "query {}", q);
         }

@@ -171,7 +171,7 @@ pub fn check_audit(
     let optimized = netprofiler::audit::audit(&analysis, log);
 
     let permanent = naive::permanent_pairs(ds, &cfg);
-    let (client_outcome, server_outcome) = naive::transaction_outcome_grids(ds, &permanent, &cfg);
+    let (client_outcome, server_outcome) = naive::transaction_outcome_grids(ds, &permanent);
     let oracle = naive::blame_confusion(
         ds,
         log,
@@ -352,20 +352,19 @@ fn diff_headline(
     );
 
     // Severe BGP instability, both rules.
-    let cfg = &a5.config;
     let grid = bgp_corr::prefix_grid(a5);
     let severe = |rule| bgp_corr::severe_instability_with_grid(a5, rule, &grid);
     for (name, o, n) in [
         (
             "severe_neighbors",
-            severe(SeverityRule::Neighbors(cfg.severe_neighbors)),
+            severe(SeverityRule::Neighbors(bgp_corr::SEVERE_NEIGHBORS)),
             &oracle.severe_neighbors,
         ),
         (
             "severe_alt",
             severe(SeverityRule::WithdrawalsAndNeighbors(
-                cfg.alt_withdrawals,
-                cfg.alt_neighbors,
+                bgp_corr::ALT_WITHDRAWALS,
+                bgp_corr::ALT_NEIGHBORS,
             )),
             &oracle.severe_alt,
         ),

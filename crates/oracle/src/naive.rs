@@ -2,17 +2,22 @@
 //!
 //! Every function here is a direct transcription of the paper's definition:
 //! one pass, one loop, sparse `BTreeMap` counters. Nothing is shared with
-//! the optimized scans except the passive artifact structs and the
-//! [`AnalysisConfig`] thresholds.
+//! the optimized scans except the passive artifact structs, the
+//! [`AnalysisConfig`] thresholds and the paper's fixed policy constants.
 
+use model::columnar::RESET_FAST_MICROS;
 use model::{
     BgpHourly, ClientCategory, Dataset, DnsFailureKind, FailureClass, TcpFailureKind, TxnBlameHint,
 };
-use netprofiler::bgp_corr::{SevereInstabilityReport, SevereInstance, SeverityRule};
+use netprofiler::bgp_corr::{
+    SevereInstabilityReport, SevereInstance, SeverityRule, ALT_NEIGHBORS, ALT_WITHDRAWALS,
+    SEVERE_NEIGHBORS,
+};
 use netprofiler::blame::{BlameBreakdown, ServerEpisodeStats};
 use netprofiler::episodes::{Figure4, RateCdf};
+use netprofiler::grid::OUTAGE_THRESHOLD;
 use netprofiler::pair_episodes::{PairEpisode, PairEpisodeConfig, PairEpisodeReport};
-use netprofiler::permanent::PermanentPair;
+use netprofiler::permanent::{PermanentPair, MIN_PAIR_TRANSACTIONS};
 use netprofiler::proxy_analysis::{ResidualRate, SharedProxySite, Table9Row, SHARED_PROXY_PARAMS};
 use netprofiler::summary::{CategorySummary, FailureBreakdown};
 use netprofiler::AnalysisConfig;
@@ -100,7 +105,7 @@ impl NaiveGrid {
 /// The Section 4.2 / 4.4.2 blame hint of one row record, recomputed from
 /// the record's own fields — deliberately independent of the columnar
 /// encoding the optimized [`model::ColumnarDataset::txn_blame_hint`] reads.
-pub fn txn_blame_hint(r: &model::PerformanceRecord, reset_fast_micros: u64) -> TxnBlameHint {
+pub fn txn_blame_hint(r: &model::PerformanceRecord) -> TxnBlameHint {
     match r.dns {
         Ok(_) => {}
         Err(DnsFailureKind::LdnsTimeout) => return TxnBlameHint::ClientDns,
@@ -113,7 +118,7 @@ pub fn txn_blame_hint(r: &model::PerformanceRecord, reset_fast_micros: u64) -> T
     if r.failure() == Some(FailureClass::Tcp(TcpFailureKind::NoConnection))
         && r
             .download_time
-            .is_some_and(|d| d.as_micros() < reset_fast_micros)
+            .is_some_and(|d| d.as_micros() < RESET_FAST_MICROS)
     {
         return TxnBlameHint::PolicyReset;
     }
@@ -149,9 +154,9 @@ impl NaiveOutcomeGrid {
     }
 
     /// Is `(row, hour)` an outage — the plain failure rate clears the
-    /// (majority) `outage_threshold`?
-    pub fn is_outage(&self, row: usize, hour: u32, outage_threshold: f64, min_samples: u32) -> bool {
-        self.grid.is_episode(row, hour, outage_threshold, min_samples)
+    /// (majority) [`OUTAGE_THRESHOLD`]?
+    pub fn is_outage(&self, row: usize, hour: u32, min_samples: u32) -> bool {
+        self.grid.is_episode(row, hour, OUTAGE_THRESHOLD, min_samples)
     }
 
     /// Largest single-peer failure count of a cell (0 when absent).
@@ -169,7 +174,6 @@ impl NaiveOutcomeGrid {
 pub fn transaction_outcome_grids(
     ds: &Dataset,
     permanent: &NaivePermanent,
-    cfg: &AnalysisConfig,
 ) -> (NaiveOutcomeGrid, NaiveOutcomeGrid) {
     let mut client = NaiveOutcomeGrid {
         grid: NaiveGrid::new(ds.clients.len(), ds.hours),
@@ -185,7 +189,7 @@ pub fn transaction_outcome_grids(
         if r.proxy.is_some() || permanent.contains(r.client, r.site) {
             continue;
         }
-        let hint = txn_blame_hint(r, cfg.reset_fast_micros);
+        let hint = txn_blame_hint(r);
         let hour = r.hour();
         let client_failed = matches!(hint, TxnBlameHint::ClientDns | TxnBlameHint::Ambiguous);
         let server_failed = matches!(hint, TxnBlameHint::AuthDns | TxnBlameHint::Ambiguous);
@@ -243,7 +247,7 @@ pub fn permanent_pairs(ds: &Dataset, cfg: &AnalysisConfig) -> NaivePermanent {
     }
     let mut out = NaivePermanent::default();
     for (&(c, s), &(txns, failed)) in &per_pair {
-        if txns >= cfg.min_pair_transactions
+        if txns >= MIN_PAIR_TRANSACTIONS
             && f64::from(failed) / f64::from(txns) > cfg.permanent_threshold
         {
             out.pairs.insert((c, s));
@@ -420,7 +424,7 @@ fn inferred_class(
     server_outcome: &NaiveOutcomeGrid,
     cfg: &AnalysisConfig,
 ) -> usize {
-    match txn_blame_hint(r, cfg.reset_fast_micros) {
+    match txn_blame_hint(r) {
         TxnBlameHint::ClientDns => 0,
         TxnBlameHint::AuthDns => 1,
         TxnBlameHint::PolicyReset => 3,
@@ -883,7 +887,7 @@ pub fn analyze(ds: &Dataset, cfg: &AnalysisConfig) -> OracleArtifacts {
         }
         txn_grid.add(r.client.0 as usize, r.hour(), r.failed());
     }
-    let (client_outcome, server_outcome) = transaction_outcome_grids(ds, &permanent, cfg);
+    let (client_outcome, server_outcome) = transaction_outcome_grids(ds, &permanent);
 
     let clients_cdf = rate_cdf(&client_grid.all_rates(min));
     let servers_cdf = rate_cdf(&server_grid.all_rates(min));
@@ -895,8 +899,8 @@ pub fn analyze(ds: &Dataset, cfg: &AnalysisConfig) -> OracleArtifacts {
     };
 
     let pgrid = prefix_grid(ds, &permanent);
-    let neighbors_rule = SeverityRule::Neighbors(cfg.severe_neighbors);
-    let alt_rule = SeverityRule::WithdrawalsAndNeighbors(cfg.alt_withdrawals, cfg.alt_neighbors);
+    let neighbors_rule = SeverityRule::Neighbors(SEVERE_NEIGHBORS);
+    let alt_rule = SeverityRule::WithdrawalsAndNeighbors(ALT_WITHDRAWALS, ALT_NEIGHBORS);
 
     let table9: Vec<Table9Row> = ds
         .sites

@@ -520,7 +520,7 @@ pub fn render_replicas(analysis: &Analysis<'_>) -> String {
          server-side episodes on multi-replica sites: {} of {} ({})\n\
          total-replica failures: {} of {} multi episodes ({})\n\
          total-replica failures on same-/24 layouts: {}\n",
-        pct(analysis.config.replica_qualify_fraction),
+        pct(replicas::REPLICA_QUALIFY_FRACTION),
         r.zero_replica_sites,
         r.single_replica_sites,
         r.multi_replica_sites,
@@ -539,26 +539,23 @@ pub fn render_bgp(analysis: &Analysis<'_>) -> String {
     let grid = bgp_corr::prefix_grid(analysis);
     let main = bgp_corr::severe_instability_with_grid(
         analysis,
-        SeverityRule::Neighbors(analysis.config.severe_neighbors),
+        SeverityRule::Neighbors(bgp_corr::SEVERE_NEIGHBORS),
         &grid,
     );
     let alt = bgp_corr::severe_instability_with_grid(
         analysis,
-        SeverityRule::WithdrawalsAndNeighbors(
-            analysis.config.alt_withdrawals,
-            analysis.config.alt_neighbors,
-        ),
+        SeverityRule::WithdrawalsAndNeighbors(bgp_corr::ALT_WITHDRAWALS, bgp_corr::ALT_NEIGHBORS),
         &grid,
     );
     let mut out = format!(
         "Severe BGP instability vs TCP failures:\n\
          rule ≥{} neighbors withdrawing: {} instances; failure rate >5% in {} of measurable\n\
          rule ≥{} withdrawals & ≥{} neighbors: {} instances; >10% in {}, >20% in {}\n",
-        analysis.config.severe_neighbors,
+        bgp_corr::SEVERE_NEIGHBORS,
         main.instances.len(),
         pct(main.fraction_above_5pct),
-        analysis.config.alt_withdrawals,
-        analysis.config.alt_neighbors,
+        bgp_corr::ALT_WITHDRAWALS,
+        bgp_corr::ALT_NEIGHBORS,
         alt.instances.len(),
         pct(alt.fraction_above_10pct),
         pct(alt.fraction_above_20pct),
@@ -1009,7 +1006,7 @@ pub fn comparisons(ds: &Dataset, a5: &Analysis<'_>, a10: &Analysis<'_>) -> Vec<C
     let grid = bgp_corr::prefix_grid(a5);
     let sev = bgp_corr::severe_instability_with_grid(
         a5,
-        SeverityRule::Neighbors(a5.config.severe_neighbors),
+        SeverityRule::Neighbors(bgp_corr::SEVERE_NEIGHBORS),
         &grid,
     );
     push(

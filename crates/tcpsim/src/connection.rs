@@ -46,45 +46,25 @@ impl Default for PathQuality {
     }
 }
 
-/// TCP/client timing parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpConfig {
-    /// Total SYNs sent before the client gives up (first + retransmissions).
-    pub max_syn_attempts: u8,
-    /// First SYN retransmission timeout; doubles per attempt (3s, 6s, 12s…).
-    pub syn_backoff_base: SimDuration,
-    /// The measurement client's idle rule: abort when the connection makes
-    /// no progress for this long (Section 3.1: 60 seconds).
-    pub idle_timeout: SimDuration,
-    /// Retransmission timeout for request/data segments.
-    pub rto: SimDuration,
-    /// Transmissions per segment before the transfer is declared stalled.
-    pub max_segment_attempts: u8,
-    /// Maximum segment size for the response body.
-    pub mss: u32,
-    /// Initial congestion window (segments); doubles per round (slow start).
-    pub init_cwnd: u32,
-    /// Congestion-window cap (segments).
-    pub max_cwnd: u32,
-    /// Multiplicative latency jitter sigma.
-    pub jitter_sigma: f64,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            max_syn_attempts: 4,
-            syn_backoff_base: SimDuration::from_secs(3),
-            idle_timeout: SimDuration::from_secs(60),
-            rto: SimDuration::from_secs(3),
-            max_segment_attempts: 6,
-            mss: 1460,
-            init_cwnd: 2,
-            max_cwnd: 32,
-            jitter_sigma: 0.2,
-        }
-    }
-}
+/// Total SYNs sent before the client gives up (first + retransmissions).
+const MAX_SYN_ATTEMPTS: u8 = 4;
+/// First SYN retransmission timeout; doubles per attempt (3s, 6s, 12s…).
+const SYN_BACKOFF_BASE: SimDuration = SimDuration::from_secs(3);
+/// The measurement client's idle rule: abort when the connection makes no
+/// progress for this long (Section 3.1: 60 seconds).
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+/// Retransmission timeout for request/data segments.
+const RTO: SimDuration = SimDuration::from_secs(3);
+/// Transmissions per segment before the transfer is declared stalled.
+const MAX_SEGMENT_ATTEMPTS: u8 = 6;
+/// Maximum segment size for the response body.
+const MSS: u32 = 1460;
+/// Initial congestion window (segments); doubles per round (slow start).
+const INIT_CWND: u32 = 2;
+/// Congestion-window cap (segments).
+const MAX_CWND: u32 = 32;
+/// Multiplicative latency jitter sigma.
+const JITTER_SIGMA: f64 = 0.2;
 
 /// Everything observed about one simulated connection.
 #[derive(Clone, Debug)]
@@ -138,7 +118,6 @@ impl<'a> Capture<'a> {
 /// when healthy. Set `record_trace` to capture the client-side packet trace
 /// (the BB clients in the paper ran without capture).
 pub fn simulate_connection(
-    cfg: &TcpConfig,
     behavior: ServerBehavior,
     path: &PathQuality,
     response_bytes: u64,
@@ -147,8 +126,7 @@ pub fn simulate_connection(
     record_trace: bool,
 ) -> ConnectionResult {
     let mut buf = record_trace.then(Vec::new);
-    let mut res =
-        simulate_connection_into(cfg, behavior, path, response_bytes, start, rng, buf.as_mut());
+    let mut res = simulate_connection_into(behavior, path, response_bytes, start, rng, buf.as_mut());
     res.trace = buf;
     res
 }
@@ -159,7 +137,6 @@ pub fn simulate_connection(
 /// returned `trace` field is always `None`. The RNG draw sequence is
 /// identical to [`simulate_connection`].
 pub fn simulate_connection_into(
-    cfg: &TcpConfig,
     behavior: ServerBehavior,
     path: &PathQuality,
     response_bytes: u64,
@@ -167,7 +144,7 @@ pub fn simulate_connection_into(
     rng: &mut SimRng,
     capture: Option<&mut Trace>,
 ) -> ConnectionResult {
-    let res = simulate_connection_inner(cfg, behavior, path, response_bytes, start, rng, capture);
+    let res = simulate_connection_inner(behavior, path, response_bytes, start, rng, capture);
     if telemetry::enabled() {
         telemetry::counter!("tcp.connections", 1);
         telemetry::counter!("tcp.syn_retransmissions", u64::from(res.syn_retransmissions));
@@ -193,7 +170,6 @@ pub fn simulate_connection_into(
 }
 
 fn simulate_connection_inner(
-    cfg: &TcpConfig,
     behavior: ServerBehavior,
     path: &PathQuality,
     response_bytes: u64,
@@ -203,18 +179,18 @@ fn simulate_connection_inner(
 ) -> ConnectionResult {
     let mut cap = Capture::new(capture);
     let mut now = start;
-    let rtt = |rng: &mut SimRng| path.rtt * rng.normal(0.0, cfg.jitter_sigma).exp();
+    let rtt = |rng: &mut SimRng| path.rtt * rng.normal(0.0, JITTER_SIGMA).exp();
 
     // ---- SYN handshake ---------------------------------------------------
     let mut established = false;
     let mut syn_retx: u8 = 0;
     let mut refused = false;
-    for attempt in 0..cfg.max_syn_attempts {
+    for attempt in 0..MAX_SYN_ATTEMPTS {
         if attempt > 0 {
             syn_retx += 1;
         }
         cap.push(now, Direction::ClientToServer, PacketKind::Syn);
-        let backoff = cfg.syn_backoff_base * (1u64 << attempt);
+        let backoff = SYN_BACKOFF_BASE * (1u64 << attempt);
         // SYN must survive the forward path.
         let syn_arrives = behavior != ServerBehavior::Unreachable && !rng.chance(path.loss);
         if !syn_arrives {
@@ -276,10 +252,10 @@ fn simulate_connection_inner(
     // The client transmits the HTTP request; every transmission is captured
     // locally. The request is retransmitted on (data or ack) loss.
     let mut request_delivered = false;
-    for attempt in 0..cfg.max_segment_attempts {
+    for attempt in 0..MAX_SEGMENT_ATTEMPTS {
         if attempt > 0 {
             retx_sent += 1;
-            now += cfg.rto;
+            now += RTO;
         }
         cap.push(now, Direction::ClientToServer, PacketKind::Request { seq: 0 });
         if rng.chance(path.loss) {
@@ -298,7 +274,7 @@ fn simulate_connection_inner(
     if !request_delivered {
         // Pathological loss: the connection makes no progress; the client's
         // idle rule fires.
-        now += cfg.idle_timeout;
+        now += IDLE_TIMEOUT;
         return ConnectionResult {
             outcome: Err(TcpFailureKind::NoResponse),
             established: true,
@@ -320,7 +296,7 @@ fn simulate_connection_inner(
     let stalls = will_deliver < response_bytes;
 
     if will_deliver == 0 {
-        now += cfg.idle_timeout;
+        now += IDLE_TIMEOUT;
         return ConnectionResult {
             outcome: Err(TcpFailureKind::NoResponse),
             established: true,
@@ -332,9 +308,9 @@ fn simulate_connection_inner(
         };
     }
 
-    let total_segments = will_deliver.div_ceil(u64::from(cfg.mss)) as u32;
+    let total_segments = will_deliver.div_ceil(u64::from(MSS)) as u32;
     let mut delivered_segments: u32 = 0;
-    let mut cwnd = cfg.init_cwnd.max(1);
+    let mut cwnd = INIT_CWND;
     let mut transfer_stalled = false;
 
     'transfer: while delivered_segments < total_segments {
@@ -344,10 +320,10 @@ fn simulate_connection_inner(
         for i in 0..in_round {
             let seq = delivered_segments + i;
             let mut got_through = false;
-            for attempt in 0..cfg.max_segment_attempts {
+            for attempt in 0..MAX_SEGMENT_ATTEMPTS {
                 if attempt > 0 {
                     retx_sent += 1;
-                    round_extra += cfg.rto;
+                    round_extra += RTO;
                 }
                 let arrives = !rng.chance(path.loss);
                 if arrives {
@@ -360,7 +336,7 @@ fn simulate_connection_inner(
                     // retransmission the client will see as a duplicate.
                     if rng.chance(path.loss) {
                         retx_sent += 1;
-                        round_extra += cfg.rto;
+                        round_extra += RTO;
                         if !rng.chance(path.loss) {
                             cap.push(
                                 round_start + round_extra,
@@ -381,14 +357,14 @@ fn simulate_connection_inner(
         }
         delivered_segments += in_round;
         now = round_start + rtt(rng) + round_extra;
-        cwnd = (cwnd * 2).min(cfg.max_cwnd);
+        cwnd = (cwnd * 2).min(MAX_CWND);
     }
 
-    let bytes_delivered = (u64::from(delivered_segments) * u64::from(cfg.mss)).min(will_deliver);
+    let bytes_delivered = (u64::from(delivered_segments) * u64::from(MSS)).min(will_deliver);
 
     if transfer_stalled || stalls {
         // No further progress: the idle rule ends the transaction.
-        now += cfg.idle_timeout;
+        now += IDLE_TIMEOUT;
         let outcome = if bytes_delivered == 0 {
             Err(TcpFailureKind::NoResponse)
         } else {
@@ -432,7 +408,6 @@ mod tests {
 
     fn run(behavior: ServerBehavior, path: PathQuality, bytes: u64, seed: u64) -> ConnectionResult {
         simulate_connection(
-            &TcpConfig::default(),
             behavior,
             &path,
             bytes,
@@ -562,7 +537,6 @@ mod tests {
         for seed in 0..5 {
             let owned = run(ServerBehavior::Healthy, path, 45_000, 900 + seed);
             let r = simulate_connection_into(
-                &TcpConfig::default(),
                 ServerBehavior::Healthy,
                 &path,
                 45_000,
@@ -591,7 +565,6 @@ mod tests {
     #[test]
     fn trace_can_be_disabled() {
         let r = simulate_connection(
-            &TcpConfig::default(),
             ServerBehavior::Healthy,
             &lossless(),
             10_000,

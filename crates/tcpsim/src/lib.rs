@@ -25,7 +25,6 @@ pub mod trace;
 
 pub use connection::{
     simulate_connection, simulate_connection_into, ConnectionResult, PathQuality, ServerBehavior,
-    TcpConfig,
 };
 pub use packet::{Direction, PacketKind, Trace, TracePacket};
 pub use pcap::{decode_pcap, decode_pcap_salvage, encode_pcap, PcapEndpoints, PcapError, PcapIssue};

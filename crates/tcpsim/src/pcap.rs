@@ -343,13 +343,12 @@ pub fn decode_pcap_salvage(data: &[u8], client: Ipv4Addr) -> (Trace, Vec<PcapIss
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connection::{simulate_connection, PathQuality, ServerBehavior, TcpConfig};
+    use crate::connection::{simulate_connection, PathQuality, ServerBehavior};
     use crate::trace::classify_trace;
     use netsim::SimRng;
 
     fn run_trace(behavior: ServerBehavior, loss: f64, seed: u64) -> Trace {
         let r = simulate_connection(
-            &TcpConfig::default(),
             behavior,
             &PathQuality {
                 loss,

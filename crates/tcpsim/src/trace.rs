@@ -86,9 +86,7 @@ pub fn count_retransmissions(trace: &Trace) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connection::{
-        simulate_connection, PathQuality, ServerBehavior, TcpConfig,
-    };
+    use crate::connection::{simulate_connection, PathQuality, ServerBehavior};
     use crate::packet::TracePacket;
     use model::{SimDuration, SimTime};
     use netsim::SimRng;
@@ -172,7 +170,6 @@ mod tests {
     /// simulator's ground-truth outcome.
     #[test]
     fn trace_classification_matches_ground_truth() {
-        let cfg = TcpConfig::default();
         let behaviors = [
             ServerBehavior::Healthy,
             ServerBehavior::Unreachable,
@@ -190,7 +187,6 @@ mod tests {
                 rtt: SimDuration::from_millis(60),
             };
             let r = simulate_connection(
-                &cfg,
                 *behavior,
                 &path,
                 20_000,
@@ -215,7 +211,6 @@ mod tests {
     /// Trace-visible retransmissions never exceed sender-side ground truth.
     #[test]
     fn trace_retx_bounded_by_sent_retx() {
-        let cfg = TcpConfig::default();
         let path = PathQuality {
             loss: 0.08,
             rtt: SimDuration::from_millis(60),
@@ -224,7 +219,6 @@ mod tests {
         let mut saw_some = false;
         for _ in 0..100 {
             let r = simulate_connection(
-                &cfg,
                 ServerBehavior::Healthy,
                 &path,
                 40_000,

@@ -14,13 +14,14 @@
 //!   gateway-error status.
 
 use crate::env::AccessEnvironment;
+use crate::session::{HEADER_OVERHEAD, MAX_REDIRECTS};
 use dnssim::{LdnsCache, StubResolver, ZoneTree};
 use dnswire::DomainName;
 use httpsim::{HttpRequest, HttpResponse, StatusClass};
 use model::{DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
 use std::net::Ipv4Addr;
-use tcpsim::{simulate_connection, TcpConfig};
+use tcpsim::simulate_connection;
 
 /// Outcome of a proxy-mediated fetch, with the time it took (the client's
 /// clock keeps running while the proxy works).
@@ -39,24 +40,18 @@ pub enum ProxyFetch {
 
 /// One caching proxy's state.
 pub struct ProxySession {
-    tcp: TcpConfig,
     cache: LdnsCache,
     rng: SimRng,
-    max_redirects: u8,
-    header_overhead: u64,
     /// Reused A-record buffer (one live allocation per proxy, not one per
     /// fetch).
     addr_scratch: Vec<Ipv4Addr>,
 }
 
 impl ProxySession {
-    pub fn new(tcp: TcpConfig, rng: SimRng) -> Self {
+    pub fn new(rng: SimRng) -> Self {
         ProxySession {
-            tcp,
             cache: LdnsCache::new(),
             rng,
-            max_redirects: 4,
-            header_overhead: 500,
             addr_scratch: Vec::new(),
         }
     }
@@ -99,7 +94,7 @@ impl ProxySession {
         let mut redirect_host: Option<DomainName> = None;
         let mut bytes_total = 0u64;
 
-        for _hop in 0..=self.max_redirects {
+        for _hop in 0..=MAX_REDIRECTS {
             let current = redirect_host.as_ref().unwrap_or(host);
             let resolution =
                 resolver.resolve_into(current, env, now, &mut self.rng, &mut self.cache, addrs);
@@ -119,21 +114,14 @@ impl ProxySession {
                     next_host: None,
                 },
             };
-            let wire_bytes = answer.response.body_len + self.header_overhead;
+            let wire_bytes = answer.response.body_len + HEADER_OVERHEAD;
 
             // The proxy hides which replica it tried, so its connect is
             // never stamped: the fault set is dropped.
             let (behavior, _) = env.server_behavior(addr, now);
             let path = env.path_quality(addr, now);
-            let result = simulate_connection(
-                &self.tcp,
-                behavior,
-                &path,
-                wire_bytes,
-                now,
-                &mut self.rng,
-                false,
-            );
+            let result =
+                simulate_connection(behavior, &path, wire_bytes, now, &mut self.rng, false);
             now += result.duration;
             if result.outcome.is_err() {
                 return if result.established {
@@ -191,7 +179,7 @@ mod tests {
     }
 
     fn proxy(seed: u64) -> ProxySession {
-        ProxySession::new(TcpConfig::default(), SimRng::new(seed))
+        ProxySession::new(SimRng::new(seed))
     }
 
     #[test]

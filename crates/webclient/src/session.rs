@@ -10,13 +10,27 @@ use model::{
     TcpFailureKind, TraceEvent, TransactionOutcome, TxnTrace,
 };
 use netsim::SimRng;
-use tcpsim::{classify_trace, count_retransmissions, simulate_connection_into, TcpConfig, Trace};
+use tcpsim::{classify_trace, count_retransmissions, simulate_connection_into, Trace};
 use std::net::Ipv4Addr;
 
-/// wget-level policy knobs.
+/// Redirect hops wget (and the caching proxy) will follow.
+pub(crate) const MAX_REDIRECTS: u8 = 4;
+/// Hard cap on TCP connection attempts per transaction (wget --tries
+/// analogue).
+const MAX_CONNECTIONS: u16 = 9;
+/// Time budget for connection retries within one transaction: after the
+/// first full pass over the address list, wget keeps retrying only while
+/// this much time has not elapsed. Fast failures (RSTs from the paper's
+/// blocked pairs) burn many attempts; 45-second SYN timeouts burn two or
+/// three — which is exactly why the 38 near-permanent pairs are 13% of
+/// transaction failures but 50.7% of connection failures in the paper.
+const RETRY_TIME_BUDGET: SimDuration = SimDuration::from_secs(90);
+/// Bytes of response headers added on the wire around the index object.
+pub(crate) const HEADER_OVERHEAD: u64 = 500;
+
+/// wget-level switches.
 #[derive(Clone, Debug)]
 pub struct WgetConfig {
-    pub tcp: TcpConfig,
     /// Resolver policy. Its `wire_fidelity` switch also round-trips the
     /// HTTP heads through the text codec: one switch per client.
     pub resolver: ResolverConfig,
@@ -24,26 +38,6 @@ pub struct WgetConfig {
     pub record_traces: bool,
     /// Send `Cache-Control: no-cache` (the CN clients' proxy-busting flag).
     pub no_cache: bool,
-    /// Redirect hops wget will follow.
-    pub max_redirects: u8,
-    /// Hard cap on TCP connection attempts per transaction (wget --tries
-    /// analogue).
-    pub max_connections: u16,
-    /// Time budget for connection retries within one transaction: after the
-    /// first full pass over the address list, wget keeps retrying only
-    /// while this much time has not elapsed. Fast failures (RSTs from the
-    /// paper's blocked pairs) burn many attempts; 45-second SYN timeouts
-    /// burn two or three — which is exactly why the 38 near-permanent pairs
-    /// are 13% of transaction failures but 50.7% of connection failures in
-    /// the paper.
-    pub retry_time_budget: SimDuration,
-    /// Run the iterative dig only when wget's own resolution failed (the
-    /// paper ran it always but *uses* it only for failed lookups; skipping
-    /// the healthy case keeps large simulations fast). Disable in tests that
-    /// exercise the agreement statistic on successes.
-    pub dig_on_failure_only: bool,
-    /// Bytes of response headers added on the wire around the index object.
-    pub header_overhead: u64,
     /// Stamp each observation with the ground-truth faults active during it
     /// (the fault-provenance flight recorder). Probing reads materialized
     /// timelines only, so the RNG draw order — and therefore the dataset —
@@ -61,15 +55,9 @@ pub struct WgetConfig {
 impl Default for WgetConfig {
     fn default() -> Self {
         WgetConfig {
-            tcp: TcpConfig::default(),
             resolver: ResolverConfig::default(),
             record_traces: true,
             no_cache: false,
-            max_redirects: 4,
-            max_connections: 9,
-            retry_time_budget: SimDuration::from_secs(90),
-            dig_on_failure_only: true,
-            header_overhead: 500,
             record_provenance: false,
             forensics: false,
         }
@@ -339,7 +327,7 @@ impl<'t> ClientSession<'t> {
         // Every exit past a successful first lookup, but for a failed
         // redirect lookup, leaves the hop loop with its outcome and replica.
         let (outcome, replica) = 'hops: {
-            for _hop in 0..=self.config.max_redirects {
+            for _hop in 0..=MAX_REDIRECTS {
                 // What will this host's origin say? (Determines the transfer
                 // size the connection must carry.)
                 self.host_scratch.clear();
@@ -370,7 +358,7 @@ impl<'t> ClientSession<'t> {
                     let _ = HttpResponse::decode_head(&self.head_scratch)
                         .expect("own response re-parses");
                 }
-                let wire_bytes = answer.response.body_len + self.config.header_overhead;
+                let wire_bytes = answer.response.body_len + HEADER_OVERHEAD;
 
                 // Connect: wget fails over across the A records, then keeps
                 // retrying while its time budget lasts. One full pass over the
@@ -380,14 +368,13 @@ impl<'t> ClientSession<'t> {
                 let captured = self.config.record_traces;
                 'retry: loop {
                     for addr in addrs.iter() {
-                        if connections.len() as u16 >= self.config.max_connections {
+                        if connections.len() as u16 >= MAX_CONNECTIONS {
                             break 'retry;
                         }
                         let (behavior, faults) = env.server_behavior(*addr, now);
                         let attempt_truth = truth.connect(faults);
                         let path = env.path_quality(*addr, now);
                         let result = simulate_connection_into(
-                            &self.config.tcp,
                             behavior,
                             &path,
                             wire_bytes,
@@ -441,7 +428,7 @@ impl<'t> ClientSession<'t> {
                     }
                     // First pass complete; continue only while the budget is
                     // not yet exhausted.
-                    if now - conn_phase_start >= self.config.retry_time_budget {
+                    if now - conn_phase_start >= RETRY_TIME_BUDGET {
                         break 'retry;
                     }
                 }
@@ -529,7 +516,7 @@ impl<'t> ClientSession<'t> {
                 final_replica,
             )
         };
-        let mut obs = TransactionObservation {
+        TransactionObservation {
             start: t,
             dns: Ok(dns_elapsed),
             outcome,
@@ -541,11 +528,7 @@ impl<'t> ClientSession<'t> {
             dig: DigOutcome::NotRun,
             provenance: None,
             trace: None,
-        };
-        if obs.outcome.is_success() && !self.config.dig_on_failure_only {
-            obs.dig = self.run_dig(env, host, now);
         }
-        obs
     }
 
     /// Run one transaction through a corporate caching proxy.
@@ -662,6 +645,10 @@ impl<'t> ClientSession<'t> {
         self.finish(obs, truth)
     }
 
+    /// The iterative dig after a failed lookup. It runs only when wget's
+    /// own resolution failed: the paper ran it always but *uses* it only
+    /// for failed lookups, and skipping the healthy case keeps large
+    /// simulations fast.
     fn run_dig<E: AccessEnvironment>(
         &mut self,
         env: &E,
@@ -889,8 +876,10 @@ mod tests {
         }
         let tr = tree();
         let env = NoResp(HealthyEnv::new(Origin::simple("www.example.com", 1_000)));
-        let mut cfg = WgetConfig::default();
-        cfg.record_traces = false; // a BB client
+        let cfg = WgetConfig {
+            record_traces: false, // a BB client
+            ..WgetConfig::default()
+        };
         let mut s = ClientSession::new(&tr, cfg, SimRng::new(8));
         let obs = s.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(1));
         assert_eq!(
@@ -917,7 +906,7 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = session(&tr, 21);
-        let mut proxy = crate::proxy::ProxySession::new(Default::default(), SimRng::new(22));
+        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(22));
         let obs = s.run_proxied_transaction(
             &env,
             &mut proxy,
@@ -939,7 +928,7 @@ mod tests {
         let tr = tree();
         let env = ServersDown(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
         let mut s = session(&tr, 23);
-        let mut proxy = crate::proxy::ProxySession::new(Default::default(), SimRng::new(24));
+        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(24));
         let obs = s.run_proxied_transaction(
             &env,
             &mut proxy,
@@ -956,7 +945,7 @@ mod tests {
         let client_env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
         let proxy_env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = session(&tr, 25);
-        let mut proxy = crate::proxy::ProxySession::new(Default::default(), SimRng::new(26));
+        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(26));
         let obs = s.run_proxied_transaction(
             &client_env,
             &mut proxy,
@@ -978,7 +967,7 @@ mod tests {
         // The proxy's vantage has no working DNS.
         let proxy_env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
         let mut s = session(&tr, 27);
-        let mut proxy = crate::proxy::ProxySession::new(Default::default(), SimRng::new(28));
+        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(28));
         let obs = s.run_proxied_transaction(
             &client_env,
             &mut proxy,
@@ -1084,7 +1073,7 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = forensic_session(&tr, 35);
-        let mut proxy = crate::proxy::ProxySession::new(Default::default(), SimRng::new(36));
+        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(36));
         let obs = s.run_proxied_transaction(
             &env,
             &mut proxy,
@@ -1138,7 +1127,7 @@ mod tests {
         };
         cfg.resolver.query_loss_prob = 0.0;
         let mut s = ClientSession::new(&tr, cfg, SimRng::new(37));
-        let mut proxy = crate::proxy::ProxySession::new(Default::default(), SimRng::new(38));
+        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(38));
         let t = SimTime::from_hours(1);
         env.1.set(0);
         s.run_transaction(env, &name("example.com"), t);

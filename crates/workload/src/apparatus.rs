@@ -222,7 +222,7 @@ mod tests {
         let applied = a.corrupt_buffer(&mut rng, &mut buf);
         assert_eq!(applied.bitflips, 24);
         let cut = applied.truncated_at.expect("stress always truncates");
-        assert!(cut >= 2000 && cut < 3000);
+        assert!((2000..3000).contains(&cut));
         assert_eq!(buf.len(), cut);
         assert_ne!(&buf[..], &original[..cut], "bit flips landed");
     }

@@ -801,7 +801,7 @@ fn run_client(
     let mut session = ClientSession::new(tree, wget, rng.fork(1));
     let mut proxy_session = spec
         .proxy
-        .map(|p| (p, ProxySession::new(Default::default(), rng.fork(2)), ProxyView::new(truth, p.0)));
+        .map(|p| (p, ProxySession::new(rng.fork(2)), ProxyView::new(truth, p.0)));
 
     let iterations = u64::from(config.hours) * u64::from(config.iterations_per_hour);
     let iter_len = 3_600_000_000u64 / u64::from(config.iterations_per_hour); // µs

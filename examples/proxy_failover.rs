@@ -75,7 +75,7 @@ fn main() {
     };
 
     let mut direct = ClientSession::new(&tree, WgetConfig::default(), SimRng::new(1));
-    let mut proxy = ProxySession::new(Default::default(), SimRng::new(2));
+    let mut proxy = ProxySession::new(SimRng::new(2));
 
     let accesses = 2_000u64;
     let mut direct_fail = 0u64;

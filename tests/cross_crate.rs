@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use tcpsim::{
     classify_trace, count_retransmissions, simulate_connection, PathQuality, ServerBehavior,
-    TcpConfig, TraceVerdict,
+    TraceVerdict,
 };
 
 fn hosts() -> Vec<(DomainName, Vec<Ipv4Addr>)> {
@@ -76,10 +76,8 @@ proptest! {
             ServerBehavior::AcceptNoResponse,
             ServerBehavior::StallAfter(bytes / 2),
         ][behavior_idx];
-        let cfg = TcpConfig::default();
         let path = PathQuality { loss, rtt: SimDuration::from_millis(70) };
         let r = simulate_connection(
-            &cfg,
             behavior,
             &path,
             bytes,
@@ -112,10 +110,8 @@ proptest! {
     fn wire_fidelity_never_changes_outcomes(seed in 0u64..2_000, host_idx in 0usize..20) {
         let hosts = hosts();
         let tree = ZoneTree::build_for_hosts(&hosts);
-        let mut on_cfg = ResolverConfig::default();
-        on_cfg.query_loss_prob = 0.0;
-        let mut off_cfg = on_cfg;
-        off_cfg.wire_fidelity = false;
+        let on_cfg = ResolverConfig { query_loss_prob: 0.0, wire_fidelity: true };
+        let off_cfg = ResolverConfig { wire_fidelity: false, ..on_cfg };
         let on = StubResolver::new(&tree, on_cfg);
         let off = StubResolver::new(&tree, off_cfg);
         let name = &hosts[host_idx].0;

@@ -82,10 +82,9 @@ fn corrupted_trace_is_salvaged_and_still_classifiable() {
     use model::{SimDuration, SimTime};
     use netsim::SimRng;
     use tcpsim::pcap::{decode_pcap, decode_pcap_salvage, encode_pcap, PcapEndpoints};
-    use tcpsim::{classify_trace, simulate_connection, PathQuality, ServerBehavior, TcpConfig, TraceVerdict};
+    use tcpsim::{classify_trace, simulate_connection, PathQuality, ServerBehavior, TraceVerdict};
 
     let r = simulate_connection(
-        &TcpConfig::default(),
         ServerBehavior::Healthy,
         &PathQuality {
             loss: 0.02,

@@ -191,6 +191,15 @@ fn existing_worlds_bit_identical_to_pre_archetype_goldens() {
         ),
         "standard world drifted from its pre-archetype golden fingerprint"
     );
+    // The tuples above hash only who, where, when and whether it failed.
+    // The full-dataset fingerprints below also cover download times,
+    // bytes, DNS latencies, retransmission counts, failure kinds and dig
+    // outcomes: what the TCP and DNS timing constants drive.
+    assert_eq!(
+        model::fingerprint(&standard),
+        0x6e49_7dbd_b387_3f06,
+        "standard world's full dataset drifted from its golden fingerprint"
+    );
 
     let mut cfg = ExperimentConfig::quick(4242);
     cfg.hours = 8;
@@ -208,6 +217,11 @@ fn existing_worlds_bit_identical_to_pre_archetype_goldens() {
             6117770599523513703,
         ),
         "degraded world drifted from its pre-archetype golden fingerprint"
+    );
+    assert_eq!(
+        model::fingerprint(&degraded),
+        0x4e25_b4ea_99b0_1f40,
+        "degraded world's full dataset drifted from its golden fingerprint"
     );
 }
 
@@ -269,6 +283,11 @@ fn adversarial_world_bit_identical_to_golden() {
             9687373785194654228,
         ),
         "adversarial world drifted from its golden fingerprint"
+    );
+    assert_eq!(
+        model::fingerprint(&out.dataset),
+        0x3c5d_c6bf_a1a7_ef05,
+        "adversarial world's full dataset drifted from its golden fingerprint"
     );
     let log = out.provenance.expect("provenance requested");
     assert_eq!(

@@ -147,7 +147,7 @@ proptest! {
         prop_assert!((cdf.at(probe) - expected).abs() < 1e-12);
         // The knee, when defined, is one of the observed rates.
         if let Some(k) = cdf.knee() {
-            prop_assert!(rates.iter().any(|r| *r == k));
+            prop_assert!(rates.contains(&k));
         }
     }
 

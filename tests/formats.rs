@@ -7,7 +7,7 @@ use model::{PrefixId, SimDuration, SimTime};
 use netsim::SimRng;
 use tcpsim::{
     classify_trace, decode_pcap, encode_pcap, simulate_connection, PathQuality, PcapEndpoints,
-    ServerBehavior, TcpConfig,
+    ServerBehavior,
 };
 
 #[test]
@@ -51,7 +51,6 @@ fn month_scale_bgp_feed_round_trips_through_mrt() {
 
 #[test]
 fn traces_of_every_outcome_round_trip_through_pcap() {
-    let cfg = TcpConfig::default();
     let ep = PcapEndpoints::default();
     let mut rng = SimRng::new(41);
     let behaviors = [
@@ -64,7 +63,6 @@ fn traces_of_every_outcome_round_trip_through_pcap() {
     for (i, behavior) in behaviors.iter().cycle().take(100).enumerate() {
         let loss = [0.0, 0.02, 0.08][i % 3];
         let r = simulate_connection(
-            &cfg,
             *behavior,
             &PathQuality {
                 loss,

@@ -20,7 +20,7 @@ use model::{PrefixId, SimDuration, SimTime};
 use netsim::SimRng;
 use proptest::prelude::*;
 use tcpsim::pcap::{decode_pcap, decode_pcap_salvage, encode_pcap, PcapEndpoints};
-use tcpsim::{simulate_connection, PathQuality, ServerBehavior, TcpConfig};
+use tcpsim::{simulate_connection, PathQuality, ServerBehavior};
 use workload::apparatus::{bitflip, truncate_tail};
 
 /// Corrupt `buf` in place: `flips` random bit flips, then (if `cut` is
@@ -37,7 +37,6 @@ fn corrupt(buf: &mut Vec<u8>, seed: u64, flips: u32, cut: bool) {
 
 fn pcap_fixture(seed: u64) -> Vec<u8> {
     let r = simulate_connection(
-        &TcpConfig::default(),
         ServerBehavior::Healthy,
         &PathQuality {
             loss: 0.03,
@@ -59,7 +58,7 @@ fn mrt_fixture(seed: u64, prefixes: &[model::Ipv4Prefix]) -> Vec<u8> {
             time: SimTime::from_secs(i * 97),
             peer: (rng.next_u64() % 73) as u16,
             prefix: PrefixId((rng.next_u64() % prefixes.len() as u64) as u32),
-            kind: if rng.next_u64() % 3 == 0 {
+            kind: if rng.next_u64().is_multiple_of(3) {
                 UpdateKind::Withdraw
             } else {
                 UpdateKind::Announce

@@ -41,7 +41,6 @@ fn failure_rates_are_low_but_nonzero() {
 
 #[test]
 fn planetlab_fails_more_than_dialup() {
-    let ds = shared();
     let f1 = summary::figure1(shared_cds());
     let get = |cat| {
         f1.iter()

@@ -115,7 +115,7 @@ fn proxied_clients_share_one_true_cause() {
         .filter(|(_, c)| c.proxy.map(|p| p.0) == Some(0))
         .map(|(i, _)| i as u16)
         .collect();
-    assert!(behind.len() >= 1, "fleet has clients behind proxy 0");
+    assert!(!behind.is_empty(), "fleet has clients behind proxy 0");
     for &c in &behind {
         let own = ClientView::new(&gt, c).true_dns_faults(&host, t(1.5));
         assert!(
