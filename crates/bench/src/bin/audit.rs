@@ -30,7 +30,7 @@
 use bench_suite::Scale;
 use netprofiler::{audit::audit, Analysis, AnalysisConfig};
 use std::time::Instant;
-use workload::{run_experiment, AdversarialProfile, ExperimentConfig, ARCHETYPE_NAMES};
+use workload::{run_experiment, AdversarialProfile, ExperimentConfig};
 
 fn main() {
     let mut scale = Scale::Quick;
@@ -207,7 +207,7 @@ const SCENARIO_FLOORS: [(&str, f64); 7] = [
 
 /// The `--scenario` sweep: eight worlds, one audit each, one JSON out.
 fn run_scenarios(seed: u64, threads: usize, out_path: &std::path::Path) {
-    let mut names: Vec<&str> = ARCHETYPE_NAMES.to_vec();
+    let mut names: Vec<&str> = model::ARCHETYPES.iter().map(|&(name, _)| name).collect();
     names.push("adversarial-month");
     let mut reports = Vec::new();
     let mut threads_effective = threads.max(1);

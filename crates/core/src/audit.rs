@@ -26,7 +26,7 @@
 use crate::bgp_corr::{self, SeverityRule};
 use crate::blame::{self, BlameBreakdown, BlameClass, Unscored};
 use crate::Analysis;
-use model::{FaultSet, ProvenanceLog, TrueBlame};
+use model::{FaultSet, ProvenanceLog, TrueBlame, ARCHETYPES};
 use std::collections::BTreeSet;
 
 /// Number of blame classes in the Table 5 vocabulary.
@@ -73,21 +73,15 @@ pub const CLASS_COSTS: [[f64; CLASSES]; CLASSES] = [
     /* other  */ [0.75, 0.75, 0.75, 0.00],
 ];
 
-/// The adversarial fault archetypes the audit scores individually:
-/// `(stamp name, provenance bit, expected inferred class index)`. The
-/// expected class is where a perfect paper-method pipeline *should* land a
-/// failure carrying only that archetype's stamp — pair-scoped archetypes
-/// (censorship, MTU blackholes) collapse to "other" because the Table 5
-/// vocabulary has no pair-specific class.
-pub const ARCHETYPES: [(&str, FaultSet, usize); 7] = [
-    ("bgp-transient", FaultSet::BGP_TRANSIENT, 0),
-    ("censored", FaultSet::CENSORED, 3),
-    ("colo-blast", FaultSet::COLO_BLAST, 1),
-    ("vantage-split", FaultSet::VANTAGE_SPLIT, 1),
-    ("cdn-brownout", FaultSet::CDN_BROWNOUT, 1),
-    ("mtu-blackhole", FaultSet::MTU_BLACKHOLE, 3),
-    ("wrong-dns", FaultSet::WRONG_DNS, 1),
-];
+/// The expected inferred class (index per [`CLASS_LABELS`]) of an
+/// adversarial archetype: where a perfect paper-method pipeline *should*
+/// land a failure carrying only that archetype's stamp, which is that
+/// failure's true class. Pair-scoped archetypes (censorship, MTU
+/// blackholes) collapse to "other" because the Table 5 vocabulary has no
+/// pair-specific class.
+pub fn expected_class(archetype: FaultSet) -> usize {
+    true_index(archetype.true_blame())
+}
 
 /// Samples of missed failures kept per archetype (operator output). The
 /// same cap bounds every drill-down list in the pipeline — see
@@ -102,7 +96,7 @@ pub const ARCHETYPE_SAMPLE_CAP: usize = crate::caps::MAX_SAMPLES;
 /// "detected" when inference landed it in the archetype's expected class.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ArchetypeScore {
-    /// Stamp name (one of the [`ARCHETYPES`] names).
+    /// Stamp name (one of the [`model::ARCHETYPES`] names).
     pub name: &'static str,
     /// Expected inferred class, index per [`CLASS_LABELS`].
     pub expected: usize,
@@ -321,8 +315,9 @@ pub struct AuditReport {
     /// Severe-BGP instances under the paper's ≥70-neighbor rule vs. the
     /// injected withdrawal storms, as `(prefix, hour)` sets.
     pub severe_bgp: SetOverlap,
-    /// Per-archetype detection scores, in [`ARCHETYPES`] order (always all
-    /// seven entries; archetypes that never fired score trivially).
+    /// Per-archetype detection scores, in [`model::ARCHETYPES`] order
+    /// (always all seven entries; archetypes that never fired score
+    /// trivially).
     pub archetypes: Vec<ArchetypeScore>,
     /// Table 5 over failed connections against the connection grids (what
     /// the report's headline Table 5 shows).
@@ -385,12 +380,12 @@ fn blame_confusion(
             out.matrix[truth][inferred] += 1;
             let (client, site, hour) = (txn.client[i], txn.site[i], cds.txn_hour(i));
             let stamp = log.records[i].all();
-            for (k, &(_, bit, expected)) in ARCHETYPES.iter().enumerate() {
+            for (k, &(_, bit)) in ARCHETYPES.iter().enumerate() {
                 if !stamp.contains(bit) {
                     continue;
                 }
                 arch[k].0 += 1;
-                if inferred == expected {
+                if inferred == expected_class(bit) {
                     arch[k].1 += 1;
                 } else if arch[k].2.len() < ARCHETYPE_SAMPLE_CAP {
                     arch[k].2.push(format!(
@@ -420,7 +415,8 @@ fn blame_confusion(
         .iter()
         .zip(tallies)
         .map(
-            |(&(name, _, expected), (truth, detected, missed_samples, missed_keys))| {
+            |(&(name, bit), (truth, detected, missed_samples, missed_keys))| {
+                let expected = expected_class(bit);
                 ArchetypeScore {
                     name,
                     expected,
@@ -523,11 +519,9 @@ pub fn audit(analysis: &Analysis<'_>, log: &ProvenanceLog) -> AuditReport {
     // Severe-BGP instances under the paper's headline rule vs. the injected
     // storm list. The injected list includes the low-neighbor showcase
     // events the rule is *designed* to miss, so recall < 1 is expected.
-    let bgp_grid = bgp_corr::prefix_grid(analysis);
-    let severe = bgp_corr::severe_instability_with_grid(
+    let severe = bgp_corr::severe_instability(
         analysis,
         SeverityRule::Neighbors(bgp_corr::SEVERE_NEIGHBORS),
-        &bgp_grid,
     );
     let inferred_severe: BTreeSet<(u32, u32)> = severe
         .instances
@@ -647,17 +641,23 @@ mod tests {
     }
 
     #[test]
-    fn archetype_table_matches_stamp_vocabulary() {
-        for (name, bit, expected) in ARCHETYPES {
-            assert!(expected < CLASSES);
-            assert_eq!(bit.names(), vec![name], "bit/name mismatch");
-        }
-        // Every archetype bit is distinct.
-        let mut union = FaultSet::EMPTY;
-        for (_, bit, _) in ARCHETYPES {
-            assert!(!union.contains(bit));
-            union |= bit;
-        }
+    fn archetype_expected_classes() {
+        let expected: Vec<_> = ARCHETYPES
+            .iter()
+            .map(|&(name, bit)| (name, CLASS_LABELS[expected_class(bit)]))
+            .collect();
+        assert_eq!(
+            expected,
+            [
+                ("bgp-transient", "client"),
+                ("censored", "other"),
+                ("colo-blast", "server"),
+                ("vantage-split", "server"),
+                ("cdn-brownout", "server"),
+                ("mtu-blackhole", "other"),
+                ("wrong-dns", "server"),
+            ]
+        );
     }
 
     #[test]

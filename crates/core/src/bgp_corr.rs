@@ -7,8 +7,9 @@
 //! correlated with those failure rates.
 
 use crate::grid::HourlyGrid;
+use crate::permanent::PermanentPairs;
 use crate::Analysis;
-use model::{BgpHourly, ClientId, Dataset, PrefixId};
+use model::{BgpHourly, ClientId, ColumnarDataset, Dataset, PrefixId};
 use std::collections::HashMap;
 
 /// Severe BGP instability: at least this many of the 73 neighbors withdrew
@@ -66,11 +67,16 @@ pub struct SevereInstabilityReport {
     pub fraction_above_20pct: f64,
 }
 
-/// Hourly TCP grid per *prefix* (row = PrefixId index): a connection counts
-/// toward its client's prefixes and its replica's prefixes.
-pub fn prefix_grid(analysis: &Analysis<'_>) -> HourlyGrid {
+/// Hourly TCP grid per *prefix* (row = PrefixId index), permanent pairs
+/// excluded: a connection counts toward its client's prefixes and its
+/// replica's prefixes. [`Analysis::new`] builds it once, as
+/// [`Analysis::prefix_grid`].
+pub fn prefix_grid(
+    cds: &ColumnarDataset,
+    permanent: &PermanentPairs,
+    threads: usize,
+) -> HourlyGrid {
     let _span = telemetry::span!("analysis.bgp.prefix_grid");
-    let cds = &analysis.cds;
     let conn = &cds.conn;
     // The connection replica column stores interned addresses, so the
     // replica coverings are keyed by (site, interned index) — integer keys
@@ -93,30 +99,26 @@ pub fn prefix_grid(analysis: &Analysis<'_>) -> HourlyGrid {
     }
     // Shard by connection range; the prefix lookup tables built above are
     // shared read-only, and the partial grids merge by addition.
-    let mut partials = crate::par::map_shards(
-        analysis.config.threads,
-        cds.conn_len(),
-        |range| {
-            let mut grid = HourlyGrid::new(cds.prefixes.len(), cds.hours);
-            for i in range {
-                let (client, site) = (conn.client[i], conn.site[i]);
-                if analysis.permanent.contains(ClientId(client), model::SiteId(site)) {
-                    continue;
-                }
-                let hour = cds.conn_hour(i);
-                let failed = cds.conn_failed(i);
-                for p in &cds.clients[client as usize].prefixes {
+    let mut partials = crate::par::map_shards(threads, cds.conn_len(), |range| {
+        let mut grid = HourlyGrid::new(cds.prefixes.len(), cds.hours);
+        for i in range {
+            let (client, site) = (conn.client[i], conn.site[i]);
+            if permanent.contains(ClientId(client), model::SiteId(site)) {
+                continue;
+            }
+            let hour = cds.conn_hour(i);
+            let failed = cds.conn_failed(i);
+            for p in &cds.clients[client as usize].prefixes {
+                grid.add(p.0 as usize, hour, failed);
+            }
+            if let Some(pfx) = replica_prefixes.get(&(site, cds.conn_replica_index(i))) {
+                for p in *pfx {
                     grid.add(p.0 as usize, hour, failed);
                 }
-                if let Some(pfx) = replica_prefixes.get(&(site, cds.conn_replica_index(i))) {
-                    for p in *pfx {
-                        grid.add(p.0 as usize, hour, failed);
-                    }
-                }
             }
-            grid
-        },
-    );
+        }
+        grid
+    });
     let mut grid = partials
         .pop()
         .unwrap_or_else(|| HourlyGrid::new(cds.prefixes.len(), cds.hours));
@@ -129,18 +131,9 @@ pub fn prefix_grid(analysis: &Analysis<'_>) -> HourlyGrid {
 /// Find severe instability instances under `rule` and correlate with the
 /// prefix TCP failure rates.
 pub fn severe_instability(analysis: &Analysis<'_>, rule: SeverityRule) -> SevereInstabilityReport {
-    let grid = prefix_grid(analysis);
-    severe_instability_with_grid(analysis, rule, &grid)
-}
-
-/// As [`severe_instability`] but reusing a precomputed prefix grid.
-pub fn severe_instability_with_grid(
-    analysis: &Analysis<'_>,
-    rule: SeverityRule,
-    grid: &HourlyGrid,
-) -> SevereInstabilityReport {
     let _span = telemetry::span!("analysis.bgp.severe_instability");
     let ds = analysis.ds;
+    let grid = &analysis.prefix_grid;
     let min = analysis.config.min_hour_samples;
     let mut instances = Vec::new();
     for (prefix, hour, cell) in ds.bgp.active_cells() {
@@ -319,7 +312,7 @@ mod tests {
     fn prefix_grid_attributes_connections() {
         let ds = world();
         let a = Analysis::new(&ds, AnalysisConfig::default());
-        let g = prefix_grid(&a);
+        let g = &a.prefix_grid;
         // Client 0's prefix: 20 conns in hour 1, 12 failed.
         let (att, fail) = g.cell(0, 1);
         assert_eq!(att, 20);
@@ -334,10 +327,10 @@ mod tests {
     #[test]
     fn sharded_prefix_grid_matches_serial() {
         let ds = world();
-        let serial = prefix_grid(&Analysis::new(&ds, AnalysisConfig::default().with_threads(1)));
+        let serial = Analysis::new(&ds, AnalysisConfig::default().with_threads(1)).prefix_grid;
         for threads in [2usize, 3, 7] {
-            let a = Analysis::new(&ds, AnalysisConfig::default().with_threads(threads));
-            let par = prefix_grid(&a);
+            let par =
+                Analysis::new(&ds, AnalysisConfig::default().with_threads(threads)).prefix_grid;
             for row in 0..serial.rows() {
                 for hour in 0..serial.hours() {
                     assert_eq!(serial.cell(row, hour), par.cell(row, hour));

@@ -318,17 +318,6 @@ impl OutcomeGrid {
         self.robust_rate(row, hour, min_samples).is_some_and(|r| r >= f)
     }
 
-    /// Is `(row, hour)` an *outage* — the plain failure rate clears the
-    /// (majority) [`OUTAGE_THRESHOLD`]?
-    pub fn is_outage(&self, row: usize, hour: u32, min_samples: u32) -> bool {
-        self.grid.is_episode(row, hour, OUTAGE_THRESHOLD, min_samples)
-    }
-
-    /// All outage hours for `row`, ascending.
-    pub fn outage_hours(&self, row: usize, min_samples: u32) -> Vec<u32> {
-        self.grid.episode_hours(row, OUTAGE_THRESHOLD, min_samples)
-    }
-
     /// Largest single-peer failure count of a cell (0 out of range).
     pub fn peer_max(&self, row: usize, hour: u32) -> u32 {
         if row >= self.grid.rows() || hour >= self.grid.hours() {
@@ -690,12 +679,18 @@ mod tests {
             "connection grids cannot see DNS-phase faults"
         );
         let (client, server) = transaction_outcome_grids(&cds, &perm, cfg.threads);
+        // The audit's outage reading of the client grid.
+        let outages = |row| {
+            client
+                .grid
+                .episode_hours(row, OUTAGE_THRESHOLD, cfg.min_hour_samples)
+        };
         assert_eq!(
-            client.outage_hours(0, cfg.min_hour_samples),
+            outages(0),
             vec![2, 3],
             "outcome grid recovers the exact fault hours"
         );
-        assert_eq!(client.outage_hours(1, cfg.min_hour_samples), Vec::<u32>::new());
+        assert_eq!(outages(1), Vec::<u32>::new());
         // An LDNS timeout is the client's fault, not the sites'.
         for s in 0..4 {
             assert_eq!(server.grid.cell(s, 2).1, 0, "site {s} blamed for client DNS fault");
@@ -745,7 +740,10 @@ mod tests {
         assert_eq!(client.grid.cell(0, 0), (30, 0), "resets count as attempts, not failures");
         assert_eq!(server.grid.cell(0, 0), (15, 0));
         assert_eq!(client.grid.cell(1, 0), (0, 0), "proxied client excluded");
-        assert!(!client.is_outage(0, 0, 12));
+        assert_eq!(
+            client.grid.episode_hours(0, OUTAGE_THRESHOLD, 12),
+            Vec::<u32>::new()
+        );
         assert!(!server.grid.is_episode(0, 0, 0.05, 12));
     }
 

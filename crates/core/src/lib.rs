@@ -23,9 +23,9 @@
 //! | [`timing`] | §3.5 | lookup/download time quantiles per category |
 //!
 //! The entry point is [`Analysis::new`], which indexes the dataset once
-//! (columns, permanent-pair detection, hourly per-entity grids) and hands
-//! out the individual analyses. [`Analysis::at`] views the same index at
-//! another episode threshold, as Table 5's f = 10 % row needs.
+//! (columns, permanent-pair detection, hourly per-entity and per-prefix
+//! grids) and hands out the individual analyses. [`Analysis::at`] views the
+//! same index at another episode threshold, as Table 5's f = 10 % row needs.
 
 pub mod audit;
 pub mod bgp_corr;
@@ -60,7 +60,7 @@ use std::sync::Arc;
 
 /// The indexed analysis over one dataset.
 ///
-/// The index (columns, permanent pairs, the four grids) does not depend on
+/// The index (columns, permanent pairs, the six grids) does not depend on
 /// `config.episode_threshold`, so it sits behind `Arc`s that every
 /// [`Analysis::at`] view shares.
 #[derive(Clone)]
@@ -86,6 +86,13 @@ pub struct Analysis<'d> {
     pub client_outcome: Arc<OutcomeGrid>,
     /// Hourly transaction-outcome grid per server.
     pub server_outcome: Arc<OutcomeGrid>,
+    /// Hourly TCP-connection grid per announced prefix (§4.6; permanent
+    /// pairs excluded).
+    pub prefix_grid: Arc<HourlyGrid>,
+    /// Hourly transaction grid per client (permanent pairs excluded): what
+    /// shows a proxied client's own bad hours, which it has no connection
+    /// records for (Table 9).
+    pub client_txn_grid: Arc<HourlyGrid>,
 }
 
 impl<'d> Analysis<'d> {
@@ -105,6 +112,11 @@ impl<'d> Analysis<'d> {
             },
             || grid::transaction_outcome_grids(&cds, &permanent, config.threads),
         );
+        let (prefix_grid, client_txn_grid) = par::join2(
+            config.threads,
+            || bgp_corr::prefix_grid(&cds, &permanent, config.threads),
+            || grid::client_transaction_grid(&cds, &permanent, config.threads),
+        );
         Analysis {
             ds,
             cds: Arc::new(cds),
@@ -114,6 +126,8 @@ impl<'d> Analysis<'d> {
             server_grid: Arc::new(server_grid),
             client_outcome: Arc::new(client_outcome),
             server_outcome: Arc::new(server_outcome),
+            prefix_grid: Arc::new(prefix_grid),
+            client_txn_grid: Arc::new(client_txn_grid),
         }
     }
 
@@ -190,6 +204,12 @@ mod tests {
         assert_eq!(detail(&viewed), detail(&built));
         assert_same_cells("client_grid", &viewed.client_grid, &built.client_grid);
         assert_same_cells("server_grid", &viewed.server_grid, &built.server_grid);
+        assert_same_cells("prefix_grid", &viewed.prefix_grid, &built.prefix_grid);
+        assert_same_cells(
+            "client_txn_grid",
+            &viewed.client_txn_grid,
+            &built.client_txn_grid,
+        );
         for (name, v, b) in [
             (
                 "client_outcome",
@@ -213,5 +233,9 @@ mod tests {
         // reach the outcome grids, and the check is not vacuous.
         assert_eq!(built.client_outcome.grid.cell(1, 5).1, 1);
         assert_eq!(built.server_outcome.grid.cell(1, 5).1, 1);
+        // Client 0 in hour 0: two sites' 16 accesses, 4 failed; the
+        // near-permanent pair's 8 failures stay out of both grids.
+        assert_eq!(built.client_txn_grid.cell(0, 0), (16, 4));
+        assert_eq!(built.prefix_grid.cell(0, 0), (16, 4));
     }
 }

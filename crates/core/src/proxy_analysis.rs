@@ -6,7 +6,6 @@
 //! higher for the five proxied corporate clients than for everyone else on
 //! two multi-replica sites — the shared-proxy no-fail-over defect.
 
-use crate::grid::client_transaction_grid;
 use crate::Analysis;
 use model::{ClientCategory, ClientId, SiteId};
 
@@ -59,7 +58,7 @@ pub fn residual_table(analysis: &Analysis<'_>) -> Vec<Table9Row> {
     let threads = analysis.config.threads;
     let f = analysis.config.episode_threshold;
     let min = analysis.config.min_hour_samples;
-    let txn_grid = client_transaction_grid(cds, &analysis.permanent, threads);
+    let txn_grid = &analysis.client_txn_grid;
     let (clients, sites) = (cds.client_count(), cds.site_count());
 
     // `counts[site][client]`, summed over shards in shard order.

@@ -155,10 +155,6 @@ impl<'t> StubResolver<'t> {
         StubResolver { tree, config }
     }
 
-    pub fn config(&self) -> &ResolverConfig {
-        &self.config
-    }
-
     /// Resolve `qname` at instant `t` under `faults`, using (and updating)
     /// the client's LDNS cache.
     pub fn resolve<F: DnsFaults + ?Sized>(

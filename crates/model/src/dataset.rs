@@ -91,30 +91,18 @@ impl Dataset {
         self.prefixes[id.0 as usize]
     }
 
-    /// All prefixes covering `addr` (longest first). Allocates a fresh
-    /// `Vec`; repeated queries should use [`Dataset::prefixes_covering_into`]
-    /// with a reused buffer, or a precomputed [`PrefixCoverIndex`].
+    /// All prefixes covering `addr` (longest first; ties keep prefix-table
+    /// order).
     pub fn prefixes_covering(&self, addr: Ipv4Addr) -> Vec<PrefixId> {
-        let mut out = Vec::new();
-        self.prefixes_covering_into(addr, &mut out);
-        out
-    }
-
-    /// All prefixes covering `addr` (longest first), appended to a
-    /// caller-owned buffer — the buffer is cleared first, so a loop can
-    /// reuse one allocation across every query.
-    pub fn prefixes_covering_into(&self, addr: Ipv4Addr, out: &mut Vec<PrefixId>) {
-        out.clear();
-        out.extend(
-            self.prefixes
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.contains(addr))
-                .map(|(i, _)| PrefixId(i as u32)),
-        );
-        // Stable sort: ties keep prefix-table order, exactly as the original
-        // collect-and-sort produced.
+        let mut out: Vec<PrefixId> = self
+            .prefixes
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.contains(addr))
+            .map(|(i, _)| PrefixId(i as u32))
+            .collect();
         out.sort_by_key(|id| std::cmp::Reverse(self.prefix(*id).len()));
+        out
     }
 
     /// Clients in a given category.
@@ -191,68 +179,6 @@ impl Dataset {
             }
         }
         pairs
-    }
-}
-
-/// Precomputed addr → covering-prefixes map over a prefix table.
-///
-/// [`Dataset::prefixes_covering`] is a linear scan + sort per call; loops
-/// that query the same addresses repeatedly (every client addr, every
-/// replica addr) should build this index once instead. Covering lists live
-/// in one flat pool with `(offset, len)` ranges — one allocation for the
-/// whole index, zero per query.
-#[derive(Clone, Debug, Default)]
-pub struct PrefixCoverIndex {
-    ranges: std::collections::HashMap<Ipv4Addr, (u32, u32)>,
-    pool: Vec<PrefixId>,
-}
-
-impl PrefixCoverIndex {
-    /// Build the index for every client address and site replica address of
-    /// the dataset (the addresses analysis queries).
-    pub fn new(ds: &Dataset) -> PrefixCoverIndex {
-        let addrs = ds
-            .clients
-            .iter()
-            .map(|c| c.addr)
-            .chain(ds.sites.iter().flat_map(|s| s.addrs.iter().copied()));
-        Self::for_addrs(ds, addrs)
-    }
-
-    /// Build the index for an explicit address set.
-    pub fn for_addrs(
-        ds: &Dataset,
-        addrs: impl IntoIterator<Item = Ipv4Addr>,
-    ) -> PrefixCoverIndex {
-        let mut index = PrefixCoverIndex::default();
-        let mut scratch = Vec::new();
-        for addr in addrs {
-            if index.ranges.contains_key(&addr) {
-                continue;
-            }
-            ds.prefixes_covering_into(addr, &mut scratch);
-            let off = index.pool.len() as u32;
-            index.pool.extend_from_slice(&scratch);
-            index.ranges.insert(addr, (off, scratch.len() as u32));
-        }
-        index
-    }
-
-    /// The covering prefixes of an indexed address (longest first), or
-    /// `None` for an address the index was not built over.
-    pub fn covering(&self, addr: Ipv4Addr) -> Option<&[PrefixId]> {
-        self.ranges
-            .get(&addr)
-            .map(|&(off, len)| &self.pool[off as usize..(off + len) as usize])
-    }
-
-    /// Number of indexed addresses.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
     }
 }
 
@@ -338,51 +264,6 @@ mod tests {
         let covering = ds.prefixes_covering(Ipv4Addr::new(10, 1, 2, 3));
         assert_eq!(covering, vec![PrefixId(1), PrefixId(0)]);
         assert!(ds.prefixes_covering(Ipv4Addr::new(8, 8, 8, 8)).is_empty());
-
-        // The caller-owned variant reuses one buffer and agrees exactly.
-        let mut buf = vec![PrefixId(99)];
-        ds.prefixes_covering_into(Ipv4Addr::new(10, 1, 2, 3), &mut buf);
-        assert_eq!(buf, covering);
-        ds.prefixes_covering_into(Ipv4Addr::new(8, 8, 8, 8), &mut buf);
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn prefix_cover_index_matches_per_call_scans() {
-        let ds = Dataset {
-            clients: vec![ClientMeta {
-                addr: Ipv4Addr::new(10, 1, 2, 3),
-                ..meta(0, None)
-            }],
-            sites: vec![SiteMeta {
-                id: SiteId(0),
-                hostname: "www.example.com".to_string(),
-                category: crate::ids::SiteCategory::ALL[0],
-                addrs: vec![Ipv4Addr::new(192, 0, 2, 9), Ipv4Addr::new(8, 8, 8, 8)],
-                replica_prefixes: Vec::new(),
-            }],
-            prefixes: vec![
-                "10.0.0.0/8".parse().unwrap(),
-                "10.1.0.0/16".parse().unwrap(),
-                "192.0.2.0/24".parse().unwrap(),
-            ],
-            ..Dataset::default()
-        };
-        let index = PrefixCoverIndex::new(&ds);
-        assert_eq!(index.len(), 3);
-        for addr in [
-            Ipv4Addr::new(10, 1, 2, 3),
-            Ipv4Addr::new(192, 0, 2, 9),
-            Ipv4Addr::new(8, 8, 8, 8),
-        ] {
-            assert_eq!(
-                index.covering(addr).unwrap(),
-                ds.prefixes_covering(addr).as_slice()
-            );
-        }
-        // Unindexed addresses are distinguishable from empty coverings.
-        assert_eq!(index.covering(Ipv4Addr::new(203, 0, 113, 1)), None);
-        assert!(!index.is_empty());
     }
 
     #[test]

@@ -25,12 +25,14 @@ pub mod trace;
 
 pub use bgp::{BgpHourly, BgpHourlySeries};
 pub use columnar::{ColumnarDataset, MemoryFootprint, TxnBlameHint};
-pub use dataset::{ClientMeta, Dataset, IntegrityReport, PrefixCoverIndex, SiteMeta};
+pub use dataset::{ClientMeta, Dataset, IntegrityReport, SiteMeta};
 pub use failure::{DnsErrorCode, DnsFailureKind, FailureClass, TcpFailureKind};
 pub use fnv::{fingerprint, Fnv};
 pub use ids::{ClientCategory, ClientId, PrefixId, ProxyId, SiteCategory, SiteId};
 pub use net::Ipv4Prefix;
-pub use provenance::{FaultSet, ProvenanceLog, ProvenanceRecord, TrueBlame, TruthSidecar};
+pub use provenance::{
+    FaultSet, ProvenanceLog, ProvenanceRecord, TrueBlame, TruthSidecar, ARCHETYPES,
+};
 pub use records::{ConnectionRecord, DigOutcome, PerformanceRecord, TransactionOutcome};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceExemplar, TxnTrace};

@@ -147,35 +147,45 @@ impl FaultSet {
         }
     }
 
-    /// Short names of the set bits, for rendering.
+    /// Short names of the set bits, in bit order, for rendering.
     pub fn names(self) -> Vec<&'static str> {
-        const TABLE: [(u32, &str); 18] = [
-            (1 << 0, "last-mile"),
-            (1 << 1, "ldns-down"),
-            (1 << 2, "wan"),
-            (1 << 3, "server-degraded"),
-            (1 << 4, "replica-down"),
-            (1 << 5, "auth-dns-down"),
-            (1 << 6, "zone-error"),
-            (1 << 7, "blocked-pair"),
-            (1 << 8, "degraded-pair"),
-            (1 << 9, "proxy-link"),
-            (1 << 10, "proxy-ldns"),
-            (1 << 11, "bgp-transient"),
-            (1 << 12, "censored"),
-            (1 << 13, "colo-blast"),
-            (1 << 14, "vantage-split"),
-            (1 << 15, "cdn-brownout"),
-            (1 << 16, "mtu-blackhole"),
-            (1 << 17, "wrong-dns"),
-        ];
-        TABLE
+        STRUCTURAL
             .iter()
-            .filter(|(bit, _)| self.0 & bit != 0)
-            .map(|&(_, name)| name)
+            .chain(&ARCHETYPES)
+            .filter(|&&(_, bit)| self.contains(bit))
+            .map(|&(name, _)| name)
             .collect()
     }
 }
+
+/// The structural fault bits, `(short name, bit)` in bit order; every one
+/// sits below the [`ARCHETYPES`].
+const STRUCTURAL: [(&str, FaultSet); 11] = [
+    ("last-mile", FaultSet::LAST_MILE),
+    ("ldns-down", FaultSet::LDNS_DOWN),
+    ("wan", FaultSet::WAN),
+    ("server-degraded", FaultSet::SERVER_DEGRADED),
+    ("replica-down", FaultSet::REPLICA_DOWN),
+    ("auth-dns-down", FaultSet::AUTH_DNS_DOWN),
+    ("zone-error", FaultSet::ZONE_ERROR),
+    ("blocked-pair", FaultSet::BLOCKED_PAIR),
+    ("degraded-pair", FaultSet::DEGRADED_PAIR),
+    ("proxy-link", FaultSet::PROXY_LINK),
+    ("proxy-ldns", FaultSet::PROXY_LDNS),
+];
+
+/// The seven adversarial fault archetypes, `(stamp name, bit)` in bit
+/// order: the one list the single-archetype presets, the audit's
+/// per-archetype scores, the forensic buckets and the oracle read.
+pub const ARCHETYPES: [(&str, FaultSet); 7] = [
+    ("bgp-transient", FaultSet::BGP_TRANSIENT),
+    ("censored", FaultSet::CENSORED),
+    ("colo-blast", FaultSet::COLO_BLAST),
+    ("vantage-split", FaultSet::VANTAGE_SPLIT),
+    ("cdn-brownout", FaultSet::CDN_BROWNOUT),
+    ("mtu-blackhole", FaultSet::MTU_BLACKHOLE),
+    ("wrong-dns", FaultSet::WRONG_DNS),
+];
 
 impl std::ops::BitOr for FaultSet {
     type Output = FaultSet;
@@ -362,6 +372,11 @@ mod tests {
         let s = FaultSet::WAN | FaultSet::PROXY_LDNS | FaultSet::LAST_MILE;
         assert_eq!(s.names(), vec!["last-mile", "wan", "proxy-ldns"]);
         assert_eq!(format!("{s:?}"), "FaultSet(last-mile|wan|proxy-ldns)");
+        // The two name lists give every bit one name, lowest bit first.
+        for (i, &(name, bit)) in STRUCTURAL.iter().chain(&ARCHETYPES).enumerate() {
+            assert_eq!(bit.bits(), 1 << i, "{name}");
+            assert_eq!(bit.names(), vec![name]);
+        }
     }
 
     #[test]

@@ -352,8 +352,7 @@ fn diff_headline(
     );
 
     // Severe BGP instability, both rules.
-    let grid = bgp_corr::prefix_grid(a5);
-    let severe = |rule| bgp_corr::severe_instability_with_grid(a5, rule, &grid);
+    let severe = |rule| bgp_corr::severe_instability(a5, rule);
     for (name, o, n) in [
         (
             "severe_neighbors",

@@ -15,7 +15,6 @@ use netprofiler::bgp_corr::{
 };
 use netprofiler::blame::{BlameBreakdown, ServerEpisodeStats};
 use netprofiler::episodes::{Figure4, RateCdf};
-use netprofiler::grid::OUTAGE_THRESHOLD;
 use netprofiler::pair_episodes::{PairEpisode, PairEpisodeConfig, PairEpisodeReport};
 use netprofiler::permanent::{PermanentPair, MIN_PAIR_TRANSACTIONS};
 use netprofiler::proxy_analysis::{ResidualRate, SharedProxySite, Table9Row, SHARED_PROXY_PARAMS};
@@ -151,12 +150,6 @@ impl NaiveOutcomeGrid {
     /// contribution still clear threshold `f`?
     pub fn is_broad_episode(&self, row: usize, hour: u32, f: f64, min_samples: u32) -> bool {
         self.robust_rate(row, hour, min_samples).is_some_and(|r| r >= f)
-    }
-
-    /// Is `(row, hour)` an outage — the plain failure rate clears the
-    /// (majority) [`OUTAGE_THRESHOLD`]?
-    pub fn is_outage(&self, row: usize, hour: u32, min_samples: u32) -> bool {
-        self.grid.is_episode(row, hour, OUTAGE_THRESHOLD, min_samples)
     }
 
     /// Largest single-peer failure count of a cell (0 when absent).
@@ -482,18 +475,19 @@ pub fn archetype_tallies(
     server_outcome: &NaiveOutcomeGrid,
     cfg: &AnalysisConfig,
 ) -> Vec<(&'static str, u64, u64)> {
-    use netprofiler::audit::ARCHETYPES;
+    use model::ARCHETYPES;
+    use netprofiler::audit::expected_class;
     let mut out: Vec<(&'static str, u64, u64)> =
-        ARCHETYPES.iter().map(|&(n, _, _)| (n, 0, 0)).collect();
+        ARCHETYPES.iter().map(|&(n, _)| (n, 0, 0)).collect();
     for (r, stamp) in ds.records.iter().zip(&log.records) {
         if !r.failed() || r.proxy.is_some() || permanent.contains(r.client, r.site) {
             continue;
         }
         let inferred = inferred_class(r, client_outcome, server_outcome, cfg);
-        for (k, &(_, bit, expected)) in ARCHETYPES.iter().enumerate() {
+        for (k, &(_, bit)) in ARCHETYPES.iter().enumerate() {
             if stamp.all().contains(bit) {
                 out[k].1 += 1;
-                out[k].2 += u64::from(inferred == expected);
+                out[k].2 += u64::from(inferred == expected_class(bit));
             }
         }
     }

@@ -536,16 +536,13 @@ pub fn render_replicas(analysis: &Analysis<'_>) -> String {
 
 /// §4.6: severe instability under both rules.
 pub fn render_bgp(analysis: &Analysis<'_>) -> String {
-    let grid = bgp_corr::prefix_grid(analysis);
-    let main = bgp_corr::severe_instability_with_grid(
+    let main = bgp_corr::severe_instability(
         analysis,
         SeverityRule::Neighbors(bgp_corr::SEVERE_NEIGHBORS),
-        &grid,
     );
-    let alt = bgp_corr::severe_instability_with_grid(
+    let alt = bgp_corr::severe_instability(
         analysis,
         SeverityRule::WithdrawalsAndNeighbors(bgp_corr::ALT_WITHDRAWALS, bgp_corr::ALT_NEIGHBORS),
-        &grid,
     );
     let mut out = format!(
         "Severe BGP instability vs TCP failures:\n\
@@ -1003,12 +1000,7 @@ pub fn comparisons(ds: &Dataset, a5: &Analysis<'_>, a10: &Analysis<'_>) -> Vec<C
         rep.same_subnet_share() > 0.8,
     );
 
-    let grid = bgp_corr::prefix_grid(a5);
-    let sev = bgp_corr::severe_instability_with_grid(
-        a5,
-        SeverityRule::Neighbors(bgp_corr::SEVERE_NEIGHBORS),
-        &grid,
-    );
+    let sev = bgp_corr::severe_instability(a5, SeverityRule::Neighbors(bgp_corr::SEVERE_NEIGHBORS));
     push(
         "severe BGP instances (scaled)",
         format!("{} × {:.2}", p.severe_bgp_instances, scale),

@@ -240,10 +240,6 @@ impl<'t> ClientSession<'t> {
         }
     }
 
-    pub fn config(&self) -> &WgetConfig {
-        &self.config
-    }
-
     /// The client's LDNS cache (exposed for tests and cache studies).
     pub fn ldns_cache(&self) -> &LdnsCache {
         &self.cache

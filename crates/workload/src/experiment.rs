@@ -147,14 +147,14 @@ impl ExperimentConfig {
     }
 }
 
-/// Everything a run produces: the dataset plus the ground truth it came
-/// from (validation studies compare inference against this) and the
-/// [`RunReport`] accounting for the apparatus itself.
+/// Everything a run produces: what a measurement would have collected
+/// (the dataset), the [`RunReport`] accounting for the apparatus itself,
+/// and what the two observers recorded when asked. The ground-truth world
+/// stays inside [`run_experiment`]: the only ground truth that leaves it is
+/// what those observers stamped, and the flight recorder's sidecar is the
+/// answer key `netprofiler::audit` scores.
 pub struct ExperimentOutput {
     pub dataset: Dataset,
-    pub truth: GroundTruth,
-    pub fleet: FleetSpec,
-    pub sites: Vec<SiteSpec>,
     pub report: RunReport,
     /// The flight recorder's sidecar (`Some` only when
     /// [`ExperimentConfig::record_provenance`] was set): one stamp per
@@ -576,9 +576,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
     }
     ExperimentOutput {
         dataset,
-        truth,
-        fleet,
-        sites,
         report,
         provenance,
         forensics,

@@ -25,7 +25,7 @@
 use crate::clients::FleetSpec;
 use crate::sites::{ReplicaLayout, SiteSpec};
 use dnswire::DomainName;
-use model::{ClientCategory, SimDuration, SimTime};
+use model::{ClientCategory, FaultSet, SimDuration, SimTime, ARCHETYPES};
 use netsim::{SimRng, Timeline};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -54,17 +54,6 @@ pub struct AdversarialProfile {
     pub wrong_dns: f64,
 }
 
-/// Stable archetype names, in `FaultSet` bit order.
-pub const ARCHETYPE_NAMES: [&str; 7] = [
-    "bgp-transient",
-    "censored",
-    "colo-blast",
-    "vantage-split",
-    "cdn-brownout",
-    "mtu-blackhole",
-    "wrong-dns",
-];
-
 impl AdversarialProfile {
     /// The default: no adversarial fault anywhere (the pre-existing worlds).
     pub fn none() -> AdversarialProfile {
@@ -92,20 +81,25 @@ impl AdversarialProfile {
         }
     }
 
-    /// Preset with exactly one archetype enabled, by its stable name
-    /// (one of [`ARCHETYPE_NAMES`]). Panics on an unknown name.
+    /// Preset with exactly one archetype enabled, by its stamp name (one
+    /// of the [`model::ARCHETYPES`] names). Panics on an unknown name.
     pub fn only(name: &str) -> AdversarialProfile {
+        let &(_, bit) = ARCHETYPES
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .unwrap_or_else(|| panic!("unknown archetype {name:?}"));
         let mut p = AdversarialProfile::none();
-        match name {
-            "bgp-transient" => p.bgp_transients = 1.0,
-            "censored" => p.censorship = 1.0,
-            "colo-blast" => p.colo_blast = 1.0,
-            "vantage-split" => p.vantage_split = 1.0,
-            "cdn-brownout" => p.cdn_brownout = 1.0,
-            "mtu-blackhole" => p.mtu_blackhole = 1.0,
-            "wrong-dns" => p.wrong_dns = 1.0,
-            other => panic!("unknown archetype {other:?}"),
-        }
+        let intensity = match bit {
+            FaultSet::BGP_TRANSIENT => &mut p.bgp_transients,
+            FaultSet::CENSORED => &mut p.censorship,
+            FaultSet::COLO_BLAST => &mut p.colo_blast,
+            FaultSet::VANTAGE_SPLIT => &mut p.vantage_split,
+            FaultSet::CDN_BROWNOUT => &mut p.cdn_brownout,
+            FaultSet::MTU_BLACKHOLE => &mut p.mtu_blackhole,
+            FaultSet::WRONG_DNS => &mut p.wrong_dns,
+            _ => unreachable!("every archetype has an intensity"),
+        };
+        *intensity = 1.0;
         p
     }
 
@@ -523,7 +517,7 @@ mod tests {
 
     #[test]
     fn single_archetype_presets_are_isolated() {
-        for name in ARCHETYPE_NAMES {
+        for (name, _) in ARCHETYPES {
             let p = AdversarialProfile::only(name);
             assert!(!p.is_none());
             let t = materialize(&p, 48);

@@ -46,7 +46,7 @@ mod profile;
 // [`crate::apparatus`] and is re-exported here so both fault families are
 // reachable from one module path.
 pub use crate::apparatus::{ApparatusFaults, CorruptionApplied};
-pub use adversarial::{AdversarialProfile, AdversarialTruth, ReconfigWindowSpec, ARCHETYPE_NAMES};
+pub use adversarial::{AdversarialProfile, AdversarialTruth, ReconfigWindowSpec};
 pub use profile::FaultProfile;
 
 /// One severe BGP instability event to synthesize (consumed by `bgpsim`).

@@ -16,26 +16,15 @@
 //! exemplar for every missed audit sample and how a query always finds
 //! *something* for a key that saw traffic.
 
-use model::{FaultSet, TraceExemplar, TrueBlame};
+use model::{TraceExemplar, TrueBlame, ARCHETYPES};
 use report::caps::MAX_SAMPLES;
 
 /// Ground-truth blame classes a bucket row can carry.
 pub const BLAME_CLASSES: usize = 5;
-/// Archetype columns: the seven adversarial archetypes plus a "none" slot
-/// for faults outside the archetype suite (and healthy traffic).
-pub const ARCHETYPE_SLOTS: usize = 8;
-
-/// Archetype bits in `netprofiler::audit::ARCHETYPES` order; slot 7 is
-/// "no archetype bit set".
-pub const ARCHETYPE_BITS: [FaultSet; ARCHETYPE_SLOTS - 1] = [
-    FaultSet::BGP_TRANSIENT,
-    FaultSet::CENSORED,
-    FaultSet::COLO_BLAST,
-    FaultSet::VANTAGE_SPLIT,
-    FaultSet::CDN_BROWNOUT,
-    FaultSet::MTU_BLACKHOLE,
-    FaultSet::WRONG_DNS,
-];
+/// Archetype columns: the seven adversarial archetypes in
+/// [`model::ARCHETYPES`] order, plus a last "none" slot for faults outside
+/// the archetype suite (and healthy traffic).
+pub const ARCHETYPE_SLOTS: usize = ARCHETYPES.len() + 1;
 
 fn blame_index(blame: TrueBlame) -> usize {
     match blame {
@@ -124,8 +113,8 @@ impl ExemplarStore {
         }
         let row = blame_index(ex.truth.true_blame()) * ARCHETYPE_SLOTS;
         let mut matched = false;
-        for (slot, bit) in ARCHETYPE_BITS.iter().enumerate() {
-            if ex.truth.contains(*bit) {
+        for (slot, &(_, bit)) in ARCHETYPES.iter().enumerate() {
+            if ex.truth.contains(bit) {
                 matched = true;
                 self.buckets[row + slot].offer(&ex);
             }
@@ -240,7 +229,7 @@ impl ExemplarStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use model::{SimTime, TxnTrace};
+    use model::{FaultSet, SimTime, TxnTrace};
 
     fn ex(client: u16, record_index: usize, failed: bool, truth: FaultSet, dur: u64) -> TraceExemplar {
         TraceExemplar {

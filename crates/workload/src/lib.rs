@@ -30,14 +30,12 @@ pub mod experiment;
 pub mod faults;
 pub mod forensics;
 pub mod sites;
-pub mod validation;
 pub mod view;
 
 pub use apparatus::ApparatusFaults;
 pub use clients::{build_fleet, ClientSpec, FleetSpec};
 pub use experiment::{run_experiment, ClientOutcome, ExperimentConfig, ExperimentOutput, RunReport};
-pub use faults::{AdversarialProfile, AdversarialTruth, FaultProfile, GroundTruth, ARCHETYPE_NAMES};
+pub use faults::{AdversarialProfile, AdversarialTruth, FaultProfile, GroundTruth};
 pub use forensics::{ExemplarStore, ForensicsConfig};
 pub use sites::{build_sites, ReplicaLayout, SiteSpec};
-pub use validation::{score_attribution, AttributionScore};
 pub use view::{ClientView, ProxyView};

@@ -1,7 +1,7 @@
 //! Reproducibility guarantees: the whole month-long "Internet" is a pure
 //! function of the seed.
 
-use model::Dataset;
+use model::{fingerprint, Dataset};
 use workload::{run_experiment, ExperimentConfig};
 
 fn run(seed: u64, threads: usize) -> Dataset {
@@ -9,37 +9,6 @@ fn run(seed: u64, threads: usize) -> Dataset {
     cfg.hours = 8;
     cfg.threads = threads;
     run_experiment(&cfg).dataset
-}
-
-/// A cheap structural fingerprint of a dataset.
-fn fingerprint(ds: &Dataset) -> (usize, usize, u64, u64, u64) {
-    let mut h1 = 0u64;
-    for r in &ds.records {
-        h1 = h1
-            .wrapping_mul(1_000_003)
-            .wrapping_add(u64::from(r.client.0))
-            .wrapping_add(u64::from(r.site.0).wrapping_mul(131))
-            .wrapping_add(r.start.as_micros())
-            .wrapping_add(u64::from(r.failed()));
-    }
-    let mut h2 = 0u64;
-    for c in &ds.connections {
-        h2 = h2
-            .wrapping_mul(1_000_033)
-            .wrapping_add(u64::from(u32::from(c.replica)))
-            .wrapping_add(c.start.as_micros())
-            .wrapping_add(u64::from(c.failed()) << 7);
-    }
-    let mut h3 = 0u64;
-    for (p, h, cell) in ds.bgp.active_cells() {
-        h3 = h3
-            .wrapping_mul(1_000_037)
-            .wrapping_add(u64::from(p.0))
-            .wrapping_add(u64::from(h) << 3)
-            .wrapping_add(u64::from(cell.withdrawals))
-            .wrapping_add(u64::from(cell.neighbors_withdrawing) << 17);
-    }
-    (ds.records.len(), ds.connections.len(), h1, h2, h3)
 }
 
 #[test]
@@ -110,8 +79,7 @@ fn provenance_recording_does_not_change_results() {
     // The flight recorder is pure observation: stamping every transaction
     // with its ground-truth fault set must not consume a single RNG draw or
     // reorder a single event. Same seed, recorder on vs off → bit-identical
-    // dataset. (ci.sh additionally holds this via `detcheck`, which
-    // compares `model::fingerprint` of every field of the full dataset.)
+    // dataset. (ci.sh additionally holds this via `detcheck`.)
     let run_prov = |record: bool, threads: usize| {
         let mut cfg = ExperimentConfig::quick(31337);
         cfg.hours = 8;
@@ -137,8 +105,7 @@ fn forensic_tracing_does_not_change_results() {
     // The forensic tracer rides the same pure truth probes as the flight
     // recorder: switching it on must not consume a single RNG draw or
     // reorder a single event, at any thread count. (ci.sh additionally
-    // holds this via `detcheck`, which compares `model::fingerprint` of
-    // every field of the full dataset in both feature builds.)
+    // holds this via `detcheck`, in both feature builds.)
     let run_traced = |trace: bool, threads: usize| {
         let mut cfg = ExperimentConfig::quick(31337);
         cfg.hours = 8;
@@ -172,31 +139,20 @@ fn forensic_tracing_does_not_change_results() {
 #[test]
 fn existing_worlds_bit_identical_to_pre_archetype_goldens() {
     use workload::ApparatusFaults;
-    // Golden fingerprints captured immediately BEFORE the adversarial
-    // fault-archetype suite landed. Every archetype draws from its own
-    // `fork_str` stream (forked only when its intensity is non-zero), so a
-    // run with `AdversarialProfile::none()` — the default — must replay
-    // the exact same world the repo produced before the suite existed.
-    // If either tuple changes, an archetype is consuming shared RNG state
-    // or perturbing event order even when switched off.
+    // Golden fingerprints of the standard and degraded worlds, which have
+    // not changed since before the adversarial fault-archetype suite
+    // landed. Every archetype draws from its own `fork_str` stream (forked
+    // only when its intensity is non-zero), so a run with
+    // `AdversarialProfile::none()` — the default — must replay the exact
+    // same world the repo produced before the suite existed. If either
+    // golden changes, an archetype is consuming shared RNG state or
+    // perturbing event order even when switched off. Each golden covers
+    // every field of the dataset: who, where, when and whether it failed,
+    // but also download times, bytes, DNS latencies, retransmission
+    // counts, failure kinds, dig outcomes and the BGP cells.
     let standard = run(9090, 1);
     assert_eq!(
         fingerprint(&standard),
-        (
-            85188,
-            97008,
-            5444639083603919108,
-            9914999645929271109,
-            12293567977887159832,
-        ),
-        "standard world drifted from its pre-archetype golden fingerprint"
-    );
-    // The tuples above hash only who, where, when and whether it failed.
-    // The full-dataset fingerprints below also cover download times,
-    // bytes, DNS latencies, retransmission counts, failure kinds and dig
-    // outcomes: what the TCP and DNS timing constants drive.
-    assert_eq!(
-        model::fingerprint(&standard),
         0x6e49_7dbd_b387_3f06,
         "standard world's full dataset drifted from its golden fingerprint"
     );
@@ -209,17 +165,6 @@ fn existing_worlds_bit_identical_to_pre_archetype_goldens() {
     let degraded = run_experiment(&cfg).dataset;
     assert_eq!(
         fingerprint(&degraded),
-        (
-            80849,
-            93179,
-            17855544009171169314,
-            8974359416489872555,
-            6117770599523513703,
-        ),
-        "degraded world drifted from its pre-archetype golden fingerprint"
-    );
-    assert_eq!(
-        model::fingerprint(&degraded),
         0x4e25_b4ea_99b0_1f40,
         "degraded world's full dataset drifted from its golden fingerprint"
     );
@@ -275,23 +220,12 @@ fn adversarial_world_bit_identical_to_golden() {
     let out = run_experiment(&cfg);
     assert_eq!(
         fingerprint(&out.dataset),
-        (
-            84521,
-            100974,
-            817923196155662725,
-            12469261796291196174,
-            9687373785194654228,
-        ),
-        "adversarial world drifted from its golden fingerprint"
-    );
-    assert_eq!(
-        model::fingerprint(&out.dataset),
         0x3c5d_c6bf_a1a7_ef05,
         "adversarial world's full dataset drifted from its golden fingerprint"
     );
     let log = out.provenance.expect("provenance requested");
     assert_eq!(
-        model::fingerprint(&log),
+        fingerprint(&log),
         0xfea6_d21f_4952_fc31,
         "adversarial provenance sidecar drifted from its golden fingerprint"
     );
