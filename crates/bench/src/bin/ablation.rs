@@ -39,13 +39,7 @@ fn main() {
         match arg.as_str() {
             "--hours" => hours = bench_suite::numeric_flag(&arg, &mut args),
             "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
-            "--profile" => {
-                let dir = match args.peek() {
-                    Some(v) if !v.starts_with("--") => args.next().unwrap(),
-                    _ => "profile".to_string(),
-                };
-                profile_dir = Some(std::path::PathBuf::from(dir));
-            }
+            "--profile" => profile_dir = Some(bench_suite::profile_flag(&mut args)),
             other => {
                 eprintln!("unknown argument {other:?}");
                 std::process::exit(2);

@@ -2,7 +2,7 @@
 //! the flight recorder and gate on the agreement floor.
 //!
 //! ```text
-//! cargo run --release -p bench-suite --bin audit [--scale quick|stress|repro|paper]
+//! cargo run --release -p bench-suite --bin audit [--scale quick|repro|paper]
 //!     [--seed N] [--threads N] [--out FILE] [--min-agreement F] [--csv FILE]
 //! cargo run --release -p bench-suite --bin audit -- --scenario [--seed N] [--threads N] [--out FILE]
 //! ```
@@ -44,13 +44,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scenario" => scenario = true,
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale {v:?} (quick|stress|repro|paper)");
-                    std::process::exit(2);
-                });
-            }
+            "--scale" => scale = bench_suite::scale_flag(&arg, &mut args),
             "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
             "--threads" => threads = Some(bench_suite::numeric_flag(&arg, &mut args)),
             "--out" => out_path = bench_suite::path_flag(&arg, &mut args),
@@ -64,9 +58,10 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "audit [--scale quick|stress|repro|paper] [--seed N] [--threads N] [--out FILE] \
+                    "audit [--scale {}] [--seed N] [--threads N] [--out FILE] \
                      [--csv FILE] [--min-agreement F] | audit --scenario [--seed N] [--threads N] \
-                     [--out FILE]"
+                     [--out FILE]",
+                    Scale::choices()
                 );
                 return;
             }

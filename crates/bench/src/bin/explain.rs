@@ -1,7 +1,7 @@
 //! Forensic `explain` query engine: why did one transaction fail?
 //!
 //! ```text
-//! explain --client C --site S --hour H [--scale quick|stress|repro|paper]
+//! explain --client C --site S --hour H [--scale quick|repro|paper]
 //!         [--seed N] [--threads N]
 //! explain --audit-misses [--seed N] [--threads N]
 //! ```
@@ -50,20 +50,15 @@ fn main() {
             "--client" => client = Some(bench_suite::numeric_flag(&arg, &mut args)),
             "--site" => site = Some(bench_suite::numeric_flag(&arg, &mut args)),
             "--hour" => hour = Some(bench_suite::numeric_flag(&arg, &mut args)),
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale {v:?} (quick|stress|repro|paper)");
-                    std::process::exit(2);
-                });
-            }
+            "--scale" => scale = bench_suite::scale_flag(&arg, &mut args),
             "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
             "--threads" => threads = Some(bench_suite::numeric_flag(&arg, &mut args)),
             "--audit-misses" => audit_misses = true,
             "--help" | "-h" => {
                 println!(
-                    "explain --client C --site S --hour H [--scale quick|stress|repro|paper] \
-                     [--seed N] [--threads N] | explain --audit-misses [--seed N] [--threads N]"
+                    "explain --client C --site S --hour H [--scale {}] \
+                     [--seed N] [--threads N] | explain --audit-misses [--seed N] [--threads N]",
+                    Scale::choices()
                 );
                 return;
             }

@@ -1,7 +1,7 @@
 //! Regenerate every table and figure of the paper.
 //!
 //! ```text
-//! reproduce [--scale quick|stress|repro|paper] [--seed N] [--only ID[,ID...]]
+//! reproduce [--scale quick|repro|paper] [--seed N] [--only ID[,ID...]]
 //!           [--export DIR] [--profile [DIR]] [--html FILE [--bench-dir DIR]]
 //! ```
 //!
@@ -43,21 +43,8 @@ fn main() {
         match arg.as_str() {
             "--html" => html_path = Some(bench_suite::path_flag(&arg, &mut args)),
             "--bench-dir" => bench_dir = bench_suite::path_flag(&arg, &mut args),
-            "--profile" => {
-                // Optional DIR operand: consume the next arg unless it is a flag.
-                let dir = match args.peek() {
-                    Some(v) if !v.starts_with("--") => args.next().unwrap(),
-                    _ => "profile".to_string(),
-                };
-                profile_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale {v:?} (quick|stress|repro|paper)");
-                    std::process::exit(2);
-                });
-            }
+            "--profile" => profile_dir = Some(bench_suite::profile_flag(&mut args)),
+            "--scale" => scale = bench_suite::scale_flag(&arg, &mut args),
             "--seed" => seed = bench_suite::numeric_flag(&arg, &mut args),
             "--export" => export_dir = Some(bench_suite::path_flag(&arg, &mut args)),
             "--only" => {
@@ -71,10 +58,11 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "reproduce [--scale quick|stress|repro|paper] [--seed N] [--only IDs] [--export DIR] \
+                    "reproduce [--scale {}] [--seed N] [--only IDs] [--export DIR] \
                      [--profile [DIR]] [--html FILE [--bench-dir DIR]]\n\
                      regenerates the tables/figures of 'A Study of End-to-End Web \
-                     Access Failures' (CoNEXT 2006) from a simulated experiment"
+                     Access Failures' (CoNEXT 2006) from a simulated experiment",
+                    Scale::choices()
                 );
                 return;
             }

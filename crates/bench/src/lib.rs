@@ -11,8 +11,6 @@ pub use model::Fnv;
 pub enum Scale {
     /// 72 h × 1 access/hour, full wire fidelity (~0.8 M transactions).
     Quick,
-    /// One week × 2 accesses/hour, no wire fidelity (~3.5 M transactions).
-    Stress,
     /// Full month × 2 accesses/hour (~16 M transactions) — the default
     /// reproduction scale.
     Reproduction,
@@ -22,30 +20,30 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Every scale, smallest first: the one list `--scale` accepts.
+    pub const ALL: [Scale; 3] = [Scale::Quick, Scale::Reproduction, Scale::Paper];
+
     pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "quick" => Some(Scale::Quick),
-            "stress" => Some(Scale::Stress),
-            "repro" | "reproduction" => Some(Scale::Reproduction),
-            "paper" => Some(Scale::Paper),
-            _ => None,
-        }
+        Scale::ALL.into_iter().find(|scale| scale.name() == s)
     }
 
-    /// The canonical name [`Scale::parse`] reads back.
+    /// The name [`Scale::parse`] reads back.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Quick => "quick",
-            Scale::Stress => "stress",
             Scale::Reproduction => "repro",
             Scale::Paper => "paper",
         }
     }
 
+    /// Every name, as usage text shows them: `quick|repro|paper`.
+    pub fn choices() -> String {
+        Scale::ALL.map(Scale::name).join("|")
+    }
+
     pub fn config(self, seed: u64) -> ExperimentConfig {
         match self {
             Scale::Quick => ExperimentConfig::quick(seed),
-            Scale::Stress => ExperimentConfig::stress(seed),
             Scale::Reproduction => ExperimentConfig::reproduction(seed),
             Scale::Paper => ExperimentConfig::paper_scale(seed),
         }
@@ -81,6 +79,26 @@ pub fn path_flag(flag: &str, args: &mut impl Iterator<Item = String>) -> std::pa
             std::process::exit(2);
         }
     }
+}
+
+/// The value of a scale flag, read from the argument after it. A missing
+/// or unknown name exits with status 2 naming the flag and the scales.
+pub fn scale_flag(flag: &str, args: &mut impl Iterator<Item = String>) -> Scale {
+    let value = args.next().unwrap_or_default();
+    Scale::parse(&value).unwrap_or_else(|| {
+        eprintln!("{flag} needs one of {}, not {value:?}", Scale::choices());
+        std::process::exit(2);
+    })
+}
+
+/// The optional directory operand of `--profile`: the argument after it
+/// unless that is the next flag, else `profile`.
+pub fn profile_flag<I: Iterator<Item = String>>(
+    args: &mut std::iter::Peekable<I>,
+) -> std::path::PathBuf {
+    args.next_if(|value| !value.starts_with("--"))
+        .unwrap_or_else(|| "profile".to_string())
+        .into()
 }
 
 /// The two committed bench regression artifacts the HTML report's
@@ -225,28 +243,34 @@ mod tests {
     #[test]
     fn scale_parsing() {
         assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
-        assert_eq!(Scale::parse("stress"), Some(Scale::Stress));
         assert_eq!(Scale::parse("repro"), Some(Scale::Reproduction));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("nope"), None);
-        for scale in [
-            Scale::Quick,
-            Scale::Stress,
-            Scale::Reproduction,
-            Scale::Paper,
-        ] {
+        for scale in Scale::ALL {
             assert_eq!(Scale::parse(scale.name()), Some(scale));
         }
+        assert_eq!(Scale::choices(), "quick|repro|paper");
     }
 
     #[test]
     fn configs_scale_up() {
         let q = Scale::Quick.config(1);
-        let s = Scale::Stress.config(1);
         let r = Scale::Reproduction.config(1);
         let p = Scale::Paper.config(1);
-        assert!(q.expected_transactions() < s.expected_transactions());
-        assert!(s.expected_transactions() < r.expected_transactions());
+        assert!(q.expected_transactions() < r.expected_transactions());
         assert!(r.expected_transactions() < p.expected_transactions());
+    }
+
+    #[test]
+    fn profile_flag_takes_a_directory_but_not_the_next_flag() {
+        let mut given = ["out", "--seed"].map(String::from).into_iter().peekable();
+        assert_eq!(profile_flag(&mut given), std::path::Path::new("out"));
+        assert_eq!(given.next().as_deref(), Some("--seed"));
+        let mut flag_next = ["--seed"].map(String::from).into_iter().peekable();
+        assert_eq!(
+            profile_flag(&mut flag_next),
+            std::path::Path::new("profile")
+        );
+        assert_eq!(flag_next.next().as_deref(), Some("--seed"));
     }
 }

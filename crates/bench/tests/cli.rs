@@ -16,10 +16,13 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
 }
 
 #[test]
-fn malformed_numeric_flag_values_exit_2() {
+fn malformed_flag_values_exit_2() {
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_detcheck"), ["--seed", "nope"]),
         (env!("CARGO_BIN_EXE_audit"), ["--min-agreement", "NaN"]),
+        (env!("CARGO_BIN_EXE_reproduce"), ["--scale", "nope"]),
+        (env!("CARGO_BIN_EXE_audit"), ["--scale", "nope"]),
+        (env!("CARGO_BIN_EXE_explain"), ["--scale", "nope"]),
     ] {
         let (code, stderr) = run(bin, &args);
         assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");

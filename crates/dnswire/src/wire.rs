@@ -100,13 +100,6 @@ impl WireWriter {
             self.buf.extend_from_slice(&suffix[..=label_len]);
         }
     }
-
-    /// Write a name without compression (used inside RDATA where some
-    /// implementations choke on pointers; we still *read* compressed RDATA
-    /// names).
-    pub fn put_name_uncompressed(&mut self, name: &DomainName) {
-        self.buf.extend_from_slice(name.as_wire());
-    }
 }
 
 /// Does the name written at `at` in `buf`, followed through its pointers,
@@ -291,7 +284,7 @@ mod tests {
     #[test]
     fn name_roundtrip_uncompressed() {
         let mut w = WireWriter::new();
-        w.put_name_uncompressed(&name("www.example.com"));
+        w.put_name(&name("www.example.com"));
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 17);
         let mut r = WireReader::new(&bytes);

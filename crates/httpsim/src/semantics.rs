@@ -23,13 +23,6 @@ impl StatusClass {
             _ => StatusClass::Invalid,
         }
     }
-
-    /// Does this class constitute an HTTP-level transaction failure in the
-    /// paper's taxonomy (the TCP transfer worked, but the server did not
-    /// supply the content)?
-    pub fn is_http_failure(self) -> bool {
-        matches!(self, StatusClass::ClientError | StatusClass::ServerError)
-    }
 }
 
 pub fn is_success(status: u16) -> bool {
@@ -62,14 +55,6 @@ mod tests {
         assert_eq!(StatusClass::of(100), StatusClass::Informational);
         assert_eq!(StatusClass::of(0), StatusClass::Invalid);
         assert_eq!(StatusClass::of(999), StatusClass::Invalid);
-    }
-
-    #[test]
-    fn failure_predicate() {
-        assert!(StatusClass::of(404).is_http_failure());
-        assert!(StatusClass::of(500).is_http_failure());
-        assert!(!StatusClass::of(200).is_http_failure());
-        assert!(!StatusClass::of(302).is_http_failure());
     }
 
     #[test]

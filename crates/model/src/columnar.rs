@@ -629,13 +629,6 @@ impl ColumnarDataset {
         self.txn.proxy[i] != NONE_U16
     }
 
-    /// DNS result tag of transaction `i`: 0 = resolved, else the failure
-    /// kind via [`decode_dns_kind`].
-    #[inline]
-    pub fn txn_dns_kind(&self, i: usize) -> u8 {
-        self.txn.dns_kind[i]
-    }
-
     /// Download/connect-phase duration of transaction `i` in µs, if the
     /// record carries one — equals `record(i).download_time`.
     #[inline]
@@ -872,7 +865,6 @@ mod tests {
                 TxnBlameHint::Ambiguous,
             ]
         );
-        assert_eq!(cds.txn_dns_kind(1), 1);
         assert_eq!(cds.txn_download_micros(0), Some(900_000));
         assert_eq!(cds.txn_download_micros(1), None);
     }

@@ -110,16 +110,6 @@ impl Dataset {
         self.clients.iter().filter(move |c| c.category == cat)
     }
 
-    /// Total transaction count.
-    pub fn transaction_count(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Total connection count.
-    pub fn connection_count(&self) -> usize {
-        self.connections.len()
-    }
-
     /// Overall transaction failure rate (0.0 when there are no records).
     pub fn overall_failure_rate(&self) -> f64 {
         if self.records.is_empty() {
@@ -270,7 +260,6 @@ mod tests {
     fn empty_dataset_rates() {
         let ds = Dataset::default();
         assert_eq!(ds.overall_failure_rate(), 0.0);
-        assert_eq!(ds.transaction_count(), 0);
         let integ = ds.integrity();
         assert!(integ.is_complete());
         assert_eq!(integ.coverage(), 1.0);

@@ -57,15 +57,6 @@ impl DnsFailureKind {
             DnsFailureKind::ErrorResponse(_) => "error response",
         }
     }
-
-    /// True if the failure is a timeout (of either kind) rather than an
-    /// explicit error response.
-    pub fn is_timeout(self) -> bool {
-        matches!(
-            self,
-            DnsFailureKind::LdnsTimeout | DnsFailureKind::NonLdnsTimeout
-        )
-    }
 }
 
 impl fmt::Display for DnsFailureKind {
@@ -123,39 +114,14 @@ pub enum FailureClass {
 }
 
 impl FailureClass {
-    /// Top-level label matching Figure 1's legend.
-    pub fn top_level(&self) -> &'static str {
-        match self {
-            FailureClass::Dns(_) => "DNS",
-            FailureClass::Tcp(_) => "TCP",
-            FailureClass::Http(_) => "HTTP",
-        }
-    }
-
     pub fn is_dns(&self) -> bool {
         matches!(self, FailureClass::Dns(_))
-    }
-
-    pub fn is_tcp(&self) -> bool {
-        matches!(self, FailureClass::Tcp(_))
-    }
-
-    pub fn is_http(&self) -> bool {
-        matches!(self, FailureClass::Http(_))
     }
 
     /// The DNS sub-class, if this is a DNS failure.
     pub fn dns_kind(&self) -> Option<DnsFailureKind> {
         match self {
             FailureClass::Dns(k) => Some(*k),
-            _ => None,
-        }
-    }
-
-    /// The TCP sub-class, if this is a TCP failure.
-    pub fn tcp_kind(&self) -> Option<TcpFailureKind> {
-        match self {
-            FailureClass::Tcp(k) => Some(*k),
             _ => None,
         }
     }
@@ -176,37 +142,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn top_level_labels() {
-        assert_eq!(
-            FailureClass::Dns(DnsFailureKind::LdnsTimeout).top_level(),
-            "DNS"
-        );
-        assert_eq!(
-            FailureClass::Tcp(TcpFailureKind::NoConnection).top_level(),
-            "TCP"
-        );
-        assert_eq!(FailureClass::Http(404).top_level(), "HTTP");
-    }
-
-    #[test]
     fn predicates() {
         let d = FailureClass::Dns(DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain));
-        assert!(d.is_dns() && !d.is_tcp() && !d.is_http());
+        assert!(d.is_dns());
         assert_eq!(
             d.dns_kind(),
             Some(DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain))
         );
-        assert_eq!(d.tcp_kind(), None);
 
         let t = FailureClass::Tcp(TcpFailureKind::PartialResponse);
-        assert_eq!(t.tcp_kind(), Some(TcpFailureKind::PartialResponse));
-    }
-
-    #[test]
-    fn timeout_classification() {
-        assert!(DnsFailureKind::LdnsTimeout.is_timeout());
-        assert!(DnsFailureKind::NonLdnsTimeout.is_timeout());
-        assert!(!DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail).is_timeout());
+        assert!(!t.is_dns());
+        assert_eq!(t.dns_kind(), None);
     }
 
     #[test]

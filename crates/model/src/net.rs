@@ -64,11 +64,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// True for the zero-length (default-route) prefix.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// Does this prefix cover `addr`?
     pub fn contains(&self, addr: Ipv4Addr) -> bool {
         u32::from(addr) & mask(self.len) == u32::from(self.addr)
@@ -170,7 +165,6 @@ mod tests {
     #[test]
     fn default_route() {
         let d: Ipv4Prefix = "0.0.0.0/0".parse().unwrap();
-        assert!(d.is_default());
         assert!(d.contains(Ipv4Addr::new(255, 255, 255, 255)));
         assert_eq!(d.size(), 1 << 32);
     }

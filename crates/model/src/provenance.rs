@@ -87,11 +87,6 @@ impl FaultSet {
         self.0
     }
 
-    /// Rebuild from a raw pattern produced by [`Self::bits`].
-    pub fn from_bits(bits: u32) -> FaultSet {
-        FaultSet(bits)
-    }
-
     /// Is no fault recorded?
     pub fn is_empty(self) -> bool {
         self.0 == 0
@@ -311,7 +306,6 @@ mod tests {
         assert!(s.contains(FaultSet::WAN));
         assert!(!s.contains(FaultSet::LDNS_DOWN));
         assert_eq!(s, FaultSet::LAST_MILE | FaultSet::WAN);
-        assert_eq!(FaultSet::from_bits(s.bits()), s);
     }
 
     #[test]

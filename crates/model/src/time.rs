@@ -49,11 +49,6 @@ impl SimTime {
         self.0 / MICROS_PER_SEC
     }
 
-    /// Fractional hours since experiment start.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / MICROS_PER_HOUR as f64
-    }
-
     /// The index of the 1-hour episode bin this instant falls in.
     ///
     /// The paper aggregates all failure-rate computations over 1-hour
@@ -86,14 +81,6 @@ impl SimDuration {
 
     pub const fn from_hours(h: u64) -> Self {
         SimDuration(h * MICROS_PER_HOUR)
-    }
-
-    /// Construct from fractional seconds. Negative values clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            return SimDuration(0);
-        }
-        SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
     }
 
     pub const fn as_micros(self) -> u64 {
@@ -269,23 +256,11 @@ mod tests {
     }
 
     #[test]
-    fn from_secs_f64_clamps_negative() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(0.25).as_millis(), 250);
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(SimDuration::from_micros(12).to_string(), "12us");
         assert_eq!(SimDuration::from_millis(3).to_string(), "3.000ms");
         assert_eq!(SimDuration::from_secs(61).to_string(), "61.000s");
         assert_eq!(SimDuration::from_hours(2).to_string(), "2.00h");
         assert_eq!(SimDuration::ZERO.to_string(), "0s");
-    }
-
-    #[test]
-    fn as_hours_f64() {
-        assert!((SimTime::from_hours(3).as_hours_f64() - 3.0).abs() < 1e-12);
-        assert!((SimTime::from_micros(MICROS_PER_HOUR / 2).as_hours_f64() - 0.5).abs() < 1e-12);
     }
 }

@@ -5,7 +5,7 @@
 //! among events scheduled for the same instant (a monotone sequence number
 //! breaks ties), which is what makes multi-entity simulations deterministic.
 
-use model::{SimDuration, SimTime};
+use model::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -83,11 +83,6 @@ impl<E> Scheduler<E> {
         self.heap.len()
     }
 
-    /// Largest number of events that were ever pending at once.
-    pub fn peak_len(&self) -> usize {
-        self.peak
-    }
-
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -114,16 +109,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Schedule `event` after a delay from the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Timestamp of the next pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Deliver the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
@@ -146,24 +131,6 @@ impl<E> Scheduler<E> {
             }
         }
     }
-
-    /// Deliver all events up to and including time `until`, leaving later
-    /// events queued. The clock ends at `max(now, until)`.
-    pub fn run_until<F>(&mut self, until: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Self, SimTime, E),
-    {
-        while let Some(t) = self.peek_time() {
-            if t > until {
-                break;
-            }
-            let (t, e) = self.pop().expect("peeked");
-            handler(self, t, e);
-        }
-        if self.now < until {
-            self.now = until;
-        }
-    }
 }
 
 impl<E> Drop for Scheduler<E> {
@@ -182,6 +149,7 @@ impl<E> Drop for Scheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use model::SimDuration;
 
     #[test]
     fn delivers_in_time_order() {
@@ -239,7 +207,7 @@ mod tests {
         s.run_with(|sched, _, n| {
             count += 1;
             if n < 9 {
-                sched.schedule_in(SimDuration::from_secs(1), n + 1);
+                sched.schedule_at(sched.now() + SimDuration::from_secs(1), n + 1);
             }
             true
         });
@@ -260,34 +228,5 @@ mod tests {
         });
         assert_eq!(seen, 3);
         assert_eq!(s.len(), 7);
-    }
-
-    #[test]
-    fn run_until_leaves_later_events() {
-        let mut s = Scheduler::new();
-        for i in 1..=10 {
-            s.schedule_at(SimTime::from_secs(i), i);
-        }
-        let mut seen = Vec::new();
-        s.run_until(SimTime::from_secs(4), |_, _, e| seen.push(e));
-        assert_eq!(seen, vec![1, 2, 3, 4]);
-        assert_eq!(s.len(), 6);
-        assert_eq!(s.now(), SimTime::from_secs(4));
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_idle() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        s.run_until(SimTime::from_secs(100), |_, _, _| {});
-        assert_eq!(s.now(), SimTime::from_secs(100));
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut s = Scheduler::new();
-        s.schedule_at(SimTime::from_secs(10), "first");
-        s.pop();
-        s.schedule_in(SimDuration::from_secs(5), "second");
-        assert_eq!(s.peek_time(), Some(SimTime::from_secs(15)));
     }
 }

@@ -153,47 +153,11 @@ impl SimRng {
         mean + std_dev * r * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Log-normal: exp of a normal with the given *underlying* parameters.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
-    /// Poisson-distributed count (Knuth's method; intended for small λ).
-    pub fn poisson(&mut self, lambda: f64) -> u32 {
-        debug_assert!(lambda >= 0.0);
-        if lambda <= 0.0 {
-            return 0;
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u32;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-            if k > 10_000 {
-                // Guard against pathological λ; callers use λ ≲ 100.
-                return k;
-            }
-        }
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             items.swap(i, j);
-        }
-    }
-
-    /// Pick a uniformly random element (None for an empty slice).
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.below(items.len() as u64) as usize])
         }
     }
 
@@ -330,16 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean() {
-        let mut r = SimRng::new(23);
-        let n = 100_000;
-        let sum: u64 = (0..n).map(|_| u64::from(r.poisson(4.0))).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 4.0).abs() < 0.05, "mean {mean}");
-        assert_eq!(r.poisson(0.0), 0);
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut r = SimRng::new(29);
         let mut v: Vec<u32> = (0..100).collect();
@@ -360,15 +314,6 @@ mod tests {
         uniq.dedup();
         assert_eq!(uniq.len(), 10);
         assert!(uniq.iter().all(|&i| i < 50));
-    }
-
-    #[test]
-    fn pick_empty_and_nonempty() {
-        let mut r = SimRng::new(37);
-        let empty: [u8; 0] = [];
-        assert_eq!(r.pick(&empty), None);
-        let items = [1, 2, 3];
-        assert!(items.contains(r.pick(&items).unwrap()));
     }
 
     #[test]

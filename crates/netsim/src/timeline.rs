@@ -58,12 +58,6 @@ impl<T: Clone + PartialEq> Timeline<T> {
         &self.points[idx - 1].1
     }
 
-    /// The next change point strictly after `t`, if any.
-    pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
-        let idx = self.points.partition_point(|(pt, _)| *pt <= t);
-        self.points.get(idx).map(|(pt, _)| *pt)
-    }
-
     /// Iterate the segments as `(start, end, state)`; the final segment has
     /// `end == None` (extends forever).
     pub fn segments(&self) -> impl Iterator<Item = (SimTime, Option<SimTime>, &T)> {
@@ -115,7 +109,6 @@ mod tests {
         let tl = Timeline::constant(5);
         assert_eq!(*tl.at(SimTime::ZERO), 5);
         assert_eq!(*tl.at(t(1_000_000)), 5);
-        assert_eq!(tl.next_change_after(SimTime::ZERO), None);
         assert_eq!(tl.change_count(), 1);
     }
 
@@ -151,14 +144,6 @@ mod tests {
         let tl2 = Timeline::from_changes(0, vec![(t(10), 1), (t(10), 0)]);
         assert_eq!(tl2.change_count(), 1);
         assert_eq!(*tl2.at(t(10)), 0);
-    }
-
-    #[test]
-    fn next_change_after_walks_points() {
-        let tl = Timeline::from_changes(0, vec![(t(10), 1), (t(20), 2)]);
-        assert_eq!(tl.next_change_after(SimTime::ZERO), Some(t(10)));
-        assert_eq!(tl.next_change_after(t(10)), Some(t(20)));
-        assert_eq!(tl.next_change_after(t(20)), None);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A degraded collection run still produces an analyzable dataset, but the
 //! paper's tables are only honest if the report says what is missing. This
 //! module renders the losses in one place: clients that died mid-month,
-//! records dropped in the collection pipeline, and trace/feed bytes the
-//! salvage decoders had to quarantine.
+//! records dropped in the collection pipeline, and feed bytes the salvage
+//! decoders had to quarantine.
 //!
 //! The summary is deliberately plain data (counts and strings) so any layer
 //! — the workload runner, the analysis, a decoder — can contribute lines
@@ -15,7 +15,7 @@ use crate::table::TextTable;
 /// Salvage outcome for one codec or feed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SalvageLine {
-    /// What was being decoded, e.g. `"bgp-mrt"` or `"tcp-pcap"`.
+    /// What was being decoded, e.g. `"bgp-mrt"`.
     pub source: String,
     /// Records decoded successfully.
     pub kept: u64,

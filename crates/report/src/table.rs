@@ -65,10 +65,6 @@ impl TextTable {
         self
     }
 
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render to a string.
     pub fn render(&self) -> String {
         let cols = self.headers.len();
@@ -162,7 +158,7 @@ mod tests {
         t.row(["x", "y", "z-dropped"]);
         let s = t.render();
         assert!(!s.contains("z-dropped"));
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -20,12 +20,10 @@
 
 pub mod connection;
 pub mod packet;
-pub mod pcap;
 pub mod trace;
 
 pub use connection::{
     simulate_connection, simulate_connection_into, ConnectionResult, PathQuality, ServerBehavior,
 };
 pub use packet::{Direction, PacketKind, Trace, TracePacket};
-pub use pcap::{decode_pcap, decode_pcap_salvage, encode_pcap, PcapEndpoints, PcapError, PcapIssue};
 pub use trace::{classify_trace, count_retransmissions, TraceVerdict};

@@ -110,11 +110,6 @@ impl SpanGuard {
             self.sim = (Some(start_us), Some(end_us));
         }
     }
-
-    /// Is this guard actually recording?
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
 }
 
 impl Drop for SpanGuard {

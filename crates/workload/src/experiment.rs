@@ -102,17 +102,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// A memory/allocator stress point between `quick` and `reproduction`:
-    /// one week at the reproduction access rate without wire fidelity
-    /// (~3.5 M transactions), large enough to exercise column spills and
-    /// capacity growth.
-    pub fn stress(seed: u64) -> Self {
-        ExperimentConfig {
-            hours: 168,
-            ..Self::reproduction(seed)
-        }
-    }
-
     /// A small run for integration tests and examples: full fleet, 72
     /// hours, 1 access/hour, full wire fidelity.
     pub fn quick(seed: u64) -> Self {

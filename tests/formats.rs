@@ -1,14 +1,9 @@
-//! Wire-format round trips over real workload output: the simulated feed
-//! and traces survive the same on-disk formats the paper's tooling used
-//! (MRT for BGP, libpcap for packet traces).
+//! Wire-format round trip over real workload output: the simulated BGP
+//! feed survives MRT, the on-disk format the paper's BGP data came in.
 
 use bgpsim::{aggregate, decode_stream, encode_stream, generate, BgpScenario, MrtPrefixTable};
-use model::{PrefixId, SimDuration, SimTime};
+use model::PrefixId;
 use netsim::SimRng;
-use tcpsim::{
-    classify_trace, decode_pcap, encode_pcap, simulate_connection, PathQuality, PcapEndpoints,
-    ServerBehavior,
-};
 
 #[test]
 fn month_scale_bgp_feed_round_trips_through_mrt() {
@@ -46,37 +41,5 @@ fn month_scale_bgp_feed_round_trips_through_mrt() {
         for h in 0..240u32 {
             assert_eq!(direct.get(PrefixId(p), h), via_mrt.get(PrefixId(p), h));
         }
-    }
-}
-
-#[test]
-fn traces_of_every_outcome_round_trip_through_pcap() {
-    let ep = PcapEndpoints::default();
-    let mut rng = SimRng::new(41);
-    let behaviors = [
-        ServerBehavior::Healthy,
-        ServerBehavior::Unreachable,
-        ServerBehavior::Refusing,
-        ServerBehavior::AcceptNoResponse,
-        ServerBehavior::StallAfter(6_000),
-    ];
-    for (i, behavior) in behaviors.iter().cycle().take(100).enumerate() {
-        let loss = [0.0, 0.02, 0.08][i % 3];
-        let r = simulate_connection(
-            *behavior,
-            &PathQuality {
-                loss,
-                rtt: SimDuration::from_millis(60),
-            },
-            30_000,
-            SimTime::from_hours(1) + SimDuration::from_secs(i as u64 * 100),
-            &mut rng,
-            true,
-        );
-        let trace = r.trace.unwrap();
-        let wire = encode_pcap(&trace, &ep);
-        let decoded = decode_pcap(&wire, ep.client).unwrap();
-        assert_eq!(decoded, trace, "case {i} {behavior:?} loss {loss}");
-        assert_eq!(classify_trace(&decoded), classify_trace(&trace));
     }
 }

@@ -1,6 +1,6 @@
 //! Fuzz the wire codecs with random truncations and bit flips.
 //!
-//! The contract under test, for pcap, MRT and DNS alike:
+//! The contract under test, for MRT and DNS alike:
 //!
 //! 1. neither the strict nor the salvage decoder ever panics, whatever the
 //!    input bytes;
@@ -10,17 +10,15 @@
 //!    succeeds and both decode identically.
 //!
 //! The HTTP text codec has no salvage decoder: its request and response
-//! decoders must never panic on damaged heads or overlong multi-byte
-//! header lines, and intact heads must round-trip.
+//! decoders must never panic on damaged heads, overlong multi-byte header
+//! lines or pure garbage, and intact heads must round-trip.
 
 use bgpsim::mrt::{decode_stream, decode_stream_salvage, encode_stream, MrtPrefixTable};
 use bgpsim::{BgpUpdate, UpdateKind};
 use httpsim::{HttpError, HttpRequest, HttpResponse};
-use model::{PrefixId, SimDuration, SimTime};
+use model::{PrefixId, SimTime};
 use netsim::SimRng;
 use proptest::prelude::*;
-use tcpsim::pcap::{decode_pcap, decode_pcap_salvage, encode_pcap, PcapEndpoints};
-use tcpsim::{simulate_connection, PathQuality, ServerBehavior};
 use workload::apparatus::{bitflip, truncate_tail};
 
 /// Corrupt `buf` in place: `flips` random bit flips, then (if `cut` is
@@ -33,21 +31,6 @@ fn corrupt(buf: &mut Vec<u8>, seed: u64, flips: u32, cut: bool) {
             buf.truncate(at);
         }
     }
-}
-
-fn pcap_fixture(seed: u64) -> Vec<u8> {
-    let r = simulate_connection(
-        ServerBehavior::Healthy,
-        &PathQuality {
-            loss: 0.03,
-            rtt: SimDuration::from_millis(60),
-        },
-        20_000,
-        SimTime::from_secs(50),
-        &mut SimRng::new(seed),
-        true,
-    );
-    encode_pcap(&r.trace.expect("trace requested"), &PcapEndpoints::default())
 }
 
 fn mrt_fixture(seed: u64, prefixes: &[model::Ipv4Prefix]) -> Vec<u8> {
@@ -112,26 +95,6 @@ fn prefixes() -> Vec<model::Ipv4Prefix> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// pcap: the decoder contract holds under random damage.
-    #[test]
-    fn pcap_decoders_survive_corruption(
-        seed in 0u64..1_000_000,
-        flips in 0u32..12,
-        cut in 0u8..2,
-    ) {
-        let mut wire = pcap_fixture(seed);
-        corrupt(&mut wire, seed, flips, cut == 1);
-        let client = PcapEndpoints::default().client;
-        let strict = decode_pcap(&wire, client);
-        let (salvaged, issues) = decode_pcap_salvage(&wire, client);
-        if strict.is_err() {
-            prop_assert!(!issues.is_empty(), "corruption must be reported");
-        }
-        if issues.is_empty() {
-            prop_assert_eq!(salvaged, strict.expect("no issues implies strict success"));
-        }
-    }
 
     /// MRT: the decoder contract holds under random damage.
     #[test]
@@ -226,12 +189,12 @@ proptest! {
     ) {
         let pfx = prefixes();
         let table = MrtPrefixTable::new(&pfx);
-        let client = PcapEndpoints::default().client;
-        let _ = decode_pcap(&bytes, client);
-        let _ = decode_pcap_salvage(&bytes, client);
         let _ = decode_stream(&bytes, &table);
         let _ = decode_stream_salvage(&bytes, &table);
         let _ = dnswire::Message::decode(&bytes);
         let _ = dnswire::Message::decode_salvage(&bytes);
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = HttpRequest::decode(&text);
+        let _ = HttpResponse::decode_head(&text);
     }
 }
