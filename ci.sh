@@ -69,9 +69,10 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> telemetry-disabled build stays deterministic and matches the oracle"
 cargo test -q --no-default-features --test determinism --test differential
 
-echo "==> examples build and run"
+echo "==> examples build and run (every examples/*.rs, so a new example cannot skip CI)"
 cargo build --release --examples
-for ex in quickstart custom_world blame_attribution bgp_correlation degraded_run proxy_failover profiled_run; do
+for path in examples/*.rs; do
+    ex="$(basename "$path" .rs)"
     echo "   -> example: $ex"
     cargo run --release --example "$ex" > /dev/null
 done

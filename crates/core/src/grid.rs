@@ -43,9 +43,9 @@ impl HourlyGrid {
     }
 
     /// Record one sample. Out-of-range coordinates are not silently lost:
-    /// they count in [`HourlyGrid::dropped`] (and a telemetry counter) so a
-    /// mis-sized grid surfaces in the integrity audit instead of quietly
-    /// truncating its inputs.
+    /// they count in [`HourlyGrid::dropped`] and the
+    /// `analysis.grid.dropped_samples` telemetry counter, so a mis-sized grid
+    /// cannot quietly truncate its inputs.
     pub fn add(&mut self, row: usize, hour: u32, failed: bool) {
         if row >= self.rows || hour >= self.hours {
             self.dropped += 1;
@@ -116,34 +116,6 @@ impl HourlyGrid {
         out
     }
 
-    /// Does `(row, hour)` have data, but too little to trust its rate?
-    ///
-    /// These are the cells a degraded run produces around a client death or
-    /// heavy record loss: not empty, yet below the `min_samples` floor every
-    /// rate/episode computation applies, so they silently fall out of the
-    /// analysis. Degradation reporting surfaces them.
-    pub fn is_thin(&self, row: usize, hour: u32, min_samples: u32) -> bool {
-        let (a, _) = self.cell(row, hour);
-        a > 0 && a < min_samples.max(1)
-    }
-
-    /// Count of cells with any data, and of those, how many are thin.
-    pub fn coverage(&self, min_samples: u32) -> GridCoverage {
-        let mut cov = GridCoverage::default();
-        for row in 0..self.rows {
-            for hour in 0..self.hours {
-                let (a, _) = self.cell(row, hour);
-                if a > 0 {
-                    cov.active += 1;
-                    if a < min_samples.max(1) {
-                        cov.thin += 1;
-                    }
-                }
-            }
-        }
-        cov
-    }
-
     /// Element-wise add another grid of identical shape into this one.
     ///
     /// The merge step of the sharded builders: each shard folds its record
@@ -172,27 +144,6 @@ impl HourlyGrid {
             f += u64::from(cf);
         }
         (a, f)
-    }
-}
-
-/// How many cells of a grid hold data, and how many of those are too thin
-/// for their rates to be trusted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GridCoverage {
-    /// Cells with at least one sample.
-    pub active: usize,
-    /// Active cells below the `min_samples` floor.
-    pub thin: usize,
-}
-
-impl GridCoverage {
-    /// Fraction of active cells whose rate is trustworthy.
-    pub fn confident_fraction(&self) -> f64 {
-        if self.active == 0 {
-            1.0
-        } else {
-            (self.active - self.thin) as f64 / self.active as f64
-        }
     }
 }
 
@@ -474,7 +425,34 @@ mod tests {
         assert_eq!(g.cell(2, 0), (0, 0));
         assert_eq!(g.rate(0, 3, 1), None);
         assert!(!g.is_episode(0, 3, 0.05, 1));
-        assert!(!g.is_thin(0, 3, 12));
+    }
+
+    #[test]
+    fn index_grids_count_samples_past_the_window() {
+        // A record stamped at hour == ds.hours (the instant the window
+        // closes) has no grid cell; each grid the index builds from it
+        // rejects the sample and counts the drop.
+        let mut w = SynthWorld::new(2, 2, 2);
+        for h in 0..2u32 {
+            for c in 0..2u16 {
+                for s in 0..2u16 {
+                    w.add_conn_batch(ClientId(c), SiteId(s), h, 20, 0);
+                    w.add_txn_batch(ClientId(c), SiteId(s), h, 20, 0);
+                }
+            }
+        }
+        w.add_failed_conn(ClientId(0), SiteId(0), 2);
+        w.add_txn(ClientId(0), SiteId(0), 2, false);
+        let ds = w.finish();
+        let a = crate::Analysis::new(&ds, crate::AnalysisConfig::default());
+        for grid in [
+            &*a.client_grid,
+            &*a.server_grid,
+            &a.client_outcome.grid,
+            &a.server_outcome.grid,
+        ] {
+            assert_eq!(grid.dropped(), 1);
+        }
     }
 
     #[test]
@@ -612,25 +590,6 @@ mod tests {
                 assert_eq!(with_empty.cell(row, hour), a.cell(row, hour));
             }
         }
-    }
-
-    #[test]
-    fn thin_cell_detection_and_coverage() {
-        let mut g = HourlyGrid::new(2, 3);
-        for _ in 0..20 {
-            g.add(0, 0, false); // confident
-        }
-        for _ in 0..3 {
-            g.add(0, 1, true); // thin
-        }
-        g.add(1, 2, false); // thin
-        assert!(!g.is_thin(0, 0, 12));
-        assert!(g.is_thin(0, 1, 12));
-        assert!(!g.is_thin(1, 0, 12), "empty cells are not thin, just absent");
-        let cov = g.coverage(12);
-        assert_eq!(cov, GridCoverage { active: 3, thin: 2 });
-        assert!((cov.confident_fraction() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(GridCoverage::default().confident_fraction(), 1.0);
     }
 
     fn outcome_grids(w: SynthWorld, threads: usize) -> (OutcomeGrid, OutcomeGrid) {

@@ -35,7 +35,6 @@ pub mod config;
 pub mod dns_analysis;
 pub mod episodes;
 pub mod grid;
-pub mod integrity;
 pub mod loss_corr;
 pub mod pair_episodes;
 pub mod par;
@@ -51,8 +50,7 @@ pub mod timing;
 
 pub use blame::{BlameBreakdown, BlameClass};
 pub use config::AnalysisConfig;
-pub use grid::{GridCoverage, HourlyGrid, OutcomeGrid};
-pub use integrity::{ConfidentBlame, DegradationReport};
+pub use grid::{HourlyGrid, OutcomeGrid};
 pub use permanent::PermanentPairs;
 
 use model::{ColumnarDataset, Dataset};

@@ -9,8 +9,10 @@
 //!
 //! Scope: the subset of DNS needed for A-record web lookups and hierarchy
 //! walking — headers with all RFC 1035 flags and RCODEs, QNAME/QTYPE/QCLASS
-//! questions, and A / NS / CNAME / SOA / PTR / MX / TXT / AAAA records —
-//! with full name-compression support on both encode and decode.
+//! questions, and A / NS / CNAME records — with full name-compression
+//! support on both encode and decode. Those are the only types the
+//! simulated zones serve; any other type decodes as [`RecordType::Other`]
+//! with [`RData::Opaque`] data and re-encodes to the same bytes.
 //!
 //! A [`DomainName`] is one boxed buffer holding the name's uncompressed
 //! wire form (length-prefixed lowercase labels, then the root octet), with
@@ -47,6 +49,6 @@ pub mod wire;
 
 pub use error::WireError;
 pub use header::{Header, Opcode, Rcode};
-pub use message::{DnsIssue, DnsSection, Message, Question};
+pub use message::{Message, Question};
 pub use name::DomainName;
 pub use rr::{RData, RecordClass, RecordType, ResourceRecord};

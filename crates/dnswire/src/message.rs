@@ -94,7 +94,7 @@ impl Message {
         self.answers.push(ResourceRecord::new(name, ttl, rdata));
     }
 
-    /// Append an authority (NS/SOA) record.
+    /// Append an authority (NS) record.
     pub fn add_authority(&mut self, name: DomainName, ttl: u32, rdata: RData) {
         self.authority.push(ResourceRecord::new(name, ttl, rdata));
     }
@@ -244,172 +244,6 @@ impl Message {
             additional,
         })
     }
-
-    /// Lossy parse of a possibly corrupt message: entries that fail to
-    /// decode are skipped by their wire frame and reported, everything
-    /// else is kept. Never fails and never panics; a clean input yields
-    /// exactly the strict decode with no issues.
-    pub fn decode_salvage(bytes: &[u8]) -> (Message, Vec<DnsIssue>) {
-        let mut issues = Vec::new();
-        let mut r = WireReader::new(bytes);
-        let header = match Header::decode(&mut r) {
-            Ok(h) => h,
-            Err(error) => {
-                // Without the 12 fixed header octets nothing is framed;
-                // there is no record boundary to resynchronize on.
-                issues.push(DnsIssue {
-                    offset: 0,
-                    section: DnsSection::Header,
-                    error,
-                });
-                return (Message::default(), issues);
-            }
-        };
-        let mut msg = Message {
-            header,
-            ..Message::default()
-        };
-        for _ in 0..header.qdcount {
-            let start = r.pos();
-            match Question::decode(&mut r) {
-                Ok(q) => msg.questions.push(q),
-                Err(error) => {
-                    issues.push(DnsIssue {
-                        offset: start,
-                        section: DnsSection::Question,
-                        error,
-                    });
-                    match skip_question_frame(bytes, start) {
-                        Some(next) => r.seek(next),
-                        None => return (msg, issues),
-                    }
-                }
-            }
-        }
-        let mut sections: [Vec<ResourceRecord>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        let counts = [
-            (header.ancount, DnsSection::Answer),
-            (header.nscount, DnsSection::Authority),
-            (header.arcount, DnsSection::Additional),
-        ];
-        for (i, (count, section)) in counts.into_iter().enumerate() {
-            for _ in 0..count {
-                if r.is_at_end() {
-                    issues.push(DnsIssue {
-                        offset: r.pos(),
-                        section,
-                        error: WireError::CountMismatch,
-                    });
-                    break;
-                }
-                let start = r.pos();
-                match ResourceRecord::decode(&mut r) {
-                    Ok(rr) => sections[i].push(rr),
-                    Err(error) => {
-                        issues.push(DnsIssue {
-                            offset: start,
-                            section,
-                            error,
-                        });
-                        match skip_record_frame(bytes, start) {
-                            Some(next) => r.seek(next),
-                            None => {
-                                let [answers, authority, additional] = sections;
-                                msg.answers = answers;
-                                msg.authority = authority;
-                                msg.additional = additional;
-                                return (msg, issues);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let [answers, authority, additional] = sections;
-        msg.answers = answers;
-        msg.authority = authority;
-        msg.additional = additional;
-        (msg, issues)
-    }
-}
-
-/// Where in the message a salvage issue was found.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DnsSection {
-    Header,
-    Question,
-    Answer,
-    Authority,
-    Additional,
-}
-
-impl std::fmt::Display for DnsSection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            DnsSection::Header => "header",
-            DnsSection::Question => "question",
-            DnsSection::Answer => "answer",
-            DnsSection::Authority => "authority",
-            DnsSection::Additional => "additional",
-        })
-    }
-}
-
-/// One quarantined entry found while salvage-decoding a message.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DnsIssue {
-    /// Byte offset of the entry that failed to decode.
-    pub offset: usize,
-    pub section: DnsSection,
-    pub error: WireError,
-}
-
-impl std::fmt::Display for DnsIssue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at offset {}: {}", self.section, self.offset, self.error)
-    }
-}
-
-/// Walk past a name's in-place wire representation without validating its
-/// contents: labels until a root octet or the first compression pointer.
-/// Tolerates label bytes a strict parse would reject — the point is to find
-/// the frame boundary, not to vouch for what's inside it.
-fn skip_name(bytes: &[u8], mut p: usize) -> Option<usize> {
-    let mut walked = 0usize;
-    // A sane name fits in 255 octets; anything longer is corruption, and
-    // the bound keeps us from wandering across the whole message.
-    while walked <= 255 {
-        let len = *bytes.get(p)?;
-        match len & 0xC0 {
-            0x00 if len == 0 => return Some(p + 1),
-            0x00 => {
-                p += 1 + len as usize;
-                walked += 1 + len as usize;
-            }
-            // A pointer ends the in-place representation.
-            0xC0 => return (p + 2 <= bytes.len()).then_some(p + 2),
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Frame of a question entry: name, then QTYPE and QCLASS.
-fn skip_question_frame(bytes: &[u8], p: usize) -> Option<usize> {
-    let next = skip_name(bytes, p)? + 4;
-    (next <= bytes.len()).then_some(next)
-}
-
-/// Frame of a resource record: name, fixed fields, then RDLENGTH of RDATA.
-fn skip_record_frame(bytes: &[u8], p: usize) -> Option<usize> {
-    // TYPE(2) CLASS(2) TTL(4), then RDLENGTH(2).
-    let rdlen_at = skip_name(bytes, p)? + 8;
-    if rdlen_at + 2 > bytes.len() {
-        return None;
-    }
-    let rdlen = u16::from_be_bytes([bytes[rdlen_at], bytes[rdlen_at + 1]]) as usize;
-    let next = rdlen_at + 2 + rdlen;
-    (next <= bytes.len()).then_some(next)
 }
 
 /// Identity helper kept separate for clarity: glue records are published
@@ -547,126 +381,6 @@ mod tests {
         let _ = Message::decode(&garbage);
     }
 
-    /// A response with a question and records in every section, without
-    /// cross-record compression (so single-record damage stays localized).
-    fn salvage_fixture() -> Message {
-        let q = Message::query(0x31, name("www.target.example"), RecordType::A);
-        let mut resp = q.response_from_query();
-        for i in 0..4u8 {
-            resp.add_answer(
-                name(&format!("h{i}.site{i}.example")),
-                300,
-                RData::A(Ipv4Addr::new(10, 1, 0, i)),
-            );
-        }
-        resp.add_authority(name("zone.example"), 3600, RData::Ns(name("ns.other.example")));
-        resp.add_additional(
-            name("ns.other.example"),
-            3600,
-            RData::A(Ipv4Addr::new(10, 2, 0, 1)),
-        );
-        resp
-    }
-
-    #[test]
-    fn salvage_on_clean_message_matches_strict() {
-        let bytes = salvage_fixture().encode().unwrap();
-        let strict = Message::decode(&bytes).unwrap();
-        let (salvaged, issues) = Message::decode_salvage(&bytes);
-        assert!(issues.is_empty(), "clean input must not report issues");
-        assert_eq!(salvaged, strict);
-    }
-
-    #[test]
-    fn salvage_skips_a_corrupt_answer_and_keeps_the_rest() {
-        let msg = salvage_fixture();
-        let mut bytes = msg.encode().unwrap();
-        // Find the second answer by its distinctive first label "h1" and
-        // corrupt a content byte of its owner name. Label lengths stay
-        // intact, so the record frame is still walkable.
-        let at = bytes
-            .windows(3)
-            .position(|w| w == [2, b'h', b'1'])
-            .expect("answer name on the wire");
-        bytes[at + 1] = 0xFF;
-        assert_eq!(
-            Message::decode(&bytes).unwrap_err(),
-            WireError::BadLabelByte(0xFF)
-        );
-        let (salvaged, issues) = Message::decode_salvage(&bytes);
-        assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].section, DnsSection::Answer);
-        assert_eq!(issues[0].offset, at);
-        assert_eq!(salvaged.answers.len(), 3, "other answers survive");
-        assert_eq!(salvaged.authority, msg.authority);
-        assert_eq!(salvaged.additional, msg.additional);
-    }
-
-    #[test]
-    fn salvage_of_truncated_message_keeps_the_prefix() {
-        let msg = salvage_fixture();
-        let bytes = msg.encode().unwrap();
-        let cut = &bytes[..bytes.len() - 9];
-        assert!(Message::decode(cut).is_err());
-        let (salvaged, issues) = Message::decode_salvage(cut);
-        assert_eq!(salvaged.questions, msg.questions);
-        assert_eq!(salvaged.answers, msg.answers);
-        assert_eq!(salvaged.authority, msg.authority);
-        assert!(salvaged.additional.is_empty());
-        assert!(!issues.is_empty());
-    }
-
-    #[test]
-    fn salvage_reports_overcounted_sections() {
-        let msg = salvage_fixture();
-        let mut bytes = msg.encode().unwrap();
-        bytes[7] += 3; // ancount claims three records that are not there
-        assert_eq!(Message::decode(&bytes).unwrap_err(), WireError::CountMismatch);
-        let (salvaged, issues) = Message::decode_salvage(&bytes);
-        // The phantom answers swallow the authority/additional records, but
-        // the real four answers survive and the shortfall is reported.
-        assert_eq!(salvaged.answers.len(), msg.answers.len() + 2);
-        assert!(issues
-            .iter()
-            .any(|i| i.error == WireError::CountMismatch && i.section == DnsSection::Answer));
-    }
-
-    #[test]
-    fn salvage_of_header_garbage_yields_nothing_quietly() {
-        let (salvaged, issues) = Message::decode_salvage(&[0xFF; 7]);
-        assert_eq!(salvaged, Message::default());
-        assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].section, DnsSection::Header);
-    }
-
-    #[test]
-    fn overrunning_txt_rdata_errors_without_panicking() {
-        // RDLENGTH 3, but the character-string inside claims 10 octets: the
-        // chunk overruns the declared frame and must be a typed error (this
-        // used to underflow a length subtraction).
-        let mut w = WireWriter::new();
-        crate::header::Header {
-            ancount: 1,
-            ..Default::default()
-        }
-        .encode(&mut w);
-        w.put_name(&name("t.example"));
-        w.put_u16(RecordType::Txt.to_u16());
-        w.put_u16(1); // IN
-        w.put_u32(60);
-        w.put_u16(3); // RDLENGTH
-        w.put_u8(10); // character-string length overruns the frame
-        w.put_bytes(&[b'a'; 10]);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            Message::decode(&bytes).unwrap_err(),
-            WireError::RdataLengthMismatch { declared: 3, .. }
-        ));
-        let (salvaged, issues) = Message::decode_salvage(&bytes);
-        assert!(salvaged.answers.is_empty());
-        assert_eq!(issues.len(), 1);
-    }
-
     #[test]
     fn compression_shrinks_message() {
         let mut m = Message::query(1, name("www.example.com"), RecordType::A);
@@ -758,12 +472,18 @@ mod tests {
 
     #[test]
     fn names_past_the_pointer_range_are_never_targets() {
-        // A 16 400-byte TXT answer pushes the next owner name past offset
+        // A 16 465-byte opaque answer pushes the next owner name past offset
         // 0x3FFF: its `www` label is written again by the repeat, and only
         // `example` (at 12, in the question) is pointed to.
-        let q = Message::query(7, name("example"), RecordType::Txt);
+        let q = Message::query(7, name("example"), RecordType::Other(16));
         let mut msg = q.response_from_query();
-        msg.add_answer(name("big.example"), 60, RData::Txt(vec![b'x'; 16_400]));
+        msg.answers.push(ResourceRecord {
+            name: name("big.example"),
+            rtype: RecordType::Other(16),
+            class: RecordClass::In,
+            ttl: 60,
+            rdata: RData::Opaque(vec![b'x'; 16_465]),
+        });
         msg.add_answer(name("www.example"), 60, RData::A(Ipv4Addr::new(10, 0, 0, 2)));
         msg.add_answer(name("www.example"), 60, RData::A(Ipv4Addr::new(10, 0, 0, 3)));
         let bytes = msg.encode().unwrap();

@@ -1,10 +1,10 @@
-//! Resource records (RFC 1035 §3.2, plus AAAA from RFC 3596).
+//! Resource records (RFC 1035 §3.2): typed A, NS and CNAME, opaque otherwise.
 
 use crate::error::WireError;
 use crate::name::DomainName;
 use crate::wire::{WireReader, WireWriter};
 use std::fmt;
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 
 /// Record types we model.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -12,11 +12,6 @@ pub enum RecordType {
     A,
     Ns,
     Cname,
-    Soa,
-    Ptr,
-    Mx,
-    Txt,
-    Aaaa,
     /// Unmodeled types survive decoding with opaque RDATA.
     Other(u16),
 }
@@ -27,11 +22,6 @@ impl RecordType {
             RecordType::A => 1,
             RecordType::Ns => 2,
             RecordType::Cname => 5,
-            RecordType::Soa => 6,
-            RecordType::Ptr => 12,
-            RecordType::Mx => 15,
-            RecordType::Txt => 16,
-            RecordType::Aaaa => 28,
             RecordType::Other(v) => v,
         }
     }
@@ -41,11 +31,6 @@ impl RecordType {
             1 => RecordType::A,
             2 => RecordType::Ns,
             5 => RecordType::Cname,
-            6 => RecordType::Soa,
-            12 => RecordType::Ptr,
-            15 => RecordType::Mx,
-            16 => RecordType::Txt,
-            28 => RecordType::Aaaa,
             other => RecordType::Other(other),
         }
     }
@@ -57,11 +42,6 @@ impl fmt::Display for RecordType {
             RecordType::A => "A",
             RecordType::Ns => "NS",
             RecordType::Cname => "CNAME",
-            RecordType::Soa => "SOA",
-            RecordType::Ptr => "PTR",
-            RecordType::Mx => "MX",
-            RecordType::Txt => "TXT",
-            RecordType::Aaaa => "AAAA",
             RecordType::Other(v) => return write!(f, "TYPE{v}"),
         };
         f.write_str(s)
@@ -73,8 +53,6 @@ impl fmt::Display for RecordType {
 pub enum RecordClass {
     #[default]
     In,
-    Ch,
-    Hs,
     Other(u16),
 }
 
@@ -82,8 +60,6 @@ impl RecordClass {
     pub fn to_u16(self) -> u16 {
         match self {
             RecordClass::In => 1,
-            RecordClass::Ch => 3,
-            RecordClass::Hs => 4,
             RecordClass::Other(v) => v,
         }
     }
@@ -91,23 +67,9 @@ impl RecordClass {
     pub fn from_u16(v: u16) -> Self {
         match v {
             1 => RecordClass::In,
-            3 => RecordClass::Ch,
-            4 => RecordClass::Hs,
             other => RecordClass::Other(other),
         }
     }
-}
-
-/// SOA RDATA fields.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SoaData {
-    pub mname: DomainName,
-    pub rname: DomainName,
-    pub serial: u32,
-    pub refresh: u32,
-    pub retry: u32,
-    pub expire: u32,
-    pub minimum: u32,
 }
 
 /// Typed RDATA.
@@ -116,11 +78,6 @@ pub enum RData {
     A(Ipv4Addr),
     Ns(DomainName),
     Cname(DomainName),
-    Soa(Box<SoaData>),
-    Ptr(DomainName),
-    Mx { preference: u16, exchange: DomainName },
-    Txt(Vec<u8>),
-    Aaaa(Ipv6Addr),
     /// Opaque payload for unmodeled types.
     Opaque(Vec<u8>),
 }
@@ -132,11 +89,6 @@ impl RData {
             RData::A(_) => Some(RecordType::A),
             RData::Ns(_) => Some(RecordType::Ns),
             RData::Cname(_) => Some(RecordType::Cname),
-            RData::Soa(_) => Some(RecordType::Soa),
-            RData::Ptr(_) => Some(RecordType::Ptr),
-            RData::Mx { .. } => Some(RecordType::Mx),
-            RData::Txt(_) => Some(RecordType::Txt),
-            RData::Aaaa(_) => Some(RecordType::Aaaa),
             RData::Opaque(_) => None,
         }
     }
@@ -176,31 +128,7 @@ impl ResourceRecord {
         let start = w.len();
         match &self.rdata {
             RData::A(a) => w.put_bytes(&a.octets()),
-            RData::Aaaa(a) => w.put_bytes(&a.octets()),
-            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => w.put_name(n),
-            RData::Mx {
-                preference,
-                exchange,
-            } => {
-                w.put_u16(*preference);
-                w.put_name(exchange);
-            }
-            RData::Soa(soa) => {
-                w.put_name(&soa.mname);
-                w.put_name(&soa.rname);
-                w.put_u32(soa.serial);
-                w.put_u32(soa.refresh);
-                w.put_u32(soa.retry);
-                w.put_u32(soa.expire);
-                w.put_u32(soa.minimum);
-            }
-            RData::Txt(bytes) => {
-                // character-strings of ≤255 octets each
-                for chunk in bytes.chunks(255) {
-                    w.put_u8(chunk.len() as u8);
-                    w.put_bytes(chunk);
-                }
-            }
+            RData::Ns(n) | RData::Cname(n) => w.put_name(n),
             RData::Opaque(bytes) => w.put_bytes(bytes),
         }
         let rdlen = w.len() - start;
@@ -230,49 +158,13 @@ impl ResourceRecord {
                 let b = r.get_slice(4)?;
                 RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
             }
-            RecordType::Aaaa => {
-                let b = r.get_slice(16)?;
-                let mut o = [0u8; 16];
-                o.copy_from_slice(b);
-                RData::Aaaa(Ipv6Addr::from(o))
-            }
             RecordType::Ns => RData::Ns(r.get_name()?),
             RecordType::Cname => RData::Cname(r.get_name()?),
-            RecordType::Ptr => RData::Ptr(r.get_name()?),
-            RecordType::Mx => RData::Mx {
-                preference: r.get_u16()?,
-                exchange: r.get_name()?,
-            },
-            RecordType::Soa => RData::Soa(Box::new(SoaData {
-                mname: r.get_name()?,
-                rname: r.get_name()?,
-                serial: r.get_u32()?,
-                refresh: r.get_u32()?,
-                retry: r.get_u32()?,
-                expire: r.get_u32()?,
-                minimum: r.get_u32()?,
-            })),
-            RecordType::Txt => {
-                let mut out = Vec::with_capacity(rdlen);
-                while r.pos() < end {
-                    let n = r.get_u8()? as usize;
-                    // A character-string may not run past the declared
-                    // RDATA frame, even if the message has more bytes.
-                    if r.pos() + n > end {
-                        return Err(WireError::RdataLengthMismatch {
-                            declared: rdlen as u16,
-                            actual: r.pos() + n - start,
-                        });
-                    }
-                    out.extend_from_slice(r.get_slice(n)?);
-                }
-                RData::Txt(out)
-            }
             RecordType::Other(_) => RData::Opaque(r.get_slice(rdlen)?.to_vec()),
         };
-        // A name inside RDATA (NS/CNAME/MX/SOA...) can legitimately parse
-        // yet overrun the frame, so compare against the recorded start
-        // rather than subtracting from rdlen (which would underflow).
+        // A name inside NS or CNAME RDATA can legitimately parse yet overrun
+        // the frame, so compare against the recorded start rather than
+        // subtracting from rdlen (which would underflow).
         if r.pos() != end {
             return Err(WireError::RdataLengthMismatch {
                 declared: rdlen as u16,
@@ -318,68 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn aaaa_record_roundtrip() {
-        let rr = ResourceRecord::new(
-            name("v6.example.com"),
-            60,
-            RData::Aaaa("2001:db8::1".parse().unwrap()),
-        );
-        assert_eq!(roundtrip(&rr), rr);
-    }
-
-    #[test]
-    fn ns_cname_ptr_roundtrip() {
+    fn ns_cname_roundtrip() {
         for rdata in [
             RData::Ns(name("ns1.example.net")),
             RData::Cname(name("alias.example.org")),
-            RData::Ptr(name("host.example.com")),
         ] {
             let rr = ResourceRecord::new(name("x.example.com"), 3600, rdata);
             assert_eq!(roundtrip(&rr), rr);
-        }
-    }
-
-    #[test]
-    fn mx_roundtrip() {
-        let rr = ResourceRecord::new(
-            name("example.com"),
-            3600,
-            RData::Mx {
-                preference: 10,
-                exchange: name("mail.example.com"),
-            },
-        );
-        assert_eq!(roundtrip(&rr), rr);
-    }
-
-    #[test]
-    fn soa_roundtrip() {
-        let rr = ResourceRecord::new(
-            name("example.com"),
-            86400,
-            RData::Soa(Box::new(SoaData {
-                mname: name("ns1.example.com"),
-                rname: name("hostmaster.example.com"),
-                serial: 2005010100,
-                refresh: 7200,
-                retry: 900,
-                expire: 1209600,
-                minimum: 300,
-            })),
-        );
-        assert_eq!(roundtrip(&rr), rr);
-    }
-
-    #[test]
-    fn txt_roundtrip_multi_chunk() {
-        let payload: Vec<u8> = (0..600).map(|i| (i % 251) as u8)
-            .map(|b| if b.is_ascii() { b } else { b'a' })
-            .collect();
-        let rr = ResourceRecord::new(name("t.example.com"), 60, RData::Txt(payload.clone()));
-        let decoded = roundtrip(&rr);
-        match decoded.rdata {
-            RData::Txt(got) => assert_eq!(got, payload),
-            other => panic!("wrong rdata {other:?}"),
         }
     }
 
@@ -393,6 +230,42 @@ mod tests {
             rdata: RData::Opaque(vec![1, 2, 3, 4, 5]),
         };
         assert_eq!(roundtrip(&rr), rr);
+
+        // The types no zone serves (SOA, PTR, MX, TXT, AAAA) decode as
+        // opaque data too, and re-encode to the bytes they came from.
+        let host = name("host.example.com");
+        let mut soa = host.as_wire().to_vec();
+        soa.extend_from_slice(name("hostmaster.example.com").as_wire());
+        for field in [2005010100u32, 7200, 900, 1209600, 300] {
+            soa.extend_from_slice(&field.to_be_bytes());
+        }
+        let mut mx = 10u16.to_be_bytes().to_vec();
+        mx.extend_from_slice(host.as_wire());
+        let aaaa: std::net::Ipv6Addr = "2001:db8::1".parse().unwrap();
+        for (rtype, rdata) in [
+            (6, soa),
+            (12, host.as_wire().to_vec()),
+            (15, mx),
+            (16, b"\x05hello\x05world".to_vec()),
+            (28, aaaa.octets().to_vec()),
+        ] {
+            let mut w = WireWriter::new();
+            w.put_name(&name("x.example.com"));
+            w.put_u16(rtype);
+            w.put_u16(RecordClass::In.to_u16());
+            w.put_u32(300);
+            w.put_u16(rdata.len() as u16);
+            w.put_bytes(&rdata);
+            let bytes = w.into_bytes();
+            let mut r = WireReader::new(&bytes);
+            let rr = ResourceRecord::decode(&mut r).unwrap();
+            assert!(r.is_at_end(), "type {rtype}");
+            assert_eq!(rr.rtype, RecordType::Other(rtype));
+            assert_eq!(rr.rdata, RData::Opaque(rdata));
+            let mut w = WireWriter::new();
+            rr.encode(&mut w);
+            assert_eq!(w.into_bytes(), bytes, "type {rtype}");
+        }
     }
 
     #[test]

@@ -239,14 +239,6 @@ impl<'a> WireReader<'a> {
             None => name.finish(),
         }
     }
-
-    /// Move the cursor to an absolute offset (clamped to the input length).
-    ///
-    /// Used by salvage decoding to resynchronize after a record that failed
-    /// to parse; a strict decode never needs this.
-    pub fn seek(&mut self, pos: usize) {
-        self.pos = pos.min(self.data.len());
-    }
 }
 
 #[cfg(test)]

@@ -31,10 +31,6 @@ fn rdata() -> impl Strategy<Value = RData> {
         any::<[u8; 4]>().prop_map(|o| RData::A(Ipv4Addr::from(o))),
         domain_name().prop_map(RData::Ns),
         domain_name().prop_map(RData::Cname),
-        domain_name().prop_map(RData::Ptr),
-        (any::<u16>(), domain_name())
-            .prop_map(|(preference, exchange)| RData::Mx { preference, exchange }),
-        proptest::collection::vec(any::<u8>(), 0..300).prop_map(RData::Txt),
     ]
 }
 

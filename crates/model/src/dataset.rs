@@ -119,44 +119,6 @@ impl Dataset {
         failed as f64 / self.records.len() as f64
     }
 
-    /// Audit how complete this dataset is relative to the experiment design
-    /// (every client attempting accesses in every hour of the month).
-    ///
-    /// A healthy run covers essentially every (client, hour) cell; clients
-    /// lost to apparatus faults show up with zero records, and truncated or
-    /// heavily dropped collections show up as partial hour coverage. The
-    /// analysis layer uses this to decide which rates deserve confidence.
-    pub fn integrity(&self) -> IntegrityReport {
-        let hours = self.hours as usize;
-        let mut covered = vec![0usize; self.clients.len()];
-        let mut seen: Vec<Vec<bool>> = vec![vec![false; hours]; self.clients.len()];
-        for r in &self.records {
-            let c = r.client.0 as usize;
-            let h = r.hour() as usize;
-            if c < seen.len() && h < hours && !seen[c][h] {
-                seen[c][h] = true;
-                covered[c] += 1;
-            }
-        }
-        let mut missing_clients = Vec::new();
-        let mut partial_clients = Vec::new();
-        for (i, &cov) in covered.iter().enumerate() {
-            if cov == 0 {
-                missing_clients.push(ClientId(i as u16));
-            } else if (cov as f64) < 0.9 * hours as f64 {
-                partial_clients.push(ClientId(i as u16));
-            }
-        }
-        IntegrityReport {
-            clients_total: self.clients.len(),
-            hours: self.hours,
-            missing_clients,
-            partial_clients,
-            covered_cells: covered.iter().sum(),
-            total_cells: self.clients.len() * hours,
-        }
-    }
-
     /// Pairs of distinct clients sharing a co-location group.
     pub fn colocated_pairs(&self) -> Vec<(ClientId, ClientId)> {
         let mut pairs = Vec::new();
@@ -169,42 +131,6 @@ impl Dataset {
             }
         }
         pairs
-    }
-}
-
-/// Result of [`Dataset::integrity`]: how much of the designed measurement
-/// grid the dataset actually covers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IntegrityReport {
-    pub clients_total: usize,
-    pub hours: u32,
-    /// Clients with no records at all (e.g. lost to a node death that
-    /// predates their first flush).
-    pub missing_clients: Vec<ClientId>,
-    /// Clients present but covering fewer than 90% of the hours. The audit
-    /// sees only the dataset, so it cannot tell apparatus loss from
-    /// legitimate world-model downtime (a machine that was simply off, the
-    /// paper's §4.4.4): both read as uncovered hours, and at short horizons
-    /// a single down hour is enough to land a client here.
-    pub partial_clients: Vec<ClientId>,
-    /// (client, hour) cells with at least one record.
-    pub covered_cells: usize,
-    /// `clients_total * hours`.
-    pub total_cells: usize,
-}
-
-impl IntegrityReport {
-    /// Fraction of designed (client, hour) cells with data, in [0, 1].
-    pub fn coverage(&self) -> f64 {
-        if self.total_cells == 0 {
-            return 1.0;
-        }
-        self.covered_cells as f64 / self.total_cells as f64
-    }
-
-    /// True when every client reported and covered ≥90% of the hours.
-    pub fn is_complete(&self) -> bool {
-        self.missing_clients.is_empty() && self.partial_clients.is_empty()
     }
 }
 
@@ -260,53 +186,5 @@ mod tests {
     fn empty_dataset_rates() {
         let ds = Dataset::default();
         assert_eq!(ds.overall_failure_rate(), 0.0);
-        let integ = ds.integrity();
-        assert!(integ.is_complete());
-        assert_eq!(integ.coverage(), 1.0);
-    }
-
-    fn record_at(client: u16, hour: u32) -> crate::records::PerformanceRecord {
-        crate::records::PerformanceRecord {
-            client: ClientId(client),
-            site: SiteId(0),
-            replica: None,
-            start: crate::time::SimTime::from_secs(u64::from(hour) * 3600),
-            dns: Err(crate::failure::DnsFailureKind::LdnsTimeout),
-            outcome: crate::records::TransactionOutcome::Failure(
-                crate::failure::FailureClass::Dns(crate::failure::DnsFailureKind::LdnsTimeout),
-            ),
-            download_time: None,
-            bytes_received: 0,
-            connections_attempted: 0,
-            retransmissions: None,
-            dig: crate::records::DigOutcome::NotRun,
-            proxy: None,
-        }
-    }
-
-    #[test]
-    fn integrity_flags_missing_and_partial_clients() {
-        let mut ds = Dataset {
-            hours: 10,
-            clients: vec![meta(0, None), meta(1, None), meta(2, None)],
-            ..Dataset::default()
-        };
-        // Client 0: all 10 hours. Client 1: only 5 hours (partial).
-        // Client 2: nothing (missing).
-        for h in 0..10 {
-            ds.records.push(record_at(0, h));
-        }
-        for h in 0..5 {
-            ds.records.push(record_at(1, h));
-            // Duplicate records in an hour must not double-count the cell.
-            ds.records.push(record_at(1, h));
-        }
-        let integ = ds.integrity();
-        assert_eq!(integ.missing_clients, vec![ClientId(2)]);
-        assert_eq!(integ.partial_clients, vec![ClientId(1)]);
-        assert_eq!(integ.covered_cells, 15);
-        assert_eq!(integ.total_cells, 30);
-        assert!((integ.coverage() - 0.5).abs() < 1e-12);
-        assert!(!integ.is_complete());
     }
 }

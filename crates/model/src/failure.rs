@@ -117,14 +117,6 @@ impl FailureClass {
     pub fn is_dns(&self) -> bool {
         matches!(self, FailureClass::Dns(_))
     }
-
-    /// The DNS sub-class, if this is a DNS failure.
-    pub fn dns_kind(&self) -> Option<DnsFailureKind> {
-        match self {
-            FailureClass::Dns(k) => Some(*k),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for FailureClass {
@@ -145,14 +137,9 @@ mod tests {
     fn predicates() {
         let d = FailureClass::Dns(DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain));
         assert!(d.is_dns());
-        assert_eq!(
-            d.dns_kind(),
-            Some(DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain))
-        );
 
         let t = FailureClass::Tcp(TcpFailureKind::PartialResponse);
         assert!(!t.is_dns());
-        assert_eq!(t.dns_kind(), None);
     }
 
     #[test]

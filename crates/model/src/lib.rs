@@ -25,7 +25,7 @@ pub mod trace;
 
 pub use bgp::{BgpHourly, BgpHourlySeries};
 pub use columnar::{ColumnarDataset, MemoryFootprint, TxnBlameHint};
-pub use dataset::{ClientMeta, Dataset, IntegrityReport, SiteMeta};
+pub use dataset::{ClientMeta, Dataset, SiteMeta};
 pub use failure::{DnsErrorCode, DnsFailureKind, FailureClass, TcpFailureKind};
 pub use fnv::{fingerprint, Fnv};
 pub use ids::{ClientCategory, ClientId, PrefixId, ProxyId, SiteCategory, SiteId};

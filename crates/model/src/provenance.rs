@@ -82,11 +82,6 @@ impl FaultSet {
             | Self::CDN_BROWNOUT.0 | Self::WRONG_DNS.0,
     );
 
-    /// The raw bit pattern (stable across runs; used by exporters).
-    pub fn bits(self) -> u32 {
-        self.0
-    }
-
     /// Is no fault recorded?
     pub fn is_empty(self) -> bool {
         self.0 == 0
@@ -368,7 +363,7 @@ mod tests {
         assert_eq!(format!("{s:?}"), "FaultSet(last-mile|wan|proxy-ldns)");
         // The two name lists give every bit one name, lowest bit first.
         for (i, &(name, bit)) in STRUCTURAL.iter().chain(&ARCHETYPES).enumerate() {
-            assert_eq!(bit.bits(), 1 << i, "{name}");
+            assert_eq!(bit.0, 1 << i, "{name}");
             assert_eq!(bit.names(), vec![name]);
         }
     }

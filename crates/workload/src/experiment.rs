@@ -205,9 +205,6 @@ pub struct RunReport {
     pub mrt_issues: u64,
     /// First few quarantined-record descriptions, for operator output.
     pub mrt_issue_samples: Vec<String>,
-    /// Rendered telemetry summary for the run (counters, histograms, span
-    /// aggregates). `None` unless the recorder was enabled during the run.
-    pub telemetry_summary: Option<String>,
     /// Worker threads actually used (the resolved value of
     /// [`ExperimentConfig::threads`] `== 0`).
     pub threads_effective: usize,
@@ -558,7 +555,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
         telemetry::counter!("workload.mrt_records_kept", report.mrt_records_kept);
         telemetry::counter!("workload.mrt_records_quarantined", report.mrt_issues);
         record_dataset_counters(&dataset);
-        report.telemetry_summary = Some(telemetry::snapshot().render_summary());
     }
     if let Some(store) = forensics.as_ref() {
         telemetry::counter!("workload.forensic_exemplars", store.len() as u64);

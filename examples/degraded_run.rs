@@ -1,14 +1,14 @@
 //! Degraded run: the same measurement month as `quickstart`, but on flaky
 //! apparatus — nodes die mid-month, ~1% of records are lost in collection,
 //! and the BGP feed arrives corrupted and must be salvage-decoded. The run
-//! completes anyway, accounts for every loss, and the analysis says how
-//! much of the grid it still trusts.
+//! completes anyway, its quarantine summary accounts for every loss, and
+//! Table 3 still computes from what survived.
 //!
 //! ```text
 //! cargo run --release --example degraded_run
 //! ```
 
-use netprofiler::{integrity, Analysis};
+use model::ColumnarDataset;
 use report::render;
 use workload::{run_experiment, ApparatusFaults, ExperimentConfig};
 
@@ -25,31 +25,7 @@ fn main() {
     // What the apparatus lost, and what salvage saved.
     print!("{}", out.report.quarantine_summary().render());
 
-    // The dataset's own audit agrees with the runner's accounting.
-    let audit = out.dataset.integrity();
-    println!(
-        "\nintegrity: {}/{} client-hour cells covered ({:.1}%), {} clients missing, {} partial",
-        audit.covered_cells,
-        audit.total_cells,
-        100.0 * audit.coverage(),
-        audit.missing_clients.len(),
-        audit.partial_clients.len()
-    );
-
     // The headline table still computes from what survived.
-    let a = Analysis::with_defaults(&out.dataset);
-    println!("\n{}", render::render_table3(&a.cds));
-
-    let deg = a.degradation();
-    println!(
-        "analysis cells: client grid {} active / {} thin, server grid {} active / {} thin",
-        deg.client_cells.active, deg.client_cells.thin, deg.server_cells.active, deg.server_cells.thin
-    );
-    let confident = integrity::table5_with_confidence(&a);
-    println!(
-        "blame attributions: {} total, {} on thin data ({:.1}% confident)",
-        confident.breakdown.total(),
-        confident.low_confidence,
-        100.0 * confident.confident_share()
-    );
+    let cds = ColumnarDataset::from_dataset(&out.dataset);
+    println!("\n{}", render::render_table3(&cds));
 }

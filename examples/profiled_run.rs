@@ -36,10 +36,7 @@ fn main() {
     let snap = telemetry::snapshot();
     telemetry::enable(false);
 
-    // The run report carries the same summary the recorder renders.
-    if let Some(s) = &out.report.telemetry_summary {
-        println!("\n{s}");
-    }
+    println!("\n{}", snap.render_summary());
 
     // Every layer must have produced spans, or the trace is not worth
     // looking at — fail loudly instead of writing an empty file.

@@ -24,13 +24,7 @@ fn per_class_failure_counters_match_table3_aggregates() {
     let snap = telemetry::snapshot();
     telemetry::enable(false);
 
-    // The runner attached the rendered summary to the report.
-    let summary = out
-        .report
-        .telemetry_summary
-        .as_deref()
-        .expect("profiled run carries a telemetry summary");
-    assert!(summary.contains("workload.transactions"));
+    assert!(snap.render_summary().contains("workload.transactions"));
 
     let rows = netprofiler::summary::table3(&model::ColumnarDataset::from_dataset(&out.dataset));
     assert_eq!(rows.len(), ClientCategory::ALL.len());
