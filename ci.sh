@@ -47,9 +47,13 @@ if [ "$(echo "$misses" | grep -c '^== ')" -ne "$(echo "$misses" | grep -c '^exem
     echo "FAIL: some below-recall archetype has no exemplar"; exit 1
 fi
 
-echo "==> reproduce --html: self-contained page smoke test"
+echo "==> reproduce --html: self-contained page smoke test; stdout is the committed quick-scale text report (a change that means to move it updates the hash here)"
 html_dir="$ci_tmp/html"
-cargo run --release -q -p bench-suite --bin reproduce -- --scale quick --html "$html_dir/report.html" > /dev/null
+repro_committed="92569d96901e9d491cace193fb5694cb12496da814a904753313684521cfb543"
+repro_sha="$(cargo run --release -q -p bench-suite --bin reproduce -- --scale quick --html "$html_dir/report.html" | sha256sum | cut -d' ' -f1)"
+if [ "$repro_sha" != "$repro_committed" ]; then
+    echo "FAIL: reproduce --scale quick stdout sha256 $repro_sha differs from the committed $repro_committed"; exit 1
+fi
 test -s "$html_dir/report.html" || { echo "FAIL: report.html empty"; exit 1; }
 test -s "$html_dir/manifest.json" || { echo "FAIL: manifest.json missing"; exit 1; }
 iconv -f UTF-8 -t UTF-8 "$html_dir/report.html" > /dev/null || { echo "FAIL: report.html not valid UTF-8"; exit 1; }

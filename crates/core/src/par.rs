@@ -14,7 +14,7 @@
 use std::ops::Range;
 
 /// Resolve a thread-count knob: `0` → all available cores.
-pub fn resolve(threads: usize) -> usize {
+pub fn thread_count(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -45,7 +45,7 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let ranges = shard_ranges(len, resolve(threads));
+    let ranges = shard_ranges(len, thread_count(threads));
     if ranges.len() <= 1 {
         return ranges.into_iter().map(f).collect();
     }
@@ -72,7 +72,7 @@ where
     FA: FnOnce() -> A + Send,
     FB: FnOnce() -> B + Send,
 {
-    if resolve(threads) <= 1 {
+    if thread_count(threads) <= 1 {
         (fa(), fb())
     } else {
         std::thread::scope(|s| {
@@ -88,9 +88,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resolve_zero_is_all_cores() {
-        assert!(resolve(0) >= 1);
-        assert_eq!(resolve(3), 3);
+    fn thread_count_zero_is_all_cores() {
+        assert!(thread_count(0) >= 1);
+        assert_eq!(thread_count(3), 3);
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod zones;
 
 pub use dig::{dig_iterative, DigResult};
 pub use faults::{DnsFaults, NoFaults};
-pub use resolver::{LdnsCache, Resolution, ResolutionStatus, ResolverConfig, StubResolver};
+pub use resolver::{LdnsCache, ResolutionStatus, ResolverConfig, StubResolver};
 pub use server::{authoritative_answer, AnswerKind};
 pub use zones::{Zone, ZoneTree};

@@ -55,31 +55,13 @@ impl Default for ResolverConfig {
     }
 }
 
-/// The outcome of one resolution.
-#[derive(Clone, Debug)]
-pub struct Resolution {
-    /// Addresses on success; the observable failure class otherwise.
-    pub result: Result<Vec<Ipv4Addr>, DnsFailureKind>,
-    /// Time the lookup took (including timeout time on failure).
-    pub elapsed: SimDuration,
-    /// Wire messages exchanged (0 with `wire_fidelity` off).
-    pub messages: u32,
-    /// Whether the answer came from the LDNS cache.
-    pub from_cache: bool,
-}
-
-impl Resolution {
-    pub fn failed(&self) -> bool {
-        self.result.is_err()
-    }
-}
-
-/// The outcome of one resolution when the addresses go into a caller-owned
-/// buffer ([`StubResolver::resolve_into`]): same fields as [`Resolution`]
-/// minus the address allocation.
+/// The outcome of one resolution. The addresses go into the caller's
+/// buffer ([`StubResolver::resolve_into`]), so the hot path reuses one
+/// allocation across lookups.
 #[derive(Clone, Copy, Debug)]
 pub struct ResolutionStatus {
-    /// `Ok` iff addresses were written to the caller's buffer.
+    /// `Ok` iff addresses were written to the caller's buffer; the
+    /// observable failure class otherwise.
     pub result: Result<(), DnsFailureKind>,
     /// Time the lookup took (including timeout time on failure).
     pub elapsed: SimDuration,
@@ -156,29 +138,8 @@ impl<'t> StubResolver<'t> {
     }
 
     /// Resolve `qname` at instant `t` under `faults`, using (and updating)
-    /// the client's LDNS cache.
-    pub fn resolve<F: DnsFaults + ?Sized>(
-        &self,
-        qname: &DomainName,
-        faults: &F,
-        t: SimTime,
-        rng: &mut SimRng,
-        cache: &mut LdnsCache,
-    ) -> Resolution {
-        let mut addrs = Vec::new();
-        let status = self.resolve_into(qname, faults, t, rng, cache, &mut addrs);
-        Resolution {
-            result: status.result.map(|()| addrs),
-            elapsed: status.elapsed,
-            messages: status.messages,
-            from_cache: status.from_cache,
-        }
-    }
-
-    /// [`Self::resolve`] with a caller-owned address buffer, so the hot path
-    /// can reuse one allocation across lookups. `out` is cleared and, on
-    /// success, left holding the (rotated) RRset. The RNG draw sequence is
-    /// identical to [`Self::resolve`].
+    /// the client's LDNS cache. `out` is cleared and, on success, left
+    /// holding the (rotated) RRset.
     pub fn resolve_into<F: DnsFaults + ?Sized>(
         &self,
         qname: &DomainName,
@@ -476,18 +437,33 @@ mod tests {
         }
     }
 
-    fn resolve_with<F: DnsFaults>(faults: &F, host: &str) -> Resolution {
+    /// One lookup into a local buffer: the status and the delivered RRset.
+    fn lookup<F: DnsFaults>(
+        r: &StubResolver,
+        host: &str,
+        faults: &F,
+        t: SimTime,
+        rng: &mut SimRng,
+        cache: &mut LdnsCache,
+    ) -> (ResolutionStatus, Vec<Ipv4Addr>) {
+        let mut addrs = Vec::new();
+        let status = r.resolve_into(&name(host), faults, t, rng, cache, &mut addrs);
+        (status, addrs)
+    }
+
+    fn resolve_with<F: DnsFaults>(faults: &F, host: &str) -> (ResolutionStatus, Vec<Ipv4Addr>) {
         let t = tree();
         let r = StubResolver::new(&t, ResolverConfig::default());
         let mut rng = SimRng::new(1);
         let mut cache = LdnsCache::new();
-        r.resolve(&name(host), faults, SimTime::from_hours(1), &mut rng, &mut cache)
+        lookup(&r, host, faults, SimTime::from_hours(1), &mut rng, &mut cache)
     }
 
     #[test]
     fn healthy_resolution_succeeds() {
-        let res = resolve_with(&NoFaults, "www.example.com");
-        assert_eq!(res.result.unwrap(), vec![Ipv4Addr::new(10, 0, 0, 1)]);
+        let (res, addrs) = resolve_with(&NoFaults, "www.example.com");
+        assert_eq!(res.result, Ok(()));
+        assert_eq!(addrs, vec![Ipv4Addr::new(10, 0, 0, 1)]);
         assert!(!res.from_cache);
         assert!(res.messages >= 4, "stub + root + tld + auth, got {}", res.messages);
         assert!(res.elapsed > SimDuration::ZERO);
@@ -496,13 +472,14 @@ mod tests {
 
     #[test]
     fn multi_address_answer() {
-        let res = resolve_with(&NoFaults, "www.iitb.ac.in");
-        assert_eq!(res.result.unwrap().len(), 2);
+        let (res, addrs) = resolve_with(&NoFaults, "www.iitb.ac.in");
+        assert_eq!(res.result, Ok(()));
+        assert_eq!(addrs.len(), 2);
     }
 
     #[test]
     fn link_down_is_ldns_timeout() {
-        let res = resolve_with(&LinkDown, "www.example.com");
+        let (res, _) = resolve_with(&LinkDown, "www.example.com");
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::LdnsTimeout);
         // 3 attempts × 5 s
         assert_eq!(res.elapsed, SimDuration::from_secs(15));
@@ -511,26 +488,26 @@ mod tests {
 
     #[test]
     fn ldns_down_is_ldns_timeout() {
-        let res = resolve_with(&LdnsDown, "www.example.com");
+        let (res, _) = resolve_with(&LdnsDown, "www.example.com");
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::LdnsTimeout);
     }
 
     #[test]
     fn auth_down_is_non_ldns_timeout() {
-        let res = resolve_with(&AuthDown(name("example.com")), "www.example.com");
+        let (res, _) = resolve_with(&AuthDown(name("example.com")), "www.example.com");
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::NonLdnsTimeout);
         assert!(res.elapsed >= SimDuration::from_secs(6), "timeout time accrued");
     }
 
     #[test]
     fn tld_down_is_non_ldns_timeout() {
-        let res = resolve_with(&AuthDown(name("com")), "www.example.com");
+        let (res, _) = resolve_with(&AuthDown(name("com")), "www.example.com");
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::NonLdnsTimeout);
     }
 
     #[test]
     fn broken_zone_returns_error_response() {
-        let res = resolve_with(
+        let (res, _) = resolve_with(
             &ZoneBroken(name("example.com"), DnsErrorCode::ServFail),
             "www.example.com",
         );
@@ -547,20 +524,23 @@ mod tests {
         let r = StubResolver::new(&t, ResolverConfig::default());
         let mut rng = SimRng::new(3);
         let mut cache = LdnsCache::new();
-        let q = name("www.example.com");
+        let host = "www.example.com";
         let t0 = SimTime::from_hours(1);
-        let faulted = r.resolve(&q, &WrongAnswer(q.clone(), decoy), t0, &mut rng, &mut cache);
-        assert_eq!(faulted.result.unwrap(), vec![decoy]);
+        let wrong = WrongAnswer(name(host), decoy);
+        let (faulted, addrs) = lookup(&r, host, &wrong, t0, &mut rng, &mut cache);
+        assert_eq!(faulted.result, Ok(()));
+        assert_eq!(addrs, vec![decoy]);
         // The cache kept the genuine RRset: once the fault window ends the
         // next (cached) lookup is healthy again.
-        let healed = r.resolve(&q, &NoFaults, t0 + SimDuration::from_secs(60), &mut rng, &mut cache);
+        let later = t0 + SimDuration::from_secs(60);
+        let (healed, addrs) = lookup(&r, host, &NoFaults, later, &mut rng, &mut cache);
         assert!(healed.from_cache);
-        assert_eq!(healed.result.unwrap(), vec![Ipv4Addr::new(10, 0, 0, 1)]);
+        assert_eq!(addrs, vec![Ipv4Addr::new(10, 0, 0, 1)]);
     }
 
     #[test]
     fn unknown_name_is_nxdomain() {
-        let res = resolve_with(&NoFaults, "nosuch.example.com");
+        let (res, _) = resolve_with(&NoFaults, "nosuch.example.com");
         assert_eq!(
             res.result.unwrap_err(),
             DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain)
@@ -574,18 +554,14 @@ mod tests {
         let mut rng = SimRng::new(2);
         let mut cache = LdnsCache::new();
         let t0 = SimTime::from_hours(1);
-        let first = r.resolve(&name("www.example.com"), &NoFaults, t0, &mut rng, &mut cache);
+        let host = "www.example.com";
+        let (first, _) = lookup(&r, host, &NoFaults, t0, &mut rng, &mut cache);
         assert!(!first.from_cache);
-        let second = r.resolve(
-            &name("www.example.com"),
-            &NoFaults,
-            t0 + SimDuration::from_secs(60),
-            &mut rng,
-            &mut cache,
-        );
+        let later = t0 + SimDuration::from_secs(60);
+        let (second, addrs) = lookup(&r, host, &NoFaults, later, &mut rng, &mut cache);
         assert!(second.from_cache);
         assert_eq!(second.messages, 1, "only the stub query");
-        assert_eq!(second.result.unwrap(), vec![Ipv4Addr::new(10, 0, 0, 1)]);
+        assert_eq!(addrs, vec![Ipv4Addr::new(10, 0, 0, 1)]);
     }
 
     #[test]
@@ -595,10 +571,10 @@ mod tests {
         let mut rng = SimRng::new(3);
         let mut cache = LdnsCache::new();
         let t0 = SimTime::from_hours(1);
-        r.resolve(&name("www.example.com"), &NoFaults, t0, &mut rng, &mut cache);
+        lookup(&r, "www.example.com", &NoFaults, t0, &mut rng, &mut cache);
         // Auth zone TTL is 7200 s; query well past expiry.
         let later = t0 + SimDuration::from_secs(8000);
-        let res = r.resolve(&name("www.example.com"), &NoFaults, later, &mut rng, &mut cache);
+        let (res, _) = lookup(&r, "www.example.com", &NoFaults, later, &mut rng, &mut cache);
         assert!(!res.from_cache);
     }
 
@@ -611,9 +587,10 @@ mod tests {
         let mut rng = SimRng::new(4);
         let mut cache = LdnsCache::new();
         let t0 = SimTime::from_hours(1);
-        r.resolve(&name("www.example.com"), &NoFaults, t0, &mut rng, &mut cache);
-        let res = r.resolve(
-            &name("www.example.com"),
+        lookup(&r, "www.example.com", &NoFaults, t0, &mut rng, &mut cache);
+        let (res, _) = lookup(
+            &r,
+            "www.example.com",
             &AuthDown(name("example.com")),
             t0 + SimDuration::from_secs(60),
             &mut rng,
@@ -639,74 +616,58 @@ mod tests {
             },
         );
         for host in ["www.example.com", "www.iitb.ac.in", "nosuch.example.com"] {
-            let a = on.resolve(
-                &name(host),
-                &NoFaults,
-                SimTime::from_hours(2),
-                &mut SimRng::new(5),
-                &mut LdnsCache::new(),
-            );
-            let b = off.resolve(
-                &name(host),
-                &NoFaults,
-                SimTime::from_hours(2),
-                &mut SimRng::new(5),
-                &mut LdnsCache::new(),
-            );
-            match (a.result, b.result) {
-                (Ok(mut x), Ok(mut y)) => {
-                    // RR rotation depends on rng position; compare as sets.
-                    x.sort();
-                    y.sort();
-                    assert_eq!(x, y);
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                other => panic!("fidelity mismatch for {host}: {other:?}"),
-            }
+            let t2 = SimTime::from_hours(2);
+            let (a, mut x) =
+                lookup(&on, host, &NoFaults, t2, &mut SimRng::new(5), &mut LdnsCache::new());
+            let (b, mut y) =
+                lookup(&off, host, &NoFaults, t2, &mut SimRng::new(5), &mut LdnsCache::new());
+            assert_eq!(a.result, b.result, "fidelity mismatch for {host}");
+            // RR rotation depends on rng position; compare as sets.
+            x.sort();
+            y.sort();
+            assert_eq!(x, y, "{host}");
             assert_eq!(b.messages, 0);
         }
     }
 
     #[test]
-    fn resolve_into_matches_resolve() {
+    fn resolve_into_clears_and_refills_the_buffer() {
         let t = tree();
         let r = StubResolver::new(&t, ResolverConfig::default());
         let t0 = SimTime::from_hours(1);
-        let mut buf = vec![Ipv4Addr::new(9, 9, 9, 9)]; // stale content must clear
+        let stale = Ipv4Addr::new(9, 9, 9, 9);
         for host in ["www.iitb.ac.in", "nosuch.example.com"] {
-            // Separate RNG/cache streams, identical seeds: the second
-            // iteration exercises the cache-hit rotation path.
-            let mut rng_a = SimRng::new(77);
-            let mut rng_b = SimRng::new(77);
-            let mut cache_a = LdnsCache::new();
-            let mut cache_b = LdnsCache::new();
+            let mut rng = SimRng::new(77);
+            let mut cache = LdnsCache::new();
+            let mut buf = vec![stale];
+            // The second pass exercises the cache-hit rotation path.
             for pass in 0..2 {
-                let owned = r.resolve(&name(host), &NoFaults, t0, &mut rng_a, &mut cache_a);
                 let status =
-                    r.resolve_into(&name(host), &NoFaults, t0, &mut rng_b, &mut cache_b, &mut buf);
-                assert_eq!(status.elapsed, owned.elapsed, "{host} pass {pass}");
-                assert_eq!(status.messages, owned.messages);
-                assert_eq!(status.from_cache, owned.from_cache);
-                match owned.result {
-                    Ok(addrs) => {
-                        assert!(status.result.is_ok());
-                        assert_eq!(buf, addrs, "{host} pass {pass}");
+                    r.resolve_into(&name(host), &NoFaults, t0, &mut rng, &mut cache, &mut buf);
+                assert!(!buf.contains(&stale), "{host} pass {pass}: stale content cleared");
+                match status.result {
+                    Ok(()) => {
+                        assert_eq!(status.from_cache, pass == 1, "{host} pass {pass}");
+                        buf.sort();
+                        assert_eq!(
+                            buf,
+                            vec![Ipv4Addr::new(10, 2, 0, 1), Ipv4Addr::new(10, 2, 0, 2)]
+                        );
                     }
-                    Err(kind) => {
-                        assert_eq!(status.result.unwrap_err(), kind);
-                        assert!(buf.is_empty(), "failed lookup leaves buffer empty");
-                    }
+                    Err(_) => assert!(buf.is_empty(), "failed lookup leaves buffer empty"),
                 }
+                buf.push(stale);
             }
         }
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = resolve_with(&NoFaults, "www.example.com");
-        let b = resolve_with(&NoFaults, "www.example.com");
+        let (a, x) = resolve_with(&NoFaults, "www.example.com");
+        let (b, y) = resolve_with(&NoFaults, "www.example.com");
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.messages, b.messages);
+        assert_eq!(x, y);
     }
 
     #[test]

@@ -23,10 +23,6 @@ pub enum WireError {
     EmptyLabel,
     /// RDLENGTH disagreed with the RDATA we parsed.
     RdataLengthMismatch { declared: u16, actual: usize },
-    /// Unknown record type where a known one is required.
-    UnsupportedType(u16),
-    /// Unknown class.
-    UnsupportedClass(u16),
     /// The message would exceed the 64 KiB wire limit.
     MessageTooLong(usize),
     /// Count field promised more records than the message contains.
@@ -47,8 +43,6 @@ impl fmt::Display for WireError {
             WireError::RdataLengthMismatch { declared, actual } => {
                 write!(f, "RDLENGTH {declared} != parsed RDATA length {actual}")
             }
-            WireError::UnsupportedType(t) => write!(f, "unsupported record type {t}"),
-            WireError::UnsupportedClass(c) => write!(f, "unsupported class {c}"),
             WireError::MessageTooLong(n) => write!(f, "message of {n} octets exceeds 65535"),
             WireError::CountMismatch => write!(f, "record count exceeds message contents"),
         }

@@ -1,13 +1,11 @@
-//! Deterministic discrete-event simulation substrate.
+//! Deterministic simulation substrate.
 //!
-//! Everything in the reproduction is driven from here:
+//! Every random draw and fault episode in the reproduction comes from here:
 //!
 //! * [`rng`] — a self-contained, fully deterministic random number generator
 //!   (splitmix64-seeded xoshiro256++) with *hierarchical stream forking*, so
 //!   that e.g. client 17's DNS noise stream is identical no matter how many
 //!   threads the experiment runner uses or in which order clients run.
-//! * [`engine`] — a time-ordered event scheduler with deterministic FIFO
-//!   tie-breaking for simultaneous events.
 //! * [`timeline`] — piecewise-constant state timelines with O(log n) queries,
 //!   used to materialize fault episodes ahead of the transaction simulation.
 //! * [`process`] — stochastic processes: exponential/Pareto on-off fault
@@ -15,15 +13,13 @@
 //!   streams.
 //!
 //! The design follows the "simulation first" discipline: no wall-clock time,
-//! no OS randomness, no threads inside the engine; parallelism, where used,
-//! is sharded *between* independent deterministic streams.
+//! no OS randomness, no threads inside the substrate; parallelism, where
+//! used, is sharded *between* independent deterministic streams.
 
-pub mod engine;
 pub mod process;
 pub mod rng;
 pub mod timeline;
 
-pub use engine::Scheduler;
 pub use process::{OnOffProcess, PoissonProcess};
 pub use rng::SimRng;
 pub use timeline::Timeline;

@@ -2,30 +2,10 @@
 
 use model::{SimDuration, SimTime};
 use netsim::process::EpisodeDuration;
-use netsim::{OnOffProcess, Scheduler, SimRng, Timeline};
+use netsim::{OnOffProcess, SimRng, Timeline};
 use proptest::prelude::*;
 
 proptest! {
-    /// The scheduler delivers every event exactly once, in time order, with
-    /// FIFO tie-breaking among equal timestamps.
-    #[test]
-    fn scheduler_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-        let mut s = Scheduler::new();
-        for (i, &t) in times.iter().enumerate() {
-            s.schedule_at(SimTime::from_secs(t), (t, i));
-        }
-        let mut delivered = Vec::new();
-        s.run_with(|_, _, e| {
-            delivered.push(e);
-            true
-        });
-        prop_assert_eq!(delivered.len(), times.len());
-        for w in delivered.windows(2) {
-            let ((t1, i1), (t2, i2)) = (w[0], w[1]);
-            prop_assert!(t1 < t2 || (t1 == t2 && i1 < i2), "order violated: {:?}", w);
-        }
-    }
-
     /// Forked RNG streams are insensitive to parent draw counts.
     #[test]
     fn fork_is_stable_under_parent_draws(seed in any::<u64>(), draws in 0usize..50, id in any::<u64>()) {

@@ -82,10 +82,6 @@ pub struct ConnectionResult {
     /// Request/data transmissions beyond each segment's first (sender-side
     /// ground truth; the trace-visible count can be lower).
     pub retransmissions_sent: u32,
-    /// Client-side packet capture, when requested. Always `None` from
-    /// [`simulate_connection_into`], where the caller's buffer holds the
-    /// packets instead.
-    pub trace: Option<Trace>,
 }
 
 struct Capture<'a> {
@@ -115,27 +111,9 @@ impl<'a> Capture<'a> {
 /// Simulate one connection attempt starting at `start`.
 ///
 /// `response_bytes` is the size of the index object the server would send
-/// when healthy. Set `record_trace` to capture the client-side packet trace
-/// (the BB clients in the paper ran without capture).
-pub fn simulate_connection(
-    behavior: ServerBehavior,
-    path: &PathQuality,
-    response_bytes: u64,
-    start: SimTime,
-    rng: &mut SimRng,
-    record_trace: bool,
-) -> ConnectionResult {
-    let mut buf = record_trace.then(Vec::new);
-    let mut res = simulate_connection_into(behavior, path, response_bytes, start, rng, buf.as_mut());
-    res.trace = buf;
-    res
-}
-
-/// [`simulate_connection`] with a caller-owned capture buffer, so the hot
-/// path can reuse one allocation across connections. When `capture` is
-/// `Some`, the buffer is cleared and filled with the client-side trace; the
-/// returned `trace` field is always `None`. The RNG draw sequence is
-/// identical to [`simulate_connection`].
+/// when healthy. Pass a `capture` buffer to record the client-side packet
+/// trace (the BB clients in the paper ran without capture): it is cleared
+/// and filled, so the hot path reuses one allocation across connections.
 pub fn simulate_connection_into(
     behavior: ServerBehavior,
     path: &PathQuality,
@@ -230,7 +208,6 @@ fn simulate_connection_inner(
             duration: now - start,
             syn_retransmissions: syn_retx,
             retransmissions_sent: 0,
-            trace: None,
         };
     }
     if refused {
@@ -242,7 +219,6 @@ fn simulate_connection_inner(
             duration: now - start,
             syn_retransmissions: syn_retx,
             retransmissions_sent: 0,
-            trace: None,
         };
     }
 
@@ -282,7 +258,6 @@ fn simulate_connection_inner(
             duration: now - start,
             syn_retransmissions: syn_retx,
             retransmissions_sent: retx_sent,
-            trace: None,
         };
     }
 
@@ -304,7 +279,6 @@ fn simulate_connection_inner(
             duration: now - start,
             syn_retransmissions: syn_retx,
             retransmissions_sent: retx_sent,
-            trace: None,
         };
     }
 
@@ -377,7 +351,6 @@ fn simulate_connection_inner(
             duration: now - start,
             syn_retransmissions: syn_retx,
             retransmissions_sent: retx_sent,
-            trace: None,
         };
     }
 
@@ -391,7 +364,6 @@ fn simulate_connection_inner(
         duration: now - start,
         syn_retransmissions: syn_retx,
         retransmissions_sent: retx_sent,
-        trace: None,
     }
 }
 
@@ -406,26 +378,33 @@ mod tests {
         }
     }
 
-    fn run(behavior: ServerBehavior, path: PathQuality, bytes: u64, seed: u64) -> ConnectionResult {
-        simulate_connection(
+    /// One captured connection: the result and its client-side trace.
+    fn run(
+        behavior: ServerBehavior,
+        path: PathQuality,
+        bytes: u64,
+        seed: u64,
+    ) -> (ConnectionResult, Trace) {
+        let mut trace = Vec::new();
+        let r = simulate_connection_into(
             behavior,
             &path,
             bytes,
             SimTime::from_hours(1),
             &mut SimRng::new(seed),
-            true,
-        )
+            Some(&mut trace),
+        );
+        (r, trace)
     }
 
     #[test]
     fn healthy_lossless_completes() {
-        let r = run(ServerBehavior::Healthy, lossless(), 30_000, 1);
+        let (r, trace) = run(ServerBehavior::Healthy, lossless(), 30_000, 1);
         assert_eq!(r.outcome, Ok(()));
         assert!(r.established);
         assert_eq!(r.bytes_delivered, 30_000);
         assert_eq!(r.syn_retransmissions, 0);
         assert_eq!(r.retransmissions_sent, 0);
-        let trace = r.trace.unwrap();
         assert!(trace.iter().any(|p| p.is_syn_ack()));
         assert!(trace.iter().any(|p| matches!(p.kind, PacketKind::Fin)));
         // 30000/1460 = 21 segments
@@ -434,51 +413,49 @@ mod tests {
 
     #[test]
     fn unreachable_is_no_connection_after_backoffs() {
-        let r = run(ServerBehavior::Unreachable, lossless(), 30_000, 2);
+        let (r, trace) = run(ServerBehavior::Unreachable, lossless(), 30_000, 2);
         assert_eq!(r.outcome, Err(TcpFailureKind::NoConnection));
         assert!(!r.established);
         assert_eq!(r.syn_retransmissions, 3);
         // Backoffs 3 + 6 + 12 + 24 = 45 s.
         assert_eq!(r.duration, SimDuration::from_secs(45));
-        let trace = r.trace.unwrap();
         assert_eq!(trace.iter().filter(|p| p.is_syn()).count(), 4);
         assert!(!trace.iter().any(|p| p.is_syn_ack()));
     }
 
     #[test]
     fn refusing_fails_fast_with_rst() {
-        let r = run(ServerBehavior::Refusing, lossless(), 30_000, 3);
+        let (r, trace) = run(ServerBehavior::Refusing, lossless(), 30_000, 3);
         assert_eq!(r.outcome, Err(TcpFailureKind::NoConnection));
         assert!(!r.established);
         assert!(r.duration < SimDuration::from_secs(1), "RST is fast");
-        assert!(r.trace.unwrap().iter().any(|p| p.is_rst()));
+        assert!(trace.iter().any(|p| p.is_rst()));
     }
 
     #[test]
     fn accept_no_response_waits_idle_timeout() {
-        let r = run(ServerBehavior::AcceptNoResponse, lossless(), 30_000, 4);
+        let (r, trace) = run(ServerBehavior::AcceptNoResponse, lossless(), 30_000, 4);
         assert_eq!(r.outcome, Err(TcpFailureKind::NoResponse));
         assert!(r.established);
         assert_eq!(r.bytes_delivered, 0);
         assert!(r.duration >= SimDuration::from_secs(60));
-        let trace = r.trace.unwrap();
         assert!(trace.iter().any(|p| p.is_syn_ack()));
         assert!(!trace.iter().any(|p| p.is_server_data()));
     }
 
     #[test]
     fn stall_mid_transfer_is_partial_response() {
-        let r = run(ServerBehavior::StallAfter(10_000), lossless(), 30_000, 5);
+        let (r, trace) = run(ServerBehavior::StallAfter(10_000), lossless(), 30_000, 5);
         assert_eq!(r.outcome, Err(TcpFailureKind::PartialResponse));
         assert!(r.established);
         assert!(r.bytes_delivered > 0 && r.bytes_delivered < 30_000);
         assert!(r.duration >= SimDuration::from_secs(60));
-        assert!(r.trace.unwrap().iter().any(|p| p.is_server_data()));
+        assert!(trace.iter().any(|p| p.is_server_data()));
     }
 
     #[test]
     fn stall_at_zero_is_no_response() {
-        let r = run(ServerBehavior::StallAfter(0), lossless(), 30_000, 6);
+        let (r, _) = run(ServerBehavior::StallAfter(0), lossless(), 30_000, 6);
         assert_eq!(r.outcome, Err(TcpFailureKind::NoResponse));
         assert_eq!(r.bytes_delivered, 0);
     }
@@ -492,7 +469,7 @@ mod tests {
         let mut total_retx = 0u32;
         let mut completed = 0;
         for seed in 0..50 {
-            let r = run(ServerBehavior::Healthy, path, 60_000, 100 + seed);
+            let (r, _) = run(ServerBehavior::Healthy, path, 60_000, 100 + seed);
             if r.outcome.is_ok() {
                 completed += 1;
                 assert_eq!(r.bytes_delivered, 60_000);
@@ -509,7 +486,7 @@ mod tests {
             loss: 1.0,
             rtt: SimDuration::from_millis(100),
         };
-        let r = run(ServerBehavior::Healthy, path, 10_000, 7);
+        let (r, _) = run(ServerBehavior::Healthy, path, 10_000, 7);
         assert_eq!(r.outcome, Err(TcpFailureKind::NoConnection));
     }
 
@@ -519,23 +496,23 @@ mod tests {
             loss: 0.03,
             rtt: SimDuration::from_millis(80),
         };
-        let a = run(ServerBehavior::Healthy, path, 45_000, 42);
-        let b = run(ServerBehavior::Healthy, path, 45_000, 42);
+        let (a, trace_a) = run(ServerBehavior::Healthy, path, 45_000, 42);
+        let (b, trace_b) = run(ServerBehavior::Healthy, path, 45_000, 42);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.duration, b.duration);
         assert_eq!(a.retransmissions_sent, b.retransmissions_sent);
-        assert_eq!(a.trace, b.trace);
+        assert_eq!(trace_a, trace_b);
     }
 
     #[test]
-    fn into_reuses_buffer_and_matches_owned() {
+    fn into_reuses_buffer_like_a_fresh_one() {
         let path = PathQuality {
             loss: 0.03,
             rtt: SimDuration::from_millis(80),
         };
         let mut buf = Vec::new();
         for seed in 0..5 {
-            let owned = run(ServerBehavior::Healthy, path, 45_000, 900 + seed);
+            let (fresh, fresh_trace) = run(ServerBehavior::Healthy, path, 45_000, 900 + seed);
             let r = simulate_connection_into(
                 ServerBehavior::Healthy,
                 &path,
@@ -544,18 +521,17 @@ mod tests {
                 &mut SimRng::new(900 + seed),
                 Some(&mut buf),
             );
-            assert!(r.trace.is_none(), "borrowed capture leaves trace unset");
-            assert_eq!(r.outcome, owned.outcome);
-            assert_eq!(r.duration, owned.duration);
-            assert_eq!(r.retransmissions_sent, owned.retransmissions_sent);
-            assert_eq!(Some(&buf), owned.trace.as_ref(), "stale packets cleared");
+            assert_eq!(r.outcome, fresh.outcome);
+            assert_eq!(r.duration, fresh.duration);
+            assert_eq!(r.retransmissions_sent, fresh.retransmissions_sent);
+            assert_eq!(buf, fresh_trace, "stale packets cleared");
         }
     }
 
     #[test]
     fn duration_scales_with_size() {
-        let small = run(ServerBehavior::Healthy, lossless(), 1_000, 8);
-        let large = run(ServerBehavior::Healthy, lossless(), 200_000, 8);
+        let (small, _) = run(ServerBehavior::Healthy, lossless(), 1_000, 8);
+        let (large, _) = run(ServerBehavior::Healthy, lossless(), 200_000, 8);
         assert!(large.duration > small.duration);
         // Slow start: 200 kB at mss 1460 is 137 segments; with cwnd doubling
         // 2,4,8,16,32,32,... that is ~7 rounds plus handshake.
@@ -564,16 +540,17 @@ mod tests {
 
     #[test]
     fn trace_can_be_disabled() {
-        let r = simulate_connection(
+        let r = simulate_connection_into(
             ServerBehavior::Healthy,
             &lossless(),
             10_000,
             SimTime::ZERO,
             &mut SimRng::new(9),
-            false,
+            None,
         );
-        assert!(r.trace.is_none());
         assert_eq!(r.outcome, Ok(()));
+        let (captured, _) = run(ServerBehavior::Healthy, lossless(), 10_000, 9);
+        assert_eq!(r.duration, captured.duration, "capture consumes no draws");
     }
 
     #[test]
@@ -583,8 +560,7 @@ mod tests {
             rtt: SimDuration::from_millis(100),
         };
         for seed in 0..20 {
-            let r = run(ServerBehavior::Healthy, path, 50_000, 300 + seed);
-            let trace = r.trace.unwrap();
+            let (_, trace) = run(ServerBehavior::Healthy, path, 50_000, 300 + seed);
             for w in trace.windows(2) {
                 assert!(w[0].time <= w[1].time, "non-monotonic trace");
             }

@@ -22,8 +22,6 @@ pub mod connection;
 pub mod packet;
 pub mod trace;
 
-pub use connection::{
-    simulate_connection, simulate_connection_into, ConnectionResult, PathQuality, ServerBehavior,
-};
+pub use connection::{simulate_connection_into, ConnectionResult, PathQuality, ServerBehavior};
 pub use packet::{Direction, PacketKind, Trace, TracePacket};
 pub use trace::{classify_trace, count_retransmissions, TraceVerdict};

@@ -86,7 +86,7 @@ pub fn count_retransmissions(trace: &Trace) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connection::{simulate_connection, PathQuality, ServerBehavior};
+    use crate::connection::{simulate_connection_into, PathQuality, ServerBehavior};
     use crate::packet::TracePacket;
     use model::{SimDuration, SimTime};
     use netsim::SimRng;
@@ -179,6 +179,7 @@ mod tests {
             ServerBehavior::StallAfter(0),
         ];
         let mut rng = SimRng::new(77);
+        let mut trace = Vec::new();
         let mut checked = 0;
         for (i, behavior) in behaviors.iter().cycle().take(600).enumerate() {
             let loss = [0.0, 0.01, 0.05][i % 3];
@@ -186,15 +187,15 @@ mod tests {
                 loss,
                 rtt: SimDuration::from_millis(60),
             };
-            let r = simulate_connection(
+            let r = simulate_connection_into(
                 *behavior,
                 &path,
                 20_000,
                 SimTime::from_hours(1),
                 &mut rng,
-                true,
+                Some(&mut trace),
             );
-            let verdict = classify_trace(r.trace.as_ref().unwrap());
+            let verdict = classify_trace(&trace);
             match r.outcome {
                 Ok(()) => assert_eq!(verdict, TraceVerdict::Complete, "case {i} {behavior:?}"),
                 Err(kind) => assert_eq!(
@@ -216,17 +217,18 @@ mod tests {
             rtt: SimDuration::from_millis(60),
         };
         let mut rng = SimRng::new(99);
+        let mut trace = Vec::new();
         let mut saw_some = false;
         for _ in 0..100 {
-            let r = simulate_connection(
+            let r = simulate_connection_into(
                 ServerBehavior::Healthy,
                 &path,
                 40_000,
                 SimTime::from_hours(2),
                 &mut rng,
-                true,
+                Some(&mut trace),
             );
-            let (syn, data) = count_retransmissions(r.trace.as_ref().unwrap());
+            let (syn, data) = count_retransmissions(&trace);
             assert_eq!(syn, u32::from(r.syn_retransmissions));
             assert!(
                 data <= r.retransmissions_sent,

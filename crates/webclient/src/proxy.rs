@@ -21,7 +21,7 @@ use httpsim::{HttpRequest, HttpResponse, StatusClass};
 use model::{DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
 use std::net::Ipv4Addr;
-use tcpsim::simulate_connection;
+use tcpsim::simulate_connection_into;
 
 /// Outcome of a proxy-mediated fetch, with the time it took (the client's
 /// clock keeps running while the proxy works).
@@ -121,7 +121,7 @@ impl ProxySession {
             let (behavior, _) = env.server_behavior(addr, now);
             let path = env.path_quality(addr, now);
             let result =
-                simulate_connection(behavior, &path, wire_bytes, now, &mut self.rng, false);
+                simulate_connection_into(behavior, &path, wire_bytes, now, &mut self.rng, None);
             now += result.duration;
             if result.outcome.is_err() {
                 return if result.established {

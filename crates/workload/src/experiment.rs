@@ -30,7 +30,7 @@ use model::{
     ClientId, ClientMeta, Dataset, ConnectionRecord, Ipv4Prefix, PerformanceRecord, PrefixId,
     ProvenanceLog, ProvenanceRecord, SimDuration, SimTime, SiteId, SiteMeta, TraceExemplar,
 };
-use netsim::{Scheduler, SimRng};
+use netsim::SimRng;
 use webclient::{ClientSession, ProxySession, TransactionObservation, WgetConfig};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -426,19 +426,13 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
             // A scope panic outside catch_unwind would abort the run before
             // this point; an unwritten slot is still reported, not expected
             // away, so a scheduling bug degrades to a lost client.
-            None => {
-                telemetry::counter!("workload.clients_lost", 1);
-                (
-                    ClientOutcome::Lost {
-                        error: "worker never reported a result".to_string(),
-                    },
-                    Duration::ZERO,
-                )
-            }
-            Some((Err(error), wall)) => {
-                telemetry::counter!("workload.clients_lost", 1);
-                (ClientOutcome::Lost { error }, wall)
-            }
+            None => (
+                ClientOutcome::Lost {
+                    error: "worker never reported a result".to_string(),
+                },
+                Duration::ZERO,
+            ),
+            Some((Err(error), wall)) => (ClientOutcome::Lost { error }, wall),
             Some((Ok((mut r, mut c, mut sink)), wall)) => {
                 let mut dropped = 0usize;
                 if drop_prob > 0.0 {
@@ -460,7 +454,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
                     sink.retain(&keep_mask);
                 }
                 report.records_dropped += dropped as u64;
-                telemetry::counter!("workload.records_dropped", dropped as u64);
                 let outcome = ClientOutcome::Completed {
                     records: r.len(),
                     connections: c.len(),
@@ -552,8 +545,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
         .stage_walls
         .push(("collect", stage_start.elapsed()));
     if telemetry::enabled() {
-        telemetry::counter!("workload.mrt_records_kept", report.mrt_records_kept);
-        telemetry::counter!("workload.mrt_records_quarantined", report.mrt_issues);
         record_dataset_counters(&dataset);
     }
     if let Some(store) = forensics.as_ref() {
@@ -730,25 +721,16 @@ fn build_bgp(
     (cleaned, kept_count, issue_count, issue_samples)
 }
 
-/// One client's discrete-event timeline. Iteration-start events draw the
-/// iteration's randomness (burst offset, URL order, jitters) and schedule
-/// the accesses; access events run transactions as the clock reaches them.
-///
-/// RNG draws happen only in `IterationStart` handlers, whose timestamps
-/// (`iter * iter_len`) are strictly increasing, so the client stream's draw
-/// order is the iteration order — identical to the former nested-loop
-/// runner. Access events execute in event-time order; within one iteration
-/// access times are strictly monotone in schedule order (the jitter is
-/// bounded by `slot / 4 < slot`), so records also come out in the loop
-/// runner's order whenever iteration windows don't overlap (they overlap
-/// only for dial-up bursts at ≥4 accesses/hour, where the batch outlasts
-/// the window).
-enum ClientEvent {
-    IterationStart(u64),
-    Access(usize),
-}
-
 /// Run one client's month.
+///
+/// The month's access schedule is fixed before any access runs: each
+/// iteration draws its dial-in offset, URL order and jitters from the
+/// client stream, in iteration order, and no access moves a later one. The
+/// accesses then run in time order. Within one iteration the times are
+/// strictly increasing (the jitter is bounded by `slot / 4 < slot`), so the
+/// sort reorders only where iteration windows overlap: dial-up batches at
+/// ≥4 accesses/hour, where the batch outlasts the window. The sort is
+/// stable, so accesses at the same instant keep iteration order.
 fn run_client(
     config: &ExperimentConfig,
     truth: &GroundTruth,
@@ -798,9 +780,9 @@ fn run_client(
         iter_len / n_sites as u64
     };
 
-    // Size the month's output up front: one record per scheduled access,
-    // and (for direct clients) roughly 1.05–1.6 connections per record, so
-    // the collection loop never reallocates mid-run.
+    // Size the month up front: one schedule entry and one record per
+    // access, and (for direct clients) roughly 1.05–1.6 connections per
+    // record, so the access loop never reallocates mid-run.
     let accesses = (iterations as usize).saturating_mul(n_sites);
     let mut records = Vec::with_capacity(accesses);
     let mut connections = if spec.proxy.is_some() {
@@ -809,100 +791,83 @@ fn run_client(
         Vec::with_capacity(accesses + accesses / 2)
     };
     let mut observers = ObserverSink::new(config, accesses);
-    let mut order: Vec<usize> = (0..n_sites).collect();
 
     let mut month_span = telemetry::span!("workload.client_month")
         .with_detail(|| format!("{} ({})", spec.name, spec.category.abbrev()));
     month_span.set_sim_range(0, u64::from(config.hours) * 3_600_000_000);
 
-    let mut sched: Scheduler<ClientEvent> = Scheduler::new();
-    if iterations > 0 {
-        sched.schedule_at(SimTime::ZERO, ClientEvent::IterationStart(0));
+    let mut order: Vec<usize> = (0..n_sites).collect();
+    let mut schedule: Vec<(SimTime, usize)> = Vec::with_capacity(accesses);
+    for iter in 0..iterations {
+        let mut base = SimTime::from_micros(iter * iter_len);
+        if burst {
+            // Dial in at a random point of the window that leaves room for
+            // the whole batch.
+            let batch = slot * n_sites as u64;
+            let slack = iter_len.saturating_sub(batch).max(1);
+            base += SimDuration::from_micros(rng.below(slack));
+        }
+        // Randomized URL order each iteration (Section 3.1).
+        rng.shuffle(&mut order);
+        for (k, &si) in order.iter().enumerate() {
+            let jitter = rng.below(slot / 4);
+            schedule.push((base + SimDuration::from_micros(k as u64 * slot + jitter), si));
+        }
     }
-    sched.run_with(|sched, now, ev| {
-        match ev {
-            ClientEvent::IterationStart(iter) => {
-                if iter + 1 < iterations {
-                    sched.schedule_at(
-                        SimTime::from_micros((iter + 1) * iter_len),
-                        ClientEvent::IterationStart(iter + 1),
-                    );
-                }
-                let mut base = now;
-                if burst {
-                    // Dial in at a random point of the window that leaves
-                    // room for the whole batch.
-                    let batch = slot * n_sites as u64;
-                    let slack = iter_len.saturating_sub(batch).max(1);
-                    base += SimDuration::from_micros(rng.below(slack));
-                }
-                // Randomized URL order each iteration (Section 3.1).
-                rng.shuffle(&mut order);
-                for (k, &si) in order.iter().enumerate() {
-                    let jitter = rng.below(slot / 4);
-                    let t = base + SimDuration::from_micros(k as u64 * slot + jitter);
-                    sched.schedule_at(t, ClientEvent::Access(si));
-                }
-            }
-            ClientEvent::Access(si) => {
-                let t = now;
-                if let Some(d) = death {
-                    if t >= d {
-                        panic!(
-                            "apparatus: client {client} node died at {}s",
-                            d.as_micros() / 1_000_000
-                        );
-                    }
-                }
-                if truth.machine_down(client, t) {
-                    telemetry::counter!("workload.accesses_skipped_down", 1);
-                    return true;
-                }
-                telemetry::counter!("workload.accesses_attempted", 1);
-                let mut obs = match proxy_session.as_mut() {
-                    Some((_, ps, pview)) => {
-                        session.run_proxied_transaction(&view, ps, pview, &host_names[si], t)
-                    }
-                    None => session.run_transaction(&view, &host_names[si], t),
-                };
-                let cid = ClientId(client as u16);
-                let sid = SiteId(si as u16);
-                for c in &obs.connections {
-                    connections.push(ConnectionRecord {
-                        client: cid,
-                        site: sid,
-                        replica: c.replica,
-                        start: c.start,
-                        outcome: c.outcome,
-                        syn_retransmissions: c.syn_retransmissions,
-                        retransmissions: c.retransmissions,
-                    });
-                }
-                records.push(PerformanceRecord {
-                    client: cid,
-                    site: sid,
-                    replica: obs.replica,
-                    start: obs.start,
-                    dns: obs.dns,
-                    outcome: obs.outcome,
-                    download_time: obs.download_time,
-                    bytes_received: obs.bytes_received,
-                    connections_attempted: obs.connections.len() as u16,
-                    retransmissions: obs.retransmissions,
-                    dig: obs.dig,
-                    proxy: spec.proxy,
-                });
-                observers.observe(&mut obs, cid, sid, records.len() - 1);
-                // The observation is fully copied out; hand its buffers back
-                // for the next access.
-                session.recycle(obs);
+    schedule.sort_by_key(|&(t, _)| t);
+
+    for (t, si) in schedule {
+        if let Some(d) = death {
+            if t >= d {
+                panic!(
+                    "apparatus: client {client} node died at {}s",
+                    d.as_micros() / 1_000_000
+                );
             }
         }
-        true
-    });
-    // Scheduler drop flushes this client's engine counters (events
-    // dispatched, peak queue depth) into the global recorder.
-    drop(sched);
+        if truth.machine_down(client, t) {
+            telemetry::counter!("workload.accesses_skipped_down", 1);
+            continue;
+        }
+        telemetry::counter!("workload.accesses_attempted", 1);
+        let mut obs = match proxy_session.as_mut() {
+            Some((_, ps, pview)) => {
+                session.run_proxied_transaction(&view, ps, pview, &host_names[si], t)
+            }
+            None => session.run_transaction(&view, &host_names[si], t),
+        };
+        let cid = ClientId(client as u16);
+        let sid = SiteId(si as u16);
+        for c in &obs.connections {
+            connections.push(ConnectionRecord {
+                client: cid,
+                site: sid,
+                replica: c.replica,
+                start: c.start,
+                outcome: c.outcome,
+                syn_retransmissions: c.syn_retransmissions,
+                retransmissions: c.retransmissions,
+            });
+        }
+        records.push(PerformanceRecord {
+            client: cid,
+            site: sid,
+            replica: obs.replica,
+            start: obs.start,
+            dns: obs.dns,
+            outcome: obs.outcome,
+            download_time: obs.download_time,
+            bytes_received: obs.bytes_received,
+            connections_attempted: obs.connections.len() as u16,
+            retransmissions: obs.retransmissions,
+            dig: obs.dig,
+            proxy: spec.proxy,
+        });
+        observers.observe(&mut obs, cid, sid, records.len() - 1);
+        // The observation is fully copied out; hand its buffers back for
+        // the next access.
+        session.recycle(obs);
+    }
     (records, connections, observers)
 }
 

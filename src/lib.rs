@@ -4,7 +4,7 @@
 //! tests can depend on one crate:
 //!
 //! * [`model`] — shared vocabulary (time, ids, failure taxonomy, records);
-//! * [`netsim`] — deterministic DES engine, RNG, fault processes;
+//! * [`netsim`] — deterministic RNG, timelines, fault processes;
 //! * [`dnswire`] / [`dnssim`] — RFC 1035 codec and the simulated resolver;
 //! * [`tcpsim`] / [`httpsim`] — connection model and HTTP semantics;
 //! * [`bgpsim`] — the Routeviews-style feed and its cleaning;

@@ -8,7 +8,7 @@ use netsim::SimRng;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use tcpsim::{
-    classify_trace, count_retransmissions, simulate_connection, PathQuality, ServerBehavior,
+    classify_trace, count_retransmissions, simulate_connection_into, PathQuality, ServerBehavior,
     TraceVerdict,
 };
 
@@ -31,9 +31,11 @@ fn resolver_answers_match_zone_truth_for_every_host() {
     let resolver = StubResolver::new(&tree, ResolverConfig::default());
     let mut rng = SimRng::new(9);
     let mut cache = LdnsCache::new();
+    let mut got = Vec::new();
     for (name, addrs) in &hosts {
-        let res = resolver.resolve(name, &NoFaults, SimTime::from_hours(1), &mut rng, &mut cache);
-        let mut got = res.result.expect("healthy resolution");
+        let t = SimTime::from_hours(1);
+        let res = resolver.resolve_into(name, &NoFaults, t, &mut rng, &mut cache, &mut got);
+        res.result.expect("healthy resolution");
         got.sort();
         let mut want = addrs.clone();
         want.sort();
@@ -48,11 +50,12 @@ fn dig_and_resolver_agree_on_healthy_world() {
     let resolver = StubResolver::new(&tree, ResolverConfig::default());
     let cfg = ResolverConfig::default();
     let mut rng = SimRng::new(10);
+    let mut addrs = Vec::new();
     for (name, _) in &hosts {
         let mut cache = LdnsCache::new();
-        let wget = resolver.resolve(name, &NoFaults, SimTime::from_hours(2), &mut rng, &mut cache);
-        let (dig, _) =
-            dnssim::dig_iterative(&tree, name, &NoFaults, SimTime::from_hours(2), &mut rng, &cfg);
+        let t = SimTime::from_hours(2);
+        let wget = resolver.resolve_into(name, &NoFaults, t, &mut rng, &mut cache, &mut addrs);
+        let (dig, _) = dnssim::dig_iterative(&tree, name, &NoFaults, t, &mut rng, &cfg);
         assert_eq!(wget.result.is_ok(), dig.is_resolved(), "disagreement on {name}");
     }
 }
@@ -77,22 +80,22 @@ proptest! {
             ServerBehavior::StallAfter(bytes / 2),
         ][behavior_idx];
         let path = PathQuality { loss, rtt: SimDuration::from_millis(70) };
-        let r = simulate_connection(
+        let mut trace = Vec::new();
+        let r = simulate_connection_into(
             behavior,
             &path,
             bytes,
             SimTime::from_hours(1),
             &mut SimRng::new(seed),
-            true,
+            Some(&mut trace),
         );
-        let trace = r.trace.as_ref().unwrap();
-        let verdict = classify_trace(trace);
+        let verdict = classify_trace(&trace);
         match r.outcome {
             Ok(()) => prop_assert_eq!(verdict, TraceVerdict::Complete),
             Err(kind) => prop_assert_eq!(verdict.failure_kind(), Some(kind)),
         }
         // Trace-visible retransmissions never exceed sender-side truth.
-        let (syn, data) = count_retransmissions(trace);
+        let (syn, data) = count_retransmissions(&trace);
         prop_assert_eq!(syn, u32::from(r.syn_retransmissions));
         prop_assert!(data <= r.retransmissions_sent);
         // A no-connection verdict can't deliver bytes.
@@ -116,17 +119,14 @@ proptest! {
         let off = StubResolver::new(&tree, off_cfg);
         let name = &hosts[host_idx].0;
         let t = SimTime::from_hours(3);
-        let a = on.resolve(name, &NoFaults, t, &mut SimRng::new(seed), &mut LdnsCache::new());
-        let b = off.resolve(name, &NoFaults, t, &mut SimRng::new(seed), &mut LdnsCache::new());
-        match (a.result, b.result) {
-            (Ok(mut x), Ok(mut y)) => {
-                x.sort();
-                y.sort();
-                prop_assert_eq!(x, y);
-            }
-            (Err(x), Err(y)) => prop_assert_eq!(x, y),
-            other => prop_assert!(false, "fidelity changed outcome: {:?}", other),
-        }
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let (mut cache_a, mut cache_b) = (LdnsCache::new(), LdnsCache::new());
+        let a = on.resolve_into(name, &NoFaults, t, &mut SimRng::new(seed), &mut cache_a, &mut x);
+        let b = off.resolve_into(name, &NoFaults, t, &mut SimRng::new(seed), &mut cache_b, &mut y);
+        prop_assert_eq!(a.result, b.result, "fidelity changed outcome");
+        x.sort();
+        y.sort();
+        prop_assert_eq!(x, y);
     }
 }
 

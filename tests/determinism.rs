@@ -171,6 +171,36 @@ fn existing_worlds_bit_identical_to_pre_archetype_goldens() {
 }
 
 #[test]
+fn overlapping_dialup_batches_run_in_time_order() {
+    // At 4 accesses/hour a dial-up batch (80 URLs × 12 s = 960 s) outlasts
+    // its 900 s iteration window, so consecutive batches overlap and each
+    // client's accesses must interleave by time. The other goldens run at 1
+    // or 2 accesses/hour, where no windows overlap and draw order is time
+    // order: running the accesses in draw order moves only this golden.
+    let mut cfg = ExperimentConfig::quick(20050101);
+    cfg.iterations_per_hour = 4;
+    cfg.hours = 2;
+    cfg.wire_fidelity = false;
+    let ds = run_experiment(&cfg).dataset;
+    assert_eq!(ds.records.len(), 85_290);
+    assert_eq!(
+        fingerprint(&ds),
+        0x8f4c_2cef_078c_2ca7,
+        "overlapping dial-up world's full dataset drifted from its golden fingerprint"
+    );
+    for w in ds.records.windows(2) {
+        if w[0].client == w[1].client {
+            assert!(
+                w[0].start <= w[1].start,
+                "client {:?} ran an access out of time order at {:?}",
+                w[0].client,
+                w[1].start
+            );
+        }
+    }
+}
+
+#[test]
 fn adversarial_archetypes_stay_deterministic_across_threads() {
     use workload::AdversarialProfile;
     // The full archetype suite — BGP transients, censorship, colo blasts,

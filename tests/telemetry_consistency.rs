@@ -75,7 +75,6 @@ fn per_class_failure_counters_match_table3_aggregates() {
     // The grand totals agree with the dataset too.
     let total_txns: u64 = rows.iter().map(|r| r.transactions).sum();
     assert_eq!(total_txns, out.dataset.records.len() as u64);
-    // And the engine actually dispatched events to produce them.
-    assert!(snap.counter("engine.events_dispatched") > 0);
+    // And the runner actually attempted the accesses that produced them.
     assert!(snap.counter("workload.accesses_attempted") >= total_txns);
 }
