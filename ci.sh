@@ -70,8 +70,8 @@ cargo test -q --workspace
 echo "==> perfbench helper tests: the calls perfbench makes still compile and its block list matches paper_blocks"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-echo "==> telemetry-disabled build stays deterministic and matches the oracle"
-cargo test -q --no-default-features --test determinism --test differential
+echo "==> telemetry-disabled build stays deterministic, matches the oracle and keeps the allocation budget"
+cargo test -q --no-default-features --test determinism --test differential --test alloc_budget
 
 echo "==> examples build and run (every examples/*.rs, so a new example cannot skip CI)"
 cargo build --release --examples

@@ -11,9 +11,9 @@ use crate::resolver::{
     sample_latency, ResolverConfig, AUTH_ATTEMPTS, AUTH_TIMEOUT, HOP_RTT, STUB_ATTEMPTS,
     STUB_TIMEOUT,
 };
-use crate::server::{authoritative_answer, AnswerKind};
+use crate::server::{write_authoritative_answer, AnswerKind};
 use crate::zones::ZoneTree;
-use dnswire::{DomainName, Message, RecordType};
+use dnswire::{DomainName, MessageRef, WireWriter};
 use model::{DnsErrorCode, DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
 use std::net::Ipv4Addr;
@@ -54,17 +54,16 @@ pub fn dig_iterative<F: DnsFaults + ?Sized>(
         return (DigResult::Failed(DnsFailureKind::LdnsTimeout), elapsed);
     }
 
-    let chain = tree.delegation_chain(qname);
-    let Some(last) = chain.last() else {
+    let mut chain = tree.delegation_chain(qname).peekable();
+    if chain.peek().is_none() {
         return (
             DigResult::Failed(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail)),
             elapsed,
         );
-    };
-    let auth_apex = last.apex.clone();
+    }
 
-    for zone in &chain {
-        let is_auth = zone.apex == auth_apex;
+    while let Some(zone) = chain.next() {
+        let is_auth = chain.peek().is_none();
         if is_auth {
             if let Some(code) = faults.zone_error(&zone.apex, t) {
                 elapsed += sample_latency(HOP_RTT, rng);
@@ -85,12 +84,17 @@ pub fn dig_iterative<F: DnsFaults + ?Sized>(
             return (DigResult::Failed(DnsFailureKind::NonLdnsTimeout), elapsed);
         }
         if is_auth {
-            let q = Message::iterative_query(rng.next_u64() as u16, qname.clone(), RecordType::A);
+            let id = rng.next_u64() as u16;
             // The authoritative zone ends the chain: no deeper delegation.
-            let (resp, kind) = authoritative_answer(zone, None, &q);
+            // dig runs only after a failed lookup, so its buffer is its own.
+            let mut w = WireWriter::new();
+            let kind = write_authoritative_answer(zone, None, qname, id, &mut w);
             return match kind {
                 AnswerKind::Authoritative => {
-                    let addrs = resp.resolve_a_chain(qname);
+                    let mut addrs = Vec::new();
+                    MessageRef::decode(w.as_bytes())
+                        .expect("own bytes decode")
+                        .resolve_a_chain(qname, &mut addrs);
                     if addrs.is_empty() {
                         (
                             DigResult::Failed(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail)),

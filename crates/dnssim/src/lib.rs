@@ -32,5 +32,5 @@ pub mod zones;
 pub use dig::{dig_iterative, DigResult};
 pub use faults::{DnsFaults, NoFaults};
 pub use resolver::{LdnsCache, ResolutionStatus, ResolverConfig, StubResolver};
-pub use server::{authoritative_answer, AnswerKind};
+pub use server::AnswerKind;
 pub use zones::{Zone, ZoneTree};

@@ -4,12 +4,17 @@
 //! transaction instant (episodes last hours; lookups last seconds) and the
 //! elapsed time is accumulated analytically from per-hop latency samples and
 //! timeout schedules. With `wire_fidelity` on, every hop additionally
-//! round-trips a real RFC 1035 message through the `dnswire` codec.
+//! round-trips a real RFC 1035 message through the `dnswire` codec: the
+//! query or answer is written straight into the resolver's one message
+//! buffer from the zone data, checked in place, and the A chain read out of
+//! it, so a resolution builds no `Message`.
 
 use crate::faults::DnsFaults;
-use crate::server::{authoritative_answer, AnswerKind};
+use crate::server::{write_authoritative_answer, AnswerKind};
 use crate::zones::ZoneTree;
-use dnswire::{DomainName, Message, RData, RecordType};
+use dnswire::{
+    DomainName, Header, MessageRef, MessageWriter, RData, RecordClass, RecordType, WireWriter,
+};
 use model::{DnsErrorCode, DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
 use std::collections::HashMap;
@@ -91,8 +96,19 @@ impl LdnsCache {
             .map(|(addrs, _)| addrs.as_slice())
     }
 
-    pub fn put(&mut self, name: DomainName, addrs: Vec<Ipv4Addr>, expiry: SimTime) {
-        self.entries.insert(name, (addrs, expiry));
+    /// Store `addrs` for `name` until `expiry`. Refreshing an entry
+    /// reuses its key and address buffer; only a new name allocates.
+    pub fn put(&mut self, name: &DomainName, addrs: &[Ipv4Addr], expiry: SimTime) {
+        match self.entries.get_mut(name) {
+            Some((held, until)) => {
+                held.clear();
+                held.extend_from_slice(addrs);
+                *until = expiry;
+            }
+            None => {
+                self.entries.insert(name.clone(), (addrs.to_vec(), expiry));
+            }
+        }
     }
 
     /// Drop everything (an LDNS restart).
@@ -123,25 +139,33 @@ fn rotate_rr(addrs: &mut [Ipv4Addr], rng: &mut SimRng) {
 pub struct StubResolver<'t> {
     tree: &'t ZoneTree,
     config: ResolverConfig,
+    /// The message buffer every query and answer is written into (with
+    /// `wire_fidelity`), kept across resolutions.
+    wire: WireWriter,
 }
 
 /// Internal walk outcome (LDNS's view).
 enum WalkOutcome {
-    Answered(Vec<Ipv4Addr>, u32 /* ttl */),
+    /// The addresses are in the caller's buffer.
+    Answered(u32 /* ttl */),
     AuthTimeout,
     Error(DnsErrorCode),
 }
 
 impl<'t> StubResolver<'t> {
     pub fn new(tree: &'t ZoneTree, config: ResolverConfig) -> Self {
-        StubResolver { tree, config }
+        StubResolver {
+            tree,
+            config,
+            wire: WireWriter::new(),
+        }
     }
 
     /// Resolve `qname` at instant `t` under `faults`, using (and updating)
     /// the client's LDNS cache. `out` is cleared and, on success, left
     /// holding the (rotated) RRset.
     pub fn resolve_into<F: DnsFaults + ?Sized>(
-        &self,
+        &mut self,
         qname: &DomainName,
         faults: &F,
         t: SimTime,
@@ -185,7 +209,7 @@ impl<'t> StubResolver<'t> {
     }
 
     fn resolve_inner<F: DnsFaults + ?Sized>(
-        &self,
+        &mut self,
         qname: &DomainName,
         faults: &F,
         t: SimTime,
@@ -193,7 +217,7 @@ impl<'t> StubResolver<'t> {
         cache: &mut LdnsCache,
         out: &mut Vec<Ipv4Addr>,
     ) -> ResolutionStatus {
-        let cfg = &self.config;
+        let cfg = self.config;
         let mut elapsed = SimDuration::ZERO;
         let mut messages = 0u32;
 
@@ -216,13 +240,10 @@ impl<'t> StubResolver<'t> {
                 from_cache: false,
             };
         }
-        // One encode buffer for every message of this resolution.
-        let mut wire = Vec::new();
         if cfg.wire_fidelity {
             // The stub's recursive query to the LDNS.
-            let q = Message::query(rng.next_u64() as u16, qname.clone(), RecordType::A);
-            q.encode_into(&mut wire).expect("valid query");
-            let _ = Message::decode(&wire).expect("own bytes decode");
+            write_query(&mut self.wire, rng.next_u64() as u16, qname);
+            let _ = MessageRef::decode(self.wire.as_bytes()).expect("own bytes decode");
             messages += 1;
         }
 
@@ -240,22 +261,9 @@ impl<'t> StubResolver<'t> {
 
         // --- Iterative walk (by the LDNS); in-zone CNAME chains are
         // resolved by the authoritative server itself ----------------------
-        match self.walk(
-            qname,
-            faults,
-            t,
-            rng,
-            &mut elapsed,
-            &mut messages,
-            &mut wire,
-        ) {
-            WalkOutcome::Answered(addrs, ttl) => {
-                out.extend_from_slice(&addrs);
-                cache.put(
-                    qname.clone(),
-                    addrs,
-                    t + SimDuration::from_secs(u64::from(ttl)),
-                );
+        match self.walk(qname, faults, t, rng, &mut elapsed, &mut messages, out) {
+            WalkOutcome::Answered(ttl) => {
+                cache.put(qname, out, t + SimDuration::from_secs(u64::from(ttl)));
                 rotate_rr(out, rng);
                 ResolutionStatus {
                     result: Ok(()),
@@ -279,29 +287,30 @@ impl<'t> StubResolver<'t> {
         }
     }
 
-    /// Walk the delegation chain for `qname`, accumulating latency; `wire`
-    /// is the resolution's encode buffer.
+    /// Walk the delegation chain for `qname`, accumulating latency; an
+    /// answer's addresses go into `out`.
     #[allow(clippy::too_many_arguments)]
     fn walk<F: DnsFaults + ?Sized>(
-        &self,
+        &mut self,
         qname: &DomainName,
         faults: &F,
         t: SimTime,
         rng: &mut SimRng,
         elapsed: &mut SimDuration,
         messages: &mut u32,
-        wire: &mut Vec<u8>,
+        out: &mut Vec<Ipv4Addr>,
     ) -> WalkOutcome {
-        let chain = self.tree.delegation_chain(qname);
-        let Some(last) = chain.len().checked_sub(1) else {
+        let mut chain = self.tree.delegation_chain(qname).peekable();
+        if chain.peek().is_none() {
             return WalkOutcome::Error(DnsErrorCode::ServFail);
-        };
-        let cfg = &self.config;
-        for (i, zone) in chain.iter().enumerate() {
+        }
+        let cfg = self.config;
+        while let Some(zone) = chain.next() {
+            let next = chain.peek().copied();
             // Zone misconfiguration produces an error *response* (servers
             // are up but answer with an error) — only meaningful at the
             // authoritative zone, i.e. the last chain element.
-            let is_auth = i == last;
+            let is_auth = next.is_none();
             if is_auth {
                 if let Some(code) = faults.zone_error(&zone.apex, t) {
                     *elapsed += sample_latency(HOP_RTT, rng);
@@ -324,62 +333,57 @@ impl<'t> StubResolver<'t> {
                 return WalkOutcome::AuthTimeout;
             }
             if cfg.wire_fidelity {
-                let q = Message::iterative_query(rng.next_u64() as u16, qname.clone(), RecordType::A);
-                let (resp, kind) = authoritative_answer(zone, chain.get(i + 1).copied(), &q);
-                resp.encode_into(wire).expect("valid response");
-                let decoded = Message::decode(wire).expect("own bytes decode");
+                let id = rng.next_u64() as u16;
+                let kind = write_authoritative_answer(zone, next, qname, id, &mut self.wire);
+                let answer = MessageRef::decode(self.wire.as_bytes()).expect("own bytes decode");
                 *messages += 1;
                 if is_auth {
-                    return self.conclude(qname, decoded, kind, zone.ttl);
+                    return match kind {
+                        AnswerKind::Authoritative => {
+                            answer.resolve_a_chain(qname, out);
+                            // An empty chain ends in a CNAME pointing out of
+                            // zone — not modeled as an address here; treat
+                            // as server failure (rare).
+                            if out.is_empty() {
+                                WalkOutcome::Error(DnsErrorCode::ServFail)
+                            } else {
+                                WalkOutcome::Answered(zone.ttl)
+                            }
+                        }
+                        AnswerKind::Referral => WalkOutcome::Error(DnsErrorCode::ServFail),
+                        AnswerKind::NxDomain => WalkOutcome::Error(DnsErrorCode::NxDomain),
+                    };
                 }
             } else if is_auth {
                 // Codec-free fast path: consult the zone directly.
-                return match zone.lookup(qname) {
-                    Some(records) => {
-                        let addrs: Vec<Ipv4Addr> = records
-                            .iter()
-                            .filter_map(|r| match r {
-                                RData::A(a) => Some(*a),
-                                _ => None,
-                            })
-                            .collect();
-                        if addrs.is_empty() {
-                            WalkOutcome::Error(DnsErrorCode::NxDomain)
-                        } else {
-                            WalkOutcome::Answered(addrs, zone.ttl)
-                        }
-                    }
-                    None => WalkOutcome::Error(DnsErrorCode::NxDomain),
+                let records = zone.lookup(qname).unwrap_or_default();
+                out.extend(records.iter().filter_map(|r| match r {
+                    RData::A(a) => Some(*a),
+                    _ => None,
+                }));
+                return if out.is_empty() {
+                    WalkOutcome::Error(DnsErrorCode::NxDomain)
+                } else {
+                    WalkOutcome::Answered(zone.ttl)
                 };
             }
         }
         // Chain ended on a referral (no authoritative zone held the name).
         WalkOutcome::Error(DnsErrorCode::NxDomain)
     }
+}
 
-    /// Interpret the authoritative response.
-    fn conclude(
-        &self,
-        qname: &DomainName,
-        resp: Message,
-        kind: AnswerKind,
-        ttl: u32,
-    ) -> WalkOutcome {
-        match kind {
-            AnswerKind::Authoritative => {
-                let addrs = resp.resolve_a_chain(qname);
-                if addrs.is_empty() {
-                    // Terminal CNAME pointing out of zone — not modeled as
-                    // an address here; treat as server failure (rare).
-                    WalkOutcome::Error(DnsErrorCode::ServFail)
-                } else {
-                    WalkOutcome::Answered(addrs, ttl)
-                }
-            }
-            AnswerKind::Referral => WalkOutcome::Error(DnsErrorCode::ServFail),
-            AnswerKind::NxDomain => WalkOutcome::Error(DnsErrorCode::NxDomain),
-        }
-    }
+/// The stub's recursive A query for `qname`, written into `w`: the bytes of
+/// encoding `Message::query(id, qname, A)`.
+fn write_query(w: &mut WireWriter, id: u16, qname: &DomainName) {
+    let header = Header {
+        id,
+        recursion_desired: true,
+        ..Header::default()
+    };
+    let mut m = MessageWriter::new(w, header);
+    m.question(qname, RecordType::A, RecordClass::In);
+    m.finish().expect("a query fits in a message");
 }
 
 #[cfg(test)]
@@ -439,7 +443,7 @@ mod tests {
 
     /// One lookup into a local buffer: the status and the delivered RRset.
     fn lookup<F: DnsFaults>(
-        r: &StubResolver,
+        r: &mut StubResolver,
         host: &str,
         faults: &F,
         t: SimTime,
@@ -453,10 +457,10 @@ mod tests {
 
     fn resolve_with<F: DnsFaults>(faults: &F, host: &str) -> (ResolutionStatus, Vec<Ipv4Addr>) {
         let t = tree();
-        let r = StubResolver::new(&t, ResolverConfig::default());
+        let mut r = StubResolver::new(&t, ResolverConfig::default());
         let mut rng = SimRng::new(1);
         let mut cache = LdnsCache::new();
-        lookup(&r, host, faults, SimTime::from_hours(1), &mut rng, &mut cache)
+        lookup(&mut r, host, faults, SimTime::from_hours(1), &mut rng, &mut cache)
     }
 
     #[test]
@@ -521,19 +525,19 @@ mod tests {
     fn wrong_answer_substitutes_decoy_without_poisoning_cache() {
         let decoy = Ipv4Addr::new(192, 0, 2, 10);
         let t = tree();
-        let r = StubResolver::new(&t, ResolverConfig::default());
+        let mut r = StubResolver::new(&t, ResolverConfig::default());
         let mut rng = SimRng::new(3);
         let mut cache = LdnsCache::new();
         let host = "www.example.com";
         let t0 = SimTime::from_hours(1);
         let wrong = WrongAnswer(name(host), decoy);
-        let (faulted, addrs) = lookup(&r, host, &wrong, t0, &mut rng, &mut cache);
+        let (faulted, addrs) = lookup(&mut r, host, &wrong, t0, &mut rng, &mut cache);
         assert_eq!(faulted.result, Ok(()));
         assert_eq!(addrs, vec![decoy]);
         // The cache kept the genuine RRset: once the fault window ends the
         // next (cached) lookup is healthy again.
         let later = t0 + SimDuration::from_secs(60);
-        let (healed, addrs) = lookup(&r, host, &NoFaults, later, &mut rng, &mut cache);
+        let (healed, addrs) = lookup(&mut r, host, &NoFaults, later, &mut rng, &mut cache);
         assert!(healed.from_cache);
         assert_eq!(addrs, vec![Ipv4Addr::new(10, 0, 0, 1)]);
     }
@@ -550,15 +554,15 @@ mod tests {
     #[test]
     fn cache_hit_short_circuits() {
         let t = tree();
-        let r = StubResolver::new(&t, ResolverConfig::default());
+        let mut r = StubResolver::new(&t, ResolverConfig::default());
         let mut rng = SimRng::new(2);
         let mut cache = LdnsCache::new();
         let t0 = SimTime::from_hours(1);
         let host = "www.example.com";
-        let (first, _) = lookup(&r, host, &NoFaults, t0, &mut rng, &mut cache);
+        let (first, _) = lookup(&mut r, host, &NoFaults, t0, &mut rng, &mut cache);
         assert!(!first.from_cache);
         let later = t0 + SimDuration::from_secs(60);
-        let (second, addrs) = lookup(&r, host, &NoFaults, later, &mut rng, &mut cache);
+        let (second, addrs) = lookup(&mut r, host, &NoFaults, later, &mut rng, &mut cache);
         assert!(second.from_cache);
         assert_eq!(second.messages, 1, "only the stub query");
         assert_eq!(addrs, vec![Ipv4Addr::new(10, 0, 0, 1)]);
@@ -567,14 +571,14 @@ mod tests {
     #[test]
     fn cache_expires_by_ttl() {
         let t = tree();
-        let r = StubResolver::new(&t, ResolverConfig::default());
+        let mut r = StubResolver::new(&t, ResolverConfig::default());
         let mut rng = SimRng::new(3);
         let mut cache = LdnsCache::new();
         let t0 = SimTime::from_hours(1);
-        lookup(&r, "www.example.com", &NoFaults, t0, &mut rng, &mut cache);
+        lookup(&mut r, "www.example.com", &NoFaults, t0, &mut rng, &mut cache);
         // Auth zone TTL is 7200 s; query well past expiry.
         let later = t0 + SimDuration::from_secs(8000);
-        let (res, _) = lookup(&r, "www.example.com", &NoFaults, later, &mut rng, &mut cache);
+        let (res, _) = lookup(&mut r, "www.example.com", &NoFaults, later, &mut rng, &mut cache);
         assert!(!res.from_cache);
     }
 
@@ -583,13 +587,13 @@ mod tests {
         // The proxy/LDNS cache effect from the paper: a cached name keeps
         // resolving while the authoritative servers are down.
         let t = tree();
-        let r = StubResolver::new(&t, ResolverConfig::default());
+        let mut r = StubResolver::new(&t, ResolverConfig::default());
         let mut rng = SimRng::new(4);
         let mut cache = LdnsCache::new();
         let t0 = SimTime::from_hours(1);
-        lookup(&r, "www.example.com", &NoFaults, t0, &mut rng, &mut cache);
+        lookup(&mut r, "www.example.com", &NoFaults, t0, &mut rng, &mut cache);
         let (res, _) = lookup(
-            &r,
+            &mut r,
             "www.example.com",
             &AuthDown(name("example.com")),
             t0 + SimDuration::from_secs(60),
@@ -607,8 +611,8 @@ mod tests {
             query_loss_prob: 0.0,
             wire_fidelity: true,
         };
-        let on = StubResolver::new(&t, on_cfg);
-        let off = StubResolver::new(
+        let mut on = StubResolver::new(&t, on_cfg);
+        let mut off = StubResolver::new(
             &t,
             ResolverConfig {
                 wire_fidelity: false,
@@ -618,9 +622,9 @@ mod tests {
         for host in ["www.example.com", "www.iitb.ac.in", "nosuch.example.com"] {
             let t2 = SimTime::from_hours(2);
             let (a, mut x) =
-                lookup(&on, host, &NoFaults, t2, &mut SimRng::new(5), &mut LdnsCache::new());
+                lookup(&mut on, host, &NoFaults, t2, &mut SimRng::new(5), &mut LdnsCache::new());
             let (b, mut y) =
-                lookup(&off, host, &NoFaults, t2, &mut SimRng::new(5), &mut LdnsCache::new());
+                lookup(&mut off, host, &NoFaults, t2, &mut SimRng::new(5), &mut LdnsCache::new());
             assert_eq!(a.result, b.result, "fidelity mismatch for {host}");
             // RR rotation depends on rng position; compare as sets.
             x.sort();
@@ -633,7 +637,7 @@ mod tests {
     #[test]
     fn resolve_into_clears_and_refills_the_buffer() {
         let t = tree();
-        let r = StubResolver::new(&t, ResolverConfig::default());
+        let mut r = StubResolver::new(&t, ResolverConfig::default());
         let t0 = SimTime::from_hours(1);
         let stale = Ipv4Addr::new(9, 9, 9, 9);
         for host in ["www.iitb.ac.in", "nosuch.example.com"] {
@@ -662,6 +666,16 @@ mod tests {
     }
 
     #[test]
+    fn written_query_equals_the_encoded_owned_query() {
+        let mut w = WireWriter::new();
+        for (id, host) in [(0x1234, "www.example.com"), (7, "www.iitb.ac.in"), (0, ".")] {
+            write_query(&mut w, id, &name(host));
+            let owned = dnswire::Message::query(id, name(host), RecordType::A);
+            assert_eq!(w.as_bytes(), owned.encode().unwrap(), "{host}");
+        }
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let (a, x) = resolve_with(&NoFaults, "www.example.com");
         let (b, y) = resolve_with(&NoFaults, "www.example.com");
@@ -675,9 +689,14 @@ mod tests {
         let mut c = LdnsCache::new();
         assert!(c.is_empty());
         let t0 = SimTime::from_secs(100);
-        c.put(name("a.b"), vec![Ipv4Addr::new(1, 1, 1, 1)], t0 + SimDuration::from_secs(10));
+        c.put(&name("a.b"), &[Ipv4Addr::new(1, 1, 1, 1)], t0 + SimDuration::from_secs(10));
         assert_eq!(c.get(&name("a.b"), t0).unwrap().len(), 1);
         assert!(c.get(&name("a.b"), t0 + SimDuration::from_secs(10)).is_none(), "expiry is exclusive");
+        // A refresh replaces the addresses and the expiry in place.
+        let two = [Ipv4Addr::new(2, 2, 2, 2), Ipv4Addr::new(3, 3, 3, 3)];
+        c.put(&name("a.b"), &two, t0 + SimDuration::from_secs(20));
+        assert_eq!(c.get(&name("a.b"), t0 + SimDuration::from_secs(10)), Some(&two[..]));
+        assert_eq!(c.len(), 1);
         c.flush();
         assert!(c.is_empty());
     }

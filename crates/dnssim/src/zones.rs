@@ -91,15 +91,19 @@ impl ZoneTree {
     }
 
     /// The delegation chain from the root down to the authoritative zone of
-    /// `name`, e.g. `[".", "com", "example.com"]` — exactly the zones an
-    /// iterative resolution visits.
-    pub fn delegation_chain(&self, name: &DomainName) -> Vec<&Zone> {
-        let mut chain: Vec<&Zone> = name
-            .suffixes()
-            .filter_map(|apex| self.zones.get(apex))
-            .collect();
-        chain.reverse();
-        chain
+    /// `name`, e.g. `.`, `com`, `example.com` — exactly the zones an
+    /// iterative resolution visits, in visiting order. Nothing is
+    /// collected: each step probes the map with the next longer borrowed
+    /// suffix, found again by a short walk over the name's few labels.
+    pub fn delegation_chain<'a>(&'a self, name: &'a DomainName) -> impl Iterator<Item = &'a Zone> {
+        let labels = name.suffixes().count() - 1;
+        (0..=labels).rev().filter_map(move |k| {
+            let apex = name
+                .suffixes()
+                .nth(k)
+                .expect("k counts the name's suffixes");
+            self.zones.get(apex)
+        })
     }
 
     /// Iterate all zones (apex order unspecified).
@@ -130,7 +134,9 @@ impl ZoneTree {
 
         let mut next_ns_octet: u16 = 1;
         for (host, addrs) in hosts {
-            let auth_apex = registrable_domain(host);
+            let auth_apex = host
+                .ancestor(registrable_domain(host))
+                .expect("a suffix of the host");
             // TLD zone.
             let tld = auth_apex
                 .hierarchy()
@@ -165,24 +171,30 @@ impl ZoneTree {
     }
 }
 
-/// The registrable domain of a hostname (see [`ZoneTree::build_for_hosts`]).
-pub fn registrable_domain(host: &DomainName) -> DomainName {
-    let labels: Vec<&[u8]> = host.labels().collect();
-    let n = labels.len();
-    if n <= 2 {
-        return host.clone();
-    }
+/// The registrable domain of a hostname (see [`ZoneTree::build_for_hosts`]):
+/// the host's own wire suffix, borrowed, so fault maps keyed by zone apex
+/// are probed without building the apex.
+pub fn registrable_domain(host: &DomainName) -> &[u8] {
     const REGISTRY_SECOND_LEVEL: [&[u8]; 7] = [b"ac", b"co", b"com", b"gov", b"edu", b"org", b"net"];
-    // TLD is labels[n-1]; check labels[n-2] for registry suffixes under a
-    // two-letter ccTLD.
-    let cc_tld = labels[n - 1].len() == 2;
-    let take = if cc_tld && REGISTRY_SECOND_LEVEL.contains(&labels[n - 2]) {
-        3
-    } else {
-        2
+    fn first_label(suffix: &[u8]) -> &[u8] {
+        &suffix[1..=usize::from(suffix[0])]
+    }
+    // The suffixes of one, two and three labels: the last three before the
+    // root octet.
+    let (mut one, mut two, mut three) = (None, None, None);
+    for suffix in host.suffixes().take_while(|s| s[0] != 0) {
+        (three, two, one) = (two, one, Some(suffix));
+    }
+    let (Some(tld), Some(second), Some(three)) = (one, two, three) else {
+        return host.as_wire(); // two labels or fewer
     };
-    let take = take.min(n);
-    DomainName::from_labels(labels[n - take..].iter().copied()).expect("sub-name of valid name")
+    // The TLD is the last label; under a two-letter ccTLD a registry
+    // second-level label (`ac.in`, `co.uk`) takes one more.
+    if first_label(tld).len() == 2 && REGISTRY_SECOND_LEVEL.contains(&first_label(second)) {
+        three
+    } else {
+        second
+    }
 }
 
 #[cfg(test)]
@@ -195,14 +207,24 @@ mod tests {
 
     #[test]
     fn registrable_domain_rules() {
-        assert_eq!(registrable_domain(&name("www.example.com")), name("example.com"));
-        assert_eq!(registrable_domain(&name("example.com")), name("example.com"));
-        assert_eq!(registrable_domain(&name("com")), name("com"));
-        assert_eq!(registrable_domain(&name("www.iitb.ac.in")), name("iitb.ac.in"));
-        assert_eq!(registrable_domain(&name("www.bbc.co.uk")), name("bbc.co.uk"));
-        assert_eq!(registrable_domain(&name("cs.technion.ac.il")), name("technion.ac.il"));
-        assert_eq!(registrable_domain(&name("espn.go.com")), name("go.com"));
-        assert_eq!(registrable_domain(&name("games.yahoo.com")), name("yahoo.com"));
+        for (host, apex) in [
+            ("www.example.com", "example.com"),
+            ("example.com", "example.com"),
+            ("com", "com"),
+            (".", "."),
+            ("www.iitb.ac.in", "iitb.ac.in"),
+            ("www.bbc.co.uk", "bbc.co.uk"),
+            ("bbc.co.uk", "bbc.co.uk"),
+            ("cs.technion.ac.il", "technion.ac.il"),
+            ("espn.go.com", "go.com"),
+            ("games.yahoo.com", "yahoo.com"),
+            ("a.b.example.org", "example.org"),
+            ("www.site.xx.uk", "xx.uk"),
+        ] {
+            let host = name(host);
+            assert_eq!(registrable_domain(&host), name(apex).as_wire(), "{host}");
+            assert_eq!(host.ancestor(registrable_domain(&host)), Some(name(apex)));
+        }
     }
 
     #[test]
@@ -235,9 +257,12 @@ mod tests {
             name("www.example.com"),
             vec![Ipv4Addr::new(10, 0, 0, 1)],
         )]);
-        let chain = tree.delegation_chain(&name("www.example.com"));
-        let apexes: Vec<String> = chain.iter().map(|z| z.apex.to_string()).collect();
+        let host = name("www.example.com");
+        let apexes: Vec<String> = tree.delegation_chain(&host).map(|z| z.apex.to_string()).collect();
         assert_eq!(apexes, vec![".", "com", "example.com"]);
+        let root = DomainName::root();
+        let apexes: Vec<String> = tree.delegation_chain(&root).map(|z| z.apex.to_string()).collect();
+        assert_eq!(apexes, vec!["."]);
     }
 
     #[test]

@@ -23,7 +23,18 @@
 //! start, comparing each suffix with the bytes already written (following
 //! their pointers): a pointer goes to the first place a suffix was written,
 //! and only offsets up to 0x3FFF are kept, as RFC 1035 pointers allow.
-//! [`Message::encode_into`] reuses a caller's buffer across messages.
+//!
+//! The codec has one writer and one validator, and both work on borrowed
+//! data. [`MessageWriter`] writes a message into a [`WireWriter`] the caller
+//! keeps across messages, from borrowed names and [`RDataRef`]s, so a server
+//! answering from its own tables builds nothing. [`MessageRef::decode`]
+//! checks a message in place, with every check and error of
+//! [`Message::decode`], and reads it without copying: its
+//! [`MessageRef::resolve_a_chain`] follows an answer's CNAME chain over the
+//! bytes. The owned [`Message`] is the by-hand form for tests and tools:
+//! [`Message::encode`] goes through the same writer, and
+//! [`Message::decode`] is [`MessageRef::decode`] plus a copy into owned
+//! records.
 //!
 //! ```
 //! use dnswire::{Message, DomainName, RecordType, RData};
@@ -39,6 +50,31 @@
 //! let decoded = Message::decode(&wire).unwrap();
 //! assert_eq!(decoded.answers.len(), 1);
 //! ```
+//!
+//! The same answer written from borrowed parts and read in place, with no
+//! allocation once the writer and the address buffer have grown:
+//!
+//! ```
+//! use dnswire::{
+//!     DomainName, Header, MessageRef, MessageWriter, RDataRef, RecordClass, RecordType,
+//!     Section, WireWriter,
+//! };
+//! use std::net::Ipv4Addr;
+//!
+//! let name: DomainName = "www.example.com".parse().unwrap();
+//! let addr = Ipv4Addr::new(203, 0, 113, 7);
+//! let mut w = WireWriter::new(); // kept across messages
+//! let header = Header { id: 0x1234, is_response: true, recursion_desired: true, ..Header::default() };
+//! let mut m = MessageWriter::new(&mut w, header);
+//! m.question(&name, RecordType::A, RecordClass::In);
+//! m.record(Section::Answer, &name, RecordType::A, RecordClass::In, 300, RDataRef::A(addr));
+//! m.finish().unwrap();
+//!
+//! let answer = MessageRef::decode(w.as_bytes()).unwrap();
+//! let mut addrs = Vec::new();
+//! answer.resolve_a_chain(&name, &mut addrs);
+//! assert_eq!(addrs, [addr]);
+//! ```
 
 pub mod error;
 pub mod header;
@@ -49,6 +85,7 @@ pub mod wire;
 
 pub use error::WireError;
 pub use header::{Header, Opcode, Rcode};
-pub use message::{Message, Question};
+pub use message::{Message, MessageRef, MessageWriter, Question, Section};
 pub use name::DomainName;
-pub use rr::{RData, RecordClass, RecordType, ResourceRecord};
+pub use rr::{RData, RDataRef, RecordClass, RecordType, ResourceRecord};
+pub use wire::WireWriter;

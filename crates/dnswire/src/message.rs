@@ -2,9 +2,11 @@
 
 use crate::error::WireError;
 use crate::header::{Header, Rcode};
-use crate::name::DomainName;
-use crate::rr::{RData, RecordClass, RecordType, ResourceRecord};
-use crate::wire::{WireReader, WireWriter};
+use crate::name::{DomainName, NameRef};
+use crate::rr::{
+    validate_record, RData, RDataRef, RecordClass, RecordRef, RecordType, ResourceRecord,
+};
+use crate::wire::{skip_name, u16_at, WireReader, WireWriter};
 use std::net::Ipv4Addr;
 
 /// Maximum DNS message size we will produce (TCP-framing limit).
@@ -25,20 +27,6 @@ impl Question {
             qtype,
             qclass: RecordClass::In,
         }
-    }
-
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_name(&self.qname);
-        w.put_u16(self.qtype.to_u16());
-        w.put_u16(self.qclass.to_u16());
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Question, WireError> {
-        Ok(Question {
-            qname: r.get_name()?,
-            qtype: RecordType::from_u16(r.get_u16()?),
-            qclass: RecordClass::from_u16(r.get_u16()?),
-        })
     }
 }
 
@@ -111,7 +99,7 @@ impl Message {
     }
 
     /// All A-record addresses in the answer section for `name` (following
-    /// no CNAMEs; use [`Message::resolve_a_chain`] for that).
+    /// no CNAMEs; [`MessageRef::resolve_a_chain`] follows them).
     pub fn a_records_for(&self, name: &DomainName) -> Vec<Ipv4Addr> {
         self.answers
             .iter()
@@ -124,8 +112,10 @@ impl Message {
     }
 
     /// Resolve the answer section as a CNAME chain starting at `name`,
-    /// returning the terminal A addresses (in answer order).
-    pub fn resolve_a_chain(&self, name: &DomainName) -> Vec<Ipv4Addr> {
+    /// returning the terminal A addresses (in answer order): the reference
+    /// [`MessageRef::resolve_a_chain`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn resolve_a_chain(&self, name: &DomainName) -> Vec<Ipv4Addr> {
         let mut current = name.clone();
         // Bounded walk: a chain can't be longer than the answer count.
         for _ in 0..=self.answers.len() {
@@ -181,68 +171,215 @@ impl Message {
 
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out)?;
-        Ok(out)
+        let mut w = WireWriter::new();
+        let mut m = MessageWriter::new(&mut w, self.header);
+        for q in &self.questions {
+            m.question(&q.qname, q.qtype, q.qclass);
+        }
+        for (section, records) in [
+            (Section::Answer, &self.answers),
+            (Section::Authority, &self.authority),
+            (Section::Additional, &self.additional),
+        ] {
+            for rr in records {
+                let (name, data) = (&rr.name, rr.rdata.view());
+                m.record(section, name, rr.rtype, rr.class, rr.ttl, data);
+            }
+        }
+        m.finish()?;
+        Ok(w.into_bytes())
     }
 
-    /// [`Message::encode`] into a caller-owned buffer, which is cleared
-    /// first, so a hot loop can reuse one allocation for every message.
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        let mut header = self.header;
-        header.qdcount = self.questions.len() as u16;
-        header.ancount = self.answers.len() as u16;
-        header.nscount = self.authority.len() as u16;
-        header.arcount = self.additional.len() as u16;
+    /// Parse from wire bytes: [`MessageRef::decode`]'s checks, then a copy
+    /// into owned names and records.
+    pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
+        MessageRef::decode(bytes).map(|m| m.to_message())
+    }
+}
 
-        let mut w = WireWriter::with_buffer(std::mem::take(out));
-        header.encode(&mut w);
-        for q in &self.questions {
-            q.encode(&mut w);
+/// The record sections, in the order a message carries them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Section {
+    Answer,
+    Authority,
+    Additional,
+}
+
+/// Writes one message straight into a [`WireWriter`] from borrowed names
+/// and data, so a caller that answers from its own tables builds no
+/// [`Message`]. Questions come first, then each section's records in
+/// section order; the header's four counts are the ones written, patched
+/// in by [`MessageWriter::finish`]. [`Message::encode`] writes through
+/// this too, so both give the same bytes for the same message.
+pub struct MessageWriter<'w> {
+    w: &'w mut WireWriter,
+    /// QDCOUNT, ANCOUNT, NSCOUNT and ARCOUNT so far.
+    counts: [u16; 4],
+}
+
+impl<'w> MessageWriter<'w> {
+    /// Start a message with `header`'s id, flags and rcode in `w`, which is
+    /// cleared first (its allocations are kept).
+    pub fn new(w: &'w mut WireWriter, header: Header) -> Self {
+        w.clear();
+        Header {
+            qdcount: 0,
+            ancount: 0,
+            nscount: 0,
+            arcount: 0,
+            ..header
         }
-        for rr in self
-            .answers
-            .iter()
-            .chain(&self.authority)
-            .chain(&self.additional)
-        {
-            rr.encode(&mut w);
+        .encode(w);
+        MessageWriter { w, counts: [0; 4] }
+    }
+
+    /// Append a question.
+    pub fn question(&mut self, qname: &DomainName, qtype: RecordType, qclass: RecordClass) {
+        debug_assert!(self.counts[1..] == [0; 3], "questions precede records");
+        self.w.put_name(qname);
+        self.w.put_u16(qtype.to_u16());
+        self.w.put_u16(qclass.to_u16());
+        self.counts[0] = self.counts[0].wrapping_add(1);
+    }
+
+    /// Append a record to `section`.
+    pub fn record(
+        &mut self,
+        section: Section,
+        name: &DomainName,
+        rtype: RecordType,
+        class: RecordClass,
+        ttl: u32,
+        rdata: RDataRef<'_>,
+    ) {
+        let count = 1 + section as usize;
+        debug_assert!(
+            self.counts[count + 1..].iter().all(|&c| c == 0),
+            "sections in order"
+        );
+        self.w.put_record(name, rtype, class, ttl, rdata);
+        self.counts[count] = self.counts[count].wrapping_add(1);
+    }
+
+    /// Patch the counts into the header; the message is `w`'s bytes.
+    pub fn finish(self) -> Result<(), WireError> {
+        for (i, &count) in self.counts.iter().enumerate() {
+            self.w.patch_u16(4 + 2 * i, count);
         }
-        *out = w.into_bytes();
-        if out.len() > MAX_MESSAGE_LEN {
-            return Err(WireError::MessageTooLong(out.len()));
+        if self.w.len() > MAX_MESSAGE_LEN {
+            return Err(WireError::MessageTooLong(self.w.len()));
         }
         Ok(())
     }
+}
 
-    /// Parse from wire bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
+/// A message checked in place, without copying anything out of it.
+/// [`MessageRef::decode`] makes every check [`Message::decode`] makes, with
+/// the same errors (it is the one validator behind both), and keeps the
+/// header and where the records start; reads after that need no checks.
+#[derive(Clone, Copy, Debug)]
+pub struct MessageRef<'a> {
+    bytes: &'a [u8],
+    header: Header,
+    /// Offset of the first record, just past the questions.
+    records_at: usize,
+}
+
+impl<'a> MessageRef<'a> {
+    /// Check `bytes` as one message.
+    pub fn decode(bytes: &'a [u8]) -> Result<MessageRef<'a>, WireError> {
         let mut r = WireReader::new(bytes);
         let header = Header::decode(&mut r)?;
-        let mut questions = Vec::with_capacity(header.qdcount as usize);
         for _ in 0..header.qdcount {
-            questions.push(Question::decode(&mut r)?);
+            r.read_name()?;
+            r.get_u16()?; // QTYPE
+            r.get_u16()?; // QCLASS
         }
-        let mut sections: [Vec<ResourceRecord>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (i, count) in [header.ancount, header.nscount, header.arcount]
-            .iter()
-            .enumerate()
-        {
-            for _ in 0..*count {
-                if r.is_at_end() {
-                    return Err(WireError::CountMismatch);
-                }
-                sections[i].push(ResourceRecord::decode(&mut r)?);
+        let records_at = r.pos();
+        for _ in 0..Self::record_count(&header) {
+            if r.is_at_end() {
+                return Err(WireError::CountMismatch);
+            }
+            validate_record(&mut r)?;
+        }
+        Ok(MessageRef {
+            bytes,
+            header,
+            records_at,
+        })
+    }
+
+    fn record_count(header: &Header) -> u32 {
+        u32::from(header.ancount) + u32::from(header.nscount) + u32::from(header.arcount)
+    }
+
+    /// Every record, in wire order.
+    fn records(self) -> impl Iterator<Item = RecordRef<'a>> {
+        let (bytes, mut at) = (self.bytes, self.records_at);
+        (0..Self::record_count(&self.header)).map(move |_| {
+            let (record, next) = RecordRef::at(bytes, at);
+            at = next;
+            record
+        })
+    }
+
+    /// Append to `out` the terminal A addresses (in answer order) of the
+    /// CNAME chain the answer section spells from `name`, or nothing, read
+    /// in place. Owner names and targets compare ASCII case-folded, as
+    /// decoded names would.
+    pub fn resolve_a_chain(self, name: &DomainName, out: &mut Vec<Ipv4Addr>) {
+        let answers = || self.records().take(usize::from(self.header.ancount));
+        // `None` while the chain is still at `name`.
+        let mut current: Option<NameRef<'a>> = None;
+        let at_current = |owner: NameRef<'a>, current: Option<NameRef<'a>>| match current {
+            None => owner.is(name),
+            Some(c) => owner.is_ref(c),
+        };
+        // Bounded walk: a chain can't be longer than the answer count.
+        for _ in 0..=self.header.ancount {
+            let start = out.len();
+            out.extend(
+                answers()
+                    .filter(|rr| at_current(rr.name, current))
+                    .filter_map(|rr| rr.a()),
+            );
+            if out.len() > start {
+                return;
+            }
+            let alias = answers().find(|rr| {
+                rr.rtype == RecordType::Cname && at_current(rr.name, current)
+            });
+            match alias {
+                Some(cname) => current = Some(cname.target()),
+                None => return,
             }
         }
-        let [answers, authority, additional] = sections;
-        Ok(Message {
-            header,
+    }
+
+    /// Copy the message out into owned names and records.
+    fn to_message(self) -> Message {
+        let bytes = self.bytes;
+        let mut at = Header::WIRE_LEN;
+        let questions = (0..self.header.qdcount)
+            .map(|_| {
+                let qname = NameRef::new(bytes, at).to_name();
+                at = skip_name(bytes, at) + 4;
+                Question {
+                    qname,
+                    qtype: RecordType::from_u16(u16_at(bytes, at - 4)),
+                    qclass: RecordClass::from_u16(u16_at(bytes, at - 2)),
+                }
+            })
+            .collect();
+        let mut records = self.records().map(RecordRef::to_record);
+        let mut section = |count: u16| records.by_ref().take(usize::from(count)).collect();
+        Message {
+            header: self.header,
             questions,
-            answers,
-            authority,
-            additional,
-        })
+            answers: section(self.header.ancount),
+            authority: section(self.header.nscount),
+            additional: section(self.header.arcount),
+        }
     }
 }
 
@@ -410,7 +547,7 @@ mod tests {
     }
 
     /// A referral with four NS records and their glue, laid out the way
-    /// `dnssim::authoritative_answer` lays out every referral (here the root
+    /// `dnssim`'s authoritative servers lay out every referral (here the root
     /// zone's own four servers): the NS targets share a suffix and every
     /// glue owner repeats an NS target, so most names are pointers.
     fn referral_fixture() -> Message {
@@ -497,14 +634,83 @@ mod tests {
         assert_same_records(&Message::decode(&bytes).unwrap(), &msg);
     }
 
+    /// The A chain read in place equals the chain of the decoded message,
+    /// also when the wire spells names in capitals (decoding lowercases
+    /// them; the in-place walk folds case).
     #[test]
-    fn encode_into_reuses_the_buffer_and_matches_encode() {
+    fn in_place_chain_equals_the_decoded_chain() {
+        let a = |i: u8| RData::A(Ipv4Addr::new(10, 0, 0, i));
+        let cname = |s: &str| RData::Cname(name(s));
+        let cases: Vec<Vec<(&str, RData)>> = vec![
+            // a → b → c, the addresses behind other records
+            vec![
+                ("a.example", cname("b.example")),
+                ("x.example", a(9)),
+                ("c.example", a(1)),
+                ("b.example", cname("c.example")),
+                ("c.example", a(2)),
+            ],
+            // a loop, and a name with both an address and an alias
+            vec![("a.example", cname("b.example")), ("b.example", cname("a.example"))],
+            vec![("b.example", a(3)), ("b.example", cname("c.example")), ("c.example", a(4))],
+            // a dangling alias, and no answers at all
+            vec![("a.example", cname("gone.example"))],
+            vec![],
+        ];
+        for answers in cases {
+            let mut msg = Message::query(1, name("a.example"), RecordType::A).response_from_query();
+            for (owner, rdata) in &answers {
+                msg.add_answer(name(owner), 60, rdata.clone());
+            }
+            // Records outside the answer section are no part of a chain.
+            msg.add_authority(name("a.example"), 60, a(7));
+            msg.add_additional(name("b.example"), 60, a(8));
+            let mut bytes = msg.encode().unwrap();
+            for shout in [false, true] {
+                if shout {
+                    bytes[Header::WIRE_LEN..].make_ascii_uppercase();
+                }
+                let decoded = Message::decode(&bytes).unwrap();
+                let view = MessageRef::decode(&bytes).unwrap();
+                for start in ["a.example", "b.example", "c.example", "zz.example"] {
+                    let mut out = vec![Ipv4Addr::BROADCAST]; // kept: the walk appends
+                    view.resolve_a_chain(&name(start), &mut out);
+                    assert_eq!(out[0], Ipv4Addr::BROADCAST);
+                    assert_eq!(
+                        out[1..],
+                        decoded.resolve_a_chain(&name(start)),
+                        "{answers:?} from {start}, capitals {shout}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A writer kept across messages, as the resolver keeps one, writes
+    /// each message afresh: no stale byte or name offset of the message
+    /// before it survives into the next.
+    #[test]
+    fn a_kept_writer_matches_encode() {
         let referral = referral_fixture();
         let query = Message::query(3, name("www.example.com"), RecordType::A);
-        let mut buf = vec![0xEE; 9]; // stale content must go
+        let mut w = WireWriter::new();
+        w.put_bytes(&[0xEE; 9]);
         for msg in [&referral, &query, &referral] {
-            msg.encode_into(&mut buf).unwrap();
-            assert_eq!(buf, msg.encode().unwrap());
+            let mut m = MessageWriter::new(&mut w, msg.header);
+            for q in &msg.questions {
+                m.question(&q.qname, q.qtype, q.qclass);
+            }
+            for (section, records) in [
+                (Section::Answer, &msg.answers),
+                (Section::Authority, &msg.authority),
+                (Section::Additional, &msg.additional),
+            ] {
+                for rr in records {
+                    m.record(section, &rr.name, rr.rtype, rr.class, rr.ttl, rr.rdata.view());
+                }
+            }
+            m.finish().unwrap();
+            assert_eq!(w.as_bytes(), msg.encode().unwrap());
         }
     }
 }

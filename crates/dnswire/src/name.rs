@@ -105,6 +105,14 @@ impl DomainName {
         self.suffixes().nth(1).map(DomainName::from_wire)
     }
 
+    /// The ancestor (or the name itself) whose wire form is `suffix`, one of
+    /// [`DomainName::suffixes`]; `None` for a slice that is none of them.
+    pub fn ancestor(&self, suffix: &[u8]) -> Option<DomainName> {
+        self.suffixes()
+            .find(|s| *s == suffix)
+            .map(DomainName::from_wire)
+    }
+
     /// Is `self` equal to or a subdomain of `ancestor`?
     pub fn is_subdomain_of(&self, ancestor: &DomainName) -> bool {
         // Suffix lengths strictly decrease, so only the first one no longer
@@ -138,9 +146,78 @@ impl Borrow<[u8]> for DomainName {
     }
 }
 
+/// A validated name inside a message: the message and the offset where
+/// the name starts, its labels followed through the message's compression
+/// pointers. [`WireReader::read_name`](crate::wire::WireReader) hands these
+/// out, so reading one again needs no checks.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct NameRef<'a> {
+    msg: &'a [u8],
+    at: usize,
+}
+
+impl<'a> NameRef<'a> {
+    /// The name at `at` of `msg`, which the caller has validated.
+    pub(crate) fn new(msg: &'a [u8], at: usize) -> Self {
+        NameRef { msg, at }
+    }
+
+    /// The labels as written, leftmost first, in the case they were sent.
+    pub(crate) fn labels(self) -> impl Iterator<Item = &'a [u8]> {
+        let NameRef { msg, mut at } = self;
+        std::iter::from_fn(move || loop {
+            let len = msg[at];
+            if len & 0xC0 == 0xC0 {
+                at = usize::from(u16::from_be_bytes([len & 0x3F, msg[at + 1]]));
+                continue;
+            }
+            if len == 0 {
+                return None;
+            }
+            let label = &msg[at + 1..=at + usize::from(len)];
+            at += 1 + usize::from(len);
+            return Some(label);
+        })
+    }
+
+    /// Is this `name`? Labels compare ASCII case-folded, as decoding into
+    /// lowercase [`DomainName`]s and comparing those would.
+    pub(crate) fn is(self, name: &DomainName) -> bool {
+        same_labels(self.labels(), name.labels())
+    }
+
+    /// Is this the same name as `other`, ASCII case-folded?
+    pub(crate) fn is_ref(self, other: NameRef<'_>) -> bool {
+        same_labels(self.labels(), other.labels())
+    }
+
+    /// The owned, lowercased name.
+    pub(crate) fn to_name(self) -> DomainName {
+        let mut name = NameBuilder::new();
+        for label in self.labels() {
+            name.push(label);
+        }
+        name.finish().expect("a validated name fits")
+    }
+}
+
+/// Do two label sequences spell the same name, ASCII case-folded?
+fn same_labels<'x, 'y>(
+    mut a: impl Iterator<Item = &'x [u8]>,
+    mut b: impl Iterator<Item = &'y [u8]>,
+) -> bool {
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return true,
+            (Some(x), Some(y)) if x.eq_ignore_ascii_case(y) => {}
+            _ => return false,
+        }
+    }
+}
+
 /// A name's wire form under construction, in a stack buffer so that
 /// building a name costs one allocation: the final box.
-pub(crate) struct NameBuilder {
+struct NameBuilder {
     buf: [u8; MAX_NAME_LEN],
     /// Encoded length so far, root octet included; it keeps counting past
     /// the buffer so an overlong name reports its full length.
@@ -148,20 +225,15 @@ pub(crate) struct NameBuilder {
 }
 
 impl NameBuilder {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         NameBuilder {
             buf: [0; MAX_NAME_LEN],
             wire_len: 1,
         }
     }
 
-    /// Encoded length so far, root octet included.
-    pub(crate) fn wire_len(&self) -> usize {
-        self.wire_len
-    }
-
     /// Append one label (1–63 bytes), lowercased.
-    pub(crate) fn push(&mut self, label: &[u8]) {
+    fn push(&mut self, label: &[u8]) {
         let at = self.wire_len - 1;
         self.wire_len += 1 + label.len();
         if self.wire_len <= MAX_NAME_LEN {
@@ -173,7 +245,7 @@ impl NameBuilder {
     }
 
     /// The finished name, or `NameTooLong` past 255 octets.
-    pub(crate) fn finish(mut self) -> Result<DomainName, WireError> {
+    fn finish(mut self) -> Result<DomainName, WireError> {
         if self.wire_len > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(self.wire_len));
         }

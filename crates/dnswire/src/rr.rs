@@ -1,8 +1,8 @@
 //! Resource records (RFC 1035 §3.2): typed A, NS and CNAME, opaque otherwise.
 
 use crate::error::WireError;
-use crate::name::DomainName;
-use crate::wire::{WireReader, WireWriter};
+use crate::name::{DomainName, NameRef};
+use crate::wire::{skip_name, u16_at, WireReader, WireWriter};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -83,6 +83,15 @@ pub enum RData {
 }
 
 impl RData {
+    /// The data borrowed, for [`MessageWriter::record`](crate::MessageWriter::record).
+    pub fn view(&self) -> RDataRef<'_> {
+        match self {
+            RData::A(a) => RDataRef::A(*a),
+            RData::Ns(n) | RData::Cname(n) => RDataRef::Name(n),
+            RData::Opaque(bytes) => RDataRef::Bytes(bytes),
+        }
+    }
+
     /// The record type this RDATA belongs to (Opaque needs external typing).
     pub fn record_type(&self) -> Option<RecordType> {
         match self {
@@ -91,6 +100,45 @@ impl RData {
             RData::Cname(_) => Some(RecordType::Cname),
             RData::Opaque(_) => None,
         }
+    }
+}
+
+/// RDATA borrowed for writing: an address, a name (NS or CNAME, the record
+/// type says which) or raw bytes. Zone data is written through this without
+/// building an [`RData`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RDataRef<'a> {
+    A(Ipv4Addr),
+    Name(&'a DomainName),
+    Bytes(&'a [u8]),
+}
+
+impl WireWriter {
+    /// Write one resource record: owner name, type, class, TTL, then the
+    /// RDATA behind its length.
+    pub(crate) fn put_record(
+        &mut self,
+        name: &DomainName,
+        rtype: RecordType,
+        class: RecordClass,
+        ttl: u32,
+        rdata: RDataRef<'_>,
+    ) {
+        self.put_name(name);
+        self.put_u16(rtype.to_u16());
+        self.put_u16(class.to_u16());
+        self.put_u32(ttl);
+        // Reserve RDLENGTH and patch after writing RDATA.
+        let len_at = self.len();
+        self.put_u16(0);
+        let start = self.len();
+        match rdata {
+            RDataRef::A(a) => self.put_bytes(&a.octets()),
+            RDataRef::Name(n) => self.put_name(n),
+            RDataRef::Bytes(bytes) => self.put_bytes(bytes),
+        }
+        let rdlen = self.len() - start;
+        self.patch_u16(len_at, rdlen as u16);
     }
 }
 
@@ -119,65 +167,103 @@ impl ResourceRecord {
             rdata,
         }
     }
+}
 
-    pub fn encode(&self, w: &mut WireWriter) {
-        self.name_section_prefix(w);
-        // Reserve RDLENGTH and patch after writing RDATA.
-        let len_at = w.len();
-        w.put_u16(0);
-        let start = w.len();
-        match &self.rdata {
-            RData::A(a) => w.put_bytes(&a.octets()),
-            RData::Ns(n) | RData::Cname(n) => w.put_name(n),
-            RData::Opaque(bytes) => w.put_bytes(bytes),
-        }
-        let rdlen = w.len() - start;
-        w.patch_u16(len_at, rdlen as u16);
+/// Check the record at the cursor and move past it: the codec's one record
+/// validator, behind [`MessageRef::decode`](crate::MessageRef::decode).
+pub(crate) fn validate_record(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    r.read_name()?;
+    let rtype = RecordType::from_u16(r.get_u16()?);
+    r.get_u16()?; // class
+    r.get_u32()?; // TTL
+    let rdlen = r.get_u16()? as usize;
+    if r.remaining() < rdlen {
+        return Err(WireError::Truncated);
     }
-
-    fn name_section_prefix(&self, w: &mut WireWriter) {
-        w.put_name(&self.name);
-        w.put_u16(self.rtype.to_u16());
-        w.put_u16(self.class.to_u16());
-        w.put_u32(self.ttl);
-    }
-
-    pub fn decode(r: &mut WireReader<'_>) -> Result<ResourceRecord, WireError> {
-        let name = r.get_name()?;
-        let rtype = RecordType::from_u16(r.get_u16()?);
-        let class = RecordClass::from_u16(r.get_u16()?);
-        let ttl = r.get_u32()?;
-        let rdlen = r.get_u16()? as usize;
-        if r.remaining() < rdlen {
-            return Err(WireError::Truncated);
+    let start = r.pos();
+    let end = start + rdlen;
+    match rtype {
+        RecordType::A => {
+            r.get_slice(4)?;
         }
-        let start = r.pos();
-        let end = start + rdlen;
-        let rdata = match rtype {
-            RecordType::A => {
-                let b = r.get_slice(4)?;
-                RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
-            }
-            RecordType::Ns => RData::Ns(r.get_name()?),
-            RecordType::Cname => RData::Cname(r.get_name()?),
-            RecordType::Other(_) => RData::Opaque(r.get_slice(rdlen)?.to_vec()),
+        RecordType::Ns | RecordType::Cname => {
+            r.read_name()?;
+        }
+        RecordType::Other(_) => {
+            r.get_slice(rdlen)?;
+        }
+    }
+    // A name inside NS or CNAME RDATA can legitimately parse yet overrun
+    // the frame, so compare against the recorded start rather than
+    // subtracting from rdlen (which would underflow).
+    if r.pos() != end {
+        return Err(WireError::RdataLengthMismatch {
+            declared: rdlen as u16,
+            actual: r.pos() - start,
+        });
+    }
+    Ok(())
+}
+
+/// A validated record read in place.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RecordRef<'a> {
+    pub(crate) name: NameRef<'a>,
+    pub(crate) rtype: RecordType,
+    class: RecordClass,
+    ttl: u32,
+    /// The message, whose offsets an NS or CNAME name's pointers are.
+    msg: &'a [u8],
+    /// Where the RDATA starts and ends in the message.
+    rdata: (usize, usize),
+}
+
+impl<'a> RecordRef<'a> {
+    /// The record at `at` of `msg` and the offset just past it; the caller
+    /// has validated it.
+    pub(crate) fn at(msg: &'a [u8], at: usize) -> (RecordRef<'a>, usize) {
+        let fixed = skip_name(msg, at);
+        let rdata_at = fixed + 10;
+        let end = rdata_at + usize::from(u16_at(msg, fixed + 8));
+        let ttl = &msg[fixed + 4..fixed + 8];
+        let record = RecordRef {
+            name: NameRef::new(msg, at),
+            rtype: RecordType::from_u16(u16_at(msg, fixed)),
+            class: RecordClass::from_u16(u16_at(msg, fixed + 2)),
+            ttl: u32::from_be_bytes([ttl[0], ttl[1], ttl[2], ttl[3]]),
+            msg,
+            rdata: (rdata_at, end),
         };
-        // A name inside NS or CNAME RDATA can legitimately parse yet overrun
-        // the frame, so compare against the recorded start rather than
-        // subtracting from rdlen (which would underflow).
-        if r.pos() != end {
-            return Err(WireError::RdataLengthMismatch {
-                declared: rdlen as u16,
-                actual: r.pos() - start,
-            });
+        (record, end)
+    }
+
+    /// The address of an A record.
+    pub(crate) fn a(self) -> Option<Ipv4Addr> {
+        match (self.rtype, &self.msg[self.rdata.0..self.rdata.1]) {
+            (RecordType::A, &[a, b, c, d]) => Some(Ipv4Addr::new(a, b, c, d)),
+            _ => None,
         }
-        Ok(ResourceRecord {
-            name,
-            rtype,
-            class,
-            ttl,
+    }
+
+    /// The name an NS or CNAME record carries.
+    pub(crate) fn target(self) -> NameRef<'a> {
+        NameRef::new(self.msg, self.rdata.0)
+    }
+
+    pub(crate) fn to_record(self) -> ResourceRecord {
+        let rdata = match self.rtype {
+            RecordType::A => RData::A(self.a().expect("validated A data")),
+            RecordType::Ns => RData::Ns(self.target().to_name()),
+            RecordType::Cname => RData::Cname(self.target().to_name()),
+            RecordType::Other(_) => RData::Opaque(self.msg[self.rdata.0..self.rdata.1].to_vec()),
+        };
+        ResourceRecord {
+            name: self.name.to_name(),
+            rtype: self.rtype,
+            class: self.class,
+            ttl: self.ttl,
             rdata,
-        })
+        }
     }
 }
 
@@ -189,12 +275,23 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn roundtrip(rr: &ResourceRecord) -> ResourceRecord {
+    fn encode(rr: &ResourceRecord) -> Vec<u8> {
         let mut w = WireWriter::new();
-        rr.encode(&mut w);
-        let bytes = w.into_bytes();
+        w.put_record(&rr.name, rr.rtype, rr.class, rr.ttl, rr.rdata.view());
+        w.into_bytes()
+    }
+
+    /// Check the record that starts `bytes` and build it; the reader ends
+    /// just past it.
+    fn decode(r: &mut WireReader<'_>, bytes: &[u8]) -> Result<ResourceRecord, WireError> {
+        validate_record(r)?;
+        Ok(RecordRef::at(bytes, 0).0.to_record())
+    }
+
+    fn roundtrip(rr: &ResourceRecord) -> ResourceRecord {
+        let bytes = encode(rr);
         let mut r = WireReader::new(&bytes);
-        let decoded = ResourceRecord::decode(&mut r).unwrap();
+        let decoded = decode(&mut r, &bytes).unwrap();
         assert!(r.is_at_end(), "reader must consume exactly the record");
         decoded
     }
@@ -258,13 +355,11 @@ mod tests {
             w.put_bytes(&rdata);
             let bytes = w.into_bytes();
             let mut r = WireReader::new(&bytes);
-            let rr = ResourceRecord::decode(&mut r).unwrap();
+            let rr = decode(&mut r, &bytes).unwrap();
             assert!(r.is_at_end(), "type {rtype}");
             assert_eq!(rr.rtype, RecordType::Other(rtype));
             assert_eq!(rr.rdata, RData::Opaque(rdata));
-            let mut w = WireWriter::new();
-            rr.encode(&mut w);
-            assert_eq!(w.into_bytes(), bytes, "type {rtype}");
+            assert_eq!(encode(&rr), bytes, "type {rtype}");
         }
     }
 
@@ -279,7 +374,7 @@ mod tests {
         w.put_u16(6);
         w.put_bytes(&[1, 2, 3, 4, 0, 0]);
         let bytes = w.into_bytes();
-        let err = ResourceRecord::decode(&mut WireReader::new(&bytes)).unwrap_err();
+        let err = decode(&mut WireReader::new(&bytes), &bytes).unwrap_err();
         assert!(matches!(err, WireError::RdataLengthMismatch { .. }));
     }
 
@@ -294,7 +389,7 @@ mod tests {
         w.put_bytes(&[1, 2]); // short
         let bytes = w.into_bytes();
         assert_eq!(
-            ResourceRecord::decode(&mut WireReader::new(&bytes)).unwrap_err(),
+            decode(&mut WireReader::new(&bytes), &bytes).unwrap_err(),
             WireError::Truncated
         );
     }

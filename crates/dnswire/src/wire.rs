@@ -1,7 +1,7 @@
 //! Low-level wire reader/writer with name compression.
 
 use crate::error::WireError;
-use crate::name::{is_hostname_byte, DomainName, NameBuilder, MAX_NAME_LEN};
+use crate::name::{is_hostname_byte, DomainName, NameRef, MAX_NAME_LEN};
 
 /// Maximum chained compression pointers we will follow before declaring a
 /// loop. Any legitimate name fits in far fewer.
@@ -23,17 +23,11 @@ impl Default for WireWriter {
 }
 
 impl WireWriter {
+    /// An empty writer whose buffer holds 512 bytes, so a typical message
+    /// never regrows it.
     pub fn new() -> Self {
-        Self::with_buffer(Vec::new())
-    }
-
-    /// A writer that fills `buf` from the start, reusing its allocation
-    /// (one of at least 512 bytes, so a typical message never regrows it).
-    pub(crate) fn with_buffer(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        buf.reserve(512);
         WireWriter {
-            buf,
+            buf: Vec::with_capacity(512),
             name_offsets: Vec::new(),
         }
     }
@@ -48,6 +42,19 @@ impl WireWriter {
 
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Empty the writer for the next message, keeping both its buffers'
+    /// allocations: a writer kept across messages writes without
+    /// allocating once it has held the largest of them.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.name_offsets.clear();
     }
 
     pub fn put_u8(&mut self, v: u8) {
@@ -172,14 +179,18 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
-    /// Read a (possibly compressed) domain name starting at the cursor.
+    /// Check the (possibly compressed) domain name at the cursor and return
+    /// where it starts, without building it. This is the codec's one name
+    /// validator.
     ///
     /// The cursor advances past the name's *in-place* representation (up to
     /// and including the first pointer or the terminating root octet);
     /// pointer targets are followed without moving the cursor, with loop
     /// and bounds protection.
-    pub fn get_name(&mut self) -> Result<DomainName, WireError> {
-        let mut name = NameBuilder::new();
+    pub(crate) fn read_name(&mut self) -> Result<NameRef<'a>, WireError> {
+        let at = self.pos;
+        // Encoded length so far, root octet included.
+        let mut wire_len: usize = 1;
         // The first byte outside the hostname alphabet, reported only once
         // the walk itself succeeded.
         let mut bad_byte: Option<u8> = None;
@@ -204,13 +215,15 @@ impl<'a> WireReader<'a> {
                     if end > self.data.len() {
                         return Err(WireError::Truncated);
                     }
-                    let label = &self.data[start..end];
-                    name.push(label);
-                    if name.wire_len() > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(name.wire_len()));
+                    wire_len += 1 + len;
+                    if wire_len > MAX_NAME_LEN {
+                        return Err(WireError::NameTooLong(wire_len));
                     }
                     if bad_byte.is_none() {
-                        bad_byte = label.iter().copied().find(|&b| !is_hostname_byte(b));
+                        bad_byte = self.data[start..end]
+                            .iter()
+                            .copied()
+                            .find(|&b| !is_hostname_byte(b));
                     }
                     read_pos = end;
                 }
@@ -236,9 +249,29 @@ impl<'a> WireReader<'a> {
 
         match bad_byte {
             Some(b) => Err(WireError::BadLabelByte(b)),
-            None => name.finish(),
+            None => Ok(NameRef::new(self.data, at)),
         }
     }
+}
+
+/// Where the name written at `at` ends in place: past its root octet or
+/// its first pointer. Only for names [`WireReader::read_name`] validated.
+pub(crate) fn skip_name(msg: &[u8], mut at: usize) -> usize {
+    loop {
+        let len = msg[at];
+        if len == 0 {
+            return at + 1;
+        }
+        if len & 0xC0 == 0xC0 {
+            return at + 2;
+        }
+        at += 1 + usize::from(len);
+    }
+}
+
+/// The big-endian `u16` at `at` of validated data.
+pub(crate) fn u16_at(msg: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([msg[at], msg[at + 1]])
 }
 
 #[cfg(test)]
@@ -247,6 +280,11 @@ mod tests {
 
     fn name(s: &str) -> DomainName {
         s.parse().unwrap()
+    }
+
+    /// The name at the cursor, checked and built.
+    fn get_name(r: &mut WireReader<'_>) -> Result<DomainName, WireError> {
+        r.read_name().map(NameRef::to_name)
     }
 
     #[test]
@@ -280,7 +318,7 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 17);
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_name().unwrap(), name("www.example.com"));
+        assert_eq!(get_name(&mut r).unwrap(), name("www.example.com"));
         assert!(r.is_at_end());
     }
 
@@ -291,7 +329,7 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes, vec![0]);
         let mut r = WireReader::new(&bytes);
-        assert!(r.get_name().unwrap().is_root());
+        assert!(get_name(&mut r).unwrap().is_root());
     }
 
     #[test]
@@ -304,8 +342,8 @@ mod tests {
         // Second name should be 4+1 label octets + 2 pointer bytes = 7.
         assert_eq!(bytes.len(), first_len + 7);
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_name().unwrap(), name("www.example.com"));
-        assert_eq!(r.get_name().unwrap(), name("mail.example.com"));
+        assert_eq!(get_name(&mut r).unwrap(), name("www.example.com"));
+        assert_eq!(get_name(&mut r).unwrap(), name("mail.example.com"));
         assert!(r.is_at_end());
     }
 
@@ -318,8 +356,8 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), first_len + 2, "pure pointer");
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_name().unwrap(), name("a.b.c"));
-        assert_eq!(r.get_name().unwrap(), name("a.b.c"));
+        assert_eq!(get_name(&mut r).unwrap(), name("a.b.c"));
+        assert_eq!(get_name(&mut r).unwrap(), name("a.b.c"));
     }
 
     #[test]
@@ -327,14 +365,14 @@ mod tests {
         // Pointer at offset 0 pointing to offset 5 (forward).
         let bytes = [0xC0, 0x05, 0, 0, 0, 0];
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_name().unwrap_err(), WireError::BadPointer(5));
+        assert_eq!(get_name(&mut r).unwrap_err(), WireError::BadPointer(5));
     }
 
     #[test]
     fn rejects_self_pointer() {
         let bytes = [0xC0, 0x00];
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_name().unwrap_err(), WireError::BadPointer(0));
+        assert_eq!(get_name(&mut r).unwrap_err(), WireError::BadPointer(0));
     }
 
     #[test]
@@ -351,28 +389,28 @@ mod tests {
         let mut r = WireReader::new(&bytes);
         r.get_u8().unwrap();
         r.get_u8().unwrap();
-        assert_eq!(r.get_name().unwrap_err(), WireError::PointerLoop);
+        assert_eq!(get_name(&mut r).unwrap_err(), WireError::PointerLoop);
     }
 
     #[test]
     fn rejects_reserved_label_type() {
         let bytes = [0x80, 0x01];
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_name().unwrap_err(), WireError::BadLabelType(0x80));
+        assert_eq!(get_name(&mut r).unwrap_err(), WireError::BadLabelType(0x80));
     }
 
     #[test]
     fn truncated_label_errors() {
         let bytes = [0x05, b'a', b'b']; // promises 5 octets, has 2
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_name().unwrap_err(), WireError::Truncated);
+        assert_eq!(get_name(&mut r).unwrap_err(), WireError::Truncated);
     }
 
     #[test]
     fn missing_terminator_errors() {
         let bytes = [0x01, b'a']; // label then end of input, no root octet
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_name().unwrap_err(), WireError::Truncated);
+        assert_eq!(get_name(&mut r).unwrap_err(), WireError::Truncated);
     }
 
     #[test]
@@ -383,8 +421,8 @@ mod tests {
         w.put_u16(0xBEEF);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        r.get_name().unwrap();
-        r.get_name().unwrap();
+        get_name(&mut r).unwrap();
+        get_name(&mut r).unwrap();
         assert_eq!(r.get_u16().unwrap(), 0xBEEF);
     }
 
@@ -409,7 +447,7 @@ mod tests {
         bytes.push(0);
         let mut r = WireReader::new(&bytes);
         assert!(matches!(
-            r.get_name().unwrap_err(),
+            get_name(&mut r).unwrap_err(),
             WireError::NameTooLong(_)
         ));
     }

@@ -2,9 +2,12 @@
 //!
 //! Supports exactly what the measurement exchanges: `GET` requests with
 //! `Host`, `User-Agent` and cache-control headers, and responses with a
-//! status line, `Content-Length`, and an optional `Location`. Parsing is
-//! hardened: header count and line lengths are bounded, and malformed input
-//! yields typed errors rather than panics.
+//! status line, `Content-Length`, and an optional `Location`. Both message
+//! types borrow their strings (from the caller when built, from the text
+//! when decoded), so building, encoding into a reused buffer and decoding
+//! allocate nothing. Parsing is hardened: header count and line lengths are
+//! bounded, every header line is checked, and malformed input yields typed
+//! errors rather than panics.
 
 use std::fmt::{self, Write as _};
 
@@ -42,48 +45,34 @@ impl fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// An HTTP request (headers only; the measurement sends no bodies).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HttpRequest {
-    pub method: String,
-    pub path: String,
-    pub headers: Vec<(String, String)>,
+/// The `User-Agent` every request carries.
+const USER_AGENT: &str = "wget-sim/0.1";
+
+/// An HTTP request (headers only; the measurement sends no bodies). It
+/// borrows its text: from the caller when built, from the head when
+/// decoded, so neither allocates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HttpRequest<'a> {
+    pub method: &'a str,
+    pub path: &'a str,
+    /// The `Host` header (the first one, when decoded); `None` without one.
+    pub host: Option<&'a str>,
+    /// Does a `Cache-Control` or `Pragma` header carry `no-cache`?
+    pub no_cache: bool,
 }
 
-impl HttpRequest {
-    /// The measurement's standard request: `GET path` with `Host` and, when
-    /// `no_cache` is set, the `Cache-Control: no-cache` directive (Section
-    /// 3.4: CN clients force origin fetches through their proxies).
-    pub fn get(host: &str, path: &str, no_cache: bool) -> HttpRequest {
-        let mut headers = vec![
-            ("Host".to_string(), host.to_string()),
-            ("User-Agent".to_string(), "wget-sim/0.1".to_string()),
-        ];
-        if no_cache {
-            headers.push(("Cache-Control".to_string(), "no-cache".to_string()));
-            headers.push(("Pragma".to_string(), "no-cache".to_string()));
-        }
+impl<'a> HttpRequest<'a> {
+    /// The measurement's standard request: `GET path` with `Host`,
+    /// `User-Agent` and, when `no_cache` is set, the `Cache-Control:
+    /// no-cache` and `Pragma: no-cache` directives (Section 3.4: CN clients
+    /// force origin fetches through their proxies).
+    pub fn get(host: &'a str, path: &'a str, no_cache: bool) -> HttpRequest<'a> {
         HttpRequest {
-            method: "GET".to_string(),
-            path: path.to_string(),
-            headers,
+            method: "GET",
+            path,
+            host: Some(host),
+            no_cache,
         }
-    }
-
-    /// First value of a header, case-insensitive name match.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        header_lookup(&self.headers, name)
-    }
-
-    /// Does this request carry the no-cache directive?
-    pub fn is_no_cache(&self) -> bool {
-        self.header("Cache-Control")
-            .map(|v| v.to_ascii_lowercase().contains("no-cache"))
-            .unwrap_or(false)
-            || self
-                .header("Pragma")
-                .map(|v| v.to_ascii_lowercase().contains("no-cache"))
-                .unwrap_or(false)
     }
 
     /// Serialize to wire text.
@@ -97,13 +86,23 @@ impl HttpRequest {
     /// first, so a hot loop can reuse one allocation for every request.
     pub fn encode_into(&self, out: &mut String) {
         out.clear();
-        write!(out, "{} {} HTTP/1.1\r\n", self.method, self.path)
-            .expect("formatting into a String cannot fail");
-        push_headers(out, &self.headers);
+        for part in [self.method, " ", self.path, " HTTP/1.1\r\n"] {
+            out.push_str(part);
+        }
+        if let Some(host) = self.host {
+            push_header(out, "Host", host);
+        }
+        push_header(out, "User-Agent", USER_AGENT);
+        if self.no_cache {
+            push_header(out, "Cache-Control", "no-cache");
+            push_header(out, "Pragma", "no-cache");
+        }
+        out.push_str("\r\n");
     }
 
-    /// Parse from wire text.
-    pub fn decode(text: &str) -> Result<HttpRequest, HttpError> {
+    /// Parse from wire text. Every header line is checked; the result keeps
+    /// the ones the measurement reads.
+    pub fn decode(text: &'a str) -> Result<HttpRequest<'a>, HttpError> {
         let mut lines = text.split("\r\n");
         let start = lines.next().ok_or(HttpError::Truncated)?;
         let mut parts = start.split(' ');
@@ -116,76 +115,83 @@ impl HttpRequest {
         if !version.starts_with("HTTP/") {
             return Err(HttpError::BadStartLine(start.to_string()));
         }
-        let headers = parse_headers(text, lines)?;
+        // The first of each header decides.
+        let (mut host, mut cache_control, mut pragma) = (None, None, None);
+        parse_headers(text, lines, |name, value| {
+            if name.eq_ignore_ascii_case("Host") {
+                host.get_or_insert(value);
+            } else if name.eq_ignore_ascii_case("Cache-Control") {
+                cache_control.get_or_insert(value);
+            } else if name.eq_ignore_ascii_case("Pragma") {
+                pragma.get_or_insert(value);
+            }
+        })?;
         Ok(HttpRequest {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers,
+            method,
+            path,
+            host,
+            no_cache: [cache_control, pragma].into_iter().flatten().any(says_no_cache),
         })
     }
 }
 
-/// An HTTP response (body represented by its length — the measurement only
-/// needs sizes, not content).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HttpResponse {
+/// Does a cache directive's value contain `no-cache`, in any case?
+fn says_no_cache(value: &str) -> bool {
+    value
+        .as_bytes()
+        .windows(b"no-cache".len())
+        .any(|w| w.eq_ignore_ascii_case(b"no-cache"))
+}
+
+/// An HTTP response head (the body is represented by its length: the
+/// measurement only needs sizes, not content). Like [`HttpRequest`] it
+/// borrows its text.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HttpResponse<'a> {
     pub status: u16,
-    pub reason: String,
-    pub headers: Vec<(String, String)>,
+    pub reason: &'a str,
+    /// The `Location` header (the first one, when decoded).
+    pub location: Option<&'a str>,
+    /// The body length, written as `Content-Length`; a decoded head
+    /// without a numeric one reads 0.
     pub body_len: u64,
 }
 
-impl HttpResponse {
+impl<'a> HttpResponse<'a> {
     /// A 200 response carrying an index object of `body_len` bytes.
-    pub fn ok(body_len: u64) -> HttpResponse {
+    pub fn ok(body_len: u64) -> HttpResponse<'a> {
         HttpResponse {
             status: 200,
-            reason: "OK".to_string(),
-            headers: vec![("Content-Length".to_string(), body_len.to_string())],
+            reason: "OK",
+            location: None,
             body_len,
         }
     }
 
     /// A redirect to `location`.
-    pub fn redirect(status: u16, location: &str) -> HttpResponse {
+    pub fn redirect(status: u16, location: &'a str) -> HttpResponse<'a> {
         debug_assert!((300..400).contains(&status));
         HttpResponse {
             status,
-            reason: "Redirect".to_string(),
-            headers: vec![
-                ("Location".to_string(), location.to_string()),
-                ("Content-Length".to_string(), "0".to_string()),
-            ],
+            reason: "Redirect",
+            location: Some(location),
             body_len: 0,
         }
     }
 
     /// An error status response.
-    pub fn error(status: u16, reason: &str) -> HttpResponse {
+    pub fn error(status: u16, reason: &'a str) -> HttpResponse<'a> {
         HttpResponse {
             status,
-            reason: reason.to_string(),
-            headers: vec![("Content-Length".to_string(), "0".to_string())],
+            reason,
+            location: None,
             body_len: 0,
         }
     }
 
-    pub fn header(&self, name: &str) -> Option<&str> {
-        header_lookup(&self.headers, name)
-    }
-
     /// The redirect target, if this is a redirect with a Location header.
-    pub fn location(&self) -> Option<&str> {
-        if (300..400).contains(&self.status) {
-            self.header("Location")
-        } else {
-            None
-        }
-    }
-
-    /// Declared content length, if present and numeric.
-    pub fn content_length(&self) -> Option<u64> {
-        self.header("Content-Length").and_then(|v| v.parse().ok())
+    pub fn redirect_target(&self) -> Option<&'a str> {
+        self.location.filter(|_| (300..400).contains(&self.status))
     }
 
     /// Serialize the head (status line + headers) to wire text.
@@ -201,12 +207,17 @@ impl HttpResponse {
         out.clear();
         write!(out, "HTTP/1.1 {} {}\r\n", self.status, self.reason)
             .expect("formatting into a String cannot fail");
-        push_headers(out, &self.headers);
+        if let Some(location) = self.location {
+            push_header(out, "Location", location);
+        }
+        write!(out, "Content-Length: {}\r\n\r\n", self.body_len)
+            .expect("formatting into a String cannot fail");
     }
 
-    /// Parse a response head; `body_len` is taken from Content-Length
-    /// (0 when absent).
-    pub fn decode_head(text: &str) -> Result<HttpResponse, HttpError> {
+    /// Parse a response head. Every header line is checked; `body_len` is
+    /// taken from the first `Content-Length` (0 when absent or not a
+    /// number).
+    pub fn decode_head(text: &'a str) -> Result<HttpResponse<'a>, HttpError> {
         let mut lines = text.split("\r\n");
         let start = lines.next().ok_or(HttpError::Truncated)?;
         let mut parts = start.splitn(3, ' ');
@@ -220,44 +231,46 @@ impl HttpResponse {
             return Err(HttpError::BadStatus(code.to_string()));
         }
         let status: u16 = code.parse().expect("3 ascii digits");
-        let headers = parse_headers(text, lines)?;
-        let body_len = header_lookup(&headers, "Content-Length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        // The first of each header decides.
+        let (mut location, mut content_length) = (None, None);
+        parse_headers(text, lines, |name, value| {
+            if name.eq_ignore_ascii_case("Location") {
+                location.get_or_insert(value);
+            } else if name.eq_ignore_ascii_case("Content-Length") {
+                content_length.get_or_insert(value);
+            }
+        })?;
         Ok(HttpResponse {
             status,
-            reason: reason.to_string(),
-            headers,
-            body_len,
+            reason,
+            location,
+            body_len: content_length.and_then(|v| v.parse().ok()).unwrap_or(0),
         })
     }
 }
 
-/// Append header lines and the blank line that ends a head.
-fn push_headers(out: &mut String, headers: &[(String, String)]) {
-    for (k, v) in headers {
-        for part in [k, ": ", v, "\r\n"] {
-            out.push_str(part);
-        }
+/// Append one header line.
+fn push_header(out: &mut String, name: &str, value: &str) {
+    for part in [name, ": ", value, "\r\n"] {
+        out.push_str(part);
     }
-    out.push_str("\r\n");
 }
 
+/// Check every header line up to the blank line that ends the head, and
+/// hand each one's trimmed name and value to `header`.
 fn parse_headers<'a>(
     text: &str,
     lines: impl Iterator<Item = &'a str>,
-) -> Result<Vec<(String, String)>, HttpError> {
+    mut header: impl FnMut(&'a str, &'a str),
+) -> Result<(), HttpError> {
     // Splitting on "\r\n" makes any trailing CRLF look like a blank line;
     // the real head terminator is an empty *line*, i.e. "\r\n\r\n".
     if !text.contains("\r\n\r\n") {
         return Err(HttpError::Truncated);
     }
-    let mut headers = Vec::new();
-    let mut terminated = false;
-    for line in lines {
+    for (count, line) in lines.enumerate() {
         if line.is_empty() {
-            terminated = true;
-            break;
+            return Ok(());
         }
         if line.len() > MAX_LINE_LEN {
             // Quote the first 64 bytes, cut back to a character boundary.
@@ -265,7 +278,7 @@ fn parse_headers<'a>(
                 line[..line.floor_char_boundary(64)].to_string(),
             ));
         }
-        if headers.len() >= MAX_HEADERS {
+        if count >= MAX_HEADERS {
             return Err(HttpError::TooManyHeaders);
         }
         let (name, value) = line
@@ -274,19 +287,9 @@ fn parse_headers<'a>(
         if name.is_empty() || name.contains(' ') {
             return Err(HttpError::BadHeader(line.to_string()));
         }
-        headers.push((name.trim().to_string(), value.trim().to_string()));
+        header(name.trim(), value.trim());
     }
-    if !terminated {
-        return Err(HttpError::Truncated);
-    }
-    Ok(headers)
-}
-
-fn header_lookup<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
-    headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
+    Err(HttpError::Truncated)
 }
 
 #[cfg(test)]
@@ -300,15 +303,33 @@ mod tests {
         let decoded = HttpRequest::decode(&text).unwrap();
         assert_eq!(decoded, req);
         assert_eq!(decoded.method, "GET");
-        assert_eq!(decoded.header("host"), Some("www.example.com"));
-        assert!(decoded.is_no_cache());
+        assert_eq!(decoded.host, Some("www.example.com"));
+        assert!(decoded.no_cache);
+        assert_eq!(
+            text,
+            "GET / HTTP/1.1\r\nHost: www.example.com\r\nUser-Agent: wget-sim/0.1\r\n\
+             Cache-Control: no-cache\r\nPragma: no-cache\r\n\r\n"
+        );
     }
 
     #[test]
     fn request_without_no_cache() {
         let req = HttpRequest::get("example.org", "/index.html", false);
-        assert!(!req.is_no_cache());
-        assert_eq!(req.header("Cache-Control"), None);
+        let text = req.encode();
+        assert!(!text.contains("no-cache"));
+        assert_eq!(HttpRequest::decode(&text), Ok(req));
+    }
+
+    #[test]
+    fn decoded_request_reads_host_and_cache_directives_in_any_case() {
+        let text = "GET /x HTTP/1.0\r\nhost: a.example\r\nX-Other: 1\r\nHOST: b.example\r\n\
+                    pragma: No-Cache\r\n\r\n";
+        let req = HttpRequest::decode(text).unwrap();
+        assert_eq!((req.method, req.path), ("GET", "/x"));
+        assert_eq!(req.host, Some("a.example"), "the first Host wins");
+        assert!(req.no_cache, "Pragma alone, in any case");
+        let bare = HttpRequest::decode("GET / HTTP/1.1\r\nCache-Control: max-age=0\r\n\r\n");
+        assert_eq!(bare.map(|r| (r.host, r.no_cache)), Ok((None, false)));
     }
 
     #[test]
@@ -316,26 +337,35 @@ mod tests {
         let resp = HttpResponse::ok(24_000);
         let text = resp.encode_head();
         let decoded = HttpResponse::decode_head(&text).unwrap();
+        assert_eq!(decoded, resp);
         assert_eq!(decoded.status, 200);
-        assert_eq!(decoded.content_length(), Some(24_000));
         assert_eq!(decoded.body_len, 24_000);
-        assert_eq!(decoded.location(), None);
+        assert_eq!(decoded.redirect_target(), None);
+        assert_eq!(text, "HTTP/1.1 200 OK\r\nContent-Length: 24000\r\n\r\n");
     }
 
     #[test]
     fn redirect_location() {
         let resp = HttpResponse::redirect(302, "http://www.example.com/");
-        assert_eq!(resp.location(), Some("http://www.example.com/"));
+        assert_eq!(resp.redirect_target(), Some("http://www.example.com/"));
         let text = resp.encode_head();
+        assert_eq!(
+            text,
+            "HTTP/1.1 302 Redirect\r\nLocation: http://www.example.com/\r\n\
+             Content-Length: 0\r\n\r\n"
+        );
         let decoded = HttpResponse::decode_head(&text).unwrap();
-        assert_eq!(decoded.location(), Some("http://www.example.com/"));
+        assert_eq!(decoded, resp);
+        assert_eq!(decoded.redirect_target(), Some("http://www.example.com/"));
     }
 
     #[test]
     fn location_ignored_on_non_redirect() {
-        let mut resp = HttpResponse::ok(10);
-        resp.headers.push(("Location".to_string(), "/x".to_string()));
-        assert_eq!(resp.location(), None);
+        let resp = HttpResponse {
+            location: Some("/x"),
+            ..HttpResponse::ok(10)
+        };
+        assert_eq!(resp.redirect_target(), None);
     }
 
     #[test]
@@ -384,18 +414,20 @@ mod tests {
     }
 
     #[test]
-    fn header_lookup_is_case_insensitive() {
-        let resp = HttpResponse::ok(5);
-        assert_eq!(resp.header("content-length"), Some("5"));
-        assert_eq!(resp.header("CONTENT-LENGTH"), Some("5"));
-        assert_eq!(resp.header("nope"), None);
+    fn header_names_match_in_any_case() {
+        let head = "HTTP/1.1 301 Moved\r\ncontent-length: 5\r\nLOCATION: /a\r\nLocation: /b\r\n\r\n";
+        let decoded = HttpResponse::decode_head(head).unwrap();
+        assert_eq!(decoded.body_len, 5);
+        assert_eq!(decoded.redirect_target(), Some("/a"), "the first Location wins");
+        assert_eq!(decoded.reason, "Moved");
     }
 
     #[test]
     fn missing_content_length_defaults_zero() {
         let decoded = HttpResponse::decode_head("HTTP/1.1 204 No Content\r\n\r\n").unwrap();
         assert_eq!(decoded.body_len, 0);
-        assert_eq!(decoded.content_length(), None);
+        let decoded = HttpResponse::decode_head("HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n");
+        assert_eq!(decoded.map(|r| r.body_len), Ok(0), "not a number reads 0");
     }
 
     #[test]

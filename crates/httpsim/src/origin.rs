@@ -12,13 +12,13 @@ use netsim::SimRng;
 #[derive(Clone, Debug)]
 pub struct Origin {
     /// Canonical hostname serving the content.
-    pub host: String,
+    host: String,
     /// Size of the top-level index object.
     pub index_bytes: u64,
     /// Hosts that 302 to the next hop (e.g. `example.com` →
-    /// `www.example.com`); position i redirects to position i+1, the last
-    /// redirects to `host`.
-    pub redirect_hosts: Vec<String>,
+    /// `www.example.com`), each with the `Location` it answers with:
+    /// position i redirects to position i+1, the last to `host`.
+    redirects: Vec<(String, String)>,
     /// Probability a request draws a transient HTTP error (e.g. 503).
     pub http_error_rate: f64,
     /// The error status used when one fires.
@@ -31,15 +31,21 @@ impl Origin {
         Origin {
             host: host.to_string(),
             index_bytes,
-            redirect_hosts: Vec::new(),
+            redirects: Vec::new(),
             http_error_rate: 0.0,
             http_error_status: 503,
         }
     }
 
-    /// Add a redirect chain in front of the canonical host.
+    /// Put a redirect chain in front of the canonical host. Each hop's
+    /// `Location` is written here, once, not on every answer.
     pub fn with_redirects(mut self, hosts: Vec<String>) -> Origin {
-        self.redirect_hosts = hosts;
+        self.redirects = (0..hosts.len())
+            .map(|i| {
+                let next = hosts.get(i + 1).unwrap_or(&self.host);
+                (hosts[i].clone(), format!("http://{next}/"))
+            })
+            .collect();
         self
     }
 
@@ -50,13 +56,29 @@ impl Origin {
         self
     }
 
-    /// Total connections a successful transaction needs (redirect hops + 1).
-    pub fn connections_per_transaction(&self) -> u16 {
-        self.redirect_hosts.len() as u16 + 1
+    /// The canonical hostname serving the content.
+    pub fn host(&self) -> &str {
+        &self.host
     }
 
-    /// Answer `request` addressed to `requested_host`.
-    pub fn respond(&self, requested_host: &str, request: &HttpRequest, rng: &mut SimRng) -> OriginAnswer {
+    /// The redirect chain's hosts, in chain order.
+    pub fn redirect_hosts(&self) -> impl Iterator<Item = &str> {
+        self.redirects.iter().map(|(hop, _)| hop.as_str())
+    }
+
+    /// Total connections a successful transaction needs (redirect hops + 1).
+    pub fn connections_per_transaction(&self) -> u16 {
+        self.redirects.len() as u16 + 1
+    }
+
+    /// Answer `request` addressed to `requested_host`. The answer borrows
+    /// the origin's own strings, so building it allocates nothing.
+    pub fn respond(
+        &self,
+        requested_host: &str,
+        request: &HttpRequest<'_>,
+        rng: &mut SimRng,
+    ) -> OriginAnswer<'_> {
         debug_assert_eq!(request.method, "GET");
         static RESPONSES: telemetry::CounterVec<3> =
             telemetry::CounterVec::new("http.responses", ["ok", "redirect", "error"]);
@@ -69,19 +91,17 @@ impl Origin {
         }
         // Redirect hop?
         if let Some(pos) = self
-            .redirect_hosts
+            .redirects
             .iter()
-            .position(|h| h.eq_ignore_ascii_case(requested_host))
+            .position(|(hop, _)| hop.eq_ignore_ascii_case(requested_host))
         {
             let next = self
-                .redirect_hosts
+                .redirects
                 .get(pos + 1)
-                .cloned()
-                .unwrap_or_else(|| self.host.clone());
-            let location = format!("http://{next}/");
+                .map_or(&self.host, |(hop, _)| hop);
             RESPONSES.add(1, 1);
             return OriginAnswer {
-                response: HttpResponse::redirect(302, &location),
+                response: HttpResponse::redirect(302, &self.redirects[pos].1),
                 next_host: Some(next),
             };
         }
@@ -95,14 +115,14 @@ impl Origin {
 }
 
 /// An origin's answer plus the pre-parsed next hop for redirects.
-#[derive(Clone, Debug)]
-pub struct OriginAnswer {
-    pub response: HttpResponse,
+#[derive(Clone, Copy, Debug)]
+pub struct OriginAnswer<'a> {
+    pub response: HttpResponse<'a>,
     /// Host to contact next when the response is a redirect.
-    pub next_host: Option<String>,
+    pub next_host: Option<&'a str>,
 }
 
-impl OriginAnswer {
+impl OriginAnswer<'_> {
     pub fn is_redirect(&self) -> bool {
         self.next_host.is_some()
     }
@@ -112,7 +132,7 @@ impl OriginAnswer {
 mod tests {
     use super::*;
 
-    fn req(host: &str) -> HttpRequest {
+    fn req(host: &str) -> HttpRequest<'_> {
         HttpRequest::get(host, "/", false)
     }
 
@@ -135,11 +155,8 @@ mod tests {
         let a = o.respond("example.com", &req("example.com"), &mut rng);
         assert!(a.is_redirect());
         assert_eq!(a.response.status, 302);
-        assert_eq!(a.next_host.as_deref(), Some("www.example.com"));
-        assert_eq!(
-            a.response.location(),
-            Some("http://www.example.com/")
-        );
+        assert_eq!(a.next_host, Some("www.example.com"));
+        assert_eq!(a.response.redirect_target(), Some("http://www.example.com/"));
         assert_eq!(o.connections_per_transaction(), 2);
     }
 
@@ -151,9 +168,11 @@ mod tests {
         ]);
         let mut rng = SimRng::new(3);
         let hop1 = o.respond("example.com", &req("example.com"), &mut rng);
-        assert_eq!(hop1.next_host.as_deref(), Some("www.example.com"));
+        assert_eq!(hop1.next_host, Some("www.example.com"));
+        assert_eq!(hop1.response.redirect_target(), Some("http://www.example.com/"));
         let hop2 = o.respond("www.example.com", &req("www.example.com"), &mut rng);
-        assert_eq!(hop2.next_host.as_deref(), Some("final.example.com"));
+        assert_eq!(hop2.next_host, Some("final.example.com"));
+        assert_eq!(hop2.response.redirect_target(), Some("http://final.example.com/"));
         let hop3 = o.respond("final.example.com", &req("final.example.com"), &mut rng);
         assert!(!hop3.is_redirect());
         assert_eq!(hop3.response.status, 200);

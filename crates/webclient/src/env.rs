@@ -72,11 +72,10 @@ impl AccessEnvironment for HealthyEnv {
 
     fn origin(&self, host: &str) -> Option<&Origin> {
         // One known origin; a redirect chain's hosts all belong to it.
-        let known = self.origin.host.eq_ignore_ascii_case(host)
+        let known = self.origin.host().eq_ignore_ascii_case(host)
             || self
                 .origin
-                .redirect_hosts
-                .iter()
+                .redirect_hosts()
                 .any(|h| h.eq_ignore_ascii_case(host));
         known.then_some(&self.origin)
     }

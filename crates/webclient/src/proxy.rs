@@ -20,6 +20,7 @@ use dnswire::DomainName;
 use httpsim::{HttpRequest, HttpResponse, StatusClass};
 use model::{DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use tcpsim::simulate_connection_into;
 
@@ -45,6 +46,9 @@ pub struct ProxySession {
     /// Reused A-record buffer (one live allocation per proxy, not one per
     /// fetch).
     addr_scratch: Vec<Ipv4Addr>,
+    /// Reused hostname rendering buffer (one live allocation per proxy,
+    /// not one per hop).
+    host_scratch: String,
 }
 
 impl ProxySession {
@@ -53,6 +57,7 @@ impl ProxySession {
             cache: LdnsCache::new(),
             rng,
             addr_scratch: Vec::new(),
+            host_scratch: String::new(),
         }
     }
 
@@ -89,7 +94,7 @@ impl ProxySession {
         addrs: &mut Vec<Ipv4Addr>,
     ) -> ProxyFetch {
         let resolver_cfg = dnssim::ResolverConfig::default();
-        let resolver = StubResolver::new(tree, resolver_cfg);
+        let mut resolver = StubResolver::new(tree, resolver_cfg);
         let mut now = t;
         let mut redirect_host: Option<DomainName> = None;
         let mut bytes_total = 0u64;
@@ -105,10 +110,12 @@ impl ProxySession {
             // THE defining defect: first address only, no fail-over.
             let addr = addrs[0];
 
-            let host_str = current.to_string();
-            let request = HttpRequest::get(&host_str, "/", no_cache);
-            let answer = match env.origin(&host_str) {
-                Some(origin) => origin.respond(&host_str, &request, &mut self.rng),
+            self.host_scratch.clear();
+            write!(self.host_scratch, "{current}").expect("formatting into a String cannot fail");
+            let host_str = &self.host_scratch;
+            let request = HttpRequest::get(host_str, "/", no_cache);
+            let answer = match env.origin(host_str) {
+                Some(origin) => origin.respond(host_str, &request, &mut self.rng),
                 None => httpsim::OriginAnswer {
                     response: HttpResponse::error(404, "Not Found"),
                     next_host: None,

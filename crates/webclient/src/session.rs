@@ -206,6 +206,8 @@ pub struct ClientSession<'t> {
     conn_scratch: Vec<ConnObservation>,
     /// Reused packet-capture buffer for [`simulate_connection_into`].
     trace_buf: Trace,
+    /// Reused sort buffer for [`count_retransmissions`].
+    retx_keys: Vec<u64>,
     /// Reused hostname rendering buffer (one live allocation per session,
     /// not one per redirect hop).
     host_scratch: String,
@@ -225,6 +227,7 @@ impl<'t> ClientSession<'t> {
             addr_scratch: Vec::new(),
             conn_scratch: Vec::new(),
             trace_buf: Trace::new(),
+            retx_keys: Vec::new(),
             host_scratch: String::new(),
             head_scratch: String::new(),
         }
@@ -379,7 +382,8 @@ impl<'t> ClientSession<'t> {
                             captured.then_some(&mut self.trace_buf),
                         );
                         let trace = captured.then_some(&self.trace_buf);
-                        let visible_retx = trace.map(|tr| count_retransmissions(tr).1);
+                        let visible_retx =
+                            trace.map(|tr| count_retransmissions(tr, &mut self.retx_keys).1);
                         if let Some(v) = visible_retx {
                             total_visible_retx += v;
                         }
@@ -444,7 +448,7 @@ impl<'t> ClientSession<'t> {
                     host: host_str.clone(),
                     at: now,
                     status: answer.response.status,
-                    redirect: answer.next_host.clone(),
+                    redirect: answer.next_host.map(str::to_string),
                     truth: FaultSet::EMPTY,
                 });
 
@@ -472,7 +476,7 @@ impl<'t> ClientSession<'t> {
                             addrs,
                         );
                         truth.event(|| TraceEvent::Dns {
-                            host: next.clone(),
+                            host: next.to_string(),
                             at: now,
                             elapsed: r.elapsed,
                             outcome: r.result,

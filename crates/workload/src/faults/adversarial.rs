@@ -226,14 +226,13 @@ impl AdversarialTruth {
     }
 
     /// The decoy the zone of `qname` serves at `t`, if a wrong-answer window
-    /// is active. A world without the archetype answers before building
-    /// the zone apex.
+    /// is active. The zone apex is read in place, and a world without the
+    /// archetype answers before reading it.
     pub fn wrong_answer(&self, qname: &DomainName, t: SimTime) -> Option<Ipv4Addr> {
         if self.wrong_dns.is_empty() {
             return None;
         }
-        let apex = dnssim::zones::registrable_domain(qname);
-        let (tl, decoy) = self.wrong_dns.get(&apex)?;
+        let (tl, decoy) = self.wrong_dns.get(dnssim::zones::registrable_domain(qname))?;
         (*tl.at(t)).then_some(*decoy)
     }
 }
@@ -453,7 +452,9 @@ pub(crate) fn materialize_adversarial(
             let Ok(host) = sites[s].hostname.parse::<DomainName>() else {
                 continue;
             };
-            let apex = dnssim::zones::registrable_domain(&host);
+            let apex = host
+                .ancestor(dnssim::zones::registrable_domain(&host))
+                .expect("a suffix of the host");
             let decoy = Ipv4Addr::new(192, 0, 2, 10 + i as u8);
             let count = ((f64::from(hours) * profile.wrong_dns / 12.0).ceil() as u64).max(1);
             let mut iv = Vec::new();

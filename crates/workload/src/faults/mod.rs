@@ -323,7 +323,9 @@ impl GroundTruth {
         let mut zone_error = HashMap::new();
         for (si, s) in sites.iter().enumerate() {
             let host: DomainName = s.hostname.parse().expect("valid hostname");
-            let apex = dnssim::zones::registrable_domain(&host);
+            let apex = host
+                .ancestor(dnssim::zones::registrable_domain(&host))
+                .expect("a suffix of the host");
             if s.reliability.auth_dns_down_fraction > 0.0 {
                 let mut rng = root.fork(0x40_0000 + si as u64);
                 let tl = process_for(
@@ -501,10 +503,10 @@ impl GroundTruth {
             }
             if let Ok(host) = spec.hostname.parse::<DomainName>() {
                 let apex = dnssim::zones::registrable_domain(&host);
-                if let Some(tl) = self.zone_auth_down.get(&apex) {
+                if let Some(tl) = self.zone_auth_down.get(apex) {
                     hours.extend(covered_hours(tl, self.hours, 0.5));
                 }
-                if let Some((tl, _)) = self.zone_error.get(&apex) {
+                if let Some((tl, _)) = self.zone_error.get(apex) {
                     hours.extend(covered_hours(tl, self.hours, 0.5));
                 }
             }

@@ -97,9 +97,9 @@ fn flag(on: bool, bit: FaultSet) -> FaultSet {
 /// vantage's resolver meets them.
 fn zone_truth(gt: &GroundTruth, host: &DomainName, t: SimTime) -> FaultSet {
     let apex = dnssim::zones::registrable_domain(host);
-    let auth_down = gt.zone_auth_down.get(&apex).is_some_and(|tl| *tl.at(t));
-    let zone_error = gt.zone_error.get(&apex).is_some_and(|(tl, _)| *tl.at(t));
-    let wrong = gt.adversarial.wrong_dns.get(&apex);
+    let auth_down = gt.zone_auth_down.get(apex).is_some_and(|tl| *tl.at(t));
+    let zone_error = gt.zone_error.get(apex).is_some_and(|(tl, _)| *tl.at(t));
+    let wrong = gt.adversarial.wrong_dns.get(apex);
     flag(auth_down, FaultSet::AUTH_DNS_DOWN)
         | flag(zone_error, FaultSet::ZONE_ERROR)
         | flag(wrong.is_some_and(|(tl, _)| *tl.at(t)), FaultSet::WRONG_DNS)

@@ -70,7 +70,7 @@ impl AccessEnvironment for OfficeWorld {
     }
 
     fn origin(&self, host: &str) -> Option<&Origin> {
-        self.origins.iter().find(|o| o.host.eq_ignore_ascii_case(host))
+        self.origins.iter().find(|o| o.host().eq_ignore_ascii_case(host))
     }
 }
 

@@ -46,7 +46,7 @@ impl AccessEnvironment for FlappyReplica {
     }
 
     fn origin(&self, host: &str) -> Option<&Origin> {
-        self.origin.host.eq_ignore_ascii_case(host).then_some(&self.origin)
+        self.origin.host().eq_ignore_ascii_case(host).then_some(&self.origin)
     }
 }
 

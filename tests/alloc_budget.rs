@@ -1,0 +1,167 @@
+//! The allocation budget of a simulated transaction.
+//!
+//! A counting global allocator, whose counter is per thread, watches one
+//! warmed `ClientSession` with wget's defaults (DNS and HTTP wire codecs on,
+//! packet capture on) over `HealthyEnv`, recycling every observation the
+//! way the experiment runner does:
+//!
+//! * a healthy transaction that hits the LDNS cache and takes no redirect
+//!   allocates nothing;
+//! * a cache miss allocates only the cache entry it inserts: nothing when
+//!   it refreshes an expired entry, the key and the address list for a new
+//!   name;
+//! * a redirect hop allocates the next hop's parsed name, once per hop.
+
+use dnssim::ZoneTree;
+use dnswire::DomainName;
+use httpsim::Origin;
+use model::{SimDuration, SimTime};
+use netsim::SimRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+use webclient::env::HealthyEnv;
+use webclient::{AccessEnvironment, ClientSession, TransactionObservation, WgetConfig};
+
+/// Counts every allocation and reallocation on the calling thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down still allocates.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; counting touches only a
+// thread-local integer and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `realloc`'s contract for `ptr`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `dealloc`'s contract for `ptr`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn name(s: &str) -> DomainName {
+    s.parse().expect("valid name")
+}
+
+/// One transaction and the allocations this thread made during it.
+fn counted<E: AccessEnvironment>(
+    session: &mut ClientSession<'_>,
+    env: &E,
+    host: &DomainName,
+    t: SimTime,
+) -> (TransactionObservation, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let obs = session.run_transaction(env, host, t);
+    (obs, ALLOCS.with(Cell::get) - before)
+}
+
+fn tree() -> ZoneTree {
+    ZoneTree::build_for_hosts(&[
+        (name("www.example.com"), vec![Ipv4Addr::new(10, 0, 0, 1)]),
+        (name("example.com"), vec![Ipv4Addr::new(10, 0, 0, 2)]),
+        (name("www.example.org"), vec![Ipv4Addr::new(10, 0, 1, 1)]),
+    ])
+}
+
+/// The authoritative zones' TTL: an LDNS entry lives this long.
+const TTL: SimDuration = SimDuration::from_secs(7_200);
+
+#[test]
+fn a_warm_transaction_allocates_only_what_it_keeps() {
+    let tree = tree();
+    let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+    let config = WgetConfig::default();
+    assert!(config.resolver.wire_fidelity && config.record_traces);
+    let mut session = ClientSession::new(&tree, config, SimRng::new(2005));
+    let host = name("www.example.com");
+
+    // Warm up: the first transaction misses the cache; the next ones grow
+    // the session's buffers to what a transaction of this site needs.
+    let t0 = SimTime::from_hours(1);
+    let mut t = t0;
+    for _ in 0..50 {
+        let obs = session.run_transaction(&env, &host, t);
+        assert!(obs.outcome.is_success());
+        session.recycle(obs);
+        t += SimDuration::from_secs(10);
+    }
+
+    // Cache hits: nothing at all.
+    for i in 0..500 {
+        let (obs, allocs) = counted(&mut session, &env, &host, t);
+        assert!(obs.outcome.is_success(), "hit {i}");
+        assert_eq!(allocs, 0, "hit {i} at {t:?}");
+        session.recycle(obs);
+        t += SimDuration::from_secs(10);
+    }
+    assert!(t < t0 + TTL, "every measured lookup was a hit");
+    assert_eq!(session.ldns_cache().len(), 1);
+
+    // A miss on the expired entry walks root, TLD and zone through the
+    // codec and refreshes the entry in place: still nothing.
+    let t = t0 + TTL + SimDuration::from_secs(60);
+    let (obs, allocs) = counted(&mut session, &env, &host, t);
+    assert!(obs.outcome.is_success());
+    assert_eq!(allocs, 0, "a refreshing miss");
+    session.recycle(obs);
+    assert_eq!(session.ldns_cache().len(), 1);
+
+    // A miss on a new name inserts its entry: the key and the address list.
+    // (The environment serves no origin there, so the exchange is a 404;
+    // the lookup, the connection and both heads still run.)
+    let other = name("www.example.org");
+    let (obs, allocs) = counted(&mut session, &env, &other, t + SimDuration::from_secs(10));
+    assert!(obs.dns.is_ok() && !obs.outcome.is_success());
+    assert_eq!(allocs, 2, "a miss inserting a new entry");
+    session.recycle(obs);
+    assert_eq!(session.ldns_cache().len(), 2);
+}
+
+#[test]
+fn a_redirect_hop_allocates_the_next_hops_name() {
+    let tree = tree();
+    let env = HealthyEnv::new(
+        Origin::simple("www.example.com", 24_000).with_redirects(vec!["example.com".to_string()]),
+    );
+    let mut session = ClientSession::new(&tree, WgetConfig::default(), SimRng::new(2006));
+    let host = name("example.com");
+    let mut t = SimTime::from_hours(1);
+    for i in 0..300 {
+        let (obs, allocs) = counted(&mut session, &env, &host, t);
+        assert!(obs.outcome.is_success());
+        assert_eq!(obs.connections.len(), 2, "one redirect hop");
+        if i >= 50 {
+            // Both names are cached: the hop parses `www.example.com`.
+            assert_eq!(allocs, 1, "transaction {i}");
+        }
+        session.recycle(obs);
+        t += SimDuration::from_secs(10);
+    }
+}

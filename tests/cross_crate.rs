@@ -28,7 +28,7 @@ fn hosts() -> Vec<(DomainName, Vec<Ipv4Addr>)> {
 fn resolver_answers_match_zone_truth_for_every_host() {
     let hosts = hosts();
     let tree = ZoneTree::build_for_hosts(&hosts);
-    let resolver = StubResolver::new(&tree, ResolverConfig::default());
+    let mut resolver = StubResolver::new(&tree, ResolverConfig::default());
     let mut rng = SimRng::new(9);
     let mut cache = LdnsCache::new();
     let mut got = Vec::new();
@@ -47,7 +47,7 @@ fn resolver_answers_match_zone_truth_for_every_host() {
 fn dig_and_resolver_agree_on_healthy_world() {
     let hosts = hosts();
     let tree = ZoneTree::build_for_hosts(&hosts);
-    let resolver = StubResolver::new(&tree, ResolverConfig::default());
+    let mut resolver = StubResolver::new(&tree, ResolverConfig::default());
     let cfg = ResolverConfig::default();
     let mut rng = SimRng::new(10);
     let mut addrs = Vec::new();
@@ -95,7 +95,7 @@ proptest! {
             Err(kind) => prop_assert_eq!(verdict.failure_kind(), Some(kind)),
         }
         // Trace-visible retransmissions never exceed sender-side truth.
-        let (syn, data) = count_retransmissions(&trace);
+        let (syn, data) = count_retransmissions(&trace, &mut Vec::new());
         prop_assert_eq!(syn, u32::from(r.syn_retransmissions));
         prop_assert!(data <= r.retransmissions_sent);
         // A no-connection verdict can't deliver bytes.
@@ -115,8 +115,8 @@ proptest! {
         let tree = ZoneTree::build_for_hosts(&hosts);
         let on_cfg = ResolverConfig { query_loss_prob: 0.0, wire_fidelity: true };
         let off_cfg = ResolverConfig { wire_fidelity: false, ..on_cfg };
-        let on = StubResolver::new(&tree, on_cfg);
-        let off = StubResolver::new(&tree, off_cfg);
+        let mut on = StubResolver::new(&tree, on_cfg);
+        let mut off = StubResolver::new(&tree, off_cfg);
         let name = &hosts[host_idx].0;
         let t = SimTime::from_hours(3);
         let (mut x, mut y) = (Vec::new(), Vec::new());

@@ -11,7 +11,10 @@
 //!
 //! The DNS and HTTP codecs have no salvage decoder: their strict decoders
 //! must never panic on damaged messages, overlong multi-byte header lines
-//! or pure garbage, and intact messages must round-trip.
+//! or pure garbage, and intact messages must round-trip. The DNS decoder's
+//! verdict (the message, or the exact error) must also equal that of a
+//! reference decoder that reads each section into owned records as it
+//! checks it, the way the codec decoded before it validated in place.
 
 use bgpsim::mrt::{decode_stream, decode_stream_salvage, encode_stream, MrtPrefixTable};
 use bgpsim::{BgpUpdate, UpdateKind};
@@ -74,17 +77,183 @@ fn dns_fixture(seed: u64) -> Vec<u8> {
     resp.encode().expect("fixture encodes")
 }
 
-/// A request and one of the three response shapes an origin sends.
-fn http_fixture(seed: u64) -> (HttpRequest, HttpResponse) {
-    let mut rng = SimRng::new(seed).fork_str("fuzz-http");
-    let host = format!("www.site{}.example", rng.next_u64() % 50);
-    let request = HttpRequest::get(&host, "/", rng.next_u64().is_multiple_of(2));
-    let response = match rng.next_u64() % 3 {
-        0 => HttpResponse::ok(rng.next_u64() % 100_000),
-        1 => HttpResponse::redirect(302, &format!("http://{host}/")),
-        _ => HttpResponse::error(503, "Service Unavailable"),
+/// The reference DNS decoder: header, then each question and record read
+/// into owned names and data as it is checked, with the codec's checks and
+/// errors. Written against the public reader only, so it shares no code
+/// with the decoder under test beyond the header and the primitive reads.
+mod reference {
+    use dnswire::wire::WireReader;
+    use dnswire::{
+        DomainName, Header, Message, Question, RData, RecordClass, RecordType, ResourceRecord,
+        WireError,
     };
-    (request, response)
+    use std::net::Ipv4Addr;
+
+    pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
+        let mut r = WireReader::new(bytes);
+        let header = Header::decode(&mut r)?;
+        let mut questions = Vec::with_capacity(header.qdcount as usize);
+        for _ in 0..header.qdcount {
+            questions.push(Question {
+                qname: name(bytes, &mut r)?,
+                qtype: RecordType::from_u16(r.get_u16()?),
+                qclass: RecordClass::from_u16(r.get_u16()?),
+            });
+        }
+        let mut sections: [Vec<ResourceRecord>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        for (i, count) in [header.ancount, header.nscount, header.arcount]
+            .iter()
+            .enumerate()
+        {
+            for _ in 0..*count {
+                if r.is_at_end() {
+                    return Err(WireError::CountMismatch);
+                }
+                sections[i].push(record(bytes, &mut r)?);
+            }
+        }
+        let [answers, authority, additional] = sections;
+        Ok(Message {
+            header,
+            questions,
+            answers,
+            authority,
+            additional,
+        })
+    }
+
+    fn record(bytes: &[u8], r: &mut WireReader<'_>) -> Result<ResourceRecord, WireError> {
+        let name = name(bytes, r)?;
+        let rtype = RecordType::from_u16(r.get_u16()?);
+        let class = RecordClass::from_u16(r.get_u16()?);
+        let ttl = r.get_u32()?;
+        let rdlen = r.get_u16()? as usize;
+        if r.remaining() < rdlen {
+            return Err(WireError::Truncated);
+        }
+        let start = r.pos();
+        let end = start + rdlen;
+        let rdata = match rtype {
+            RecordType::A => {
+                let b = r.get_slice(4)?;
+                RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
+            }
+            RecordType::Ns => RData::Ns(self::name(bytes, r)?),
+            RecordType::Cname => RData::Cname(self::name(bytes, r)?),
+            RecordType::Other(_) => RData::Opaque(r.get_slice(rdlen)?.to_vec()),
+        };
+        if r.pos() != end {
+            return Err(WireError::RdataLengthMismatch {
+                declared: rdlen as u16,
+                actual: r.pos() - start,
+            });
+        }
+        Ok(ResourceRecord {
+            name,
+            rtype,
+            class,
+            ttl,
+            rdata,
+        })
+    }
+
+    /// A (possibly compressed) name at the cursor, collected label by
+    /// label; the cursor moves past its in-place form.
+    fn name(bytes: &[u8], r: &mut WireReader<'_>) -> Result<DomainName, WireError> {
+        let mut labels: Vec<&[u8]> = Vec::new();
+        let mut wire_len = 1;
+        let mut bad_byte: Option<u8> = None;
+        let mut read_pos = r.pos();
+        let mut followed = 0;
+        let mut cursor_after: Option<usize> = None;
+        loop {
+            let len_octet = *bytes.get(read_pos).ok_or(WireError::Truncated)?;
+            match len_octet & 0xC0 {
+                0x00 if len_octet == 0 => {
+                    let after = cursor_after.unwrap_or(read_pos + 1);
+                    r.get_slice(after - r.pos())?;
+                    break;
+                }
+                0x00 => {
+                    let (start, end) = (read_pos + 1, read_pos + 1 + len_octet as usize);
+                    if end > bytes.len() {
+                        return Err(WireError::Truncated);
+                    }
+                    let label = &bytes[start..end];
+                    wire_len += 1 + label.len();
+                    if wire_len > 255 {
+                        return Err(WireError::NameTooLong(wire_len));
+                    }
+                    if bad_byte.is_none() {
+                        bad_byte = label
+                            .iter()
+                            .copied()
+                            .find(|&b| !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_'));
+                    }
+                    labels.push(label);
+                    read_pos = end;
+                }
+                0xC0 => {
+                    let second = *bytes.get(read_pos + 1).ok_or(WireError::Truncated)?;
+                    let target = (u16::from(len_octet & 0x3F) << 8) | u16::from(second);
+                    cursor_after.get_or_insert(read_pos + 2);
+                    if usize::from(target) >= read_pos {
+                        return Err(WireError::BadPointer(target));
+                    }
+                    followed += 1;
+                    if followed > 64 {
+                        return Err(WireError::PointerLoop);
+                    }
+                    read_pos = usize::from(target);
+                }
+                other => return Err(WireError::BadLabelType(other)),
+            }
+        }
+        match bad_byte {
+            Some(b) => Err(WireError::BadLabelByte(b)),
+            None => DomainName::from_labels(labels),
+        }
+    }
+}
+
+/// A request and one of the three response shapes an origin sends, from
+/// the strings they borrow.
+struct HttpFixture {
+    host: String,
+    no_cache: bool,
+    location: String,
+    /// 0: 200 with `body_len`, 1: a redirect to `location`, 2: a 503.
+    shape: u64,
+    body_len: u64,
+}
+
+impl HttpFixture {
+    fn new(seed: u64) -> HttpFixture {
+        let mut rng = SimRng::new(seed).fork_str("fuzz-http");
+        let host = format!("www.site{}.example", rng.next_u64() % 50);
+        let no_cache = rng.next_u64().is_multiple_of(2);
+        let shape = rng.next_u64() % 3;
+        let body_len = if shape == 0 { rng.next_u64() % 100_000 } else { 0 };
+        HttpFixture {
+            location: format!("http://{host}/"),
+            host,
+            no_cache,
+            shape,
+            body_len,
+        }
+    }
+
+    fn request(&self) -> HttpRequest<'_> {
+        HttpRequest::get(&self.host, "/", self.no_cache)
+    }
+
+    fn response(&self) -> HttpResponse<'_> {
+        match self.shape {
+            0 => HttpResponse::ok(self.body_len),
+            1 => HttpResponse::redirect(302, &self.location),
+            _ => HttpResponse::error(503, "Service Unavailable"),
+        }
+    }
 }
 
 fn prefixes() -> Vec<model::Ipv4Prefix> {
@@ -128,8 +297,9 @@ proptest! {
         let mut wire = dns_fixture(seed);
         let intact = dnswire::Message::decode(&wire).expect("fixture decodes");
         prop_assert_eq!(intact.encode().expect("fixture re-encodes"), wire.clone());
+        prop_assert_eq!(Ok(intact), reference::decode(&wire));
         corrupt(&mut wire, seed, flips, cut == 1);
-        let _ = dnswire::Message::decode(&wire);
+        prop_assert_eq!(dnswire::Message::decode(&wire), reference::decode(&wire));
     }
 
     /// HTTP: damaged heads never panic either decoder; intact ones
@@ -140,7 +310,8 @@ proptest! {
         flips in 0u32..12,
         cut in 0u8..2,
     ) {
-        let (request, response) = http_fixture(seed);
+        let fixture = HttpFixture::new(seed);
+        let (request, response) = (fixture.request(), fixture.response());
         let (request_text, head_text) = (request.encode(), response.encode_head());
         prop_assert_eq!(HttpRequest::decode(&request_text), Ok(request));
         prop_assert_eq!(HttpResponse::decode_head(&head_text), Ok(response));
@@ -187,7 +358,7 @@ proptest! {
         let table = MrtPrefixTable::new(&pfx);
         let _ = decode_stream(&bytes, &table);
         let _ = decode_stream_salvage(&bytes, &table);
-        let _ = dnswire::Message::decode(&bytes);
+        prop_assert_eq!(dnswire::Message::decode(&bytes), reference::decode(&bytes));
         let text = String::from_utf8_lossy(&bytes);
         let _ = HttpRequest::decode(&text);
         let _ = HttpResponse::decode_head(&text);

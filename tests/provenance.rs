@@ -380,7 +380,9 @@ fn cdn_brownout_scopes_to_the_faulted_region() {
 fn wrong_dns_stamps_both_phases_and_heals_with_the_window() {
     let (_, sites, mut gt) = small_world(6);
     let host: dnswire::DomainName = sites[0].hostname.parse().expect("valid hostname");
-    let apex = dnssim::zones::registrable_domain(&host);
+    let apex = host
+        .ancestor(dnssim::zones::registrable_domain(&host))
+        .expect("a suffix of the host");
     let decoy: std::net::Ipv4Addr = "192.0.2.10".parse().expect("valid addr");
     gt.adversarial.wrong_dns.insert(
         apex,
