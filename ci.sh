@@ -6,7 +6,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --locked: a manifest change must come with its Cargo.lock"
 cargo build --release --locked
 
-echo "==> detcheck: observers off/on x threads 1/2/7 hash identically (standard + adversarial worlds)"
+echo "==> detcheck: codecs off/on x observers off/on x threads 1/2/7 hash identically (standard + adversarial worlds; 10-13 s, the codecs-on cells 6-8 s of it)"
 det_default="$(cargo run --release -q -p bench-suite --bin detcheck)"
 echo "$det_default"
 
@@ -17,8 +17,8 @@ echo "$det_nodefault"
 [ "$det_default" = "$det_nodefault" ] || { echo "FAIL: detcheck hashes differ across feature builds"; exit 1; }
 
 echo "==> detcheck: the hash lines equal the committed ones (a change that means to move them updates them here)"
-det_committed="standard: 125713 transactions, dataset hash a796d0c754ef6a87, report hash 172ecaf28e968659, sidecar hash b89c33a0e17f60a5, 46 exemplars (keys hash bc57e8a5a74f3f11)
-adversarial: 125713 transactions, dataset hash 0491912d183bdc57, report hash 2d914f1f4c9df033, sidecar hash bb865f05ddcd6e1b, 112 exemplars (keys hash 89b62b8678e9f4a2)"
+det_committed="standard: 125713 transactions, dataset hash dd4a55b5995096f8, report hash 08cfe4064ebaf7e7, sidecar hash bf572aaef6eada95, 46 exemplars (keys hash bc57e8a5a74f3f11)
+adversarial: 125713 transactions, dataset hash 50867a705302dd19, report hash 499e63a3473bcfdc, sidecar hash 5eaeab5e4921281b, 112 exemplars (keys hash 89b62b8678e9f4a2)"
 if [ "$det_default" != "$det_committed" ]; then
     echo "FAIL: detcheck hashes differ from the lines committed in ci.sh"
     diff <(echo "$det_committed") <(echo "$det_default") || true
@@ -49,7 +49,7 @@ fi
 
 echo "==> reproduce --html: self-contained page smoke test; stdout is the committed quick-scale text report (a change that means to move it updates the hash here)"
 html_dir="$ci_tmp/html"
-repro_committed="92569d96901e9d491cace193fb5694cb12496da814a904753313684521cfb543"
+repro_committed="11d034bd095d94d8aff7bd6cfd58e4ca695e0d3079416afae2ae00671df03a67"
 repro_sha="$(cargo run --release -q -p bench-suite --bin reproduce -- --scale quick --html "$html_dir/report.html" | sha256sum | cut -d' ' -f1)"
 if [ "$repro_sha" != "$repro_committed" ]; then
     echo "FAIL: reproduce --scale quick stdout sha256 $repro_sha differs from the committed $repro_committed"; exit 1

@@ -1,17 +1,20 @@
-//! The determinism and observer-purity gate: one matrix, one verdict.
+//! The determinism, codec- and observer-purity gate: one matrix, one
+//! verdict.
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin detcheck [--seed N]
 //! ```
 //!
-//! Runs a small simulated window (12 hours, wire fidelity off) of two
-//! worlds — the standard one and the adversarial month with every fault
-//! archetype on — with the observers off and on (on = telemetry, the
-//! provenance sidecar and forensic traces together), each at 1, 2 and 7
-//! threads. Every cell's full dataset hash and rendered-report hash must
-//! equal the observers-off single-thread cell's, and the observers-on
-//! cells must record the same sidecar and the same exemplar keys at every
-//! thread count. Any mismatch exits non-zero.
+//! Runs a small simulated window (12 hours) of two worlds — the standard
+//! one and the adversarial month with every fault archetype on — with the
+//! DNS/HTTP wire codecs off and on, the observers off and on (on =
+//! telemetry, the provenance sidecar and forensic traces together), each
+//! at 1, 2 and 7 threads: 12 cells per world, 10–13 s in all on a 2-vCPU
+//! VM, 6–8 s more than the codecs-off cells alone. Every cell's
+//! full dataset hash and rendered-report hash must equal the codecs-off,
+//! observers-off single-thread cell's, and the observers-on cells must
+//! record the same sidecar and the same exemplar keys as the codecs-off
+//! single-thread one. Any mismatch exits non-zero.
 //!
 //! Each world prints one line on stdout carrying its hashes. They must not
 //! depend on the build either: `ci.sh` runs the gate in the default build
@@ -45,7 +48,9 @@ fn main() {
     failures += check_world("standard", seed, AdversarialProfile::none());
     failures += check_world("adversarial", seed, AdversarialProfile::adversarial_month());
     if failures > 0 {
-        eprintln!("detcheck FAILED: {failures} mismatch(es) — thread count or an observer changed the run");
+        eprintln!(
+            "detcheck FAILED: {failures} mismatch(es) — thread count, the codecs or an observer changed the run"
+        );
         std::process::exit(1);
     }
 }
@@ -61,10 +66,16 @@ struct Cell {
     exemplars: Option<(usize, u64)>,
 }
 
-fn run_cell(seed: u64, adversarial: AdversarialProfile, observers: bool, threads: usize) -> Cell {
+fn run_cell(
+    seed: u64,
+    adversarial: AdversarialProfile,
+    codecs: bool,
+    observers: bool,
+    threads: usize,
+) -> Cell {
     let mut cfg = ExperimentConfig::quick(seed);
     cfg.hours = 12;
-    cfg.wire_fidelity = false;
+    cfg.wire_fidelity = codecs;
     cfg.threads = threads;
     cfg.adversarial = adversarial;
     cfg.record_provenance = observers;
@@ -90,31 +101,32 @@ fn run_cell(seed: u64, adversarial: AdversarialProfile, observers: bool, threads
     }
 }
 
-/// Run one world's observers × threads matrix, print its hash line, and
-/// return the mismatch count.
+/// Run one world's codecs × observers × threads matrix, print its hash
+/// line, and return the mismatch count.
 fn check_world(world: &str, seed: u64, adversarial: AdversarialProfile) -> u32 {
     eprintln!(
-        "detcheck: {world} 12 h window, seed {seed}, observers off/on x threads {THREADS:?} ..."
+        "detcheck: {world} 12 h window, seed {seed}, codecs off/on x observers off/on x threads {THREADS:?} ..."
     );
-    let cells: Vec<(bool, usize, Cell)> = [false, true]
+    let cells: Vec<(bool, bool, usize, Cell)> = [false, true]
         .into_iter()
-        .flat_map(|observers| THREADS.map(|threads| (observers, threads)))
-        .map(|(observers, threads)| {
-            (
-                observers,
-                threads,
-                run_cell(seed, adversarial, observers, threads),
-            )
+        .flat_map(|codecs| [(codecs, false), (codecs, true)])
+        .flat_map(|(codecs, observers)| THREADS.map(|threads| (codecs, observers, threads)))
+        .map(|(codecs, observers, threads)| {
+            let cell = run_cell(seed, adversarial, codecs, observers, threads);
+            (codecs, observers, threads, cell)
         })
         .collect();
-    let base = &cells[0].2;
-    let observed = &cells[THREADS.len()].2;
+    // The codecs-off single-thread cells, observers off and on.
+    let base = &cells[0].3;
+    let observed = &cells[THREADS.len()].3;
 
     let mut failures = 0u32;
-    for (observers, threads, cell) in &cells {
+    for (codecs, observers, threads, cell) in &cells {
+        let on_off = |on: bool| if on { "on" } else { "off" };
         let at = format!(
-            "observers {}, {threads} thread(s)",
-            if *observers { "on" } else { "off" }
+            "codecs {}, observers {}, {threads} thread(s)",
+            on_off(*codecs),
+            on_off(*observers)
         );
         let mut check = |what: &str, ok: bool| {
             if ok {
@@ -133,7 +145,7 @@ fn check_world(world: &str, seed: u64, adversarial: AdversarialProfile) -> u32 {
             cell.sidecar.is_some() == *observers && cell.exemplars.is_some() == *observers,
         );
         check(
-            "sidecar and exemplar keys as at 1 thread",
+            "sidecar and exemplar keys as at codecs off, 1 thread",
             !observers || (cell.sidecar, cell.exemplars) == (observed.sidecar, observed.exemplars),
         );
     }

@@ -11,18 +11,8 @@
 //! `threads == 0` means "all available cores"; `1` (or a single-shard
 //! input) runs inline on the calling thread with no spawns at all.
 
+use model::thread_count;
 use std::ops::Range;
-
-/// Resolve a thread-count knob: `0` → all available cores.
-pub fn thread_count(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
 
 /// Split `0..len` into at most `shards` contiguous, non-empty ranges.
 pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
@@ -86,12 +76,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn thread_count_zero_is_all_cores() {
-        assert!(thread_count(0) >= 1);
-        assert_eq!(thread_count(3), 3);
-    }
 
     #[test]
     fn shard_ranges_cover_exactly() {

@@ -3,9 +3,12 @@
 //! Models the full resolution path a web client exercises (Section 2.1 of
 //! the paper): a stub resolver on the client queries its **local DNS server
 //! (LDNS)**, which resolves iteratively through a simulated zone hierarchy
-//! (root → TLD → authoritative). Every query and response is round-tripped
-//! through the `dnswire` RFC 1035 codec (configurable off for very large
-//! runs), so the simulated traffic is real DNS wire data.
+//! (root → TLD → authoritative). Answers come from the zones; with
+//! [`ResolverConfig::wire_fidelity`] on, every query and response is also
+//! written through the `dnswire` RFC 1035 codec and the answer read back is
+//! checked against the zones', so the simulated traffic is real DNS wire
+//! data. The switch changes what a run costs, never its dataset: messages
+//! are numbered by the resolver, not drawn from the simulation RNG.
 //!
 //! Fault injection enters through the [`DnsFaults`] trait: the experiment's
 //! ground-truth fault model answers "is the client's access link up?", "is
@@ -20,17 +23,17 @@
 //! * **error response** — NXDOMAIN/SERVFAIL from broken authoritative
 //!   configuration.
 //!
-//! The iterative [`dig`] walker reproduces the paper's validation step 3
-//! ("use iterative dig to traverse the DNS hierarchy" after every access).
+//! The iterative dig ([`StubResolver::dig_iterative`]) reproduces the
+//! paper's validation step 3 ("use iterative dig to traverse the DNS
+//! hierarchy" after every access) with the same walk a lookup runs past the
+//! LDNS.
 
-pub mod dig;
+mod dig;
 pub mod faults;
 pub mod resolver;
 pub mod server;
 pub mod zones;
 
-pub use dig::{dig_iterative, DigResult};
 pub use faults::{DnsFaults, NoFaults};
 pub use resolver::{LdnsCache, ResolutionStatus, ResolverConfig, StubResolver};
-pub use server::AnswerKind;
 pub use zones::{Zone, ZoneTree};

@@ -3,40 +3,41 @@
 //! The resolution is computed *hierarchically*: faults are evaluated at the
 //! transaction instant (episodes last hours; lookups last seconds) and the
 //! elapsed time is accumulated analytically from per-hop latency samples and
-//! timeout schedules. With `wire_fidelity` on, every hop additionally
-//! round-trips a real RFC 1035 message through the `dnswire` codec: the
-//! query or answer is written straight into the resolver's one message
-//! buffer from the zone data, checked in place, and the A chain read out of
-//! it, so a resolution builds no `Message`.
+//! timeout schedules. The answer is read straight from the zones
+//! ([`crate::zones::Zone::answer_chain`]). With `wire_fidelity` on, every
+//! hop also writes a real RFC 1035 message through the `dnswire` codec into
+//! the resolver's one message buffer, checks it in place, and reads the
+//! answer's A chain back out of the bytes, which must equal the zones'
+//! answer. The messages are numbered by the resolver's own counter, so the
+//! codecs draw nothing from the simulation RNG: the switch changes what a
+//! resolution costs, never its outcome.
 
 use crate::faults::DnsFaults;
-use crate::server::{write_authoritative_answer, AnswerKind};
+use crate::server::write_authoritative_answer;
 use crate::zones::ZoneTree;
-use dnswire::{
-    DomainName, Header, MessageRef, MessageWriter, RData, RecordClass, RecordType, WireWriter,
-};
+use dnswire::{DomainName, Header, MessageRef, MessageWriter, RecordClass, RecordType, WireWriter};
 use model::{DnsErrorCode, DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Per-attempt stub → LDNS timeout.
-pub(crate) const STUB_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+const STUB_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 /// Stub attempts before declaring LDNS timeout.
-pub(crate) const STUB_ATTEMPTS: u32 = 3;
+const STUB_ATTEMPTS: u32 = 3;
 /// Per-attempt LDNS → authoritative timeout.
-pub(crate) const AUTH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+const AUTH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 /// LDNS attempts per authoritative server set.
-pub(crate) const AUTH_ATTEMPTS: u32 = 2;
+const AUTH_ATTEMPTS: u32 = 2;
 /// Mean RTT between client and its LDNS (last mile).
 const LDNS_RTT: SimDuration = SimDuration::from_millis(5);
 /// Mean RTT between the LDNS and authoritative servers (wide area).
-pub(crate) const HOP_RTT: SimDuration = SimDuration::from_millis(60);
+const HOP_RTT: SimDuration = SimDuration::from_millis(60);
 /// Multiplicative latency jitter: each sample is `mean * exp(N(0, sigma))`.
 const JITTER_SIGMA: f64 = 0.3;
 
 /// One latency sample around `mean`.
-pub(crate) fn sample_latency(mean: SimDuration, rng: &mut SimRng) -> SimDuration {
+fn sample_latency(mean: SimDuration, rng: &mut SimRng) -> SimDuration {
     let factor = rng.normal(0.0, JITTER_SIGMA).exp();
     mean * factor
 }
@@ -47,7 +48,10 @@ pub struct ResolverConfig {
     /// Probability an individual healthy query/response exchange is lost
     /// (background UDP loss; retries usually hide it).
     pub query_loss_prob: f64,
-    /// Round-trip every message through the RFC 1035 codec.
+    /// Write every message through the RFC 1035 codec and check the answer
+    /// read back from the bytes against the zones'. This changes what a
+    /// resolution costs, never its outcome: no message draws from the
+    /// simulation RNG, and the answer always comes from the zones.
     pub wire_fidelity: bool,
 }
 
@@ -135,21 +139,17 @@ fn rotate_rr(addrs: &mut [Ipv4Addr], rng: &mut SimRng) {
     }
 }
 
-/// The stub resolver: the entry point `webclient` uses for every access.
+/// The stub resolver: the entry point `webclient` uses for every access,
+/// and the walker behind its iterative `dig` ([`Self::dig_iterative`]).
 pub struct StubResolver<'t> {
     tree: &'t ZoneTree,
     config: ResolverConfig,
     /// The message buffer every query and answer is written into (with
     /// `wire_fidelity`), kept across resolutions.
     wire: WireWriter,
-}
-
-/// Internal walk outcome (LDNS's view).
-enum WalkOutcome {
-    /// The addresses are in the caller's buffer.
-    Answered(u32 /* ttl */),
-    AuthTimeout,
-    Error(DnsErrorCode),
+    /// The id of the next message written: the resolver numbers its own
+    /// messages, so the codecs draw nothing from the simulation RNG.
+    next_id: u16,
 }
 
 impl<'t> StubResolver<'t> {
@@ -158,7 +158,15 @@ impl<'t> StubResolver<'t> {
             tree,
             config,
             wire: WireWriter::new(),
+            next_id: 0,
         }
+    }
+
+    /// The id for the next message written.
+    fn message_id(&mut self) -> u16 {
+        let id = self.next_id;
+        self.next_id = id.wrapping_add(1);
+        id
     }
 
     /// Resolve `qname` at instant `t` under `faults`, using (and updating)
@@ -242,7 +250,8 @@ impl<'t> StubResolver<'t> {
         }
         if cfg.wire_fidelity {
             // The stub's recursive query to the LDNS.
-            write_query(&mut self.wire, rng.next_u64() as u16, qname);
+            let id = self.message_id();
+            write_query(&mut self.wire, id, qname);
             let _ = MessageRef::decode(self.wire.as_bytes()).expect("own bytes decode");
             messages += 1;
         }
@@ -259,38 +268,27 @@ impl<'t> StubResolver<'t> {
             };
         }
 
-        // --- Iterative walk (by the LDNS); in-zone CNAME chains are
-        // resolved by the authoritative server itself ----------------------
-        match self.walk(qname, faults, t, rng, &mut elapsed, &mut messages, out) {
-            WalkOutcome::Answered(ttl) => {
+        // --- Iterative walk (by the LDNS) ----------------------------------
+        let result = self
+            .walk(qname, faults, t, rng, &mut elapsed, &mut messages, out)
+            .map(|ttl| {
                 cache.put(qname, out, t + SimDuration::from_secs(u64::from(ttl)));
                 rotate_rr(out, rng);
-                ResolutionStatus {
-                    result: Ok(()),
-                    elapsed,
-                    messages,
-                    from_cache: false,
-                }
-            }
-            WalkOutcome::AuthTimeout => ResolutionStatus {
-                result: Err(DnsFailureKind::NonLdnsTimeout),
-                elapsed,
-                messages,
-                from_cache: false,
-            },
-            WalkOutcome::Error(code) => ResolutionStatus {
-                result: Err(DnsFailureKind::ErrorResponse(code)),
-                elapsed,
-                messages,
-                from_cache: false,
-            },
+            });
+        ResolutionStatus {
+            result,
+            elapsed,
+            messages,
+            from_cache: false,
         }
     }
 
-    /// Walk the delegation chain for `qname`, accumulating latency; an
-    /// answer's addresses go into `out`.
+    /// Walk the delegation chain for `qname` from the root, accumulating
+    /// latency: the walk the LDNS runs on a cache miss and `dig` runs from
+    /// the client. An answer's addresses go into `out` and its TTL is
+    /// returned; a failure is a non-LDNS timeout or an error response.
     #[allow(clippy::too_many_arguments)]
-    fn walk<F: DnsFaults + ?Sized>(
+    pub(crate) fn walk<F: DnsFaults + ?Sized>(
         &mut self,
         qname: &DomainName,
         faults: &F,
@@ -299,14 +297,11 @@ impl<'t> StubResolver<'t> {
         elapsed: &mut SimDuration,
         messages: &mut u32,
         out: &mut Vec<Ipv4Addr>,
-    ) -> WalkOutcome {
-        let mut chain = self.tree.delegation_chain(qname).peekable();
-        if chain.peek().is_none() {
-            return WalkOutcome::Error(DnsErrorCode::ServFail);
-        }
+    ) -> Result<u32, DnsFailureKind> {
         let cfg = self.config;
-        while let Some(zone) = chain.next() {
-            let next = chain.peek().copied();
+        let mut zones = self.tree.delegation_chain(qname).peekable();
+        while let Some(zone) = zones.next() {
+            let next = zones.peek().copied();
             // Zone misconfiguration produces an error *response* (servers
             // are up but answer with an error) — only meaningful at the
             // authoritative zone, i.e. the last chain element.
@@ -315,7 +310,7 @@ impl<'t> StubResolver<'t> {
                 if let Some(code) = faults.zone_error(&zone.apex, t) {
                     *elapsed += sample_latency(HOP_RTT, rng);
                     *messages += if cfg.wire_fidelity { 1 } else { 0 };
-                    return WalkOutcome::Error(code);
+                    return Err(DnsFailureKind::ErrorResponse(code));
                 }
             }
             // Reachability of this zone's servers.
@@ -330,51 +325,47 @@ impl<'t> StubResolver<'t> {
                 *elapsed += AUTH_TIMEOUT;
             }
             if !reached {
-                return WalkOutcome::AuthTimeout;
+                return Err(DnsFailureKind::NonLdnsTimeout);
+            }
+            // The authority's answer: the addresses its CNAME chain ends in.
+            if is_auth {
+                zone.answer_addresses(qname, out);
             }
             if cfg.wire_fidelity {
-                let id = rng.next_u64() as u16;
-                let kind = write_authoritative_answer(zone, next, qname, id, &mut self.wire);
+                let id = self.message_id();
+                write_authoritative_answer(zone, next, qname, id, &mut self.wire);
                 let answer = MessageRef::decode(self.wire.as_bytes()).expect("own bytes decode");
                 *messages += 1;
                 if is_auth {
-                    return match kind {
-                        AnswerKind::Authoritative => {
-                            answer.resolve_a_chain(qname, out);
-                            // An empty chain ends in a CNAME pointing out of
-                            // zone — not modeled as an address here; treat
-                            // as server failure (rare).
-                            if out.is_empty() {
-                                WalkOutcome::Error(DnsErrorCode::ServFail)
-                            } else {
-                                WalkOutcome::Answered(zone.ttl)
-                            }
-                        }
-                        AnswerKind::Referral => WalkOutcome::Error(DnsErrorCode::ServFail),
-                        AnswerKind::NxDomain => WalkOutcome::Error(DnsErrorCode::NxDomain),
-                    };
+                    // The bytes check the answer and never replace it: the
+                    // A chain read back must be the zone's, in order.
+                    let n = out.len();
+                    answer.resolve_a_chain(qname, out);
+                    assert!(
+                        out[..n] == out[n..],
+                        "the written answer for {qname} reads back as another"
+                    );
+                    out.truncate(n);
                 }
-            } else if is_auth {
-                // Codec-free fast path: consult the zone directly.
-                let records = zone.lookup(qname).unwrap_or_default();
-                out.extend(records.iter().filter_map(|r| match r {
-                    RData::A(a) => Some(*a),
-                    _ => None,
-                }));
-                return if out.is_empty() {
-                    WalkOutcome::Error(DnsErrorCode::NxDomain)
+            }
+            if is_auth {
+                return if zone.lookup(qname).is_none() {
+                    Err(DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain))
+                } else if out.is_empty() {
+                    // The chain ends in a CNAME out of zone (or runs out of
+                    // names), which is not followed: a server failure.
+                    Err(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail))
                 } else {
-                    WalkOutcome::Answered(zone.ttl)
+                    Ok(zone.ttl)
                 };
             }
         }
-        // Chain ended on a referral (no authoritative zone held the name).
-        WalkOutcome::Error(DnsErrorCode::NxDomain)
+        // No zone holds the name or any of its suffixes, not even the root.
+        Err(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail))
     }
 }
 
-/// The stub's recursive A query for `qname`, written into `w`: the bytes of
-/// encoding `Message::query(id, qname, A)`.
+/// The stub's recursive A query for `qname` with id `id`, written into `w`.
 fn write_query(w: &mut WireWriter, id: u16, qname: &DomainName) {
     let header = Header {
         id,
@@ -604,33 +595,85 @@ mod tests {
         assert!(res.result.is_ok());
     }
 
+    /// [`tree`] with two aliases in `example.com`: one to a name in the
+    /// zone, one to a name out of it.
+    fn cname_tree() -> ZoneTree {
+        let mut t = tree();
+        let z = t.zone_mut(&name("example.com")).unwrap();
+        z.add_cname(name("web.example.com"), name("www.example.com"));
+        z.add_cname(name("out.example.com"), name("www.iitb.ac.in"));
+        t
+    }
+
+    #[test]
+    fn in_zone_cname_resolves_and_out_of_zone_cname_is_servfail() {
+        let t = cname_tree();
+        for wire_fidelity in [false, true] {
+            let cfg = ResolverConfig {
+                query_loss_prob: 0.0,
+                wire_fidelity,
+            };
+            let mut r = StubResolver::new(&t, cfg);
+            let mut rng = SimRng::new(6);
+            let at = SimTime::from_hours(1);
+            let mut lookup_at =
+                |host| lookup(&mut r, host, &NoFaults, at, &mut rng, &mut LdnsCache::new());
+            let (web, addrs) = lookup_at("web.example.com");
+            assert_eq!(web.result, Ok(()), "codecs {wire_fidelity}");
+            assert_eq!(
+                addrs,
+                [Ipv4Addr::new(10, 0, 0, 1)],
+                "codecs {wire_fidelity}"
+            );
+            let (out, addrs) = lookup_at("out.example.com");
+            assert_eq!(
+                out.result,
+                Err(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail)),
+                "codecs {wire_fidelity}"
+            );
+            assert!(addrs.is_empty());
+        }
+    }
+
+    /// The codecs change what a lookup costs, never what it finds: with
+    /// query loss on, every status, elapsed time and RRset (in its rotated
+    /// order) is the same with and without them, through walks and cache
+    /// hits, and both runs leave the RNG at the same place.
     #[test]
     fn wire_fidelity_off_matches_on() {
-        let t = tree();
+        let t = cname_tree();
         let on_cfg = ResolverConfig {
-            query_loss_prob: 0.0,
+            query_loss_prob: 0.3,
             wire_fidelity: true,
         };
-        let mut on = StubResolver::new(&t, on_cfg);
-        let mut off = StubResolver::new(
-            &t,
-            ResolverConfig {
-                wire_fidelity: false,
-                ..on_cfg
-            },
-        );
-        for host in ["www.example.com", "www.iitb.ac.in", "nosuch.example.com"] {
-            let t2 = SimTime::from_hours(2);
-            let (a, mut x) =
-                lookup(&mut on, host, &NoFaults, t2, &mut SimRng::new(5), &mut LdnsCache::new());
-            let (b, mut y) =
-                lookup(&mut off, host, &NoFaults, t2, &mut SimRng::new(5), &mut LdnsCache::new());
-            assert_eq!(a.result, b.result, "fidelity mismatch for {host}");
-            // RR rotation depends on rng position; compare as sets.
-            x.sort();
-            y.sort();
-            assert_eq!(x, y, "{host}");
-            assert_eq!(b.messages, 0);
+        let off_cfg = ResolverConfig {
+            wire_fidelity: false,
+            ..on_cfg
+        };
+        let hosts = [
+            "www.example.com",
+            "www.iitb.ac.in",
+            "nosuch.example.com",
+            "web.example.com",
+            "out.example.com",
+        ];
+        for seed in 0..40 {
+            let mut on = StubResolver::new(&t, on_cfg);
+            let mut off = StubResolver::new(&t, off_cfg);
+            let (mut rng_on, mut rng_off) = (SimRng::new(seed), SimRng::new(seed));
+            let (mut cache_on, mut cache_off) = (LdnsCache::new(), LdnsCache::new());
+            // Each host twice: a walk, then a cache hit where it answered.
+            for (i, host) in hosts.iter().chain(&hosts).enumerate() {
+                let at = SimTime::from_hours(2) + SimDuration::from_secs(i as u64);
+                let (a, x) = lookup(&mut on, host, &NoFaults, at, &mut rng_on, &mut cache_on);
+                let (b, y) = lookup(&mut off, host, &NoFaults, at, &mut rng_off, &mut cache_off);
+                assert_eq!(a.result, b.result, "{host}, seed {seed}");
+                assert_eq!(a.elapsed, b.elapsed, "{host}, seed {seed}");
+                assert_eq!(a.from_cache, b.from_cache, "{host}, seed {seed}");
+                assert_eq!(x, y, "{host}, seed {seed}: the RRset, in order");
+                assert_eq!(b.messages, 0);
+            }
+            assert_eq!(rng_on.next_u64(), rng_off.next_u64(), "seed {seed}");
         }
     }
 
@@ -670,9 +713,41 @@ mod tests {
         let mut w = WireWriter::new();
         for (id, host) in [(0x1234, "www.example.com"), (7, "www.iitb.ac.in"), (0, ".")] {
             write_query(&mut w, id, &name(host));
-            let owned = dnswire::Message::query(id, name(host), RecordType::A);
+            let owned = dnswire::Message {
+                header: Header {
+                    id,
+                    recursion_desired: true,
+                    ..Header::default()
+                },
+                questions: vec![dnswire::Question::new(name(host), RecordType::A)],
+                ..dnswire::Message::default()
+            };
             assert_eq!(w.as_bytes(), owned.encode().unwrap(), "{host}");
         }
+    }
+
+    #[test]
+    fn messages_are_numbered_by_the_resolver() {
+        let t = tree();
+        let mut r = StubResolver::new(&t, ResolverConfig::default());
+        let mut rng = SimRng::new(8);
+        let host = "www.example.com";
+        // Stub query, then root, TLD and zone answers: ids 0 to 3.
+        let (res, _) = lookup(
+            &mut r,
+            host,
+            &NoFaults,
+            SimTime::from_hours(1),
+            &mut rng,
+            &mut LdnsCache::new(),
+        );
+        assert_eq!(res.messages, 4);
+        assert_eq!(
+            r.wire.as_bytes()[..2],
+            [0, 3],
+            "the zone's answer is message 3"
+        );
+        assert_eq!(r.message_id(), 4);
     }
 
     #[test]

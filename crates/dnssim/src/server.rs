@@ -2,25 +2,14 @@
 //!
 //! Given a zone and an iterative A query, write the wire-correct response
 //! an authoritative server would send straight into a message buffer: an
-//! authoritative answer (following in-zone CNAMEs), a referral to a
-//! delegated child zone, or NXDOMAIN.
+//! authoritative answer (the zone's [`Zone::answer_chain`]), a referral to
+//! a delegated child zone, or NXDOMAIN.
 
 use crate::zones::Zone;
 use dnswire::{
-    DomainName, Header, MessageWriter, RData, RDataRef, Rcode, RecordClass, RecordType, Section,
+    DomainName, Header, MessageWriter, RDataRef, Rcode, RecordClass, RecordType, Section,
     WireWriter,
 };
-
-/// How the server answered, for the resolver's walk logic.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AnswerKind {
-    /// Authoritative records in the answer section.
-    Authoritative,
-    /// NS records for a more-specific zone in the authority section.
-    Referral,
-    /// Authoritative denial.
-    NxDomain,
-}
 
 /// Write the response `zone`'s server gives to the iterative A query for
 /// `qname` with id `id` into `w`, straight from the zones' own names and
@@ -30,8 +19,8 @@ pub enum AnswerKind {
 /// [`ZoneTree::delegation_chain`], if any: a child zone whose apex lies
 /// strictly between this zone's apex and the qname, so the answer is a
 /// referral to it, carrying its NS records and their glue. Otherwise the
-/// zone answers with the qname's records, following CNAMEs within the zone
-/// for at most eight names, or denies the name with NXDOMAIN.
+/// zone answers with the records of the qname's [`Zone::answer_chain`],
+/// or denies the name with NXDOMAIN.
 ///
 /// [`ZoneTree::delegation_chain`]: crate::zones::ZoneTree::delegation_chain
 pub fn write_authoritative_answer(
@@ -40,13 +29,13 @@ pub fn write_authoritative_answer(
     qname: &DomainName,
     id: u16,
     w: &mut WireWriter,
-) -> AnswerKind {
+) {
     // Only the authority itself looks the name up.
-    let records = if next.is_some() { None } else { zone.lookup(qname) };
-    let (kind, rcode) = match (next, records) {
-        (Some(_), _) => (AnswerKind::Referral, Rcode::NoError),
-        (None, Some(_)) => (AnswerKind::Authoritative, Rcode::NoError),
-        (None, None) => (AnswerKind::NxDomain, Rcode::NxDomain),
+    let denied = next.is_none() && zone.lookup(qname).is_none();
+    let rcode = if denied {
+        Rcode::NxDomain
+    } else {
+        Rcode::NoError
     };
     let header = Header {
         id,
@@ -81,84 +70,22 @@ pub fn write_authoritative_answer(
             );
         }
     } else {
-        // The in-zone CNAME chain.
-        let (mut current, mut records) = (qname, records);
-        for _ in 0..8 {
-            let Some(found) = records else { break };
-            let mut target: Option<&DomainName> = None;
-            for r in found {
+        for (owner, records) in zone.answer_chain(qname) {
+            for r in records {
                 let rtype = r.record_type().expect("zones hold typed records");
-                m.record(Section::Answer, current, rtype, class, zone.ttl, r.view());
-                if let RData::Cname(t) = r {
-                    target = Some(t);
-                }
+                m.record(Section::Answer, owner, rtype, class, zone.ttl, r.view());
             }
-            match target {
-                Some(t) if t.is_subdomain_of(&zone.apex) => current = t,
-                _ => break,
-            }
-            records = zone.lookup(current);
         }
     }
     m.finish().expect("an answer fits in a message");
-    kind
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::zones::ZoneTree;
-    use dnswire::{Message, MessageRef, Question};
+    use dnswire::{Message, MessageRef, Question, RData, ResourceRecord};
     use std::net::Ipv4Addr;
-
-    /// The response to `query` built as an owned [`Message`]: the reference
-    /// the written answers are checked against, byte for byte.
-    fn authoritative_answer(
-        zone: &Zone,
-        next: Option<&Zone>,
-        query: &Message,
-    ) -> (Message, AnswerKind) {
-        let mut resp = query.response_from_query();
-        resp.header.authoritative = true;
-        let q = &query.questions[0];
-
-        if let Some(deeper) = next {
-            for (ns_name, ns_addr) in &deeper.ns {
-                resp.add_authority(deeper.apex.clone(), deeper.ttl, RData::Ns(ns_name.clone()));
-                resp.add_additional(ns_name.clone(), deeper.ttl, RData::A(*ns_addr));
-            }
-            return (resp, AnswerKind::Referral);
-        }
-
-        // We are the authority: answer, following in-zone CNAME chains.
-        let mut current = &q.qname;
-        let mut answered = false;
-        for _ in 0..8 {
-            match zone.lookup(current) {
-                Some(records) => {
-                    answered = true;
-                    let mut next: Option<&DomainName> = None;
-                    for r in records {
-                        resp.add_answer(current.clone(), zone.ttl, r.clone());
-                        if let RData::Cname(target) = r {
-                            next = Some(target);
-                        }
-                    }
-                    match next {
-                        Some(target) if target.is_subdomain_of(&zone.apex) => current = target,
-                        _ => break,
-                    }
-                }
-                None => break,
-            }
-        }
-
-        if answered {
-            (resp, AnswerKind::Authoritative)
-        } else {
-            (resp.with_rcode(Rcode::NxDomain), AnswerKind::NxDomain)
-        }
-    }
 
     /// The zone after `zone` on `qname`'s delegation chain, as the
     /// iterative walk passes it.
@@ -168,13 +95,13 @@ mod tests {
     }
 
     /// The answer `zone`'s server writes to the iterative A query for
-    /// `qname`, and its kind.
-    fn answer(zone: &Zone, tree: &ZoneTree, qname: &str) -> (Vec<u8>, AnswerKind) {
+    /// `qname`.
+    fn answer(zone: &Zone, tree: &ZoneTree, qname: &str) -> Vec<u8> {
         let qname = name(qname);
         let next = next_zone(zone, tree, &qname);
         let mut w = WireWriter::new();
-        let kind = write_authoritative_answer(zone, next, &qname, 7, &mut w);
-        (w.into_bytes(), kind)
+        write_authoritative_answer(zone, next, &qname, 7, &mut w);
+        w.into_bytes()
     }
 
     /// The A chain from `qname`, read in place.
@@ -199,12 +126,20 @@ mod tests {
     fn root_refers_to_tld() {
         let t = tree();
         let root = t.zone(&DomainName::root()).unwrap();
-        let (bytes, kind) = answer(root, &t, "www.example.com");
-        assert_eq!(kind, AnswerKind::Referral);
-        let resp = Message::decode(&bytes).unwrap();
-        let refs = resp.referrals();
-        assert!(!refs.is_empty());
-        assert!(!refs[0].1.is_empty(), "referral carries glue");
+        let resp = Message::decode(&answer(root, &t, "www.example.com")).unwrap();
+        assert_eq!(resp.header.rcode, Rcode::NoError);
+        assert!(!resp.authority.is_empty());
+        for ns in &resp.authority {
+            let RData::Ns(host) = &ns.rdata else {
+                panic!("{ns:?} is no NS record")
+            };
+            assert!(
+                resp.additional
+                    .iter()
+                    .any(|glue| glue.name == *host && matches!(glue.rdata, RData::A(_))),
+                "referral carries glue for {host}"
+            );
+        }
         assert!(resp.answers.is_empty());
     }
 
@@ -212,10 +147,9 @@ mod tests {
     fn tld_refers_to_auth() {
         let t = tree();
         let com = t.zone(&name("com")).unwrap();
-        let (bytes, kind) = answer(com, &t, "www.example.com");
-        assert_eq!(kind, AnswerKind::Referral);
         // The referred zone should be example.com's.
-        let resp = Message::decode(&bytes).unwrap();
+        let resp = Message::decode(&answer(com, &t, "www.example.com")).unwrap();
+        assert!(resp.answers.is_empty());
         assert_eq!(resp.authority[0].name, name("example.com"));
     }
 
@@ -223,9 +157,10 @@ mod tests {
     fn auth_answers() {
         let t = tree();
         let auth = t.zone(&name("example.com")).unwrap();
-        let (bytes, kind) = answer(auth, &t, "www.example.com");
-        assert_eq!(kind, AnswerKind::Authoritative);
-        assert!(Message::decode(&bytes).unwrap().header.authoritative);
+        let bytes = answer(auth, &t, "www.example.com");
+        let header = Message::decode(&bytes).unwrap().header;
+        assert!(header.authoritative);
+        assert_eq!(header.rcode, Rcode::NoError);
         assert_eq!(chain(&bytes, "www.example.com"), vec![Ipv4Addr::new(10, 0, 0, 1)]);
     }
 
@@ -233,8 +168,7 @@ mod tests {
     fn auth_denies_unknown_name() {
         let t = tree();
         let auth = t.zone(&name("example.com")).unwrap();
-        let (bytes, kind) = answer(auth, &t, "nosuch.example.com");
-        assert_eq!(kind, AnswerKind::NxDomain);
+        let bytes = answer(auth, &t, "nosuch.example.com");
         assert_eq!(Message::decode(&bytes).unwrap().header.rcode, Rcode::NxDomain);
     }
 
@@ -246,31 +180,53 @@ mod tests {
             z.add_cname(name("web.example.com"), name("www.example.com"));
         }
         let auth = t.zone(&name("example.com")).unwrap();
-        let (bytes, kind) = answer(auth, &t, "web.example.com");
-        assert_eq!(kind, AnswerKind::Authoritative);
+        let bytes = answer(auth, &t, "web.example.com");
         assert_eq!(chain(&bytes, "web.example.com"), vec![Ipv4Addr::new(10, 0, 0, 1)]);
     }
 
     /// Each answer written straight from the zones is, byte for byte, the
-    /// owned answer encoded: a referral with glue, an authoritative A set,
-    /// an in-zone CNAME chain, a CNAME out of zone and NXDOMAIN.
+    /// owned answer written out by hand and encoded: a referral with glue,
+    /// an authoritative A set, an in-zone CNAME chain, a CNAME out of zone
+    /// and NXDOMAIN.
     #[test]
     fn written_answers_equal_encoded_owned_answers() {
         let mut t = tree();
+        let (a1, a2) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
         {
             let z = t.zone_mut(&name("example.com")).unwrap();
-            z.add_a(name("www.example.com"), Ipv4Addr::new(10, 0, 0, 2));
+            z.add_a(name("www.example.com"), a2);
             z.add_cname(name("web.example.com"), name("www.example.com"));
             z.add_cname(name("out.example.com"), name("www.other.org"));
         }
+        let rr = |owner: &str, rdata: RData| ResourceRecord::new(name(owner), 7_200, rdata);
+        let www = || {
+            [
+                rr("www.example.com", RData::A(a1)),
+                rr("www.example.com", RData::A(a2)),
+            ]
+        };
         let mut w = WireWriter::new();
-        for (i, (apex, qname, kind)) in [
-            (".", "www.example.com", AnswerKind::Referral),
-            ("com", "www.example.com", AnswerKind::Referral),
-            ("example.com", "www.example.com", AnswerKind::Authoritative),
-            ("example.com", "web.example.com", AnswerKind::Authoritative),
-            ("example.com", "out.example.com", AnswerKind::Authoritative),
-            ("example.com", "nosuch.example.com", AnswerKind::NxDomain),
+        let ok = Rcode::NoError;
+        for (i, (apex, qname, rcode, answers)) in [
+            (".", "www.example.com", ok, vec![]),
+            ("com", "www.example.com", ok, vec![]),
+            ("example.com", "www.example.com", ok, www().to_vec()),
+            (
+                "example.com",
+                "web.example.com",
+                ok,
+                [rr("web.example.com", RData::Cname(name("www.example.com")))]
+                    .into_iter()
+                    .chain(www())
+                    .collect(),
+            ),
+            (
+                "example.com",
+                "out.example.com",
+                ok,
+                vec![rr("out.example.com", RData::Cname(name("www.other.org")))],
+            ),
+            ("example.com", "nosuch.example.com", Rcode::NxDomain, vec![]),
         ]
         .into_iter()
         .enumerate()
@@ -278,14 +234,36 @@ mod tests {
             let zone = t.zone(&name(apex)).unwrap();
             let qname = name(qname);
             let id = 0x5a00 + i as u16;
-            let query = Message::iterative_query(id, qname.clone(), RecordType::A);
             let next = next_zone(zone, &t, &qname);
-            let (owned, owned_kind) = authoritative_answer(zone, next, &query);
-            assert_eq!(owned_kind, kind, "{qname} at {apex}");
-            assert_eq!(
-                write_authoritative_answer(zone, next, &qname, id, &mut w),
-                kind
-            );
+            // A referral carries the child zone's NS records and their glue.
+            let (authority, additional) = match next {
+                Some(deeper) => deeper
+                    .ns
+                    .iter()
+                    .map(|(host, addr)| {
+                        let ttl = deeper.ttl;
+                        (
+                            ResourceRecord::new(deeper.apex.clone(), ttl, RData::Ns(host.clone())),
+                            ResourceRecord::new(host.clone(), ttl, RData::A(*addr)),
+                        )
+                    })
+                    .unzip(),
+                None => (vec![], vec![]),
+            };
+            let owned = Message {
+                header: Header {
+                    id,
+                    is_response: true,
+                    authoritative: true,
+                    rcode,
+                    ..Header::default()
+                },
+                questions: vec![Question::new(qname.clone(), RecordType::A)],
+                answers,
+                authority,
+                additional,
+            };
+            write_authoritative_answer(zone, next, &qname, id, &mut w);
             assert_eq!(w.as_bytes(), owned.encode().unwrap(), "{qname} at {apex}");
         }
     }
@@ -293,17 +271,16 @@ mod tests {
     #[test]
     fn responses_are_wire_valid() {
         let t = tree();
-        for (zone_apex, qn) in [
-            (DomainName::root(), "www.example.com"),
-            (name("com"), "www.example.com"),
-            (name("example.com"), "www.example.com"),
-            (name("example.com"), "zz.example.com"),
+        for (zone_apex, qn, rcode) in [
+            (DomainName::root(), "www.example.com", Rcode::NoError),
+            (name("com"), "www.example.com", Rcode::NoError),
+            (name("example.com"), "www.example.com", Rcode::NoError),
+            (name("example.com"), "zz.example.com", Rcode::NxDomain),
         ] {
             let zone = t.zone(&zone_apex).unwrap();
-            let (bytes, kind) = answer(zone, &t, qn);
+            let bytes = answer(zone, &t, qn);
             let decoded = Message::decode(&bytes).unwrap();
-            let denied = kind == AnswerKind::NxDomain;
-            assert_eq!(decoded.header.rcode == Rcode::NxDomain, denied);
+            assert_eq!(decoded.header.rcode, rcode, "{qn} at {zone_apex}");
             assert_eq!(decoded.questions, [Question::new(name(qn), RecordType::A)]);
             assert_eq!(decoded.encode().unwrap(), bytes, "{qn} at {zone_apex}");
         }

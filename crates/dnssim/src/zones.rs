@@ -50,6 +50,50 @@ impl Zone {
     pub fn lookup(&self, name: &DomainName) -> Option<&[RData]> {
         self.records.get(name).map(|v| v.as_slice())
     }
+
+    /// The zone's answer to an A query for `qname`, name by name: each name
+    /// on `qname`'s in-zone CNAME chain with its records, at most eight
+    /// names. The chain moves on to a name's first CNAME target while the
+    /// name holds no A record and the target lies in the zone, so the
+    /// answer's addresses are its last name's A records. Empty when the
+    /// zone does not hold `qname` (NXDOMAIN); no addresses when the chain
+    /// ends in a CNAME out of zone or runs out of names. The written answer
+    /// ([`crate::server::write_authoritative_answer`]) and the codec-free
+    /// resolution both read this one chain.
+    pub fn answer_chain<'z>(
+        &'z self,
+        qname: &'z DomainName,
+    ) -> impl Iterator<Item = (&'z DomainName, &'z [RData])> + 'z {
+        let mut next = Some(qname);
+        std::iter::from_fn(move || {
+            let owner = next.take()?;
+            let records = self.lookup(owner)?;
+            if !records.iter().any(|r| matches!(r, RData::A(_))) {
+                next = records
+                    .iter()
+                    .find_map(|r| match r {
+                        RData::Cname(target) => Some(target),
+                        _ => None,
+                    })
+                    .filter(|target| target.is_subdomain_of(&self.apex));
+            }
+            Some((owner, records))
+        })
+        .take(8)
+    }
+
+    /// Append to `out` the addresses of the zone's answer for `qname`: the
+    /// A records its [`Self::answer_chain`] ends in.
+    pub fn answer_addresses(&self, qname: &DomainName, out: &mut Vec<Ipv4Addr>) {
+        out.extend(
+            self.answer_chain(qname)
+                .flat_map(|(_, records)| records)
+                .filter_map(|r| match r {
+                    RData::A(a) => Some(*a),
+                    _ => None,
+                }),
+        );
+    }
 }
 
 /// The full hierarchy, keyed by zone apex.
@@ -237,6 +281,42 @@ mod tests {
             Some(&[RData::A(Ipv4Addr::new(10, 0, 0, 1))][..])
         );
         assert!(z.lookup(&name("nosuch.example.com")).is_none());
+    }
+
+    #[test]
+    fn answer_chain_follows_in_zone_cnames_to_the_addresses() {
+        let mut z = Zone::new(name("example.com"), vec![], 300);
+        let a = Ipv4Addr::new(10, 0, 0, 1);
+        z.add_a(name("www.example.com"), a);
+        z.add_cname(name("web.example.com"), name("www.example.com"));
+        z.add_cname(name("w3.example.com"), name("web.example.com"));
+        z.add_cname(name("out.example.com"), name("www.other.org"));
+        z.add_cname(name("ping.example.com"), name("pong.example.com"));
+        z.add_cname(name("pong.example.com"), name("ping.example.com"));
+        let owners = |q: &str| -> Vec<String> {
+            z.answer_chain(&name(q))
+                .map(|(owner, _)| owner.to_string())
+                .collect()
+        };
+        let addresses = |q: &str| {
+            let mut out = Vec::new();
+            z.answer_addresses(&name(q), &mut out);
+            out
+        };
+        assert_eq!(
+            owners("w3.example.com"),
+            ["w3.example.com", "web.example.com", "www.example.com"]
+        );
+        assert_eq!(addresses("w3.example.com"), [a]);
+        assert_eq!(owners("out.example.com"), ["out.example.com"]);
+        assert!(addresses("out.example.com").is_empty());
+        assert_eq!(
+            owners("ping.example.com").len(),
+            8,
+            "a loop stops at eight names"
+        );
+        assert!(addresses("ping.example.com").is_empty());
+        assert!(owners("nosuch.example.com").is_empty());
     }
 
     #[test]

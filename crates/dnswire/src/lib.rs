@@ -31,24 +31,25 @@
 //! checks a message in place, with every check and error of
 //! [`Message::decode`], and reads it without copying: its
 //! [`MessageRef::resolve_a_chain`] follows an answer's CNAME chain over the
-//! bytes. The owned [`Message`] is the by-hand form for tests and tools:
-//! [`Message::encode`] goes through the same writer, and
-//! [`Message::decode`] is [`MessageRef::decode`] plus a copy into owned
+//! bytes. The owned [`Message`] is the by-hand form for tests and tools,
+//! written as a literal: [`Message::encode`] goes through the same writer,
+//! and [`Message::decode`] is [`MessageRef::decode`] plus a copy into owned
 //! records.
 //!
 //! ```
-//! use dnswire::{Message, DomainName, RecordType, RData};
+//! use dnswire::{DomainName, Header, Message, Question, RData, RecordType, ResourceRecord};
 //! use std::net::Ipv4Addr;
 //!
 //! let name: DomainName = "www.example.com".parse().unwrap();
-//! let query = Message::query(0x1234, name.clone(), RecordType::A);
-//! let bytes = query.encode().unwrap();
-//!
-//! let mut response = Message::decode(&bytes).unwrap().response_from_query();
-//! response.add_answer(name, 300, RData::A(Ipv4Addr::new(203, 0, 113, 7)));
+//! let response = Message {
+//!     header: Header { id: 0x1234, is_response: true, recursion_desired: true, ..Header::default() },
+//!     questions: vec![Question::new(name.clone(), RecordType::A)],
+//!     answers: vec![ResourceRecord::new(name, 300, RData::A(Ipv4Addr::new(203, 0, 113, 7)))],
+//!     ..Message::default()
+//! };
 //! let wire = response.encode().unwrap();
 //! let decoded = Message::decode(&wire).unwrap();
-//! assert_eq!(decoded.answers.len(), 1);
+//! assert_eq!(decoded.answers, response.answers);
 //! ```
 //!
 //! The same answer written from borrowed parts and read in place, with no

@@ -1,11 +1,11 @@
 //! Complete DNS messages (RFC 1035 §4.1).
 
 use crate::error::WireError;
-use crate::header::{Header, Rcode};
+use crate::header::Header;
 use crate::name::{DomainName, NameRef};
-use crate::rr::{
-    validate_record, RData, RDataRef, RecordClass, RecordRef, RecordType, ResourceRecord,
-};
+#[cfg(test)]
+use crate::rr::RData;
+use crate::rr::{validate_record, RDataRef, RecordClass, RecordRef, RecordType, ResourceRecord};
 use crate::wire::{skip_name, u16_at, WireReader, WireWriter};
 use std::net::Ipv4Addr;
 
@@ -41,66 +41,10 @@ pub struct Message {
 }
 
 impl Message {
-    /// A standard recursive query for `(qname, qtype)`.
-    pub fn query(id: u16, qname: DomainName, qtype: RecordType) -> Message {
-        Message {
-            header: Header {
-                id,
-                recursion_desired: true,
-                qdcount: 1,
-                ..Header::default()
-            },
-            questions: vec![Question::new(qname, qtype)],
-            ..Message::default()
-        }
-    }
-
-    /// An iterative (non-recursive) query, as `dig +norecurse` would send.
-    pub fn iterative_query(id: u16, qname: DomainName, qtype: RecordType) -> Message {
-        let mut m = Message::query(id, qname, qtype);
-        m.header.recursion_desired = false;
-        m
-    }
-
-    /// Start a response to this query: copies id, question and RD; sets QR.
-    pub fn response_from_query(&self) -> Message {
-        Message {
-            header: Header {
-                id: self.header.id,
-                is_response: true,
-                recursion_desired: self.header.recursion_desired,
-                qdcount: self.questions.len() as u16,
-                ..Header::default()
-            },
-            questions: self.questions.clone(),
-            ..Message::default()
-        }
-    }
-
-    /// Append an answer record (IN class).
-    pub fn add_answer(&mut self, name: DomainName, ttl: u32, rdata: RData) {
-        self.answers.push(ResourceRecord::new(name, ttl, rdata));
-    }
-
-    /// Append an authority (NS) record.
-    pub fn add_authority(&mut self, name: DomainName, ttl: u32, rdata: RData) {
-        self.authority.push(ResourceRecord::new(name, ttl, rdata));
-    }
-
-    /// Append an additional (glue) record.
-    pub fn add_additional(&mut self, name: DomainName, ttl: u32, rdata: RData) {
-        self.additional.push(ResourceRecord::new(name, ttl, rdata));
-    }
-
-    /// Set the response code.
-    pub fn with_rcode(mut self, rcode: Rcode) -> Message {
-        self.header.rcode = rcode;
-        self
-    }
-
     /// All A-record addresses in the answer section for `name` (following
-    /// no CNAMEs; [`MessageRef::resolve_a_chain`] follows them).
-    pub fn a_records_for(&self, name: &DomainName) -> Vec<Ipv4Addr> {
+    /// no CNAMEs).
+    #[cfg(test)]
+    fn a_records_for(&self, name: &DomainName) -> Vec<Ipv4Addr> {
         self.answers
             .iter()
             .filter(|rr| &rr.name == name)
@@ -139,34 +83,6 @@ impl Message {
             }
         }
         Vec::new()
-    }
-
-    /// Referral data from the authority/additional sections: NS names with
-    /// any glue A addresses.
-    pub fn referrals(&self) -> Vec<(DomainName, Vec<Ipv4Addr>)> {
-        self.authority
-            .iter()
-            .filter_map(|rr| match &rr.rdata {
-                RData::Ns(ns) => Some(ns.clone()),
-                _ => None,
-            })
-            .map(|ns| {
-                let glue = self.a_records_for(&ns_glue_name(&ns));
-                let glue = if glue.is_empty() {
-                    self.additional
-                        .iter()
-                        .filter(|rr| rr.name == ns)
-                        .filter_map(|rr| match rr.rdata {
-                            RData::A(a) => Some(a),
-                            _ => None,
-                        })
-                        .collect()
-                } else {
-                    glue
-                };
-                (ns, glue)
-            })
-            .collect()
     }
 
     /// Serialize to wire bytes.
@@ -383,23 +299,47 @@ impl<'a> MessageRef<'a> {
     }
 }
 
-/// Identity helper kept separate for clarity: glue records are published
-/// under the NS host name itself.
-fn ns_glue_name(ns: &DomainName) -> DomainName {
-    ns.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::Rcode;
 
     fn name(s: &str) -> DomainName {
         s.parse().unwrap()
     }
 
+    fn rr(owner: &str, ttl: u32, rdata: RData) -> ResourceRecord {
+        ResourceRecord::new(name(owner), ttl, rdata)
+    }
+
+    /// A query for `(qname, qtype)` with id `id`; recursive when `rd`.
+    fn query(id: u16, qname: &str, qtype: RecordType, rd: bool) -> Message {
+        Message {
+            header: Header {
+                id,
+                recursion_desired: rd,
+                ..Header::default()
+            },
+            questions: vec![Question::new(name(qname), qtype)],
+            ..Message::default()
+        }
+    }
+
+    /// The response to `query` with no records yet: its id, question and
+    /// RD flag, with QR set.
+    fn response(query: Message) -> Message {
+        Message {
+            header: Header {
+                is_response: true,
+                ..query.header
+            },
+            ..query
+        }
+    }
+
     #[test]
     fn query_roundtrip() {
-        let q = Message::query(0x4242, name("www.example.com"), RecordType::A);
+        let q = query(0x4242, "www.example.com", RecordType::A, true);
         let bytes = q.encode().unwrap();
         let decoded = Message::decode(&bytes).unwrap();
         assert_eq!(decoded.header.id, 0x4242);
@@ -411,31 +351,28 @@ mod tests {
     }
 
     #[test]
-    fn iterative_query_clears_rd() {
-        let q = Message::iterative_query(1, name("example.com"), RecordType::Ns);
-        assert!(!q.header.recursion_desired);
-    }
-
-    #[test]
     fn response_roundtrip_with_all_sections() {
-        let q = Message::query(7, name("www.example.com"), RecordType::A);
-        let mut resp = q.response_from_query();
-        resp.add_answer(
-            name("www.example.com"),
-            300,
-            RData::Cname(name("web.example.com")),
-        );
-        resp.add_answer(
-            name("web.example.com"),
-            300,
-            RData::A(Ipv4Addr::new(203, 0, 113, 9)),
-        );
-        resp.add_authority(name("example.com"), 3600, RData::Ns(name("ns1.example.com")));
-        resp.add_additional(
-            name("ns1.example.com"),
-            3600,
-            RData::A(Ipv4Addr::new(198, 51, 100, 53)),
-        );
+        let resp = Message {
+            answers: vec![
+                rr(
+                    "www.example.com",
+                    300,
+                    RData::Cname(name("web.example.com")),
+                ),
+                rr(
+                    "web.example.com",
+                    300,
+                    RData::A(Ipv4Addr::new(203, 0, 113, 9)),
+                ),
+            ],
+            authority: vec![rr("example.com", 3600, RData::Ns(name("ns1.example.com")))],
+            additional: vec![rr(
+                "ns1.example.com",
+                3600,
+                RData::A(Ipv4Addr::new(198, 51, 100, 53)),
+            )],
+            ..response(query(7, "www.example.com", RecordType::A, true))
+        };
         let bytes = resp.encode().unwrap();
         let decoded = Message::decode(&bytes).unwrap();
         assert!(decoded.header.is_response);
@@ -449,10 +386,14 @@ mod tests {
 
     #[test]
     fn cname_chain_resolution() {
-        let mut m = Message::default();
-        m.add_answer(name("a.example"), 60, RData::Cname(name("b.example")));
-        m.add_answer(name("b.example"), 60, RData::Cname(name("c.example")));
-        m.add_answer(name("c.example"), 60, RData::A(Ipv4Addr::new(10, 0, 0, 1)));
+        let m = Message {
+            answers: vec![
+                rr("a.example", 60, RData::Cname(name("b.example"))),
+                rr("b.example", 60, RData::Cname(name("c.example"))),
+                rr("c.example", 60, RData::A(Ipv4Addr::new(10, 0, 0, 1))),
+            ],
+            ..Message::default()
+        };
         assert_eq!(
             m.resolve_a_chain(&name("a.example")),
             vec![Ipv4Addr::new(10, 0, 0, 1)]
@@ -462,34 +403,20 @@ mod tests {
 
     #[test]
     fn cname_loop_terminates_empty() {
-        let mut m = Message::default();
-        m.add_answer(name("a.example"), 60, RData::Cname(name("b.example")));
-        m.add_answer(name("b.example"), 60, RData::Cname(name("a.example")));
+        let m = Message {
+            answers: vec![
+                rr("a.example", 60, RData::Cname(name("b.example"))),
+                rr("b.example", 60, RData::Cname(name("a.example"))),
+            ],
+            ..Message::default()
+        };
         assert!(m.resolve_a_chain(&name("a.example")).is_empty());
     }
 
     #[test]
-    fn referrals_with_glue() {
-        let mut m = Message::default().with_rcode(Rcode::NoError);
-        m.add_authority(name("example.com"), 3600, RData::Ns(name("ns1.example.com")));
-        m.add_authority(name("example.com"), 3600, RData::Ns(name("ns2.example.com")));
-        m.add_additional(
-            name("ns1.example.com"),
-            3600,
-            RData::A(Ipv4Addr::new(198, 51, 100, 1)),
-        );
-        let refs = m.referrals();
-        assert_eq!(refs.len(), 2);
-        assert_eq!(refs[0].0, name("ns1.example.com"));
-        assert_eq!(refs[0].1, vec![Ipv4Addr::new(198, 51, 100, 1)]);
-        assert_eq!(refs[1].0, name("ns2.example.com"));
-        assert!(refs[1].1.is_empty(), "no glue for ns2");
-    }
-
-    #[test]
     fn nxdomain_response() {
-        let q = Message::query(9, name("nosuch.example"), RecordType::A);
-        let resp = q.response_from_query().with_rcode(Rcode::NxDomain);
+        let mut resp = response(query(9, "nosuch.example", RecordType::A, true));
+        resp.header.rcode = Rcode::NxDomain;
         let bytes = resp.encode().unwrap();
         let decoded = Message::decode(&bytes).unwrap();
         assert_eq!(decoded.header.rcode, Rcode::NxDomain);
@@ -499,7 +426,7 @@ mod tests {
 
     #[test]
     fn count_mismatch_rejected() {
-        let q = Message::query(1, name("x.example"), RecordType::A);
+        let q = query(1, "x.example", RecordType::A, true);
         let mut bytes = q.encode().unwrap();
         // Claim one answer that isn't present.
         bytes[7] = 1; // ancount low byte
@@ -520,16 +447,12 @@ mod tests {
 
     #[test]
     fn compression_shrinks_message() {
-        let mut m = Message::query(1, name("www.example.com"), RecordType::A);
-        let mut resp = m.response_from_query();
-        for i in 0..10u8 {
-            resp.add_answer(
-                name("www.example.com"),
-                60,
-                RData::A(Ipv4Addr::new(10, 0, 0, i)),
-            );
-        }
-        m = resp;
+        let m = Message {
+            answers: (0..10u8)
+                .map(|i| rr("www.example.com", 60, RData::A(Ipv4Addr::new(10, 0, 0, i))))
+                .collect(),
+            ..response(query(1, "www.example.com", RecordType::A, true))
+        };
         let bytes = m.encode().unwrap();
         // Header 12 + question 21 + 10 answers of (2-byte pointer + 10 fixed
         // + 4 rdata) = 193; the uncompressed form would be 343.
@@ -551,13 +474,16 @@ mod tests {
     /// zone's own four servers): the NS targets share a suffix and every
     /// glue owner repeats an NS target, so most names are pointers.
     fn referral_fixture() -> Message {
-        let q = Message::iterative_query(0x2a5c, name("www.example.com"), RecordType::A);
-        let mut resp = q.response_from_query();
+        let mut resp = response(query(0x2a5c, "www.example.com", RecordType::A, false));
         resp.header.authoritative = true;
         for (i, c) in ["a", "b", "c", "d"].into_iter().enumerate() {
-            let ns = name(&format!("{c}.root-servers.example"));
-            resp.add_authority(DomainName::root(), 86_400, RData::Ns(ns.clone()));
-            resp.add_additional(ns, 86_400, RData::A(Ipv4Addr::new(192, 0, 32, i as u8 + 1)));
+            let ns = format!("{c}.root-servers.example");
+            resp.authority.push(rr(".", 86_400, RData::Ns(name(&ns))));
+            resp.additional.push(rr(
+                &ns,
+                86_400,
+                RData::A(Ipv4Addr::new(192, 0, 32, i as u8 + 1)),
+            ));
         }
         resp
     }
@@ -598,11 +524,22 @@ mod tests {
             0x77, 0xc0, 0x10, 0xc0, 0x2d, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x1c,
             0x20, 0x00, 0x04, 0x0a, 0x00, 0x00, 0x01,
         ];
-        let q = Message::iterative_query(0x0b0e, name("web.example.com"), RecordType::A);
-        let mut msg = q.response_from_query();
+        let mut msg = Message {
+            answers: vec![
+                rr(
+                    "web.example.com",
+                    7200,
+                    RData::Cname(name("www.example.com")),
+                ),
+                rr(
+                    "www.example.com",
+                    7200,
+                    RData::A(Ipv4Addr::new(10, 0, 0, 1)),
+                ),
+            ],
+            ..response(query(0x0b0e, "web.example.com", RecordType::A, false))
+        };
         msg.header.authoritative = true;
-        msg.add_answer(name("web.example.com"), 7200, RData::Cname(name("www.example.com")));
-        msg.add_answer(name("www.example.com"), 7200, RData::A(Ipv4Addr::new(10, 0, 0, 1)));
         assert_eq!(msg.encode().unwrap(), PINNED);
         assert_same_records(&Message::decode(&PINNED).unwrap(), &msg);
     }
@@ -612,17 +549,21 @@ mod tests {
         // A 16 465-byte opaque answer pushes the next owner name past offset
         // 0x3FFF: its `www` label is written again by the repeat, and only
         // `example` (at 12, in the question) is pointed to.
-        let q = Message::query(7, name("example"), RecordType::Other(16));
-        let mut msg = q.response_from_query();
-        msg.answers.push(ResourceRecord {
+        let big = ResourceRecord {
             name: name("big.example"),
             rtype: RecordType::Other(16),
             class: RecordClass::In,
             ttl: 60,
             rdata: RData::Opaque(vec![b'x'; 16_465]),
-        });
-        msg.add_answer(name("www.example"), 60, RData::A(Ipv4Addr::new(10, 0, 0, 2)));
-        msg.add_answer(name("www.example"), 60, RData::A(Ipv4Addr::new(10, 0, 0, 3)));
+        };
+        let msg = Message {
+            answers: vec![
+                big,
+                rr("www.example", 60, RData::A(Ipv4Addr::new(10, 0, 0, 2))),
+                rr("www.example", 60, RData::A(Ipv4Addr::new(10, 0, 0, 3))),
+            ],
+            ..response(query(7, "example", RecordType::Other(16), true))
+        };
         let bytes = msg.encode().unwrap();
         assert_eq!(bytes.len(), 16_546);
         #[rustfmt::skip]
@@ -658,13 +599,16 @@ mod tests {
             vec![],
         ];
         for answers in cases {
-            let mut msg = Message::query(1, name("a.example"), RecordType::A).response_from_query();
-            for (owner, rdata) in &answers {
-                msg.add_answer(name(owner), 60, rdata.clone());
-            }
-            // Records outside the answer section are no part of a chain.
-            msg.add_authority(name("a.example"), 60, a(7));
-            msg.add_additional(name("b.example"), 60, a(8));
+            let msg = Message {
+                answers: answers
+                    .iter()
+                    .map(|(owner, rdata)| rr(owner, 60, rdata.clone()))
+                    .collect(),
+                // Records outside the answer section are no part of a chain.
+                authority: vec![rr("a.example", 60, a(7))],
+                additional: vec![rr("b.example", 60, a(8))],
+                ..response(query(1, "a.example", RecordType::A, true))
+            };
             let mut bytes = msg.encode().unwrap();
             for shout in [false, true] {
                 if shout {
@@ -692,7 +636,7 @@ mod tests {
     #[test]
     fn a_kept_writer_matches_encode() {
         let referral = referral_fixture();
-        let query = Message::query(3, name("www.example.com"), RecordType::A);
+        let query = query(3, "www.example.com", RecordType::A, true);
         let mut w = WireWriter::new();
         w.put_bytes(&[0xEE; 9]);
         for msg in [&referral, &query, &referral] {

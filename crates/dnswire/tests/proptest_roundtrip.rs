@@ -2,7 +2,7 @@
 //! round-trip exactly, the decoder never panics on arbitrary bytes, and the
 //! wire-form name's borrowed suffixes agree with its owned ancestors.
 
-use dnswire::{DomainName, Message, RData, RecordType, ResourceRecord};
+use dnswire::{DomainName, Header, Message, Question, RData, RecordType, ResourceRecord};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -37,6 +37,22 @@ fn rdata() -> impl Strategy<Value = RData> {
 fn record() -> impl Strategy<Value = ResourceRecord> {
     (domain_name(), any::<u32>(), rdata())
         .prop_map(|(name, ttl, rdata)| ResourceRecord::new(name, ttl, rdata))
+}
+
+/// The response to a recursive A query for `qname` with id `id`, carrying
+/// `answers`.
+fn response(id: u16, qname: DomainName, answers: Vec<ResourceRecord>) -> Message {
+    Message {
+        header: Header {
+            id,
+            is_response: true,
+            recursion_desired: true,
+            ..Header::default()
+        },
+        questions: vec![Question::new(qname, RecordType::A)],
+        answers,
+        ..Message::default()
+    }
 }
 
 proptest! {
@@ -83,8 +99,7 @@ proptest! {
         authority in proptest::collection::vec(record(), 0..4),
         additional in proptest::collection::vec(record(), 0..4),
     ) {
-        let mut m = Message::query(id, qname, RecordType::A).response_from_query();
-        m.answers = answers;
+        let mut m = response(id, qname, answers);
         m.authority = authority;
         m.additional = additional;
         let bytes = m.encode().unwrap();
@@ -108,8 +123,7 @@ proptest! {
         answers in proptest::collection::vec(record(), 0..6),
     ) {
         // decode(encode(m)) re-encodes to identical bytes (canonical form).
-        let mut m = Message::query(1, qname, RecordType::A).response_from_query();
-        m.answers = answers;
+        let m = response(1, qname, answers);
         let bytes = m.encode().unwrap();
         let decoded = Message::decode(&bytes).unwrap();
         let bytes2 = decoded.encode().unwrap();

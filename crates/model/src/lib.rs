@@ -36,3 +36,25 @@ pub use provenance::{
 pub use records::{ConnectionRecord, DigOutcome, PerformanceRecord, TransactionOutcome};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceExemplar, TxnTrace};
+
+/// Resolve a thread-count knob: `0` means all available cores (one when
+/// the count cannot be read), anything else is taken as given. The
+/// simulation runner and the analysis scans both resolve theirs here.
+pub fn thread_count(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn thread_count_zero_is_all_cores() {
+        assert!(super::thread_count(0) >= 1);
+        assert_eq!(super::thread_count(3), 3);
+    }
+}

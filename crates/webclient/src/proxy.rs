@@ -15,7 +15,7 @@
 
 use crate::env::AccessEnvironment;
 use crate::session::{HEADER_OVERHEAD, MAX_REDIRECTS};
-use dnssim::{LdnsCache, StubResolver, ZoneTree};
+use dnssim::{LdnsCache, ResolverConfig, StubResolver, ZoneTree};
 use dnswire::DomainName;
 use httpsim::{HttpRequest, HttpResponse, StatusClass};
 use model::{DnsFailureKind, SimDuration, SimTime};
@@ -40,7 +40,10 @@ pub enum ProxyFetch {
 }
 
 /// One caching proxy's state.
-pub struct ProxySession {
+pub struct ProxySession<'t> {
+    /// The proxy's resolver, kept for its lifetime (with its message
+    /// buffer).
+    resolver: StubResolver<'t>,
     cache: LdnsCache,
     rng: SimRng,
     /// Reused A-record buffer (one live allocation per proxy, not one per
@@ -51,9 +54,12 @@ pub struct ProxySession {
     host_scratch: String,
 }
 
-impl ProxySession {
-    pub fn new(rng: SimRng) -> Self {
+impl<'t> ProxySession<'t> {
+    /// A proxy resolving through `tree` under `resolver`, the policy its
+    /// clients resolve with.
+    pub fn new(tree: &'t ZoneTree, resolver: ResolverConfig, rng: SimRng) -> Self {
         ProxySession {
+            resolver: StubResolver::new(tree, resolver),
             cache: LdnsCache::new(),
             rng,
             addr_scratch: Vec::new(),
@@ -72,13 +78,12 @@ impl ProxySession {
     pub fn fetch<P: AccessEnvironment>(
         &mut self,
         env: &P,
-        tree: &ZoneTree,
         host: &DomainName,
         t: SimTime,
         no_cache: bool,
     ) -> ProxyFetch {
         let mut addrs = std::mem::take(&mut self.addr_scratch);
-        let out = self.fetch_inner(env, tree, host, t, no_cache, &mut addrs);
+        let out = self.fetch_inner(env, host, t, no_cache, &mut addrs);
         addrs.clear();
         self.addr_scratch = addrs;
         out
@@ -87,22 +92,25 @@ impl ProxySession {
     fn fetch_inner<P: AccessEnvironment>(
         &mut self,
         env: &P,
-        tree: &ZoneTree,
         host: &DomainName,
         t: SimTime,
         no_cache: bool,
         addrs: &mut Vec<Ipv4Addr>,
     ) -> ProxyFetch {
-        let resolver_cfg = dnssim::ResolverConfig::default();
-        let mut resolver = StubResolver::new(tree, resolver_cfg);
         let mut now = t;
         let mut redirect_host: Option<DomainName> = None;
         let mut bytes_total = 0u64;
 
         for _hop in 0..=MAX_REDIRECTS {
             let current = redirect_host.as_ref().unwrap_or(host);
-            let resolution =
-                resolver.resolve_into(current, env, now, &mut self.rng, &mut self.cache, addrs);
+            let resolution = self.resolver.resolve_into(
+                current,
+                env,
+                now,
+                &mut self.rng,
+                &mut self.cache,
+                addrs,
+            );
             now += resolution.elapsed;
             if let Err(kind) = resolution.result {
                 return ProxyFetch::DnsFailed(kind, now - t);
@@ -185,16 +193,16 @@ mod tests {
         )])
     }
 
-    fn proxy(seed: u64) -> ProxySession {
-        ProxySession::new(SimRng::new(seed))
+    fn proxy(tree: &ZoneTree, seed: u64) -> ProxySession<'_> {
+        ProxySession::new(tree, ResolverConfig::default(), SimRng::new(seed))
     }
 
     #[test]
     fn healthy_fetch_succeeds() {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 12_000));
-        let mut p = proxy(1);
-        match p.fetch(&env, &tr, &name("www.iitb.ac.in"), SimTime::from_hours(1), true) {
+        let mut p = proxy(&tr, 1);
+        match p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(1), true) {
             ProxyFetch::Success { bytes, duration } => {
                 assert_eq!(bytes, 12_000);
                 assert!(duration > SimDuration::ZERO);
@@ -232,12 +240,12 @@ mod tests {
         // succeeds.
         let tr = tree();
         let env = FirstReplicaDead(HealthyEnv::new(Origin::simple("www.iitb.ac.in", 12_000)));
-        let mut p = proxy(2);
+        let mut p = proxy(&tr, 2);
         let mut failed = 0;
         let mut succeeded = 0;
         for k in 0..40u64 {
             let t = SimTime::from_hours(1) + SimDuration::from_secs(k * 60);
-            match p.fetch(&env, &tr, &name("www.iitb.ac.in"), t, true) {
+            match p.fetch(&env, &name("www.iitb.ac.in"), t, true) {
                 ProxyFetch::ConnectFailed(_) => failed += 1,
                 ProxyFetch::Success { .. } => succeeded += 1,
                 other => panic!("unexpected {other:?}"),
@@ -260,9 +268,9 @@ mod tests {
     fn proxy_dns_cache_persists() {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000));
-        let mut p = proxy(4);
+        let mut p = proxy(&tr, 4);
         let t0 = SimTime::from_hours(1);
-        p.fetch(&env, &tr, &name("www.iitb.ac.in"), t0, true);
+        p.fetch(&env, &name("www.iitb.ac.in"), t0, true);
         assert_eq!(p.dns_cache().len(), 1);
         // Second fetch while LDNS is down for the proxy: cache masks it.
         struct ProxyLdnsDown(HealthyEnv);
@@ -285,7 +293,6 @@ mod tests {
         let env2 = ProxyLdnsDown(HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000)));
         match p.fetch(
             &env2,
-            &tr,
             &name("www.iitb.ac.in"),
             t0 + SimDuration::from_secs(60),
             true,
@@ -299,8 +306,8 @@ mod tests {
     fn http_error_passes_through() {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000).with_error_rate(1.0, 500));
-        let mut p = proxy(5);
-        match p.fetch(&env, &tr, &name("www.iitb.ac.in"), SimTime::from_hours(2), true) {
+        let mut p = proxy(&tr, 5);
+        match p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(2), true) {
             ProxyFetch::HttpError(500, _) => {}
             other => panic!("unexpected {other:?}"),
         }

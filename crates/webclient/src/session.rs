@@ -2,7 +2,7 @@
 
 use crate::env::AccessEnvironment;
 use crate::proxy::{ProxyFetch, ProxySession};
-use dnssim::{dig_iterative, DigResult, LdnsCache, ResolverConfig, StubResolver, ZoneTree};
+use dnssim::{LdnsCache, ResolverConfig, StubResolver, ZoneTree};
 use dnswire::DomainName;
 use httpsim::{HttpRequest, HttpResponse, StatusClass};
 use model::{
@@ -31,8 +31,11 @@ pub(crate) const HEADER_OVERHEAD: u64 = 500;
 /// wget-level switches.
 #[derive(Clone, Debug)]
 pub struct WgetConfig {
-    /// Resolver policy. Its `wire_fidelity` switch also round-trips the
-    /// HTTP heads through the text codec: one switch per client.
+    /// Resolver policy for the client's lookups and digs (the experiment
+    /// runner gives the client's proxy the same). Its `wire_fidelity`
+    /// switch also round-trips the HTTP heads through the text codec: one
+    /// switch per client, which changes what a transaction costs, never its
+    /// outcome.
     pub resolver: ResolverConfig,
     /// Capture packet traces (the paper's BB clients could not).
     pub record_traces: bool,
@@ -194,7 +197,6 @@ impl Truth {
 /// Per-client measurement state: the LDNS cache the client talks to, the
 /// client's RNG stream, and the wget configuration.
 pub struct ClientSession<'t> {
-    tree: &'t ZoneTree,
     resolver: StubResolver<'t>,
     config: WgetConfig,
     cache: LdnsCache,
@@ -219,7 +221,6 @@ impl<'t> ClientSession<'t> {
     pub fn new(tree: &'t ZoneTree, config: WgetConfig, rng: SimRng) -> Self {
         let resolver = StubResolver::new(tree, config.resolver);
         ClientSession {
-            tree,
             resolver,
             config,
             cache: LdnsCache::new(),
@@ -312,7 +313,12 @@ impl<'t> ClientSession<'t> {
             truth: dns_truth,
         });
         if let Err(kind) = resolution.result {
-            let dig = self.run_dig(env, host, t + dns_elapsed);
+            // The iterative dig runs only when wget's own resolution failed:
+            // the paper ran it always but *uses* it only for failed lookups,
+            // and skipping the healthy case keeps large simulations fast.
+            let dig = self
+                .resolver
+                .dig_iterative(host, env, t + dns_elapsed, &mut self.rng, addrs);
             return TransactionObservation::dns_failure(t, kind, dig);
         }
 
@@ -488,7 +494,13 @@ impl<'t> ClientSession<'t> {
                                 redirect_host = Some(next_name);
                             }
                             Err(kind) => {
-                                let dig = self.run_dig(env, &next_name, now);
+                                let dig = self.resolver.dig_iterative(
+                                    &next_name,
+                                    env,
+                                    now,
+                                    &mut self.rng,
+                                    addrs,
+                                );
                                 let mut obs = TransactionObservation::dns_failure(t, kind, dig);
                                 // The initial lookup *succeeded*; the redirect's
                                 // failed. Keep the failure class but preserve the
@@ -538,7 +550,7 @@ impl<'t> ClientSession<'t> {
     pub fn run_proxied_transaction<E, P>(
         &mut self,
         env: &E,
-        proxy: &mut ProxySession,
+        proxy: &mut ProxySession<'_>,
         proxy_env: &P,
         host: &DomainName,
         t: SimTime,
@@ -583,7 +595,7 @@ impl<'t> ClientSession<'t> {
         // error, which wget treats as a (failed) response — unlike its own
         // transport-level failures, which it does retry. This asymmetry is
         // part of the Table 9 proxy effect.
-        let fetch = proxy.fetch(proxy_env, self.tree, host, t + local_rtt, self.config.no_cache);
+        let fetch = proxy.fetch(proxy_env, host, t + local_rtt, self.config.no_cache);
         let (outcome, bytes, duration) = match fetch {
             ProxyFetch::Success { bytes, duration } => (
                 TransactionOutcome::Success,
@@ -644,30 +656,6 @@ impl<'t> ClientSession<'t> {
         };
         self.finish(obs, truth)
     }
-
-    /// The iterative dig after a failed lookup. It runs only when wget's
-    /// own resolution failed: the paper ran it always but *uses* it only
-    /// for failed lookups, and skipping the healthy case keeps large
-    /// simulations fast.
-    fn run_dig<E: AccessEnvironment>(
-        &mut self,
-        env: &E,
-        host: &DomainName,
-        t: SimTime,
-    ) -> DigOutcome {
-        let (result, _) = dig_iterative(
-            self.tree,
-            host,
-            env,
-            t,
-            &mut self.rng,
-            &self.config.resolver,
-        );
-        match result {
-            DigResult::Resolved(_) => DigOutcome::Resolved,
-            DigResult::Failed(kind) => DigOutcome::Failed(kind),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -701,6 +689,10 @@ mod tests {
         let mut cfg = WgetConfig::default();
         cfg.resolver.query_loss_prob = 0.0;
         ClientSession::new(tree, cfg, SimRng::new(seed))
+    }
+
+    fn proxy_session(tree: &ZoneTree, seed: u64) -> ProxySession<'_> {
+        ProxySession::new(tree, ResolverConfig::default(), SimRng::new(seed))
     }
 
     #[test]
@@ -906,7 +898,7 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = session(&tr, 21);
-        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(22));
+        let mut proxy = proxy_session(&tr, 22);
         let obs = s.run_proxied_transaction(
             &env,
             &mut proxy,
@@ -928,7 +920,7 @@ mod tests {
         let tr = tree();
         let env = ServersDown(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
         let mut s = session(&tr, 23);
-        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(24));
+        let mut proxy = proxy_session(&tr, 24);
         let obs = s.run_proxied_transaction(
             &env,
             &mut proxy,
@@ -945,7 +937,7 @@ mod tests {
         let client_env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
         let proxy_env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = session(&tr, 25);
-        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(26));
+        let mut proxy = proxy_session(&tr, 26);
         let obs = s.run_proxied_transaction(
             &client_env,
             &mut proxy,
@@ -967,7 +959,7 @@ mod tests {
         // The proxy's vantage has no working DNS.
         let proxy_env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
         let mut s = session(&tr, 27);
-        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(28));
+        let mut proxy = proxy_session(&tr, 28);
         let obs = s.run_proxied_transaction(
             &client_env,
             &mut proxy,
@@ -1073,7 +1065,7 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = forensic_session(&tr, 35);
-        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(36));
+        let mut proxy = proxy_session(&tr, 36);
         let obs = s.run_proxied_transaction(
             &env,
             &mut proxy,
@@ -1127,7 +1119,7 @@ mod tests {
         };
         cfg.resolver.query_loss_prob = 0.0;
         let mut s = ClientSession::new(&tr, cfg, SimRng::new(37));
-        let mut proxy = crate::proxy::ProxySession::new(SimRng::new(38));
+        let mut proxy = proxy_session(&tr, 38);
         let t = SimTime::from_hours(1);
         env.1.set(0);
         s.run_transaction(env, &name("example.com"), t);

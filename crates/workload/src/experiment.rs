@@ -45,7 +45,10 @@ pub struct ExperimentConfig {
     pub hours: u32,
     /// Accesses of each URL per hour per client (the paper's rate is ~4).
     pub iterations_per_hour: u32,
-    /// Round-trip DNS/HTTP messages through the wire codecs.
+    /// Round-trip DNS/HTTP messages through the wire codecs and check what
+    /// they read back. This changes what a run costs, never its dataset:
+    /// the codecs draw nothing from the simulation RNG, and the answers
+    /// come from the zones and origins either way.
     pub wire_fidelity: bool,
     /// Worker threads (0 = all available cores).
     pub threads: usize,
@@ -344,13 +347,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
     type ClientData = (Vec<PerformanceRecord>, Vec<ConnectionRecord>, ObserverSink);
     type ClientSlot = (Result<ClientData, String>, Duration);
 
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        config.threads
-    };
+    let threads = model::thread_count(config.threads);
 
     // Work-stealing scheduler: workers claim client indices from a shared
     // atomic counter instead of walking static chunks, so a straggler client
@@ -762,10 +759,12 @@ fn run_client(
     wget.resolver.wire_fidelity = config.wire_fidelity;
 
     let view = ClientView::new(truth, client as u16);
+    let resolver = wget.resolver;
     let mut session = ClientSession::new(tree, wget, rng.fork(1));
-    let mut proxy_session = spec
-        .proxy
-        .map(|p| (p, ProxySession::new(rng.fork(2)), ProxyView::new(truth, p.0)));
+    let mut proxy_session = spec.proxy.map(|p| {
+        let proxy = ProxySession::new(tree, resolver, rng.fork(2));
+        (p, proxy, ProxyView::new(truth, p.0))
+    });
 
     let iterations = u64::from(config.hours) * u64::from(config.iterations_per_hour);
     let iter_len = 3_600_000_000u64 / u64::from(config.iterations_per_hour); // µs

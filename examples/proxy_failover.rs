@@ -74,8 +74,10 @@ fn main() {
         victim: replicas[0],
     };
 
-    let mut direct = ClientSession::new(&tree, WgetConfig::default(), SimRng::new(1));
-    let mut proxy = ProxySession::new(SimRng::new(2));
+    // The proxy resolves under the same resolver policy as the client.
+    let wget = WgetConfig::default();
+    let mut proxy = ProxySession::new(&tree, wget.resolver, SimRng::new(2));
+    let mut direct = ClientSession::new(&tree, wget, SimRng::new(1));
 
     let accesses = 2_000u64;
     let mut direct_fail = 0u64;
@@ -87,7 +89,7 @@ fn main() {
         direct_fail += u64::from(obs.outcome.is_failure());
         direct_extra_conns += obs.connections.len().saturating_sub(1) as u64;
 
-        match proxy.fetch(&env, &tree, &host, t, true) {
+        match proxy.fetch(&env, &host, t, true) {
             ProxyFetch::Success { .. } => {}
             _ => proxy_fail += 1,
         }

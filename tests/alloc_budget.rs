@@ -10,18 +10,27 @@
 //! * a cache miss allocates only the cache entry it inserts: nothing when
 //!   it refreshes an expired entry, the key and the address list for a new
 //!   name;
-//! * a redirect hop allocates the next hop's parsed name, once per hop.
+//! * a redirect hop allocates the next hop's parsed name, once per hop;
+//! * a proxied transaction that hits the proxy's DNS cache allocates
+//!   nothing: the proxy keeps one resolver, and its message buffer, for
+//!   its lifetime;
+//! * a failed lookup and the iterative dig that follows it allocate
+//!   nothing: dig walks in the resolver's message buffer and reads its
+//!   addresses into the session's address buffer.
 
-use dnssim::ZoneTree;
+use dnssim::{DnsFaults, ZoneTree};
 use dnswire::DomainName;
 use httpsim::Origin;
-use model::{SimDuration, SimTime};
+use model::{DigOutcome, DnsFailureKind, FailureClass, FaultSet, SimDuration, SimTime};
 use netsim::SimRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
+use tcpsim::{PathQuality, ServerBehavior};
 use webclient::env::HealthyEnv;
-use webclient::{AccessEnvironment, ClientSession, TransactionObservation, WgetConfig};
+use webclient::{
+    AccessEnvironment, ClientSession, ProxySession, TransactionObservation, WgetConfig,
+};
 
 /// Counts every allocation and reallocation on the calling thread.
 struct Counting;
@@ -163,5 +172,83 @@ fn a_redirect_hop_allocates_the_next_hops_name() {
         }
         session.recycle(obs);
         t += SimDuration::from_secs(10);
+    }
+}
+
+#[test]
+fn a_warm_proxied_cache_hit_allocates_nothing() {
+    let tree = tree();
+    let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+    let config = WgetConfig {
+        no_cache: true,
+        ..WgetConfig::default()
+    };
+    assert!(config.resolver.wire_fidelity);
+    let mut proxy = ProxySession::new(&tree, config.resolver, SimRng::new(2007));
+    let mut session = ClientSession::new(&tree, config, SimRng::new(2008));
+    let host = name("www.example.com");
+    let t0 = SimTime::from_hours(1);
+    let mut t = t0;
+    let mut proxied = |t: SimTime| {
+        let before = ALLOCS.with(Cell::get);
+        let obs = session.run_proxied_transaction(&env, &mut proxy, &env, &host, t);
+        assert!(obs.outcome.is_success());
+        session.recycle(obs);
+        ALLOCS.with(Cell::get) - before
+    };
+    for _ in 0..50 {
+        proxied(t);
+        t += SimDuration::from_secs(10);
+    }
+    for i in 0..500 {
+        assert_eq!(proxied(t), 0, "proxied hit {i} at {t:?}");
+        t += SimDuration::from_secs(10);
+    }
+    assert!(t < t0 + TTL, "every measured lookup was a hit");
+}
+
+/// [`HealthyEnv`] behind a dead LDNS: wget's lookups time out, while dig,
+/// which walks from the root itself, resolves.
+struct LdnsDown(HealthyEnv);
+
+impl DnsFaults for LdnsDown {
+    fn ldns_up(&self, _t: SimTime) -> bool {
+        false
+    }
+}
+
+impl AccessEnvironment for LdnsDown {
+    fn server_behavior(&self, r: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
+        self.0.server_behavior(r, t)
+    }
+    fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
+        self.0.path_quality(r, t)
+    }
+    fn origin(&self, host: &str) -> Option<&Origin> {
+        self.0.origin(host)
+    }
+}
+
+#[test]
+fn a_warm_failed_lookup_and_its_dig_allocate_nothing() {
+    let tree = tree();
+    let env = LdnsDown(HealthyEnv::new(Origin::simple("www.example.com", 24_000)));
+    let config = WgetConfig::default();
+    assert!(config.resolver.wire_fidelity);
+    let mut session = ClientSession::new(&tree, config, SimRng::new(2009));
+    let host = name("www.example.com");
+    let mut t = SimTime::from_hours(1);
+    for i in 0..300 {
+        let (obs, allocs) = counted(&mut session, &env, &host, t);
+        assert_eq!(
+            obs.outcome.failure(),
+            Some(FailureClass::Dns(DnsFailureKind::LdnsTimeout))
+        );
+        assert_eq!(obs.dig, DigOutcome::Resolved, "dig walks past the LDNS");
+        if i >= 50 {
+            assert_eq!(allocs, 0, "failed lookup {i}");
+        }
+        session.recycle(obs);
+        t += SimDuration::from_secs(60);
     }
 }

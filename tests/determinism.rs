@@ -137,23 +137,53 @@ fn forensic_tracing_does_not_change_results() {
 }
 
 #[test]
+fn wire_codecs_never_change_the_world() {
+    use workload::AdversarialProfile;
+    // The DNS/HTTP wire codecs check what they read back and never steer:
+    // the resolver numbers its own messages instead of drawing ids from the
+    // simulation RNG, answers come from the zones either way, and the proxy
+    // resolves under the runner's switch. So a day of the quick world is
+    // bit-identical with the codecs on and off, standard and adversarial.
+    for adversarial in [
+        AdversarialProfile::none(),
+        AdversarialProfile::adversarial_month(),
+    ] {
+        let world = |wire_fidelity: bool| {
+            let mut cfg = ExperimentConfig::quick(20050101);
+            cfg.hours = 24;
+            cfg.threads = 2;
+            cfg.wire_fidelity = wire_fidelity;
+            cfg.adversarial = adversarial;
+            fingerprint(&run_experiment(&cfg).dataset)
+        };
+        assert_eq!(
+            world(true),
+            world(false),
+            "the codecs changed the world: {adversarial:?}"
+        );
+    }
+}
+
+#[test]
 fn existing_worlds_bit_identical_to_pre_archetype_goldens() {
     use workload::ApparatusFaults;
-    // Golden fingerprints of the standard and degraded worlds, which have
-    // not changed since before the adversarial fault-archetype suite
-    // landed. Every archetype draws from its own `fork_str` stream (forked
-    // only when its intensity is non-zero), so a run with
-    // `AdversarialProfile::none()` — the default — must replay the exact
-    // same world the repo produced before the suite existed. If either
-    // golden changes, an archetype is consuming shared RNG state or
-    // perturbing event order even when switched off. Each golden covers
-    // every field of the dataset: who, where, when and whether it failed,
-    // but also download times, bytes, DNS latencies, retransmission
-    // counts, failure kinds, dig outcomes and the BGP cells.
+    // Golden fingerprints of the standard and degraded worlds. They moved
+    // once, when the wire codecs stopped drawing DNS message ids from the
+    // simulation RNG (and the proxy took the runner's codec switch), and
+    // otherwise have not changed since before the adversarial
+    // fault-archetype suite landed. Every archetype draws from its own
+    // `fork_str` stream (forked only when its intensity is non-zero), so a
+    // run with `AdversarialProfile::none()` — the default — must replay the
+    // world a build without the suite produces. If either golden changes,
+    // an archetype is consuming shared RNG state or perturbing event order
+    // even when switched off. Each golden covers every field of the
+    // dataset: who, where, when and whether it failed, but also download
+    // times, bytes, DNS latencies, retransmission counts, failure kinds,
+    // dig outcomes and the BGP cells.
     let standard = run(9090, 1);
     assert_eq!(
         fingerprint(&standard),
-        0x6e49_7dbd_b387_3f06,
+        0x2a56_c2aa_c13b_9131,
         "standard world's full dataset drifted from its golden fingerprint"
     );
 
@@ -165,7 +195,7 @@ fn existing_worlds_bit_identical_to_pre_archetype_goldens() {
     let degraded = run_experiment(&cfg).dataset;
     assert_eq!(
         fingerprint(&degraded),
-        0x4e25_b4ea_99b0_1f40,
+        0xad41_eb4a_1b04_8ca8,
         "degraded world's full dataset drifted from its golden fingerprint"
     );
 }
@@ -185,7 +215,7 @@ fn overlapping_dialup_batches_run_in_time_order() {
     assert_eq!(ds.records.len(), 85_290);
     assert_eq!(
         fingerprint(&ds),
-        0x8f4c_2cef_078c_2ca7,
+        0x5eb5_3aad_6410_9d18,
         "overlapping dial-up world's full dataset drifted from its golden fingerprint"
     );
     for w in ds.records.windows(2) {
@@ -239,8 +269,10 @@ fn adversarial_world_bit_identical_to_golden() {
     // Golden fingerprints of the adversarial month at the config of
     // `adversarial_archetypes_stay_deterministic_across_threads`, captured
     // before the connect behaviour was read off each vantage's stamped
-    // fault set. A precedence slip between two archetypes moves only
-    // adversarial connects: the standard and degraded goldens cannot see it.
+    // fault set, and moved once since, when the wire codecs stopped
+    // drawing DNS message ids from the simulation RNG. A precedence slip
+    // between two archetypes moves only adversarial connects: the standard
+    // and degraded goldens cannot see it.
     let mut cfg = ExperimentConfig::quick(616);
     cfg.hours = 8;
     cfg.wire_fidelity = false;
@@ -250,7 +282,7 @@ fn adversarial_world_bit_identical_to_golden() {
     let out = run_experiment(&cfg);
     assert_eq!(
         fingerprint(&out.dataset),
-        0x3c5d_c6bf_a1a7_ef05,
+        0xf491_40bc_81e4_5915,
         "adversarial world's full dataset drifted from its golden fingerprint"
     );
     let log = out.provenance.expect("provenance requested");

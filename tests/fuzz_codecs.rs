@@ -55,25 +55,34 @@ fn mrt_fixture(seed: u64, prefixes: &[model::Ipv4Prefix]) -> Vec<u8> {
 }
 
 fn dns_fixture(seed: u64) -> Vec<u8> {
-    use dnswire::{DomainName, Message, RData, RecordType};
+    use dnswire::{DomainName, Header, Message, Question, RData, RecordType, ResourceRecord};
     let mut rng = SimRng::new(seed).fork_str("fuzz-dns");
     let host: DomainName = format!("www.site{}.example", rng.next_u64() % 50)
         .parse()
         .expect("valid name");
-    let q = Message::query((rng.next_u64() & 0xFFFF) as u16, host.clone(), RecordType::A);
-    let mut resp = q.response_from_query();
-    for i in 0..(1 + rng.next_u64() % 6) {
-        resp.add_answer(
-            host.clone(),
-            300,
-            RData::A(std::net::Ipv4Addr::new(10, 3, 0, i as u8)),
-        );
-    }
-    resp.add_authority(
-        "example".parse().expect("valid name"),
-        3600,
-        RData::Ns("ns.example".parse().expect("valid name")),
-    );
+    let id = (rng.next_u64() & 0xFFFF) as u16;
+    let answers = (0..(1 + rng.next_u64() % 6))
+        .map(|i| {
+            let addr = std::net::Ipv4Addr::new(10, 3, 0, i as u8);
+            ResourceRecord::new(host.clone(), 300, RData::A(addr))
+        })
+        .collect();
+    let resp = Message {
+        header: Header {
+            id,
+            is_response: true,
+            recursion_desired: true,
+            ..Header::default()
+        },
+        questions: vec![Question::new(host, RecordType::A)],
+        answers,
+        authority: vec![ResourceRecord::new(
+            "example".parse().expect("valid name"),
+            3600,
+            RData::Ns("ns.example".parse().expect("valid name")),
+        )],
+        ..Message::default()
+    };
     resp.encode().expect("fixture encodes")
 }
 
