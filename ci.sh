@@ -6,7 +6,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --locked: a manifest change must come with its Cargo.lock"
 cargo build --release --locked
 
-echo "==> detcheck: codecs off/on x observers off/on x threads 1/2/7 hash identically (standard + adversarial worlds; 10-13 s, the codecs-on cells 6-8 s of it)"
+echo "==> detcheck: DNS codecs off/on x observers off/on x threads 1/2/7 hash identically (standard + adversarial worlds; 10-13 s, the codecs-on cells 6-8 s of it)"
 det_default="$(cargo run --release -q -p bench-suite --bin detcheck)"
 echo "$det_default"
 

@@ -7,7 +7,7 @@
 //!
 //! Runs a small simulated window (12 hours) of two worlds — the standard
 //! one and the adversarial month with every fault archetype on — with the
-//! DNS/HTTP wire codecs off and on, the observers off and on (on =
+//! DNS codecs off and on, the observers off and on (on =
 //! telemetry, the provenance sidecar and forensic traces together), each
 //! at 1, 2 and 7 threads: 12 cells per world, 10–13 s in all on a 2-vCPU
 //! VM, 6–8 s more than the codecs-off cells alone. Every cell's

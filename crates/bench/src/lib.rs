@@ -9,7 +9,7 @@ pub use model::Fnv;
 /// Named experiment scales for the harness.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
-    /// 72 h × 1 access/hour, full wire fidelity (~0.8 M transactions).
+    /// 72 h × 1 access/hour, DNS wire codec on (~0.8 M transactions).
     Quick,
     /// Full month × 2 accesses/hour (~16 M transactions) — the default
     /// reproduction scale.

@@ -23,7 +23,6 @@ pub struct HourlyGrid {
     hours: u32,
     attempts: Vec<u32>,
     failures: Vec<u32>,
-    dropped: u64,
 }
 
 impl HourlyGrid {
@@ -33,7 +32,6 @@ impl HourlyGrid {
             hours,
             attempts: vec![0; rows * hours as usize],
             failures: vec![0; rows * hours as usize],
-            dropped: 0,
         }
     }
 
@@ -43,25 +41,16 @@ impl HourlyGrid {
     }
 
     /// Record one sample. Out-of-range coordinates are not silently lost:
-    /// they count in [`HourlyGrid::dropped`] and the
-    /// `analysis.grid.dropped_samples` telemetry counter, so a mis-sized grid
-    /// cannot quietly truncate its inputs.
+    /// they count in the `analysis.grid.dropped_samples` telemetry counter,
+    /// so a mis-sized grid cannot quietly truncate its inputs.
     pub fn add(&mut self, row: usize, hour: u32, failed: bool) {
         if row >= self.rows || hour >= self.hours {
-            self.dropped += 1;
             telemetry::counter!("analysis.grid.dropped_samples", 1);
             return;
         }
         let i = self.idx(row, hour);
         self.attempts[i] += 1;
         self.failures[i] += u32::from(failed);
-    }
-
-    /// Samples `add` rejected because their coordinates fell outside the
-    /// grid. Zero in a healthy run — the builders size grids from the same
-    /// dataset the records come from.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     pub fn rows(&self) -> usize {
@@ -131,7 +120,6 @@ impl HourlyGrid {
         for (a, b) in self.failures.iter_mut().zip(&other.failures) {
             *a += b;
         }
-        self.dropped += other.dropped;
     }
 
     /// Monthly totals for one row.
@@ -398,20 +386,52 @@ mod tests {
         assert_eq!(g.cell(1, 2), (0, 0));
     }
 
+    /// Every cell of `g`, then every row's totals, to compare whole grids.
+    fn contents(g: &HourlyGrid) -> Vec<(u64, u64)> {
+        let cells = (0..g.rows()).flat_map(|row| {
+            (0..g.hours()).map(move |hour| {
+                let (a, f) = g.cell(row, hour);
+                (u64::from(a), u64::from(f))
+            })
+        });
+        cells
+            .chain((0..g.rows()).map(|row| g.row_totals(row)))
+            .collect()
+    }
+
+    /// Samples `add` has rejected so far, process-wide. The counter keeps
+    /// them only in a build with the telemetry recorder compiled in.
+    fn dropped_samples() -> u64 {
+        telemetry::enable(true);
+        telemetry::snapshot().counter("analysis.grid.dropped_samples")
+    }
+
     #[test]
     fn out_of_range_adds_are_counted_not_silent() {
-        let mut g = HourlyGrid::new(1, 1);
+        let before = dropped_samples();
+        let mut g = HourlyGrid::new(2, 2);
+        g.add(0, 1, true);
+        g.add(1, 0, false);
+        let kept = contents(&g);
         g.add(5, 0, true);
         g.add(0, 9, true);
-        assert_eq!(g.cell(0, 0), (0, 0));
-        assert_eq!(g.dropped(), 2, "rejected samples must be visible");
-        g.add(0, 0, false);
-        assert_eq!(g.dropped(), 2, "in-range adds do not count as drops");
-        // Drops survive the shard merge.
-        let mut other = HourlyGrid::new(1, 1);
+        g.add(2, 2, false);
+        // A shard's rejected sample stays out of the merged grid too.
+        let mut other = HourlyGrid::new(2, 2);
         other.add(3, 3, false);
         g.merge(&other);
-        assert_eq!(g.dropped(), 3);
+        assert_eq!(
+            contents(&g),
+            kept,
+            "rejected samples leave every cell alone"
+        );
+        if telemetry::enabled() {
+            // Other tests may drop samples at the same time: at least ours.
+            assert!(
+                dropped_samples() - before >= 4,
+                "rejected samples must be visible"
+            );
+        }
     }
 
     #[test]
@@ -432,27 +452,40 @@ mod tests {
         // A record stamped at hour == ds.hours (the instant the window
         // closes) has no grid cell; each grid the index builds from it
         // rejects the sample and counts the drop.
-        let mut w = SynthWorld::new(2, 2, 2);
-        for h in 0..2u32 {
-            for c in 0..2u16 {
-                for s in 0..2u16 {
-                    w.add_conn_batch(ClientId(c), SiteId(s), h, 20, 0);
-                    w.add_txn_batch(ClientId(c), SiteId(s), h, 20, 0);
+        // Every cell and row total of each grid the index builds.
+        let grids = |past_the_window: bool| {
+            let mut w = SynthWorld::new(2, 2, 2);
+            for h in 0..2u32 {
+                for c in 0..2u16 {
+                    for s in 0..2u16 {
+                        w.add_conn_batch(ClientId(c), SiteId(s), h, 20, 0);
+                        w.add_txn_batch(ClientId(c), SiteId(s), h, 20, 0);
+                    }
                 }
             }
+            if past_the_window {
+                w.add_failed_conn(ClientId(0), SiteId(0), 2);
+                w.add_txn(ClientId(0), SiteId(0), 2, false);
+            }
+            let ds = w.finish();
+            let a = crate::Analysis::new(&ds, crate::AnalysisConfig::default());
+            [
+                contents(&a.client_grid),
+                contents(&a.server_grid),
+                contents(&a.client_outcome.grid),
+                contents(&a.server_outcome.grid),
+            ]
+        };
+        let before = dropped_samples();
+        let late = grids(true);
+        if telemetry::enabled() {
+            assert!(dropped_samples() - before >= 4, "one drop per grid");
         }
-        w.add_failed_conn(ClientId(0), SiteId(0), 2);
-        w.add_txn(ClientId(0), SiteId(0), 2, false);
-        let ds = w.finish();
-        let a = crate::Analysis::new(&ds, crate::AnalysisConfig::default());
-        for grid in [
-            &*a.client_grid,
-            &*a.server_grid,
-            &a.client_outcome.grid,
-            &a.server_outcome.grid,
-        ] {
-            assert_eq!(grid.dropped(), 1);
-        }
+        assert_eq!(
+            late,
+            grids(false),
+            "the late samples leave every cell alone"
+        );
     }
 
     #[test]

@@ -48,10 +48,12 @@ pub struct ResolverConfig {
     /// Probability an individual healthy query/response exchange is lost
     /// (background UDP loss; retries usually hide it).
     pub query_loss_prob: f64,
-    /// Write every message through the RFC 1035 codec and check the answer
-    /// read back from the bytes against the zones'. This changes what a
-    /// resolution costs, never its outcome: no message draws from the
-    /// simulation RNG, and the answer always comes from the zones.
+    /// Write every DNS message through the RFC 1035 codec and check the
+    /// answer read back from the bytes against the zones'. These are the
+    /// only wire messages the simulation writes (HTTP exchanges are
+    /// modelled by status and size). This changes what a resolution costs,
+    /// never its outcome: no message draws from the simulation RNG, and the
+    /// answer always comes from the zones.
     pub wire_fidelity: bool,
 }
 
@@ -74,8 +76,6 @@ pub struct ResolutionStatus {
     pub result: Result<(), DnsFailureKind>,
     /// Time the lookup took (including timeout time on failure).
     pub elapsed: SimDuration,
-    /// Wire messages exchanged (0 with `wire_fidelity` off).
-    pub messages: u32,
     /// Whether the answer came from the LDNS cache.
     pub from_cache: bool,
 }
@@ -227,7 +227,6 @@ impl<'t> StubResolver<'t> {
     ) -> ResolutionStatus {
         let cfg = self.config;
         let mut elapsed = SimDuration::ZERO;
-        let mut messages = 0u32;
 
         // --- Stub → LDNS ------------------------------------------------
         let ldns_reachable = faults.client_link_up(t) && faults.ldns_up(t);
@@ -244,7 +243,6 @@ impl<'t> StubResolver<'t> {
             return ResolutionStatus {
                 result: Err(DnsFailureKind::LdnsTimeout),
                 elapsed,
-                messages,
                 from_cache: false,
             };
         }
@@ -253,7 +251,6 @@ impl<'t> StubResolver<'t> {
             let id = self.message_id();
             write_query(&mut self.wire, id, qname);
             let _ = MessageRef::decode(self.wire.as_bytes()).expect("own bytes decode");
-            messages += 1;
         }
 
         // --- LDNS cache --------------------------------------------------
@@ -263,14 +260,13 @@ impl<'t> StubResolver<'t> {
             return ResolutionStatus {
                 result: Ok(()),
                 elapsed,
-                messages,
                 from_cache: true,
             };
         }
 
         // --- Iterative walk (by the LDNS) ----------------------------------
         let result = self
-            .walk(qname, faults, t, rng, &mut elapsed, &mut messages, out)
+            .walk(qname, faults, t, rng, &mut elapsed, out)
             .map(|ttl| {
                 cache.put(qname, out, t + SimDuration::from_secs(u64::from(ttl)));
                 rotate_rr(out, rng);
@@ -278,7 +274,6 @@ impl<'t> StubResolver<'t> {
         ResolutionStatus {
             result,
             elapsed,
-            messages,
             from_cache: false,
         }
     }
@@ -287,7 +282,6 @@ impl<'t> StubResolver<'t> {
     /// latency: the walk the LDNS runs on a cache miss and `dig` runs from
     /// the client. An answer's addresses go into `out` and its TTL is
     /// returned; a failure is a non-LDNS timeout or an error response.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn walk<F: DnsFaults + ?Sized>(
         &mut self,
         qname: &DomainName,
@@ -295,7 +289,6 @@ impl<'t> StubResolver<'t> {
         t: SimTime,
         rng: &mut SimRng,
         elapsed: &mut SimDuration,
-        messages: &mut u32,
         out: &mut Vec<Ipv4Addr>,
     ) -> Result<u32, DnsFailureKind> {
         let cfg = self.config;
@@ -309,7 +302,6 @@ impl<'t> StubResolver<'t> {
             if is_auth {
                 if let Some(code) = faults.zone_error(&zone.apex, t) {
                     *elapsed += sample_latency(HOP_RTT, rng);
-                    *messages += if cfg.wire_fidelity { 1 } else { 0 };
                     return Err(DnsFailureKind::ErrorResponse(code));
                 }
             }
@@ -335,7 +327,6 @@ impl<'t> StubResolver<'t> {
                 let id = self.message_id();
                 write_authoritative_answer(zone, next, qname, id, &mut self.wire);
                 let answer = MessageRef::decode(self.wire.as_bytes()).expect("own bytes decode");
-                *messages += 1;
                 if is_auth {
                     // The bytes check the answer and never replace it: the
                     // A chain read back must be the zone's, in order.
@@ -446,63 +437,76 @@ mod tests {
         (status, addrs)
     }
 
-    fn resolve_with<F: DnsFaults>(faults: &F, host: &str) -> (ResolutionStatus, Vec<Ipv4Addr>) {
+    /// One lookup by a fresh resolver: the status, the delivered RRset and
+    /// how many messages the resolver wrote (its `next_id` numbers them).
+    fn resolve_with<F: DnsFaults>(
+        faults: &F,
+        host: &str,
+    ) -> (ResolutionStatus, Vec<Ipv4Addr>, u16) {
         let t = tree();
         let mut r = StubResolver::new(&t, ResolverConfig::default());
         let mut rng = SimRng::new(1);
         let mut cache = LdnsCache::new();
-        lookup(&mut r, host, faults, SimTime::from_hours(1), &mut rng, &mut cache)
+        let (status, addrs) = lookup(
+            &mut r,
+            host,
+            faults,
+            SimTime::from_hours(1),
+            &mut rng,
+            &mut cache,
+        );
+        (status, addrs, r.next_id)
     }
 
     #[test]
     fn healthy_resolution_succeeds() {
-        let (res, addrs) = resolve_with(&NoFaults, "www.example.com");
+        let (res, addrs, written) = resolve_with(&NoFaults, "www.example.com");
         assert_eq!(res.result, Ok(()));
         assert_eq!(addrs, vec![Ipv4Addr::new(10, 0, 0, 1)]);
         assert!(!res.from_cache);
-        assert!(res.messages >= 4, "stub + root + tld + auth, got {}", res.messages);
+        assert_eq!(written, 4, "stub + root + tld + auth");
         assert!(res.elapsed > SimDuration::ZERO);
         assert!(res.elapsed < SimDuration::from_secs(2), "healthy lookup fast");
     }
 
     #[test]
     fn multi_address_answer() {
-        let (res, addrs) = resolve_with(&NoFaults, "www.iitb.ac.in");
+        let (res, addrs, _) = resolve_with(&NoFaults, "www.iitb.ac.in");
         assert_eq!(res.result, Ok(()));
         assert_eq!(addrs.len(), 2);
     }
 
     #[test]
     fn link_down_is_ldns_timeout() {
-        let (res, _) = resolve_with(&LinkDown, "www.example.com");
+        let (res, _, written) = resolve_with(&LinkDown, "www.example.com");
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::LdnsTimeout);
         // 3 attempts × 5 s
         assert_eq!(res.elapsed, SimDuration::from_secs(15));
-        assert_eq!(res.messages, 0);
+        assert_eq!(written, 0);
     }
 
     #[test]
     fn ldns_down_is_ldns_timeout() {
-        let (res, _) = resolve_with(&LdnsDown, "www.example.com");
+        let (res, _, _) = resolve_with(&LdnsDown, "www.example.com");
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::LdnsTimeout);
     }
 
     #[test]
     fn auth_down_is_non_ldns_timeout() {
-        let (res, _) = resolve_with(&AuthDown(name("example.com")), "www.example.com");
+        let (res, _, _) = resolve_with(&AuthDown(name("example.com")), "www.example.com");
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::NonLdnsTimeout);
         assert!(res.elapsed >= SimDuration::from_secs(6), "timeout time accrued");
     }
 
     #[test]
     fn tld_down_is_non_ldns_timeout() {
-        let (res, _) = resolve_with(&AuthDown(name("com")), "www.example.com");
+        let (res, _, _) = resolve_with(&AuthDown(name("com")), "www.example.com");
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::NonLdnsTimeout);
     }
 
     #[test]
     fn broken_zone_returns_error_response() {
-        let (res, _) = resolve_with(
+        let (res, _, _) = resolve_with(
             &ZoneBroken(name("example.com"), DnsErrorCode::ServFail),
             "www.example.com",
         );
@@ -535,7 +539,7 @@ mod tests {
 
     #[test]
     fn unknown_name_is_nxdomain() {
-        let (res, _) = resolve_with(&NoFaults, "nosuch.example.com");
+        let (res, _, _) = resolve_with(&NoFaults, "nosuch.example.com");
         assert_eq!(
             res.result.unwrap_err(),
             DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain)
@@ -552,10 +556,11 @@ mod tests {
         let host = "www.example.com";
         let (first, _) = lookup(&mut r, host, &NoFaults, t0, &mut rng, &mut cache);
         assert!(!first.from_cache);
+        let walked = r.next_id;
         let later = t0 + SimDuration::from_secs(60);
         let (second, addrs) = lookup(&mut r, host, &NoFaults, later, &mut rng, &mut cache);
         assert!(second.from_cache);
-        assert_eq!(second.messages, 1, "only the stub query");
+        assert_eq!(r.next_id - walked, 1, "only the stub query");
         assert_eq!(addrs, vec![Ipv4Addr::new(10, 0, 0, 1)]);
     }
 
@@ -671,8 +676,8 @@ mod tests {
                 assert_eq!(a.elapsed, b.elapsed, "{host}, seed {seed}");
                 assert_eq!(a.from_cache, b.from_cache, "{host}, seed {seed}");
                 assert_eq!(x, y, "{host}, seed {seed}: the RRset, in order");
-                assert_eq!(b.messages, 0);
             }
+            assert_eq!(off.next_id, 0, "no message written with the codec off");
             assert_eq!(rng_on.next_u64(), rng_off.next_u64(), "seed {seed}");
         }
     }
@@ -733,7 +738,7 @@ mod tests {
         let mut rng = SimRng::new(8);
         let host = "www.example.com";
         // Stub query, then root, TLD and zone answers: ids 0 to 3.
-        let (res, _) = lookup(
+        lookup(
             &mut r,
             host,
             &NoFaults,
@@ -741,7 +746,6 @@ mod tests {
             &mut rng,
             &mut LdnsCache::new(),
         );
-        assert_eq!(res.messages, 4);
         assert_eq!(
             r.wire.as_bytes()[..2],
             [0, 3],
@@ -752,10 +756,10 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (a, x) = resolve_with(&NoFaults, "www.example.com");
-        let (b, y) = resolve_with(&NoFaults, "www.example.com");
+        let (a, x, a_written) = resolve_with(&NoFaults, "www.example.com");
+        let (b, y, b_written) = resolve_with(&NoFaults, "www.example.com");
         assert_eq!(a.elapsed, b.elapsed);
-        assert_eq!(a.messages, b.messages);
+        assert_eq!(a_written, b_written);
         assert_eq!(x, y);
     }
 

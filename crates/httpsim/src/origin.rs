@@ -5,7 +5,6 @@
 //! connection counts exceed its transaction counts (Table 3); HTTP errors
 //! are the rare (<2% of failures) third failure class of Section 2.1.
 
-use crate::message::{HttpRequest, HttpResponse};
 use netsim::SimRng;
 
 /// Static description of a website's HTTP behaviour.
@@ -16,9 +15,9 @@ pub struct Origin {
     /// Size of the top-level index object.
     pub index_bytes: u64,
     /// Hosts that 302 to the next hop (e.g. `example.com` →
-    /// `www.example.com`), each with the `Location` it answers with:
-    /// position i redirects to position i+1, the last to `host`.
-    redirects: Vec<(String, String)>,
+    /// `www.example.com`): position i redirects to position i+1, the last
+    /// to `host`.
+    redirects: Vec<String>,
     /// Probability a request draws a transient HTTP error (e.g. 503).
     pub http_error_rate: f64,
     /// The error status used when one fires.
@@ -37,15 +36,10 @@ impl Origin {
         }
     }
 
-    /// Put a redirect chain in front of the canonical host. Each hop's
-    /// `Location` is written here, once, not on every answer.
+    /// Put a redirect chain of `hosts`, in chain order, in front of the
+    /// canonical host.
     pub fn with_redirects(mut self, hosts: Vec<String>) -> Origin {
-        self.redirects = (0..hosts.len())
-            .map(|i| {
-                let next = hosts.get(i + 1).unwrap_or(&self.host);
-                (hosts[i].clone(), format!("http://{next}/"))
-            })
-            .collect();
+        self.redirects = hosts;
         self
     }
 
@@ -63,29 +57,20 @@ impl Origin {
 
     /// The redirect chain's hosts, in chain order.
     pub fn redirect_hosts(&self) -> impl Iterator<Item = &str> {
-        self.redirects.iter().map(|(hop, _)| hop.as_str())
+        self.redirects.iter().map(String::as_str)
     }
 
-    /// Total connections a successful transaction needs (redirect hops + 1).
-    pub fn connections_per_transaction(&self) -> u16 {
-        self.redirects.len() as u16 + 1
-    }
-
-    /// Answer `request` addressed to `requested_host`. The answer borrows
-    /// the origin's own strings, so building it allocates nothing.
-    pub fn respond(
-        &self,
-        requested_host: &str,
-        request: &HttpRequest<'_>,
-        rng: &mut SimRng,
-    ) -> OriginAnswer<'_> {
-        debug_assert_eq!(request.method, "GET");
+    /// Answer a request for the index object addressed to
+    /// `requested_host`. The answer borrows the origin's own strings, so
+    /// building it allocates nothing.
+    pub fn respond(&self, requested_host: &str, rng: &mut SimRng) -> OriginAnswer<'_> {
         static RESPONSES: telemetry::CounterVec<3> =
             telemetry::CounterVec::new("http.responses", ["ok", "redirect", "error"]);
         if rng.chance(self.http_error_rate) {
             RESPONSES.add(2, 1);
             return OriginAnswer {
-                response: HttpResponse::error(self.http_error_status, "Service Unavailable"),
+                status: self.http_error_status,
+                body_len: 0,
                 next_host: None,
             };
         }
@@ -93,58 +78,61 @@ impl Origin {
         if let Some(pos) = self
             .redirects
             .iter()
-            .position(|(hop, _)| hop.eq_ignore_ascii_case(requested_host))
+            .position(|hop| hop.eq_ignore_ascii_case(requested_host))
         {
-            let next = self
-                .redirects
-                .get(pos + 1)
-                .map_or(&self.host, |(hop, _)| hop);
             RESPONSES.add(1, 1);
             return OriginAnswer {
-                response: HttpResponse::redirect(302, &self.redirects[pos].1),
-                next_host: Some(next),
+                status: 302,
+                body_len: 0,
+                next_host: Some(self.redirects.get(pos + 1).unwrap_or(&self.host)),
             };
         }
         // Canonical content.
         RESPONSES.add(0, 1);
         OriginAnswer {
-            response: HttpResponse::ok(self.index_bytes),
+            status: 200,
+            body_len: self.index_bytes,
             next_host: None,
         }
     }
 }
 
-/// An origin's answer plus the pre-parsed next hop for redirects.
-#[derive(Clone, Copy, Debug)]
+/// What the record keeper sees of an origin's response: its status, its
+/// body length, and the host a redirect points to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OriginAnswer<'a> {
-    pub response: HttpResponse<'a>,
+    pub status: u16,
+    pub body_len: u64,
     /// Host to contact next when the response is a redirect.
     pub next_host: Option<&'a str>,
 }
 
 impl OriginAnswer<'_> {
-    pub fn is_redirect(&self) -> bool {
-        self.next_host.is_some()
-    }
+    /// The answer for a host no origin serves.
+    pub const NOT_FOUND: OriginAnswer<'static> = OriginAnswer {
+        status: 404,
+        body_len: 0,
+        next_host: None,
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn req(host: &str) -> HttpRequest<'_> {
-        HttpRequest::get(host, "/", false)
-    }
-
     #[test]
     fn simple_site_serves_index() {
         let o = Origin::simple("www.example.com", 24_000);
         let mut rng = SimRng::new(1);
-        let a = o.respond("www.example.com", &req("www.example.com"), &mut rng);
-        assert_eq!(a.response.status, 200);
-        assert_eq!(a.response.body_len, 24_000);
-        assert!(!a.is_redirect());
-        assert_eq!(o.connections_per_transaction(), 1);
+        let a = o.respond("www.example.com", &mut rng);
+        assert_eq!(
+            a,
+            OriginAnswer {
+                status: 200,
+                body_len: 24_000,
+                next_host: None
+            }
+        );
     }
 
     #[test]
@@ -152,12 +140,10 @@ mod tests {
         let o = Origin::simple("www.example.com", 10_000)
             .with_redirects(vec!["example.com".to_string()]);
         let mut rng = SimRng::new(2);
-        let a = o.respond("example.com", &req("example.com"), &mut rng);
-        assert!(a.is_redirect());
-        assert_eq!(a.response.status, 302);
+        let a = o.respond("example.com", &mut rng);
+        assert_eq!(a.status, 302);
+        assert_eq!(a.body_len, 0);
         assert_eq!(a.next_host, Some("www.example.com"));
-        assert_eq!(a.response.redirect_target(), Some("http://www.example.com/"));
-        assert_eq!(o.connections_per_transaction(), 2);
     }
 
     #[test]
@@ -167,33 +153,32 @@ mod tests {
             "www.example.com".to_string(),
         ]);
         let mut rng = SimRng::new(3);
-        let hop1 = o.respond("example.com", &req("example.com"), &mut rng);
+        let hop1 = o.respond("example.com", &mut rng);
         assert_eq!(hop1.next_host, Some("www.example.com"));
-        assert_eq!(hop1.response.redirect_target(), Some("http://www.example.com/"));
-        let hop2 = o.respond("www.example.com", &req("www.example.com"), &mut rng);
+        let hop2 = o.respond("www.example.com", &mut rng);
         assert_eq!(hop2.next_host, Some("final.example.com"));
-        assert_eq!(hop2.response.redirect_target(), Some("http://final.example.com/"));
-        let hop3 = o.respond("final.example.com", &req("final.example.com"), &mut rng);
-        assert!(!hop3.is_redirect());
-        assert_eq!(hop3.response.status, 200);
-        assert_eq!(o.connections_per_transaction(), 3);
+        let hop3 = o.respond("final.example.com", &mut rng);
+        assert_eq!((hop3.status, hop3.next_host), (200, None));
+        assert_eq!(
+            o.redirect_hosts().collect::<Vec<_>>(),
+            ["example.com", "www.example.com"]
+        );
     }
 
     #[test]
     fn host_matching_is_case_insensitive() {
         let o = Origin::simple("www.example.com", 10).with_redirects(vec!["Example.COM".to_string()]);
         let mut rng = SimRng::new(4);
-        let a = o.respond("example.com", &req("example.com"), &mut rng);
-        assert!(a.is_redirect());
+        let a = o.respond("example.com", &mut rng);
+        assert_eq!(a.next_host, Some("www.example.com"));
     }
 
     #[test]
     fn http_error_rate_fires() {
         let o = Origin::simple("e.example.com", 10).with_error_rate(1.0, 503);
         let mut rng = SimRng::new(5);
-        let a = o.respond("e.example.com", &req("e.example.com"), &mut rng);
-        assert_eq!(a.response.status, 503);
-        assert!(!a.is_redirect());
+        let a = o.respond("e.example.com", &mut rng);
+        assert_eq!((a.status, a.body_len, a.next_host), (503, 0, None));
     }
 
     #[test]
@@ -201,12 +186,7 @@ mod tests {
         let o = Origin::simple("e.example.com", 10).with_error_rate(0.2, 500);
         let mut rng = SimRng::new(6);
         let errors = (0..10_000)
-            .filter(|_| {
-                o.respond("e.example.com", &req("e.example.com"), &mut rng)
-                    .response
-                    .status
-                    == 500
-            })
+            .filter(|_| o.respond("e.example.com", &mut rng).status == 500)
             .count();
         let rate = errors as f64 / 10_000.0;
         assert!((rate - 0.2).abs() < 0.02, "rate {rate}");

@@ -25,22 +25,6 @@ impl StatusClass {
     }
 }
 
-pub fn is_success(status: u16) -> bool {
-    StatusClass::of(status) == StatusClass::Success
-}
-
-pub fn is_redirect(status: u16) -> bool {
-    StatusClass::of(status) == StatusClass::Redirect
-}
-
-pub fn is_client_error(status: u16) -> bool {
-    StatusClass::of(status) == StatusClass::ClientError
-}
-
-pub fn is_server_error(status: u16) -> bool {
-    StatusClass::of(status) == StatusClass::ServerError
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,14 +39,5 @@ mod tests {
         assert_eq!(StatusClass::of(100), StatusClass::Informational);
         assert_eq!(StatusClass::of(0), StatusClass::Invalid);
         assert_eq!(StatusClass::of(999), StatusClass::Invalid);
-    }
-
-    #[test]
-    fn helpers() {
-        assert!(is_success(200));
-        assert!(is_redirect(307));
-        assert!(is_client_error(403));
-        assert!(is_server_error(502));
-        assert!(!is_success(301));
     }
 }

@@ -8,8 +8,8 @@
 //!   **not fail over** to alternate replicas ("presumably to minimize
 //!   overhead") — the mechanism behind the iitb/royal residual failures of
 //!   Table 9;
-//! * with the `no-cache` request directive the proxy always fetches from
-//!   the origin, so its object cache masks nothing;
+//! * it keeps no object cache: every fetch goes to the origin, as the CN
+//!   clients' `no-cache` requests made the real proxy do;
 //! * the upstream failure *detail* is masked: the client sees only a
 //!   gateway-error status.
 
@@ -17,7 +17,7 @@ use crate::env::AccessEnvironment;
 use crate::session::{HEADER_OVERHEAD, MAX_REDIRECTS};
 use dnssim::{LdnsCache, ResolverConfig, StubResolver, ZoneTree};
 use dnswire::DomainName;
-use httpsim::{HttpRequest, HttpResponse, StatusClass};
+use httpsim::{OriginAnswer, StatusClass};
 use model::{DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
 use std::fmt::Write as _;
@@ -80,10 +80,9 @@ impl<'t> ProxySession<'t> {
         env: &P,
         host: &DomainName,
         t: SimTime,
-        no_cache: bool,
     ) -> ProxyFetch {
         let mut addrs = std::mem::take(&mut self.addr_scratch);
-        let out = self.fetch_inner(env, host, t, no_cache, &mut addrs);
+        let out = self.fetch_inner(env, host, t, &mut addrs);
         addrs.clear();
         self.addr_scratch = addrs;
         out
@@ -94,7 +93,6 @@ impl<'t> ProxySession<'t> {
         env: &P,
         host: &DomainName,
         t: SimTime,
-        no_cache: bool,
         addrs: &mut Vec<Ipv4Addr>,
     ) -> ProxyFetch {
         let mut now = t;
@@ -121,15 +119,11 @@ impl<'t> ProxySession<'t> {
             self.host_scratch.clear();
             write!(self.host_scratch, "{current}").expect("formatting into a String cannot fail");
             let host_str = &self.host_scratch;
-            let request = HttpRequest::get(host_str, "/", no_cache);
             let answer = match env.origin(host_str) {
-                Some(origin) => origin.respond(host_str, &request, &mut self.rng),
-                None => httpsim::OriginAnswer {
-                    response: HttpResponse::error(404, "Not Found"),
-                    next_host: None,
-                },
+                Some(origin) => origin.respond(host_str, &mut self.rng),
+                None => OriginAnswer::NOT_FOUND,
             };
-            let wire_bytes = answer.response.body_len + HEADER_OVERHEAD;
+            let wire_bytes = answer.body_len + HEADER_OVERHEAD;
 
             // The proxy hides which replica it tried, so its connect is
             // never stamped: the fault set is dropped.
@@ -145,9 +139,9 @@ impl<'t> ProxySession<'t> {
                     ProxyFetch::ConnectFailed(now - t)
                 };
             }
-            bytes_total += answer.response.body_len;
+            bytes_total += answer.body_len;
 
-            match StatusClass::of(answer.response.status) {
+            match StatusClass::of(answer.status) {
                 StatusClass::Success => {
                     return ProxyFetch::Success {
                         bytes: bytes_total,
@@ -161,7 +155,7 @@ impl<'t> ProxySession<'t> {
                         Err(_) => return ProxyFetch::HttpError(502, now - t),
                     }
                 }
-                _ => return ProxyFetch::HttpError(answer.response.status, now - t),
+                _ => return ProxyFetch::HttpError(answer.status, now - t),
             }
         }
         ProxyFetch::HttpError(310, now - t)
@@ -202,7 +196,7 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 12_000));
         let mut p = proxy(&tr, 1);
-        match p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(1), true) {
+        match p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(1)) {
             ProxyFetch::Success { bytes, duration } => {
                 assert_eq!(bytes, 12_000);
                 assert!(duration > SimDuration::ZERO);
@@ -245,7 +239,7 @@ mod tests {
         let mut succeeded = 0;
         for k in 0..40u64 {
             let t = SimTime::from_hours(1) + SimDuration::from_secs(k * 60);
-            match p.fetch(&env, &name("www.iitb.ac.in"), t, true) {
+            match p.fetch(&env, &name("www.iitb.ac.in"), t) {
                 ProxyFetch::ConnectFailed(_) => failed += 1,
                 ProxyFetch::Success { .. } => succeeded += 1,
                 other => panic!("unexpected {other:?}"),
@@ -270,7 +264,7 @@ mod tests {
         let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000));
         let mut p = proxy(&tr, 4);
         let t0 = SimTime::from_hours(1);
-        p.fetch(&env, &name("www.iitb.ac.in"), t0, true);
+        p.fetch(&env, &name("www.iitb.ac.in"), t0);
         assert_eq!(p.dns_cache().len(), 1);
         // Second fetch while LDNS is down for the proxy: cache masks it.
         struct ProxyLdnsDown(HealthyEnv);
@@ -295,7 +289,6 @@ mod tests {
             &env2,
             &name("www.iitb.ac.in"),
             t0 + SimDuration::from_secs(60),
-            true,
         ) {
             ProxyFetch::Success { .. } => {}
             other => panic!("cache should mask the DNS outage: {other:?}"),
@@ -307,7 +300,7 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000).with_error_rate(1.0, 500));
         let mut p = proxy(&tr, 5);
-        match p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(2), true) {
+        match p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(2)) {
             ProxyFetch::HttpError(500, _) => {}
             other => panic!("unexpected {other:?}"),
         }

@@ -4,7 +4,7 @@ use crate::env::AccessEnvironment;
 use crate::proxy::{ProxyFetch, ProxySession};
 use dnssim::{LdnsCache, ResolverConfig, StubResolver, ZoneTree};
 use dnswire::DomainName;
-use httpsim::{HttpRequest, HttpResponse, StatusClass};
+use httpsim::{OriginAnswer, StatusClass};
 use model::{
     DigOutcome, DnsFailureKind, FailureClass, FaultSet, ProvenanceRecord, SimDuration, SimTime,
     TcpFailureKind, TraceEvent, TransactionOutcome, TxnTrace,
@@ -33,14 +33,11 @@ pub(crate) const HEADER_OVERHEAD: u64 = 500;
 pub struct WgetConfig {
     /// Resolver policy for the client's lookups and digs (the experiment
     /// runner gives the client's proxy the same). Its `wire_fidelity`
-    /// switch also round-trips the HTTP heads through the text codec: one
-    /// switch per client, which changes what a transaction costs, never its
-    /// outcome.
+    /// switch writes the DNS messages through the codec, which changes what
+    /// a lookup costs, never its outcome.
     pub resolver: ResolverConfig,
     /// Capture packet traces (the paper's BB clients could not).
     pub record_traces: bool,
-    /// Send `Cache-Control: no-cache` (the CN clients' proxy-busting flag).
-    pub no_cache: bool,
     /// Stamp each observation with the ground-truth faults active during it
     /// (the fault-provenance flight recorder). Probing reads materialized
     /// timelines only, so the RNG draw order — and therefore the dataset —
@@ -60,7 +57,6 @@ impl Default for WgetConfig {
         WgetConfig {
             resolver: ResolverConfig::default(),
             record_traces: true,
-            no_cache: false,
             record_provenance: false,
             forensics: false,
         }
@@ -213,8 +209,6 @@ pub struct ClientSession<'t> {
     /// Reused hostname rendering buffer (one live allocation per session,
     /// not one per redirect hop).
     host_scratch: String,
-    /// Reused HTTP head encoding buffer for the wire round trips.
-    head_scratch: String,
 }
 
 impl<'t> ClientSession<'t> {
@@ -230,7 +224,6 @@ impl<'t> ClientSession<'t> {
             trace_buf: Trace::new(),
             retx_keys: Vec::new(),
             host_scratch: String::new(),
-            head_scratch: String::new(),
         }
     }
 
@@ -346,24 +339,11 @@ impl<'t> ClientSession<'t> {
                     .expect("formatting into a String cannot fail");
                 }
                 let host_str = &self.host_scratch;
-                let request = HttpRequest::get(host_str, "/", self.config.no_cache);
-                if self.config.resolver.wire_fidelity {
-                    request.encode_into(&mut self.head_scratch);
-                    let _ = HttpRequest::decode(&self.head_scratch).expect("own request re-parses");
-                }
                 let answer = match env.origin(host_str) {
-                    Some(origin) => origin.respond(host_str, &request, &mut self.rng),
-                    None => httpsim::OriginAnswer {
-                        response: HttpResponse::error(404, "Not Found"),
-                        next_host: None,
-                    },
+                    Some(origin) => origin.respond(host_str, &mut self.rng),
+                    None => OriginAnswer::NOT_FOUND,
                 };
-                if self.config.resolver.wire_fidelity {
-                    answer.response.encode_head_into(&mut self.head_scratch);
-                    let _ = HttpResponse::decode_head(&self.head_scratch)
-                        .expect("own response re-parses");
-                }
-                let wire_bytes = answer.response.body_len + HEADER_OVERHEAD;
+                let wire_bytes = answer.body_len + HEADER_OVERHEAD;
 
                 // Connect: wget fails over across the A records, then keeps
                 // retrying while its time budget lasts. One full pass over the
@@ -425,11 +405,11 @@ impl<'t> ClientSession<'t> {
                         });
                         now += result.duration;
                         if result.outcome.is_ok() {
-                            bytes_received += result.bytes_delivered.min(answer.response.body_len);
+                            bytes_received += result.bytes_delivered.min(answer.body_len);
                             connected_result = Some(*addr);
                             break 'retry;
                         } else {
-                            bytes_received += result.bytes_delivered.min(answer.response.body_len);
+                            bytes_received += result.bytes_delivered.min(answer.body_len);
                         }
                     }
                     // First pass complete; continue only while the budget is
@@ -453,12 +433,12 @@ impl<'t> ClientSession<'t> {
                 truth.event(|| TraceEvent::Http {
                     host: host_str.clone(),
                     at: now,
-                    status: answer.response.status,
+                    status: answer.status,
                     redirect: answer.next_host.map(str::to_string),
                     truth: FaultSet::EMPTY,
                 });
 
-                match StatusClass::of(answer.response.status) {
+                match StatusClass::of(answer.status) {
                     StatusClass::Success => {
                         break 'hops (TransactionOutcome::Success, final_replica)
                     }
@@ -517,7 +497,7 @@ impl<'t> ClientSession<'t> {
                     }
                     _ => {
                         let outcome =
-                            TransactionOutcome::Failure(FailureClass::Http(answer.response.status));
+                            TransactionOutcome::Failure(FailureClass::Http(answer.status));
                         break 'hops (outcome, final_replica);
                     }
                 }
@@ -595,7 +575,7 @@ impl<'t> ClientSession<'t> {
         // error, which wget treats as a (failed) response — unlike its own
         // transport-level failures, which it does retry. This asymmetry is
         // part of the Table 9 proxy effect.
-        let fetch = proxy.fetch(proxy_env, host, t + local_rtt, self.config.no_cache);
+        let fetch = proxy.fetch(proxy_env, host, t + local_rtt);
         let (outcome, bytes, duration) = match fetch {
             ProxyFetch::Success { bytes, duration } => (
                 TransactionOutcome::Success,

@@ -43,14 +43,9 @@ pub struct ApparatusFaults {
     /// between the client and the collection server.
     pub record_drop_prob: f64,
     /// Round-trip the BGP collector feed through MRT bytes and corrupt the
-    /// buffer before salvage-decoding it (exercises
+    /// buffer with [`corrupt_buffer`] before salvage-decoding it (exercises
     /// [`bgpsim::mrt::decode_stream_salvage`] inside the real pipeline).
     pub corrupt_bgp_feed: bool,
-    /// Bit flips applied to a corrupted byte buffer.
-    pub bitflips: u32,
-    /// Probability that a corrupted buffer is also truncated at a uniform
-    /// point of its tail third.
-    pub truncate_prob: f64,
 }
 
 impl ApparatusFaults {
@@ -66,8 +61,6 @@ impl ApparatusFaults {
             client_death_prob: 0.04,
             record_drop_prob: 0.01,
             corrupt_bgp_feed: true,
-            bitflips: 24,
-            truncate_prob: 1.0,
         }
     }
 
@@ -99,35 +92,37 @@ impl ApparatusFaults {
     pub fn drop_stream(&self, root: &SimRng, client: usize) -> SimRng {
         root.fork(STREAM_DROPS + client as u64)
     }
+}
 
-    /// Corrupt `buf` in place per this configuration: [`Self::bitflips`]
-    /// random bit flips, then truncation of the tail third with probability
-    /// [`Self::truncate_prob`]. Returns what was done.
-    pub fn corrupt_buffer(&self, rng: &mut SimRng, buf: &mut Vec<u8>) -> CorruptionApplied {
-        let flipped = bitflip(buf, rng, self.bitflips);
-        let truncated_at = if rng.f64() < self.truncate_prob {
-            truncate_tail(buf, rng)
-        } else {
-            None
-        };
-        CorruptionApplied {
-            bitflips: flipped,
-            truncated_at,
-        }
+/// Bit flips [`corrupt_buffer`] applies.
+pub const CORRUPTION_BITFLIPS: u32 = 24;
+/// Probability that [`corrupt_buffer`] also truncates the buffer at a
+/// uniform point of its tail third.
+pub const CORRUPTION_TRUNCATE_PROB: f64 = 1.0;
+
+/// Corrupt `buf` in place: [`CORRUPTION_BITFLIPS`] random bit flips, then
+/// truncation of the tail third with probability
+/// [`CORRUPTION_TRUNCATE_PROB`]. The truncation coin is drawn although it
+/// always lands: the cut point's draw follows it, so dropping the coin
+/// would move every cut. Returns what was done.
+pub fn corrupt_buffer(rng: &mut SimRng, buf: &mut Vec<u8>) -> CorruptionApplied {
+    let flipped = bitflip(buf, rng, CORRUPTION_BITFLIPS);
+    let truncated_at = if rng.f64() < CORRUPTION_TRUNCATE_PROB {
+        truncate_tail(buf, rng)
+    } else {
+        None
+    };
+    CorruptionApplied {
+        bitflips: flipped,
+        truncated_at,
     }
 }
 
-/// What [`ApparatusFaults::corrupt_buffer`] actually did to a buffer.
+/// What [`corrupt_buffer`] actually did to a buffer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CorruptionApplied {
     pub bitflips: u32,
     pub truncated_at: Option<usize>,
-}
-
-impl CorruptionApplied {
-    pub fn is_clean(&self) -> bool {
-        self.bitflips == 0 && self.truncated_at.is_none()
-    }
 }
 
 /// Flip `n` random bits of `buf`; returns how many were flipped (0 for an
@@ -169,12 +164,7 @@ mod tests {
         for c in 0..200 {
             assert_eq!(a.death_time(&root, c, 744), None);
         }
-        let mut buf = vec![0u8; 64];
-        let before = buf.clone();
-        let mut rng = SimRng::new(1);
-        let applied = a.corrupt_buffer(&mut rng, &mut buf);
-        assert!(applied.is_clean());
-        assert_eq!(buf, before);
+        assert!(!a.corrupt_bgp_feed);
     }
 
     #[test]
@@ -215,13 +205,12 @@ mod tests {
 
     #[test]
     fn corruption_changes_bytes_and_truncates() {
-        let a = ApparatusFaults::stress();
         let mut rng = SimRng::new(11);
         let mut buf: Vec<u8> = (0..255u8).cycle().take(3000).collect();
         let original = buf.clone();
-        let applied = a.corrupt_buffer(&mut rng, &mut buf);
+        let applied = corrupt_buffer(&mut rng, &mut buf);
         assert_eq!(applied.bitflips, 24);
-        let cut = applied.truncated_at.expect("stress always truncates");
+        let cut = applied.truncated_at.expect("corruption always truncates");
         assert!((2000..3000).contains(&cut));
         assert_eq!(buf.len(), cut);
         assert_ne!(&buf[..], &original[..cut], "bit flips landed");

@@ -16,7 +16,7 @@
 //! untouched (their RNG streams are forked independently, so a lost sibling
 //! cannot shift them).
 
-use crate::apparatus::ApparatusFaults;
+use crate::apparatus::{corrupt_buffer, ApparatusFaults};
 use crate::clients::{build_fleet, FleetSpec};
 use crate::faults::{canonical_host, AdversarialProfile, GroundTruth};
 use crate::forensics::{ExemplarStore, ForensicsConfig};
@@ -45,16 +45,17 @@ pub struct ExperimentConfig {
     pub hours: u32,
     /// Accesses of each URL per hour per client (the paper's rate is ~4).
     pub iterations_per_hour: u32,
-    /// Round-trip DNS/HTTP messages through the wire codecs and check what
-    /// they read back. This changes what a run costs, never its dataset:
-    /// the codecs draw nothing from the simulation RNG, and the answers
-    /// come from the zones and origins either way.
+    /// Write every DNS message through the RFC 1035 codec and check what
+    /// it reads back. DNS only: the record keeper keeps a response's
+    /// status and size, never an HTTP header, so no HTTP bytes are written.
+    /// This changes what a run costs, never its dataset: the codec draws
+    /// nothing from the simulation RNG, and the answers come from the zones
+    /// either way.
     pub wire_fidelity: bool,
     /// Worker threads (0 = all available cores).
     pub threads: usize,
     /// Multiplier on every ground-truth fault intensity (1.0 = the
-    /// calibrated 2005 Internet; see
-    /// [`GroundTruth::materialize_scaled`]).
+    /// calibrated 2005 Internet; see [`GroundTruth::materialize`]).
     pub fault_scale: f64,
     /// Injected measurement-infrastructure faults (node deaths, record
     /// loss, feed corruption). [`ApparatusFaults::none`] leaves the run
@@ -79,7 +80,7 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Full paper scale: 744 hours × 4 accesses/hour × 80 sites × 134
-    /// clients ≈ 32 M transactions. Heavy; wire fidelity off.
+    /// clients ≈ 32 M transactions. Heavy; DNS wire codec off.
     pub fn paper_scale(seed: u64) -> Self {
         ExperimentConfig {
             seed,
@@ -106,7 +107,7 @@ impl ExperimentConfig {
     }
 
     /// A small run for integration tests and examples: full fleet, 72
-    /// hours, 1 access/hour, full wire fidelity.
+    /// hours, 1 access/hour, DNS wire codec on.
     pub fn quick(seed: u64) -> Self {
         ExperimentConfig {
             seed,
@@ -296,7 +297,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
         .with_detail(|| format!("seed={} hours={}", config.seed, config.hours));
     let fleet = build_fleet();
     let sites = build_sites();
-    let truth = GroundTruth::materialize_with(
+    let truth = GroundTruth::materialize(
         &fleet,
         &sites,
         config.hours,
@@ -699,7 +700,7 @@ fn build_bgp(
         let table = MrtPrefixTable::new(prefixes);
         let mut wire = encode_stream(&raw.updates, &table);
         let mut rng = SimRng::new(config.seed).fork_str("apparatus-mrt");
-        config.apparatus.corrupt_buffer(&mut rng, &mut wire);
+        corrupt_buffer(&mut rng, &mut wire);
         let (salvaged, issues) = decode_stream_salvage(&wire, &table);
         kept_count = salvaged.len() as u64;
         issue_count = issues.len() as u64;
@@ -751,7 +752,6 @@ fn run_client(
     );
     let mut wget = WgetConfig {
         record_traces,
-        no_cache: spec.proxy.is_some(),
         record_provenance: config.record_provenance,
         forensics: config.forensics.is_some(),
         ..WgetConfig::default()
@@ -1205,8 +1205,6 @@ mod tests {
         cfg.wire_fidelity = false;
         cfg.apparatus = ApparatusFaults {
             corrupt_bgp_feed: true,
-            bitflips: 24,
-            truncate_prob: 1.0,
             ..ApparatusFaults::none()
         };
         let out = run_experiment(&cfg);

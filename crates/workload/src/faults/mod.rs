@@ -151,33 +151,19 @@ fn union(a: &Timeline<bool>, b: &Timeline<bool>) -> Timeline<bool> {
 
 impl GroundTruth {
     /// Materialize the world for `fleet` × `sites` over `hours` hours.
-    pub fn materialize(fleet: &FleetSpec, sites: &[SiteSpec], hours: u32, seed: u64) -> GroundTruth {
-        Self::materialize_scaled(fleet, sites, hours, seed, 1.0)
-    }
-
-    /// As [`GroundTruth::materialize`], with every fault intensity (client
-    /// link/LDNS/WAN outage fractions, server degradation and flap
-    /// fractions, DNS-infrastructure faults, transient noise) multiplied by
-    /// `fault_scale`. `1.0` is the calibrated 2005 Internet; `0.0` is a
-    /// fault-free world (only background packet loss remains); `2.0` is an
-    /// Internet twice as broken. Blocked pairs are kept regardless — they
-    /// are configuration, not weather.
-    pub fn materialize_scaled(
-        fleet: &FleetSpec,
-        sites: &[SiteSpec],
-        hours: u32,
-        seed: u64,
-        fault_scale: f64,
-    ) -> GroundTruth {
-        Self::materialize_with(fleet, sites, hours, seed, fault_scale, &AdversarialProfile::none())
-    }
-
-    /// As [`GroundTruth::materialize_scaled`], additionally injecting the
-    /// adversarial archetypes selected by `adversarial`. Archetypes draw
-    /// exclusively from their own freshly-tagged RNG streams, so any world
-    /// with `AdversarialProfile::none()` is bit-identical to one built by
-    /// the plain constructors.
-    pub fn materialize_with(
+    ///
+    /// Every fault intensity (client link/LDNS/WAN outage fractions, server
+    /// degradation and flap fractions, DNS-infrastructure faults, transient
+    /// noise) is multiplied by `fault_scale`. `1.0` is the calibrated 2005
+    /// Internet; `0.0` is a fault-free world (only background packet loss
+    /// remains); `2.0` is an Internet twice as broken. Blocked pairs are
+    /// kept regardless — they are configuration, not weather.
+    ///
+    /// `adversarial` selects the adversarial archetypes to inject.
+    /// Archetypes draw exclusively from their own freshly-tagged RNG
+    /// streams, so any world with `AdversarialProfile::none()` is
+    /// bit-identical to one built before the archetypes existed.
+    pub fn materialize(
         fleet: &FleetSpec,
         sites: &[SiteSpec],
         hours: u32,
@@ -719,7 +705,8 @@ mod tests {
     fn small_truth(hours: u32) -> (FleetSpec, Vec<SiteSpec>, GroundTruth) {
         let fleet = build_fleet();
         let sites = build_sites();
-        let gt = GroundTruth::materialize(&fleet, &sites, hours, 7);
+        let gt =
+            GroundTruth::materialize(&fleet, &sites, hours, 7, 1.0, &AdversarialProfile::none());
         (fleet, sites, gt)
     }
 
@@ -875,8 +862,9 @@ mod tests {
     fn materialization_is_deterministic() {
         let fleet = build_fleet();
         let sites = build_sites();
-        let a = GroundTruth::materialize(&fleet, &sites, 48, 99);
-        let b = GroundTruth::materialize(&fleet, &sites, 48, 99);
+        let none = AdversarialProfile::none();
+        let a = GroundTruth::materialize(&fleet, &sites, 48, 99, 1.0, &none);
+        let b = GroundTruth::materialize(&fleet, &sites, 48, 99, 1.0, &none);
         assert_eq!(a.blocked, b.blocked);
         assert_eq!(a.severe_bgp.len(), b.severe_bgp.len());
         for i in 0..fleet.len() {

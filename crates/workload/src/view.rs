@@ -438,7 +438,8 @@ mod tests {
     fn world() -> (crate::clients::FleetSpec, Vec<crate::sites::SiteSpec>, GroundTruth) {
         let fleet = build_fleet();
         let sites = build_sites();
-        let gt = GroundTruth::materialize(&fleet, &sites, 168, 11);
+        let none = crate::AdversarialProfile::none();
+        let gt = GroundTruth::materialize(&fleet, &sites, 168, 11, 1.0, &none);
         (fleet, sites, gt)
     }
 

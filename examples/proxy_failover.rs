@@ -89,7 +89,7 @@ fn main() {
         direct_fail += u64::from(obs.outcome.is_failure());
         direct_extra_conns += obs.connections.len().saturating_sub(1) as u64;
 
-        match proxy.fetch(&env, &host, t, true) {
+        match proxy.fetch(&env, &host, t) {
             ProxyFetch::Success { .. } => {}
             _ => proxy_fail += 1,
         }

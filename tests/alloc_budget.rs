@@ -1,8 +1,8 @@
 //! The allocation budget of a simulated transaction.
 //!
 //! A counting global allocator, whose counter is per thread, watches one
-//! warmed `ClientSession` with wget's defaults (DNS and HTTP wire codecs on,
-//! packet capture on) over `HealthyEnv`, recycling every observation the
+//! warmed `ClientSession` with wget's defaults (DNS wire codecs on, packet
+//! capture on) over `HealthyEnv`, recycling every observation the
 //! way the experiment runner does:
 //!
 //! * a healthy transaction that hits the LDNS cache and takes no redirect
@@ -179,10 +179,7 @@ fn a_redirect_hop_allocates_the_next_hops_name() {
 fn a_warm_proxied_cache_hit_allocates_nothing() {
     let tree = tree();
     let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
-    let config = WgetConfig {
-        no_cache: true,
-        ..WgetConfig::default()
-    };
+    let config = WgetConfig::default();
     assert!(config.resolver.wire_fidelity);
     let mut proxy = ProxySession::new(&tree, config.resolver, SimRng::new(2007));
     let mut session = ClientSession::new(&tree, config, SimRng::new(2008));

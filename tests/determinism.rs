@@ -139,7 +139,7 @@ fn forensic_tracing_does_not_change_results() {
 #[test]
 fn wire_codecs_never_change_the_world() {
     use workload::AdversarialProfile;
-    // The DNS/HTTP wire codecs check what they read back and never steer:
+    // The DNS wire codecs check what they read back and never steer:
     // the resolver numbers its own messages instead of drawing ids from the
     // simulation RNG, answers come from the zones either way, and the proxy
     // resolves under the runner's switch. So a day of the quick world is

@@ -9,16 +9,15 @@
 //! 3. when the salvage decoder reports no issues, the strict decoder
 //!    succeeds and both decode identically.
 //!
-//! The DNS and HTTP codecs have no salvage decoder: their strict decoders
-//! must never panic on damaged messages, overlong multi-byte header lines
-//! or pure garbage, and intact messages must round-trip. The DNS decoder's
-//! verdict (the message, or the exact error) must also equal that of a
-//! reference decoder that reads each section into owned records as it
-//! checks it, the way the codec decoded before it validated in place.
+//! The DNS codec has no salvage decoder: its strict decoder must never
+//! panic on damaged messages or pure garbage, and intact messages must
+//! round-trip. Its verdict (the message, or the exact error) must also
+//! equal that of a reference decoder that reads each section into owned
+//! records as it checks it, the way the codec decoded before it validated
+//! in place.
 
 use bgpsim::mrt::{decode_stream, decode_stream_salvage, encode_stream, MrtPrefixTable};
 use bgpsim::{BgpUpdate, UpdateKind};
-use httpsim::{HttpError, HttpRequest, HttpResponse};
 use model::{PrefixId, SimTime};
 use netsim::SimRng;
 use proptest::prelude::*;
@@ -225,46 +224,6 @@ mod reference {
     }
 }
 
-/// A request and one of the three response shapes an origin sends, from
-/// the strings they borrow.
-struct HttpFixture {
-    host: String,
-    no_cache: bool,
-    location: String,
-    /// 0: 200 with `body_len`, 1: a redirect to `location`, 2: a 503.
-    shape: u64,
-    body_len: u64,
-}
-
-impl HttpFixture {
-    fn new(seed: u64) -> HttpFixture {
-        let mut rng = SimRng::new(seed).fork_str("fuzz-http");
-        let host = format!("www.site{}.example", rng.next_u64() % 50);
-        let no_cache = rng.next_u64().is_multiple_of(2);
-        let shape = rng.next_u64() % 3;
-        let body_len = if shape == 0 { rng.next_u64() % 100_000 } else { 0 };
-        HttpFixture {
-            location: format!("http://{host}/"),
-            host,
-            no_cache,
-            shape,
-            body_len,
-        }
-    }
-
-    fn request(&self) -> HttpRequest<'_> {
-        HttpRequest::get(&self.host, "/", self.no_cache)
-    }
-
-    fn response(&self) -> HttpResponse<'_> {
-        match self.shape {
-            0 => HttpResponse::ok(self.body_len),
-            1 => HttpResponse::redirect(302, &self.location),
-            _ => HttpResponse::error(503, "Service Unavailable"),
-        }
-    }
-}
-
 fn prefixes() -> Vec<model::Ipv4Prefix> {
     (0..8u8)
         .map(|i| model::Ipv4Prefix::new(std::net::Ipv4Addr::new(10, 0, i, 0), 24).expect("/24"))
@@ -311,53 +270,6 @@ proptest! {
         prop_assert_eq!(dnswire::Message::decode(&wire), reference::decode(&wire));
     }
 
-    /// HTTP: damaged heads never panic either decoder; intact ones
-    /// round-trip.
-    #[test]
-    fn http_decoders_survive_corruption(
-        seed in 0u64..1_000_000,
-        flips in 0u32..12,
-        cut in 0u8..2,
-    ) {
-        let fixture = HttpFixture::new(seed);
-        let (request, response) = (fixture.request(), fixture.response());
-        let (request_text, head_text) = (request.encode(), response.encode_head());
-        prop_assert_eq!(HttpRequest::decode(&request_text), Ok(request));
-        prop_assert_eq!(HttpResponse::decode_head(&head_text), Ok(response));
-        for text in [request_text, head_text] {
-            let mut wire = text.into_bytes();
-            corrupt(&mut wire, seed, flips, cut == 1);
-            let damaged = String::from_utf8_lossy(&wire);
-            let _ = HttpRequest::decode(&damaged);
-            let _ = HttpResponse::decode_head(&damaged);
-        }
-    }
-
-    /// An overlong header line of multi-byte text is rejected with a
-    /// quote cut on a character boundary, wherever byte 64 falls.
-    #[test]
-    fn http_decoders_survive_long_multibyte_headers(
-        prefix in 0usize..80,
-        which in 0usize..4,
-    ) {
-        let ch = ["é", "€", "𝄞", "ß"][which];
-        let line = format!("X-A:{}{}", "a".repeat(prefix), ch.repeat(8200 / ch.len()));
-        let request = format!("GET / HTTP/1.1\r\n{line}\r\n\r\n");
-        let response = format!("HTTP/1.1 200 OK\r\n{line}\r\n\r\n");
-        for err in [
-            HttpRequest::decode(&request).map(|_| ()),
-            HttpResponse::decode_head(&response).map(|_| ()),
-        ] {
-            match err {
-                Err(HttpError::BadHeader(quote)) => {
-                    prop_assert!(quote.len() <= 64 && line.starts_with(&quote));
-                    prop_assert!(quote.len() > 60, "cut at most one character short");
-                }
-                other => prop_assert!(false, "expected BadHeader, got {other:?}"),
-            }
-        }
-    }
-
     /// Pure garbage never panics any decoder, strict or salvage.
     #[test]
     fn garbage_never_panics_any_decoder(
@@ -368,8 +280,5 @@ proptest! {
         let _ = decode_stream(&bytes, &table);
         let _ = decode_stream_salvage(&bytes, &table);
         prop_assert_eq!(dnswire::Message::decode(&bytes), reference::decode(&bytes));
-        let text = String::from_utf8_lossy(&bytes);
-        let _ = HttpRequest::decode(&text);
-        let _ = HttpResponse::decode_head(&text);
     }
 }

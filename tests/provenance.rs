@@ -18,7 +18,8 @@ fn t(hours: f64) -> SimTime {
 fn small_world(hours: u32) -> (workload::FleetSpec, Vec<workload::SiteSpec>, GroundTruth) {
     let fleet = build_fleet();
     let sites = build_sites();
-    let gt = GroundTruth::materialize(&fleet, &sites, hours, 7);
+    let none = workload::AdversarialProfile::none();
+    let gt = GroundTruth::materialize(&fleet, &sites, hours, 7, 1.0, &none);
     (fleet, sites, gt)
 }
 
