@@ -54,7 +54,7 @@ pub enum DigOutcome {
 }
 
 /// One transaction: a wget invocation downloading one URL's index object.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PerformanceRecord {
     /// Which client performed the access.
     pub client: ClientId,
@@ -109,7 +109,7 @@ impl PerformanceRecord {
 }
 
 /// One TCP connection attempt (SYN through close or failure).
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ConnectionRecord {
     pub client: ClientId,
     pub site: SiteId,

@@ -41,9 +41,7 @@ pub enum TraceEvent {
         syn_retransmissions: u8,
         truth: FaultSet,
     },
-    /// One HTTP exchange on an established connection. Status 0 stands in
-    /// for "no usable response" (a proxied transport failure the client
-    /// only sees as a dead gateway).
+    /// One HTTP exchange on an established connection.
     Http {
         host: String,
         at: SimTime,

@@ -13,16 +13,17 @@
 //! Corporate (CN) clients instead speak to their caching proxy, which does
 //! its own name resolution, never fails over across replica addresses
 //! (Section 4.7's shared proxy defect), and masks the upstream failure
-//! detail from the client.
+//! detail: it returns only the status the client sees.
 //!
-//! The output is a [`TransactionObservation`] — everything Section 3.5's
-//! performance record holds, minus the identifiers the experiment runner
-//! adds.
+//! The output is the dataset's own records (Section 3.5): a
+//! [`ClientSession`], built with its client's id, appends each connect's
+//! [`model::ConnectionRecord`] to the vector its caller passes and returns
+//! each access's [`model::PerformanceRecord`] with every field set.
 
 pub mod env;
 pub mod proxy;
 pub mod session;
 
 pub use env::AccessEnvironment;
-pub use proxy::{ProxyFetch, ProxySession};
-pub use session::{ClientSession, ConnObservation, TransactionObservation, WgetConfig};
+pub use proxy::ProxySession;
+pub use session::{ClientSession, WgetConfig};

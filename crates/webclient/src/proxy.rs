@@ -10,37 +10,25 @@
 //!   Table 9;
 //! * it keeps no object cache: every fetch goes to the origin, as the CN
 //!   clients' `no-cache` requests made the real proxy do;
-//! * the upstream failure *detail* is masked: the client sees only a
-//!   gateway-error status.
+//! * the upstream failure *detail* is masked: the proxy answers the client
+//!   with the status the client sees, a gateway error for an upstream
+//!   failure.
 
 use crate::env::AccessEnvironment;
 use crate::session::{HEADER_OVERHEAD, MAX_REDIRECTS};
 use dnssim::{LdnsCache, ResolverConfig, StubResolver, ZoneTree};
 use dnswire::DomainName;
 use httpsim::{OriginAnswer, StatusClass};
-use model::{DnsFailureKind, SimDuration, SimTime};
+use model::{ProxyId, SimDuration, SimTime};
 use netsim::SimRng;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use tcpsim::simulate_connection_into;
 
-/// Outcome of a proxy-mediated fetch, with the time it took (the client's
-/// clock keeps running while the proxy works).
-#[derive(Clone, Debug)]
-pub enum ProxyFetch {
-    Success { bytes: u64, duration: SimDuration },
-    /// Upstream resolution failed at the proxy.
-    DnsFailed(DnsFailureKind, SimDuration),
-    /// Upstream TCP connection failed (first address only — no fail-over).
-    ConnectFailed(SimDuration),
-    /// Upstream transfer started but did not complete.
-    TransferFailed(SimDuration),
-    /// Origin returned an HTTP error.
-    HttpError(u16, SimDuration),
-}
-
 /// One caching proxy's state.
 pub struct ProxySession<'t> {
+    /// The proxy the records of its clients' accesses name.
+    pub(crate) id: ProxyId,
     /// The proxy's resolver, kept for its lifetime (with its message
     /// buffer).
     resolver: StubResolver<'t>,
@@ -55,10 +43,11 @@ pub struct ProxySession<'t> {
 }
 
 impl<'t> ProxySession<'t> {
-    /// A proxy resolving through `tree` under `resolver`, the policy its
-    /// clients resolve with.
-    pub fn new(tree: &'t ZoneTree, resolver: ResolverConfig, rng: SimRng) -> Self {
+    /// Proxy `id`, resolving through `tree` under `resolver`, the policy
+    /// its clients resolve with.
+    pub fn new(id: ProxyId, tree: &'t ZoneTree, resolver: ResolverConfig, rng: SimRng) -> Self {
         ProxySession {
+            id,
             resolver: StubResolver::new(tree, resolver),
             cache: LdnsCache::new(),
             rng,
@@ -72,7 +61,15 @@ impl<'t> ProxySession<'t> {
         &self.cache
     }
 
-    /// Fetch `host`'s index object on behalf of a client.
+    /// Fetch `host`'s index object on behalf of a client and return what
+    /// the client sees: the status, the body bytes and how long the proxy
+    /// took (the client's clock keeps running while the proxy works).
+    ///
+    /// The status is 502 when the proxy's upstream lookup fails and 504
+    /// when its connect or transfer fails, the client cannot tell which;
+    /// otherwise it is the origin's own (or the proxy's 502 for a redirect
+    /// it cannot parse and 310 past the redirect limit). Only a success
+    /// carries body bytes.
     ///
     /// `env` is the *proxy's* vantage (its LDNS, its wide-area paths).
     pub fn fetch<P: AccessEnvironment>(
@@ -80,21 +77,8 @@ impl<'t> ProxySession<'t> {
         env: &P,
         host: &DomainName,
         t: SimTime,
-    ) -> ProxyFetch {
-        let mut addrs = std::mem::take(&mut self.addr_scratch);
-        let out = self.fetch_inner(env, host, t, &mut addrs);
-        addrs.clear();
-        self.addr_scratch = addrs;
-        out
-    }
-
-    fn fetch_inner<P: AccessEnvironment>(
-        &mut self,
-        env: &P,
-        host: &DomainName,
-        t: SimTime,
-        addrs: &mut Vec<Ipv4Addr>,
-    ) -> ProxyFetch {
+    ) -> (u16, u64, SimDuration) {
+        let addrs = &mut self.addr_scratch;
         let mut now = t;
         let mut redirect_host: Option<DomainName> = None;
         let mut bytes_total = 0u64;
@@ -110,8 +94,8 @@ impl<'t> ProxySession<'t> {
                 addrs,
             );
             now += resolution.elapsed;
-            if let Err(kind) = resolution.result {
-                return ProxyFetch::DnsFailed(kind, now - t);
+            if resolution.result.is_err() {
+                return (502, 0, now - t);
             }
             // THE defining defect: first address only, no fail-over.
             let addr = addrs[0];
@@ -133,32 +117,23 @@ impl<'t> ProxySession<'t> {
                 simulate_connection_into(behavior, &path, wire_bytes, now, &mut self.rng, None);
             now += result.duration;
             if result.outcome.is_err() {
-                return if result.established {
-                    ProxyFetch::TransferFailed(now - t)
-                } else {
-                    ProxyFetch::ConnectFailed(now - t)
-                };
+                return (504, 0, now - t);
             }
             bytes_total += answer.body_len;
 
             match StatusClass::of(answer.status) {
-                StatusClass::Success => {
-                    return ProxyFetch::Success {
-                        bytes: bytes_total,
-                        duration: now - t,
-                    }
-                }
+                StatusClass::Success => return (answer.status, bytes_total, now - t),
                 StatusClass::Redirect => {
                     let next = answer.next_host.expect("redirect carries next host");
                     match next.parse::<DomainName>() {
                         Ok(n) => redirect_host = Some(n),
-                        Err(_) => return ProxyFetch::HttpError(502, now - t),
+                        Err(_) => return (502, 0, now - t),
                     }
                 }
-                _ => return ProxyFetch::HttpError(answer.status, now - t),
+                _ => return (answer.status, 0, now - t),
             }
         }
-        ProxyFetch::HttpError(310, now - t)
+        (310, 0, now - t)
     }
 }
 
@@ -168,8 +143,7 @@ mod tests {
     use crate::env::HealthyEnv;
     use dnssim::DnsFaults;
     use httpsim::Origin;
-    use model::FaultSet;
-    use std::net::Ipv4Addr;
+    use model::{ClientId, FaultSet, SiteId};
     use tcpsim::{PathQuality, ServerBehavior};
 
     fn name(s: &str) -> DomainName {
@@ -188,7 +162,7 @@ mod tests {
     }
 
     fn proxy(tree: &ZoneTree, seed: u64) -> ProxySession<'_> {
-        ProxySession::new(tree, ResolverConfig::default(), SimRng::new(seed))
+        ProxySession::new(ProxyId(0), tree, ResolverConfig::default(), SimRng::new(seed))
     }
 
     #[test]
@@ -196,13 +170,10 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 12_000));
         let mut p = proxy(&tr, 1);
-        match p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(1)) {
-            ProxyFetch::Success { bytes, duration } => {
-                assert_eq!(bytes, 12_000);
-                assert!(duration > SimDuration::ZERO);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let t = SimTime::from_hours(1);
+        let (status, bytes, duration) = p.fetch(&env, &name("www.iitb.ac.in"), t);
+        assert_eq!((status, bytes), (200, 12_000));
+        assert!(duration > SimDuration::ZERO);
     }
 
     /// First replica dead, others fine — the client-side wget would fail
@@ -240,8 +211,8 @@ mod tests {
         for k in 0..40u64 {
             let t = SimTime::from_hours(1) + SimDuration::from_secs(k * 60);
             match p.fetch(&env, &name("www.iitb.ac.in"), t) {
-                ProxyFetch::ConnectFailed(_) => failed += 1,
-                ProxyFetch::Success { .. } => succeeded += 1,
+                (504, 0, _) => failed += 1,
+                (200, 12_000, _) => succeeded += 1,
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -250,11 +221,13 @@ mod tests {
 
         // Contrast: the direct client succeeds via fail-over, always.
         use crate::session::{ClientSession, WgetConfig};
-        let mut s = ClientSession::new(&tr, WgetConfig::default(), SimRng::new(3));
+        let mut s = ClientSession::new(ClientId(0), &tr, WgetConfig::default(), SimRng::new(3));
+        let mut conns = Vec::new();
         for k in 0..20u64 {
             let t = SimTime::from_hours(1) + SimDuration::from_secs(k * 60);
-            let obs = s.run_transaction(&env, &name("www.iitb.ac.in"), t);
-            assert!(obs.outcome.is_success(), "direct wget fails over");
+            let host = name("www.iitb.ac.in");
+            let (rec, _, _) = s.run_transaction(&env, SiteId(0), &host, t, &mut conns);
+            assert!(rec.outcome.is_success(), "direct wget fails over");
         }
     }
 
@@ -285,14 +258,12 @@ mod tests {
             }
         }
         let env2 = ProxyLdnsDown(HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000)));
-        match p.fetch(
+        let (status, _, _) = p.fetch(
             &env2,
             &name("www.iitb.ac.in"),
             t0 + SimDuration::from_secs(60),
-        ) {
-            ProxyFetch::Success { .. } => {}
-            other => panic!("cache should mask the DNS outage: {other:?}"),
-        }
+        );
+        assert_eq!(status, 200, "cache should mask the DNS outage");
     }
 
     #[test]
@@ -300,9 +271,7 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000).with_error_rate(1.0, 500));
         let mut p = proxy(&tr, 5);
-        match p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(2)) {
-            ProxyFetch::HttpError(500, _) => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        let (status, bytes, _) = p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(2));
+        assert_eq!((status, bytes), (500, 0));
     }
 }

@@ -1,13 +1,14 @@
 //! One client's measurement session: the wget-like download procedure.
 
 use crate::env::AccessEnvironment;
-use crate::proxy::{ProxyFetch, ProxySession};
+use crate::proxy::ProxySession;
 use dnssim::{LdnsCache, ResolverConfig, StubResolver, ZoneTree};
 use dnswire::DomainName;
 use httpsim::{OriginAnswer, StatusClass};
 use model::{
-    DigOutcome, DnsFailureKind, FailureClass, FaultSet, ProvenanceRecord, SimDuration, SimTime,
-    TcpFailureKind, TraceEvent, TransactionOutcome, TxnTrace,
+    ClientId, ConnectionRecord, DigOutcome, FailureClass, FaultSet, PerformanceRecord,
+    ProvenanceRecord, SimDuration, SimTime, SiteId, TcpFailureKind, TraceEvent,
+    TransactionOutcome, TxnTrace,
 };
 use netsim::SimRng;
 use tcpsim::{classify_trace, count_retransmissions, simulate_connection_into, Trace};
@@ -38,13 +39,13 @@ pub struct WgetConfig {
     pub resolver: ResolverConfig,
     /// Capture packet traces (the paper's BB clients could not).
     pub record_traces: bool,
-    /// Stamp each observation with the ground-truth faults active during it
+    /// Stamp each access with the ground-truth faults active during it
     /// (the fault-provenance flight recorder). Probing reads materialized
     /// timelines only, so the RNG draw order — and therefore the dataset —
     /// is bit-identical whether this is on or off.
     pub record_provenance: bool,
     /// Emit a phase-level forensic trace ([`TxnTrace`]) alongside each
-    /// observation: every DNS attempt, TCP connect, and HTTP exchange as a
+    /// record: every DNS attempt, TCP connect, and HTTP exchange as a
     /// causal event stamped with the faults active at that instant. Capture
     /// reuses the flight-recorder stamps (pure lookups, no RNG), so the
     /// dataset stays bit-identical with tracing on or off — and works with
@@ -63,59 +64,9 @@ impl Default for WgetConfig {
     }
 }
 
-/// One TCP connection attempt as the record keeper sees it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConnObservation {
-    pub replica: Ipv4Addr,
-    pub start: SimTime,
-    pub outcome: Result<(), TcpFailureKind>,
-    pub syn_retransmissions: u8,
-    /// Trace-visible data retransmissions (None without capture).
-    pub retransmissions: Option<u32>,
-}
-
-/// Everything one transaction produced (identifiers are added by the
-/// experiment runner).
-#[derive(Clone, Debug)]
-pub struct TransactionObservation {
-    pub start: SimTime,
-    pub dns: Result<SimDuration, DnsFailureKind>,
-    pub outcome: TransactionOutcome,
-    pub replica: Option<Ipv4Addr>,
-    pub download_time: Option<SimDuration>,
-    pub bytes_received: u64,
-    pub connections: Vec<ConnObservation>,
-    pub retransmissions: Option<u32>,
-    pub dig: DigOutcome,
-    /// Ground-truth fault stamp; `Some` only when
-    /// [`WgetConfig::record_provenance`] is set.
-    pub provenance: Option<ProvenanceRecord>,
-    /// Phase-level causal timeline; `Some` only when
-    /// [`WgetConfig::forensics`] is set.
-    pub trace: Option<TxnTrace>,
-}
-
-impl TransactionObservation {
-    fn dns_failure(start: SimTime, kind: DnsFailureKind, dig: DigOutcome) -> Self {
-        TransactionObservation {
-            start,
-            dns: Err(kind),
-            outcome: TransactionOutcome::Failure(FailureClass::Dns(kind)),
-            replica: None,
-            download_time: None,
-            bytes_received: 0,
-            connections: Vec::new(),
-            retransmissions: None,
-            dig,
-            provenance: None,
-            trace: None,
-        }
-    }
-}
-
 /// Bump the per-class outcome counters (and the download-time histogram)
 /// for one completed transaction.
-fn record_transaction_outcome(obs: &TransactionObservation) {
+fn record_transaction_outcome(record: &PerformanceRecord) {
     if !telemetry::enabled() {
         return;
     }
@@ -124,7 +75,7 @@ fn record_transaction_outcome(obs: &TransactionObservation) {
         ["ok", "dns_failure", "tcp_failure", "http_failure"],
     );
     OUTCOMES.add(
-        match obs.outcome.failure() {
+        match record.failure() {
             None => 0,
             Some(FailureClass::Dns(_)) => 1,
             Some(FailureClass::Tcp(_)) => 2,
@@ -132,7 +83,7 @@ fn record_transaction_outcome(obs: &TransactionObservation) {
         },
         1,
     );
-    if let Some(d) = obs.download_time {
+    if let Some(d) = record.download_time {
         telemetry::histogram!("client.download_time_us", d.as_micros());
     }
 }
@@ -140,8 +91,8 @@ fn record_transaction_outcome(obs: &TransactionObservation) {
 /// Ground truth for one transaction: the flight-recorder stamp and the
 /// forensic timeline. As each phase runs, the DNS probe and the fault set
 /// each connect's behaviour was read from fill it, and
-/// [`ClientSession::finish`] turns it into the observation's `provenance`
-/// and `trace`. Both are pure timeline lookups (no RNG), so they cannot
+/// [`ClientSession::finish`] turns it into the access's provenance stamp
+/// and trace. Both are pure timeline lookups (no RNG), so they cannot
 /// perturb the simulation; with both observers off the DNS probe is
 /// skipped and nothing is filled.
 struct Truth {
@@ -190,9 +141,11 @@ impl Truth {
     }
 }
 
-/// Per-client measurement state: the LDNS cache the client talks to, the
-/// client's RNG stream, and the wget configuration.
+/// Per-client measurement state: the client the records name, the LDNS
+/// cache the client talks to, the client's RNG stream, and the wget
+/// configuration.
 pub struct ClientSession<'t> {
+    client: ClientId,
     resolver: StubResolver<'t>,
     config: WgetConfig,
     cache: LdnsCache,
@@ -200,8 +153,6 @@ pub struct ClientSession<'t> {
     /// Reused A-record buffer (one live allocation per session, not one per
     /// lookup).
     addr_scratch: Vec<Ipv4Addr>,
-    /// Reused connection-observation buffer, reclaimed via [`Self::recycle`].
-    conn_scratch: Vec<ConnObservation>,
     /// Reused packet-capture buffer for [`simulate_connection_into`].
     trace_buf: Trace,
     /// Reused sort buffer for [`count_retransmissions`].
@@ -212,28 +163,19 @@ pub struct ClientSession<'t> {
 }
 
 impl<'t> ClientSession<'t> {
-    pub fn new(tree: &'t ZoneTree, config: WgetConfig, rng: SimRng) -> Self {
+    /// `client`'s session; every record it writes names `client`.
+    pub fn new(client: ClientId, tree: &'t ZoneTree, config: WgetConfig, rng: SimRng) -> Self {
         let resolver = StubResolver::new(tree, config.resolver);
         ClientSession {
+            client,
             resolver,
             config,
             cache: LdnsCache::new(),
             rng,
             addr_scratch: Vec::new(),
-            conn_scratch: Vec::new(),
             trace_buf: Trace::new(),
             retx_keys: Vec::new(),
             host_scratch: String::new(),
-        }
-    }
-
-    /// Reclaim the per-transaction buffers of a consumed observation so the
-    /// next transaction reuses them instead of allocating. Callers that keep
-    /// the observation (or its connection list) simply skip this.
-    pub fn recycle(&mut self, mut obs: TransactionObservation) {
-        obs.connections.clear();
-        if obs.connections.capacity() > self.conn_scratch.capacity() {
-            self.conn_scratch = obs.connections;
         }
     }
 
@@ -242,13 +184,21 @@ impl<'t> ClientSession<'t> {
         &self.cache
     }
 
-    /// Run one direct (non-proxied) transaction for `host` starting at `t`.
+    /// Run one direct (non-proxied) access to `site`, whose URL names
+    /// `host`, starting at `t`. Every connect appends its
+    /// [`ConnectionRecord`] to `connections`, in connect order; the
+    /// access's [`PerformanceRecord`] comes back beside the provenance
+    /// stamp and the forensic trace, each `Some` only while its observer is
+    /// on. The record counts only the connection records this access
+    /// appended, so one vector can collect a whole month.
     pub fn run_transaction<E: AccessEnvironment>(
         &mut self,
         env: &E,
+        site: SiteId,
         host: &DomainName,
         t: SimTime,
-    ) -> TransactionObservation {
+        connections: &mut Vec<ConnectionRecord>,
+    ) -> (PerformanceRecord, Option<ProvenanceRecord>, Option<TxnTrace>) {
         // Span-trace roughly one transaction in a thousand: enough to see
         // where simulation wall time goes without holding millions of spans.
         static SAMPLER: telemetry::Sampler = telemetry::Sampler::new(1024);
@@ -256,40 +206,44 @@ impl<'t> ClientSession<'t> {
             .hit()
             .then(|| telemetry::span!("client.transaction").with_detail(|| host.to_string()));
         let mut truth = Truth::new(&self.config);
-        let mut addrs = std::mem::take(&mut self.addr_scratch);
-        let obs = self.run_transaction_core(env, host, t, &mut addrs, &mut truth);
-        addrs.clear();
-        self.addr_scratch = addrs;
+        let record = self.run_transaction_core(env, site, host, t, connections, &mut truth);
         if let Some(mut span) = span {
             let end = t
-                + obs.dns.unwrap_or(SimDuration::ZERO)
-                + obs.download_time.unwrap_or(SimDuration::ZERO);
+                + record.dns.unwrap_or(SimDuration::ZERO)
+                + record.download_time.unwrap_or(SimDuration::ZERO);
             span.set_sim_range(t.as_micros(), end.as_micros());
         }
-        self.finish(obs, truth)
+        self.finish(record, truth)
     }
 
     /// The single exit of every transaction, direct or proxied: the
-    /// gathered truth becomes the observation's `provenance` and `trace`,
-    /// and the outcome counters tick.
-    fn finish(&self, mut obs: TransactionObservation, truth: Truth) -> TransactionObservation {
-        obs.provenance = self.config.record_provenance.then_some(ProvenanceRecord {
+    /// gathered truth becomes the provenance stamp and the trace, and the
+    /// outcome counters tick.
+    fn finish(
+        &self,
+        record: PerformanceRecord,
+        truth: Truth,
+    ) -> (PerformanceRecord, Option<ProvenanceRecord>, Option<TxnTrace>) {
+        record_transaction_outcome(&record);
+        let provenance = self.config.record_provenance.then_some(ProvenanceRecord {
             dns: truth.dns,
             connect: truth.connect,
         });
-        obs.trace = truth.trace;
-        record_transaction_outcome(&obs);
-        obs
+        (record, provenance, truth.trace)
     }
 
     fn run_transaction_core<E: AccessEnvironment>(
         &mut self,
         env: &E,
+        site: SiteId,
         host: &DomainName,
         t: SimTime,
-        addrs: &mut Vec<Ipv4Addr>,
+        connections: &mut Vec<ConnectionRecord>,
         truth: &mut Truth,
-    ) -> TransactionObservation {
+    ) -> PerformanceRecord {
+        // This access's connection records are `connections[first..]`.
+        let first = connections.len();
+        let addrs = &mut self.addr_scratch;
         let dns_truth = truth.dns(env, host, t);
 
         // Step 1: the client OS cache is flushed before each access; only
@@ -312,19 +266,32 @@ impl<'t> ClientSession<'t> {
             let dig = self
                 .resolver
                 .dig_iterative(host, env, t + dns_elapsed, &mut self.rng, addrs);
-            return TransactionObservation::dns_failure(t, kind, dig);
+            return PerformanceRecord {
+                client: self.client,
+                site,
+                replica: None,
+                start: t,
+                dns: Err(kind),
+                outcome: TransactionOutcome::Failure(FailureClass::Dns(kind)),
+                download_time: None,
+                bytes_received: 0,
+                connections_attempted: 0,
+                retransmissions: None,
+                dig,
+                proxy: None,
+            };
         }
 
-        let mut now = t + dns_elapsed;
-        let mut connections: Vec<ConnObservation> = std::mem::take(&mut self.conn_scratch);
+        let transfer_start = t + dns_elapsed;
+        let mut now = transfer_start;
         let mut total_visible_retx: u32 = 0;
         let mut bytes_received: u64 = 0;
         let mut redirect_host: Option<DomainName> = None;
         let mut final_replica: Option<Ipv4Addr> = None;
 
-        // Every exit past a successful first lookup, but for a failed
-        // redirect lookup, leaves the hop loop with its outcome and replica.
-        let (outcome, replica) = 'hops: {
+        // Every exit past a successful first lookup leaves the hop loop
+        // with its outcome, replica, download time and dig.
+        let (outcome, replica, download_time, dig) = 'hops: {
             for _hop in 0..=MAX_REDIRECTS {
                 // What will this host's origin say? (Determines the transfer
                 // size the connection must carry.)
@@ -353,7 +320,7 @@ impl<'t> ClientSession<'t> {
                 let captured = self.config.record_traces;
                 'retry: loop {
                     for addr in addrs.iter() {
-                        if connections.len() as u16 >= MAX_CONNECTIONS {
+                        if connections.len() - first >= usize::from(MAX_CONNECTIONS) {
                             break 'retry;
                         }
                         let (behavior, faults) = env.server_behavior(*addr, now);
@@ -388,7 +355,9 @@ impl<'t> ClientSession<'t> {
                                 }
                             }
                         };
-                        connections.push(ConnObservation {
+                        connections.push(ConnectionRecord {
+                            client: self.client,
+                            site,
                             replica: *addr,
                             start: now,
                             outcome: observed_outcome,
@@ -404,12 +373,10 @@ impl<'t> ClientSession<'t> {
                             truth: attempt_truth,
                         });
                         now += result.duration;
+                        bytes_received += result.bytes_delivered.min(answer.body_len);
                         if result.outcome.is_ok() {
-                            bytes_received += result.bytes_delivered.min(answer.body_len);
                             connected_result = Some(*addr);
                             break 'retry;
-                        } else {
-                            bytes_received += result.bytes_delivered.min(answer.body_len);
                         }
                     }
                     // First pass complete; continue only while the budget is
@@ -421,13 +388,15 @@ impl<'t> ClientSession<'t> {
 
                 let Some(addr) = connected_result else {
                     // All connection attempts failed: a TCP transaction failure,
-                    // classified from the last attempt.
-                    let kind = connections
-                        .last()
+                    // classified from this access's last attempt.
+                    let last = connections[first..].last();
+                    let kind = last
                         .and_then(|c| c.outcome.err())
                         .unwrap_or(TcpFailureKind::NoConnection);
                     let outcome = TransactionOutcome::Failure(FailureClass::Tcp(kind));
-                    break 'hops (outcome, connections.last().map(|c| c.replica));
+                    let replica = last.map(|c| c.replica);
+                    let download_time = Some(now - transfer_start);
+                    break 'hops (outcome, replica, download_time, DigOutcome::NotRun);
                 };
                 final_replica = Some(addr);
                 truth.event(|| TraceEvent::Http {
@@ -438,18 +407,17 @@ impl<'t> ClientSession<'t> {
                     truth: FaultSet::EMPTY,
                 });
 
-                match StatusClass::of(answer.status) {
-                    StatusClass::Success => {
-                        break 'hops (TransactionOutcome::Success, final_replica)
-                    }
+                let outcome = match StatusClass::of(answer.status) {
+                    StatusClass::Success => TransactionOutcome::Success,
                     StatusClass::Redirect => {
                         let next = answer.next_host.expect("redirect carries next host");
-                        let next_name: DomainName = match next.parse() {
-                            Ok(n) => n,
-                            Err(_) => {
-                                let outcome = TransactionOutcome::Failure(FailureClass::Http(502));
-                                break 'hops (outcome, final_replica);
-                            }
+                        let Ok(next_name) = next.parse::<DomainName>() else {
+                            break 'hops (
+                                TransactionOutcome::Failure(FailureClass::Http(502)),
+                                final_replica,
+                                Some(now - transfer_start),
+                                DigOutcome::NotRun,
+                            );
                         };
                         let hop_truth = truth.dns(env, &next_name, now);
                         // Resolve the next hop (LDNS cache applies).
@@ -469,61 +437,58 @@ impl<'t> ClientSession<'t> {
                             truth: hop_truth,
                         });
                         now += r.elapsed;
-                        match r.result {
-                            Ok(()) => {
-                                redirect_host = Some(next_name);
-                            }
-                            Err(kind) => {
-                                let dig = self.resolver.dig_iterative(
-                                    &next_name,
-                                    env,
-                                    now,
-                                    &mut self.rng,
-                                    addrs,
-                                );
-                                let mut obs = TransactionObservation::dns_failure(t, kind, dig);
-                                // The initial lookup *succeeded*; the redirect's
-                                // failed. Keep the failure class but preserve the
-                                // observed connections.
-                                obs.dns = Ok(dns_elapsed);
-                                obs.outcome = TransactionOutcome::Failure(FailureClass::Dns(kind));
-                                obs.connections = connections;
-                                obs.bytes_received = bytes_received;
-                                obs.retransmissions =
-                                    self.config.record_traces.then_some(total_visible_retx);
-                                return obs;
-                            }
+                        if let Err(kind) = r.result {
+                            // The initial lookup *succeeded*; the redirect's
+                            // failed. The record keeps the first lookup's
+                            // time and this access's connections, digs the
+                            // hop's name, and has no replica or download time.
+                            let dig = self.resolver.dig_iterative(
+                                &next_name,
+                                env,
+                                now,
+                                &mut self.rng,
+                                addrs,
+                            );
+                            let outcome = TransactionOutcome::Failure(FailureClass::Dns(kind));
+                            break 'hops (outcome, None, None, dig);
                         }
+                        redirect_host = Some(next_name);
+                        continue;
                     }
-                    _ => {
-                        let outcome =
-                            TransactionOutcome::Failure(FailureClass::Http(answer.status));
-                        break 'hops (outcome, final_replica);
-                    }
-                }
+                    _ => TransactionOutcome::Failure(FailureClass::Http(answer.status)),
+                };
+                let download_time = Some(now - transfer_start);
+                break 'hops (outcome, final_replica, download_time, DigOutcome::NotRun);
             }
             // Redirect limit exceeded: wget reports an error; classify as HTTP.
             (
                 TransactionOutcome::Failure(FailureClass::Http(310)),
                 final_replica,
+                Some(now - transfer_start),
+                DigOutcome::NotRun,
             )
         };
-        TransactionObservation {
+        PerformanceRecord {
+            client: self.client,
+            site,
+            replica,
             start: t,
             dns: Ok(dns_elapsed),
             outcome,
-            replica,
-            download_time: Some(now - (t + dns_elapsed)),
+            download_time,
             bytes_received,
-            connections,
+            connections_attempted: (connections.len() - first) as u16,
             retransmissions: self.config.record_traces.then_some(total_visible_retx),
-            dig: DigOutcome::NotRun,
-            provenance: None,
-            trace: None,
+            dig,
+            proxy: None,
         }
     }
 
-    /// Run one transaction through a corporate caching proxy.
+    /// Run one access to `site`, whose URL names `host`, through a
+    /// corporate caching proxy, starting at `t`. The proxy masks its
+    /// upstream connections and the client's own connection to the proxy is
+    /// not informative (Section 3.4), so the access writes no connection
+    /// record; it returns what [`Self::run_transaction`] returns.
     ///
     /// `env` is the *client's* view (covers the client↔proxy leg);
     /// `proxy_env` is the proxy's vantage toward the wide area.
@@ -532,16 +497,43 @@ impl<'t> ClientSession<'t> {
         env: &E,
         proxy: &mut ProxySession<'_>,
         proxy_env: &P,
+        site: SiteId,
         host: &DomainName,
         t: SimTime,
-    ) -> TransactionObservation
+    ) -> (PerformanceRecord, Option<ProvenanceRecord>, Option<TxnTrace>)
     where
         E: AccessEnvironment,
         P: AccessEnvironment,
     {
         let mut truth = Truth::new(&self.config);
         // The client must reach its proxy over the corporate LAN/WAN.
-        if !env.client_link_up(t) {
+        let (outcome, download_time, bytes_received) = if env.client_link_up(t) {
+            let local_rtt = SimDuration::from_millis(5);
+            // No retry here: the proxy answers the client with an HTTP gateway
+            // error, which wget treats as a (failed) response — unlike its own
+            // transport-level failures, which it does retry. This asymmetry is
+            // part of the Table 9 proxy effect.
+            let (status, bytes, duration) = proxy.fetch(proxy_env, host, t + local_rtt);
+            // Vantage-level stamp only: the proxy hides which replica it tried,
+            // so the connect phase cannot be attributed to a specific address —
+            // clients behind one proxy share the proxy-vantage cause, which is
+            // exactly the Section 4.7 shared-fate effect the audit measures.
+            let vantage = truth.dns(env, host, t) | truth.dns(proxy_env, host, t + local_rtt);
+            // The proxy collapses the whole exchange into one HTTP event as seen
+            // by the client; the vantage truth rides on it.
+            truth.event(|| TraceEvent::Http {
+                host: host.to_string(),
+                at: t + local_rtt,
+                status,
+                redirect: None,
+                truth: vantage,
+            });
+            let outcome = match StatusClass::of(status) {
+                StatusClass::Success => TransactionOutcome::Success,
+                _ => TransactionOutcome::Failure(FailureClass::Http(status)),
+            };
+            (outcome, Some(duration + local_rtt * 2u64), bytes)
+        } else {
             // The dead corporate link shows up as one synthetic connect
             // attempt toward an unknowable replica.
             let link_truth = truth.dns(env, host, t);
@@ -553,88 +545,24 @@ impl<'t> ClientSession<'t> {
                 syn_retransmissions: 0,
                 truth: link_truth,
             });
-            let obs = TransactionObservation {
-                start: t,
-                dns: Ok(SimDuration::ZERO),
-                outcome: TransactionOutcome::Failure(FailureClass::Tcp(
-                    TcpFailureKind::NoConnection,
-                )),
-                replica: None,
-                download_time: None,
-                bytes_received: 0,
-                connections: Vec::new(),
-                retransmissions: None,
-                dig: DigOutcome::NotRun,
-                provenance: None,
-                trace: None,
-            };
-            return self.finish(obs, truth);
-        }
-        let local_rtt = SimDuration::from_millis(5);
-        // No retry here: the proxy answers the client with an HTTP gateway
-        // error, which wget treats as a (failed) response — unlike its own
-        // transport-level failures, which it does retry. This asymmetry is
-        // part of the Table 9 proxy effect.
-        let fetch = proxy.fetch(proxy_env, host, t + local_rtt);
-        let (outcome, bytes, duration) = match fetch {
-            ProxyFetch::Success { bytes, duration } => (
-                TransactionOutcome::Success,
-                bytes,
-                duration + local_rtt * 2u64,
-            ),
-            ProxyFetch::HttpError(status, duration) => (
-                TransactionOutcome::Failure(FailureClass::Http(status)),
-                0,
-                duration + local_rtt * 2u64,
-            ),
-            ProxyFetch::DnsFailed(_, duration) => (
-                // The ISA proxy answers quickly with a gateway error; the
-                // client cannot see that DNS was the cause.
-                TransactionOutcome::Failure(FailureClass::Http(502)),
-                0,
-                duration + local_rtt * 2u64,
-            ),
-            ProxyFetch::ConnectFailed(duration) | ProxyFetch::TransferFailed(duration) => (
-                TransactionOutcome::Failure(FailureClass::Http(504)),
-                0,
-                duration + local_rtt * 2u64,
-            ),
+            let failure = FailureClass::Tcp(TcpFailureKind::NoConnection);
+            (TransactionOutcome::Failure(failure), None, 0)
         };
-        // Vantage-level stamp only: the proxy hides which replica it tried,
-        // so the connect phase cannot be attributed to a specific address —
-        // clients behind one proxy share the proxy-vantage cause, which is
-        // exactly the Section 4.7 shared-fate effect the audit measures.
-        let vantage = truth.dns(env, host, t) | truth.dns(proxy_env, host, t + local_rtt);
-        // The proxy collapses the whole exchange into one HTTP event as seen
-        // by the client; the vantage truth rides on it.
-        truth.event(|| TraceEvent::Http {
-            host: host.to_string(),
-            at: t + local_rtt,
-            status: match &outcome {
-                TransactionOutcome::Success => 200,
-                TransactionOutcome::Failure(FailureClass::Http(s)) => *s,
-                // Proxied failures always surface as HTTP statuses (above).
-                TransactionOutcome::Failure(_) => 0,
-            },
-            redirect: None,
-            truth: vantage,
-        });
-        let obs = TransactionObservation {
+        let record = PerformanceRecord {
+            client: self.client,
+            site,
+            replica: None,
             start: t,
             dns: Ok(SimDuration::ZERO),
             outcome,
-            replica: None,
-            download_time: Some(duration),
-            bytes_received: bytes,
-            // The proxy masks upstream connections; the local connection is
-            // not informative (Section 3.4) and is not recorded.
-            connections: Vec::new(),
+            download_time,
+            bytes_received,
+            connections_attempted: 0,
             retransmissions: None,
             dig: DigOutcome::NotRun,
-            provenance: None,
-            trace: None,
+            proxy: Some(proxy.id),
         };
-        self.finish(obs, truth)
+        self.finish(record, truth)
     }
 }
 
@@ -644,6 +572,7 @@ mod tests {
     use crate::env::HealthyEnv;
     use dnssim::{DnsFaults, ZoneTree};
     use httpsim::Origin;
+    use model::{DnsFailureKind, ProxyId};
     use tcpsim::{PathQuality, ServerBehavior};
 
     fn name(s: &str) -> DomainName {
@@ -668,11 +597,46 @@ mod tests {
     fn session<'a>(tree: &'a ZoneTree, seed: u64) -> ClientSession<'a> {
         let mut cfg = WgetConfig::default();
         cfg.resolver.query_loss_prob = 0.0;
-        ClientSession::new(tree, cfg, SimRng::new(seed))
+        ClientSession::new(ClientId(3), tree, cfg, SimRng::new(seed))
     }
 
     fn proxy_session(tree: &ZoneTree, seed: u64) -> ProxySession<'_> {
-        ProxySession::new(tree, ResolverConfig::default(), SimRng::new(seed))
+        ProxySession::new(ProxyId(1), tree, ResolverConfig::default(), SimRng::new(seed))
+    }
+
+    /// One direct access to `host` as site 7: its record, the connection
+    /// records it appended to a fresh vector, and its trace.
+    fn access<E: AccessEnvironment>(
+        s: &mut ClientSession<'_>,
+        env: &E,
+        host: &str,
+        t: SimTime,
+    ) -> (PerformanceRecord, Vec<ConnectionRecord>, Option<TxnTrace>) {
+        let mut conns = Vec::new();
+        let (rec, _, trace) = s.run_transaction(env, SiteId(7), &name(host), t, &mut conns);
+        assert_eq!(usize::from(rec.connections_attempted), conns.len());
+        assert!(conns.iter().all(|c| c.client == ClientId(3) && c.site == SiteId(7)));
+        (rec, conns, trace)
+    }
+
+    /// One proxied access to `host` as site 7: its record and its trace.
+    fn proxied<E: AccessEnvironment, P: AccessEnvironment>(
+        s: &mut ClientSession<'_>,
+        env: &E,
+        proxy: &mut ProxySession<'_>,
+        proxy_env: &P,
+        host: &str,
+    ) -> (PerformanceRecord, Option<TxnTrace>) {
+        let t = SimTime::from_hours(1);
+        let (rec, _, trace) =
+            s.run_proxied_transaction(env, proxy, proxy_env, SiteId(7), &name(host), t);
+        assert_eq!(rec.proxy, Some(ProxyId(1)));
+        // Masking: no DNS timing, no connection records, no traces, no dig.
+        assert_eq!(rec.dns, Ok(SimDuration::ZERO));
+        assert_eq!(rec.connections_attempted, 0);
+        assert_eq!(rec.retransmissions, None);
+        assert_eq!(rec.dig, DigOutcome::NotRun);
+        (rec, trace)
     }
 
     #[test]
@@ -680,14 +644,16 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
         let mut s = session(&tr, 1);
-        let obs = s.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(1));
-        assert!(obs.outcome.is_success());
-        assert_eq!(obs.bytes_received, 24_000);
-        assert_eq!(obs.connections.len(), 1);
-        assert_eq!(obs.replica, Some(Ipv4Addr::new(10, 0, 0, 1)));
-        assert!(obs.dns.is_ok());
-        assert_eq!(obs.dig, DigOutcome::NotRun);
-        assert!(obs.download_time.unwrap() > SimDuration::ZERO);
+        let t = SimTime::from_hours(1);
+        let (rec, conns, _) = access(&mut s, &env, "www.example.com", t);
+        assert!(rec.outcome.is_success());
+        assert_eq!((rec.client, rec.site, rec.start, rec.proxy), (ClientId(3), SiteId(7), t, None));
+        assert_eq!(rec.bytes_received, 24_000);
+        assert_eq!(conns.len(), 1);
+        assert_eq!(rec.replica, Some(Ipv4Addr::new(10, 0, 0, 1)));
+        assert!(rec.dns.is_ok());
+        assert_eq!(rec.dig, DigOutcome::NotRun);
+        assert!(rec.download_time.unwrap() > SimDuration::ZERO);
     }
 
     #[test]
@@ -698,19 +664,73 @@ mod tests {
                 .with_redirects(vec!["example.com".to_string()]),
         );
         let mut s = session(&tr, 2);
-        let obs = s.run_transaction(&env, &name("example.com"), SimTime::from_hours(1));
-        assert!(obs.outcome.is_success());
-        assert_eq!(obs.connections.len(), 2, "redirect hop + content hop");
-        assert_eq!(obs.replica, Some(Ipv4Addr::new(10, 0, 0, 1)));
-        assert_eq!(obs.bytes_received, 10_000);
+        let (rec, conns, _) = access(&mut s, &env, "example.com", SimTime::from_hours(1));
+        assert!(rec.outcome.is_success());
+        assert_eq!(conns.len(), 2, "redirect hop + content hop");
+        assert_eq!(rec.replica, Some(Ipv4Addr::new(10, 0, 0, 1)));
+        assert_eq!(rec.bytes_received, 10_000);
     }
 
-    /// Environment in which every server is unreachable.
-    struct ServersDown(HealthyEnv);
-    impl DnsFaults for ServersDown {}
-    impl AccessEnvironment for ServersDown {
+    #[test]
+    fn a_redirect_to_an_unresolvable_host_keeps_the_first_hop() {
+        // `example.com` redirects to a host no zone serves.
+        let tr = tree();
+        let env = HealthyEnv::new(
+            Origin::simple("www.gone.org", 10_000).with_redirects(vec!["example.com".to_string()]),
+        );
+        let mut s = forensic_session(&tr, 12);
+        let (rec, conns, trace) = access(&mut s, &env, "example.com", SimTime::from_hours(1));
+        let trace = trace.expect("trace recorded");
+        let lookups: Vec<(&str, SimDuration, bool)> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Dns { host, elapsed, outcome, .. } => {
+                    Some((host.as_str(), *elapsed, outcome.is_ok()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lookups.len(), 2);
+        assert_eq!((lookups[0].0, lookups[0].2), ("example.com", true));
+        assert_eq!((lookups[1].0, lookups[1].2), ("www.gone.org", false));
+        assert_eq!(rec.dns, Ok(lookups[0].1), "the first lookup's time");
+        let Some(FailureClass::Dns(kind)) = rec.failure() else {
+            panic!("a DNS failure, not {:?}", rec.outcome);
+        };
+        // The dig walks the hop's name, which fails the same way; a dig of
+        // `example.com` would resolve.
+        assert_eq!(rec.dig, DigOutcome::Failed(kind));
+        assert_eq!(conns.len(), 1, "the first hop's connection is kept");
+        assert_eq!(conns[0].replica, Ipv4Addr::new(10, 0, 0, 2));
+        assert!(conns[0].outcome.is_ok());
+    }
+
+    #[test]
+    fn a_redirect_chain_past_the_limit_is_http_310() {
+        let hops: Vec<String> = (1..=5).map(|i| format!("r{i}.example.com")).collect();
+        let mut hosts: Vec<(DomainName, Vec<Ipv4Addr>)> = hops
+            .iter()
+            .zip(1u8..)
+            .map(|(h, i)| (name(h), vec![Ipv4Addr::new(10, 0, 1, i)]))
+            .collect();
+        hosts.push((name("www.example.com"), vec![Ipv4Addr::new(10, 0, 0, 1)]));
+        let tr = ZoneTree::build_for_hosts(&hosts);
+        let env = HealthyEnv::new(Origin::simple("www.example.com", 10_000).with_redirects(hops));
+        let mut s = session(&tr, 13);
+        let (rec, conns, _) = access(&mut s, &env, "r1.example.com", SimTime::from_hours(1));
+        assert_eq!(rec.failure(), Some(FailureClass::Http(310)));
+        assert_eq!(conns.len(), usize::from(MAX_REDIRECTS) + 1);
+        assert!(conns.iter().all(|c| c.outcome.is_ok()));
+        assert_eq!(rec.replica, Some(Ipv4Addr::new(10, 0, 1, 5)), "the last hop's replica");
+    }
+
+    /// Environment in which every server behaves as `.1`.
+    struct AllServers(HealthyEnv, ServerBehavior);
+    impl DnsFaults for AllServers {}
+    impl AccessEnvironment for AllServers {
         fn server_behavior(&self, _r: Ipv4Addr, _t: SimTime) -> (ServerBehavior, FaultSet) {
-            (ServerBehavior::Unreachable, FaultSet::EMPTY)
+            (self.1, FaultSet::EMPTY)
         }
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
@@ -723,17 +743,55 @@ mod tests {
     #[test]
     fn server_down_yields_no_connection_with_failover_attempts() {
         let tr = tree();
-        let env = ServersDown(HealthyEnv::new(Origin::simple("www.multi.org", 5_000)));
+        let env = AllServers(
+            HealthyEnv::new(Origin::simple("www.multi.org", 5_000)),
+            ServerBehavior::Unreachable,
+        );
         let mut s = session(&tr, 3);
-        let obs = s.run_transaction(&env, &name("www.multi.org"), SimTime::from_hours(1));
+        let (rec, conns, _) = access(&mut s, &env, "www.multi.org", SimTime::from_hours(1));
         assert_eq!(
-            obs.outcome.failure().unwrap(),
+            rec.failure().unwrap(),
             FailureClass::Tcp(TcpFailureKind::NoConnection)
         );
         // One full pass over the 3 replicas (45 s SYN timeouts each)
         // exhausts the 90-second retry budget.
-        assert_eq!(obs.connections.len(), 3);
-        assert!(obs.connections.iter().all(|c| c.outcome.is_err()));
+        assert_eq!(conns.len(), 3);
+        assert!(conns.iter().all(|c| c.outcome.is_err()));
+    }
+
+    #[test]
+    fn each_access_counts_and_caps_only_its_own_connections() {
+        let tr = tree();
+        let origin = || Origin::simple("www.multi.org", 5_000);
+        let healthy = HealthyEnv::new(origin());
+        let refusing = AllServers(HealthyEnv::new(origin()), ServerBehavior::Refusing);
+        let mut s = session(&tr, 14);
+        let host = name("www.multi.org");
+        let mut conns = Vec::new();
+        let mut t = SimTime::from_hours(1);
+        for _ in 0..12 {
+            let (rec, _, _) = s.run_transaction(&healthy, SiteId(1), &host, t, &mut conns);
+            assert!(rec.outcome.is_success());
+            t += SimDuration::from_secs(60);
+        }
+        let earlier = conns.clone();
+        assert!(earlier.len() >= 12);
+        assert!(earlier.iter().all(|c| c.site == SiteId(1)));
+
+        // RSTs come back fast, so the cap, not the time budget, ends it.
+        let (rec, _, _) = s.run_transaction(&refusing, SiteId(2), &host, t, &mut conns);
+        assert_eq!(conns[..earlier.len()], earlier[..], "earlier records unchanged");
+        let own = &conns[earlier.len()..];
+        assert_eq!(own.len(), usize::from(MAX_CONNECTIONS));
+        assert_eq!(rec.connections_attempted, MAX_CONNECTIONS);
+        assert!(own.iter().all(|c| c.site == SiteId(2) && c.outcome.is_err()));
+        let last = own.last().unwrap();
+        assert_eq!(rec.failure(), Some(FailureClass::Tcp(last.failure().unwrap())));
+        assert_eq!(
+            rec.failure(),
+            Some(FailureClass::Tcp(TcpFailureKind::NoConnection))
+        );
+        assert_eq!(rec.replica, Some(last.replica));
     }
 
     /// One replica up, the rest unreachable: wget's fail-over succeeds.
@@ -767,11 +825,11 @@ mod tests {
         // one eventually.
         for k in 0..10u64 {
             let t = SimTime::from_hours(1) + SimDuration::from_secs(k * 120);
-            let obs = s.run_transaction(&env, &name("www.multi.org"), t);
-            assert!(obs.outcome.is_success(), "wget fails over to the live replica");
-            assert_eq!(obs.replica, Some(good));
-            assert!((1..=3).contains(&obs.connections.len()));
-            assert!(obs.connections.last().unwrap().outcome.is_ok());
+            let (rec, conns, _) = access(&mut s, &env, "www.multi.org", t);
+            assert!(rec.outcome.is_success(), "wget fails over to the live replica");
+            assert_eq!(rec.replica, Some(good));
+            assert!((1..=3).contains(&conns.len()));
+            assert!(conns.last().unwrap().outcome.is_ok());
         }
     }
 
@@ -799,14 +857,14 @@ mod tests {
         let tr = tree();
         let env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 1_000)));
         let mut s = session(&tr, 5);
-        let obs = s.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(1));
+        let (rec, conns, _) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
         assert_eq!(
-            obs.outcome.failure().unwrap(),
+            rec.failure().unwrap(),
             FailureClass::Dns(DnsFailureKind::LdnsTimeout)
         );
-        assert!(obs.connections.is_empty());
+        assert!(conns.is_empty());
         // Link down: dig agrees (the >94% agreement case).
-        assert_eq!(obs.dig, DigOutcome::Failed(DnsFailureKind::LdnsTimeout));
+        assert_eq!(rec.dig, DigOutcome::Failed(DnsFailureKind::LdnsTimeout));
     }
 
     #[test]
@@ -814,10 +872,10 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.example.com", 1_000).with_error_rate(1.0, 503));
         let mut s = session(&tr, 6);
-        let obs = s.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(1));
-        assert_eq!(obs.outcome.failure().unwrap(), FailureClass::Http(503));
-        assert_eq!(obs.connections.len(), 1, "transfer worked; content didn't");
-        assert!(obs.connections[0].outcome.is_ok());
+        let (rec, conns, _) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
+        assert_eq!(rec.failure().unwrap(), FailureClass::Http(503));
+        assert_eq!(conns.len(), 1, "transfer worked; content didn't");
+        assert!(conns[0].outcome.is_ok());
     }
 
     #[test]
@@ -827,38 +885,28 @@ mod tests {
         // (resolvable in DNS but no origin behind it).
         let env = HealthyEnv::new(Origin::simple("www.example.com", 1_000));
         let mut s = session(&tr, 7);
-        let obs = s.run_transaction(&env, &name("example.com"), SimTime::from_hours(1));
-        assert_eq!(obs.outcome.failure().unwrap(), FailureClass::Http(404));
+        let (rec, _, _) = access(&mut s, &env, "example.com", SimTime::from_hours(1));
+        assert_eq!(rec.failure().unwrap(), FailureClass::Http(404));
     }
 
     #[test]
     fn traces_off_merges_post_handshake_failures() {
-        struct NoResp(HealthyEnv);
-        impl DnsFaults for NoResp {}
-        impl AccessEnvironment for NoResp {
-            fn server_behavior(&self, _r: Ipv4Addr, _t: SimTime) -> (ServerBehavior, FaultSet) {
-                (ServerBehavior::AcceptNoResponse, FaultSet::EMPTY)
-            }
-            fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
-                self.0.path_quality(r, t)
-            }
-            fn origin(&self, host: &str) -> Option<&Origin> {
-                self.0.origin(host)
-            }
-        }
         let tr = tree();
-        let env = NoResp(HealthyEnv::new(Origin::simple("www.example.com", 1_000)));
+        let env = AllServers(
+            HealthyEnv::new(Origin::simple("www.example.com", 1_000)),
+            ServerBehavior::AcceptNoResponse,
+        );
         let cfg = WgetConfig {
             record_traces: false, // a BB client
             ..WgetConfig::default()
         };
-        let mut s = ClientSession::new(&tr, cfg, SimRng::new(8));
-        let obs = s.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(1));
+        let mut s = ClientSession::new(ClientId(3), &tr, cfg, SimRng::new(8));
+        let (rec, _, _) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
         assert_eq!(
-            obs.outcome.failure().unwrap(),
+            rec.failure().unwrap(),
             FailureClass::Tcp(TcpFailureKind::NoOrPartialResponse)
         );
-        assert_eq!(obs.retransmissions, None, "no trace, no loss count");
+        assert_eq!(rec.retransmissions, None, "no trace, no loss count");
     }
 
     #[test]
@@ -867,10 +915,11 @@ mod tests {
         let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
         let mut a = session(&tr, 42);
         let mut b = session(&tr, 42);
-        let oa = a.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(3));
-        let ob = b.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(3));
-        assert_eq!(oa.download_time, ob.download_time);
-        assert_eq!(oa.bytes_received, ob.bytes_received);
+        let t = SimTime::from_hours(3);
+        assert_eq!(
+            access(&mut a, &env, "www.example.com", t),
+            access(&mut b, &env, "www.example.com", t)
+        );
     }
 
     #[test]
@@ -879,36 +928,24 @@ mod tests {
         let env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = session(&tr, 21);
         let mut proxy = proxy_session(&tr, 22);
-        let obs = s.run_proxied_transaction(
-            &env,
-            &mut proxy,
-            &env,
-            &name("www.example.com"),
-            SimTime::from_hours(1),
-        );
-        assert!(obs.outcome.is_success());
-        assert_eq!(obs.bytes_received, 9_000);
-        // Masking: no DNS timing, no connection records, no traces, no dig.
-        assert_eq!(obs.dns, Ok(SimDuration::ZERO));
-        assert!(obs.connections.is_empty());
-        assert_eq!(obs.retransmissions, None);
-        assert_eq!(obs.dig, DigOutcome::NotRun);
+        let (rec, _) = proxied(&mut s, &env, &mut proxy, &env, "www.example.com");
+        assert!(rec.outcome.is_success());
+        assert_eq!(rec.bytes_received, 9_000);
+        assert_eq!((rec.client, rec.site, rec.replica), (ClientId(3), SiteId(7), None));
     }
 
     #[test]
     fn proxied_transaction_maps_upstream_failure_to_gateway_error() {
         let tr = tree();
-        let env = ServersDown(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
+        let env = AllServers(
+            HealthyEnv::new(Origin::simple("www.example.com", 9_000)),
+            ServerBehavior::Unreachable,
+        );
         let mut s = session(&tr, 23);
         let mut proxy = proxy_session(&tr, 24);
-        let obs = s.run_proxied_transaction(
-            &env,
-            &mut proxy,
-            &env,
-            &name("www.example.com"),
-            SimTime::from_hours(1),
-        );
-        assert_eq!(obs.outcome.failure().unwrap(), FailureClass::Http(504));
+        let (rec, _) = proxied(&mut s, &env, &mut proxy, &env, "www.example.com");
+        assert_eq!(rec.failure().unwrap(), FailureClass::Http(504));
+        assert_eq!(rec.bytes_received, 0);
     }
 
     #[test]
@@ -918,15 +955,9 @@ mod tests {
         let proxy_env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = session(&tr, 25);
         let mut proxy = proxy_session(&tr, 26);
-        let obs = s.run_proxied_transaction(
-            &client_env,
-            &mut proxy,
-            &proxy_env,
-            &name("www.example.com"),
-            SimTime::from_hours(1),
-        );
+        let (rec, _) = proxied(&mut s, &client_env, &mut proxy, &proxy_env, "www.example.com");
         assert_eq!(
-            obs.outcome.failure().unwrap(),
+            rec.failure().unwrap(),
             FailureClass::Tcp(TcpFailureKind::NoConnection),
             "cannot even reach the proxy"
         );
@@ -940,15 +971,9 @@ mod tests {
         let proxy_env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
         let mut s = session(&tr, 27);
         let mut proxy = proxy_session(&tr, 28);
-        let obs = s.run_proxied_transaction(
-            &client_env,
-            &mut proxy,
-            &proxy_env,
-            &name("www.example.com"),
-            SimTime::from_hours(1),
-        );
+        let (rec, _) = proxied(&mut s, &client_env, &mut proxy, &proxy_env, "www.example.com");
         assert_eq!(
-            obs.outcome.failure().unwrap(),
+            rec.failure().unwrap(),
             FailureClass::Http(502),
             "the client cannot tell it was DNS"
         );
@@ -958,7 +983,7 @@ mod tests {
         let mut cfg = WgetConfig::default();
         cfg.resolver.query_loss_prob = 0.0;
         cfg.forensics = true;
-        ClientSession::new(tree, cfg, SimRng::new(seed))
+        ClientSession::new(ClientId(3), tree, cfg, SimRng::new(seed))
     }
 
     #[test]
@@ -966,9 +991,9 @@ mod tests {
         let tr = tree();
         let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
         let mut s = forensic_session(&tr, 31);
-        let obs = s.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(1));
-        assert!(obs.outcome.is_success());
-        let trace = obs.trace.expect("forensics on records a trace");
+        let (rec, _, trace) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
+        assert!(rec.outcome.is_success());
+        let trace = trace.expect("forensics on records a trace");
         let phases: Vec<&str> = trace.events.iter().map(|e| e.phase()).collect();
         assert_eq!(phases, ["dns", "connect", "http"]);
         assert!(trace.events.iter().all(|e| !e.failed()));
@@ -987,9 +1012,9 @@ mod tests {
                 .with_redirects(vec!["example.com".to_string()]),
         );
         let mut s = forensic_session(&tr, 32);
-        let obs = s.run_transaction(&env, &name("example.com"), SimTime::from_hours(1));
-        assert!(obs.outcome.is_success());
-        let trace = obs.trace.expect("trace recorded");
+        let (rec, _, trace) = access(&mut s, &env, "example.com", SimTime::from_hours(1));
+        assert!(rec.outcome.is_success());
+        let trace = trace.expect("trace recorded");
         let phases: Vec<&str> = trace.events.iter().map(|e| e.phase()).collect();
         assert_eq!(
             phases,
@@ -1012,9 +1037,9 @@ mod tests {
         let tr = tree();
         let env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 1_000)));
         let mut s = forensic_session(&tr, 33);
-        let obs = s.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(1));
-        assert!(obs.outcome.is_failure());
-        let trace = obs.trace.expect("trace recorded");
+        let (rec, _, trace) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
+        assert!(rec.outcome.is_failure());
+        let trace = trace.expect("trace recorded");
         assert_eq!(trace.events.len(), 1, "DNS dies before any connect");
         assert_eq!(trace.events[0].phase(), "dns");
         assert!(trace.events[0].failed());
@@ -1028,15 +1053,11 @@ mod tests {
         let mut traced = forensic_session(&tr, 34);
         for k in 0..6u64 {
             let t = SimTime::from_hours(1) + SimDuration::from_secs(k * 600);
-            let a = plain.run_transaction(&env, &name("www.example.com"), t);
-            let b = traced.run_transaction(&env, &name("www.example.com"), t);
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.dns, b.dns);
-            assert_eq!(a.download_time, b.download_time);
-            assert_eq!(a.bytes_received, b.bytes_received);
-            assert_eq!(a.connections, b.connections);
-            assert!(a.trace.is_none(), "forensics off records nothing");
-            assert!(b.trace.is_some());
+            let (a, a_conns, a_trace) = access(&mut plain, &env, "www.example.com", t);
+            let (b, b_conns, b_trace) = access(&mut traced, &env, "www.example.com", t);
+            assert_eq!((a, a_conns), (b, b_conns));
+            assert!(a_trace.is_none(), "forensics off records nothing");
+            assert!(b_trace.is_some());
         }
     }
 
@@ -1046,15 +1067,9 @@ mod tests {
         let env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
         let mut s = forensic_session(&tr, 35);
         let mut proxy = proxy_session(&tr, 36);
-        let obs = s.run_proxied_transaction(
-            &env,
-            &mut proxy,
-            &env,
-            &name("www.example.com"),
-            SimTime::from_hours(1),
-        );
-        assert!(obs.outcome.is_success());
-        let trace = obs.trace.expect("trace recorded");
+        let (rec, trace) = proxied(&mut s, &env, &mut proxy, &env, "www.example.com");
+        assert!(rec.outcome.is_success());
+        let trace = trace.expect("trace recorded");
         assert_eq!(trace.events.len(), 1, "the proxy masks the phases");
         assert_eq!(trace.events[0].phase(), "http");
         assert!(!trace.events[0].failed());
@@ -1098,13 +1113,12 @@ mod tests {
             ..WgetConfig::default()
         };
         cfg.resolver.query_loss_prob = 0.0;
-        let mut s = ClientSession::new(&tr, cfg, SimRng::new(37));
+        let mut s = ClientSession::new(ClientId(3), &tr, cfg, SimRng::new(37));
         let mut proxy = proxy_session(&tr, 38);
-        let t = SimTime::from_hours(1);
         env.1.set(0);
-        s.run_transaction(env, &name("example.com"), t);
+        access(&mut s, env, "example.com", SimTime::from_hours(1));
         let direct = env.1.replace(0);
-        s.run_proxied_transaction(env, &mut proxy, env, &name("www.example.com"), t);
+        proxied(&mut s, env, &mut proxy, env, "www.example.com");
         (direct, env.1.get())
     }
 
@@ -1136,12 +1150,9 @@ mod tests {
         let env = HealthyEnv::new(Origin::simple("www.example.com", 1_000));
         let mut s = session(&tr, 9);
         let t0 = SimTime::from_hours(1);
-        let first = s.run_transaction(&env, &name("www.example.com"), t0);
-        let second = s.run_transaction(
-            &env,
-            &name("www.example.com"),
-            t0 + SimDuration::from_secs(120),
-        );
+        let (first, _, _) = access(&mut s, &env, "www.example.com", t0);
+        let (second, _, _) =
+            access(&mut s, &env, "www.example.com", t0 + SimDuration::from_secs(120));
         assert!(first.dns.unwrap() > second.dns.unwrap(), "cache hit is faster");
         assert_eq!(s.ldns_cache().len(), 1);
     }

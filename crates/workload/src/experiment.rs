@@ -29,9 +29,10 @@ use dnswire::DomainName;
 use model::{
     ClientId, ClientMeta, Dataset, ConnectionRecord, Ipv4Prefix, PerformanceRecord, PrefixId,
     ProvenanceLog, ProvenanceRecord, SimDuration, SimTime, SiteId, SiteMeta, TraceExemplar,
+    TxnTrace,
 };
 use netsim::SimRng;
-use webclient::{ClientSession, ProxySession, TransactionObservation, WgetConfig};
+use webclient::{ClientSession, ProxySession, WgetConfig};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -760,10 +761,10 @@ fn run_client(
 
     let view = ClientView::new(truth, client as u16);
     let resolver = wget.resolver;
-    let mut session = ClientSession::new(tree, wget, rng.fork(1));
+    let mut session = ClientSession::new(ClientId(client as u16), tree, wget, rng.fork(1));
     let mut proxy_session = spec.proxy.map(|p| {
-        let proxy = ProxySession::new(tree, resolver, rng.fork(2));
-        (p, proxy, ProxyView::new(truth, p.0))
+        let proxy = ProxySession::new(p, tree, resolver, rng.fork(2));
+        (proxy, ProxyView::new(truth, p.0))
     });
 
     let iterations = u64::from(config.hours) * u64::from(config.iterations_per_hour);
@@ -829,43 +830,15 @@ fn run_client(
             continue;
         }
         telemetry::counter!("workload.accesses_attempted", 1);
-        let mut obs = match proxy_session.as_mut() {
-            Some((_, ps, pview)) => {
-                session.run_proxied_transaction(&view, ps, pview, &host_names[si], t)
+        let site = SiteId(si as u16);
+        let (record, provenance, trace) = match proxy_session.as_mut() {
+            Some((ps, pview)) => {
+                session.run_proxied_transaction(&view, ps, pview, site, &host_names[si], t)
             }
-            None => session.run_transaction(&view, &host_names[si], t),
+            None => session.run_transaction(&view, site, &host_names[si], t, &mut connections),
         };
-        let cid = ClientId(client as u16);
-        let sid = SiteId(si as u16);
-        for c in &obs.connections {
-            connections.push(ConnectionRecord {
-                client: cid,
-                site: sid,
-                replica: c.replica,
-                start: c.start,
-                outcome: c.outcome,
-                syn_retransmissions: c.syn_retransmissions,
-                retransmissions: c.retransmissions,
-            });
-        }
-        records.push(PerformanceRecord {
-            client: cid,
-            site: sid,
-            replica: obs.replica,
-            start: obs.start,
-            dns: obs.dns,
-            outcome: obs.outcome,
-            download_time: obs.download_time,
-            bytes_received: obs.bytes_received,
-            connections_attempted: obs.connections.len() as u16,
-            retransmissions: obs.retransmissions,
-            dig: obs.dig,
-            proxy: spec.proxy,
-        });
-        observers.observe(&mut obs, cid, sid, records.len() - 1);
-        // The observation is fully copied out; hand its buffers back for
-        // the next access.
-        session.recycle(obs);
+        observers.observe(&record, provenance, trace, records.len());
+        records.push(record);
     }
     (records, connections, observers)
 }
@@ -893,30 +866,30 @@ impl ObserverSink {
         }
     }
 
-    /// Take the truth of the observation whose record was just pushed at
+    /// Take the truth of the access whose record will be pushed at
     /// `record_index`: one stamp per record, and its trace offered to the
     /// exemplar store.
     fn observe(
         &mut self,
-        obs: &mut TransactionObservation,
-        client: ClientId,
-        site: SiteId,
+        record: &PerformanceRecord,
+        provenance: Option<ProvenanceRecord>,
+        trace: Option<TxnTrace>,
         record_index: usize,
     ) {
         if let Some(stamps) = self.stamps.as_mut() {
-            stamps.push(obs.provenance.unwrap_or_default());
+            stamps.push(provenance.unwrap_or_default());
         }
-        if let (Some(store), Some(trace)) = (self.exemplars.as_mut(), obs.trace.take()) {
+        if let (Some(store), Some(trace)) = (self.exemplars.as_mut(), trace) {
             store.offer(TraceExemplar {
-                client: client.0,
-                site: site.0,
-                hour: obs.start.hour_bin(),
+                client: record.client.0,
+                site: record.site.0,
+                hour: record.hour(),
                 record_index,
-                start: obs.start,
-                duration_us: (obs.dns.unwrap_or(SimDuration::ZERO)
-                    + obs.download_time.unwrap_or(SimDuration::ZERO))
+                start: record.start,
+                duration_us: (record.dns.unwrap_or(SimDuration::ZERO)
+                    + record.download_time.unwrap_or(SimDuration::ZERO))
                 .as_micros(),
-                failed: obs.outcome.is_failure(),
+                failed: record.failed(),
                 truth: trace.truth(),
                 trace,
             });

@@ -45,7 +45,7 @@ mod profile;
 // itself, as opposed to the network faults modelled below — lives in
 // [`crate::apparatus`] and is re-exported here so both fault families are
 // reachable from one module path.
-pub use crate::apparatus::{ApparatusFaults, CorruptionApplied};
+pub use crate::apparatus::ApparatusFaults;
 pub use adversarial::{AdversarialProfile, AdversarialTruth, ReconfigWindowSpec};
 pub use profile::FaultProfile;
 

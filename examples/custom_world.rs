@@ -117,41 +117,24 @@ fn main() {
             office_b,
             flaky_addr: hosts[0].1[0],
         };
-        let mut session = ClientSession::new(&tree, WgetConfig::default(), rng.fork(100 + u64::from(client)));
+        let mut session = ClientSession::new(
+            ClientId(client),
+            &tree,
+            WgetConfig::default(),
+            rng.fork(100 + u64::from(client)),
+        );
         let mut lrng = rng.fork(200 + u64::from(client));
         for hour in 0..HOURS {
             // Two accesses of each of the 12 sites per hour: hourly rates
             // are meaningful at the default 12-sample floor.
             for k in 0..2u64 {
                 for (si, (host, _)) in hosts.iter().enumerate() {
-                let t = SimTime::from_hours(u64::from(hour))
-                    + SimDuration::from_secs(k * 1_800 + lrng.below(1_500));
-                let obs = session.run_transaction(&env, host, t);
-                for c in &obs.connections {
-                    connections.push(ConnectionRecord {
-                        client: ClientId(client),
-                        site: SiteId(si as u16),
-                        replica: c.replica,
-                        start: c.start,
-                        outcome: c.outcome,
-                        syn_retransmissions: c.syn_retransmissions,
-                        retransmissions: c.retransmissions,
-                    });
-                }
-                records.push(PerformanceRecord {
-                    client: ClientId(client),
-                    site: SiteId(si as u16),
-                    replica: obs.replica,
-                    start: obs.start,
-                    dns: obs.dns,
-                    outcome: obs.outcome,
-                    download_time: obs.download_time,
-                    bytes_received: obs.bytes_received,
-                    connections_attempted: obs.connections.len() as u16,
-                    retransmissions: obs.retransmissions,
-                    dig: obs.dig,
-                    proxy: None,
-                });
+                    let t = SimTime::from_hours(u64::from(hour))
+                        + SimDuration::from_secs(k * 1_800 + lrng.below(1_500));
+                    let site = SiteId(si as u16);
+                    let (record, _, _) =
+                        session.run_transaction(&env, site, host, t, &mut connections);
+                    records.push(record);
                 }
             }
         }

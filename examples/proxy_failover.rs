@@ -11,12 +11,12 @@
 //! ```
 
 use dnssim::{DnsFaults, ZoneTree};
-use httpsim::Origin;
-use model::{FaultSet, SimDuration, SimTime};
+use httpsim::{Origin, StatusClass};
+use model::{ClientId, FaultSet, ProxyId, SimDuration, SimTime, SiteId};
 use netsim::process::EpisodeDuration;
 use netsim::{OnOffProcess, SimRng, Timeline};
 use tcpsim::{PathQuality, ServerBehavior};
-use webclient::{AccessEnvironment, ClientSession, ProxyFetch, ProxySession, WgetConfig};
+use webclient::{AccessEnvironment, ClientSession, ProxySession, WgetConfig};
 use std::net::Ipv4Addr;
 
 /// A world with one 3-replica site whose first replica flaps.
@@ -76,8 +76,9 @@ fn main() {
 
     // The proxy resolves under the same resolver policy as the client.
     let wget = WgetConfig::default();
-    let mut proxy = ProxySession::new(&tree, wget.resolver, SimRng::new(2));
-    let mut direct = ClientSession::new(&tree, wget, SimRng::new(1));
+    let mut proxy = ProxySession::new(ProxyId(0), &tree, wget.resolver, SimRng::new(2));
+    let mut direct = ClientSession::new(ClientId(0), &tree, wget, SimRng::new(1));
+    let mut connections = Vec::new();
 
     let accesses = 2_000u64;
     let mut direct_fail = 0u64;
@@ -85,14 +86,13 @@ fn main() {
     let mut proxy_fail = 0u64;
     for k in 0..accesses {
         let t = SimTime::from_secs(k * 600); // every 10 minutes
-        let obs = direct.run_transaction(&env, &host, t);
-        direct_fail += u64::from(obs.outcome.is_failure());
-        direct_extra_conns += obs.connections.len().saturating_sub(1) as u64;
+        connections.clear();
+        let (record, _, _) = direct.run_transaction(&env, SiteId(0), &host, t, &mut connections);
+        direct_fail += u64::from(record.failed());
+        direct_extra_conns += u64::from(record.connections_attempted.saturating_sub(1));
 
-        match proxy.fetch(&env, &host, t) {
-            ProxyFetch::Success { .. } => {}
-            _ => proxy_fail += 1,
-        }
+        let (status, _, _) = proxy.fetch(&env, &host, t);
+        proxy_fail += u64::from(StatusClass::of(status) != StatusClass::Success);
     }
 
     let down_frac = env

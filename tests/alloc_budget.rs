@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator, whose counter is per thread, watches one
 //! warmed `ClientSession` with wget's defaults (DNS wire codecs on, packet
-//! capture on) over `HealthyEnv`, recycling every observation the
-//! way the experiment runner does:
+//! capture on) over `HealthyEnv`. The caller reserves its connection-record
+//! vector once and clears it between accesses, so a record pushed there
+//! never allocates:
 //!
 //! * a healthy transaction that hits the LDNS cache and takes no redirect
 //!   allocates nothing;
@@ -21,16 +22,17 @@
 use dnssim::{DnsFaults, ZoneTree};
 use dnswire::DomainName;
 use httpsim::Origin;
-use model::{DigOutcome, DnsFailureKind, FailureClass, FaultSet, SimDuration, SimTime};
+use model::{
+    ClientId, ConnectionRecord, DigOutcome, DnsFailureKind, FailureClass, FaultSet,
+    PerformanceRecord, ProxyId, SimDuration, SimTime, SiteId,
+};
 use netsim::SimRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 use tcpsim::{PathQuality, ServerBehavior};
 use webclient::env::HealthyEnv;
-use webclient::{
-    AccessEnvironment, ClientSession, ProxySession, TransactionObservation, WgetConfig,
-};
+use webclient::{AccessEnvironment, ClientSession, ProxySession, WgetConfig};
 
 /// Counts every allocation and reallocation on the calling thread.
 struct Counting;
@@ -79,16 +81,24 @@ fn name(s: &str) -> DomainName {
     s.parse().expect("valid name")
 }
 
-/// One transaction and the allocations this thread made during it.
+/// One access, its connection records in `connections` (cleared first),
+/// and the allocations this thread made during it.
 fn counted<E: AccessEnvironment>(
     session: &mut ClientSession<'_>,
     env: &E,
     host: &DomainName,
     t: SimTime,
-) -> (TransactionObservation, u64) {
+    connections: &mut Vec<ConnectionRecord>,
+) -> (PerformanceRecord, u64) {
+    connections.clear();
     let before = ALLOCS.with(Cell::get);
-    let obs = session.run_transaction(env, host, t);
-    (obs, ALLOCS.with(Cell::get) - before)
+    let (record, _, _) = session.run_transaction(env, SiteId(0), host, t, connections);
+    (record, ALLOCS.with(Cell::get) - before)
+}
+
+/// A connection-record vector reserved once for every access of a test.
+fn connections() -> Vec<ConnectionRecord> {
+    Vec::with_capacity(16)
 }
 
 fn tree() -> ZoneTree {
@@ -108,26 +118,25 @@ fn a_warm_transaction_allocates_only_what_it_keeps() {
     let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
     let config = WgetConfig::default();
     assert!(config.resolver.wire_fidelity && config.record_traces);
-    let mut session = ClientSession::new(&tree, config, SimRng::new(2005));
+    let mut session = ClientSession::new(ClientId(0), &tree, config, SimRng::new(2005));
     let host = name("www.example.com");
+    let mut conns = connections();
 
     // Warm up: the first transaction misses the cache; the next ones grow
     // the session's buffers to what a transaction of this site needs.
     let t0 = SimTime::from_hours(1);
     let mut t = t0;
     for _ in 0..50 {
-        let obs = session.run_transaction(&env, &host, t);
-        assert!(obs.outcome.is_success());
-        session.recycle(obs);
+        let (record, _) = counted(&mut session, &env, &host, t, &mut conns);
+        assert!(record.outcome.is_success());
         t += SimDuration::from_secs(10);
     }
 
     // Cache hits: nothing at all.
     for i in 0..500 {
-        let (obs, allocs) = counted(&mut session, &env, &host, t);
-        assert!(obs.outcome.is_success(), "hit {i}");
+        let (record, allocs) = counted(&mut session, &env, &host, t, &mut conns);
+        assert!(record.outcome.is_success(), "hit {i}");
         assert_eq!(allocs, 0, "hit {i} at {t:?}");
-        session.recycle(obs);
         t += SimDuration::from_secs(10);
     }
     assert!(t < t0 + TTL, "every measured lookup was a hit");
@@ -136,20 +145,19 @@ fn a_warm_transaction_allocates_only_what_it_keeps() {
     // A miss on the expired entry walks root, TLD and zone through the
     // codec and refreshes the entry in place: still nothing.
     let t = t0 + TTL + SimDuration::from_secs(60);
-    let (obs, allocs) = counted(&mut session, &env, &host, t);
-    assert!(obs.outcome.is_success());
+    let (record, allocs) = counted(&mut session, &env, &host, t, &mut conns);
+    assert!(record.outcome.is_success());
     assert_eq!(allocs, 0, "a refreshing miss");
-    session.recycle(obs);
     assert_eq!(session.ldns_cache().len(), 1);
 
     // A miss on a new name inserts its entry: the key and the address list.
     // (The environment serves no origin there, so the exchange is a 404;
     // the lookup, the connection and both heads still run.)
     let other = name("www.example.org");
-    let (obs, allocs) = counted(&mut session, &env, &other, t + SimDuration::from_secs(10));
-    assert!(obs.dns.is_ok() && !obs.outcome.is_success());
+    let t = t + SimDuration::from_secs(10);
+    let (record, allocs) = counted(&mut session, &env, &other, t, &mut conns);
+    assert!(record.dns.is_ok() && !record.outcome.is_success());
     assert_eq!(allocs, 2, "a miss inserting a new entry");
-    session.recycle(obs);
     assert_eq!(session.ldns_cache().len(), 2);
 }
 
@@ -159,18 +167,19 @@ fn a_redirect_hop_allocates_the_next_hops_name() {
     let env = HealthyEnv::new(
         Origin::simple("www.example.com", 24_000).with_redirects(vec!["example.com".to_string()]),
     );
-    let mut session = ClientSession::new(&tree, WgetConfig::default(), SimRng::new(2006));
+    let config = WgetConfig::default();
+    let mut session = ClientSession::new(ClientId(0), &tree, config, SimRng::new(2006));
     let host = name("example.com");
+    let mut conns = connections();
     let mut t = SimTime::from_hours(1);
     for i in 0..300 {
-        let (obs, allocs) = counted(&mut session, &env, &host, t);
-        assert!(obs.outcome.is_success());
-        assert_eq!(obs.connections.len(), 2, "one redirect hop");
+        let (record, allocs) = counted(&mut session, &env, &host, t, &mut conns);
+        assert!(record.outcome.is_success());
+        assert_eq!(conns.len(), 2, "one redirect hop");
         if i >= 50 {
             // Both names are cached: the hop parses `www.example.com`.
             assert_eq!(allocs, 1, "transaction {i}");
         }
-        session.recycle(obs);
         t += SimDuration::from_secs(10);
     }
 }
@@ -181,16 +190,16 @@ fn a_warm_proxied_cache_hit_allocates_nothing() {
     let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
     let config = WgetConfig::default();
     assert!(config.resolver.wire_fidelity);
-    let mut proxy = ProxySession::new(&tree, config.resolver, SimRng::new(2007));
-    let mut session = ClientSession::new(&tree, config, SimRng::new(2008));
+    let mut proxy = ProxySession::new(ProxyId(0), &tree, config.resolver, SimRng::new(2007));
+    let mut session = ClientSession::new(ClientId(0), &tree, config, SimRng::new(2008));
     let host = name("www.example.com");
     let t0 = SimTime::from_hours(1);
     let mut t = t0;
     let mut proxied = |t: SimTime| {
         let before = ALLOCS.with(Cell::get);
-        let obs = session.run_proxied_transaction(&env, &mut proxy, &env, &host, t);
-        assert!(obs.outcome.is_success());
-        session.recycle(obs);
+        let (record, _, _) =
+            session.run_proxied_transaction(&env, &mut proxy, &env, SiteId(0), &host, t);
+        assert!(record.outcome.is_success());
         ALLOCS.with(Cell::get) - before
     };
     for _ in 0..50 {
@@ -232,20 +241,20 @@ fn a_warm_failed_lookup_and_its_dig_allocate_nothing() {
     let env = LdnsDown(HealthyEnv::new(Origin::simple("www.example.com", 24_000)));
     let config = WgetConfig::default();
     assert!(config.resolver.wire_fidelity);
-    let mut session = ClientSession::new(&tree, config, SimRng::new(2009));
+    let mut session = ClientSession::new(ClientId(0), &tree, config, SimRng::new(2009));
     let host = name("www.example.com");
+    let mut conns = connections();
     let mut t = SimTime::from_hours(1);
     for i in 0..300 {
-        let (obs, allocs) = counted(&mut session, &env, &host, t);
+        let (record, allocs) = counted(&mut session, &env, &host, t, &mut conns);
         assert_eq!(
-            obs.outcome.failure(),
+            record.failure(),
             Some(FailureClass::Dns(DnsFailureKind::LdnsTimeout))
         );
-        assert_eq!(obs.dig, DigOutcome::Resolved, "dig walks past the LDNS");
+        assert_eq!(record.dig, DigOutcome::Resolved, "dig walks past the LDNS");
         if i >= 50 {
             assert_eq!(allocs, 0, "failed lookup {i}");
         }
-        session.recycle(obs);
         t += SimDuration::from_secs(60);
     }
 }
