@@ -39,8 +39,14 @@ echo "==> audit --scenario: per-archetype detection clears the recall floors (ce
 cargo run --release -q -p bench-suite --bin audit -- --scenario --threads 1 --out "$ci_tmp/BENCH_scenarios.json" > /dev/null
 cmp "$ci_tmp/BENCH_scenarios.json" BENCH_scenarios.json || { echo "FAIL: scenario scores differ from the committed BENCH_scenarios.json"; exit 1; }
 
-echo "==> explain --audit-misses: a causal timeline exists for every below-recall archetype"
-misses="$(cargo run --release -q -p bench-suite --bin explain -- --audit-misses)"
+echo "==> explain --audit-misses: a causal timeline exists for every below-recall archetype; stdout is the committed one (a change that means to move it updates the hash here)"
+misses_committed="b558a03f68a31ea763d412cd95da96de1521141fa189c4611013b27382255384"
+cargo run --release -q -p bench-suite --bin explain -- --audit-misses > "$ci_tmp/misses.txt"
+misses_sha="$(sha256sum "$ci_tmp/misses.txt" | cut -d' ' -f1)"
+if [ "$misses_sha" != "$misses_committed" ]; then
+    echo "FAIL: explain --audit-misses stdout sha256 $misses_sha differs from the committed $misses_committed"; exit 1
+fi
+misses="$(cat "$ci_tmp/misses.txt")"
 echo "$misses" | grep -q 'exemplar (' || { echo "FAIL: no miss exemplars dumped"; exit 1; }
 # Every archetype header below 1.0 recall must be followed by an exemplar.
 if [ "$(echo "$misses" | grep -c '^== ')" -ne "$(echo "$misses" | grep -c '^exemplar (')" ]; then

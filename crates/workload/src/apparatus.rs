@@ -112,18 +112,17 @@ pub fn corrupt_buffer(rng: &mut SimRng, buf: &mut Vec<u8>) {
     }
 }
 
-/// Flip `n` random bits of `buf`; returns how many were flipped (0 for an
-/// empty buffer).
-pub fn bitflip(buf: &mut [u8], rng: &mut SimRng, n: u32) -> u32 {
+/// Flip `n` random bits of `buf` (none of an empty buffer, which draws
+/// nothing).
+pub fn bitflip(buf: &mut [u8], rng: &mut SimRng, n: u32) {
     if buf.is_empty() {
-        return 0;
+        return;
     }
     for _ in 0..n {
         let byte = rng.below(buf.len() as u64) as usize;
         let bit = rng.below(8) as u8;
         buf[byte] ^= 1 << bit;
     }
-    n
 }
 
 /// Truncate `buf` at a uniform point of its final third (a partial write:
@@ -214,7 +213,11 @@ mod tests {
     fn bitflip_on_empty_buffer_is_a_noop() {
         let mut rng = SimRng::new(1);
         let mut empty: Vec<u8> = Vec::new();
-        assert_eq!(bitflip(&mut empty, &mut rng, 10), 0);
+        bitflip(&mut empty, &mut rng, 10);
+        assert!(empty.is_empty());
         assert_eq!(truncate_tail(&mut empty, &mut rng), None);
+        assert!(empty.is_empty());
+        let fresh = SimRng::new(1).below(1 << 30);
+        assert_eq!(rng.below(1 << 30), fresh, "nothing drawn");
     }
 }

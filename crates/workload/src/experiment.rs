@@ -157,15 +157,17 @@ pub struct ExperimentOutput {
     /// Tail-sampled forensic exemplars (`Some` only when
     /// [`ExperimentConfig::forensics`] was set): per-(blame × archetype)
     /// bounded buckets of causal traces, record indices pointing into
-    /// `dataset.records`.
+    /// `dataset.records`. Only kept records are ever offered, so each
+    /// bucket holds the first failures and the slowest successes of the
+    /// dataset itself.
     pub forensics: Option<ExemplarStore>,
 }
 
 /// What happened to one client's worker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClientOutcome {
-    /// The client's month completed. Counts are post-collection, i.e. after
-    /// any apparatus record drops.
+    /// The client's month completed. `records` counts what reached the
+    /// dataset, after any apparatus record drops.
     Completed {
         records: usize,
         connections: usize,
@@ -346,7 +348,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
     // One slot per client: `None` if the worker never reported (it died
     // before writing), otherwise the client's output or its panic message,
     // plus the worker's wall time.
-    type ClientData = (Vec<PerformanceRecord>, Vec<ConnectionRecord>, ObserverSink);
     type ClientSlot = (Result<ClientData, String>, Duration);
 
     let threads = model::thread_count(config.threads);
@@ -419,7 +420,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
         mrt_issue_samples,
         ..RunReport::default()
     };
-    let drop_prob = config.apparatus.record_drop_prob;
     for (i, slot) in per_client.into_iter().enumerate() {
         let (outcome, wall) = match slot {
             // A scope panic outside catch_unwind would abort the run before
@@ -432,26 +432,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
                 Duration::ZERO,
             ),
             Some((Err(error), wall)) => (ClientOutcome::Lost { error }, wall),
-            Some((Ok((mut r, mut c, mut sink)), wall)) => {
-                let mut dropped = 0usize;
-                if drop_prob > 0.0 {
-                    // Collection loss draws from a per-client fork of the
-                    // root stream, so the surviving set is identical across
-                    // thread counts. The keep mask is materialized first —
-                    // one draw per record, in record order, whether or not
-                    // any observer rides along — and then applied to the
-                    // records and to the observer sink alike.
-                    let mut rng = config.apparatus.drop_stream(&root, i);
-                    let keep_mask: Vec<bool> =
-                        r.iter().map(|_| rng.f64() >= drop_prob).collect();
-                    let mut k = keep_mask.iter().copied();
-                    r.retain(|_| {
-                        let keep = k.next().expect("mask covers records");
-                        dropped += usize::from(!keep);
-                        keep
-                    });
-                    sink.retain(&keep_mask);
-                }
+            Some((Ok((mut r, mut c, sink, dropped)), wall)) => {
                 report.records_dropped += dropped as u64;
                 let outcome = ClientOutcome::Completed {
                     records: r.len(),
@@ -720,6 +701,15 @@ fn build_bgp(
     (cleaned, kept_count, issue_count, issue_samples)
 }
 
+/// One client's month for collection: its kept records, its connection
+/// records, its observers' sink and how many records collection lost.
+type ClientData = (
+    Vec<PerformanceRecord>,
+    Vec<ConnectionRecord>,
+    ObserverSink,
+    usize,
+);
+
 /// Run one client's month.
 ///
 /// The month's access schedule is fixed before any access runs: each
@@ -738,13 +728,19 @@ fn run_client(
     host_names: &[DomainName],
     root: &SimRng,
     client: usize,
-) -> (Vec<PerformanceRecord>, Vec<ConnectionRecord>, ObserverSink) {
+) -> ClientData {
     let spec = &fleet.clients[client];
     let mut rng = root.fork(0x90_0000 + client as u64);
     // Apparatus node death: the worker genuinely panics at the drawn
     // instant (caught by the runner's catch_unwind). The draw uses its own
     // stream, so enabling it never perturbs the simulated accesses.
     let death = config.apparatus.death_time(root, client, config.hours);
+    // Collection loss: one coin per record from the client's own loss
+    // stream (thread-invariant), drawn before the push, so a dropped access
+    // is never pushed, stamped or offered; its connection records stay.
+    let drop_prob = config.apparatus.record_drop_prob;
+    let mut drops = (drop_prob > 0.0).then(|| config.apparatus.drop_stream(root, client));
+    let mut dropped = 0usize;
     // Packet traces on PL/DU clients only: BB never records, and CN traces
     // are uninformative and skipped, as in the paper.
     let record_traces = matches!(
@@ -837,17 +833,21 @@ fn run_client(
             }
             None => session.run_transaction(&view, site, &host_names[si], t, &mut connections),
         };
+        if drops.as_mut().is_some_and(|coin| coin.f64() < drop_prob) {
+            dropped += 1;
+            continue;
+        }
         observers.observe(&record, provenance, trace, records.len());
         records.push(record);
     }
-    (records, connections, observers)
+    (records, connections, observers, dropped)
 }
 
 /// Everything the ground-truth observers gathered, for one client while it
 /// runs and for the whole run after collection: the provenance stamps,
 /// parallel by index to the records, and the forensic exemplar store. A
-/// part is `None` when its observer is off. The collection keep-mask and
-/// the in-order append go through here once, for both observers.
+/// part is `None` when its observer is off. Both see kept records only, and
+/// the in-order append goes through here once, for both observers.
 struct ObserverSink {
     stamps: Option<Vec<ProvenanceRecord>>,
     exemplars: Option<ExemplarStore>,
@@ -896,27 +896,20 @@ impl ObserverSink {
         }
     }
 
-    /// Keep what the collection keep-mask keeps: stamps stay parallel to
-    /// the surviving records, and exemplars of dropped records go with them.
-    fn retain(&mut self, keep: &[bool]) {
-        if let Some(stamps) = self.stamps.as_mut() {
-            let mut k = keep.iter().copied();
-            stamps.retain(|_| k.next().expect("mask covers stamps"));
-        }
-        if let Some(store) = self.exemplars.as_mut() {
-            store.apply_keep_mask(keep);
-        }
-    }
-
     /// Append a later client's sink whose records follow the first `base`
-    /// records collected so far. Appending per-client stores in client
-    /// order reproduces what one sequential store would have admitted.
+    /// records collected so far. Its exemplars are offered again, once
+    /// each and in record order: every record a client's store rejected
+    /// was beaten there by records that reach this store first, so the
+    /// run's store admits what one store offered the whole dataset would.
     fn append(&mut self, other: ObserverSink, base: usize) {
         if let (Some(mine), Some(mut theirs)) = (self.stamps.as_mut(), other.stamps) {
             mine.append(&mut theirs);
         }
         if let (Some(mine), Some(theirs)) = (self.exemplars.as_mut(), other.exemplars) {
-            mine.merge(theirs, base);
+            for mut ex in theirs.into_record_order() {
+                ex.record_index += base;
+                mine.offer(ex);
+            }
         }
     }
 }

@@ -258,6 +258,28 @@ fn timeline_from_intervals(mut iv: Vec<(SimTime, SimTime)>) -> Timeline<bool> {
     Timeline::from_changes(false, changes)
 }
 
+/// `count` windows collapsed into one timeline. Each starts `below(jitter_s)`
+/// seconds past a uniform hour of the horizon and lasts `min_s` plus
+/// `below(span_s)` seconds; window by window, the draws come in that order.
+fn windows(
+    rng: &mut SimRng,
+    hours: u32,
+    count: u64,
+    jitter_s: u64,
+    min_s: u64,
+    span_s: u64,
+) -> Timeline<bool> {
+    let iv = (0..count)
+        .map(|_| {
+            let start = SimTime::from_hours(rng.below(u64::from(hours)))
+                + SimDuration::from_secs(rng.below(jitter_s));
+            let end = start + SimDuration::from_secs(min_s + rng.below(span_s));
+            (start, end)
+        })
+        .collect();
+    timeline_from_intervals(iv)
+}
+
 /// Materialize the adversarial truth. Every archetype draws only from its
 /// own `fork_str` stream and only when enabled, so a disabled archetype
 /// leaves the rest of the world untouched down to the bit.
@@ -360,12 +382,8 @@ pub(crate) fn materialize_adversarial(
                 out.colo_of_site.insert(s as u16, gid);
             }
             let count = ((f64::from(hours) * profile.colo_blast / 24.0).ceil() as u64).max(1);
-            let mut iv = Vec::new();
-            for _ in 0..count {
-                let start = hour_of(rng.below(u64::from(hours))) + SimDuration::from_secs(rng.below(3000));
-                iv.push((start, start + SimDuration::from_secs(600 + rng.below(2400))));
-            }
-            out.colo_blast.push(timeline_from_intervals(iv));
+            let window = windows(&mut rng, hours, count, 3000, 600, 2400);
+            out.colo_blast.push(window);
         }
     }
 
@@ -374,12 +392,8 @@ pub(crate) fn materialize_adversarial(
         let mut rng = root.fork_str("adv-vantage");
         for s in rng.sample_indices(sites.len(), 4.min(sites.len())) {
             let count = ((f64::from(hours) * profile.vantage_split / 12.0).ceil() as u64).max(1);
-            let mut iv = Vec::new();
-            for _ in 0..count {
-                let start = hour_of(rng.below(u64::from(hours))) + SimDuration::from_secs(rng.below(1800));
-                iv.push((start, start + SimDuration::from_secs(900 + rng.below(2700))));
-            }
-            out.vantage_split.insert(s as u16, timeline_from_intervals(iv));
+            let window = windows(&mut rng, hours, count, 1800, 900, 2700);
+            out.vantage_split.insert(s as u16, window);
         }
     }
 
@@ -404,12 +418,8 @@ pub(crate) fn materialize_adversarial(
                 .map(|g| g as u16)
                 .collect();
             let count = ((f64::from(hours) * profile.cdn_brownout / 18.0).ceil() as u64).max(1);
-            let mut iv = Vec::new();
-            for _ in 0..count {
-                let start = hour_of(rng.below(u64::from(hours))) + SimDuration::from_secs(rng.below(1800));
-                iv.push((start, start + SimDuration::from_secs(1800 + rng.below(3600))));
-            }
-            out.cdn_brownout.insert(s, (region, timeline_from_intervals(iv)));
+            let window = windows(&mut rng, hours, count, 1800, 1800, 3600);
+            out.cdn_brownout.insert(s, (region, window));
         }
     }
 
@@ -431,15 +441,8 @@ pub(crate) fn materialize_adversarial(
                 continue;
             }
             let count = ((f64::from(hours) / 24.0).ceil() as u64).max(2);
-            let mut iv = Vec::new();
-            for _ in 0..count {
-                let start = hour_of(rng.below(u64::from(hours))) + SimDuration::from_secs(rng.below(1200));
-                iv.push((
-                    start,
-                    start + SimDuration::from_hours(1) + SimDuration::from_secs(rng.below(7200)),
-                ));
-            }
-            out.mtu_blackhole.insert((c, s), timeline_from_intervals(iv));
+            let window = windows(&mut rng, hours, count, 1200, 3600, 7200);
+            out.mtu_blackhole.insert((c, s), window);
         }
     }
 
@@ -457,13 +460,9 @@ pub(crate) fn materialize_adversarial(
                 .expect("a suffix of the host");
             let decoy = Ipv4Addr::new(192, 0, 2, 10 + i as u8);
             let count = ((f64::from(hours) * profile.wrong_dns / 12.0).ceil() as u64).max(1);
-            let mut iv = Vec::new();
-            for _ in 0..count {
-                let start = hour_of(rng.below(u64::from(hours))) + SimDuration::from_secs(rng.below(2400));
-                iv.push((start, start + SimDuration::from_secs(900 + rng.below(1800))));
-            }
+            let window = windows(&mut rng, hours, count, 2400, 900, 1800);
             out.decoys.insert(decoy);
-            out.wrong_dns.insert(apex, (timeline_from_intervals(iv), decoy));
+            out.wrong_dns.insert(apex, (window, decoy));
         }
     }
 

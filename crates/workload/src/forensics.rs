@@ -9,6 +9,12 @@
 //! thread count, and memory is bounded by the bucket grid regardless of how
 //! many transactions the run executes.
 //!
+//! The store only ever sees kept records: collection loss is drawn before a
+//! record is pushed, so a dropped access is never offered. Each client fills
+//! its own store while it runs; the run's store then takes every client's
+//! exemplars through [`ExemplarStore::offer`] in client order, once each and
+//! in record order, so the caps and the pin rule live in `offer` alone.
+//!
 //! Queries (`bench explain`) can additionally *pin* specific
 //! `(client, site, hour)` keys; one trace per pinned key is kept outside
 //! the bucket caps — the first failure, or the first success until a
@@ -61,15 +67,23 @@ fn success_order(a: &TraceExemplar, b: &TraceExemplar) -> std::cmp::Ordering {
 }
 
 impl Bucket {
+    /// Admit a copy of `ex` if it belongs: a failure while there is room, a
+    /// success at its sorted place if it beats the fifth. A rejected
+    /// exemplar is never copied.
     fn offer(&mut self, ex: &TraceExemplar) {
         if ex.failed {
             if self.failures.len() < MAX_SAMPLES {
                 self.failures.push(ex.clone());
             }
-        } else {
-            self.successes.push(ex.clone());
-            self.successes.sort_by(success_order);
-            self.successes.truncate(MAX_SAMPLES);
+            return;
+        }
+        // After its equals, as a stable sort of the pushed exemplar would.
+        let at = self
+            .successes
+            .partition_point(|s| success_order(s, ex).is_le());
+        if at < MAX_SAMPLES {
+            self.successes.truncate(MAX_SAMPLES - 1);
+            self.successes.insert(at, ex.clone());
         }
     }
 }
@@ -124,58 +138,19 @@ impl ExemplarStore {
         }
     }
 
-    /// Drop exemplars whose record was discarded by the apparatus keep-mask
-    /// and remap the survivors' `record_index` to their kept rank, mirroring
-    /// what `retain` does to the record vector itself.
-    pub fn apply_keep_mask(&mut self, keep: &[bool]) {
-        // kept_rank[i] = number of kept records strictly before i.
-        let mut kept_rank = Vec::with_capacity(keep.len());
-        let mut rank = 0usize;
-        for &k in keep {
-            kept_rank.push(rank);
-            rank += k as usize;
-        }
-        let fix = |v: &mut Vec<TraceExemplar>| {
-            v.retain(|ex| keep.get(ex.record_index).copied().unwrap_or(false));
-            for ex in v.iter_mut() {
-                ex.record_index = kept_rank[ex.record_index];
-            }
-        };
-        for b in &mut self.buckets {
-            fix(&mut b.failures);
-            fix(&mut b.successes);
-        }
-        fix(&mut self.pinned);
-    }
-
-    /// Merge another store, whose record indices count from `base`, into
-    /// this one, bucket by bucket, preserving the admission rules. Merging
-    /// per-client stores in client order reproduces what a single
-    /// sequential store would have admitted, because every per-client bucket
-    /// already holds at least as many candidates as the merged cap.
-    pub fn merge(&mut self, mut other: ExemplarStore, base: usize) {
-        for ex in other
+    /// Every exemplar held, once each (a trace in several buckets is one
+    /// record), in record order: what the run's store takes through
+    /// [`ExemplarStore::offer`] from each client's.
+    pub(crate) fn into_record_order(self) -> Vec<TraceExemplar> {
+        let mut all: Vec<TraceExemplar> = self
             .buckets
-            .iter_mut()
-            .flat_map(|b| b.failures.iter_mut().chain(b.successes.iter_mut()))
-            .chain(other.pinned.iter_mut())
-        {
-            ex.record_index += base;
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
-            let room = MAX_SAMPLES.saturating_sub(mine.failures.len());
-            mine.failures.extend(theirs.failures.into_iter().take(room));
-            mine.successes.extend(theirs.successes);
-            mine.successes.sort_by(success_order);
-            mine.successes.truncate(MAX_SAMPLES);
-        }
-        for p in other.pinned {
-            match self.pinned.iter_mut().find(|q| q.key() == p.key()) {
-                None => self.pinned.push(p),
-                Some(q) if p.failed && !q.failed => *q = p,
-                Some(_) => {}
-            }
-        }
+            .into_iter()
+            .flat_map(|b| b.failures.into_iter().chain(b.successes))
+            .chain(self.pinned)
+            .collect();
+        all.sort_by_key(|ex| ex.record_index);
+        all.dedup_by_key(|ex| ex.record_index);
+        all
     }
 
     /// Total exemplars held (bucket slots plus pins).
@@ -215,14 +190,6 @@ impl ExemplarStore {
         self.iter()
             .filter(|ex| ex.key() == key)
             .max_by_key(|ex| ex.failed)
-    }
-
-    /// Sorted, de-duplicated keys of everything held.
-    pub fn keys(&self) -> Vec<(u16, u16, u32)> {
-        let mut keys: Vec<_> = self.iter().map(|ex| ex.key()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
     }
 }
 
@@ -293,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_mask_drops_and_remaps_record_indices() {
-        let mut store = ExemplarStore::default();
-        store.offer(ex(0, 0, true, FaultSet::CENSORED, 5));
-        store.offer(ex(0, 2, true, FaultSet::CENSORED, 5));
-        store.offer(ex(0, 4, true, FaultSet::CENSORED, 5));
-        // Drop record 2: survivors 0 and 4 become kept ranks 0 and 3.
-        store.apply_keep_mask(&[true, true, false, true, true]);
-        let kept: Vec<usize> = store.iter().map(|e| e.record_index).collect();
-        assert_eq!(kept, vec![0, 3]);
-    }
-
-    #[test]
     fn pinned_keys_survive_outside_bucket_caps() {
         let mut store = ExemplarStore::new(&[(9, 1, 3)]);
         for i in 0..MAX_SAMPLES {
@@ -344,30 +299,56 @@ mod tests {
     }
 
     #[test]
-    fn merge_in_client_order_matches_sequential_admission() {
-        // Per-client stores count record indices from 0.
-        let mk = |client: u16| {
-            let mut s = ExemplarStore::default();
-            for i in 0..4 {
-                s.offer(ex(client, i, true, FaultSet::COLO_BLAST, 10));
-                s.offer(ex(client, 4 + i, false, FaultSet::COLO_BLAST, 100 + i as u64));
-            }
-            s
+    fn a_success_enters_only_past_the_fifth() {
+        let mut store = ExemplarStore::default();
+        for i in 0..MAX_SAMPLES {
+            store.offer(ex(0, i, false, FaultSet::EMPTY, 100));
+        }
+        // Faster than the fifth, or tied with it but later: rejected.
+        store.offer(ex(0, 10, false, FaultSet::EMPTY, 99));
+        store.offer(ex(0, 11, false, FaultSet::EMPTY, 100));
+        // Slower: enters at its sorted place, and the old fifth leaves.
+        store.offer(ex(0, 12, false, FaultSet::EMPTY, 150));
+        let kept: Vec<usize> = store.iter().map(|e| e.record_index).collect();
+        assert_eq!(kept, vec![12, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn client_order_transfer_matches_sequential_admission() {
+        // Each client's own store counts record indices from 0 and pins
+        // the client's key; client 1's records follow client 0's 100. Each
+        // client offers 7 failures and 7 successes, more than a bucket
+        // keeps, and the first access of each key succeeds, so its pin
+        // starts as a placeholder.
+        let pins = [(0, 1, 3), (1, 1, 3)];
+        let accesses = |client: u16, base: usize| {
+            (0..14usize).map(move |i| {
+                let dur = 100 + (i as u64 * 7 + u64::from(client) * 3) % 11;
+                ex(client, base + i, i % 2 == 1, FaultSet::COLO_BLAST, dur)
+            })
         };
-        let mut merged = ExemplarStore::default();
-        merged.merge(mk(0), 0);
-        merged.merge(mk(1), 100);
-        let mut sequential = ExemplarStore::default();
-        for i in 0..4 {
-            sequential.offer(ex(0, i, true, FaultSet::COLO_BLAST, 10));
-            sequential.offer(ex(0, 4 + i, false, FaultSet::COLO_BLAST, 100 + i as u64));
+        let mut run = ExemplarStore::new(&pins);
+        let mut sequential = ExemplarStore::new(&pins);
+        for (client, base) in [(0u16, 0usize), (1, 100)] {
+            let mut own = ExemplarStore::new(&pins);
+            accesses(client, 0).for_each(|x| own.offer(x));
+            for mut x in own.into_record_order() {
+                x.record_index += base;
+                run.offer(x);
+            }
+            accesses(client, base).for_each(|x| sequential.offer(x));
         }
-        for i in 0..4 {
-            sequential.offer(ex(1, 100 + i, true, FaultSet::COLO_BLAST, 10));
-            sequential.offer(ex(1, 104 + i, false, FaultSet::COLO_BLAST, 100 + i as u64));
+        let held = |s: &ExemplarStore| -> Vec<_> {
+            s.iter()
+                .map(|e| (e.client, e.record_index, e.failed))
+                .collect()
+        };
+        assert_eq!(held(&run), held(&sequential));
+        // Each pinned key keeps one exemplar: its first failure.
+        for key in pins {
+            let held: Vec<_> = run.pinned.iter().filter(|p| p.key() == key).collect();
+            assert_eq!(held.len(), 1, "{key:?}");
+            assert!(held[0].failed && held[0].record_index % 100 == 1, "{key:?}");
         }
-        let a: Vec<_> = merged.iter().map(|e| (e.client, e.record_index, e.failed)).collect();
-        let b: Vec<_> = sequential.iter().map(|e| (e.client, e.record_index, e.failed)).collect();
-        assert_eq!(a, b);
     }
 }

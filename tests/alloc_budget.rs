@@ -17,14 +17,16 @@
 //!   its lifetime;
 //! * a failed lookup and the iterative dig that follows it allocate
 //!   nothing: dig walks in the resolver's message buffer and reads its
-//!   addresses into the session's address buffer.
+//!   addresses into the session's address buffer;
+//! * the forensic exemplar store decides before it copies: a success that
+//!   does not beat its bucket's fifth allocates nothing.
 
 use dnssim::{DnsFaults, ZoneTree};
 use dnswire::DomainName;
 use httpsim::Origin;
 use model::{
     ClientId, ConnectionRecord, DigOutcome, DnsFailureKind, FailureClass, FaultSet,
-    PerformanceRecord, ProxyId, SimDuration, SimTime, SiteId,
+    PerformanceRecord, ProxyId, SimDuration, SimTime, SiteId, TraceEvent, TraceExemplar, TxnTrace,
 };
 use netsim::SimRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -33,6 +35,7 @@ use std::net::Ipv4Addr;
 use tcpsim::{PathQuality, ServerBehavior};
 use webclient::env::HealthyEnv;
 use webclient::{AccessEnvironment, ClientSession, ProxySession, WgetConfig};
+use workload::ExemplarStore;
 
 /// Counts every allocation and reallocation on the calling thread.
 struct Counting;
@@ -257,4 +260,43 @@ fn a_warm_failed_lookup_and_its_dig_allocate_nothing() {
         }
         t += SimDuration::from_secs(60);
     }
+}
+
+/// A successful access of `duration_us` whose trace holds its lookup.
+fn traced_success(record_index: usize, duration_us: u64) -> TraceExemplar {
+    let at = SimTime::from_hours(1);
+    let lookup = TraceEvent::Dns {
+        host: "www.example.com".to_string(),
+        at,
+        elapsed: SimDuration::from_millis(20),
+        outcome: Ok(()),
+        truth: FaultSet::EMPTY,
+    };
+    TraceExemplar {
+        client: 0,
+        site: 0,
+        hour: 1,
+        record_index,
+        start: at,
+        duration_us,
+        failed: false,
+        truth: FaultSet::EMPTY,
+        trace: TxnTrace {
+            events: vec![lookup],
+        },
+    }
+}
+
+#[test]
+fn a_success_the_exemplar_store_rejects_allocates_nothing() {
+    let mut store = ExemplarStore::default();
+    for i in 0..report::caps::MAX_SAMPLES {
+        store.offer(traced_success(i, 5_000_000));
+    }
+    let faster = traced_success(99, 1_000);
+    let before = ALLOCS.with(Cell::get);
+    store.offer(faster);
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0, "a rejected success");
+    assert_eq!(store.len(), report::caps::MAX_SAMPLES);
+    assert!(store.iter().all(|x| x.duration_us == 5_000_000));
 }

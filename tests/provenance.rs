@@ -2,8 +2,9 @@
 //! dataset, stamps track fault boundaries exactly (including faults that
 //! start or end mid-hour), overlapping faults union their flags, proxied
 //! clients share one true cause, the sidecar and the forensic exemplars
-//! stay aligned with the records under collection loss, and the audit
-//! scored against the sidecar clears the agreement floor.
+//! stay aligned with the records under collection loss (each exemplar
+//! bucket holding what its rule picks from the kept records), and the
+//! audit scored against the sidecar clears the agreement floor.
 
 use model::{FaultSet, SimTime, TrueBlame};
 use netsim::Timeline;
@@ -446,12 +447,75 @@ fn both_observers_stay_aligned_under_collection_loss() {
             );
             assert_eq!(log.records[x.record_index].all(), x.truth, "stamp vs trace");
         }
+        let held: Vec<_> = store
+            .iter()
+            .map(|x| (x.client, x.record_index, x.failed))
+            .collect();
+        assert_eq!(
+            held,
+            naive_buckets(&out.dataset, log),
+            "a bucket breaks its rule under collection loss at {threads} threads"
+        );
         let keys: Vec<_> = store.iter().map(|x| (x.key(), x.record_index)).collect();
         match &first_keys {
             None => first_keys = Some(keys),
             Some(first) => assert_eq!(&keys, first, "exemplars drift at {threads} threads"),
         }
     }
+}
+
+/// The exemplar store's bucket rule recomputed over the dataset and its
+/// stamps: every record is traced, so every record is a candidate of each
+/// bucket its stamp names (its true blame class × each archetype it
+/// carries, or the "none" slot). Row-major by blame class, each bucket
+/// lists its first `MAX_SAMPLES` failures in dataset order, then its
+/// `MAX_SAMPLES` slowest successes (duration desc, client, record index),
+/// as `(client, record index, failed)`.
+fn naive_buckets(ds: &model::Dataset, log: &model::ProvenanceLog) -> Vec<(u16, usize, bool)> {
+    use model::{SimDuration, ARCHETYPES};
+    use report::caps::MAX_SAMPLES;
+    use std::cmp::Reverse;
+    const BLAMES: [TrueBlame; 5] = [
+        TrueBlame::ClientSide,
+        TrueBlame::ServerSide,
+        TrueBlame::Both,
+        TrueBlame::PairSpecific,
+        TrueBlame::Noise,
+    ];
+    let slots = ARCHETYPES.len() + 1;
+    let mut failures = vec![Vec::new(); BLAMES.len() * slots];
+    let mut successes = vec![Vec::new(); BLAMES.len() * slots];
+    for (i, (r, stamp)) in ds.records.iter().zip(&log.records).enumerate() {
+        let truth = stamp.all();
+        let row = BLAMES
+            .iter()
+            .position(|&b| b == truth.true_blame())
+            .expect("a class")
+            * slots;
+        let mut columns: Vec<usize> = (0..ARCHETYPES.len())
+            .filter(|&c| truth.contains(ARCHETYPES[c].1))
+            .collect();
+        if columns.is_empty() {
+            columns.push(slots - 1);
+        }
+        let duration =
+            r.dns.unwrap_or(SimDuration::ZERO) + r.download_time.unwrap_or(SimDuration::ZERO);
+        for c in columns {
+            if r.failed() {
+                failures[row + c].push((r.client.0, i, true));
+            } else {
+                successes[row + c].push((Reverse(duration.as_micros()), r.client.0, i));
+            }
+        }
+    }
+    let mut held = Vec::new();
+    for (f, mut s) in failures.into_iter().zip(successes) {
+        held.extend(f.into_iter().take(MAX_SAMPLES));
+        s.sort_unstable();
+        let slowest = s.into_iter().take(MAX_SAMPLES);
+        held.extend(slowest.map(|(_, c, i)| (c, i, false)));
+    }
+    held
 }
 
 #[test]
