@@ -79,13 +79,24 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> telemetry-disabled build stays deterministic, matches the oracle and keeps the allocation budget"
 cargo test -q --no-default-features --test determinism --test differential --test alloc_budget
 
-echo "==> examples build and run (every examples/*.rs, so a new example cannot skip CI)"
+echo "==> examples build and run (every examples/*.rs, so a new example cannot skip CI); the deterministic ones' stdout, concatenated in file order, is the committed one (a change that means to move it updates the hash here)"
+examples_committed="8ecb45d7004375290b79c9cbd103ead7de31617395fcb4c7fc9680c66796c354"
 cargo build --release --examples
+: > "$ci_tmp/examples.txt"
 for path in examples/*.rs; do
     ex="$(basename "$path" .rs)"
     echo "   -> example: $ex"
-    cargo run --release --example "$ex" > /dev/null
+    if [ "$ex" = profiled_run ]; then
+        # Prints wall-clock timings, so it runs but is left out of the hash.
+        cargo run --release --example "$ex" > /dev/null
+    else
+        cargo run --release --example "$ex" >> "$ci_tmp/examples.txt"
+    fi
 done
+examples_sha="$(sha256sum "$ci_tmp/examples.txt" | cut -d' ' -f1)"
+if [ "$examples_sha" != "$examples_committed" ]; then
+    echo "FAIL: the examples' stdout sha256 $examples_sha differs from the committed $examples_committed"; exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (tests and examples too)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -81,9 +81,10 @@ pub struct PerformanceRecord {
     /// Number of TCP connections this transaction attempted (retries +
     /// redirects).
     pub connections_attempted: u16,
-    /// Retransmitted data packets observed in the packet trace, used for the
-    /// packet-loss correlation of Section 4.1.3. `None` when no trace was
-    /// recorded (BB clients) or the transfer had no data phase.
+    /// Retransmissions the client-side capture saw over the access's
+    /// connections, used for the packet-loss correlation of Section 4.1.3.
+    /// `None` when the client records no capture (BB clients), the access
+    /// went through a proxy, or its first lookup failed.
     pub retransmissions: Option<u32>,
     /// Outcome of the follow-up iterative dig.
     pub dig: DigOutcome,
@@ -122,8 +123,9 @@ pub struct ConnectionRecord {
     pub outcome: Result<(), TcpFailureKind>,
     /// SYN retransmissions before success or giving up.
     pub syn_retransmissions: u8,
-    /// Data-packet retransmissions within the connection (from the trace),
-    /// `None` when no trace was recorded.
+    /// Retransmissions the client-side capture saw in the connection: each
+    /// request retransmission and each duplicate data segment. `None` when
+    /// the client records no capture (BB clients).
     pub retransmissions: Option<u32>,
 }
 

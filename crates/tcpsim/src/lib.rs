@@ -1,27 +1,20 @@
-//! A connection-level TCP model with packet traces.
+//! A connection-level TCP model that reports what the client's capture
+//! sees.
 //!
 //! The paper's clients record a tcpdump/windump trace of every transaction
-//! and post-process it to (a) classify TCP connection failures as *no
-//! connection* / *no response* / *partial response* and (b) count packet
-//! retransmissions (Section 3.5). This crate reproduces both sides:
-//!
-//! * [`connection`] simulates one TCP connection — the SYN handshake with
-//!   the retransmission/backoff schedule, request transmission, and a lossy
-//!   windowed data transfer governed by the measurement client's 60-second
-//!   idle rule — against a ground-truth [`ServerBehavior`] and
-//!   [`PathQuality`], and emits the packet trace;
-//! * [`trace`] post-processes a trace exactly the way the paper does,
-//!   *without* access to the ground truth: the failure sub-class is inferred
-//!   from which packets appear, and the loss count from duplicate sequence
-//!   numbers.
-//!
-//! The unit tests cross-validate the two: for every simulated failure the
-//! trace-derived classification must equal the ground-truth outcome.
+//! and read two things from it (Section 3.5): the TCP failure sub-class
+//! (*no connection* / *no response* / *partial response*) and the number of
+//! retransmitted packets. [`connection`] simulates one TCP connection — the
+//! SYN handshake with the retransmission/backoff schedule, request
+//! transmission, and a lossy windowed data transfer governed by the
+//! measurement client's 60-second idle rule — against a ground-truth
+//! [`ServerBehavior`] and [`PathQuality`], and returns one account of it,
+//! a [`ConnectionResult`]. Its outcome reads only which packets reached the
+//! client-side capture point (a SYN-ACK, response data, the orderly close),
+//! never the server's behaviour, and its visible retransmission count is
+//! the duplicates that point sees, which under-counts the sender's as a
+//! real client-side capture does.
 
 pub mod connection;
-pub mod packet;
-pub mod trace;
 
-pub use connection::{simulate_connection_into, ConnectionResult, PathQuality, ServerBehavior};
-pub use packet::{Direction, PacketKind, Trace, TracePacket};
-pub use trace::{classify_trace, count_retransmissions, TraceVerdict};
+pub use connection::{simulate_connection, ConnectionResult, PathQuality, ServerBehavior};

@@ -8,7 +8,9 @@
 //!    the 60-second idle rule,
 //! 3. iterative dig through the hierarchy (run on DNS failure, matching how
 //!    the paper *uses* the dig data),
-//! 4. record the packet trace (PL/DU clients; BB ran without captures).
+//! 4. read each connection's TCP failure sub-class and retransmission count
+//!    from what its packet capture shows (PL/DU clients; BB ran without
+//!    captures, so its records keep only wget's coarse view).
 //!
 //! Corporate (CN) clients instead speak to their caching proxy, which does
 //! its own name resolution, never fails over across replica addresses

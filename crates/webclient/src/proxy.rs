@@ -23,7 +23,7 @@ use model::{ProxyId, SimDuration, SimTime};
 use netsim::SimRng;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
-use tcpsim::simulate_connection_into;
+use tcpsim::simulate_connection;
 
 /// One caching proxy's state.
 pub struct ProxySession<'t> {
@@ -113,8 +113,7 @@ impl<'t> ProxySession<'t> {
             // never stamped: the fault set is dropped.
             let (behavior, _) = env.server_behavior(addr, now);
             let path = env.path_quality(addr, now);
-            let result =
-                simulate_connection_into(behavior, &path, wire_bytes, now, &mut self.rng, None);
+            let result = simulate_connection(behavior, &path, wire_bytes, now, &mut self.rng);
             now += result.duration;
             if result.outcome.is_err() {
                 return (504, 0, now - t);

@@ -11,7 +11,7 @@ use model::{
     TransactionOutcome, TxnTrace,
 };
 use netsim::SimRng;
-use tcpsim::{classify_trace, count_retransmissions, simulate_connection_into, Trace};
+use tcpsim::simulate_connection;
 use std::net::Ipv4Addr;
 
 /// Redirect hops wget (and the caching proxy) will follow.
@@ -37,7 +37,10 @@ pub struct WgetConfig {
     /// switch writes the DNS messages through the codec, which changes what
     /// a lookup costs, never its outcome.
     pub resolver: ResolverConfig,
-    /// Capture packet traces (the paper's BB clients could not).
+    /// Record what a packet capture shows: each connection's TCP failure
+    /// sub-class and visible retransmission count. The paper's BB clients
+    /// could not capture, so with this off a failed connection is only
+    /// `NoConnection` or `NoOrPartialResponse`, and carries no count.
     pub record_traces: bool,
     /// Stamp each access with the ground-truth faults active during it
     /// (the fault-provenance flight recorder). Probing reads materialized
@@ -153,10 +156,6 @@ pub struct ClientSession<'t> {
     /// Reused A-record buffer (one live allocation per session, not one per
     /// lookup).
     addr_scratch: Vec<Ipv4Addr>,
-    /// Reused packet-capture buffer for [`simulate_connection_into`].
-    trace_buf: Trace,
-    /// Reused sort buffer for [`count_retransmissions`].
-    retx_keys: Vec<u64>,
     /// Reused hostname rendering buffer (one live allocation per session,
     /// not one per redirect hop).
     host_scratch: String,
@@ -173,8 +172,6 @@ impl<'t> ClientSession<'t> {
             cache: LdnsCache::new(),
             rng,
             addr_scratch: Vec::new(),
-            trace_buf: Trace::new(),
-            retx_keys: Vec::new(),
             host_scratch: String::new(),
         }
     }
@@ -326,34 +323,18 @@ impl<'t> ClientSession<'t> {
                         let (behavior, faults) = env.server_behavior(*addr, now);
                         let attempt_truth = truth.connect(faults);
                         let path = env.path_quality(*addr, now);
-                        let result = simulate_connection_into(
-                            behavior,
-                            &path,
-                            wire_bytes,
-                            now,
-                            &mut self.rng,
-                            captured.then_some(&mut self.trace_buf),
-                        );
-                        let trace = captured.then_some(&self.trace_buf);
-                        let visible_retx =
-                            trace.map(|tr| count_retransmissions(tr, &mut self.retx_keys).1);
-                        if let Some(v) = visible_retx {
-                            total_visible_retx += v;
-                        }
-                        // Classify the way the measurement does: from the trace
-                        // when available, else coarsely from wget's own view.
-                        let observed_outcome = match (trace, &result.outcome) {
-                            (_, Ok(())) => Ok(()),
-                            (Some(trace), Err(_)) => Err(classify_trace(trace)
-                                .failure_kind()
-                                .expect("failed connection has a failing trace")),
-                            (None, Err(_)) => {
-                                if result.established {
-                                    Err(TcpFailureKind::NoOrPartialResponse)
-                                } else {
-                                    Err(TcpFailureKind::NoConnection)
-                                }
+                        let result =
+                            simulate_connection(behavior, &path, wire_bytes, now, &mut self.rng);
+                        total_visible_retx += result.retransmissions_visible;
+                        // Classify the way the measurement does: from what the
+                        // capture shows when there is one, else coarsely from
+                        // wget's own view, which sees only whether the
+                        // handshake completed.
+                        let observed_outcome = match result.outcome {
+                            Err(kind) if !captured && kind != TcpFailureKind::NoConnection => {
+                                Err(TcpFailureKind::NoOrPartialResponse)
                             }
+                            outcome => outcome,
                         };
                         connections.push(ConnectionRecord {
                             client: self.client,
@@ -362,7 +343,8 @@ impl<'t> ClientSession<'t> {
                             start: now,
                             outcome: observed_outcome,
                             syn_retransmissions: result.syn_retransmissions,
-                            retransmissions: visible_retx,
+                            retransmissions: captured
+                                .then_some(result.retransmissions_visible),
                         });
                         truth.event(|| TraceEvent::Connect {
                             replica: *addr,

@@ -741,8 +741,9 @@ fn run_client(
     let drop_prob = config.apparatus.record_drop_prob;
     let mut drops = (drop_prob > 0.0).then(|| config.apparatus.drop_stream(root, client));
     let mut dropped = 0usize;
-    // Packet traces on PL/DU clients only: BB never records, and CN traces
-    // are uninformative and skipped, as in the paper.
+    // Capture verdicts and loss counts on PL/DU clients only: BB never
+    // captured, and CN captures are uninformative and skipped, as in the
+    // paper.
     let record_traces = matches!(
         spec.category,
         model::ClientCategory::PlanetLab | model::ClientCategory::Dialup

@@ -1,8 +1,8 @@
 //! The allocation budget of a simulated transaction.
 //!
 //! A counting global allocator, whose counter is per thread, watches one
-//! warmed `ClientSession` with wget's defaults (DNS wire codecs on, packet
-//! capture on) over `HealthyEnv`. The caller reserves its connection-record
+//! warmed `ClientSession` with wget's defaults (DNS wire codecs on,
+//! `record_traces` on) over `HealthyEnv`. The caller reserves its connection-record
 //! vector once and clears it between accesses, so a record pushed there
 //! never allocates:
 //!
