@@ -25,6 +25,13 @@ if [ "$det_default" != "$det_committed" ]; then
     exit 1
 fi
 
+echo "==> ablation: the one program that runs fault_scale other than 1 (0, 0.5 and 2.0), the factor on every fault intensity the ground truth materializes; stdout is the committed one (10-13 s; a change that means to move it updates the hash here)"
+ablation_committed="8aa59af80cced42a614272d50fecd3ed624460e8cea4a7003669c1fc08122bfb"
+ablation_sha="$(cargo run --release -q -p bench-suite --bin ablation | sha256sum | cut -d' ' -f1)"
+if [ "$ablation_sha" != "$ablation_committed" ]; then
+    echo "FAIL: ablation stdout sha256 $ablation_sha differs from the committed $ablation_committed"; exit 1
+fi
+
 echo "==> oracle_diff: columnar sharded scans match the naive row-layout oracle (audit diff included)"
 cargo run --release -q -p bench-suite --bin oracle_diff
 

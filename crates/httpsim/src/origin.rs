@@ -5,19 +5,20 @@
 //! connection counts exceed its transaction counts (Table 3); HTTP errors
 //! are the rare (<2% of failures) third failure class of Section 2.1.
 
+use dnswire::DomainName;
 use netsim::SimRng;
 
 /// Static description of a website's HTTP behaviour.
 #[derive(Clone, Debug)]
 pub struct Origin {
     /// Canonical hostname serving the content.
-    host: String,
+    host: DomainName,
     /// Size of the top-level index object.
     pub index_bytes: u64,
     /// Hosts that 302 to the next hop (e.g. `example.com` →
     /// `www.example.com`): position i redirects to position i+1, the last
     /// to `host`.
-    redirects: Vec<String>,
+    redirects: Vec<DomainName>,
     /// Probability a request draws a transient HTTP error (e.g. 503).
     pub http_error_rate: f64,
     /// The error status used when one fires.
@@ -26,9 +27,9 @@ pub struct Origin {
 
 impl Origin {
     /// A plain site serving `index_bytes` from `host` with no redirects.
-    pub fn simple(host: &str, index_bytes: u64) -> Origin {
+    pub fn simple(host: DomainName, index_bytes: u64) -> Origin {
         Origin {
-            host: host.to_string(),
+            host,
             index_bytes,
             redirects: Vec::new(),
             http_error_rate: 0.0,
@@ -38,7 +39,7 @@ impl Origin {
 
     /// Put a redirect chain of `hosts`, in chain order, in front of the
     /// canonical host.
-    pub fn with_redirects(mut self, hosts: Vec<String>) -> Origin {
+    pub fn with_redirects(mut self, hosts: Vec<DomainName>) -> Origin {
         self.redirects = hosts;
         self
     }
@@ -51,19 +52,20 @@ impl Origin {
     }
 
     /// The canonical hostname serving the content.
-    pub fn host(&self) -> &str {
+    pub fn host(&self) -> &DomainName {
         &self.host
     }
 
-    /// The redirect chain's hosts, in chain order.
-    pub fn redirect_hosts(&self) -> impl Iterator<Item = &str> {
-        self.redirects.iter().map(String::as_str)
+    /// Every host this origin answers for, in chain order: the redirect
+    /// hops, then the canonical host.
+    pub fn hosts(&self) -> impl Iterator<Item = &DomainName> {
+        self.redirects.iter().chain(std::iter::once(&self.host))
     }
 
-    /// Answer a request for the index object addressed to
-    /// `requested_host`. The answer borrows the origin's own strings, so
-    /// building it allocates nothing.
-    pub fn respond(&self, requested_host: &str, rng: &mut SimRng) -> OriginAnswer<'_> {
+    /// Answer a request for the index object addressed to `requested`.
+    /// The answer borrows the origin's own names, so building it allocates
+    /// nothing.
+    pub fn respond(&self, requested: &DomainName, rng: &mut SimRng) -> OriginAnswer<'_> {
         static RESPONSES: telemetry::CounterVec<3> =
             telemetry::CounterVec::new("http.responses", ["ok", "redirect", "error"]);
         if rng.chance(self.http_error_rate) {
@@ -75,11 +77,7 @@ impl Origin {
             };
         }
         // Redirect hop?
-        if let Some(pos) = self
-            .redirects
-            .iter()
-            .position(|hop| hop.eq_ignore_ascii_case(requested_host))
-        {
+        if let Some(pos) = self.redirects.iter().position(|hop| hop == requested) {
             RESPONSES.add(1, 1);
             return OriginAnswer {
                 status: 302,
@@ -104,7 +102,7 @@ pub struct OriginAnswer<'a> {
     pub status: u16,
     pub body_len: u64,
     /// Host to contact next when the response is a redirect.
-    pub next_host: Option<&'a str>,
+    pub next_host: Option<&'a DomainName>,
 }
 
 impl OriginAnswer<'_> {
@@ -120,11 +118,15 @@ impl OriginAnswer<'_> {
 mod tests {
     use super::*;
 
+    fn name(s: &str) -> DomainName {
+        s.parse().unwrap()
+    }
+
     #[test]
     fn simple_site_serves_index() {
-        let o = Origin::simple("www.example.com", 24_000);
+        let o = Origin::simple(name("www.example.com"), 24_000);
         let mut rng = SimRng::new(1);
-        let a = o.respond("www.example.com", &mut rng);
+        let a = o.respond(&name("www.example.com"), &mut rng);
         assert_eq!(
             a,
             OriginAnswer {
@@ -137,56 +139,47 @@ mod tests {
 
     #[test]
     fn redirect_chain_walks_to_canonical() {
-        let o = Origin::simple("www.example.com", 10_000)
-            .with_redirects(vec!["example.com".to_string()]);
+        let o = Origin::simple(name("www.example.com"), 10_000)
+            .with_redirects(vec![name("example.com")]);
         let mut rng = SimRng::new(2);
-        let a = o.respond("example.com", &mut rng);
+        let a = o.respond(&name("example.com"), &mut rng);
         assert_eq!(a.status, 302);
         assert_eq!(a.body_len, 0);
-        assert_eq!(a.next_host, Some("www.example.com"));
+        assert_eq!(a.next_host, Some(&name("www.example.com")));
     }
 
     #[test]
     fn multi_hop_redirects() {
-        let o = Origin::simple("final.example.com", 10_000).with_redirects(vec![
-            "example.com".to_string(),
-            "www.example.com".to_string(),
-        ]);
+        let o = Origin::simple(name("final.example.com"), 10_000)
+            .with_redirects(vec![name("example.com"), name("www.example.com")]);
         let mut rng = SimRng::new(3);
-        let hop1 = o.respond("example.com", &mut rng);
-        assert_eq!(hop1.next_host, Some("www.example.com"));
-        let hop2 = o.respond("www.example.com", &mut rng);
-        assert_eq!(hop2.next_host, Some("final.example.com"));
-        let hop3 = o.respond("final.example.com", &mut rng);
+        let hop1 = o.respond(&name("example.com"), &mut rng);
+        assert_eq!(hop1.next_host, Some(&name("www.example.com")));
+        let hop2 = o.respond(hop1.next_host.unwrap(), &mut rng);
+        assert_eq!(hop2.next_host, Some(&name("final.example.com")));
+        let hop3 = o.respond(hop2.next_host.unwrap(), &mut rng);
         assert_eq!((hop3.status, hop3.next_host), (200, None));
         assert_eq!(
-            o.redirect_hosts().collect::<Vec<_>>(),
-            ["example.com", "www.example.com"]
+            o.hosts().map(DomainName::to_string).collect::<Vec<_>>(),
+            ["example.com", "www.example.com", "final.example.com"]
         );
     }
 
     #[test]
-    fn host_matching_is_case_insensitive() {
-        let o = Origin::simple("www.example.com", 10).with_redirects(vec!["Example.COM".to_string()]);
-        let mut rng = SimRng::new(4);
-        let a = o.respond("example.com", &mut rng);
-        assert_eq!(a.next_host, Some("www.example.com"));
-    }
-
-    #[test]
     fn http_error_rate_fires() {
-        let o = Origin::simple("e.example.com", 10).with_error_rate(1.0, 503);
+        let o = Origin::simple(name("e.example.com"), 10).with_error_rate(1.0, 503);
         let mut rng = SimRng::new(5);
-        let a = o.respond("e.example.com", &mut rng);
+        let a = o.respond(&name("e.example.com"), &mut rng);
         assert_eq!((a.status, a.body_len, a.next_host), (503, 0, None));
     }
 
     #[test]
     fn error_rate_frequency() {
-        let o = Origin::simple("e.example.com", 10).with_error_rate(0.2, 500);
+        let o = Origin::simple(name("e.example.com"), 10).with_error_rate(0.2, 500);
+        let host = name("e.example.com");
         let mut rng = SimRng::new(6);
         let errors = (0..10_000)
-            .filter(|_| o.respond("e.example.com", &mut rng).status == 500)
+            .filter(|_| o.respond(&host, &mut rng).status == 500)
             .count();
         let rate = errors as f64 / 10_000.0;
         assert!((rate - 0.2).abs() < 0.02, "rate {rate}");

@@ -106,16 +106,21 @@ pub fn simulate_connection(
         telemetry::counter!("tcp.retransmissions_sent", u64::from(res.retransmissions_sent));
         telemetry::histogram!("tcp.duration_us", res.duration.as_micros());
         if let Err(kind) = res.outcome {
-            static FAILURES: telemetry::CounterVec<4> = telemetry::CounterVec::new(
+            // The model's own outcomes, proxy connects included. A session
+            // without a capture coarsens its record's class afterwards, so
+            // no coarse class is counted here.
+            static FAILURES: telemetry::CounterVec<3> = telemetry::CounterVec::new(
                 "tcp.failures",
-                ["no_connection", "no_response", "partial_response", "no_or_partial_response"],
+                ["no_connection", "no_response", "partial_response"],
             );
             FAILURES.add(
                 match kind {
                     TcpFailureKind::NoConnection => 0,
                     TcpFailureKind::NoResponse => 1,
                     TcpFailureKind::PartialResponse => 2,
-                    TcpFailureKind::NoOrPartialResponse => 3,
+                    TcpFailureKind::NoOrPartialResponse => {
+                        unreachable!("the model reports what a capture sees")
+                    }
                 },
                 1,
             );

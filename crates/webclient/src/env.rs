@@ -32,7 +32,7 @@ pub trait AccessEnvironment: DnsFaults {
     fn path_quality(&self, replica: Ipv4Addr, t: SimTime) -> PathQuality;
 
     /// HTTP behaviour of the origin serving `host`, if the host is known.
-    fn origin(&self, host: &str) -> Option<&Origin>;
+    fn origin(&self, host: &DomainName) -> Option<&Origin>;
 
     /// Ground-truth faults affecting *name resolution* of `host` from this
     /// vantage at `t` — the flight recorder's DNS-phase probe, called only
@@ -70,14 +70,12 @@ impl AccessEnvironment for HealthyEnv {
         self.path
     }
 
-    fn origin(&self, host: &str) -> Option<&Origin> {
+    fn origin(&self, host: &DomainName) -> Option<&Origin> {
         // One known origin; a redirect chain's hosts all belong to it.
-        let known = self.origin.host().eq_ignore_ascii_case(host)
-            || self
-                .origin
-                .redirect_hosts()
-                .any(|h| h.eq_ignore_ascii_case(host));
-        known.then_some(&self.origin)
+        self.origin
+            .hosts()
+            .any(|h| h == host)
+            .then_some(&self.origin)
     }
 }
 
@@ -85,27 +83,30 @@ impl AccessEnvironment for HealthyEnv {
 mod tests {
     use super::*;
 
+    fn name(s: &str) -> DomainName {
+        s.parse().unwrap()
+    }
+
     #[test]
     fn healthy_env_answers() {
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 1000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 1000));
         let t = SimTime::ZERO;
         let a = Ipv4Addr::new(10, 0, 0, 1);
         assert_eq!(
             env.server_behavior(a, t),
             (ServerBehavior::Healthy, FaultSet::EMPTY)
         );
-        assert!(env.origin("www.example.com").is_some());
-        assert!(env.origin("WWW.EXAMPLE.COM").is_some());
-        assert!(env.origin("other.example").is_none());
+        assert!(env.origin(&name("www.example.com")).is_some());
+        assert!(env.origin(&name("WWW.EXAMPLE.COM")).is_some());
+        assert!(env.origin(&name("other.example")).is_none());
         assert!(env.client_link_up(t));
     }
 
     #[test]
     fn redirect_hosts_are_known() {
         let env = HealthyEnv::new(
-            Origin::simple("www.example.com", 1000)
-                .with_redirects(vec!["example.com".to_string()]),
+            Origin::simple(name("www.example.com"), 1000).with_redirects(vec![name("example.com")]),
         );
-        assert!(env.origin("example.com").is_some());
+        assert!(env.origin(&name("example.com")).is_some());
     }
 }

@@ -21,7 +21,6 @@ use dnswire::DomainName;
 use httpsim::{OriginAnswer, StatusClass};
 use model::{ProxyId, SimDuration, SimTime};
 use netsim::SimRng;
-use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use tcpsim::simulate_connection;
 
@@ -37,9 +36,6 @@ pub struct ProxySession<'t> {
     /// Reused A-record buffer (one live allocation per proxy, not one per
     /// fetch).
     addr_scratch: Vec<Ipv4Addr>,
-    /// Reused hostname rendering buffer (one live allocation per proxy,
-    /// not one per hop).
-    host_scratch: String,
 }
 
 impl<'t> ProxySession<'t> {
@@ -52,7 +48,6 @@ impl<'t> ProxySession<'t> {
             cache: LdnsCache::new(),
             rng,
             addr_scratch: Vec::new(),
-            host_scratch: String::new(),
         }
     }
 
@@ -67,9 +62,9 @@ impl<'t> ProxySession<'t> {
     ///
     /// The status is 502 when the proxy's upstream lookup fails and 504
     /// when its connect or transfer fails, the client cannot tell which;
-    /// otherwise it is the origin's own (or the proxy's 502 for a redirect
-    /// it cannot parse and 310 past the redirect limit). Only a success
-    /// carries body bytes.
+    /// otherwise it is the origin's own (or 310 past the redirect limit).
+    /// Only a success carries body bytes. A redirect's next hop is the
+    /// origin's own name, resolved as it is.
     ///
     /// `env` is the *proxy's* vantage (its LDNS, its wide-area paths).
     pub fn fetch<P: AccessEnvironment>(
@@ -80,11 +75,10 @@ impl<'t> ProxySession<'t> {
     ) -> (u16, u64, SimDuration) {
         let addrs = &mut self.addr_scratch;
         let mut now = t;
-        let mut redirect_host: Option<DomainName> = None;
+        let mut current = host;
         let mut bytes_total = 0u64;
 
         for _hop in 0..=MAX_REDIRECTS {
-            let current = redirect_host.as_ref().unwrap_or(host);
             let resolution = self.resolver.resolve_into(
                 current,
                 env,
@@ -100,11 +94,8 @@ impl<'t> ProxySession<'t> {
             // THE defining defect: first address only, no fail-over.
             let addr = addrs[0];
 
-            self.host_scratch.clear();
-            write!(self.host_scratch, "{current}").expect("formatting into a String cannot fail");
-            let host_str = &self.host_scratch;
-            let answer = match env.origin(host_str) {
-                Some(origin) => origin.respond(host_str, &mut self.rng),
+            let answer = match env.origin(current) {
+                Some(origin) => origin.respond(current, &mut self.rng),
                 None => OriginAnswer::NOT_FOUND,
             };
             let wire_bytes = answer.body_len + HEADER_OVERHEAD;
@@ -123,11 +114,7 @@ impl<'t> ProxySession<'t> {
             match StatusClass::of(answer.status) {
                 StatusClass::Success => return (answer.status, bytes_total, now - t),
                 StatusClass::Redirect => {
-                    let next = answer.next_host.expect("redirect carries next host");
-                    match next.parse::<DomainName>() {
-                        Ok(n) => redirect_host = Some(n),
-                        Err(_) => return (502, 0, now - t),
-                    }
+                    current = answer.next_host.expect("redirect carries next host");
                 }
                 _ => return (answer.status, 0, now - t),
             }
@@ -167,7 +154,7 @@ mod tests {
     #[test]
     fn healthy_fetch_succeeds() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 12_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.iitb.ac.in"), 12_000));
         let mut p = proxy(&tr, 1);
         let t = SimTime::from_hours(1);
         let (status, bytes, duration) = p.fetch(&env, &name("www.iitb.ac.in"), t);
@@ -191,7 +178,7 @@ mod tests {
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
         }
-        fn origin(&self, host: &str) -> Option<&Origin> {
+        fn origin(&self, host: &DomainName) -> Option<&Origin> {
             self.0.origin(host)
         }
     }
@@ -203,7 +190,10 @@ mod tests {
         // of its fetches fail; wget retries alternate addresses and always
         // succeeds.
         let tr = tree();
-        let env = FirstReplicaDead(HealthyEnv::new(Origin::simple("www.iitb.ac.in", 12_000)));
+        let env = FirstReplicaDead(HealthyEnv::new(Origin::simple(
+            name("www.iitb.ac.in"),
+            12_000,
+        )));
         let mut p = proxy(&tr, 2);
         let mut failed = 0;
         let mut succeeded = 0;
@@ -233,7 +223,7 @@ mod tests {
     #[test]
     fn proxy_dns_cache_persists() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.iitb.ac.in"), 1_000));
         let mut p = proxy(&tr, 4);
         let t0 = SimTime::from_hours(1);
         p.fetch(&env, &name("www.iitb.ac.in"), t0);
@@ -252,11 +242,14 @@ mod tests {
             fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
                 self.0.path_quality(r, t)
             }
-            fn origin(&self, host: &str) -> Option<&Origin> {
+            fn origin(&self, host: &DomainName) -> Option<&Origin> {
                 self.0.origin(host)
             }
         }
-        let env2 = ProxyLdnsDown(HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000)));
+        let env2 = ProxyLdnsDown(HealthyEnv::new(Origin::simple(
+            name("www.iitb.ac.in"),
+            1_000,
+        )));
         let (status, _, _) = p.fetch(
             &env2,
             &name("www.iitb.ac.in"),
@@ -268,7 +261,9 @@ mod tests {
     #[test]
     fn http_error_passes_through() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.iitb.ac.in", 1_000).with_error_rate(1.0, 500));
+        let env = HealthyEnv::new(
+            Origin::simple(name("www.iitb.ac.in"), 1_000).with_error_rate(1.0, 500),
+        );
         let mut p = proxy(&tr, 5);
         let (status, bytes, _) = p.fetch(&env, &name("www.iitb.ac.in"), SimTime::from_hours(2));
         assert_eq!((status, bytes), (500, 0));

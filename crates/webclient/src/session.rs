@@ -156,9 +156,6 @@ pub struct ClientSession<'t> {
     /// Reused A-record buffer (one live allocation per session, not one per
     /// lookup).
     addr_scratch: Vec<Ipv4Addr>,
-    /// Reused hostname rendering buffer (one live allocation per session,
-    /// not one per redirect hop).
-    host_scratch: String,
 }
 
 impl<'t> ClientSession<'t> {
@@ -172,7 +169,6 @@ impl<'t> ClientSession<'t> {
             cache: LdnsCache::new(),
             rng,
             addr_scratch: Vec::new(),
-            host_scratch: String::new(),
         }
     }
 
@@ -283,7 +279,9 @@ impl<'t> ClientSession<'t> {
         let mut now = transfer_start;
         let mut total_visible_retx: u32 = 0;
         let mut bytes_received: u64 = 0;
-        let mut redirect_host: Option<DomainName> = None;
+        // The host this hop asks: the URL's, then each redirect's target,
+        // the origin's own name.
+        let mut current = host;
         let mut final_replica: Option<Ipv4Addr> = None;
 
         // Every exit past a successful first lookup leaves the hop loop
@@ -292,19 +290,8 @@ impl<'t> ClientSession<'t> {
             for _hop in 0..=MAX_REDIRECTS {
                 // What will this host's origin say? (Determines the transfer
                 // size the connection must carry.)
-                self.host_scratch.clear();
-                {
-                    use std::fmt::Write as _;
-                    write!(
-                        self.host_scratch,
-                        "{}",
-                        redirect_host.as_ref().unwrap_or(host)
-                    )
-                    .expect("formatting into a String cannot fail");
-                }
-                let host_str = &self.host_scratch;
-                let answer = match env.origin(host_str) {
-                    Some(origin) => origin.respond(host_str, &mut self.rng),
+                let answer = match env.origin(current) {
+                    Some(origin) => origin.respond(current, &mut self.rng),
                     None => OriginAnswer::NOT_FOUND,
                 };
                 let wire_bytes = answer.body_len + HEADER_OVERHEAD;
@@ -382,10 +369,10 @@ impl<'t> ClientSession<'t> {
                 };
                 final_replica = Some(addr);
                 truth.event(|| TraceEvent::Http {
-                    host: host_str.clone(),
+                    host: current.to_string(),
                     at: now,
                     status: answer.status,
-                    redirect: answer.next_host.map(str::to_string),
+                    redirect: answer.next_host.map(DomainName::to_string),
                     truth: FaultSet::EMPTY,
                 });
 
@@ -393,18 +380,10 @@ impl<'t> ClientSession<'t> {
                     StatusClass::Success => TransactionOutcome::Success,
                     StatusClass::Redirect => {
                         let next = answer.next_host.expect("redirect carries next host");
-                        let Ok(next_name) = next.parse::<DomainName>() else {
-                            break 'hops (
-                                TransactionOutcome::Failure(FailureClass::Http(502)),
-                                final_replica,
-                                Some(now - transfer_start),
-                                DigOutcome::NotRun,
-                            );
-                        };
-                        let hop_truth = truth.dns(env, &next_name, now);
+                        let hop_truth = truth.dns(env, next, now);
                         // Resolve the next hop (LDNS cache applies).
                         let r = self.resolver.resolve_into(
-                            &next_name,
+                            next,
                             env,
                             now,
                             &mut self.rng,
@@ -424,17 +403,13 @@ impl<'t> ClientSession<'t> {
                             // failed. The record keeps the first lookup's
                             // time and this access's connections, digs the
                             // hop's name, and has no replica or download time.
-                            let dig = self.resolver.dig_iterative(
-                                &next_name,
-                                env,
-                                now,
-                                &mut self.rng,
-                                addrs,
-                            );
+                            let dig =
+                                self.resolver
+                                    .dig_iterative(next, env, now, &mut self.rng, addrs);
                             let outcome = TransactionOutcome::Failure(FailureClass::Dns(kind));
                             break 'hops (outcome, None, None, dig);
                         }
-                        redirect_host = Some(next_name);
+                        current = next;
                         continue;
                     }
                     _ => TransactionOutcome::Failure(FailureClass::Http(answer.status)),
@@ -624,7 +599,7 @@ mod tests {
     #[test]
     fn healthy_transaction_succeeds() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 24_000));
         let mut s = session(&tr, 1);
         let t = SimTime::from_hours(1);
         let (rec, conns, _) = access(&mut s, &env, "www.example.com", t);
@@ -642,8 +617,8 @@ mod tests {
     fn redirect_adds_a_connection() {
         let tr = tree();
         let env = HealthyEnv::new(
-            Origin::simple("www.example.com", 10_000)
-                .with_redirects(vec!["example.com".to_string()]),
+            Origin::simple(name("www.example.com"), 10_000)
+                .with_redirects(vec![name("example.com")]),
         );
         let mut s = session(&tr, 2);
         let (rec, conns, _) = access(&mut s, &env, "example.com", SimTime::from_hours(1));
@@ -658,7 +633,7 @@ mod tests {
         // `example.com` redirects to a host no zone serves.
         let tr = tree();
         let env = HealthyEnv::new(
-            Origin::simple("www.gone.org", 10_000).with_redirects(vec!["example.com".to_string()]),
+            Origin::simple(name("www.gone.org"), 10_000).with_redirects(vec![name("example.com")]),
         );
         let mut s = forensic_session(&tr, 12);
         let (rec, conns, trace) = access(&mut s, &env, "example.com", SimTime::from_hours(1));
@@ -690,15 +665,18 @@ mod tests {
 
     #[test]
     fn a_redirect_chain_past_the_limit_is_http_310() {
-        let hops: Vec<String> = (1..=5).map(|i| format!("r{i}.example.com")).collect();
+        let hops: Vec<DomainName> = (1..=5)
+            .map(|i| name(&format!("r{i}.example.com")))
+            .collect();
         let mut hosts: Vec<(DomainName, Vec<Ipv4Addr>)> = hops
             .iter()
             .zip(1u8..)
-            .map(|(h, i)| (name(h), vec![Ipv4Addr::new(10, 0, 1, i)]))
+            .map(|(h, i)| (h.clone(), vec![Ipv4Addr::new(10, 0, 1, i)]))
             .collect();
         hosts.push((name("www.example.com"), vec![Ipv4Addr::new(10, 0, 0, 1)]));
         let tr = ZoneTree::build_for_hosts(&hosts);
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 10_000).with_redirects(hops));
+        let env =
+            HealthyEnv::new(Origin::simple(name("www.example.com"), 10_000).with_redirects(hops));
         let mut s = session(&tr, 13);
         let (rec, conns, _) = access(&mut s, &env, "r1.example.com", SimTime::from_hours(1));
         assert_eq!(rec.failure(), Some(FailureClass::Http(310)));
@@ -717,7 +695,7 @@ mod tests {
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
         }
-        fn origin(&self, host: &str) -> Option<&Origin> {
+        fn origin(&self, host: &DomainName) -> Option<&Origin> {
             self.0.origin(host)
         }
     }
@@ -726,7 +704,7 @@ mod tests {
     fn server_down_yields_no_connection_with_failover_attempts() {
         let tr = tree();
         let env = AllServers(
-            HealthyEnv::new(Origin::simple("www.multi.org", 5_000)),
+            HealthyEnv::new(Origin::simple(name("www.multi.org"), 5_000)),
             ServerBehavior::Unreachable,
         );
         let mut s = session(&tr, 3);
@@ -744,7 +722,7 @@ mod tests {
     #[test]
     fn each_access_counts_and_caps_only_its_own_connections() {
         let tr = tree();
-        let origin = || Origin::simple("www.multi.org", 5_000);
+        let origin = || Origin::simple(name("www.multi.org"), 5_000);
         let healthy = HealthyEnv::new(origin());
         let refusing = AllServers(HealthyEnv::new(origin()), ServerBehavior::Refusing);
         let mut s = session(&tr, 14);
@@ -791,7 +769,7 @@ mod tests {
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
         }
-        fn origin(&self, host: &str) -> Option<&Origin> {
+        fn origin(&self, host: &DomainName) -> Option<&Origin> {
             self.0.origin(host)
         }
     }
@@ -800,7 +778,8 @@ mod tests {
     fn failover_across_a_records() {
         let tr = tree();
         let good = Ipv4Addr::new(10, 1, 0, 3);
-        let env = OneGoodReplica(HealthyEnv::new(Origin::simple("www.multi.org", 5_000)), good);
+        let origin = Origin::simple(name("www.multi.org"), 5_000);
+        let env = OneGoodReplica(HealthyEnv::new(origin), good);
         let mut s = session(&tr, 4);
         // DNS round-robin rotates the order, so the number of dead
         // replicas tried first varies — but wget always lands on the live
@@ -829,7 +808,7 @@ mod tests {
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
         }
-        fn origin(&self, host: &str) -> Option<&Origin> {
+        fn origin(&self, host: &DomainName) -> Option<&Origin> {
             self.0.origin(host)
         }
     }
@@ -837,7 +816,10 @@ mod tests {
     #[test]
     fn dns_failure_short_circuits_and_digs() {
         let tr = tree();
-        let env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 1_000)));
+        let env = NoDns(HealthyEnv::new(Origin::simple(
+            name("www.example.com"),
+            1_000,
+        )));
         let mut s = session(&tr, 5);
         let (rec, conns, _) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
         assert_eq!(
@@ -852,7 +834,9 @@ mod tests {
     #[test]
     fn http_error_is_http_failure() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 1_000).with_error_rate(1.0, 503));
+        let env = HealthyEnv::new(
+            Origin::simple(name("www.example.com"), 1_000).with_error_rate(1.0, 503),
+        );
         let mut s = session(&tr, 6);
         let (rec, conns, _) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
         assert_eq!(rec.failure().unwrap(), FailureClass::Http(503));
@@ -865,7 +849,7 @@ mod tests {
         let tr = tree();
         // Environment knows www.example.com only; we ask for example.com
         // (resolvable in DNS but no origin behind it).
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 1_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 1_000));
         let mut s = session(&tr, 7);
         let (rec, _, _) = access(&mut s, &env, "example.com", SimTime::from_hours(1));
         assert_eq!(rec.failure().unwrap(), FailureClass::Http(404));
@@ -875,7 +859,7 @@ mod tests {
     fn traces_off_merges_post_handshake_failures() {
         let tr = tree();
         let env = AllServers(
-            HealthyEnv::new(Origin::simple("www.example.com", 1_000)),
+            HealthyEnv::new(Origin::simple(name("www.example.com"), 1_000)),
             ServerBehavior::AcceptNoResponse,
         );
         let cfg = WgetConfig {
@@ -894,7 +878,7 @@ mod tests {
     #[test]
     fn deterministic_with_same_seed() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 24_000));
         let mut a = session(&tr, 42);
         let mut b = session(&tr, 42);
         let t = SimTime::from_hours(3);
@@ -907,7 +891,7 @@ mod tests {
     #[test]
     fn proxied_transaction_success_and_masking() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 9_000));
         let mut s = session(&tr, 21);
         let mut proxy = proxy_session(&tr, 22);
         let (rec, _) = proxied(&mut s, &env, &mut proxy, &env, "www.example.com");
@@ -917,10 +901,25 @@ mod tests {
     }
 
     #[test]
+    fn proxied_transaction_follows_a_redirect() {
+        let tr = tree();
+        let env = HealthyEnv::new(
+            Origin::simple(name("www.example.com"), 9_000)
+                .with_redirects(vec![name("example.com")]),
+        );
+        let mut s = session(&tr, 29);
+        let mut proxy = proxy_session(&tr, 30);
+        let (rec, _) = proxied(&mut s, &env, &mut proxy, &env, "example.com");
+        assert!(rec.outcome.is_success());
+        assert_eq!(rec.bytes_received, 9_000);
+        assert_eq!(proxy.dns_cache().len(), 2, "the proxy resolved both hops");
+    }
+
+    #[test]
     fn proxied_transaction_maps_upstream_failure_to_gateway_error() {
         let tr = tree();
         let env = AllServers(
-            HealthyEnv::new(Origin::simple("www.example.com", 9_000)),
+            HealthyEnv::new(Origin::simple(name("www.example.com"), 9_000)),
             ServerBehavior::Unreachable,
         );
         let mut s = session(&tr, 23);
@@ -933,8 +932,9 @@ mod tests {
     #[test]
     fn proxied_transaction_fails_locally_when_client_link_down() {
         let tr = tree();
-        let client_env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
-        let proxy_env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
+        let origin = Origin::simple(name("www.example.com"), 9_000);
+        let client_env = NoDns(HealthyEnv::new(origin.clone()));
+        let proxy_env = HealthyEnv::new(origin);
         let mut s = session(&tr, 25);
         let mut proxy = proxy_session(&tr, 26);
         let (rec, _) = proxied(&mut s, &client_env, &mut proxy, &proxy_env, "www.example.com");
@@ -948,9 +948,10 @@ mod tests {
     #[test]
     fn proxied_upstream_dns_failure_is_a_masked_gateway_error() {
         let tr = tree();
-        let client_env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
+        let origin = Origin::simple(name("www.example.com"), 9_000);
+        let client_env = HealthyEnv::new(origin.clone());
         // The proxy's vantage has no working DNS.
-        let proxy_env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 9_000)));
+        let proxy_env = NoDns(HealthyEnv::new(origin));
         let mut s = session(&tr, 27);
         let mut proxy = proxy_session(&tr, 28);
         let (rec, _) = proxied(&mut s, &client_env, &mut proxy, &proxy_env, "www.example.com");
@@ -971,7 +972,7 @@ mod tests {
     #[test]
     fn forensics_captures_causal_timeline() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 24_000));
         let mut s = forensic_session(&tr, 31);
         let (rec, _, trace) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
         assert!(rec.outcome.is_success());
@@ -990,8 +991,8 @@ mod tests {
     fn forensics_traces_redirect_hops() {
         let tr = tree();
         let env = HealthyEnv::new(
-            Origin::simple("www.example.com", 10_000)
-                .with_redirects(vec!["example.com".to_string()]),
+            Origin::simple(name("www.example.com"), 10_000)
+                .with_redirects(vec![name("example.com")]),
         );
         let mut s = forensic_session(&tr, 32);
         let (rec, _, trace) = access(&mut s, &env, "example.com", SimTime::from_hours(1));
@@ -1017,7 +1018,10 @@ mod tests {
     #[test]
     fn forensics_records_failed_dns_attempt() {
         let tr = tree();
-        let env = NoDns(HealthyEnv::new(Origin::simple("www.example.com", 1_000)));
+        let env = NoDns(HealthyEnv::new(Origin::simple(
+            name("www.example.com"),
+            1_000,
+        )));
         let mut s = forensic_session(&tr, 33);
         let (rec, _, trace) = access(&mut s, &env, "www.example.com", SimTime::from_hours(1));
         assert!(rec.outcome.is_failure());
@@ -1030,7 +1034,7 @@ mod tests {
     #[test]
     fn forensics_does_not_perturb_transactions() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 24_000));
         let mut plain = session(&tr, 34);
         let mut traced = forensic_session(&tr, 34);
         for k in 0..6u64 {
@@ -1046,7 +1050,7 @@ mod tests {
     #[test]
     fn forensics_collapses_proxied_exchange_to_one_event() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 9_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 9_000));
         let mut s = forensic_session(&tr, 35);
         let mut proxy = proxy_session(&tr, 36);
         let (rec, trace) = proxied(&mut s, &env, &mut proxy, &env, "www.example.com");
@@ -1073,7 +1077,7 @@ mod tests {
         fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
             self.0.path_quality(r, t)
         }
-        fn origin(&self, host: &str) -> Option<&Origin> {
+        fn origin(&self, host: &DomainName) -> Option<&Origin> {
             self.0.origin(host)
         }
         fn true_dns_faults(&self, _host: &DomainName, _t: SimTime) -> FaultSet {
@@ -1107,7 +1111,7 @@ mod tests {
     #[test]
     fn truth_is_never_probed_with_both_observers_off() {
         let origin = || {
-            Origin::simple("www.example.com", 9_000).with_redirects(vec!["example.com".to_string()])
+            Origin::simple(name("www.example.com"), 9_000).with_redirects(vec![name("example.com")])
         };
         let link_up = CountingProbes(HealthyEnv::new(origin()), Default::default());
         let link_down = CountingProbes(NoDns(HealthyEnv::new(origin())), Default::default());
@@ -1129,7 +1133,7 @@ mod tests {
     #[test]
     fn second_access_uses_ldns_cache() {
         let tr = tree();
-        let env = HealthyEnv::new(Origin::simple("www.example.com", 1_000));
+        let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 1_000));
         let mut s = session(&tr, 9);
         let t0 = SimTime::from_hours(1);
         let (first, _, _) = access(&mut s, &env, "www.example.com", t0);

@@ -18,9 +18,9 @@
 
 use crate::apparatus::{corrupt_buffer, ApparatusFaults};
 use crate::clients::{build_fleet, FleetSpec};
-use crate::faults::{canonical_host, AdversarialProfile, GroundTruth};
+use crate::faults::{AdversarialProfile, GroundTruth, SiteTruth};
 use crate::forensics::{ExemplarStore, ForensicsConfig};
-use crate::sites::{build_sites, site_addresses, SiteSpec};
+use crate::sites::build_sites;
 use crate::view::{ClientView, ProxyView};
 use bgpsim::mrt::{decode_stream_salvage, encode_stream, MrtPrefixTable};
 use bgpsim::{aggregate, clean, generate, BgpScenario, ReconfigWindow, SevereEvent};
@@ -310,23 +310,17 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
     );
 
     // --- DNS world -----------------------------------------------------
-    let mut hosts: Vec<(DomainName, Vec<Ipv4Addr>)> = Vec::new();
-    let mut host_names: Vec<DomainName> = Vec::with_capacity(sites.len());
-    for (si, s) in sites.iter().enumerate() {
-        let name: DomainName = s.hostname.parse().expect("valid hostname");
-        let addrs = site_addresses(si, s.layout);
-        hosts.push((name.clone(), addrs.clone()));
-        if s.redirect_hop {
-            let canonical: DomainName = canonical_host(s.hostname).parse().expect("valid");
-            hosts.push((canonical, addrs));
-        }
-        host_names.push(name);
-    }
+    // Every name a site serves, its listed name first.
+    let hosts: Vec<(DomainName, Vec<Ipv4Addr>)> = truth
+        .sites
+        .iter()
+        .flat_map(|s| s.origin.hosts().map(move |h| (h.clone(), s.addrs.clone())))
+        .collect();
     let tree = ZoneTree::build_for_hosts(&hosts);
 
     // --- Prefix table -----------------------------------------------------
     let (prefixes, client_prefix_ids, site_prefix_ids, extra_ids) =
-        build_prefixes(&fleet, &sites);
+        build_prefixes(&fleet, &truth.sites);
 
     drop(build_span);
     stage_walls.push(("build_world", stage_start.elapsed()));
@@ -363,7 +357,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
         let truth = &truth;
         let tree = &tree;
         let fleet = &fleet;
-        let host_names = &host_names;
         let root = &root;
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<ClientSlot>>> =
@@ -388,9 +381,9 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
                         // this worker keeps claiming further clients. The
                         // slot lock cannot be poisoned — the panic is
                         // already caught before the lock is taken.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || run_client(config, truth, tree, fleet, host_names, root, client),
-                        ))
+                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            run_client(config, truth, tree, fleet, root, client)
+                        }))
                         .map_err(panic_message);
                         *slots[client].lock().expect("client slot lock") =
                             Some((result, started.elapsed()));
@@ -476,18 +469,19 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
         .collect();
     let sites_meta: Vec<SiteMeta> = sites
         .iter()
+        .zip(&truth.sites)
         .enumerate()
-        .map(|(si, s)| {
-            let addrs = site_addresses(si, s.layout);
-            let replica_prefixes = addrs
+        .map(|(si, (spec, site))| {
+            let replica_prefixes = site
+                .addrs
                 .iter()
                 .map(|a| (*a, vec![site_prefix_ids[si]]))
                 .collect();
             SiteMeta {
                 id: SiteId(si as u16),
-                hostname: s.hostname.to_string(),
-                category: s.category,
-                addrs,
+                hostname: site.name.to_string(),
+                category: spec.category,
+                addrs: site.addrs.clone(),
                 replica_prefixes,
             }
         })
@@ -516,7 +510,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentOutput {
         telemetry::counter!("workload.provenance_stamps", records.len() as u64);
         ProvenanceLog {
             records,
-            truth: truth.truth_sidecar(&sites),
+            truth: truth.truth_sidecar(),
         }
     });
     report.threads_effective = threads.min(n_clients).max(1);
@@ -577,7 +571,7 @@ fn record_dataset_counters(ds: &Dataset) {
 /// and the remainder the extra /16s covering every 4th client.
 fn build_prefixes(
     fleet: &FleetSpec,
-    sites: &[SiteSpec],
+    sites: &[SiteTruth],
 ) -> (
     Vec<Ipv4Prefix>,
     Vec<PrefixId>,
@@ -592,9 +586,8 @@ fn build_prefixes(
     }
     // Site /16s.
     let mut site_prefix_ids = Vec::with_capacity(sites.len());
-    for (si, s) in sites.iter().enumerate() {
-        let first = site_addresses(si, s.layout)[0];
-        let octets = first.octets();
+    for s in sites {
+        let octets = s.addrs[0].octets();
         site_prefix_ids.push(PrefixId(prefixes.len() as u32));
         prefixes.push(
             Ipv4Prefix::new(Ipv4Addr::new(octets[0], octets[1], 0, 0), 16).expect("valid"),
@@ -725,7 +718,6 @@ fn run_client(
     truth: &GroundTruth,
     tree: &ZoneTree,
     fleet: &FleetSpec,
-    host_names: &[DomainName],
     root: &SimRng,
     client: usize,
 ) -> ClientData {
@@ -766,7 +758,7 @@ fn run_client(
 
     let iterations = u64::from(config.hours) * u64::from(config.iterations_per_hour);
     let iter_len = 3_600_000_000u64 / u64::from(config.iterations_per_hour); // µs
-    let n_sites = host_names.len();
+    let n_sites = truth.sites.len();
     // Dialup clients dial a PoP and download every URL at a stretch before
     // hanging up (Section 3.4); everyone else spreads accesses over the
     // iteration window.
@@ -827,12 +819,10 @@ fn run_client(
             continue;
         }
         telemetry::counter!("workload.accesses_attempted", 1);
-        let site = SiteId(si as u16);
+        let (site, host) = (SiteId(si as u16), &truth.sites[si].name);
         let (record, provenance, trace) = match proxy_session.as_mut() {
-            Some((ps, pview)) => {
-                session.run_proxied_transaction(&view, ps, pview, site, &host_names[si], t)
-            }
-            None => session.run_transaction(&view, site, &host_names[si], t, &mut connections),
+            Some((ps, pview)) => session.run_proxied_transaction(&view, ps, pview, site, host, t),
+            None => session.run_transaction(&view, site, host, t, &mut connections),
         };
         if drops.as_mut().is_some_and(|coin| coin.f64() < drop_prob) {
             dropped += 1;

@@ -59,6 +59,48 @@ pub struct SevereBgpEvent {
     pub withdrawals_per_neighbor: u16,
 }
 
+/// One site's ground truth in one entry: every reader of a site, from the
+/// zone tree to the answer key, reads it from here.
+#[derive(Clone, Debug)]
+pub struct SiteTruth {
+    /// The hostname the URL list names, parsed once.
+    pub name: DomainName,
+    /// The addresses each of the site's names resolves to.
+    pub addrs: Vec<Ipv4Addr>,
+    /// The site's HTTP behaviour: its canonical and redirect names and the
+    /// index object size (which also sizes mid-transfer stalls).
+    pub origin: Origin,
+    /// Probability an access fails while the site is degraded.
+    pub episode_fail_prob: f64,
+    /// Extra mean RTT toward the site (ms).
+    pub rtt_penalty_ms: u32,
+    /// How the site's servers fail.
+    pub fault: ServerFault,
+}
+
+/// The server-side fault process behind a site's addresses.
+#[derive(Clone, Debug)]
+pub enum ServerFault {
+    /// All addresses degrade together (one subnet, or one origin behind a
+    /// CDN) while `degraded` is true. `id` numbers the grouped sites in
+    /// site order and keys the episode's coherent draws, so retries and
+    /// same-group replicas share an access's outcome.
+    Group { id: u32, degraded: Timeline<bool> },
+    /// Independent hard-down flap timelines, one per address, parallel to
+    /// [`SiteTruth::addrs`] (spread replicas: full outage while active;
+    /// Section 4.7's proxy-victim mechanism).
+    HardDown(Vec<Timeline<bool>>),
+}
+
+/// A replica address's place in the ground truth: the site it serves, that
+/// site's entry, and the address's position in the entry's address list.
+#[derive(Clone, Copy)]
+pub(crate) struct Replica<'g> {
+    pub site: u16,
+    pub truth: &'g SiteTruth,
+    pub pos: usize,
+}
+
 /// The materialized ground truth for one experiment.
 pub struct GroundTruth {
     pub horizon: SimTime,
@@ -73,19 +115,13 @@ pub struct GroundTruth {
     pub down: Vec<Timeline<bool>>,
     /// Per-client fault profile (noise, loss, RTT).
     pub profile: Vec<FaultProfile>,
-    /// Degradation timeline per replica-fault-group, and which group each
-    /// replica address belongs to.
-    pub replica_group_fault: Vec<Timeline<bool>>,
-    pub replica_group_of: HashMap<Ipv4Addr, u32>,
-    /// Hard-down flap timeline per spread-site replica (full outage while
-    /// active; Section 4.7's proxy-victim mechanism).
-    pub replica_hard_down: HashMap<Ipv4Addr, Timeline<bool>>,
-    /// Failure probability per site while degraded.
-    pub site_fail_prob: Vec<f64>,
-    /// Index object size per site (used to size mid-transfer stalls).
-    pub site_index_bytes: Vec<u64>,
-    /// Site index per replica address.
-    pub site_of_addr: HashMap<Ipv4Addr, u16>,
+    /// One entry per site, in site order; the two indexes point into it.
+    pub(crate) sites: Vec<SiteTruth>,
+    /// Replica address → (site, position in the site's address list).
+    replica_index: HashMap<Ipv4Addr, (u16, u16)>,
+    /// Served name → site: every site's listed name, and a redirecting
+    /// site's canonical name too.
+    name_index: HashMap<DomainName, u16>,
     /// Authoritative-DNS outage timeline per zone apex.
     pub zone_auth_down: HashMap<DomainName, Timeline<bool>>,
     /// Broken-zone (error-response) timeline per zone apex.
@@ -100,10 +136,6 @@ pub struct GroundTruth {
     /// Per-proxy vantage outage timelines.
     pub proxy_link: Vec<Timeline<bool>>,
     pub proxy_ldns: Vec<Timeline<bool>>,
-    /// HTTP origin behaviour per hostname.
-    pub origins: HashMap<String, Origin>,
-    /// RTT penalty per site (ms).
-    pub site_rtt_penalty: Vec<u32>,
     /// Severe BGP events derived from (and coupled to) the outages above.
     pub severe_bgp: Vec<SevereBgpEvent>,
     /// Adversarial archetype truth (all containers empty unless an
@@ -241,77 +273,89 @@ impl GroundTruth {
             profile.push(p);
         }
 
-        // --- Server-side processes -------------------------------------------
-        let mut replica_group_fault: Vec<Timeline<bool>> = Vec::new();
-        let mut replica_group_of: HashMap<Ipv4Addr, u32> = HashMap::new();
-        let mut replica_hard_down: HashMap<Ipv4Addr, Timeline<bool>> = HashMap::new();
-        let mut site_of_addr: HashMap<Ipv4Addr, u16> = HashMap::new();
-        let mut site_fail_prob = Vec::with_capacity(sites.len());
-        let mut site_index_bytes = Vec::with_capacity(sites.len());
-        let mut site_rtt_penalty = Vec::with_capacity(sites.len());
+        // --- Sites: names, addresses, origins, server-side processes -------
         let episode_dist = EpisodeDuration::BoundedPareto {
             min: SimDuration::from_secs(45 * 60),
             alpha: 1.25,
             cap: SimDuration::from_hours(450),
         };
+        let mut groups = 0u32;
+        let mut site_truths = Vec::with_capacity(sites.len());
+        let mut replica_index = HashMap::new();
+        let mut name_index = HashMap::new();
         for (si, s) in sites.iter().enumerate() {
-            site_fail_prob.push(s.reliability.episode_fail_prob);
-            site_index_bytes.push(s.index_bytes);
-            site_rtt_penalty.push(s.rtt_penalty_ms);
+            let name: DomainName = s.hostname.parse().expect("valid hostname");
             let addrs = site_addresses(si, s.layout);
-            for a in &addrs {
-                site_of_addr.insert(*a, si as u16);
+            for (pos, a) in addrs.iter().enumerate() {
+                replica_index.insert(*a, (si as u16, pos as u16));
             }
-            let mk = |down_frac: f64, stream: u64, boost: f64| -> Timeline<bool> {
-                let mut rng = root.fork(0x30_0000 + stream);
-                let frac = (down_frac * boost * k).min(0.97);
-                if frac <= 0.0 {
-                    return Timeline::constant(false);
-                }
-                let mean_down = episode_dist.mean_micros();
-                let mean_up = mean_down * (1.0 - frac) / frac;
-                OnOffProcess::new(SimDuration::from_micros(mean_up as u64), episode_dist)
-                    .materialize(&mut rng, horizon)
-            };
-            match s.layout {
+            let origin = if s.redirect_hop {
+                let canonical = canonical_host(s.hostname).parse().expect("valid hostname");
+                Origin::simple(canonical, s.index_bytes).with_redirects(vec![name.clone()])
+            } else {
+                Origin::simple(name.clone(), s.index_bytes)
+            }
+            .with_error_rate(0.0002, 503);
+            for host in origin.hosts() {
+                name_index.insert(host.clone(), si as u16);
+            }
+            let fault = match s.layout {
                 ReplicaLayout::Single
                 | ReplicaLayout::MultiSameSubnet { .. }
                 | ReplicaLayout::Cdn { .. } => {
                     // One fault group: all addresses degrade together
                     // (same subnet / same origin behind the CDN).
-                    let gid = replica_group_fault.len() as u32;
-                    replica_group_fault.push(mk(s.reliability.down_fraction, si as u64 * 8, 1.0));
-                    for a in &addrs {
-                        replica_group_of.insert(*a, gid);
-                    }
+                    let mut rng = root.fork(0x30_0000 + si as u64 * 8);
+                    let frac = (s.reliability.down_fraction * k).min(0.97);
+                    let degraded = if frac <= 0.0 {
+                        Timeline::constant(false)
+                    } else {
+                        let mean_down = episode_dist.mean_micros();
+                        let mean_up = mean_down * (1.0 - frac) / frac;
+                        OnOffProcess::new(SimDuration::from_micros(mean_up as u64), episode_dist)
+                            .materialize(&mut rng, horizon)
+                    };
+                    let id = groups;
+                    groups += 1;
+                    ServerFault::Group { id, degraded }
                 }
                 ReplicaLayout::MultiSpread { .. } => {
                     // Independent short hard-down flaps per replica; the
                     // first address is the flakiest. No shared degradation
                     // group: a spread site's trouble is always partial.
-                    for (ri, a) in addrs.iter().enumerate() {
-                        let frac = k * if ri == 0 {
-                            s.reliability.replica_flap_fraction
-                        } else {
-                            s.reliability.replica_flap_fraction * 0.5
-                        };
-                        let mut rng = root.fork(0x31_0000 + si as u64 * 8 + ri as u64);
-                        let tl = process_for(frac, SimDuration::from_secs(8 * 60))
-                            .materialize(&mut rng, horizon);
-                        replica_hard_down.insert(*a, tl);
-                    }
+                    let flaps = (0..addrs.len())
+                        .map(|ri| {
+                            let frac = k * if ri == 0 {
+                                s.reliability.replica_flap_fraction
+                            } else {
+                                s.reliability.replica_flap_fraction * 0.5
+                            };
+                            let mut rng = root.fork(0x31_0000 + si as u64 * 8 + ri as u64);
+                            process_for(frac, SimDuration::from_secs(8 * 60))
+                                .materialize(&mut rng, horizon)
+                        })
+                        .collect();
+                    ServerFault::HardDown(flaps)
                 }
-            }
+            };
+            site_truths.push(SiteTruth {
+                name,
+                addrs,
+                origin,
+                episode_fail_prob: s.reliability.episode_fail_prob,
+                rtt_penalty_ms: s.rtt_penalty_ms,
+                fault,
+            });
         }
 
         // --- DNS-infrastructure faults ---------------------------------------
         let mut zone_auth_down = HashMap::new();
         let mut zone_error = HashMap::new();
-        for (si, s) in sites.iter().enumerate() {
-            let host: DomainName = s.hostname.parse().expect("valid hostname");
-            let apex = host
-                .ancestor(dnssim::zones::registrable_domain(&host))
-                .expect("a suffix of the host");
+        for (si, (s, site)) in sites.iter().zip(&site_truths).enumerate() {
+            let apex = site
+                .name
+                .ancestor(dnssim::zones::registrable_domain(&site.name))
+                .expect("a suffix of the name");
             if s.reliability.auth_dns_down_fraction > 0.0 {
                 let mut rng = root.fork(0x40_0000 + si as u64);
                 let tl = process_for(
@@ -383,23 +427,6 @@ impl GroundTruth {
             );
         }
 
-        // --- Origins --------------------------------------------------------------
-        let mut origins = HashMap::new();
-        for s in sites {
-            let origin = if s.redirect_hop {
-                let canonical = canonical_host(s.hostname);
-                Origin::simple(&canonical, s.index_bytes)
-                    .with_redirects(vec![s.hostname.to_string()])
-                    .with_error_rate(0.0002, 503)
-            } else {
-                Origin::simple(s.hostname, s.index_bytes).with_error_rate(0.0002, 503)
-            };
-            origins.insert(s.hostname.to_string(), origin.clone());
-            if s.redirect_hop {
-                origins.insert(canonical_host(s.hostname), origin);
-            }
-        }
-
         let mut gt = GroundTruth {
             horizon,
             hours,
@@ -408,25 +435,20 @@ impl GroundTruth {
             wan,
             down,
             profile,
-            replica_group_fault,
-            replica_group_of,
-            replica_hard_down,
-            site_fail_prob,
-            site_index_bytes,
-            site_of_addr,
+            sites: site_truths,
+            replica_index,
+            name_index,
             zone_auth_down,
             zone_error,
             blocked,
             degraded_pairs,
             proxy_link,
             proxy_ldns,
-            origins,
-            site_rtt_penalty,
             severe_bgp: Vec::new(),
             adversarial: AdversarialTruth::default(),
             seed,
         };
-        gt.severe_bgp = derive_severe_events(&gt, fleet, sites, &root);
+        gt.severe_bgp = derive_severe_events(&gt, fleet, &root);
         gt.adversarial = adversarial::materialize_adversarial(
             fleet,
             sites,
@@ -443,6 +465,28 @@ impl GroundTruth {
         *self.down[client].at(t)
     }
 
+    /// Every site's entry, in site order.
+    pub fn sites(&self) -> &[SiteTruth] {
+        &self.sites
+    }
+
+    /// The site `addr` serves, if any, with its entry and the address's
+    /// position in the entry's address list.
+    pub(crate) fn replica(&self, addr: Ipv4Addr) -> Option<Replica<'_>> {
+        let &(site, pos) = self.replica_index.get(&addr)?;
+        Some(Replica {
+            site,
+            truth: &self.sites[usize::from(site)],
+            pos: usize::from(pos),
+        })
+    }
+
+    /// The origin behind `host`, if a site serves that name.
+    pub(crate) fn origin(&self, host: &DomainName) -> Option<&Origin> {
+        let &site = self.name_index.get(host)?;
+        Some(&self.sites[usize::from(site)].origin)
+    }
+
     /// Export the attribution audit's answer key: the injected blocked
     /// pairs, per-entity *fault hours* (hours mostly covered by a structural
     /// fault, the hour-granularity view the episode inferences work at), and
@@ -450,7 +494,7 @@ impl GroundTruth {
     ///
     /// Derived entirely from the materialized timelines — no randomness, so
     /// the sidecar is identical across runs of the same seed.
-    pub fn truth_sidecar(&self, sites: &[SiteSpec]) -> model::TruthSidecar {
+    pub fn truth_sidecar(&self) -> model::TruthSidecar {
         let clients = self.link.len();
         let mut client_fault_hours = Vec::with_capacity(clients);
         for c in 0..clients {
@@ -462,39 +506,23 @@ impl GroundTruth {
             client_fault_hours.push(hours);
         }
 
-        // Per site: degradation episodes of its replica groups, hard replica
+        // Per site: degradation episodes of its replica group, hard replica
         // outages, and authoritative-DNS faults of its zone.
-        let mut site_groups: Vec<HashSet<u32>> = vec![HashSet::new(); sites.len()];
-        let mut site_addrs: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); sites.len()];
-        for (addr, &si) in &self.site_of_addr {
-            if let Some(&gid) = self.replica_group_of.get(addr) {
-                site_groups[si as usize].insert(gid);
+        let mut site_fault_hours = Vec::with_capacity(self.sites.len());
+        for site in &self.sites {
+            let mut hours: Vec<u32> = match &site.fault {
+                ServerFault::Group { degraded, .. } => covered_hours(degraded, self.hours, 0.5),
+                ServerFault::HardDown(flaps) => flaps
+                    .iter()
+                    .flat_map(|tl| covered_hours(tl, self.hours, 0.5))
+                    .collect(),
+            };
+            let apex = dnssim::zones::registrable_domain(&site.name);
+            if let Some(tl) = self.zone_auth_down.get(apex) {
+                hours.extend(covered_hours(tl, self.hours, 0.5));
             }
-            site_addrs[si as usize].push(*addr);
-        }
-        let mut site_fault_hours = Vec::with_capacity(sites.len());
-        for (si, spec) in sites.iter().enumerate() {
-            let mut hours: Vec<u32> = Vec::new();
-            for &gid in &site_groups[si] {
-                hours.extend(covered_hours(
-                    &self.replica_group_fault[gid as usize],
-                    self.hours,
-                    0.5,
-                ));
-            }
-            for addr in &site_addrs[si] {
-                if let Some(tl) = self.replica_hard_down.get(addr) {
-                    hours.extend(covered_hours(tl, self.hours, 0.5));
-                }
-            }
-            if let Ok(host) = spec.hostname.parse::<DomainName>() {
-                let apex = dnssim::zones::registrable_domain(&host);
-                if let Some(tl) = self.zone_auth_down.get(apex) {
-                    hours.extend(covered_hours(tl, self.hours, 0.5));
-                }
-                if let Some((tl, _)) = self.zone_error.get(apex) {
-                    hours.extend(covered_hours(tl, self.hours, 0.5));
-                }
+            if let Some((tl, _)) = self.zone_error.get(apex) {
+                hours.extend(covered_hours(tl, self.hours, 0.5));
             }
             hours.sort_unstable();
             hours.dedup();
@@ -519,7 +547,7 @@ impl GroundTruth {
 }
 
 /// The canonical content host behind a redirecting listed hostname.
-pub fn canonical_host(hostname: &str) -> String {
+fn canonical_host(hostname: &str) -> String {
     match hostname.strip_prefix("www.") {
         Some(rest) => format!("content.{rest}"),
         None => format!("content.{hostname}"),
@@ -600,12 +628,7 @@ fn pick_blocked_pairs(
 ///
 /// Prefix-table convention (must match `experiment::build_prefixes`):
 /// prefix index = wan_group for client /24s; server prefixes follow.
-fn derive_severe_events(
-    gt: &GroundTruth,
-    fleet: &FleetSpec,
-    sites: &[SiteSpec],
-    root: &SimRng,
-) -> Vec<SevereBgpEvent> {
+fn derive_severe_events(gt: &GroundTruth, fleet: &FleetSpec, root: &SimRng) -> Vec<SevereBgpEvent> {
     let mut rng = root.fork_str("severe-bgp");
     let mut events: Vec<SevereBgpEvent> = Vec::new();
     let mut used: HashSet<(u32, u32)> = HashSet::new();
@@ -634,21 +657,18 @@ fn derive_severe_events(
     // Server prefix indices follow the client groups in the prefix table.
     let server_prefix_base = u32::from(fleet.group_count);
     let target_total = (111 * gt.hours as usize / 744).max(4);
-    let mut site_order: Vec<usize> = (0..sites.len()).collect();
+    let sites = gt.sites.len();
+    let mut site_order: Vec<usize> = (0..sites).collect();
     rng.shuffle(&mut site_order);
-    'outer: for &si in site_order.iter().cycle().take(sites.len() * 4) {
+    'outer: for &si in site_order.iter().cycle().take(sites * 4) {
         if events.len() >= target_total * 85 / 100 {
             break 'outer;
         }
-        let Some(addr) = site_addresses(si, sites[si].layout).first().copied() else {
+        let ServerFault::Group { degraded, .. } = &gt.sites[si].fault else {
             continue;
         };
-        let Some(&gid) = gt.replica_group_of.get(&addr) else {
-            continue;
-        };
-        let tl = &gt.replica_group_fault[gid as usize];
         // Find an hour mostly covered by a degradation episode.
-        for h in covered_hours(tl, gt.hours, 0.6) {
+        for h in covered_hours(degraded, gt.hours, 0.6) {
             let pfx = server_prefix_base + si as u32;
             if used.insert((pfx, h)) {
                 events.push(SevereBgpEvent {
@@ -664,7 +684,7 @@ fn derive_severe_events(
 
     // 3. Uncoupled events (~15%): severe withdrawal storms with no
     // end-to-end impact (the <20% of Fig 6 with low failure rates).
-    let total_prefixes = server_prefix_base as u64 + sites.len() as u64;
+    let total_prefixes = server_prefix_base as u64 + sites as u64;
     while events.len() < target_total {
         let pfx = rng.below(total_prefixes) as u32;
         let h = rng.below(u64::from(gt.hours)) as u32;
@@ -788,49 +808,67 @@ mod tests {
         assert!(downtime(noisy[0]) > 5.0 * downtime(quiet[0]));
     }
 
+    /// Share of the horizon `tl` is true.
+    fn down_share(gt: &GroundTruth, tl: &Timeline<bool>) -> f64 {
+        tl.micros_matching(SimTime::ZERO, gt.horizon, |s| *s) as f64 / gt.horizon.as_micros() as f64
+    }
+
     #[test]
     fn heavy_sites_are_degraded_much_of_the_time() {
         let (_, sites, gt) = small_truth(744);
-        let frac = |host: &str| {
+        let fault = |host: &str| {
             let si = sites.iter().position(|s| s.hostname == host).unwrap();
-            let addr = site_addresses(si, sites[si].layout)[0];
-            let gid = gt.replica_group_of[&addr];
-            gt.replica_group_fault[gid as usize]
-                .micros_matching(SimTime::ZERO, gt.horizon, |s| *s) as f64
-                / gt.horizon.as_micros() as f64
+            &gt.sites[si].fault
+        };
+        let frac = |host: &str| match fault(host) {
+            ServerFault::Group { degraded, .. } => down_share(&gt, degraded),
+            ServerFault::HardDown(_) => panic!("{host} is grouped"),
         };
         assert!(frac("www.sina.com.cn") > 0.6, "sina {}", frac("www.sina.com.cn"));
         assert!(frac("www.berkeley.edu") < 0.05);
         // iitb's replicas flap hard-down instead of sharing a degradation.
-        let si = sites.iter().position(|s| s.hostname == "www.iitb.ac.in").unwrap();
-        let addr0 = site_addresses(si, sites[si].layout)[0];
-        let flap = gt.replica_hard_down[&addr0]
-            .micros_matching(SimTime::ZERO, gt.horizon, |s| *s) as f64
-            / gt.horizon.as_micros() as f64;
+        let ServerFault::HardDown(flaps) = fault("www.iitb.ac.in") else {
+            panic!("iitb's replicas are spread");
+        };
+        let flap = down_share(&gt, &flaps[0]);
         assert!((0.05..0.16).contains(&flap), "iitb flap fraction {flap}");
     }
 
     #[test]
-    fn same_subnet_replicas_share_fault_group() {
+    fn every_address_and_name_finds_its_site() {
         let (_, sites, gt) = small_truth(24);
-        let si = sites
-            .iter()
-            .position(|s| matches!(s.layout, ReplicaLayout::MultiSameSubnet { .. }))
-            .unwrap();
-        let addrs = site_addresses(si, sites[si].layout);
-        let gids: HashSet<u32> = addrs.iter().map(|a| gt.replica_group_of[a]).collect();
-        assert_eq!(gids.len(), 1);
-        // Spread replicas get independent hard-down flap timelines and no
-        // shared degradation group.
-        let sj = sites
-            .iter()
-            .position(|s| matches!(s.layout, ReplicaLayout::MultiSpread { .. }))
-            .unwrap();
-        let addrs = site_addresses(sj, sites[sj].layout);
-        for a in &addrs {
-            assert!(gt.replica_hard_down.contains_key(a));
-            assert!(!gt.replica_group_of.contains_key(a));
+        assert_eq!(gt.sites.len(), sites.len());
+        let mut ids = Vec::new();
+        for (si, (spec, site)) in sites.iter().zip(&gt.sites).enumerate() {
+            assert_eq!(site.name.to_string(), spec.hostname);
+            assert_eq!(site.addrs, site_addresses(si, spec.layout));
+            for (pos, &a) in site.addrs.iter().enumerate() {
+                let r = gt.replica(a).expect("a site address");
+                assert_eq!((usize::from(r.site), r.pos), (si, pos));
+            }
+            let origin = gt.origin(&site.name).expect("the listed name is served");
+            assert!(std::ptr::eq(origin, &site.origin));
+            if spec.redirect_hop {
+                assert_ne!(origin.host(), &site.name);
+                assert!(std::ptr::eq(gt.origin(origin.host()).unwrap(), origin));
+            }
+            match &site.fault {
+                // Same-subnet and CDN replicas share one group; the ids
+                // count the grouped sites in order.
+                ServerFault::Group { id, .. } => {
+                    assert!(!matches!(spec.layout, ReplicaLayout::MultiSpread { .. }));
+                    ids.push(*id);
+                }
+                // Spread replicas get one independent flap timeline each.
+                ServerFault::HardDown(flaps) => {
+                    assert!(matches!(spec.layout, ReplicaLayout::MultiSpread { .. }));
+                    assert_eq!(flaps.len(), site.addrs.len());
+                }
+            }
         }
+        assert_eq!(ids, (0..ids.len() as u32).collect::<Vec<_>>());
+        assert!(gt.replica(Ipv4Addr::new(192, 0, 2, 10)).is_none());
+        assert!(gt.origin(&"www.example.com".parse().unwrap()).is_none());
     }
 
     #[test]

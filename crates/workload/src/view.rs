@@ -10,7 +10,7 @@
 //! `(seed, replica, instant, vantage)`, keeping views `Sync` and the whole
 //! experiment deterministic under any thread schedule.
 
-use crate::faults::GroundTruth;
+use crate::faults::{GroundTruth, Replica, ServerFault};
 use dnssim::DnsFaults;
 use dnswire::DomainName;
 use httpsim::Origin;
@@ -105,26 +105,35 @@ fn zone_truth(gt: &GroundTruth, host: &DomainName, t: SimTime) -> FaultSet {
         | flag(wrong.is_some_and(|(tl, _)| *tl.at(t)), FaultSet::WRONG_DNS)
 }
 
-/// The faults toward `replica` (on `site`) at `t` that belong to the
-/// destination, so every vantage meets them: a decoy address, a
-/// co-location blast, a hard replica outage and a degradation episode. The
-/// episode bit means the condition was active; whether a particular access
-/// failed under it is the coherent-bucket draw's business.
-fn replica_faults(gt: &GroundTruth, replica: Ipv4Addr, site: Option<u16>, t: SimTime) -> FaultSet {
-    let decoy = gt.adversarial.decoys.contains(&replica);
-    let blast = site.is_some_and(|s| gt.adversarial.colo_blasted(s, t));
-    let hard_down = gt
-        .replica_hard_down
-        .get(&replica)
-        .is_some_and(|tl| *tl.at(t));
-    let degraded = gt
-        .replica_group_of
-        .get(&replica)
-        .is_some_and(|&gid| *gt.replica_group_fault[gid as usize].at(t));
-    flag(decoy, FaultSet::WRONG_DNS)
-        | flag(blast, FaultSet::COLO_BLAST)
-        | flag(hard_down, FaultSet::REPLICA_DOWN)
-        | flag(degraded, FaultSet::SERVER_DEGRADED)
+/// The faults at `t` toward `replica` (`at`: its place in the ground
+/// truth) that belong to the destination, so every vantage meets them: a
+/// decoy address, a co-location blast, a hard replica outage and a
+/// degradation episode. The episode bit means the condition was active;
+/// whether a particular access failed under it is the coherent-bucket
+/// draw's business.
+fn replica_faults(
+    gt: &GroundTruth,
+    replica: Ipv4Addr,
+    at: Option<Replica<'_>>,
+    t: SimTime,
+) -> FaultSet {
+    let decoy = flag(
+        gt.adversarial.decoys.contains(&replica),
+        FaultSet::WRONG_DNS,
+    );
+    let Some(r) = at else { return decoy };
+    let server = match &r.truth.fault {
+        ServerFault::Group { degraded, .. } => flag(*degraded.at(t), FaultSet::SERVER_DEGRADED),
+        ServerFault::HardDown(flaps) => flag(*flaps[r.pos].at(t), FaultSet::REPLICA_DOWN),
+    };
+    decoy | flag(gt.adversarial.colo_blasted(r.site, t), FaultSet::COLO_BLAST) | server
+}
+
+/// Extra mean RTT (ms) toward `replica`'s site; 0 for an address no site
+/// serves.
+fn rtt_penalty_ms(gt: &GroundTruth, replica: Ipv4Addr) -> u64 {
+    gt.replica(replica)
+        .map_or(0, |r| u64::from(r.truth.rtt_penalty_ms))
 }
 
 /// What a vantage brings to a connect besides its fault set: the salt its
@@ -138,13 +147,14 @@ struct Vantage {
     noise_mix: [f64; 3],
 }
 
-/// The behaviour a connection toward `replica` (on `site`) at `t` meets,
-/// read off the vantage's fault set: the first condition present wins, in
-/// the order of the checks below, and with none present the vantage's
-/// background noise decides. A partial condition (brownout, degraded pair,
+/// The behaviour a connection toward `replica` (`at`: its place in the
+/// ground truth) at `t` meets, read off the vantage's fault set: the first
+/// condition present wins, in the order of the checks below, and with none
+/// present the vantage's background noise decides. A partial condition (brownout, degraded pair,
 /// degradation episode) whose draw spares the access falls through to the
 /// next. Every draw is a stateless hash of the seed, the instant and the
-/// vantage's salt, so reading the set consumes no RNG. `LAST_MILE` is
+/// vantage's salt, so reading the set consumes no RNG. An address no site
+/// serves (a decoy) sizes its stalls as a 20,000-byte object. `LAST_MILE` is
 /// stamped but drives no connect: the access link acts on name resolution
 /// (`client_link_up`), so a connect made across a link outage meets only
 /// the set's other bits.
@@ -152,14 +162,14 @@ fn read_behavior(
     gt: &GroundTruth,
     faults: FaultSet,
     replica: Ipv4Addr,
-    site: Option<u16>,
+    at: Option<Replica<'_>>,
     t: SimTime,
     vantage: &Vantage,
 ) -> ServerBehavior {
     use ServerBehavior::{AcceptNoResponse, Healthy, Refusing, StallAfter, Unreachable};
     let has = |bit| faults.contains(bit);
     let addr_key = u64::from(u32::from(replica));
-    let bytes = site.map_or(20_000, |s| gt.site_index_bytes[s as usize]);
+    let bytes = at.map_or(20_000, |r| r.truth.origin.index_bytes);
     let bucket = t.as_micros() / SERVER_DRAW_WINDOW_US;
     let draw = |tag, key| hash_unit(gt.seed, tag, key, bucket, vantage.salt);
     if has(FaultSet::WRONG_DNS) || has(FaultSet::BGP_TRANSIENT) {
@@ -182,7 +192,8 @@ fn read_behavior(
     }
     // Partial like a degradation episode: coherent draws, so a browned
     // access fails as a transaction, not one connect.
-    if has(FaultSet::CDN_BROWNOUT) && draw(0xD1, site.map_or(0, u64::from)) < BROWNOUT_FAIL_PROB {
+    let site_key = at.map_or(0, |r| u64::from(r.site));
+    if has(FaultSet::CDN_BROWNOUT) && draw(0xD1, site_key) < BROWNOUT_FAIL_PROB {
         return Unreachable;
     }
     if has(FaultSet::BLOCKED_PAIR) {
@@ -207,11 +218,12 @@ fn read_behavior(
     // Degradation episode: draws are keyed by the fault *group*, so retries
     // and same-group replicas share the outcome.
     if has(FaultSet::SERVER_DEGRADED) {
-        if let Some(&gid) = gt.replica_group_of.get(&replica) {
-            let gid = u64::from(gid);
-            let fail_prob = site.map_or(0.3, |s| gt.site_fail_prob[s as usize]);
-            if draw(0xA1, gid) < fail_prob {
-                return episode_behavior(draw(0xA2, gid), bytes, draw(0xA3, gid));
+        if let Some(Replica { truth, .. }) = at {
+            if let ServerFault::Group { id, .. } = truth.fault {
+                let gid = u64::from(id);
+                if draw(0xA1, gid) < truth.episode_fail_prob {
+                    return episode_behavior(draw(0xA2, gid), bytes, draw(0xA3, gid));
+                }
             }
         }
     }
@@ -275,13 +287,13 @@ impl AccessEnvironment for ClientView<'_> {
     fn server_behavior(&self, replica: Ipv4Addr, t: SimTime) -> (ServerBehavior, FaultSet) {
         let (gt, c) = (self.gt, self.client as usize);
         let adv = &gt.adversarial;
-        let site = gt.site_of_addr.get(&replica).copied();
-        let mut faults = replica_faults(gt, replica, site, t)
+        let at = gt.replica(replica);
+        let mut faults = replica_faults(gt, replica, at, t)
             | flag(*gt.link[c].at(t), FaultSet::LAST_MILE)
             | flag(*gt.wan[c].at(t), FaultSet::WAN)
             | flag(adv.bgp_transient_at(c, t), FaultSet::BGP_TRANSIENT);
         let mut pair_fail_prob = 0.0;
-        if let Some(site) = site {
+        if let Some(Replica { site, .. }) = at {
             let pair = (self.client, site);
             if let Some(&p) = gt.degraded_pairs.get(&pair) {
                 faults |= FaultSet::DEGRADED_PAIR;
@@ -301,29 +313,24 @@ impl AccessEnvironment for ClientView<'_> {
             noise_prob: profile.noise_prob,
             noise_mix: profile.noise_mix,
         };
-        let behavior = read_behavior(gt, faults, replica, site, t, &vantage);
+        let behavior = read_behavior(gt, faults, replica, at, t, &vantage);
         (behavior, faults)
     }
 
     fn path_quality(&self, replica: Ipv4Addr, t: SimTime) -> PathQuality {
         let p = &self.gt.profile[self.client as usize];
-        let penalty = self
-            .gt
-            .site_of_addr
-            .get(&replica)
-            .map(|s| self.gt.site_rtt_penalty[*s as usize])
-            .unwrap_or(0);
+        let penalty = rtt_penalty_ms(self.gt, replica);
         // Loss breathes a little with time of day (diurnal congestion).
         let hour = t.hour_bin() as f64;
         let diurnal = 1.0 + 0.3 * ((hour % 24.0) / 24.0 * std::f64::consts::TAU).sin();
         PathQuality {
             loss: (p.base_loss * diurnal).clamp(0.0, 0.2),
-            rtt: p.base_rtt + SimDuration::from_millis(u64::from(penalty)),
+            rtt: p.base_rtt + SimDuration::from_millis(penalty),
         }
     }
 
-    fn origin(&self, host: &str) -> Option<&Origin> {
-        self.gt.origins.get(host)
+    fn origin(&self, host: &DomainName) -> Option<&Origin> {
+        self.gt.origin(host)
     }
 
     fn true_dns_faults(&self, host: &DomainName, t: SimTime) -> FaultSet {
@@ -390,34 +397,28 @@ impl AccessEnvironment for ProxyView<'_> {
         // client-scoped archetypes (censorship, transients, brownout
         // regions, MTU pairs) and the deliberately vantage-split faults do
         // not reach the proxy path.
-        let site = self.gt.site_of_addr.get(&replica).copied();
-        let faults = replica_faults(self.gt, replica, site, t);
+        let at = self.gt.replica(replica);
+        let faults = replica_faults(self.gt, replica, at, t);
         let vantage = Vantage {
             salt: 0x5000 + u64::from(self.proxy),
             pair_fail_prob: 0.0,
             noise_prob: 0.0008,
             noise_mix: [0.7, 0.18, 0.12],
         };
-        let behavior = read_behavior(self.gt, faults, replica, site, t, &vantage);
+        let behavior = read_behavior(self.gt, faults, replica, at, t, &vantage);
         (behavior, faults)
     }
 
-    fn path_quality(&self, replica: Ipv4Addr, t: SimTime) -> PathQuality {
-        let penalty = self
-            .gt
-            .site_of_addr
-            .get(&replica)
-            .map(|s| self.gt.site_rtt_penalty[*s as usize])
-            .unwrap_or(0);
-        let _ = t;
+    fn path_quality(&self, replica: Ipv4Addr, _t: SimTime) -> PathQuality {
+        let penalty = rtt_penalty_ms(self.gt, replica);
         PathQuality {
             loss: 0.004,
-            rtt: self.rtt + SimDuration::from_millis(u64::from(penalty)),
+            rtt: self.rtt + SimDuration::from_millis(penalty),
         }
     }
 
-    fn origin(&self, host: &str) -> Option<&Origin> {
-        self.gt.origins.get(host)
+    fn origin(&self, host: &DomainName) -> Option<&Origin> {
+        self.gt.origin(host)
     }
 
     fn true_dns_faults(&self, host: &DomainName, t: SimTime) -> FaultSet {
@@ -443,14 +444,24 @@ mod tests {
         (fleet, sites, gt)
     }
 
-    /// A grouped replica, its site, and a world where that site's
+    /// A grouped site's first replica, and a world where that site's
     /// degradation episodes always fail the access.
-    fn mapping_world() -> (GroundTruth, Ipv4Addr, u16) {
+    fn mapping_world() -> (GroundTruth, Ipv4Addr) {
         let (_, _, mut gt) = world();
-        let replica = *gt.replica_group_of.keys().min().expect("grouped replicas");
-        let site = gt.site_of_addr[&replica];
-        gt.site_fail_prob[site as usize] = 1.0;
-        (gt, replica, site)
+        let site = gt
+            .sites
+            .iter_mut()
+            .find(|s| matches!(s.fault, ServerFault::Group { .. }))
+            .expect("a grouped site");
+        site.episode_fail_prob = 1.0;
+        let replica = site.addrs[0];
+        (gt, replica)
+    }
+
+    /// A stall after the MTU's bytes of `replica`'s site's index object.
+    fn mtu_stall(gt: &GroundTruth, replica: Ipv4Addr) -> ServerBehavior {
+        let bytes = gt.replica(replica).unwrap().truth.origin.index_bytes;
+        ServerBehavior::StallAfter(MTU_STALL_BYTES.min(bytes))
     }
 
     /// A vantage without background noise.
@@ -471,11 +482,11 @@ mod tests {
     #[test]
     fn each_driving_bit_alone_gives_its_behavior() {
         use ServerBehavior::*;
-        let (gt, replica, site) = mapping_world();
+        let (gt, replica) = mapping_world();
         let read = |faults, vantage: &Vantage, t| {
-            read_behavior(&gt, faults, replica, Some(site), t, vantage)
+            read_behavior(&gt, faults, replica, gt.replica(replica), t, vantage)
         };
-        let stall = StallAfter(MTU_STALL_BYTES.min(gt.site_index_bytes[site as usize]));
+        let stall = mtu_stall(&gt, replica);
         for t in windows(50) {
             for (bit, want) in [
                 (FaultSet::WRONG_DNS, Unreachable),
@@ -522,9 +533,10 @@ mod tests {
     #[test]
     fn bits_resolve_in_precedence_order() {
         use ServerBehavior::*;
-        let (gt, replica, site) = mapping_world();
-        let read = |faults, t| read_behavior(&gt, faults, replica, Some(site), t, &quiet(1.0));
-        let stall = StallAfter(MTU_STALL_BYTES.min(gt.site_index_bytes[site as usize]));
+        let (gt, replica) = mapping_world();
+        let at = gt.replica(replica);
+        let read = |faults, t| read_behavior(&gt, faults, replica, at, t, &quiet(1.0));
+        let stall = mtu_stall(&gt, replica);
         for t in windows(200) {
             assert_eq!(read(FaultSet::CENSORED | FaultSet::WAN, t), Refusing);
             assert_eq!(
@@ -631,11 +643,12 @@ mod tests {
             .iter()
             .position(|s| s.hostname == "www.sina.com.cn")
             .unwrap();
-        let addr = site_addresses(si, sites[si].layout)[0];
+        let addr = gt.sites[si].addrs[0];
         let view = ClientView::new(&gt, 20);
         // Sample many instants inside degraded periods.
-        let gid = gt.replica_group_of[&addr];
-        let tl = &gt.replica_group_fault[gid as usize];
+        let ServerFault::Group { degraded: tl, .. } = &gt.sites[si].fault else {
+            panic!("sina's replicas are grouped");
+        };
         let mut degraded_samples = 0;
         let mut failures = 0;
         for k in 0..40_000u64 {

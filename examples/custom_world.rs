@@ -69,8 +69,8 @@ impl AccessEnvironment for OfficeWorld {
         }
     }
 
-    fn origin(&self, host: &str) -> Option<&Origin> {
-        self.origins.iter().find(|o| o.host().eq_ignore_ascii_case(host))
+    fn origin(&self, host: &DomainName) -> Option<&Origin> {
+        self.origins.iter().find(|o| o.host() == host)
     }
 }
 
@@ -81,13 +81,13 @@ fn main() {
         ("www.far.example".parse().unwrap(), vec![Ipv4Addr::new(192, 0, 2, 10)]),
     ];
     let mut origins = vec![
-        Origin::simple("www.flaky.example", 22_000),
-        Origin::simple("www.far.example", 18_000),
+        Origin::simple(hosts[0].0.clone(), 22_000),
+        Origin::simple(hosts[1].0.clone(), 18_000),
     ];
     for i in 0..10u8 {
         let name: DomainName = format!("www.steady{i}.example").parse().unwrap();
+        origins.push(Origin::simple(name.clone(), 30_000));
         hosts.push((name, vec![Ipv4Addr::new(198, 51, 100, 10 + i)]));
-        origins.push(Origin::simple(&format!("www.steady{i}.example"), 30_000));
     }
     let tree = ZoneTree::build_for_hosts(&hosts);
 

@@ -11,6 +11,7 @@
 //! ```
 
 use dnssim::{DnsFaults, ZoneTree};
+use dnswire::DomainName;
 use httpsim::{Origin, StatusClass};
 use model::{ClientId, FaultSet, ProxyId, SimDuration, SimTime, SiteId};
 use netsim::process::EpisodeDuration;
@@ -45,13 +46,13 @@ impl AccessEnvironment for FlappyReplica {
         }
     }
 
-    fn origin(&self, host: &str) -> Option<&Origin> {
-        self.origin.host().eq_ignore_ascii_case(host).then_some(&self.origin)
+    fn origin(&self, host: &DomainName) -> Option<&Origin> {
+        (self.origin.host() == host).then_some(&self.origin)
     }
 }
 
 fn main() {
-    let host: dnswire::DomainName = "www.iitb.ac.in".parse().expect("valid");
+    let host: DomainName = "www.iitb.ac.in".parse().expect("valid");
     let replicas = vec![
         Ipv4Addr::new(203, 0, 113, 10),
         Ipv4Addr::new(198, 51, 100, 10),
@@ -69,7 +70,7 @@ fn main() {
     )
     .materialize(&mut rng, SimTime::from_hours(400));
     let env = FlappyReplica {
-        origin: Origin::simple("www.iitb.ac.in", 19_000),
+        origin: Origin::simple(host.clone(), 19_000),
         flap,
         victim: replicas[0],
     };

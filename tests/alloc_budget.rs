@@ -11,10 +11,11 @@
 //! * a cache miss allocates only the cache entry it inserts: nothing when
 //!   it refreshes an expired entry, the key and the address list for a new
 //!   name;
-//! * a redirect hop allocates the next hop's parsed name, once per hop;
+//! * a redirect hop allocates nothing: the next hop is the origin's own
+//!   parsed name, which the session resolves as it is;
 //! * a proxied transaction that hits the proxy's DNS cache allocates
-//!   nothing: the proxy keeps one resolver, and its message buffer, for
-//!   its lifetime;
+//!   nothing, through a redirect too: the proxy keeps one resolver, and
+//!   its message buffer, for its lifetime, and follows the origin's names;
 //! * a failed lookup and the iterative dig that follows it allocate
 //!   nothing: dig walks in the resolver's message buffer and reads its
 //!   addresses into the session's address buffer;
@@ -118,7 +119,7 @@ const TTL: SimDuration = SimDuration::from_secs(7_200);
 #[test]
 fn a_warm_transaction_allocates_only_what_it_keeps() {
     let tree = tree();
-    let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+    let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 24_000));
     let config = WgetConfig::default();
     assert!(config.resolver.wire_fidelity && config.record_traces);
     let mut session = ClientSession::new(ClientId(0), &tree, config, SimRng::new(2005));
@@ -164,12 +165,18 @@ fn a_warm_transaction_allocates_only_what_it_keeps() {
     assert_eq!(session.ldns_cache().len(), 2);
 }
 
+/// `www.example.com`'s origin, reached through a redirect from
+/// `example.com`.
+fn redirecting() -> HealthyEnv {
+    HealthyEnv::new(
+        Origin::simple(name("www.example.com"), 24_000).with_redirects(vec![name("example.com")]),
+    )
+}
+
 #[test]
-fn a_redirect_hop_allocates_the_next_hops_name() {
+fn a_redirect_hop_allocates_nothing() {
     let tree = tree();
-    let env = HealthyEnv::new(
-        Origin::simple("www.example.com", 24_000).with_redirects(vec!["example.com".to_string()]),
-    );
+    let env = redirecting();
     let config = WgetConfig::default();
     let mut session = ClientSession::new(ClientId(0), &tree, config, SimRng::new(2006));
     let host = name("example.com");
@@ -180,8 +187,8 @@ fn a_redirect_hop_allocates_the_next_hops_name() {
         assert!(record.outcome.is_success());
         assert_eq!(conns.len(), 2, "one redirect hop");
         if i >= 50 {
-            // Both names are cached: the hop parses `www.example.com`.
-            assert_eq!(allocs, 1, "transaction {i}");
+            // Both names are cached, and the hop asks the origin's name.
+            assert_eq!(allocs, 0, "transaction {i}");
         }
         t += SimDuration::from_secs(10);
     }
@@ -190,7 +197,7 @@ fn a_redirect_hop_allocates_the_next_hops_name() {
 #[test]
 fn a_warm_proxied_cache_hit_allocates_nothing() {
     let tree = tree();
-    let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+    let env = HealthyEnv::new(Origin::simple(name("www.example.com"), 24_000));
     let config = WgetConfig::default();
     assert!(config.resolver.wire_fidelity);
     let mut proxy = ProxySession::new(ProxyId(0), &tree, config.resolver, SimRng::new(2007));
@@ -216,6 +223,33 @@ fn a_warm_proxied_cache_hit_allocates_nothing() {
     assert!(t < t0 + TTL, "every measured lookup was a hit");
 }
 
+#[test]
+fn a_warm_proxied_redirect_allocates_nothing() {
+    let tree = tree();
+    let env = redirecting();
+    let config = WgetConfig::default();
+    let mut proxy = ProxySession::new(ProxyId(0), &tree, config.resolver, SimRng::new(2010));
+    let mut session = ClientSession::new(ClientId(0), &tree, config, SimRng::new(2011));
+    let host = name("example.com");
+    let mut t = SimTime::from_hours(1);
+    for i in 0..300 {
+        let before = ALLOCS.with(Cell::get);
+        let (record, _, _) =
+            session.run_proxied_transaction(&env, &mut proxy, &env, SiteId(0), &host, t);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert!(record.outcome.is_success());
+        assert_eq!(
+            record.bytes_received, 24_000,
+            "the redirect's target answered"
+        );
+        if i >= 50 {
+            assert_eq!(allocs, 0, "proxied redirect {i}");
+        }
+        t += SimDuration::from_secs(10);
+    }
+    assert_eq!(proxy.dns_cache().len(), 2, "both hops cached");
+}
+
 /// [`HealthyEnv`] behind a dead LDNS: wget's lookups time out, while dig,
 /// which walks from the root itself, resolves.
 struct LdnsDown(HealthyEnv);
@@ -233,7 +267,7 @@ impl AccessEnvironment for LdnsDown {
     fn path_quality(&self, r: Ipv4Addr, t: SimTime) -> PathQuality {
         self.0.path_quality(r, t)
     }
-    fn origin(&self, host: &str) -> Option<&Origin> {
+    fn origin(&self, host: &DomainName) -> Option<&Origin> {
         self.0.origin(host)
     }
 }
@@ -241,7 +275,10 @@ impl AccessEnvironment for LdnsDown {
 #[test]
 fn a_warm_failed_lookup_and_its_dig_allocate_nothing() {
     let tree = tree();
-    let env = LdnsDown(HealthyEnv::new(Origin::simple("www.example.com", 24_000)));
+    let env = LdnsDown(HealthyEnv::new(Origin::simple(
+        name("www.example.com"),
+        24_000,
+    )));
     let config = WgetConfig::default();
     assert!(config.resolver.wire_fidelity);
     let mut session = ClientSession::new(ClientId(0), &tree, config, SimRng::new(2009));

@@ -98,12 +98,78 @@ fn dig_and_resolver_agree_on_healthy_world() {
     }
 }
 
+/// One connection of `bytes` at `loss` over a 70 ms path, checked against
+/// what the model guarantees of every attempt: the outcome is what reached
+/// the client, the capture sees no more retransmissions than the sender
+/// made, and the duration holds every wait the attempt made. Each request
+/// or data retransmission waits one 3 s RTO, a failure past the handshake
+/// then waits out the 60 s idle rule, and an unreachable server's four
+/// SYNs back off 3 + 6 + 12 + 24 s. No ceiling holds: the idle rule bounds
+/// only the silence after the last progress, not the RTO waits of a
+/// transfer that keeps progressing.
+fn checked_connection(
+    behavior: ServerBehavior,
+    bytes: u64,
+    loss: f64,
+    seed: u64,
+) -> tcpsim::ConnectionResult {
+    let path = PathQuality {
+        loss,
+        rtt: SimDuration::from_millis(70),
+    };
+    let start = SimTime::from_hours(1);
+    let r = simulate_connection(behavior, &path, bytes, start, &mut SimRng::new(seed));
+    let case = format!("{behavior:?}, {bytes} bytes, loss {loss}, seed {seed}: {r:?}");
+    assert!(
+        r.retransmissions_visible <= r.retransmissions_sent,
+        "{case}"
+    );
+    let delivered = r.bytes_delivered;
+    match r.outcome {
+        Ok(()) => assert_eq!(delivered, bytes, "{case}"),
+        Err(TcpFailureKind::PartialResponse) => {
+            assert!(delivered > 0 && delivered < bytes, "{case}")
+        }
+        Err(_) => assert_eq!(delivered, 0, "{case}"),
+    }
+    let idle = match r.outcome {
+        Err(TcpFailureKind::NoResponse | TcpFailureKind::PartialResponse) => 60,
+        _ => 0,
+    };
+    let waits = SimDuration::from_secs(3 * u64::from(r.retransmissions_sent) + idle);
+    assert!(r.duration >= waits, "{case}");
+    if behavior == ServerBehavior::Unreachable {
+        assert_eq!(r.outcome, Err(TcpFailureKind::NoConnection), "{case}");
+        assert_eq!(r.syn_retransmissions, 3, "{case}");
+        assert_eq!(r.duration, SimDuration::from_secs(45), "{case}");
+    }
+    r
+}
+
+/// Two lossy transfers whose RTO waits alone run past the 225 s that a
+/// 45 s handshake, a 60 s idle wait and 120 s more would allow: one
+/// completes, one stalls.
+#[test]
+fn lossy_transfers_wait_out_every_retransmission() {
+    for (seed, outcome) in [
+        (2953, Ok(())),
+        (15271, Err(TcpFailureKind::PartialResponse)),
+    ] {
+        let r = checked_connection(ServerBehavior::Healthy, 149_999, 0.199, seed);
+        assert_eq!(r.outcome, outcome, "seed {seed}");
+        assert!(
+            r.duration > SimDuration::from_secs(225),
+            "seed {seed}: {:?}",
+            r.duration
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For any seed, loss rate, behaviour and size, a connection's outcome
-    /// is what reached the client, the capture sees no more retransmissions
-    /// than the sender made, and durations respect the configured bounds.
+    /// For any seed, loss rate, behaviour and size, a connection keeps what
+    /// [`checked_connection`] checks.
     #[test]
     fn tcp_outcome_always_matches_bytes_delivered(
         seed in 0u64..10_000,
@@ -118,26 +184,7 @@ proptest! {
             ServerBehavior::AcceptNoResponse,
             ServerBehavior::StallAfter(bytes / 2),
         ][behavior_idx];
-        let path = PathQuality { loss, rtt: SimDuration::from_millis(70) };
-        let r = simulate_connection(
-            behavior,
-            &path,
-            bytes,
-            SimTime::from_hours(1),
-            &mut SimRng::new(seed),
-        );
-        prop_assert!(r.retransmissions_visible <= r.retransmissions_sent);
-        let delivered = r.bytes_delivered;
-        match r.outcome {
-            Ok(()) => prop_assert_eq!(delivered, bytes),
-            Err(TcpFailureKind::PartialResponse) => {
-                prop_assert!(delivered > 0 && delivered < bytes)
-            }
-            Err(_) => prop_assert_eq!(delivered, 0),
-        }
-        // Durations: SYN backoff chain bounds the handshake phase; the
-        // idle rule bounds the stalled phase.
-        prop_assert!(r.duration <= SimDuration::from_secs(60 + 45 + 120));
+        checked_connection(behavior, bytes, loss, seed);
     }
 
     /// DNS wire fidelity changes what a lookup costs, not what it finds:

@@ -56,7 +56,7 @@ fn stamps_follow_a_fault_that_starts_and_ends_mid_hour() {
     );
 
     // The answer key applies the half-hour coverage rule.
-    let sidecar = gt.truth_sidecar(&sites);
+    let sidecar = gt.truth_sidecar();
     assert!(sidecar.client_fault_hours[0].contains(&1), "hour 1 is 60% covered");
     assert!(!sidecar.client_fault_hours[0].contains(&2), "hour 2 is only 20% covered");
 }
@@ -87,7 +87,7 @@ fn overlapping_faults_union_their_flags() {
 
     // The answer key records hours 1–3 as fault hours (each is majority-
     // covered by at least one of the overlapping outages).
-    let sidecar = gt.truth_sidecar(&sites);
+    let sidecar = gt.truth_sidecar();
     for h in 1..=3u32 {
         assert!(sidecar.client_fault_hours[0].contains(&h), "hour {h}");
     }
@@ -343,7 +343,7 @@ fn vantage_split_and_mtu_shape_the_direct_path_only() {
     // The MTU hole lets the connect and the first ~1.2 kB through, then
     // the transfer hangs; another client's path to the same site is clean.
     let mtu_replica = workload::sites::site_addresses(2, sites[2].layout)[0];
-    let bytes = gt.site_index_bytes[2];
+    let bytes = gt.sites()[2].origin.index_bytes;
     let (behavior, stamp) = view.server_behavior(mtu_replica, t(1.5));
     assert_eq!(behavior, ServerBehavior::StallAfter(1200u64.min(bytes)));
     assert!(stamp.contains(FaultSet::MTU_BLACKHOLE));
